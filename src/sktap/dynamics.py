@@ -15,8 +15,9 @@ Three decompositions are covered:
 * ``product``:   m_k * m_jk at fixed clamped spin, relative to cavity
 
 The clamped row enters the reduced system only through the effective fields,
-so one enumeration context (couplings fixed) is reused across the whole
-grid with the fields swept along the path.
+so one enumeration context (couplings fixed) serves the whole grid: the
+fields of every grid point form one stack, enumerated in a single batched
+pass per clamped spin.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .gibbs import (
     BlockEnumerator,
     ReducedSpec,
     _gray_moments,
+    _RawMoments,
     _local_index,
     _reduce_system,
     magnetizations,
@@ -90,33 +92,42 @@ class _RowFlowScan:
 
     Clamping site i leaves the active coupling block constant along the
     path; only the effective fields move, by sigma_i times the row values.
+    So one stacked pass per clamped spin covers every grid point at once.
     """
 
     def __init__(self, path: CouplingPath, params: ModelParams, i: int,
                  ambient: ReducedSpec, engine: str):
         if path.n != params.n:
             raise ValueError(f"path size {path.n} != params n {params.n}")
-        self.path = path
-        self.i = i
         terminal = path.terminal()
         active, g_act, h_plus = _reduce_system(terminal, params, ambient.with_clamped(i, +1))
         self.active = active
         self.base_h = h_plus - terminal.entries[active, i]
+        rows, increments = path.row_path(i)
+        self.rows = rows[:, active]
+        # C order: a strided BLAS dot sums in another order than a
+        # contiguous one, and the martingale increments are such dots
+        self.increments = np.ascontiguousarray(increments[:, active])
         self.g_act = g_act
-        self.engine = engine
         self._ctx = BlockEnumerator(g_act) if engine == "block" else None
 
     def local(self, site: int) -> int:
         return _local_index(self.active, site)
 
-    def moments(self, k: int, spin: int, want_pair=False, cols=()):
-        h = self.base_h + spin * self.path.row_at(self.i, k)[self.active]
+    def stack(self, spin: int, cols=()):
+        """Raw moments at every grid point (leading axis) with site i at ``spin``."""
+        fields = self.base_h + spin * self.rows
         if self._ctx is not None:
-            return self._ctx.moments(h, want_pair=want_pair, cols=cols)
-        return _gray_moments(self.g_act, h, want_pair=want_pair, cols=cols)
-
-    def row_increment(self, k: int) -> np.ndarray:
-        return self.path.row_increment(self.i, k)[self.active]
+            return self._ctx.moments(fields, want_pair=False, cols=cols)
+        # the gray engine stays a per-point loop: the reference the tests use
+        points = [_gray_moments(self.g_act, h, want_pair=False, cols=cols) for h in fields]
+        return _RawMoments(
+            np.array([p.log_z for p in points]),
+            np.array([p.mag for p in points]),
+            None,
+            {},
+            {key: np.array([p.cols[key] for p in points]) for key in cols},
+        )
 
 
 def ito_decomposition_trace(
@@ -149,77 +160,74 @@ def ito_decomposition_trace(
         raise ValueError(f"path must have at least 2 steps, got {segs}")
 
     scan = _RowFlowScan(path, params, cfg.clamped_site, cfg.reduced, engine)
-    ds = np.diff(path.grid)
-    lhs = np.empty(segs + 1)
-    mart_inc = np.empty(segs)
-    drift_inc = np.empty(segs)
-    mart_partial = np.empty(segs + 1)
-    drift_partial = np.empty(segs + 1)
-    mart_acc, drift_acc = _Kahan(), _Kahan()
-    mart_partial[0] = 0.0
-    drift_partial[0] = 0.0
+    lhs, mart_vec, drift_vec = _integrands(scan, cfg)
+    # Ito convention: integrands at the left endpoint of every segment; one
+    # BLAS dot per segment
+    mart_inc = (mart_vec[:-1, None, :] @ scan.increments[:, :, None])[:, 0, 0]
+    drift_inc = -np.sum(drift_vec[:-1], axis=1) * np.diff(path.grid) / params.n
 
-    for k in range(segs + 1):
-        lhs[k], mart_vec, drift_vec = _integrands(scan, cfg, k)
-        if k == segs:
-            break
-        mart_inc[k] = float(mart_vec @ scan.row_increment(k))
-        drift_inc[k] = -float(np.sum(drift_vec)) * ds[k] / params.n
-        mart_acc.add(mart_inc[k])
-        drift_acc.add(drift_inc[k])
-        mart_partial[k + 1] = mart_acc.total
-        drift_partial[k + 1] = drift_acc.total
+    # compensated partial sums, accumulated strictly in grid order
+    mart_acc, drift_acc = _Kahan(), _Kahan()
+    mart_partial = [0.0]
+    drift_partial = [0.0]
+    for dm, dd in zip(mart_inc.tolist(), drift_inc.tolist()):
+        mart_acc.add(dm)
+        drift_acc.add(dd)
+        mart_partial.append(mart_acc.total)
+        drift_partial.append(drift_acc.total)
 
     residual = abs(lhs[-1] - lhs[0] - (mart_acc.total + drift_acc.total))
     return {
         "s": np.array(path.grid),
         "lhs": lhs,
-        "martingale": mart_partial,
-        "drift": drift_partial,
+        "martingale": np.array(mart_partial),
+        "drift": np.array(drift_partial),
         "martingale_increments": mart_inc,
         "drift_increments": drift_inc,
         "residual": float(residual),
     }
 
 
-def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig, k: int):
-    """LHS value and per-site integrand vectors at grid point k.
+def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
+    """LHS values and per-site integrand vectors at every grid point.
 
-    The martingale vector multiplies the row increments dg_il; the drift
-    vector is summed and multiplied by -ds/n (the positive product-rule
-    cross term enters with its sign already folded in).  Everything is in
-    active-local coordinates; centering the raw moment columns yields the
-    diagonal conventions m_jj = 1 - m_j^2 and m_jkj = -2 m_j m_jk for free.
+    Returns the LHS over the grid, shape (steps + 1,), and the martingale
+    and drift integrands, shape (steps + 1, active sites).  The martingale
+    vector multiplies the row increments dg_il; the drift vector is summed
+    and multiplied by -ds/n (the positive product-rule cross term enters
+    with its sign already folded in).  Everything is in active-local
+    coordinates; centering the raw moment columns yields the diagonal
+    conventions m_jj = 1 - m_j^2 and m_jkj = -2 m_j m_jk for free.
     """
     jl = scan.local(cfg.target_site)
     if cfg.variant == "pair":
-        up = scan.moments(k, +1, cols=[(jl,)])
-        dn = scan.moments(k, -1, cols=[(jl,)])
-        pc_up = up.cols[(jl,)] - up.mag[jl] * up.mag
-        pc_dn = dn.cols[(jl,)] - dn.mag[jl] * dn.mag
-        lhs_val = 0.5 * (up.mag[jl] - dn.mag[jl])
+        up = scan.stack(+1, cols=[(jl,)])
+        dn = scan.stack(-1, cols=[(jl,)])
+        pc_up = up.cols[(jl,)] - up.mag[:, jl, None] * up.mag
+        pc_dn = dn.cols[(jl,)] - dn.mag[:, jl, None] * dn.mag
+        lhs = 0.5 * (up.mag[:, jl] - dn.mag[:, jl])
         eps_col = 0.5 * (pc_up + pc_dn)
         delta_prod = 0.5 * (up.mag * pc_up - dn.mag * pc_dn)
-        return float(lhs_val), eps_col, delta_prod
+        return lhs, eps_col, delta_prod
 
     kl = scan.local(cfg.second_site)
     spin = cfg.clamped_spin
-    raw = scan.moments(k, spin, cols=[(jl,), (kl,), (jl, kl)])
+    raw = scan.stack(spin, cols=[(jl,), (kl,), (jl, kl)])
     m = raw.mag
-    mj, mk = m[jl], m[kl]
+    mj, mk = m[:, jl, None], m[:, kl, None]
     rj, rk, rt = raw.cols[(jl,)], raw.cols[(kl,)], raw.cols[(jl, kl)]
-    raw_jk = rj[kl]
+    raw_jk = rj[:, kl, None]
     pj = rj - mj * m
     pk = rk - mk * m
     trip = rt - mj * rk - mk * rj - m * raw_jk + 2.0 * mj * mk * m
     pjk = raw_jk - mj * mk
     if cfg.variant == "two_point":
-        return float(pjk), spin * trip, m * trip + pj * pk
+        return pjk[:, 0], spin * trip, m * trip + pj * pk
     # product variant: X = m_k, Y = m_jk, track d(XY)
-    lhs_val = mk * pjk
+    lhs = mk * pjk
     mart = spin * (pjk * pk + mk * trip)
     drift = m * pjk * pk + mk * (m * trip + pj * pk) - pk * trip
-    return float(lhs_val), mart, drift
+    return lhs[:, 0], mart, drift
 
 
 def ito_decomposition_residual(
@@ -256,7 +264,4 @@ def cavity_difference_path(
     cavity = float(
         magnetizations(path.terminal(), params, ReducedSpec(removed={i}), engine)[j]
     )
-    out = np.empty(path.steps + 1)
-    for k in range(path.steps + 1):
-        out[k] = float(scan.moments(k, clamped_spin).mag[jl]) - cavity
-    return out
+    return scan.stack(clamped_spin).mag[:, jl] - cavity

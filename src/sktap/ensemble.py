@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ItoCheckConfig, ito_decomposition_residual
-from .errors import EnsembleSampleError
+from .errors import EnsembleSampleError, NumericalError
 from .gibbs import gibbs_tables
 from .model import ModelParams, sample_couplings, sample_path, substream_seed
 from .spectral import resolvent_error
@@ -122,10 +122,12 @@ class EnsembleStats:
 def _sample_scalar(task: tuple):
     """Evaluate one disorder sample; returns ("ok", value) or ("err", message).
 
-    Top-level so process pools can pickle it; exceptions are reported as
-    values to keep failure handling deterministic across schedulers.
+    Top-level so process pools can pickle it.  Numerical failures are
+    reported as values to keep failure handling deterministic across
+    schedulers; any other exception is a bug and propagates, chained to an
+    error that names the sample to replay.
     """
-    experiment, n, t, h, seed, moment_p, ito_steps, enum_cap, q_ref = task
+    experiment, n, index, seed, t, h, moment_p, ito_steps, enum_cap, q_ref = task
     try:
         params = ModelParams.uniform(n, t, h, enum_cap)
         if experiment == "ito":
@@ -150,8 +152,13 @@ def _sample_scalar(task: tuple):
         if experiment == "spectral":
             return "ok", resolvent_error(cm, params)
         return "err", f"unknown experiment {experiment!r}"
-    except Exception as exc:  # deterministic error transport across workers
+    except NumericalError as exc:  # deterministic error transport across workers
         return "err", f"{type(exc).__name__}: {exc}"
+    except Exception as exc:
+        raise RuntimeError(
+            f"sample {index} at n={n} (seed={seed}) raised {type(exc).__name__}, "
+            "which is a bug, not a numerical failure"
+        ) from exc
 
 
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
@@ -167,8 +174,8 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     for n in cfg.n_values:
         seeds = [substream_seed(cfg.master_seed, n, k) for k in range(cfg.samples)]
         tasks = [
-            (cfg.experiment, n, cfg.t, cfg.h, s, cfg.moment_p, cfg.ito_steps, cfg.enum_cap, q_ref)
-            for s in seeds
+            (cfg.experiment, n, k, s, cfg.t, cfg.h, cfg.moment_p, cfg.ito_steps, cfg.enum_cap, q_ref)
+            for k, s in enumerate(seeds)
         ]
         if cfg.workers > 1:
             chunk = max(1, cfg.samples // (4 * cfg.workers))

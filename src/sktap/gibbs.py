@@ -121,14 +121,30 @@ class _RawMoments:
 
     ``cols`` maps a tuple F of fixed local indices (length 1 or 2) to the raw
     moment vector <s_F s_l> over every local site l; ``triples`` maps an
-    index triple to the raw scalar <s_a s_b s_c>.
+    index triple to the raw scalar <s_a s_b s_c>.  A stacked pass over K
+    field vectors gives every field a leading K axis.
     """
 
-    log_z: float
+    log_z: float | np.ndarray
     mag: np.ndarray
     second: np.ndarray | None  # raw <sigma_a sigma_b>, unit diagonal
     triples: dict
     cols: dict
+
+    def row(self, r: int) -> "_RawMoments":
+        """Row r of a stacked result, as the unstacked moments of one system."""
+        return _RawMoments(
+            float(self.log_z[r]),
+            self.mag[r],
+            None if self.second is None else self.second[r],
+            {key: float(val[r]) for key, val in self.triples.items()},
+            {key: val[r] for key, val in self.cols.items()},
+        )
+
+
+# Largest number of states one chunk of a stacked pass enumerates at once.
+# A single system above the budget is enumerated alone.
+_CHUNK_STATES = 1 << 14
 
 
 def _sign_matrix(k: int) -> np.ndarray:
@@ -148,10 +164,12 @@ def _quadratic(S: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def _symmetrized_second(second: np.ndarray) -> np.ndarray:
-    """Mirror the upper triangle and pin the diagonal to exactly 1."""
-    na = second.shape[0]
+    """Mirror the upper triangle and pin the diagonal to exactly 1.
+
+    Works on one matrix or on a stack of them (the last two axes)."""
+    na = second.shape[-1]
     upper = np.triu(second, 1)
-    return upper + upper.T + np.eye(na)
+    return upper + upper.swapaxes(-1, -2) + np.eye(na)
 
 
 class BlockEnumerator:
@@ -188,42 +206,71 @@ class BlockEnumerator:
         return pl, pr
 
     def moments(self, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
-        n1, n2 = self.n1, self.n2
+        """Raw moments for a stack of field vectors ``h`` of shape (K, na).
+
+        Every field of the result carries a leading K axis (a single vector
+        counts as a one-row stack).  Each row has its own log-sum-exp shift.
+        Rows are enumerated in chunks of at most ``_CHUNK_STATES`` states, so
+        the working set stays bounded however long the stack is.
+        """
+        H = np.atleast_2d(np.ascontiguousarray(h, dtype=np.float64))
+        K, na = H.shape[0], self.na
+        out = _RawMoments(
+            np.empty(K),
+            np.empty((K, na)),
+            np.empty((K, na, na)) if want_pair else None,
+            {key: np.empty(K) for key in triples},
+            {key: np.empty((K, na)) for key in cols},
+        )
+        per = max(1, _CHUNK_STATES >> na)
+        for a in range(0, K, per):
+            self._chunk(H[a : a + per], slice(a, a + per), out)
+        return out
+
+    def _chunk(self, H, rows, out: _RawMoments) -> None:
+        """Fill ``rows`` of every field of ``out`` from the field chunk ``H``.
+
+        Every field-dependent product is a matmul batched over the leading
+        axis, one BLAS call per row, never one gemm whose row dimension spans
+        the chunk.  A row's bits therefore do not depend on the rows that
+        share its chunk: equal fields give equal results wherever they sit.
+        """
+        n1 = self.n1
         SL, SR = self.SL, self.SR
-        logw = self.X + (self.EL + SL @ h[:n1])[:, None]
-        er = self.ER if n2 == 0 else self.ER + SR @ h[n1:]
-        logw += er[None, :]
-        shift = logw.max()
-        logw -= shift
+        logw = self.X + (self.EL + _each(SL, H[:, :n1]))[:, :, None]
+        logw += (self.ER + _each(SR, H[:, n1:]))[:, None, :]
+        shift = logw.reshape(H.shape[0], -1).max(axis=1)
+        logw -= shift[:, None, None]
         W = np.exp(logw, out=logw)
-        u = W.sum(axis=1)
-        v = W.sum(axis=0)
-        zsum = u.sum()
-        log_z = float(np.log(zsum) + shift)
-        mag = np.concatenate([SL.T @ u, SR.T @ v]) / zsum
+        u = W.sum(axis=2)
+        v = W.sum(axis=1)
+        zsum = u.sum(axis=1)
+        out.log_z[rows] = np.log(zsum) + shift
+        norm = zsum[:, None]
+        out.mag[rows] = np.concatenate([_each(SL.T, u), _each(SR.T, v)], axis=1) / norm
 
-        second = None
-        if want_pair:
-            second = np.empty((self.na, self.na))
-            second[:n1, :n1] = SL.T @ (u[:, None] * SL)
-            if n2 > 0:
-                second[:n1, n1:] = SL.T @ (W @ SR)
-                second[n1:, :n1] = second[:n1, n1:].T
-                second[n1:, n1:] = SR.T @ (v[:, None] * SR)
-            second /= zsum
-            second = _symmetrized_second(second)
+        if out.second is not None:
+            sec = np.empty((H.shape[0], self.na, self.na))
+            sec[:, :n1, :n1] = SL.T @ (u[:, :, None] * SL)
+            sec[:, :n1, n1:] = SL.T @ (W @ SR)
+            sec[:, n1:, :n1] = sec[:, :n1, n1:].transpose(0, 2, 1)
+            sec[:, n1:, n1:] = SR.T @ (v[:, :, None] * SR)
+            sec /= norm[:, :, None]
+            out.second[rows] = _symmetrized_second(sec)
 
-        trip_vals = {}
-        for key in triples:
+        for key, val in out.triples.items():
             pl, pr = self._parts(key)
-            trip_vals[key] = float(pl @ (W @ pr)) / zsum
-
-        col_vals = {}
-        for key in cols:
+            val[rows] = ((W @ pr)[:, None, :] @ pl)[:, 0] / zsum
+        for key, val in out.cols.items():
             pl, pr = self._parts(key)
-            col = np.concatenate([SL.T @ (pl * (W @ pr)), SR.T @ (pr * (W.T @ pl))]) / zsum
-            col_vals[key] = col
-        return _RawMoments(log_z, mag, second, trip_vals, col_vals)
+            left = _each(SL.T, pl * (W @ pr))
+            right = _each(SR.T, pr * (W.transpose(0, 2, 1) @ pl))
+            val[rows] = np.concatenate([left, right], axis=1) / norm
+
+
+def _each(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for every row x of the stack X, as one BLAS call per row."""
+    return (M @ X[:, :, None])[:, :, 0]
 
 
 def _block_moments(G, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
@@ -231,7 +278,7 @@ def _block_moments(G, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
     na = h.size
     if na == 0:
         return _RawMoments(0.0, np.zeros(0), np.zeros((0, 0)) if want_pair else None, {}, {})
-    return BlockEnumerator(G).moments(h, want_pair, triples, cols)
+    return BlockEnumerator(G).moments(h[None, :], want_pair, triples, cols).row(0)
 
 
 def _gray_moments(G, h, want_pair=True, triples=(), cols=()) -> _RawMoments:

@@ -236,22 +236,42 @@ class CouplingPath:
     def terminal(self) -> CouplingMatrix:
         return self.matrix_at(-1)
 
+    def _row_columns(self, i: int) -> tuple:
+        """Partner sites of row i and the increment columns of their couplings."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"site {i} out of range for n={self.n}")
+        partner = np.delete(np.arange(self.n), i)
+        lo = np.minimum(partner, i)
+        hi = np.maximum(partner, i)
+        # row-major position of pair (lo, hi), lo < hi, among the upper pairs
+        return partner, lo * (2 * self.n - lo - 1) // 2 + (hi - lo - 1)
+
+    def row_path(self, i: int) -> tuple:
+        """Row i at every grid point and its increments over every segment.
+
+        Returns arrays of shape (steps + 1, n) and (steps, n), zero in
+        column i; row k of each equals ``row_at(i, k)`` and
+        ``row_increment(i, k)``.
+        """
+        partner, columns = self._row_columns(i)
+        rows = np.zeros((self.grid.size, self.n))
+        rows[:, partner] = self._cum[:, columns]
+        increments = np.zeros((self.steps, self.n))
+        increments[:, partner] = self.increments[:, columns]
+        return rows, increments
+
     def row_at(self, i: int, k: int) -> np.ndarray:
         """Row i of the coupling matrix at grid point k (length n, zero at i)."""
-        iu, ju = np.triu_indices(self.n, 1)
-        mask = (iu == i) | (ju == i)
-        partner = np.where(iu == i, ju, iu)[mask]
+        partner, columns = self._row_columns(i)
         row = np.zeros(self.n)
-        row[partner] = self._cum[k][mask]
+        row[partner] = self._cum[k, columns]
         return row
 
     def row_increment(self, i: int, k: int) -> np.ndarray:
         """Increment of row i over grid segment k -> k+1 (length n, zero at i)."""
-        iu, ju = np.triu_indices(self.n, 1)
-        mask = (iu == i) | (ju == i)
-        partner = np.where(iu == i, ju, iu)[mask]
+        partner, columns = self._row_columns(i)
         row = np.zeros(self.n)
-        row[partner] = self.increments[k][mask]
+        row[partner] = self.increments[k, columns]
         return row
 
 

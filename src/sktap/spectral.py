@@ -46,7 +46,10 @@ def build_deformed(
     tables = tables if tables is not None else gibbs_tables(cm, params, engine=engine)
     m = tables.m
     if np.any(np.abs(m) >= 1.0):
-        raise ValueError("deformed operator needs |m_i| < 1 at every site")
+        # tanh saturates to exactly 1 in float64 once a local field passes ~19
+        raise SingularOperatorError(
+            "deformed operator needs |m_i| < 1 at every site (a magnetization saturated)"
+        )
     lam = 1.0 / (1.0 - m**2)
     rank_one = (2.0 / params.n) * np.outer(m, m)
     e0 = -params.t * (1.0 - tables.q_n)

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sktap
+from sktap import substream_seed
 from sktap.cli import main
 
 
@@ -171,6 +177,40 @@ def test_numerical_failure_exits_two(capsys):
     )
     assert code == 2
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize(
+    "route", [["spectral"], ["scaling", "--experiment", "spectral"]], ids=["spectral", "scaling"]
+)
+def test_saturated_magnetization_exits_two_with_seed(route, capsys):
+    # h = 40 drives tanh to exactly 1 in float64, so Lambda = 1/(1 - m^2) is undefined
+    code, _, err = run_cli(
+        route + ["--n", "6", "--t", "0.4", "--h", "40", "--samples", "2"], capsys
+    )
+    assert code == 2
+    assert "numerical failure" in err
+    assert f"seed={substream_seed(42, 6, 0)}" in err
+
+
+def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(sktap.__file__).resolve().parents[1])
+    commands = {
+        "ito": ["scaling", "--experiment", "ito", "--n", "6", "--steps", "256",
+                "--t", "0.5", "--h", "0.3", "--samples", "4"],
+        "dynamics": ["dynamics", "--n", "8", "--steps", "256"],
+    }
+    for name, argv in commands.items():
+        payloads = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "sktap.cli", *argv, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            payloads.append(out.read_bytes())
+        assert payloads[0] == payloads[1], name
 
 
 def test_validation_failure_exits_one(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sktap import (
+    CouplingMatrix,
     CouplingPath,
     ItoCheckConfig,
     ModelParams,
@@ -12,6 +13,7 @@ from sktap import (
     fit_power_law,
     ito_decomposition_residual,
     ito_decomposition_trace,
+    magnetizations,
     sample_path,
     substream_seed,
 )
@@ -57,13 +59,27 @@ def test_zero_increment_path_is_exact():
     assert np.all(cavity_difference_path(path, P6, 0, 1) == 0.0)
 
 
-@pytest.mark.parametrize("variant,second", [("pair", None), ("two_point", 2), ("product", 2)])
-def test_engines_agree(variant, second):
-    path = sample_path(P6, 16, 9)
-    cfg = ItoCheckConfig(0, 1, 16, second_site=second, variant=variant)
-    rb = ito_decomposition_residual(path, cfg, P6, engine="block")
-    rg = ito_decomposition_residual(path, cfg, P6, engine="gray")
-    assert abs(rb - rg) < 1e-12
+@pytest.mark.parametrize(
+    "variant,second,n,steps",
+    [
+        ("pair", None, 6, 16),
+        ("two_point", 2, 6, 16),
+        ("product", 2, 6, 16),
+        # 11 active sites: 8 grid points per chunk, 21 points split 8 + 8 + 5
+        ("pair", None, 12, 20),
+        ("product", 2, 12, 20),
+    ],
+    ids=["pair-None", "two_point-2", "product-2", "pair-None-n12", "product-2-n12"],
+)
+def test_engines_agree(variant, second, n, steps):
+    params = ModelParams.uniform(n, 0.5, 0.3)
+    path = sample_path(params, steps, 9)
+    cfg = ItoCheckConfig(0, 1, steps, second_site=second, variant=variant)
+    tb = ito_decomposition_trace(path, cfg, params, engine="block")
+    tg = ito_decomposition_trace(path, cfg, params, engine="gray")
+    assert abs(tb["residual"] - tg["residual"]) < 1e-12
+    for key in ("lhs", "martingale_increments", "drift_increments"):
+        assert np.max(np.abs(tb[key] - tg[key])) < 1e-12
 
 
 def test_residual_shrinks_under_refinement_of_one_path():
@@ -158,7 +174,7 @@ def test_trace_left_endpoint_lhs_starts_at_zero():
     cfg = ItoCheckConfig(clamped_site=0, target_site=1, steps=16)
     trace = ito_decomposition_trace(path, cfg, P6)
     # at time 0 the clamped row vanishes, so the half-difference is exactly 0
-    assert abs(trace["lhs"][0]) < 1e-15
+    assert trace["lhs"][0] == 0.0
 
 
 def test_cavity_difference_starts_at_zero_and_moves():
@@ -169,6 +185,21 @@ def test_cavity_difference_starts_at_zero_and_moves():
     assert abs(diff[-1]) > 1e-4
     with pytest.raises(ValueError):
         cavity_difference_path(path, P6, 0, 0)
+
+
+@pytest.mark.parametrize("spin", [1, -1])
+def test_cavity_difference_matches_independent_clamped_route(spin):
+    path = sample_path(P6, 16, 4)
+    diff = cavity_difference_path(path, P6, 0, 1, clamped_spin=spin)
+    terminal = path.terminal().entries
+    cavity = magnetizations(path.terminal(), P6, ReducedSpec(removed={0}))[1]
+    for k in (0, 5, 16):
+        entries = np.array(terminal)
+        row = path.row_at(0, k)
+        entries[0, :] = row
+        entries[:, 0] = row
+        m = magnetizations(CouplingMatrix(6, entries), P6, ReducedSpec(clamped={0: spin}))
+        assert abs(diff[k] - (m[1] - cavity)) < 1e-12
 
 
 def test_cavity_difference_terminal_square_scales_inversely_with_n():

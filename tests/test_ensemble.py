@@ -8,6 +8,8 @@ from sktap import (
     EnsembleConfig,
     EnsembleSampleError,
     ModelParams,
+    NonConvergenceError,
+    NumericalError,
     fit_power_law,
     gibbs_tables,
     run_ensemble,
@@ -158,10 +160,11 @@ def test_loglog_text_is_plot_ready():
 
 
 def test_failed_sample_reports_its_seed(monkeypatch):
-    def boom(cm, params):
-        raise RuntimeError("synthetic failure")
+    # a numerical failure becomes EnsembleSampleError (CLI exit 2) with the seed
+    def diverge(cm, params):
+        raise NonConvergenceError("synthetic failure")
 
-    monkeypatch.setattr(ensemble_mod, "htap1_residuals", boom)
+    monkeypatch.setattr(ensemble_mod, "htap1_residuals", diverge)
     cfg = EnsembleConfig(
         n_values=(4,), samples=3, t=0.5, h=0.3, master_seed=21, experiment="htap1"
     )
@@ -171,3 +174,14 @@ def test_failed_sample_reports_its_seed(monkeypatch):
     assert err.value.index == 0
     assert err.value.seed == substream_seed(21, 4, 0)
     assert "synthetic failure" in str(err.value)
+
+    # any other exception is a bug: it surfaces, still naming the sample
+    def broken(cm, params):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(ensemble_mod, "htap1_residuals", broken)
+    with pytest.raises(RuntimeError) as err:
+        run_ensemble(cfg)
+    assert not isinstance(err.value, NumericalError)
+    assert isinstance(err.value.__cause__, TypeError)
+    assert f"sample 0 at n=4 (seed={substream_seed(21, 4, 0)})" in str(err.value)

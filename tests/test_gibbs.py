@@ -106,6 +106,33 @@ def test_engines_match_each_other_with_reductions():
     assert np.allclose(tb.pair, tg.pair, atol=1e-12, equal_nan=True)
 
 
+@pytest.mark.parametrize("na,rows", [(12, 7), (16, 3)])
+def test_stacked_moments_match_one_call_per_row(na, rows):
+    # na = 12 fits 4 systems per chunk, so 7 rows split 4 + 3; at na = 16
+    # each chunk holds one system
+    from sktap.gibbs import BlockEnumerator
+
+    rng = np.random.default_rng(na)
+    params, cm = random_instance(rng, na)
+    fields = rng.normal(0.0, 0.5, (rows, na))
+    fields[1] *= 600.0  # |H| ~ 1e3: each row needs its own log-sum-exp shift
+    fields[-1] = fields[0]
+    cols = [(0,), (na - 1,), (1, na - 2)]
+    ctx = BlockEnumerator(cm.entries)
+    stacked = ctx.moments(fields, want_pair=True, cols=cols)
+    assert stacked.mag.shape == (rows, na)
+    for r, h in enumerate(fields):
+        one = ctx.moments(h[None, :], want_pair=True, cols=cols)
+        assert abs(stacked.log_z[r] - one.log_z[0]) <= 1e-15 * abs(one.log_z[0])
+        assert np.max(np.abs(stacked.mag[r] - one.mag[0])) <= 1e-15
+        assert np.max(np.abs(stacked.second[r] - one.second[0])) <= 1e-15
+        for key in cols:
+            assert np.max(np.abs(stacked.cols[key][r] - one.cols[key][0])) <= 1e-15
+    # equal field rows in different chunks give equal bits
+    assert np.array_equal(stacked.mag[-1], stacked.mag[0])
+    assert np.array_equal(stacked.cols[(0,)][-1], stacked.cols[(0,)][0])
+
+
 def test_empty_active_set_edge_cases():
     p = ModelParams.uniform(3, 0.5, 0.4)
     cm = sample_couplings(p, 2)

@@ -171,6 +171,14 @@ def test_path_row_accessors_match_matrix():
         assert np.array_equal(path.row_at(2, k), path.matrix_at(k).entries[2])
     inc = path.row_at(2, 4) - path.row_at(2, 3)
     assert np.allclose(path.row_increment(2, 3), inc, atol=1e-15)
+    rows, incs = path.row_path(2)
+    assert rows.shape == (7, 5) and incs.shape == (6, 5)
+    for k in range(6):
+        assert np.array_equal(rows[k], path.row_at(2, k))
+        assert np.array_equal(incs[k], path.row_increment(2, k))
+    assert np.array_equal(rows[6], path.row_at(2, 6))
+    with pytest.raises(ValueError):
+        path.row_path(5)
 
 
 def test_degenerate_path():
