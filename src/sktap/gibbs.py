@@ -8,9 +8,12 @@ site labels stay stable across the full, clamped and cavity measures.
 Two enumeration engines compute identical quantities:
 
 * ``block``: the production engine.  Sites are split into a low and a high
-  block; the 2^n state space becomes a (2^n1 x 2^n2) grid whose log-weights
-  are assembled with dense linear algebra and reduced with a single global
-  log-sum-exp shift.  Cost is O(2^n * n) and fully vectorized.
+  block; the 2^n state space becomes a (2^n1 x 2^n2) grid of log-weights.
+  The grid is never stored: a pass streams it through one cache-sized tile
+  of grid rows at a time, exponentiates each tile against its own maximum
+  and reduces it at once, and rescales the partial sums to a running
+  maximum (an online log-sum-exp).  Cost is O(2^n * n), vectorized per
+  tile; memory is O(2^(n/2) * n) plus one tile.
 * ``gray``: a reference engine that walks the hypercube in Gray-code order,
   updating the energy in O(n) per single-spin flip.  It shares no reduction
   code with ``block`` and exists to cross-validate it.
@@ -21,10 +24,11 @@ All weights are handled as exp(H - max H), so partition sums stay finite for
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -142,18 +146,26 @@ class _RawMoments:
         )
 
 
-# Largest number of states one chunk of a stacked pass enumerates at once.
-# A single system above the budget is enumerated alone.
-_CHUNK_STATES = 1 << 14
+# Largest number of grid states one tile holds.  A tile is a run of grid
+# rows of one system, or the whole grids of several stacked systems.  2^16
+# float64 states are 512 KiB: a tile and the products read from it stay in
+# one core's L2 cache, while a pass at na = 24 still takes only 256 tiles, so
+# the interpreter overhead per tile stays small next to the exponentials.
+_TILE_STATES = 1 << 16
 
 
+@functools.cache
 def _sign_matrix(k: int) -> np.ndarray:
-    """(2^k, k) matrix of +-1; bit b of the row index is the sign of site b."""
-    if k == 0:
-        return np.ones((1, 0))
+    """Read-only (2^k, k) matrix of +-1; bit b of the row index is the sign of site b.
+
+    One copy per block size is shared by every enumerator, e.g. by the
+    cavity systems of one disorder sample.
+    """
     idx = np.arange(1 << k, dtype=np.uint64)[:, None]
     bits = (idx >> np.arange(k, dtype=np.uint64)[None, :]) & 1
-    return 2.0 * bits.astype(np.float64) - 1.0
+    S = 2.0 * bits.astype(np.float64) - 1.0
+    S.setflags(write=False)
+    return S
 
 
 def _quadratic(S: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -175,10 +187,13 @@ def _symmetrized_second(second: np.ndarray) -> np.ndarray:
 class BlockEnumerator:
     """Split-block enumeration context for one coupling block.
 
-    Caches everything that depends on the couplings alone (sign matrices,
-    per-block interaction energies, the cross-block interaction grid), so
-    repeated evaluations with different field vectors, e.g. along a Brownian
-    row flow, pay only for the field-dependent part.
+    The na sites split into a left block of n1 and a right block of n2
+    sites, so the 2^na states form a (2^n1 x 2^n2) grid: row r holds the
+    left spins given by the bits of r, column c the right spins given by the
+    bits of c.  The context keeps what depends on the couplings alone: the
+    shared sign matrices, the energies within each block, and the couplings
+    B = G_LR SR^T of every right state to each left site.  No pass builds
+    the grid; see ``moments``.
     """
 
     def __init__(self, G: np.ndarray):
@@ -190,10 +205,17 @@ class BlockEnumerator:
         self.SR = _sign_matrix(self.n2)
         self.EL = _quadratic(self.SL, G[:n1, :n1])
         self.ER = _quadratic(self.SR, G[n1:, n1:])
-        if self.n2 > 0:
-            self.X = self.SL @ (G[:n1, n1:] @ self.SR.T)
-        else:
-            self.X = np.zeros((self.SL.shape[0], 1))
+        self.B = G[:n1, n1:] @ self.SR.T
+        # The tile shape depends on na alone: the whole grids of `systems`
+        # stacked systems, or `tile_rows` grid rows of one system.  Row a of
+        # tile t has the left spins of row a of tile 0 except the high bits,
+        # which are constant on a tile, so the coupling part of tile t's
+        # log-weights is X0 plus the row vector lift[t] @ B.
+        tr = min(1 << n1, max(1, _TILE_STATES >> self.n2))
+        self.tile_rows = tr
+        self.systems = max(1, _TILE_STATES >> self.na)
+        self.X0 = self.SL[:tr] @ self.B
+        self.lift = self.SL[::tr] - self.SL[0]
 
     def _parts(self, indices):
         pl = np.ones(self.SL.shape[0])
@@ -209,9 +231,13 @@ class BlockEnumerator:
         """Raw moments for a stack of field vectors ``h`` of shape (K, na).
 
         Every field of the result carries a leading K axis (a single vector
-        counts as a one-row stack).  Each row has its own log-sum-exp shift.
-        Rows are enumerated in chunks of at most ``_CHUNK_STATES`` states, so
-        the working set stays bounded however long the stack is.
+        counts as a one-row stack).  The grid streams through one workspace
+        tile at a time, so the working set stays within ``_TILE_STATES``
+        states however large na or K is.  Each tile is exponentiated against
+        its own maximum and reduced at once; every system keeps a running
+        maximum (an online log-sum-exp) to which its sums are rescaled.
+        The column sums follow the running maximum tile by tile; the row
+        sums, written once per tile, are rescaled when the pass ends.
         """
         H = np.atleast_2d(np.ascontiguousarray(h, dtype=np.float64))
         K, na = H.shape[0], self.na
@@ -222,49 +248,88 @@ class BlockEnumerator:
             {key: np.empty(K) for key in triples},
             {key: np.empty((K, na)) for key in cols},
         )
-        per = max(1, _CHUNK_STATES >> na)
+        per = self.systems
         for a in range(0, K, per):
-            self._chunk(H[a : a + per], slice(a, a + per), out)
+            self._pass(H[a : a + per], slice(a, a + per), out)
         return out
 
-    def _chunk(self, H, rows, out: _RawMoments) -> None:
+    def _pass(self, H, rows, out: _RawMoments) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``.
 
-        Every field-dependent product is a matmul batched over the leading
-        axis, one BLAS call per row, never one gemm whose row dimension spans
-        the chunk.  A row's bits therefore do not depend on the rows that
-        share its chunk: equal fields give equal results wherever they sit.
+        Tiles split the grid along rows only, at boundaries fixed by na, and
+        every field-dependent product is a matmul batched over the leading
+        axis, one BLAS call per system, never one gemm whose row dimension
+        spans the chunk.  A system's bits therefore do not depend on the
+        systems that share its chunk: equal fields give equal results
+        wherever they sit.
         """
-        n1 = self.n1
-        SL, SR = self.SL, self.SR
-        logw = self.X + (self.EL + _each(SL, H[:, :n1]))[:, :, None]
-        logw += (self.ER + _each(SR, H[:, n1:]))[:, None, :]
-        shift = logw.reshape(H.shape[0], -1).max(axis=1)
-        logw -= shift[:, None, None]
-        W = np.exp(logw, out=logw)
-        u = W.sum(axis=2)
-        v = W.sum(axis=1)
+        k = H.shape[0]
+        n1, n2 = self.n1, self.n2
+        SL, SR, tr = self.SL, self.SR, self.tile_rows
+        nrow, ncol = SL.shape[0], SR.shape[0]
+        row_field = self.EL + _each(SL, H[:, :n1])
+        col_field = self.ER + _each(SR, H[:, n1:])
+
+        # Each weight tile W is read twice.  Per row, W @ [1 | SR | pr...]
+        # gives the row sums u, the right-block sums (pair matrix only) and,
+        # per key, W @ pr.  Per column, [1 | pl...]^T @ W gives the column
+        # sums v and, per ``cols`` key, pl^T @ W.
+        keys = list(dict.fromkeys([*out.triples, *out.cols]))
+        parts = {key: self._parts(key) for key in keys}
+        by_row = [np.ones((ncol, 1))]
+        if out.second is not None:
+            by_row.append(SR)
+        by_row = np.hstack(by_row + [parts[key][1][:, None] for key in keys])
+        by_col = np.array([np.ones(nrow)] + [parts[key][0] for key in out.cols])
+
+        tiles = nrow // tr
+        W = np.empty((k, tr, ncol))
+        row_sums = np.empty((k, nrow, by_row.shape[1]))
+        shifts = np.empty((k, tiles))
+        for t in range(tiles):
+            r = slice(t * tr, (t + 1) * tr)
+            np.add(self.X0, (col_field + self.lift[t] @ self.B)[:, None, :], out=W)
+            W += row_field[:, r, None]
+            shift = W.reshape(k, -1).max(axis=1)
+            W -= shift[:, None, None]
+            np.exp(W, out=W)
+            np.matmul(W, by_row, out=row_sums[:, r])
+            shifts[:, t] = shift
+            if t == 0:
+                col_sums, top = by_col[:, r] @ W, shift
+            else:
+                grown = np.maximum(top, shift)
+                col_sums *= np.exp(top - grown)[:, None, None]
+                col_sums += (np.exp(shift - grown)[:, None, None] * by_col[:, r]) @ W
+                top = grown
+        # bring the row sums of every tile to the system's final shift
+        scale = np.exp(shifts - top[:, None])
+        row_sums.reshape(k, tiles, tr, -1)[...] *= scale[:, :, None, None]
+
+        u = row_sums[:, :, 0]
+        v = col_sums[:, 0]
         zsum = u.sum(axis=1)
-        out.log_z[rows] = np.log(zsum) + shift
         norm = zsum[:, None]
+        out.log_z[rows] = np.log(zsum) + top
         out.mag[rows] = np.concatenate([_each(SL.T, u), _each(SR.T, v)], axis=1) / norm
 
         if out.second is not None:
-            sec = np.empty((H.shape[0], self.na, self.na))
+            sec = np.empty((k, self.na, self.na))
             sec[:, :n1, :n1] = SL.T @ (u[:, :, None] * SL)
-            sec[:, :n1, n1:] = SL.T @ (W @ SR)
+            sec[:, :n1, n1:] = SL.T @ row_sums[:, :, 1 : n2 + 1]
             sec[:, n1:, :n1] = sec[:, :n1, n1:].transpose(0, 2, 1)
             sec[:, n1:, n1:] = SR.T @ (v[:, :, None] * SR)
             sec /= norm[:, :, None]
             out.second[rows] = _symmetrized_second(sec)
 
+        first = row_sums.shape[2] - len(keys)
+        by_key = {key: row_sums[:, :, first + c] for c, key in enumerate(keys)}
         for key, val in out.triples.items():
-            pl, pr = self._parts(key)
-            val[rows] = ((W @ pr)[:, None, :] @ pl)[:, 0] / zsum
-        for key, val in out.cols.items():
-            pl, pr = self._parts(key)
-            left = _each(SL.T, pl * (W @ pr))
-            right = _each(SR.T, pr * (W.transpose(0, 2, 1) @ pl))
+            val[rows] = (by_key[key][:, None, :] @ parts[key][0])[:, 0] / zsum
+        for c, (key, val) in enumerate(out.cols.items(), start=1):
+            pl, pr = parts[key]
+            left = _each(SL.T, pl * by_key[key])
+            right = _each(SR.T, pr * col_sums[:, c])
             val[rows] = np.concatenate([left, right], axis=1) / norm
 
 
@@ -467,48 +532,6 @@ def triple_correlation(
     s = raw.second
     t = raw.triples[(la, lb, lc)]
     return float(t - mi * s[lb, lc] - mj * s[la, lc] - mk * s[la, lb] + 2.0 * mi * mj * mk)
-
-
-def tables_with_triple_columns(
-    cm: CouplingMatrix,
-    params: ModelParams,
-    spec: ReducedSpec | None,
-    pairs: Iterable[tuple],
-    engine: str = "block",
-) -> tuple:
-    """GibbsTables plus, per requested pair (j, k), the centered triple vector.
-
-    The returned vectors hold m_{jkl} for every site l (NaN at removed sites,
-    0 at clamped ones).  Repeated indices reduce to the centered-moment
-    values m_{jkj} = -2 m_j m_jk automatically because the raw third moments
-    are computed from actual spin products.
-    """
-    spec = spec if spec is not None else ReducedSpec()
-    active, g_act, h_eff = _reduce_system(cm, params, spec)
-    pairs = [tuple(p) for p in pairs]
-    local = [(_local_index(active, a), _local_index(active, b)) for a, b in pairs]
-    raw = _ENGINES[engine](g_act, h_eff, want_pair=True, cols=local)
-    tables = _assemble_tables(params, spec, active, raw, "full")
-    n = params.n
-    out = {}
-    for (a, b), key in zip(pairs, local):
-        la, lb = key
-        mj, mk = raw.mag[la], raw.mag[lb]
-        s = raw.second
-        col = (
-            raw.cols[key]
-            - mj * s[lb, :]
-            - mk * s[la, :]
-            - raw.mag * s[la, lb]
-            + 2.0 * mj * mk * raw.mag
-        )
-        full = np.zeros(n)
-        full[~tables.active] = np.nan
-        for c in spec.clamped:
-            full[c] = 0.0
-        full[active] = col
-        out[(a, b)] = full
-    return tables, out
 
 
 def delta_op(

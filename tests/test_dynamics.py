@@ -65,9 +65,9 @@ def test_zero_increment_path_is_exact():
         ("pair", None, 6, 16),
         ("two_point", 2, 6, 16),
         ("product", 2, 6, 16),
-        # 11 active sites: 8 grid points per chunk, 21 points split 8 + 8 + 5
-        ("pair", None, 12, 20),
-        ("product", 2, 12, 20),
+        # 11 active sites: 32 grid points per chunk, 41 points split 32 + 9
+        ("pair", None, 12, 40),
+        ("product", 2, 12, 40),
     ],
     ids=["pair-None", "two_point-2", "product-2", "pair-None-n12", "product-2-n12"],
 )

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,10 +107,10 @@ def test_engines_match_each_other_with_reductions():
     assert np.allclose(tb.pair, tg.pair, atol=1e-12, equal_nan=True)
 
 
-@pytest.mark.parametrize("na,rows", [(12, 7), (16, 3)])
+@pytest.mark.parametrize("na,rows", [(12, 7), (12, 19), (16, 3)])
 def test_stacked_moments_match_one_call_per_row(na, rows):
-    # na = 12 fits 4 systems per chunk, so 7 rows split 4 + 3; at na = 16
-    # each chunk holds one system
+    # na = 12 fits 16 systems per chunk, so 7 rows share one chunk and 19
+    # rows split 16 + 3; at na = 16 each chunk holds one system
     from sktap.gibbs import BlockEnumerator
 
     rng = np.random.default_rng(na)
@@ -131,6 +132,21 @@ def test_stacked_moments_match_one_call_per_row(na, rows):
     # equal field rows in different chunks give equal bits
     assert np.array_equal(stacked.mag[-1], stacked.mag[0])
     assert np.array_equal(stacked.cols[(0,)][-1], stacked.cols[(0,)][0])
+
+
+def test_one_pass_allocates_far_less_than_one_grid():
+    # the 2^22 float64 grid is 32 MiB; a streamed pass holds a few tiles
+    from sktap.gibbs import BlockEnumerator
+
+    params = ModelParams.uniform(22, 0.5, 0.3)
+    couplings = sample_couplings(params, 0).entries
+    tracemalloc.start()
+    try:
+        BlockEnumerator(couplings).moments(params.field, want_pair=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_empty_active_set_edge_cases():

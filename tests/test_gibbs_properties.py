@@ -124,13 +124,15 @@ def test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile():
     # Row r of the grid holds the left-block states with the bits of r as
     # spins, so a strong field on the left block puts the heaviest states in
     # the last rows: every earlier tile must be rescaled to the final shift.
-    n = 16
+    n = 18
     G, h = instance(n, 2718, 0.6, 0.3)
-    n1 = (n + 1) // 2
+    ctx = BlockEnumerator(G)
+    assert ctx.tile_rows * 4 <= ctx.SL.shape[0]  # the pass spans several tiles
+    n1 = ctx.n1
     h[:n1] += 4.0
     triples = [(0, n1, n - 1), (1, 2, n1 + 1)]
     cols = [(n1 - 1,), (0, n - 1)]
-    block = one_pass(G, h, triples, cols)
+    block = ctx.moments(h, want_pair=True, triples=triples, cols=cols).row(0)
     gray = _gray_moments(G, h, want_pair=True, triples=triples, cols=cols)
     assert abs(block.log_z - gray.log_z) < 1e-12
     assert np.max(np.abs(block.mag - gray.mag)) < 1e-12
