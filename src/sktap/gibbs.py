@@ -192,8 +192,9 @@ class BlockEnumerator:
     left spins given by the bits of r, column c the right spins given by the
     bits of c.  The context keeps what depends on the couplings alone: the
     shared sign matrices, the energies within each block, and the couplings
-    B = G_LR SR^T of every right state to each left site.  No pass builds
-    the grid; see ``moments``.
+    B = G_LR SR^T of every right state to each left site, as the top rows
+    of the right operand of the tile product.  No pass builds the grid; see
+    ``moments``.
     """
 
     def __init__(self, G: np.ndarray):
@@ -205,17 +206,16 @@ class BlockEnumerator:
         self.SR = _sign_matrix(self.n2)
         self.EL = _quadratic(self.SL, G[:n1, :n1])
         self.ER = _quadratic(self.SR, G[n1:, n1:])
-        self.B = G[:n1, n1:] @ self.SR.T
-        # The tile shape depends on na alone: the whole grids of `systems`
-        # stacked systems, or `tile_rows` grid rows of one system.  Row a of
-        # tile t has the left spins of row a of tile 0 except the high bits,
-        # which are constant on a tile, so the coupling part of tile t's
-        # log-weights is X0 plus the row vector lift[t] @ B.
-        tr = min(1 << n1, max(1, _TILE_STATES >> self.n2))
-        self.tile_rows = tr
+        B = G[:n1, n1:] @ self.SR.T
+        # [SL | row field | 1] @ [B ; 1 ; column field] is a tile of
+        # log-weights in one product; a pass fills in the field slots
+        rows, cols = self.SL.shape[0], self.SR.shape[0]
+        self.left = np.hstack([self.SL, np.zeros((rows, 1)), np.ones((rows, 1))])
+        self.right = np.vstack([B, np.ones((1, cols)), np.zeros((1, cols))])
+        # the tile shape depends on na alone: the whole grids of `systems`
+        # stacked systems, or `tile_rows` grid rows of one system
+        self.tile_rows = min(1 << n1, max(1, _TILE_STATES >> self.n2))
         self.systems = max(1, _TILE_STATES >> self.na)
-        self.X0 = self.SL[:tr] @ self.B
-        self.lift = self.SL[::tr] - self.SL[0]
 
     def _parts(self, indices):
         pl = np.ones(self.SL.shape[0])
@@ -267,8 +267,12 @@ class BlockEnumerator:
         n1, n2 = self.n1, self.n2
         SL, SR, tr = self.SL, self.SR, self.tile_rows
         nrow, ncol = SL.shape[0], SR.shape[0]
-        row_field = self.EL + _each(SL, H[:, :n1])
-        col_field = self.ER + _each(SR, H[:, n1:])
+        left = np.empty((k, *self.left.shape))
+        left[...] = self.left
+        left[:, :, n1] = self.EL + _each(SL, H[:, :n1])
+        right = np.empty((k, *self.right.shape))
+        right[...] = self.right
+        right[:, n1 + 1] = self.ER + _each(SR, H[:, n1:])
 
         # Each weight tile W is read twice.  Per row, W @ [1 | SR | pr...]
         # gives the row sums u, the right-block sums (pair matrix only) and,
@@ -288,8 +292,7 @@ class BlockEnumerator:
         shifts = np.empty((k, tiles))
         for t in range(tiles):
             r = slice(t * tr, (t + 1) * tr)
-            np.add(self.X0, (col_field + self.lift[t] @ self.B)[:, None, :], out=W)
-            W += row_field[:, r, None]
+            np.matmul(left[:, r], right, out=W)
             shift = W.reshape(k, -1).max(axis=1)
             W -= shift[:, None, None]
             np.exp(W, out=W)
