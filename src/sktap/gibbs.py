@@ -212,10 +212,12 @@ class BlockEnumerator:
         rows, cols = self.SL.shape[0], self.SR.shape[0]
         self.left = np.hstack([self.SL, np.zeros((rows, 1)), np.ones((rows, 1))])
         self.right = np.vstack([B, np.ones((1, cols)), np.zeros((1, cols))])
-        # the tile shape depends on na alone: the whole grids of `systems`
-        # stacked systems, or `tile_rows` grid rows of one system
+        # The tile shape depends on na alone: the whole grids of `systems`
+        # stacked systems, as many as fit the budget with their operands,
+        # or `tile_rows` grid rows of one system.
         self.tile_rows = min(1 << n1, max(1, _TILE_STATES >> self.n2))
-        self.systems = max(1, _TILE_STATES >> self.na)
+        per_system = self.left.size + self.right.size + (1 << self.na)
+        self.systems = max(1, _TILE_STATES // per_system)
 
     def _parts(self, indices):
         pl = np.ones(self.SL.shape[0])

@@ -65,7 +65,7 @@ def test_zero_increment_path_is_exact():
         ("pair", None, 6, 16),
         ("two_point", 2, 6, 16),
         ("product", 2, 6, 16),
-        # 11 active sites: 32 grid points per chunk, 41 points split 32 + 9
+        # 11 active sites: 23 grid points per chunk, 41 points split 23 + 18
         ("pair", None, 12, 40),
         ("product", 2, 12, 40),
     ],

@@ -109,8 +109,8 @@ def test_engines_match_each_other_with_reductions():
 
 @pytest.mark.parametrize("na,rows", [(12, 7), (12, 19), (16, 3)])
 def test_stacked_moments_match_one_call_per_row(na, rows):
-    # na = 12 fits 16 systems per chunk, so 7 rows share one chunk and 19
-    # rows split 16 + 3; at na = 16 each chunk holds one system
+    # na = 12 fits 12 systems per chunk, so 7 rows share one chunk and 19
+    # rows split 12 + 7; at na = 16 each chunk holds one system
     from sktap.gibbs import BlockEnumerator
 
     rng = np.random.default_rng(na)
