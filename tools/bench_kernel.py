@@ -1,0 +1,122 @@
+"""Time one ``BlockEnumerator`` pass at n = 12..24 next to an ``np.exp`` floor.
+
+    python tools/bench_kernel.py change=src parent=../parent/src > BENCH_kernel.json
+
+Each ``LABEL=SRC`` argument names the ``src`` directory of a checkout.  The
+script runs ``ROUNDS`` rounds; in every round each label runs once in a fresh
+interpreter with the BLAS pools pinned to one thread, and the order of the
+labels alternates from round to round, so slow phases of a shared machine
+fall on both sides.  A worker times, for every size and with and without the
+pair matrix, the enumerator construction and one ``moments`` call (after one
+untimed warm-up pass), and one ``np.exp`` over a float64 grid of the same
+2^ceil(n/2) x 2^floor(n/2) shape.  Small sizes repeat each call so that one
+timing covers at least 2^20 states.  The report gives the min and median over
+the rounds.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+SIZES = (12, 16, 20, 22, 24)
+ROUNDS = 7
+THREADS = 1
+
+
+def _timed(fn, calls: int) -> float:
+    start = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - start) / calls * 1e3
+
+
+def worker() -> None:
+    import numpy as np
+
+    from sktap.gibbs import BlockEnumerator
+    from sktap.model import ModelParams, sample_couplings
+
+    rows = []
+    for n in SIZES:
+        calls = max(1, (1 << 20) >> n)
+        grid = np.random.default_rng(0).uniform(-30.0, 0.0, (1 << (n + 1) // 2, 1 << n // 2))
+        out = np.empty_like(grid)
+        np.exp(grid, out=out)
+        floor_ms = _timed(lambda: np.exp(grid, out=out), calls)
+        del grid, out
+        params = ModelParams.uniform(n, 0.4, 0.3)
+        couplings = sample_couplings(params, 0).entries
+        for want_pair in (False, True):
+            BlockEnumerator(couplings).moments(params.field, want_pair=want_pair)
+            init_ms = _timed(lambda: BlockEnumerator(couplings), calls)
+            ctx = BlockEnumerator(couplings)
+            moments_ms = _timed(lambda: ctx.moments(params.field, want_pair=want_pair), calls)
+            rows.append({"n": n, "want_pair": want_pair, "init_ms": init_ms,
+                         "moments_ms": moments_ms, "exp_floor_ms": floor_ms})
+    print(json.dumps(rows))
+
+
+def _run(src: str) -> list:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(THREADS)
+    done = subprocess.run([sys.executable, __file__, "--worker"], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _summary(values: list) -> dict:
+    return {"min": min(values), "median": statistics.median(values)}
+
+
+def _machine() -> dict:
+    import numpy as np
+
+    model = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as info:
+            model = next(line.split(":", 1)[1].strip() for line in info
+                         if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"cpu": model, "logical_cpus": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+            "blas_threads": THREADS}
+
+
+def main(argv: list) -> int:
+    labels = dict(arg.split("=", 1) for arg in argv)
+    if not labels:
+        print(__doc__, file=sys.stderr)
+        return 1
+    runs = {label: [] for label in labels}
+    order = list(labels)
+    for r in range(ROUNDS):
+        for label in order if r % 2 == 0 else order[::-1]:
+            runs[label].append(_run(labels[label]))
+    results = {}
+    for label, rounds in runs.items():
+        results[label] = []
+        for i, row in enumerate(rounds[0]):
+            cell = {"n": row["n"], "want_pair": row["want_pair"]}
+            for key in ("init_ms", "moments_ms", "exp_floor_ms"):
+                cell[key] = _summary([rnd[i][key] for rnd in rounds])
+            cell["moments_over_floor"] = cell["moments_ms"]["median"] / cell["exp_floor_ms"]["median"]
+            results[label].append(cell)
+    print(json.dumps({"what": __doc__.strip().splitlines()[0], "rounds": ROUNDS,
+                      "machine": _machine(), "results": results}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--worker"]:
+        worker()
+    else:
+        raise SystemExit(main(sys.argv[1:]))
