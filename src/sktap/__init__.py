@@ -24,14 +24,10 @@ from .gibbs import (
     GibbsTables,
     ReducedSpec,
     coupling_derivative_residual,
-    delta_op,
-    eps_op,
     gibbs_tables,
     key_identity_residual,
     log_partition,
-    magnetization_observable,
     magnetizations,
-    pair_observable,
     susceptibility_fd,
     triple_correlation,
 )

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ItoCheckConfig, cavity_difference_path, ito_decomposition_trace
-from .ensemble import EnsembleConfig, run_ensemble
+from .ensemble import EXPERIMENTS, EnsembleConfig, reference_overlap, run_ensemble
 from .errors import NumericalError
 from .gibbs import (
     coupling_derivative_residual,
@@ -38,19 +38,6 @@ from .tap import (
     tap1_residuals,
     tap2_residual,
 )
-
-_EXPERIMENT_NAMES = {
-    "htap1": "htap1",
-    "htap2": "htap2",
-    "tap1": "tap1",
-    "tap2": "tap2",
-    "qn-conc": "qn_conc",
-    "mij-sq": "mij_sq",
-    "mij-moment": "mij_moment",
-    "ito": "ito",
-    "spectral": "spectral",
-}
-
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -117,7 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", type=str, default="0,1", help="pair i,j for the two-point residuals")
 
     p = sub.add_parser("scaling", parents=[common], help="disorder ensemble + log-log decay fit")
-    p.add_argument("--experiment", choices=sorted(_EXPERIMENT_NAMES), required=True)
+    p.add_argument(
+        "--experiment", choices=sorted(name.replace("_", "-") for name in EXPERIMENTS),
+        required=True,
+    )
     p.add_argument("--n", type=_parse_n_list, required=True, help="comma list of sizes")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
@@ -279,7 +269,7 @@ def _cmd_scaling(args) -> dict:
         t=args.t,
         h=args.h,
         master_seed=args.seed,
-        experiment=_EXPERIMENT_NAMES[args.experiment],
+        experiment=args.experiment.replace("-", "_"),
         moment_p=args.moment_p,
         ito_steps=args.steps,
         quad_nodes=args.quad_nodes,
@@ -309,8 +299,7 @@ def _cmd_overlap(args) -> dict:
     )
     stats = run_ensemble(cfg)
     payload = _ensemble_payload(stats)
-    rule = QuadratureRule.gauss_hermite(args.quad_nodes)
-    q_ref = solve_q(args.t, args.h, rule)
+    q_ref = reference_overlap(args.t, args.h, args.quad_nodes)
     first, last = cfg.n_values[0], cfg.n_values[-1]
     payload["summary"]["q_ref"] = q_ref
     payload["summary"]["decreasing"] = bool(stats.per_n[last][0] < stats.per_n[first][0])
@@ -371,6 +360,8 @@ def _cmd_dynamics(args) -> dict:
 
 
 def _cmd_spectral(args) -> dict:
+    if args.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
     params = ModelParams.uniform(args.n, args.t, args.h)
     rows = []
     errors = []

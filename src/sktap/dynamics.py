@@ -26,15 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gibbs import (
-    BlockEnumerator,
-    ReducedSpec,
-    _gray_moments,
-    _RawMoments,
-    _local_index,
-    _reduce_system,
-    magnetizations,
-)
+from .gibbs import BlockEnumerator, ReducedSpec, _local_index, _reduce_system, magnetizations
 from .model import CouplingPath, ModelParams
 
 _VARIANTS = ("pair", "two_point", "product")
@@ -95,8 +87,7 @@ class _RowFlowScan:
     So one stacked pass per clamped spin covers every grid point at once.
     """
 
-    def __init__(self, path: CouplingPath, params: ModelParams, i: int,
-                 ambient: ReducedSpec, engine: str):
+    def __init__(self, path: CouplingPath, params: ModelParams, i: int, ambient: ReducedSpec):
         if path.n != params.n:
             raise ValueError(f"path size {path.n} != params n {params.n}")
         terminal = path.terminal()
@@ -108,8 +99,7 @@ class _RowFlowScan:
         # C order: a strided BLAS dot sums in another order than a
         # contiguous one, and the martingale increments are such dots
         self.increments = np.ascontiguousarray(increments[:, active])
-        self.g_act = g_act
-        self._ctx = BlockEnumerator(g_act) if engine == "block" else None
+        self._ctx = BlockEnumerator(g_act)
 
     def local(self, site: int) -> int:
         return _local_index(self.active, site)
@@ -117,24 +107,13 @@ class _RowFlowScan:
     def stack(self, spin: int, cols=()):
         """Raw moments at every grid point (leading axis) with site i at ``spin``."""
         fields = self.base_h + spin * self.rows
-        if self._ctx is not None:
-            return self._ctx.moments(fields, want_pair=False, cols=cols)
-        # the gray engine stays a per-point loop: the reference the tests use
-        points = [_gray_moments(self.g_act, h, want_pair=False, cols=cols) for h in fields]
-        return _RawMoments(
-            np.array([p.log_z for p in points]),
-            np.array([p.mag for p in points]),
-            None,
-            {},
-            {key: np.array([p.cols[key] for p in points]) for key in cols},
-        )
+        return self._ctx.moments(fields, want_pair=False, cols=cols)
 
 
 def ito_decomposition_trace(
     path: CouplingPath,
     cfg: ItoCheckConfig,
     params: ModelParams,
-    engine: str = "block",
 ) -> dict:
     """Full per-grid-point record of one decomposition check.
 
@@ -159,7 +138,7 @@ def ito_decomposition_trace(
     if segs < 2:
         raise ValueError(f"path must have at least 2 steps, got {segs}")
 
-    scan = _RowFlowScan(path, params, cfg.clamped_site, cfg.reduced, engine)
+    scan = _RowFlowScan(path, params, cfg.clamped_site, cfg.reduced)
     lhs, mart_vec, drift_vec = _integrands(scan, cfg)
     # Ito convention: integrands at the left endpoint of every segment; one
     # BLAS dot per segment
@@ -234,10 +213,9 @@ def ito_decomposition_residual(
     path: CouplingPath,
     cfg: ItoCheckConfig,
     params: ModelParams,
-    engine: str = "block",
 ) -> float:
     """Terminal residual |LHS - (martingale sum + drift sum)| of the check."""
-    return ito_decomposition_trace(path, cfg, params, engine)["residual"]
+    return ito_decomposition_trace(path, cfg, params)["residual"]
 
 
 def cavity_difference_path(
@@ -246,7 +224,6 @@ def cavity_difference_path(
     i: int,
     j: int,
     clamped_spin: int = 1,
-    engine: str = "block",
 ) -> np.ndarray:
     """Trajectory of m_j^{[i]}(s) - m_j^{(i)} along the row-i Brownian flow.
 
@@ -259,9 +236,7 @@ def cavity_difference_path(
         raise ValueError("sites must be distinct")
     if clamped_spin not in (-1, 1):
         raise ValueError("clamped_spin must be +-1")
-    scan = _RowFlowScan(path, params, i, ReducedSpec(), engine)
+    scan = _RowFlowScan(path, params, i, ReducedSpec())
     jl = scan.local(j)
-    cavity = float(
-        magnetizations(path.terminal(), params, ReducedSpec(removed={i}), engine)[j]
-    )
+    cavity = float(magnetizations(path.terminal(), params, ReducedSpec(removed={i}))[j])
     return scan.stack(clamped_spin).mag[:, jl] - cavity

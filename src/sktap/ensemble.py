@@ -1,15 +1,16 @@
 """Disorder-averaged experiments and finite-size scaling fits.
 
-Each experiment maps one disorder sample to one scalar; the driver averages
-the scalar over ``samples`` independent couplings at every system size and
-fits log(mean) against log(n).  Per-sample RNG streams are derived from
-(master_seed, n, sample index), so results are bit-identical no matter how
-samples are scheduled, serially or across a process pool (the reduction
-order is fixed by sample index).
+Each experiment in ``EXPERIMENTS`` maps one disorder sample to one scalar;
+the driver averages the scalar over ``samples`` independent couplings at
+every system size and fits log(mean) against log(n).  Per-sample RNG streams
+are derived from (master_seed, n, sample index), so results are bit-identical
+no matter how samples are scheduled, serially or across a process pool (the
+reduction order is fixed by sample index).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -31,17 +32,43 @@ from .tap import (
     tap2_residual,
 )
 
-EXPERIMENTS = (
-    "htap1",
-    "htap2",
-    "tap1",
-    "tap2",
-    "qn_conc",
-    "mij_sq",
-    "mij_moment",
-    "ito",
-    "spectral",
-)
+
+@functools.cache
+def reference_overlap(t: float, h: float, quad_nodes: int) -> float:
+    """Replica-symmetric overlap q that ``qn_conc`` measures the spread around."""
+    return solve_q(t, h, QuadratureRule.gauss_hermite(quad_nodes))
+
+
+def _ito(cfg, params, seed) -> float:
+    path = sample_path(params, cfg.ito_steps, seed)
+    check = ItoCheckConfig(clamped_site=0, target_site=1, steps=cfg.ito_steps)
+    return float(ito_decomposition_residual(path, check, params))
+
+
+def _qn_conc(cfg, params, seed) -> float:
+    q_n = gibbs_tables(sample_couplings(params, seed), params).q_n
+    return (q_n - reference_overlap(cfg.t, cfg.h, cfg.quad_nodes)) ** 2
+
+
+def _pair01(params, seed) -> float:
+    return float(gibbs_tables(sample_couplings(params, seed), params).pair[0, 1])
+
+
+# Experiment name -> scalar of one disorder sample, called as
+# scalar(cfg, params, seed).  The entries look up the experiment functions
+# as module globals at call time, so a replacement installed on this module
+# (a test double, a tracing wrapper) is the one that runs.
+EXPERIMENTS = {
+    "htap1": lambda cfg, p, seed: htap1_residuals(sample_couplings(p, seed), p).mean_square,
+    "htap2": lambda cfg, p, seed: htap2_residual(sample_couplings(p, seed), p, 0, 1) ** 2,
+    "tap1": lambda cfg, p, seed: tap1_residuals(sample_couplings(p, seed), p).mean_square,
+    "tap2": lambda cfg, p, seed: tap2_residual(sample_couplings(p, seed), p, 0, 1) ** 2,
+    "qn_conc": _qn_conc,
+    "mij_sq": lambda cfg, p, seed: p.n * _pair01(p, seed) ** 2,
+    "mij_moment": lambda cfg, p, seed: abs(_pair01(p, seed)) ** cfg.moment_p,
+    "ito": _ito,
+    "spectral": lambda cfg, p, seed: resolvent_error(sample_couplings(p, seed), p),
+}
 
 
 @dataclass
@@ -72,7 +99,7 @@ class EnsembleConfig:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}"
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -127,31 +154,10 @@ def _sample_scalar(task: tuple):
     schedulers; any other exception is a bug and propagates, chained to an
     error that names the sample to replay.
     """
-    experiment, n, index, seed, t, h, moment_p, ito_steps, enum_cap, q_ref = task
+    cfg, n, index, seed = task
     try:
-        params = ModelParams.uniform(n, t, h, enum_cap)
-        if experiment == "ito":
-            path = sample_path(params, ito_steps, seed)
-            cfg = ItoCheckConfig(clamped_site=0, target_site=1, steps=ito_steps)
-            return "ok", float(ito_decomposition_residual(path, cfg, params))
-        cm = sample_couplings(params, seed)
-        if experiment == "htap1":
-            return "ok", htap1_residuals(cm, params).mean_square
-        if experiment == "tap1":
-            return "ok", tap1_residuals(cm, params).mean_square
-        if experiment == "htap2":
-            return "ok", htap2_residual(cm, params, 0, 1) ** 2
-        if experiment == "tap2":
-            return "ok", tap2_residual(cm, params, 0, 1) ** 2
-        if experiment == "qn_conc":
-            return "ok", (gibbs_tables(cm, params).q_n - q_ref) ** 2
-        if experiment == "mij_sq":
-            return "ok", n * float(gibbs_tables(cm, params).pair[0, 1]) ** 2
-        if experiment == "mij_moment":
-            return "ok", abs(float(gibbs_tables(cm, params).pair[0, 1])) ** moment_p
-        if experiment == "spectral":
-            return "ok", resolvent_error(cm, params)
-        return "err", f"unknown experiment {experiment!r}"
+        params = ModelParams.uniform(n, cfg.t, cfg.h, cfg.enum_cap)
+        return "ok", EXPERIMENTS[cfg.experiment](cfg, params, seed)
     except NumericalError as exc:  # deterministic error transport across workers
         return "err", f"{type(exc).__name__}: {exc}"
     except Exception as exc:
@@ -167,16 +173,10 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     Deterministic for a fixed config; a failed sample aborts the run with
     its (n, index, seed) recorded in the raised error.
     """
-    q_ref = 0.0
-    if cfg.experiment == "qn_conc":
-        q_ref = solve_q(cfg.t, cfg.h, QuadratureRule.gauss_hermite(cfg.quad_nodes))
     per_n = {}
     for n in cfg.n_values:
         seeds = [substream_seed(cfg.master_seed, n, k) for k in range(cfg.samples)]
-        tasks = [
-            (cfg.experiment, n, k, s, cfg.t, cfg.h, cfg.moment_p, cfg.ito_steps, cfg.enum_cap, q_ref)
-            for k, s in enumerate(seeds)
-        ]
+        tasks = [(cfg, n, k, s) for k, s in enumerate(seeds)]
         if cfg.workers > 1:
             chunk = max(1, cfg.samples // (4 * cfg.workers))
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

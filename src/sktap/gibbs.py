@@ -5,18 +5,14 @@ values and/or removing a set of particles entirely.  Removal is implemented
 by masking (couplings and fields of removed sites never enter any sum), so
 site labels stay stable across the full, clamped and cavity measures.
 
-Two enumeration engines compute identical quantities:
-
-* ``block``: the production engine.  Sites are split into a low and a high
-  block; the 2^n state space becomes a (2^n1 x 2^n2) grid of log-weights.
-  The grid is never stored: a pass streams it through one cache-sized tile
-  of grid rows at a time, exponentiates each tile against its own maximum
-  and reduces it at once, and rescales the partial sums to a running
-  maximum (an online log-sum-exp).  Cost is O(2^n * n), vectorized per
-  tile; memory is O(2^(n/2) * n) plus one tile.
-* ``gray``: a reference engine that walks the hypercube in Gray-code order,
-  updating the energy in O(n) per single-spin flip.  It shares no reduction
-  code with ``block`` and exists to cross-validate it.
+The enumeration engine splits the sites into a low and a high block; the
+2^n state space becomes a (2^n1 x 2^n2) grid of log-weights.  The grid is
+never stored: a pass streams it through one cache-sized tile of grid rows at
+a time, exponentiates each tile against its own maximum and reduces it at
+once, and rescales the partial sums to a running maximum (an online
+log-sum-exp).  Cost is O(2^n * n), vectorized per tile; memory is
+O(2^(n/2) * n) plus one tile.  The tests check it against a naive direct
+summation and a Gray-code walk that share no reduction code with it.
 
 All weights are handled as exp(H - max H), so partition sums stay finite for
 |H| up to the exponent range of float64 (~700).
@@ -28,14 +24,11 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .model import CouplingMatrix, ModelParams
-
-Observable = Callable[[CouplingMatrix, ModelParams, "ReducedSpec"], float]
-
 
 @dataclass
 class ReducedSpec:
@@ -351,56 +344,6 @@ def _block_moments(G, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
     return BlockEnumerator(G).moments(h[None, :], want_pair, triples, cols).row(0)
 
 
-def _gray_moments(G, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
-    """Reference engine: single-flip Gray-code walk with O(na) energy updates.
-
-    The walk starts from the all-down state; step k flips the bit at the
-    ruler position ctz(k).  Energies follow from the local fields
-    phi_b = sum_j g_bj sigma_j, which are updated incrementally per flip.
-    """
-    na = h.size
-    if na == 0:
-        return _RawMoments(0.0, np.zeros(0), np.zeros((0, 0)) if want_pair else None, {}, {})
-    total = 1 << na
-    sig = np.full(na, -1.0)
-    phi = G @ sig
-    states = np.empty((total, na), dtype=np.int8)
-    energies = np.empty(total)
-    hcur = 0.5 * float(sig @ phi) + float(h @ sig)
-    states[0] = sig
-    energies[0] = hcur
-    for k in range(1, total):
-        p = (k & -k).bit_length() - 1
-        snew = -sig[p]
-        hcur += 2.0 * snew * (phi[p] + h[p])
-        sig[p] = snew
-        phi += (2.0 * snew) * G[:, p]
-        states[k] = sig
-        energies[k] = hcur
-    shift = energies.max()
-    w = np.exp(energies - shift)
-    zsum = w.sum()
-    log_z = float(np.log(zsum) + shift)
-    S = states.astype(np.float64)
-    mag = S.T @ w / zsum
-    second = None
-    if want_pair:
-        second = _symmetrized_second(S.T @ (w[:, None] * S) / zsum)
-    trip_vals = {
-        key: float((S[:, key[0]] * S[:, key[1]] * S[:, key[2]]) @ w) / zsum for key in triples
-    }
-    col_vals = {}
-    for key in cols:
-        prod = w.copy()
-        for a in key:
-            prod *= S[:, a]
-        col_vals[key] = S.T @ prod / zsum
-    return _RawMoments(log_z, mag, second, trip_vals, col_vals)
-
-
-_ENGINES = {"block": _block_moments, "gray": _gray_moments}
-
-
 def _reduce_system(cm: CouplingMatrix, params: ModelParams, spec: ReducedSpec):
     """Active site list, coupling block and effective fields for a reduced measure.
 
@@ -429,19 +372,17 @@ def log_partition(
     cm: CouplingMatrix,
     params: ModelParams,
     spec: ReducedSpec | None = None,
-    engine: str = "block",
 ) -> float:
     """Log partition function of the (reduced) measure by full enumeration."""
     spec = spec if spec is not None else ReducedSpec()
     active, g_act, h_eff = _reduce_system(cm, params, spec)
-    return _ENGINES[engine](g_act, h_eff, want_pair=False).log_z
+    return _block_moments(g_act, h_eff, want_pair=False).log_z
 
 
 def magnetizations(
     cm: CouplingMatrix,
     params: ModelParams,
     spec: ReducedSpec | None = None,
-    engine: str = "block",
 ) -> np.ndarray:
     """Magnetization vector only (cheaper than full tables by ~2x).
 
@@ -449,7 +390,7 @@ def magnetizations(
     """
     spec = spec if spec is not None else ReducedSpec()
     active, g_act, h_eff = _reduce_system(cm, params, spec)
-    raw = _ENGINES[engine](g_act, h_eff, want_pair=False)
+    raw = _block_moments(g_act, h_eff, want_pair=False)
     m = np.full(params.n, np.nan)
     m[active] = raw.mag
     for i, tau in spec.clamped.items():
@@ -461,7 +402,6 @@ def gibbs_tables(
     cm: CouplingMatrix,
     params: ModelParams,
     spec: ReducedSpec | None = None,
-    engine: str = "block",
     overlap_norm: str = "full",
 ) -> GibbsTables:
     """All one- and two-point observables of the (reduced) measure in one pass.
@@ -474,7 +414,7 @@ def gibbs_tables(
     if overlap_norm not in ("full", "active"):
         raise ValueError(f"unknown overlap_norm {overlap_norm!r}")
     active, g_act, h_eff = _reduce_system(cm, params, spec)
-    raw = _ENGINES[engine](g_act, h_eff, want_pair=True)
+    raw = _block_moments(g_act, h_eff, want_pair=True)
     return _assemble_tables(params, spec, active, raw, overlap_norm)
 
 
@@ -520,7 +460,6 @@ def triple_correlation(
     i: int,
     j: int,
     k: int,
-    engine: str = "block",
 ) -> float:
     """Centered three-point function <(s_i - m_i)(s_j - m_j)(s_k - m_k)>.
 
@@ -532,51 +471,11 @@ def triple_correlation(
     spec = spec if spec is not None else ReducedSpec()
     active, g_act, h_eff = _reduce_system(cm, params, spec)
     la, lb, lc = (_local_index(active, s) for s in (i, j, k))
-    raw = _ENGINES[engine](g_act, h_eff, want_pair=True, triples=[(la, lb, lc)])
+    raw = _block_moments(g_act, h_eff, want_pair=True, triples=[(la, lb, lc)])
     mi, mj, mk = raw.mag[la], raw.mag[lb], raw.mag[lc]
     s = raw.second
     t = raw.triples[(la, lb, lc)]
     return float(t - mi * s[lb, lc] - mj * s[la, lc] - mk * s[la, lb] + 2.0 * mi * mj * mk)
-
-
-def delta_op(
-    cm: CouplingMatrix,
-    params: ModelParams,
-    spec: ReducedSpec,
-    i: int,
-    observable: Observable,
-) -> float:
-    """Half-difference of a clamped observable over the two values of spin i.
-
-    delta_i f = (f(sigma_i=+1) - f(sigma_i=-1)) / 2, where f is evaluated
-    under the spec with i additionally clamped.
-    """
-    up = observable(cm, params, spec.with_clamped(i, +1))
-    down = observable(cm, params, spec.with_clamped(i, -1))
-    return 0.5 * (up - down)
-
-
-def eps_op(
-    cm: CouplingMatrix,
-    params: ModelParams,
-    spec: ReducedSpec,
-    i: int,
-    observable: Observable,
-) -> float:
-    """Half-sum counterpart of ``delta_op``: (f(+1) + f(-1)) / 2."""
-    up = observable(cm, params, spec.with_clamped(i, +1))
-    down = observable(cm, params, spec.with_clamped(i, -1))
-    return 0.5 * (up + down)
-
-
-def magnetization_observable(j: int, engine: str = "block") -> Observable:
-    """Observable returning m_j of the reduced measure."""
-    return lambda cm, params, spec: float(gibbs_tables(cm, params, spec, engine).m[j])
-
-
-def pair_observable(j: int, k: int, engine: str = "block") -> Observable:
-    """Observable returning the truncated correlation m_jk (diagonal 1 - m_j^2)."""
-    return lambda cm, params, spec: float(gibbs_tables(cm, params, spec, engine).pair[j, k])
 
 
 def key_identity_residual(
@@ -586,7 +485,6 @@ def key_identity_residual(
     i: int,
     j: int,
     k: int | None = None,
-    engine: str = "block",
 ) -> float:
     """Residual of the conditional pair/triple identities under clamping.
 
@@ -603,15 +501,15 @@ def key_identity_residual(
         raise ValueError("identity indices must be distinct")
     if targets & spec.excluded():
         raise ValueError("identity indices must not be clamped or removed")
-    base = gibbs_tables(cm, params, spec, engine)
-    up = gibbs_tables(cm, params, spec.with_clamped(i, +1), engine)
-    down = gibbs_tables(cm, params, spec.with_clamped(i, -1), engine)
+    base = gibbs_tables(cm, params, spec)
+    up = gibbs_tables(cm, params, spec.with_clamped(i, +1))
+    down = gibbs_tables(cm, params, spec.with_clamped(i, -1))
     var_i = 1.0 - base.m[i] ** 2
     delta_mj = 0.5 * (up.m[j] - down.m[j])
     if k is None:
         return float(base.pair[i, j] - var_i * delta_mj)
     delta_mjk = 0.5 * (up.pair[j, k] - down.pair[j, k])
-    mijk = triple_correlation(cm, params, spec, i, j, k, engine)
+    mijk = triple_correlation(cm, params, spec, i, j, k)
     return float(mijk - var_i * delta_mjk + 2.0 * base.m[i] * base.pair[i, k] * delta_mj)
 
 
@@ -621,7 +519,6 @@ def susceptibility_fd(
     i: int,
     j: int,
     step: float = 1e-5,
-    engine: str = "block",
 ) -> float:
     """Central finite difference d m_i / d h_j of the full measure.
 
@@ -629,8 +526,8 @@ def susceptibility_fd(
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
-    up = gibbs_tables(cm, params.bumped_field(j, +step), engine=engine)
-    down = gibbs_tables(cm, params.bumped_field(j, -step), engine=engine)
+    up = gibbs_tables(cm, params.bumped_field(j, +step))
+    down = gibbs_tables(cm, params.bumped_field(j, -step))
     return float((up.m[i] - down.m[i]) / (2.0 * step))
 
 
@@ -641,7 +538,6 @@ def coupling_derivative_residual(
     l: int,
     k: int,
     step: float = 1e-5,
-    engine: str = "block",
 ) -> float:
     """Finite-difference check of d m_k / d g_il = m_i m_kl + m_l m_ik + m_ilk.
 
@@ -654,15 +550,15 @@ def coupling_derivative_residual(
         raise ValueError("coupling indices must satisfy i != l")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
-    up = gibbs_tables(cm.bumped(i, l, +step), params, engine=engine)
-    down = gibbs_tables(cm.bumped(i, l, -step), params, engine=engine)
+    up = gibbs_tables(cm.bumped(i, l, +step), params)
+    down = gibbs_tables(cm.bumped(i, l, -step), params)
     fd = (up.m[k] - down.m[k]) / (2.0 * step)
-    base = gibbs_tables(cm, params, engine=engine)
+    base = gibbs_tables(cm, params)
     if k == i:
         mtrip = -2.0 * base.m[i] * base.pair[i, l]
     elif k == l:
         mtrip = -2.0 * base.m[l] * base.pair[i, l]
     else:
-        mtrip = triple_correlation(cm, params, None, i, l, k, engine)
+        mtrip = triple_correlation(cm, params, None, i, l, k)
     rhs = base.m[i] * base.pair[k, l] + base.m[l] * base.pair[i, k] + mtrip
     return float(fd - rhs)

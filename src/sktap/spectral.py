@@ -40,10 +40,9 @@ def build_deformed(
     cm: CouplingMatrix,
     params: ModelParams,
     tables: GibbsTables | None = None,
-    engine: str = "block",
 ) -> DeformedOperator:
     """Assemble Lambda, the rank-one part, and E0 from exact full-system tables."""
-    tables = tables if tables is not None else gibbs_tables(cm, params, engine=engine)
+    tables = tables if tables is not None else gibbs_tables(cm, params)
     m = tables.m
     if np.any(np.abs(m) >= 1.0):
         # tanh saturates to exactly 1 in float64 once a local field passes ~19
@@ -61,7 +60,6 @@ def resolvent_error(
     params: ModelParams,
     include_rank_one: bool = True,
     tables: GibbsTables | None = None,
-    engine: str = "block",
 ) -> float:
     """Relative Frobenius error between M and the resolvent at E0.
 
@@ -69,7 +67,7 @@ def resolvent_error(
     included by default; the inverse is obtained by a direct solve, refused
     when the condition estimate exceeds 1e12.
     """
-    tables = tables if tables is not None else gibbs_tables(cm, params, engine=engine)
+    tables = tables if tables is not None else gibbs_tables(cm, params)
     op = build_deformed(cm, params, tables)
     n = params.n
     d = np.diag(op.lambda_diag) - cm.entries - op.e0 * np.eye(n)
@@ -156,7 +154,6 @@ def s_prime_at_e0(
     params: ModelParams,
     step: float = 1e-5,
     tables: GibbsTables | None = None,
-    engine: str = "block",
 ) -> tuple:
     """S'(E0) two ways: central finite difference and the closed form X/(1 - tX).
 
@@ -166,7 +163,7 @@ def s_prime_at_e0(
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
-    tables = tables if tables is not None else gibbs_tables(cm, params, engine=engine)
+    tables = tables if tables is not None else gibbs_tables(cm, params)
     op = build_deformed(cm, params, tables)
     lam, e0, t = op.lambda_diag, op.e0, params.t
     s_plus = self_consistent_s(lam, t, e0 + step)
@@ -184,11 +181,10 @@ def spectral_margin(
     cm: CouplingMatrix,
     params: ModelParams,
     tables: GibbsTables | None = None,
-    engine: str = "block",
 ) -> tuple:
     """(smallest eigenvalue of Lambda - t A - G, E0); E0 below the edge means
     the resolvent at E0 is well defined."""
-    tables = tables if tables is not None else gibbs_tables(cm, params, engine=engine)
+    tables = tables if tables is not None else gibbs_tables(cm, params)
     op = build_deformed(cm, params, tables)
     d = np.diag(op.lambda_diag) - params.t * op.rank_one - cm.entries
     eigmin = float(np.linalg.eigvalsh(d)[0])

@@ -235,37 +235,39 @@ class ResidualReport:
         return "\n".join(lines) + "\n"
 
 
-def htap1_residuals(
-    cm: CouplingMatrix, params: ModelParams, engine: str = "block"
-) -> ResidualReport:
+def htap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
     """Cavity-form magnetization residuals m_i - tanh(h_i + sum_j g_ij m_j^{(i)}).
 
     m^{(i)} is the magnetization vector with particle i removed; no reaction
     term appears in this form.
     """
-    full_m = magnetizations(cm, params, engine=engine)
+    full_m = magnetizations(cm, params)
     g = cm.entries
     res = {}
     for i in range(params.n):
-        cav = magnetizations(cm, params, ReducedSpec(removed={i}), engine)
+        cav = magnetizations(cm, params, ReducedSpec(removed={i}))
         cav[i] = 0.0
         arg = params.field[i] + g[i] @ cav
         res[i] = float(full_m[i] - math.tanh(arg))
     return ResidualReport.create("hTAP1", res)
 
 
-def htap2_residual(
-    cm: CouplingMatrix, params: ModelParams, i: int, j: int, engine: str = "block"
-) -> float:
+def _check_pair(n: int, i: int, j: int) -> None:
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"pair ({i}, {j}) out of range for n={n}")
+    if i == j:
+        raise ValueError("pair residual needs i != j")
+
+
+def htap2_residual(cm: CouplingMatrix, params: ModelParams, i: int, j: int) -> float:
     """Cavity-form pair residual for sites i != j.
 
     m_ij - (1 - tanh^2(h_i + sum_k g_ik m_k^{(i)})) * sum_l g_il m_lj^{(i)},
     where the l = j term uses the diagonal convention m_jj = 1 - m_j^2.
     """
-    if i == j:
-        raise ValueError("pair residual needs i != j")
-    full = gibbs_tables(cm, params, engine=engine)
-    cav = gibbs_tables(cm, params, ReducedSpec(removed={i}), engine)
+    _check_pair(params.n, i, j)
+    full = gibbs_tables(cm, params)
+    cav = gibbs_tables(cm, params, ReducedSpec(removed={i}))
     g = cm.entries
     mvec = np.where(cav.active, cav.m, 0.0)
     colj = np.where(cav.active, cav.pair[:, j], 0.0)
@@ -273,32 +275,27 @@ def htap2_residual(
     return float(full.pair[i, j] - (1.0 - math.tanh(arg) ** 2) * (g[i] @ colj))
 
 
-def tap1_residuals(
-    cm: CouplingMatrix, params: ModelParams, engine: str = "block"
-) -> ResidualReport:
+def tap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
     """Classical TAP residuals m_i - tanh(h_i + sum_j g_ij m_j - t (1 - q_N) m_i).
 
     Everything on the right comes from the full-system tables, with
     q_N = n^{-1} sum_k m_k^2.
     """
-    tabs = gibbs_tables(cm, params, engine=engine)
+    tabs = gibbs_tables(cm, params)
     onsager = params.t * (1.0 - tabs.q_n)
     args = params.field + cm.entries @ tabs.m - onsager * tabs.m
     res = {i: float(tabs.m[i] - math.tanh(args[i])) for i in range(params.n)}
     return ResidualReport.create("TAP1", res)
 
 
-def tap2_residual(
-    cm: CouplingMatrix, params: ModelParams, i: int, j: int, engine: str = "block"
-) -> float:
+def tap2_residual(cm: CouplingMatrix, params: ModelParams, i: int, j: int) -> float:
     """Classical TAP pair residual for sites i != j.
 
     m_ij - (1 - m_i^2) (sum_k g_ik m_kj + (2t/n) (M m)_j m_i - t (1 - q_N) m_ij)
     with M the full pair matrix (diagonal 1 - m_k^2) and m the magnetizations.
     """
-    if i == j:
-        raise ValueError("pair residual needs i != j")
-    tabs = gibbs_tables(cm, params, engine=engine)
+    _check_pair(params.n, i, j)
+    tabs = gibbs_tables(cm, params)
     big_m = tabs.pair
     mm_j = float(big_m[j] @ tabs.m)
     inner = (

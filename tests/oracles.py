@@ -1,12 +1,30 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is deliberately naive: pure-python loops, exact summation
-via math.fsum, direct evaluation of every configuration energy.  Nothing is
-shared with the package's enumeration engines, so agreement is a genuine
-two-route check.
+Two references check the package's block enumeration engine:
+
+* the naive oracle (``naive_tables``, ``naive_raw_moment``): pure-python
+  loops, exact summation via math.fsum, direct evaluation of every
+  configuration energy;
+* the Gray-code engine (``GrayEnumerator``): a single-flip walk of the
+  hypercube with an O(n) energy update per flip, then plain sums over the
+  visited states.
+  It has the stacked ``moments`` interface of ``sktap.gibbs.BlockEnumerator``,
+  so ``on_engine`` can put it in the block engine's place and the
+  package's reduction, table assembly and row-flow code run unchanged
+  around it.
+
+Neither shares enumeration or reduction code with the block engine, so
+agreement is a genuine two-route check.
 """
 
 import math
+
+import numpy as np
+import pytest
+
+import sktap.dynamics
+import sktap.gibbs
+from sktap.gibbs import _RawMoments
 
 
 def naive_tables(g, h):
@@ -39,6 +57,85 @@ def naive_tables(g, h):
             pair[j][i] = pair[i][j]
     q_full = math.fsum(v * v for v in m) / n
     return log_z, m, pair, q_full
+
+
+def gray_moments(G, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
+    """Raw moments of one system by a single-flip Gray-code walk.
+
+    The walk starts from the all-down state; step k flips the bit at the
+    ruler position ctz(k).  Energies follow from the local fields
+    phi_b = sum_j g_bj sigma_j, which are updated incrementally per flip.
+    """
+    na = h.size
+    total = 1 << na
+    sig = np.full(na, -1.0)
+    phi = G @ sig
+    states = np.empty((total, na), dtype=np.int8)
+    energies = np.empty(total)
+    hcur = 0.5 * float(sig @ phi) + float(h @ sig)
+    states[0] = sig
+    energies[0] = hcur
+    for k in range(1, total):
+        p = (k & -k).bit_length() - 1
+        snew = -sig[p]
+        hcur += 2.0 * snew * (phi[p] + h[p])
+        sig[p] = snew
+        phi += (2.0 * snew) * G[:, p]
+        states[k] = sig
+        energies[k] = hcur
+    shift = energies.max()
+    w = np.exp(energies - shift)
+    zsum = w.sum()
+    log_z = float(np.log(zsum) + shift)
+    S = states.astype(np.float64)
+    mag = S.T @ w / zsum
+    second = None
+    if want_pair:
+        raw = S.T @ (w[:, None] * S) / zsum
+        upper = np.triu(raw, 1)
+        second = upper + upper.T + np.eye(na)
+    trip_vals = {
+        key: float((S[:, key[0]] * S[:, key[1]] * S[:, key[2]]) @ w) / zsum for key in triples
+    }
+    col_vals = {}
+    for key in cols:
+        prod = w.copy()
+        for a in key:
+            prod *= S[:, a]
+        col_vals[key] = S.T @ prod / zsum
+    return _RawMoments(log_z, mag, second, trip_vals, col_vals)
+
+
+class GrayEnumerator:
+    """Drop-in for ``BlockEnumerator``: one Gray-code walk per stacked field."""
+
+    def __init__(self, G):
+        self.G = G
+
+    def moments(self, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
+        H = np.atleast_2d(np.asarray(h, dtype=np.float64))
+        points = [gray_moments(self.G, row, want_pair, triples, cols) for row in H]
+        return _RawMoments(
+            np.array([p.log_z for p in points]),
+            np.array([p.mag for p in points]),
+            np.array([p.second for p in points]) if want_pair else None,
+            {key: np.array([p.triples[key] for p in points]) for key in triples},
+            {key: np.array([p.cols[key] for p in points]) for key in cols},
+        )
+
+
+def on_engine(engine, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` on the ``"block"`` engine or the ``"gray"`` reference.
+
+    The Gray engine takes the block engine's place wherever the package
+    looks it up, for the duration of the call.
+    """
+    if engine == "block":
+        return fn(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sktap.gibbs, "BlockEnumerator", GrayEnumerator)
+        patch.setattr(sktap.dynamics, "BlockEnumerator", GrayEnumerator)
+        return fn(*args, **kwargs)
 
 
 def naive_raw_moment(g, h, indices):

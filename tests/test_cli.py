@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sktap
-from sktap import substream_seed
+from sktap import EXPERIMENTS, substream_seed
 from sktap.cli import main
 
 
@@ -85,6 +85,20 @@ def test_csv_and_json_carry_equal_numbers(tmp_path, capsys):
             assert float(got) == pytest.approx(float(want), abs=1e-12)
 
 
+@pytest.mark.parametrize("experiment", sorted(name.replace("_", "-") for name in EXPERIMENTS))
+def test_every_experiment_runs_through_the_cli(experiment, tmp_path, capsys):
+    out_file = tmp_path / "o.json"
+    code, _, err = run_cli(
+        ["scaling", "--experiment", experiment, "--n", "4,5,6", "--t", "0.5", "--h", "0.3",
+         "--samples", "2", "--steps", "8", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0, err
+    payload = json.loads(out_file.read_text())
+    assert payload["config"]["experiment"] == experiment
+    assert [row[0] for row in payload["rows"]] == [4, 5, 6]
+
+
 def test_verify_identities_passes(capsys):
     code, out, _ = run_cli(
         ["verify-identities", "--n", "6", "--t", "0.5", "--h", "0.3", "--seed", "3",
@@ -134,6 +148,27 @@ def test_spectral_summary(capsys):
     assert code == 0
     assert "median_resolvent_error" in out
     assert "margin_fraction" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_spectral_rejects_sample_counts_below_one(samples, capsys):
+    code, out, err = run_cli(
+        ["spectral", "--n", "6", "--t", "0.4", "--h", "0.3", "--samples", samples], capsys
+    )
+    assert code == 1
+    assert "invalid configuration" in err and "samples" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["--n", "4", "--pair", "0,9"], ["--n", "4", "--pair", "0,-1"], ["--n", "1"]],
+    ids=["j-too-large", "j-negative", "n-1"],
+)
+def test_tap_residuals_rejects_pair_out_of_range(argv, capsys):
+    code, out, err = run_cli(["tap-residuals", *argv], capsys)
+    assert code == 1
+    assert "invalid configuration" in err and "out of range" in err
+    assert out == ""
 
 
 def test_mij_variance_reports_ratio(capsys):

@@ -17,6 +17,7 @@ from sktap import (
     sample_path,
     substream_seed,
 )
+from oracles import on_engine
 
 P6 = ModelParams.uniform(6, 0.5, 0.3)
 
@@ -75,8 +76,8 @@ def test_engines_agree(variant, second, n, steps):
     params = ModelParams.uniform(n, 0.5, 0.3)
     path = sample_path(params, steps, 9)
     cfg = ItoCheckConfig(0, 1, steps, second_site=second, variant=variant)
-    tb = ito_decomposition_trace(path, cfg, params, engine="block")
-    tg = ito_decomposition_trace(path, cfg, params, engine="gray")
+    tb = ito_decomposition_trace(path, cfg, params)
+    tg = on_engine("gray", ito_decomposition_trace, path, cfg, params)
     assert abs(tb["residual"] - tg["residual"]) < 1e-12
     for key in ("lhs", "martingale_increments", "drift_increments"):
         assert np.max(np.abs(tb[key] - tg[key])) < 1e-12

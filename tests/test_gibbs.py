@@ -10,19 +10,15 @@ from sktap import (
     ModelParams,
     ReducedSpec,
     coupling_derivative_residual,
-    delta_op,
-    eps_op,
     gibbs_tables,
     key_identity_residual,
     log_partition,
-    magnetization_observable,
     magnetizations,
-    pair_observable,
     sample_couplings,
     susceptibility_fd,
     triple_correlation,
 )
-from oracles import naive_raw_moment, naive_tables
+from oracles import naive_raw_moment, naive_tables, on_engine
 
 
 def two_site_matrix(g):
@@ -88,7 +84,7 @@ def test_engines_match_naive_oracle(engine):
     for _ in range(12):
         n = int(rng.integers(2, 9))
         params, cm = random_instance(rng, n)
-        tabs = gibbs_tables(cm, params, engine=engine)
+        tabs = on_engine(engine, gibbs_tables, cm, params)
         log_z, m, pair, q_full = naive_tables(cm.entries.tolist(), params.field.tolist())
         assert abs(tabs.log_z - log_z) < 1e-12
         assert np.max(np.abs(tabs.m - np.array(m))) < 1e-12
@@ -100,11 +96,11 @@ def test_engines_match_each_other_with_reductions():
     rng = np.random.default_rng(77)
     params, cm = random_instance(rng, 12)
     spec = ReducedSpec(clamped={1: -1, 4: +1}, removed=frozenset({7}))
-    tb = gibbs_tables(cm, params, spec, engine="block")
-    tg = gibbs_tables(cm, params, spec, engine="gray")
+    tb = gibbs_tables(cm, params, spec)
+    tg = on_engine("gray", gibbs_tables, cm, params, spec)
     assert abs(tb.log_z - tg.log_z) < 1e-12
-    assert np.allclose(tb.m, tg.m, atol=1e-12, equal_nan=True)
-    assert np.allclose(tb.pair, tg.pair, atol=1e-12, equal_nan=True)
+    assert np.allclose(tb.m, tg.m, rtol=0.0, atol=1e-12, equal_nan=True)
+    assert np.allclose(tb.pair, tg.pair, rtol=0.0, atol=1e-12, equal_nan=True)
 
 
 @pytest.mark.parametrize("na,rows", [(12, 7), (12, 19), (16, 3)])
@@ -243,26 +239,28 @@ def test_triple_rejects_bad_indices():
         triple_correlation(cm, p, ReducedSpec(removed=frozenset({2})), 1, 2, 3)
 
 
+def clamp_pair(site, table):
+    """``table(spec)`` under sigma_site = +1 and under sigma_site = -1."""
+    return (table(ReducedSpec(clamped={site: spin})) for spin in (+1, -1))
+
+
 def test_delta_op_closed_form():
+    # half-difference over the clamped spin: delta_0 m_1 = tanh(g) at zero field
     p = ModelParams.uniform(2, 1.0, 0.0)
     cm = two_site_matrix(0.4)
-    got = delta_op(cm, p, ReducedSpec(), 0, magnetization_observable(1))
-    assert got == pytest.approx(math.tanh(0.4), abs=1e-13)
+    up, down = clamp_pair(0, lambda spec: magnetizations(cm, p, spec)[1])
+    assert 0.5 * (up - down) == pytest.approx(math.tanh(0.4), abs=1e-13)
 
 
 def test_eps_op_kills_odd_observables_at_zero_field():
+    # half-sum over the clamped spin: odd observables cancel at h = 0
     p = ModelParams.uniform(4, 0.6, 0.0)
     cm = sample_couplings(p, 21)
-    assert abs(eps_op(cm, p, ReducedSpec(), 0, magnetization_observable(2))) < 1e-14
+    up, down = clamp_pair(0, lambda spec: magnetizations(cm, p, spec)[2])
+    assert abs(0.5 * (up + down)) < 1e-14
     # even observables survive
-    assert abs(eps_op(cm, p, ReducedSpec(), 0, pair_observable(1, 2))) > 1e-6
-
-
-def test_delta_op_rejects_busy_sites():
-    p = ModelParams.uniform(3, 0.5, 0.1)
-    cm = sample_couplings(p, 4)
-    with pytest.raises(ValueError):
-        delta_op(cm, p, ReducedSpec(clamped={0: 1}), 0, magnetization_observable(1))
+    up, down = clamp_pair(0, lambda spec: gibbs_tables(cm, p, spec).pair[1, 2])
+    assert abs(0.5 * (up + down)) > 1e-6
 
 
 def test_key_identity_two_site_closed_form():

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sktap import ModelParams, sample_couplings
-from sktap.gibbs import BlockEnumerator, _gray_moments
+from sktap.gibbs import BlockEnumerator
+from oracles import GrayEnumerator
 
 # Deterministic draws keep tier-1 reproducible; each test also pins one
 # example at the top size, which the generated ones need not reach.
@@ -133,7 +134,7 @@ def test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile():
     triples = [(0, n1, n - 1), (1, 2, n1 + 1)]
     cols = [(n1 - 1,), (0, n - 1)]
     block = ctx.moments(h, want_pair=True, triples=triples, cols=cols).row(0)
-    gray = _gray_moments(G, h, want_pair=True, triples=triples, cols=cols)
+    gray = GrayEnumerator(G).moments(h, want_pair=True, triples=triples, cols=cols).row(0)
     assert abs(block.log_z - gray.log_z) < 1e-12
     assert np.max(np.abs(block.mag - gray.mag)) < 1e-12
     assert np.max(np.abs(block.second - gray.second)) < 1e-12

@@ -187,6 +187,16 @@ def test_htap2_two_site_closed_form():
         htap2_residual(cm, p, 1, 1)
 
 
+@pytest.mark.parametrize("residual", [htap2_residual, tap2_residual])
+@pytest.mark.parametrize("i,j", [(0, 4), (0, 9), (0, -1), (-4, 1)])
+def test_pair_residuals_reject_sites_out_of_range(residual, i, j):
+    # j = -1 must not wrap around to site n - 1
+    p = ModelParams.uniform(4, 0.5, 0.3)
+    cm = sample_couplings(p, 5)
+    with pytest.raises(ValueError, match="out of range"):
+        residual(cm, p, i, j)
+
+
 def test_tap2_three_site_hand_expansion():
     # at h = 0 all magnetizations vanish: residual = m_ij - sum_k g_ik m_kj + t m_ij
     p = ModelParams.uniform(3, 0.5, 0.0)
