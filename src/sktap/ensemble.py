@@ -70,6 +70,9 @@ EXPERIMENTS = {
     "spectral": lambda cfg, p, seed: resolvent_error(sample_couplings(p, seed), p),
 }
 
+# The experiments whose scalar reads sites 0 and 1, so every n must be >= 2.
+_ON_SITES_01 = frozenset({"htap2", "tap2", "mij_sq", "mij_moment", "ito"})
+
 
 @dataclass
 class EnsembleConfig:
@@ -101,6 +104,13 @@ class EnsembleConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}"
             )
+        least = 2 if self.experiment in _ON_SITES_01 else 1
+        if self.n_values[0] < least:
+            raise ValueError(
+                f"experiment {self.experiment!r} needs every n >= {least}, got {self.n_values[0]}"
+            )
+        if self.experiment == "ito" and self.ito_steps < 2:
+            raise ValueError(f"ito needs steps >= 2, got {self.ito_steps}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 

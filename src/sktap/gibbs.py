@@ -5,13 +5,21 @@ values and/or removing a set of particles entirely.  Removal is implemented
 by masking (couplings and fields of removed sites never enter any sum), so
 site labels stay stable across the full, clamped and cavity measures.
 
-The enumeration engine splits the sites into a low and a high block; the
-2^n state space becomes a (2^n1 x 2^n2) grid of log-weights.  The grid is
-never stored: a pass streams it through one cache-sized tile of grid rows at
-a time, exponentiates each tile against its own maximum and reduces it at
-once, and rescales the partial sums to a running maximum (an online
-log-sum-exp).  Cost is O(2^n * n), vectorized per tile; memory is
-O(2^(n/2) * n) plus one tile.  The tests check it against a naive direct
+The enumeration engine splits the sites into a left and a right block, and
+the left block again into its b low and its other, high sites.  A state's
+weight then factors into exp(a) of the left block, exp(C) of the low-left to
+right couplings and exp(D) of the rest.  exp(C) does not depend on the field,
+so each enumerator caches it once; a pass exponentiates only a (2^n1 states)
+and D (2^(n-b) states), and forms every sum over the 2^n states as a matrix
+product against the cached factor: cost O(2^(n-b)) exponentials plus
+O(2^n * n) multiply-adds in BLAS-3 products.  D is never stored whole: a pass
+streams it through one cache-sized tile of rows at a time, exponentiates each
+tile against its own maximum, reduces it at once, and rescales the partial
+sums to a running maximum (an online log-sum-exp).  Memory is
+O(2^(n/2) * n) plus one tile and the cached factor.  A guard caps b so that
+C spans at most ``_GUARD`` (600): weights that matter then stay far from
+float64 underflow, and couplings too strong for any b > 0 get b = 0, one
+exponential per state.  The tests check the engine against a naive direct
 summation and a Gray-code walk that share no reduction code with it.
 
 All weights are handled as exp(H - max H), so partition sums stay finite for
@@ -139,12 +147,20 @@ class _RawMoments:
         )
 
 
-# Largest number of grid states one tile holds.  A tile is a run of grid
-# rows of one system, or the whole grids of several stacked systems.  2^16
-# float64 states are 512 KiB: a tile and the products read from it stay in
-# one core's L2 cache, while a pass at na = 24 still takes only 256 tiles, so
-# the interpreter overhead per tile stays small next to the exponentials.
+# Largest number of states one tile or cached factor holds.  A tile is a
+# run of rows of one system's D grid (see ``BlockEnumerator``), or the whole
+# D grids of several stacked systems.  2^16 float64 states are 512 KiB: a
+# tile and the products read from it stay in one core's L2 cache, while a
+# pass at na = 24 still takes only 16 tiles, so the interpreter overhead per
+# tile stays small next to the exponentials and products.
 _TILE_STATES = 1 << 16
+
+# Largest coupling range 2 * sum_{a<b} |G_LR[a]|_1 the cached cross factor
+# may span.  A pass multiplies three factors, each shifted by its own
+# maximum, so the heaviest state of a tile can read as small as e^-range;
+# below 600, every weight within e^-40 of the heaviest stays above e^-640,
+# clear of the float64 underflow near e^-708.
+_GUARD = 600.0
 
 
 @functools.cache
@@ -177,17 +193,60 @@ def _symmetrized_second(second: np.ndarray) -> np.ndarray:
     return upper + upper.swapaxes(-1, -2) + np.eye(na)
 
 
+def _low_bits(G_LR: np.ndarray) -> int:
+    """Number b of low left sites whose couplings the cached factor holds.
+
+    The largest b within the guard (2 * sum_{a<b} |G_LR[a]|_1 <= _GUARD) and
+    the tile budget (2^b * 2^n2 states) that stays below n1/2: a pass
+    exponentiates the 2^(na-b) entries of D, and sweeps about three times
+    over column sums the size of the cached factor, 2^(b+n2) entries, which
+    construction also exponentiates.  The two balance near b = n1/2 - 1;
+    at n = 19-20 (htap1), caps of 4 and 5 timed alike, 3 and 6 slower.
+    Systems of up to 6 sites get b = 0, as do couplings too strong for the
+    guard, or not finite.
+    """
+    n1, n2 = G_LR.shape
+    reach = 2.0 * np.cumsum(np.abs(G_LR).sum(axis=1))
+    most = max(0, min(n1 // 2 - 1, _TILE_STATES.bit_length() - 1 - n2))
+    return int(np.count_nonzero(reach[:most] <= _GUARD))
+
+
+@functools.cache
+def _split_signs(n1: int, b: int) -> np.ndarray:
+    """Read-only (2^n1, n1) left sign matrix with its rows in (t, T) order.
+
+    Row t 2^(n1-b) + T holds the signs of the b low sites from the bits of t
+    and those of the n1 - b high sites from the bits of T.
+    """
+    low, high = _sign_matrix(b), _sign_matrix(n1 - b)
+    S = np.hstack([np.repeat(low, len(high), axis=0), np.tile(high, (len(low), 1))])
+    S.setflags(write=False)
+    return S
+
+
 class BlockEnumerator:
     """Split-block enumeration context for one coupling block.
 
     The na sites split into a left block of n1 and a right block of n2
-    sites, so the 2^na states form a (2^n1 x 2^n2) grid: row r holds the
-    left spins given by the bits of r, column c the right spins given by the
-    bits of c.  The context keeps what depends on the couplings alone: the
-    shared sign matrices, the energies within each block, and the couplings
-    B = G_LR SR^T of every right state to each left site, as the top rows
-    of the right operand of the tile product.  No pass builds the grid; see
-    ``moments``.
+    sites; the left block splits again into its b low sites (state t) and
+    its n1 - b high sites (state T), and c is the right state.  A state's
+    log-weight is then a[t, T] + C[t, c] + D[T, c]:
+
+    * a = EL + hL.sL, the left energy and field (2^n1 entries);
+    * C = sl(t) G_LR[low] sR(c), the low-left-to-right couplings, which do
+      not depend on the field;
+    * D = ER + hR.sR + sh(T) G_LR[high] sR(c) (2^(na-b) entries).
+
+    The context keeps what depends on the couplings alone: the shared sign
+    matrices (the left one with its rows in (t, T) order), the block
+    energies, the couplings of every right state to each high left site
+    (the top rows of the right operand of the D tile product) and the cached
+    factor eC = exp(C - max C) of 2^b x 2^n2 entries.  A pass therefore
+    exponentiates only a and D; the sums over the grid are matrix products
+    against eC (see ``moments``).  b is as large as ``_low_bits`` allows:
+    the guard keeps the range of C within ``_GUARD``, so stronger couplings
+    get a smaller b, and b = 0 (C = 0) is the plain pass with one
+    exponential per state.
     """
 
     def __init__(self, G: np.ndarray):
@@ -195,22 +254,25 @@ class BlockEnumerator:
         n1 = (self.na + 1) // 2
         self.n1 = n1
         self.n2 = self.na - n1
-        self.SL = _sign_matrix(n1)
+        G_LR = G[:n1, n1:]
+        self.low = b = _low_bits(G_LR)
+        self.SL = _split_signs(n1, b)
         self.SR = _sign_matrix(self.n2)
+        self.Sl = _sign_matrix(b)
+        self.Sh = _sign_matrix(n1 - b)
         self.EL = _quadratic(self.SL, G[:n1, :n1])
         self.ER = _quadratic(self.SR, G[n1:, n1:])
-        B = G[:n1, n1:] @ self.SR.T
-        # [SL | row field | 1] @ [B ; 1 ; column field] is a tile of
-        # log-weights in one product; a pass fills in the field slots
-        rows, cols = self.SL.shape[0], self.SR.shape[0]
-        self.left = np.hstack([self.SL, np.zeros((rows, 1)), np.ones((rows, 1))])
-        self.right = np.vstack([B, np.ones((1, cols)), np.zeros((1, cols))])
-        # The tile shape depends on na alone: the whole grids of `systems`
-        # stacked systems, as many as fit the budget with their operands,
-        # or `tile_rows` grid rows of one system.
-        self.tile_rows = min(1 << n1, max(1, _TILE_STATES >> self.n2))
-        per_system = self.left.size + self.right.size + (1 << self.na)
-        self.systems = max(1, _TILE_STATES // per_system)
+        C = self.Sl @ (G_LR[:b] @ self.SR.T)
+        self.c_shift = C.max()
+        C -= self.c_shift
+        self.eC = np.exp(C, out=C)
+        # [Sh | column shift of a | 1] @ [G_LR[high] SR^T ; 1 ; right field]
+        # is a tile of D in one product; a pass fills in the field slots
+        rows, cols = self.Sh.shape[0], self.SR.shape[0]
+        self.left = np.hstack([self.Sh, np.zeros((rows, 1)), np.ones((rows, 1))])
+        self.right = np.vstack([G_LR[b:] @ self.SR.T, np.ones((1, cols)), np.zeros((1, cols))])
+        # tile boundaries depend on na and b alone: `tile_rows` rows of D
+        self.tile_rows = min(rows, max(1, _TILE_STATES >> self.n2))
 
     def _parts(self, indices):
         pl = np.ones(self.SL.shape[0])
@@ -226,13 +288,14 @@ class BlockEnumerator:
         """Raw moments for a stack of field vectors ``h`` of shape (K, na).
 
         Every field of the result carries a leading K axis (a single vector
-        counts as a one-row stack).  The grid streams through one workspace
-        tile at a time, so the working set stays within ``_TILE_STATES``
-        states however large na or K is.  Each tile is exponentiated against
-        its own maximum and reduced at once; every system keeps a running
-        maximum (an online log-sum-exp) to which its sums are rescaled.
-        The column sums follow the running maximum tile by tile; the row
-        sums, written once per tile, are rescaled when the pass ends.
+        counts as a one-row stack).  The D grid streams through one
+        workspace tile at a time, so the working set stays within
+        ``_TILE_STATES`` states however large na or K is.  Each tile is
+        exponentiated against its own maximum and reduced at once by
+        products against eC; every system keeps a running maximum (an
+        online log-sum-exp) to which its sums are rescaled.  A pass costs
+        2^n1 + 2^(na-b) exponentials and 2^na multiply-adds per product:
+        two, plus one with the pair matrix and one per key.
         """
         H = np.atleast_2d(np.ascontiguousarray(h, dtype=np.float64))
         K, na = H.shape[0], self.na
@@ -243,7 +306,10 @@ class BlockEnumerator:
             {key: np.empty(K) for key in triples},
             {key: np.empty((K, na)) for key in cols},
         )
-        per = self.systems
+        # a chunk holds as many systems as fit the budget with their
+        # operands and D grid, which is larger than eC while b < n1 / 2
+        per_system = self.left.size + self.right.size + (1 << na - self.low)
+        per = max(1, _TILE_STATES // per_system)
         for a in range(0, K, per):
             self._pass(H[a : a + per], slice(a, a + per), out)
         return out
@@ -251,39 +317,47 @@ class BlockEnumerator:
     def _pass(self, H, rows, out: _RawMoments) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``.
 
-        Tiles split the grid along rows only, at boundaries fixed by na, and
-        every field-dependent product is a matmul batched over the leading
-        axis, one BLAS call per system, never one gemm whose row dimension
-        spans the chunk.  A system's bits therefore do not depend on the
-        systems that share its chunk: equal fields give equal results
-        wherever they sit.
+        Tiles split D along its rows only, at boundaries fixed by na and b,
+        and every field-dependent product is a matmul batched over the
+        leading axis, one BLAS call per system, never one gemm whose row
+        dimension spans the chunk.  A system's bits therefore do not depend
+        on the systems that share its chunk: equal fields give equal
+        results wherever they sit.
         """
         k = H.shape[0]
-        n1, n2 = self.n1, self.n2
-        SL, SR, tr = self.SL, self.SR, self.tile_rows
-        nrow, ncol = SL.shape[0], SR.shape[0]
+        n1, n2, b = self.n1, self.n2, self.low
+        SL, SR, eC, tr = self.SL, self.SR, self.eC, self.tile_rows
+        (nt, ncol), nT = eC.shape, self.Sh.shape[0]
+        # a[t, T], shifted by its maximum over t; the shift of column T
+        # moves into D, so a tile's weights are eA[t, T] eC[t, c] W[T, c]
+        a = (self.EL + _each(SL, H[:, :n1])).reshape(k, nt, nT)
+        a_shift = a.max(axis=1)
+        a -= a_shift[:, None, :]
+        eA = np.exp(a, out=a)
         left = np.empty((k, *self.left.shape))
         left[...] = self.left
-        left[:, :, n1] = self.EL + _each(SL, H[:, :n1])
+        left[:, :, -2] = a_shift
         right = np.empty((k, *self.right.shape))
         right[...] = self.right
-        right[:, n1 + 1] = self.ER + _each(SR, H[:, n1:])
+        right[:, -1] = self.ER + _each(SR, H[:, n1:])
 
-        # Each weight tile W is read twice.  Per row, W @ [1 | SR | pr...]
-        # gives the row sums u, the right-block sums (pair matrix only) and,
-        # per key, W @ pr.  Per column, [1 | pl...]^T @ W gives the column
-        # sums v and, per ``cols`` key, pl^T @ W.
+        # Each weight tile W is read twice.  [eC | eC pr...] @ W^T gives,
+        # times eA, the sums over c of every (t, T), plain and per key.
+        # [eA | eA pl...] @ W gives the sums over T of every (t, c), plain
+        # and per ``cols`` key, which eC weighs and sums over t at the end.
         keys = list(dict.fromkeys([*out.triples, *out.cols]))
         parts = {key: self._parts(key) for key in keys}
-        by_row = [np.ones((ncol, 1))]
-        if out.second is not None:
-            by_row.append(SR)
-        by_row = np.hstack(by_row + [parts[key][1][:, None] for key in keys])
-        by_col = np.array([np.ones(nrow)] + [parts[key][0] for key in out.cols])
+        pr = np.array([np.ones(ncol)] + [parts[key][1] for key in keys])
+        by_row = (pr[:, None, :] * eC).reshape(-1, ncol)
+        pl = np.array([np.ones(nt * nT)] + [parts[key][0] for key in out.cols])
+        by_col = (pl.reshape(1, -1, nt, nT) * eA[:, None]).reshape(k, -1, nT)
 
-        tiles = nrow // tr
+        tiles = nT // tr
         W = np.empty((k, tr, ncol))
-        row_sums = np.empty((k, nrow, by_row.shape[1]))
+        row_sums = np.empty((k, by_row.shape[0], nT))
+        if out.second is not None:
+            M = np.empty_like(W)
+            cross = np.empty((k, nT, n2))
         shifts = np.empty((k, tiles))
         for t in range(tiles):
             r = slice(t * tr, (t + 1) * tr)
@@ -291,44 +365,61 @@ class BlockEnumerator:
             shift = W.reshape(k, -1).max(axis=1)
             W -= shift[:, None, None]
             np.exp(W, out=W)
-            np.matmul(W, by_row, out=row_sums[:, r])
+            np.matmul(by_row, W.transpose(0, 2, 1), out=row_sums[:, :, r])
+            if out.second is not None:
+                # the high left sites meet the right block in W * (eA^T @ eC)
+                np.matmul(eA[:, :, r].transpose(0, 2, 1), eC, out=M)
+                M *= W
+                np.matmul(M, SR, out=cross[:, r])
             shifts[:, t] = shift
             if t == 0:
-                col_sums, top = by_col[:, r] @ W, shift
+                col_sums, top = by_col[:, :, r] @ W, shift
             else:
                 grown = np.maximum(top, shift)
                 col_sums *= np.exp(top - grown)[:, None, None]
-                col_sums += (np.exp(shift - grown)[:, None, None] * by_col[:, r]) @ W
+                col_sums += (np.exp(shift - grown)[:, None, None] * by_col[:, :, r]) @ W
                 top = grown
-        # bring the row sums of every tile to the system's final shift
+        # bring the sums of every tile to the system's final shift
         scale = np.exp(shifts - top[:, None])
-        row_sums.reshape(k, tiles, tr, -1)[...] *= scale[:, :, None, None]
+        row_sums.reshape(k, -1, tiles, tr)[...] *= scale[:, None, :, None]
+        if out.second is not None:
+            cross.reshape(k, tiles, tr, -1)[...] *= scale[:, :, None, None]
 
-        u = row_sums[:, :, 0]
-        v = col_sums[:, 0]
+        # the sums over c per left state (t, T), and over (t, T) per right
+        # state c, plain (u, v) and per key
+        by_left = row_sums.reshape(k, -1, nt * nT)
+        by_left *= eA.reshape(k, 1, -1)
+        low_right = col_sums.reshape(k, -1, nt, ncol)
+        low_right *= eC
+        by_right = low_right.sum(axis=2)
+        u = by_left[:, 0]
+        v = by_right[:, 0]
         zsum = u.sum(axis=1)
         norm = zsum[:, None]
-        out.log_z[rows] = np.log(zsum) + top
-        out.mag[rows] = np.concatenate([_each(SL.T, u), _each(SR.T, v)], axis=1) / norm
+        out.log_z[rows] = np.log(zsum) + top + self.c_shift
+        # one product per block sums each site's signs against u and v (the
+        # magnetizations) and against the sums of every ``cols`` key
+        by_key = {key: by_left[:, 1 + c] for c, key in enumerate(keys)}
+        lefts = [u] + [parts[key][0] * by_key[key] for key in out.cols]
+        rights = [v] + [parts[key][1] * by_right[:, c] for c, key in enumerate(out.cols, 1)]
+        sums = np.concatenate([SL.T @ np.stack(lefts, axis=2), SR.T @ np.stack(rights, axis=2)],
+                              axis=1) / norm[:, :, None]
+        out.mag[rows] = sums[:, :, 0]
+        for c, val in enumerate(out.cols.values(), start=1):
+            val[rows] = sums[:, :, c]
 
         if out.second is not None:
             sec = np.empty((k, self.na, self.na))
             sec[:, :n1, :n1] = SL.T @ (u[:, :, None] * SL)
-            sec[:, :n1, n1:] = SL.T @ row_sums[:, :, 1 : n2 + 1]
+            sec[:, :b, n1:] = self.Sl.T @ (low_right[:, 0] @ SR)
+            sec[:, b:n1, n1:] = self.Sh.T @ cross
             sec[:, n1:, :n1] = sec[:, :n1, n1:].transpose(0, 2, 1)
             sec[:, n1:, n1:] = SR.T @ (v[:, :, None] * SR)
             sec /= norm[:, :, None]
             out.second[rows] = _symmetrized_second(sec)
 
-        first = row_sums.shape[2] - len(keys)
-        by_key = {key: row_sums[:, :, first + c] for c, key in enumerate(keys)}
         for key, val in out.triples.items():
             val[rows] = (by_key[key][:, None, :] @ parts[key][0])[:, 0] / zsum
-        for c, (key, val) in enumerate(out.cols.items(), start=1):
-            pl, pr = parts[key]
-            left = _each(SL.T, pl * by_key[key])
-            right = _each(SR.T, pr * col_sums[:, c])
-            val[rows] = np.concatenate([left, right], axis=1) / norm
 
 
 def _each(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -384,7 +475,8 @@ def magnetizations(
     params: ModelParams,
     spec: ReducedSpec | None = None,
 ) -> np.ndarray:
-    """Magnetization vector only (cheaper than full tables by ~2x).
+    """Magnetization vector only: ~1.5x cheaper than full tables at n = 20-24,
+    1.5-2x at n <= 16 (fresh enumerator, one BLAS thread).
 
     Full length n: clamped sites carry their value, removed sites NaN.
     """

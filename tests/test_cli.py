@@ -171,6 +171,25 @@ def test_tap_residuals_rejects_pair_out_of_range(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--experiment", "ito", "--steps", "1", "--n", "4,5,6"],
+        *(["--experiment", name, "--n", "1,2,3"]
+          for name in ("htap2", "tap2", "mij-sq", "mij-moment", "ito")),
+        ["--experiment", "htap1", "--n", "0,1,2"],
+    ],
+    ids=["ito-steps-1", "htap2-n1", "tap2-n1", "mij-sq-n1", "mij-moment-n1", "ito-n1", "htap1-n0"],
+)
+def test_scaling_rejects_sizes_and_steps_the_experiment_cannot_run(argv, capsys):
+    code, out, err = run_cli(
+        ["scaling", *argv, "--t", "0.5", "--h", "0.3", "--samples", "2", "--seed", "1"], capsys
+    )
+    assert code == 1
+    assert "invalid configuration" in err and ">= " in err
+    assert out == ""
+
+
 def test_mij_variance_reports_ratio(capsys):
     code, out, _ = run_cli(
         ["mij-variance", "--n", "8", "--t", "0.5", "--h", "0.3", "--samples", "50",
@@ -233,6 +252,9 @@ def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path):
         "ito": ["scaling", "--experiment", "ito", "--n", "6", "--steps", "256",
                 "--t", "0.5", "--h", "0.3", "--samples", "4"],
         "dynamics": ["dynamics", "--n", "8", "--steps", "256"],
+        # the pair pass at n = 18 has products large enough to thread
+        "spectral": ["scaling", "--experiment", "spectral", "--n", "16,17,18",
+                     "--t", "0.4", "--h", "0.3", "--samples", "2"],
     }
     for name, argv in commands.items():
         payloads = []

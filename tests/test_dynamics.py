@@ -66,9 +66,9 @@ def test_zero_increment_path_is_exact():
         ("pair", None, 6, 16),
         ("two_point", 2, 6, 16),
         ("product", 2, 6, 16),
-        # 11 active sites: 23 grid points per chunk, 41 points split 23 + 18
-        ("pair", None, 12, 40),
-        ("product", 2, 12, 40),
+        # 11 active sites: 81 grid points per chunk, 101 points split 81 + 20
+        ("pair", None, 12, 100),
+        ("product", 2, 12, 100),
     ],
     ids=["pair-None", "two_point-2", "product-2", "pair-None-n12", "product-2-n12"],
 )

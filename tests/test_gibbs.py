@@ -18,7 +18,7 @@ from sktap import (
     susceptibility_fd,
     triple_correlation,
 )
-from oracles import naive_raw_moment, naive_tables, on_engine
+from oracles import GrayEnumerator, naive_raw_moment, naive_tables, on_engine
 
 
 def two_site_matrix(g):
@@ -103,10 +103,10 @@ def test_engines_match_each_other_with_reductions():
     assert np.allclose(tb.pair, tg.pair, rtol=0.0, atol=1e-12, equal_nan=True)
 
 
-@pytest.mark.parametrize("na,rows", [(12, 7), (12, 19), (16, 3)])
+@pytest.mark.parametrize("na,rows", [(12, 7), (12, 19), (12, 50), (16, 3)])
 def test_stacked_moments_match_one_call_per_row(na, rows):
-    # na = 12 fits 12 systems per chunk, so 7 rows share one chunk and 19
-    # rows split 12 + 7; at na = 16 each chunk holds one system
+    # na = 12 fits 43 systems per chunk, so 7 and 19 rows share one chunk
+    # and 50 rows split 43 + 7; na = 16 fits 6 systems per chunk
     from sktap.gibbs import BlockEnumerator
 
     rng = np.random.default_rng(na)
@@ -143,6 +143,62 @@ def test_one_pass_allocates_far_less_than_one_grid():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_sk_couplings_take_the_factorised_path():
+    # The guard never binds for SK couplings, so the cached factor holds
+    # b >= 4 low left sites at n = 20 and at the n = 19 cavity systems of
+    # htap1: the suite exercises the factorised pass, not only its b = 0 end.
+    from sktap.gibbs import BlockEnumerator
+
+    for n, t, seed in [(19, 0.5, 1), (20, 0.5, 2), (20, 1.5, 3)]:
+        params = ModelParams.uniform(n, t, 0.3)
+        assert BlockEnumerator(sample_couplings(params, seed).entries).low >= 4
+
+
+@pytest.mark.parametrize("n,b", [(14, 0), (14, 1), (16, 0), (16, 2), (18, 0)])
+def test_guard_keeps_strong_low_left_couplings_exact(n, b):
+    # Scale the couplings of low left sites 0..b to the right block so that
+    # 2 * sum_{a<b'} |G_LR[a]|_1 first passes 600 at b' = b + 1: the guard,
+    # not the size, then caps the cached factor at b sites.  The right
+    # fields pull the right block off the pattern row b favours, so a factor
+    # that held row b would see its heaviest states underflow; without the
+    # guard every case fails.  At n = 18 and b = 0 the pass spans 4 tiles.
+    from sktap.gibbs import BlockEnumerator
+
+    rng = np.random.default_rng(n + b)
+    params = ModelParams(n=n, t=0.5, field=rng.normal(0.0, 0.5, n))
+    G = sample_couplings(params, n).entries.copy()
+    n1, n2 = (n + 1) // 2, n // 2
+    assert BlockEnumerator(G).low > b
+    norms = np.abs(G[:n1, n1:]).sum(axis=1)
+    for a in range(b + 1):
+        scale = (1500.0 if a == b else 290.0 / b) / norms[a]
+        G[a, n1:] *= scale
+        G[n1:, a] *= scale
+    h = params.field.copy()
+    h[n1:] += 1500.0 / n2 * (-1.0) ** np.arange(n2) * np.sign(G[b, n1:])
+    ctx = BlockEnumerator(G)
+    assert ctx.low == b
+    triple, key = (0, n1 - 1, n - 1), (0, n - 1)
+    block = ctx.moments(h, want_pair=True, triples=[triple], cols=[key]).row(0)
+    gray = GrayEnumerator(G).moments(h, want_pair=True, triples=[triple], cols=[key]).row(0)
+    assert abs(block.log_z - gray.log_z) <= 1e-12 * abs(gray.log_z)
+    assert np.max(np.abs(block.mag - gray.mag)) < 1e-12
+    assert np.max(np.abs(block.second - gray.second)) < 1e-12
+    assert abs(block.triples[triple] - gray.triples[triple]) < 1e-12
+    assert np.max(np.abs(block.cols[key] - gray.cols[key])) < 1e-12
+    if n == 14:
+        g, f = G.tolist(), h.tolist()
+        log_z, m, pair, _ = naive_tables(g, f)
+        second = np.array(pair) + np.outer(m, m)
+        np.fill_diagonal(second, 1.0)
+        assert abs(block.log_z - log_z) <= 1e-12 * abs(log_z)
+        assert np.max(np.abs(block.mag - np.array(m))) < 1e-12
+        assert np.max(np.abs(block.second - second)) < 1e-12
+        assert abs(block.triples[triple] - naive_raw_moment(g, f, triple)) < 1e-12
+        for site in (1, n1):
+            assert abs(block.cols[key][site] - naive_raw_moment(g, f, (*key, site))) < 1e-12
 
 
 def test_empty_active_set_edge_cases():

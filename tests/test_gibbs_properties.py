@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sktap.gibbs
 from sktap import ModelParams, sample_couplings
 from sktap.gibbs import BlockEnumerator
 from oracles import GrayEnumerator
@@ -121,14 +122,18 @@ def test_stacked_pass_equals_one_pass_per_row(n, seed, t, scale, rows):
             assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
 
 
-def test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile():
-    # Row r of the grid holds the left-block states with the bits of r as
-    # spins, so a strong field on the left block puts the heaviest states in
-    # the last rows: every earlier tile must be rescaled to the final shift.
+def test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile(monkeypatch):
+    # Tiles run over the rows T of D, the states of the high left sites, so a
+    # strong field on the left block puts the heaviest states in the last
+    # tile: every earlier tile must be rescaled to the final shift.  A 2^12
+    # state budget makes the factorised pass span 8 tiles at a size the
+    # Gray-code engine reaches.
+    monkeypatch.setattr(sktap.gibbs, "_TILE_STATES", 1 << 12)
     n = 18
     G, h = instance(n, 2718, 0.6, 0.3)
     ctx = BlockEnumerator(G)
-    assert ctx.tile_rows * 4 <= ctx.SL.shape[0]  # the pass spans several tiles
+    assert ctx.low > 0
+    assert ctx.tile_rows * 4 <= ctx.Sh.shape[0]  # the pass spans several tiles
     n1 = ctx.n1
     h[:n1] += 4.0
     triples = [(0, n1, n - 1), (1, 2, n1 + 1)]

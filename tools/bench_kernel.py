@@ -1,4 +1,4 @@
-"""Time one ``BlockEnumerator`` pass at n = 12..24 next to an ``np.exp`` floor.
+"""Time one ``BlockEnumerator`` pass at n = 12..26 next to an ``np.exp`` floor.
 
     python tools/bench_kernel.py change=src parent=../parent/src > BENCH_kernel.json
 
@@ -9,9 +9,10 @@ labels alternates from round to round, so slow phases of a shared machine
 fall on both sides.  A worker times, for every size and with and without the
 pair matrix, the enumerator construction and one ``moments`` call (after one
 untimed warm-up pass), and one ``np.exp`` over a float64 grid of the same
-2^ceil(n/2) x 2^floor(n/2) shape.  Small sizes repeat each call so that one
-timing covers at least 2^20 states.  The report gives the min and median over
-the rounds.
+2^ceil(n/2) x 2^floor(n/2) shape; above 2^24 states the floor runs over a
+2^24-state grid as many times as make up 2^n states, so it holds 256 MiB at
+most.  Small sizes repeat each call so that one timing covers at least 2^20
+states.  The report gives the min and median over the rounds.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import subprocess
 import sys
 import time
 
-SIZES = (12, 16, 20, 22, 24)
+SIZES = (12, 16, 20, 22, 24, 26)
+FLOOR_STATES = 24  # log2 of the largest grid the floor allocates
 ROUNDS = 7
 THREADS = 1
 
@@ -45,10 +47,11 @@ def worker() -> None:
     rows = []
     for n in SIZES:
         calls = max(1, (1 << 20) >> n)
-        grid = np.random.default_rng(0).uniform(-30.0, 0.0, (1 << (n + 1) // 2, 1 << n // 2))
+        m = min(n, FLOOR_STATES)
+        grid = np.random.default_rng(0).uniform(-30.0, 0.0, (1 << (m + 1) // 2, 1 << m // 2))
         out = np.empty_like(grid)
         np.exp(grid, out=out)
-        floor_ms = _timed(lambda: np.exp(grid, out=out), calls)
+        floor_ms = _timed(lambda: np.exp(grid, out=out), calls) * (1 << n - m)
         del grid, out
         params = ModelParams.uniform(n, 0.4, 0.3)
         couplings = sample_couplings(params, 0).entries

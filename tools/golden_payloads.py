@@ -1,16 +1,23 @@
-"""Print a sha256 of the payload of every command in README's "Command line" block.
+"""Hash, save and compare the payloads of the commands in README's "Command line" block.
 
     PYTHONPATH=src python tools/golden_payloads.py > golden.json
+    PYTHONPATH=src python tools/golden_payloads.py --save out/change > golden.json
+    python tools/golden_payloads.py --compare out/parent out/change
 
 The commands are read from the first ``sh`` block after the README heading
 "## Command line", so the README stays the only list of them.  Each command
 runs in this process through ``sktap.cli.main`` with the BLAS pools pinned
-to one thread and its ``--out`` redirected into a temporary directory; a
-command without ``--out`` gets one.  The ``sktap`` run is whichever is
-importable, so point ``PYTHONPATH`` at the checkout to test; its location
-goes to standard error.  The output is a JSON object mapping each command,
-as written in the README, to the digest of its payload file.  Two checkouts
-whose digests match print byte-identical payloads.
+to one thread and its ``--out`` redirected into a temporary directory (or
+into ``--save DIR``, with ``DIR/commands.json`` naming the command of each
+payload file); a command without ``--out`` gets one.  The ``sktap`` run is
+whichever is importable, so point ``PYTHONPATH`` at the checkout to test; its
+location goes to standard error.  The output is a JSON object mapping each
+command, as written in the README, to the sha256 of its payload file.  Two
+checkouts whose digests match print byte-identical payloads.
+
+``--compare A B`` reads two ``--save`` directories, made from two checkouts,
+and prints for each command the largest absolute and relative change of any
+number in its payload.  Payloads must agree in everything but their numbers.
 """
 
 from __future__ import annotations
@@ -20,16 +27,22 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
+import re
 import shlex
 import sys
 import tempfile
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# a JSON or CSV number, including the non-finite values json.dumps writes
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity")
 
 
 def readme_commands(text: str) -> list[str]:
@@ -48,14 +61,34 @@ def with_out(argv: list[str], path: Path) -> list[str]:
     return argv + ["--out", str(path)]
 
 
-def main() -> int:
+def numeric_change(old: str, new: str) -> dict:
+    """Largest absolute and relative change between the numbers of two payloads.
+
+    The relative change of a pair is |new - old| / max(|old|, |new|); NaN
+    against NaN counts as no change.
+    """
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        raise ValueError("the payloads differ in more than their numbers")
+    worst_abs = worst_rel = 0.0
+    for a, b in zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new))):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        diff = abs(b - a)
+        worst_abs = max(worst_abs, diff)
+        worst_rel = max(worst_rel, diff / max(abs(a), abs(b)))
+    return {"max_abs": worst_abs, "max_rel": worst_rel}
+
+
+def run_commands(save: Path | None) -> int:
     import sktap.cli
 
     print(f"sktap from {Path(sktap.cli.__file__).parent}", file=sys.stderr)
-    digests = {}
+    digests, names = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp) if save is None else save
+        folder.mkdir(parents=True, exist_ok=True)
         for index, command in enumerate(readme_commands(README.read_text())):
-            out = Path(tmp) / f"payload-{index}"
+            out = folder / f"payload-{index}"
             argv = with_out(shlex.split(command)[1:], out)
             with contextlib.redirect_stdout(io.StringIO()):
                 code = sktap.cli.main(argv)
@@ -63,9 +96,33 @@ def main() -> int:
                 print(f"{command!r} exited {code}", file=sys.stderr)
                 return 1
             digests[command] = hashlib.sha256(out.read_bytes()).hexdigest()
+            names[out.name] = command
+        if save is not None:
+            (folder / "commands.json").write_text(json.dumps(names, indent=2) + "\n")
     print(json.dumps(digests, indent=2))
     return 0
 
 
+def compare(old: Path, new: Path) -> int:
+    names = json.loads((old / "commands.json").read_text())
+    report = {}
+    for name, command in names.items():
+        a, b = (old / name).read_text(), (new / name).read_text()
+        report[command] = {"identical": a == b, **numeric_change(a, b)}
+    print(json.dumps(report, indent=2))
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", type=Path, help="keep the payloads in this directory")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                        help="report the numeric change between two --save directories")
+    args = parser.parse_args(argv)
+    if args.compare is not None:
+        return compare(*args.compare)
+    return run_commands(args.save)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
