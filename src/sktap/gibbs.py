@@ -147,12 +147,12 @@ class _RawMoments:
         )
 
 
-# Largest number of states one tile or cached factor holds.  A tile is a
-# run of rows of one system's D grid (see ``BlockEnumerator``), or the whole
-# D grids of several stacked systems.  2^16 float64 states are 512 KiB: a
-# tile and the products read from it stay in one core's L2 cache, while a
-# pass at na = 24 still takes only 16 tiles, so the interpreter overhead per
-# tile stays small next to the exponentials and products.
+# State budget of a tile and of the cached factor.  A tile is a run of rows
+# of one system's D grid (see ``BlockEnumerator``), or the whole D grids of
+# several stacked systems.  2^16 float64 states are 512 KiB: a tile and the
+# products read from it stay in one core's L2 cache, while a pass at na = 24
+# still takes only 32 tiles, so the interpreter overhead per tile stays
+# small next to the exponentials and products.
 _TILE_STATES = 1 << 16
 
 # Largest coupling range 2 * sum_{a<b} |G_LR[a]|_1 the cached cross factor
@@ -271,8 +271,12 @@ class BlockEnumerator:
         rows, cols = self.Sh.shape[0], self.SR.shape[0]
         self.left = np.hstack([self.Sh, np.zeros((rows, 1)), np.ones((rows, 1))])
         self.right = np.vstack([G_LR[b:] @ self.SR.T, np.ones((1, cols)), np.zeros((1, cols))])
-        # tile boundaries depend on na and b alone: `tile_rows` rows of D
-        self.tile_rows = min(rows, max(1, _TILE_STATES >> self.n2))
+        # Tile boundaries depend on na and b alone: `tile_rows` rows of D,
+        # half the budget, which the weights W of a tile share with the
+        # product of the same shape that the pair matrix needs.  Measured at
+        # n = 19-24, half-budget tiles are as fast or faster, and up to 1.7x
+        # with the pair matrix at n = 20, than full-budget ones.
+        self.tile_rows = min(rows, max(1, (_TILE_STATES // 2) >> self.n2))
 
     def _parts(self, indices):
         pl = np.ones(self.SL.shape[0])
@@ -397,16 +401,9 @@ class BlockEnumerator:
         zsum = u.sum(axis=1)
         norm = zsum[:, None]
         out.log_z[rows] = np.log(zsum) + top + self.c_shift
-        # one product per block sums each site's signs against u and v (the
-        # magnetizations) and against the sums of every ``cols`` key
-        by_key = {key: by_left[:, 1 + c] for c, key in enumerate(keys)}
-        lefts = [u] + [parts[key][0] * by_key[key] for key in out.cols]
-        rights = [v] + [parts[key][1] * by_right[:, c] for c, key in enumerate(out.cols, 1)]
-        sums = np.concatenate([SL.T @ np.stack(lefts, axis=2), SR.T @ np.stack(rights, axis=2)],
-                              axis=1) / norm[:, :, None]
-        out.mag[rows] = sums[:, :, 0]
-        for c, val in enumerate(out.cols.values(), start=1):
-            val[rows] = sums[:, :, c]
+        row_of = {key: 1 + c for c, key in enumerate(keys)}
+        for key, val in out.triples.items():
+            val[rows] = (by_left[:, row_of[key], None, :] @ parts[key][0])[:, 0] / zsum
 
         if out.second is not None:
             sec = np.empty((k, self.na, self.na))
@@ -418,8 +415,16 @@ class BlockEnumerator:
             sec /= norm[:, :, None]
             out.second[rows] = _symmetrized_second(sec)
 
-        for key, val in out.triples.items():
-            val[rows] = (by_key[key][:, None, :] @ parts[key][0])[:, 0] / zsum
+        # Sign the sums of each ``cols`` key by the key's own spins; then one
+        # product per block sums every site's signs against all of them, row
+        # 0 giving the magnetizations.
+        for c, key in enumerate(out.cols, start=1):
+            by_left[:, row_of[key]] *= parts[key][0]
+            by_right[:, c] *= parts[key][1]
+        at_left, at_right = by_left @ SL, by_right @ SR
+        out.mag[rows] = np.concatenate([at_left[:, 0], at_right[:, 0]], axis=1) / norm
+        for c, (key, val) in enumerate(out.cols.items(), start=1):
+            val[rows] = np.concatenate([at_left[:, row_of[key]], at_right[:, c]], axis=1) / norm
 
 
 def _each(M: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -163,7 +163,7 @@ def test_guard_keeps_strong_low_left_couplings_exact(n, b):
     # not the size, then caps the cached factor at b sites.  The right
     # fields pull the right block off the pattern row b favours, so a factor
     # that held row b would see its heaviest states underflow; without the
-    # guard every case fails.  At n = 18 and b = 0 the pass spans 4 tiles.
+    # guard every case fails.  At n = 18 and b = 0 the pass spans 8 tiles.
     from sktap.gibbs import BlockEnumerator
 
     rng = np.random.default_rng(n + b)

@@ -126,7 +126,7 @@ def test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile(monkeypa
     # Tiles run over the rows T of D, the states of the high left sites, so a
     # strong field on the left block puts the heaviest states in the last
     # tile: every earlier tile must be rescaled to the final shift.  A 2^12
-    # state budget makes the factorised pass span 8 tiles at a size the
+    # state budget makes the factorised pass span 16 tiles at a size the
     # Gray-code engine reaches.
     monkeypatch.setattr(sktap.gibbs, "_TILE_STATES", 1 << 12)
     n = 18
