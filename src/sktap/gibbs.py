@@ -147,12 +147,13 @@ class _RawMoments:
         )
 
 
-# State budget of a tile and of the cached factor.  A tile is a run of rows
-# of one system's D grid (see ``BlockEnumerator``), or the whole D grids of
-# several stacked systems.  2^16 float64 states are 512 KiB: a tile and the
-# products read from it stay in one core's L2 cache, while a pass at na = 24
-# still takes only 32 tiles, so the interpreter overhead per tile stays
-# small next to the exponentials and products.
+# State budget of the cached factor, and of a tile with the product of its
+# shape that the pair matrix needs.  A tile is a run of rows of one
+# system's D grid (see ``BlockEnumerator``), or the whole D grids of several
+# stacked systems.  2^16 float64 states are 512 KiB: the working set of a
+# tile stays in one core's L2 cache, while a pass at na = 24 still takes
+# only 32 tiles, so the interpreter overhead per tile stays small next to
+# the exponentials and products.
 _TILE_STATES = 1 << 16
 
 # Largest coupling range 2 * sum_{a<b} |G_LR[a]|_1 the cached cross factor
@@ -480,8 +481,8 @@ def magnetizations(
     params: ModelParams,
     spec: ReducedSpec | None = None,
 ) -> np.ndarray:
-    """Magnetization vector only: ~1.5x cheaper than full tables at n = 20-24,
-    1.5-2x at n <= 16 (fresh enumerator, one BLAS thread).
+    """Magnetization vector only: 1.5x cheaper than full tables at n = 20-24,
+    about 1.7x at n = 8-16 (fresh enumerator, one BLAS thread).
 
     Full length n: clamped sites carry their value, removed sites NaN.
     """
