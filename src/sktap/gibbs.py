@@ -300,7 +300,8 @@ class BlockEnumerator:
         products against eC; every system keeps a running maximum (an
         online log-sum-exp) to which its sums are rescaled.  A pass costs
         2^n1 + 2^(na-b) exponentials and 2^na multiply-adds per product:
-        two, plus one with the pair matrix and one per key.
+        two, plus one with the pair matrix, one per triple and two per
+        ``cols`` key.
         """
         H = np.atleast_2d(np.ascontiguousarray(h, dtype=np.float64))
         K, na = H.shape[0], self.na
