@@ -26,7 +26,6 @@ from .gibbs import (
     coupling_derivative_residual,
     gibbs_tables,
     key_identity_residual,
-    log_partition,
     magnetizations,
     susceptibility_fd,
     triple_correlation,

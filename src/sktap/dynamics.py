@@ -22,7 +22,7 @@ pass per clamped spin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class ItoCheckConfig:
     clamped_spin: int = 1
     second_site: int | None = None
     variant: str = "pair"
-    reduced: ReducedSpec = field(default_factory=ReducedSpec)
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -75,8 +74,6 @@ class ItoCheckConfig:
         needed = 3 if self.variant != "pair" else 2
         if len(sites) != needed:
             raise ValueError("check sites must be distinct")
-        if sites & self.reduced.excluded():
-            raise ValueError("check sites must not be clamped or removed by the ambient spec")
 
 
 class _RowFlowScan:
@@ -87,11 +84,11 @@ class _RowFlowScan:
     So one stacked pass per clamped spin covers every grid point at once.
     """
 
-    def __init__(self, path: CouplingPath, params: ModelParams, i: int, ambient: ReducedSpec):
+    def __init__(self, path: CouplingPath, params: ModelParams, i: int):
         if path.n != params.n:
             raise ValueError(f"path size {path.n} != params n {params.n}")
         terminal = path.terminal()
-        active, g_act, h_plus = _reduce_system(terminal, params, ambient.with_clamped(i, +1))
+        active, g_act, h_plus = _reduce_system(terminal, params, ReducedSpec({i: +1}))
         self.active = active
         self.base_h = h_plus - terminal.entries[active, i]
         rows, increments = path.row_path(i)
@@ -138,7 +135,7 @@ def ito_decomposition_trace(
     if segs < 2:
         raise ValueError(f"path must have at least 2 steps, got {segs}")
 
-    scan = _RowFlowScan(path, params, cfg.clamped_site, cfg.reduced)
+    scan = _RowFlowScan(path, params, cfg.clamped_site)
     lhs, mart_vec, drift_vec = _integrands(scan, cfg)
     # Ito convention: integrands at the left endpoint of every segment; one
     # BLAS dot per segment
@@ -236,7 +233,7 @@ def cavity_difference_path(
         raise ValueError("sites must be distinct")
     if clamped_spin not in (-1, 1):
         raise ValueError("clamped_spin must be +-1")
-    scan = _RowFlowScan(path, params, i, ReducedSpec())
+    scan = _RowFlowScan(path, params, i)
     jl = scan.local(j)
     cavity = float(magnetizations(path.terminal(), params, ReducedSpec(removed={i}))[j])
     return scan.stack(clamped_spin).mag[:, jl] - cavity

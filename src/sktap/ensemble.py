@@ -11,7 +11,6 @@ reduction order is fixed by sample index).
 from __future__ import annotations
 
 import functools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -109,8 +108,14 @@ class EnsembleConfig:
             raise ValueError(
                 f"experiment {self.experiment!r} needs every n >= {least}, got {self.n_values[0]}"
             )
+        # the parameters every sample builds, checked before any sample runs
+        ModelParams.uniform(self.n_values[0], self.t, self.h, self.enum_cap)
         if self.experiment == "ito" and self.ito_steps < 2:
             raise ValueError(f"ito needs steps >= 2, got {self.ito_steps}")
+        if self.experiment == "mij_moment" and not 0 < self.moment_p < math.inf:
+            raise ValueError(f"mij_moment needs a finite moment_p > 0, got {self.moment_p}")
+        if self.quad_nodes < 1:
+            raise ValueError(f"quad_nodes must be >= 1, got {self.quad_nodes}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -127,25 +132,8 @@ class EnsembleStats:
 
     per_n: dict
     fit: tuple | None
-    fit_residuals: tuple | None
     degenerate: bool
     config: EnsembleConfig | None = field(default=None, repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "per_n": {
-                str(n): {"mean": v[0], "variance": v[1], "stderr": v[2]}
-                for n, v in self.per_n.items()
-            },
-            "fit": None
-            if self.fit is None
-            else {"slope": self.fit[0], "intercept": self.fit[1], "slope_stderr": self.fit[2]},
-            "fit_residuals": None if self.fit_residuals is None else list(self.fit_residuals),
-            "degenerate": self.degenerate,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def loglog_text(self) -> str:
         """Plot-ready two-column file: log n, log mean (skips nonpositive means)."""
@@ -206,11 +194,9 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     floor = 1e-28
     means = [per_n[n][0] for n in cfg.n_values]
     if len(cfg.n_values) >= 3 and all(m > floor for m in means):
-        slope, intercept, stderr = fit_power_law(list(zip(cfg.n_values, means)))
-        logx = np.log(np.array(cfg.n_values, dtype=np.float64))
-        resid = np.log(means) - (intercept + slope * logx)
-        return EnsembleStats(per_n, (slope, intercept, stderr), tuple(float(r) for r in resid), False, cfg)
-    return EnsembleStats(per_n, None, None, True, cfg)
+        fit = fit_power_law(list(zip(cfg.n_values, means)))
+        return EnsembleStats(per_n, fit, False, cfg)
+    return EnsembleStats(per_n, None, True, cfg)
 
 
 def fit_power_law(points) -> tuple:

@@ -29,14 +29,13 @@ All weights are handled as exp(H - max H), so partition sums stay finite for
 from __future__ import annotations
 
 import functools
-import json
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .model import CouplingMatrix, ModelParams
+from .model import CouplingMatrix, ModelParams, _check_sites
+
 
 @dataclass
 class ReducedSpec:
@@ -59,9 +58,7 @@ class ReducedSpec:
             raise ValueError("clamped and removed sites must be disjoint")
 
     def validate(self, n: int) -> None:
-        for i in set(self.clamped) | self.removed:
-            if not 0 <= i < n:
-                raise ValueError(f"site {i} out of range for n={n}")
+        _check_sites(n, *self.clamped, *self.removed)
 
     def excluded(self) -> set:
         return set(self.clamped) | set(self.removed)
@@ -70,11 +67,6 @@ class ReducedSpec:
         if i in self.clamped or i in self.removed:
             raise ValueError(f"site {i} is already clamped or removed")
         return ReducedSpec({**self.clamped, i: spin}, self.removed)
-
-    def with_removed(self, i: int) -> "ReducedSpec":
-        if i in self.clamped or i in self.removed:
-            raise ValueError(f"site {i} is already clamped or removed")
-        return ReducedSpec(dict(self.clamped), self.removed | {i})
 
 
 @dataclass
@@ -86,7 +78,7 @@ class GibbsTables:
     matrix with the diagonal convention pair[i, i] = 1 - m_i^2 (the variance
     of sigma_i); rows/columns of removed sites are NaN and entries involving
     clamped sites are 0.  ``q_n`` is the overlap sum over active sites of
-    m_k^2, divided by n ("full" normalization) or by the active count.
+    m_k^2, divided by n.
     """
 
     log_z: float
@@ -94,30 +86,6 @@ class GibbsTables:
     pair: np.ndarray
     q_n: float
     active: np.ndarray  # boolean mask of enumerated sites
-
-    def to_dict(self) -> dict:
-        def clean(x):
-            return None if (isinstance(x, float) and math.isnan(x)) else x
-
-        return {
-            "log_z": self.log_z,
-            "m": [clean(float(v)) for v in self.m],
-            "pair": [[clean(float(v)) for v in row] for row in self.pair],
-            "q_n": self.q_n,
-            "active": [bool(a) for a in self.active],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def pair_csv_text(self) -> str:
-        """CSV of (i, j, m_ij) over active pairs i < j."""
-        lines = ["i,j,m_ij"]
-        idx = np.flatnonzero(self.active)
-        for a, i in enumerate(idx):
-            for j in idx[a + 1 :]:
-                lines.append(f"{i},{j},{self.pair[i, j]:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -466,17 +434,6 @@ def _reduce_system(cm: CouplingMatrix, params: ModelParams, spec: ReducedSpec):
     return active, g_act, h_eff
 
 
-def log_partition(
-    cm: CouplingMatrix,
-    params: ModelParams,
-    spec: ReducedSpec | None = None,
-) -> float:
-    """Log partition function of the (reduced) measure by full enumeration."""
-    spec = spec if spec is not None else ReducedSpec()
-    active, g_act, h_eff = _reduce_system(cm, params, spec)
-    return _block_moments(g_act, h_eff, want_pair=False).log_z
-
-
 def magnetizations(
     cm: CouplingMatrix,
     params: ModelParams,
@@ -501,23 +458,19 @@ def gibbs_tables(
     cm: CouplingMatrix,
     params: ModelParams,
     spec: ReducedSpec | None = None,
-    overlap_norm: str = "full",
 ) -> GibbsTables:
     """All one- and two-point observables of the (reduced) measure in one pass.
 
-    ``overlap_norm`` selects the divisor of the overlap sum over active
-    m_k^2: "full" divides by n (the convention of cavity overlaps such as
-    q_n^{(i)}), "active" divides by the active site count.
+    The overlap ``q_n`` divides the sum over active m_k^2 by n, the
+    convention of cavity overlaps such as q_n^{(i)}.
     """
     spec = spec if spec is not None else ReducedSpec()
-    if overlap_norm not in ("full", "active"):
-        raise ValueError(f"unknown overlap_norm {overlap_norm!r}")
     active, g_act, h_eff = _reduce_system(cm, params, spec)
     raw = _block_moments(g_act, h_eff, want_pair=True)
-    return _assemble_tables(params, spec, active, raw, overlap_norm)
+    return _assemble_tables(params, spec, active, raw)
 
 
-def _assemble_tables(params, spec, active, raw, overlap_norm) -> GibbsTables:
+def _assemble_tables(params, spec, active, raw) -> GibbsTables:
     n = params.n
     m = np.full(n, np.nan)
     pair = np.full((n, n), np.nan)
@@ -534,13 +487,11 @@ def _assemble_tables(params, spec, active, raw, overlap_norm) -> GibbsTables:
         pair[keep, i] = 0.0
     act_mask = np.zeros(n, dtype=bool)
     act_mask[active] = True
-    ssum = float(np.sum(raw.mag**2))
-    denom = n if overlap_norm == "full" else max(active.size, 1)
     return GibbsTables(
         log_z=raw.log_z,
         m=m,
         pair=pair,
-        q_n=ssum / denom,
+        q_n=float(np.sum(raw.mag**2)) / n,
         active=act_mask,
     )
 
@@ -596,6 +547,7 @@ def key_identity_residual(
     """
     spec = ReducedSpec(dict(clamped))
     targets = {i, j} if k is None else {i, j, k}
+    _check_sites(params.n, *targets)
     if len(targets) != (2 if k is None else 3):
         raise ValueError("identity indices must be distinct")
     if targets & spec.excluded():
@@ -625,6 +577,7 @@ def susceptibility_fd(
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
+    _check_sites(params.n, i, j)
     up = gibbs_tables(cm, params.bumped_field(j, +step))
     down = gibbs_tables(cm, params.bumped_field(j, -step))
     return float((up.m[i] - down.m[i]) / (2.0 * step))
@@ -649,6 +602,7 @@ def coupling_derivative_residual(
         raise ValueError("coupling indices must satisfy i != l")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
+    _check_sites(params.n, i, l, k)
     up = gibbs_tables(cm.bumped(i, l, +step), params)
     down = gibbs_tables(cm.bumped(i, l, -step), params)
     fd = (up.m[k] - down.m[k]) / (2.0 * step)

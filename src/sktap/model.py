@@ -9,7 +9,6 @@ time s has entry variance s/n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +38,13 @@ def substream_seed(master_seed: int, *indices: int) -> int:
     return state
 
 
+def _check_sites(n: int, *sites: int) -> None:
+    """Reject any site outside 0..n-1; negative indices do not wrap around."""
+    for i in sites:
+        if not 0 <= i < n:
+            raise ValueError(f"site {i} out of range for n={n}")
+
+
 @dataclass
 class ModelParams:
     """System size, coupling variance scale t, per-site fields, enumeration cap.
@@ -58,13 +64,15 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
+        if not 0 <= self.t < np.inf:
+            raise ValueError(f"t must be finite and >= 0, got {self.t}")
         if self.enum_cap < 1:
             raise ValueError(f"enum_cap must be >= 1, got {self.enum_cap}")
         f = np.asarray(self.field, dtype=np.float64)
         if f.shape != (self.n,):
             raise ValueError(f"field must have length n={self.n}, got shape {f.shape}")
+        if not np.all(np.isfinite(f)):
+            raise ValueError("field must be finite at every site")
         f = f.copy()
         f.setflags(write=False)
         self.field = f
@@ -76,8 +84,7 @@ class ModelParams:
 
     def bumped_field(self, j: int, delta: float) -> "ModelParams":
         """Copy of the parameters with field[j] shifted by delta."""
-        if not 0 <= j < self.n:
-            raise ValueError(f"site {j} out of range for n={self.n}")
+        _check_sites(self.n, j)
         f = np.array(self.field)
         f[j] += delta
         return ModelParams(n=self.n, t=self.t, field=f, enum_cap=self.enum_cap)
@@ -85,17 +92,10 @@ class ModelParams:
 
 @dataclass
 class CouplingMatrix:
-    """Symmetric coupling matrix with exactly zero diagonal.
-
-    ``t`` and ``seed`` are recorded when the matrix came from a sampler so a
-    serialized matrix is self-describing; hand-built matrices may leave them
-    as None.
-    """
+    """Symmetric coupling matrix with exactly zero diagonal."""
 
     n: int
     entries: np.ndarray
-    t: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.float64)
@@ -115,37 +115,13 @@ class CouplingMatrix:
         Both symmetric storage slots move together; the bond still enters the
         energy once (the energy sums over i < j).
         """
+        _check_sites(self.n, i, j)
         if i == j:
             raise ValueError("cannot bump a diagonal entry")
         e = np.array(self.entries)
         e[i, j] += delta
         e[j, i] = e[i, j]
         return CouplingMatrix(n=self.n, entries=e)
-
-    def to_json(self) -> str:
-        iu = np.triu_indices(self.n, 1)
-        return json.dumps(
-            {
-                "n": self.n,
-                "t": self.t,
-                "seed": self.seed,
-                "upper": [float(v) for v in self.entries[iu]],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CouplingMatrix":
-        obj = json.loads(text)
-        n = int(obj["n"])
-        e = np.zeros((n, n))
-        iu = np.triu_indices(n, 1)
-        upper = np.asarray(obj["upper"], dtype=np.float64)
-        if upper.shape != iu[0].shape:
-            raise ValueError("upper triangle has wrong length")
-        e[iu] = upper
-        e = e + e.T
-        return cls(n=n, entries=e, t=obj.get("t"), seed=obj.get("seed"))
 
 
 def sample_couplings(params: ModelParams, seed: int) -> CouplingMatrix:
@@ -161,7 +137,7 @@ def sample_couplings(params: ModelParams, seed: int) -> CouplingMatrix:
     e = np.zeros((n, n))
     e[iu] = vals
     e = e + e.T
-    return CouplingMatrix(n=n, entries=e, t=params.t, seed=seed)
+    return CouplingMatrix(n=n, entries=e)
 
 
 @dataclass
@@ -177,7 +153,6 @@ class CouplingPath:
     n: int
     grid: np.ndarray
     increments: np.ndarray
-    seed: int | None = None
     _cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -221,9 +196,7 @@ class CouplingPath:
         if factor == 1:
             return self
         inc = self.increments.reshape(self.steps // factor, factor, -1).sum(axis=1)
-        return CouplingPath(
-            n=self.n, grid=self.grid[::factor], increments=inc, seed=self.seed
-        )
+        return CouplingPath(n=self.n, grid=self.grid[::factor], increments=inc)
 
     def matrix_at(self, k: int) -> CouplingMatrix:
         """Coupling matrix at grid point k (k may be negative, python-style)."""
@@ -238,8 +211,7 @@ class CouplingPath:
 
     def _row_columns(self, i: int) -> tuple:
         """Partner sites of row i and the increment columns of their couplings."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"site {i} out of range for n={self.n}")
+        _check_sites(self.n, i)
         partner = np.delete(np.arange(self.n), i)
         lo = np.minimum(partner, i)
         hi = np.maximum(partner, i)
@@ -291,4 +263,4 @@ def sample_path(params: ModelParams, steps: int, seed: int) -> CouplingPath:
     rng = np.random.default_rng(seed & _MASK64)
     inc = rng.normal(0.0, np.sqrt(ds / n), size=(steps, npairs))
     grid = np.linspace(0.0, params.t, steps + 1)
-    return CouplingPath(n=n, grid=grid, increments=inc, seed=seed)
+    return CouplingPath(n=n, grid=grid, increments=inc)

@@ -32,7 +32,6 @@ class DeformedOperator:
 
     lambda_diag: np.ndarray
     rank_one: np.ndarray
-    g: CouplingMatrix
     e0: float
 
 
@@ -52,7 +51,7 @@ def build_deformed(
     lam = 1.0 / (1.0 - m**2)
     rank_one = (2.0 / params.n) * np.outer(m, m)
     e0 = -params.t * (1.0 - tables.q_n)
-    return DeformedOperator(lambda_diag=lam, rank_one=rank_one, g=cm, e0=e0)
+    return DeformedOperator(lambda_diag=lam, rank_one=rank_one, e0=e0)
 
 
 def resolvent_error(

@@ -13,7 +13,6 @@ quantities plus the Onsager correction t (1 - q_N) m_i.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import BranchError, NonConvergenceError, NumericalError
 from .gibbs import ReducedSpec, gibbs_tables, magnetizations
-from .model import CouplingMatrix, ModelParams
+from .model import CouplingMatrix, ModelParams, _check_sites
 
 
 def _sech(y: np.ndarray) -> np.ndarray:
@@ -106,27 +105,26 @@ def solve_q(
     rule: QuadratureRule | None = None,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    damping: float = 1.0,
 ) -> float:
-    """Fixed point q = f(q) by damped iteration from q_0 = tanh^2(h).
+    """Fixed point q = f(q) by plain iteration from q_0 = tanh^2(h).
 
     Uniqueness of the fixed point is guaranteed for t < 1 (|f'| <= t); larger
     t is accepted but converges to whichever fixed point the iteration finds
     (q = 0 at h = 0).  Falls back to bisection on q - f(q) over [0, 1] when
-    the damped iteration stalls, and raises rather than returning a partially
+    the iteration stalls, and raises rather than returning a partially
     converged value.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if not 0 < damping <= 1:
-        raise ValueError(f"damping must be in (0, 1], got {damping}")
+    if not (math.isfinite(t) and math.isfinite(h)):
+        raise ValueError(f"t and h must be finite, got t={t}, h={h}")
     rule = rule or default_rule()
     q = math.tanh(h) ** 2
     for _ in range(max_iter):
         fq = f_map(q, t, h, rule)
         if abs(q - fq) <= tol:
             return q
-        q = (1.0 - damping) * q + damping * fq
+        q = fq
     # Bisection fallback on g(q) = q - f(q); g(0) <= 0 and g(1) > 0.
     lo, hi = 0.0, 1.0
     if -f_map(0.0, t, h, rule) > 0:
@@ -138,7 +136,7 @@ def solve_q(
         else:
             hi = mid
     q = lo
-    if abs(q - f_map(q, t, h, rule)) > tol:
+    if not abs(q - f_map(q, t, h, rule)) <= tol:
         raise NonConvergenceError(
             f"fixed point not reached at t={t}, h={h}: residual {abs(q - f_map(q, t, h, rule)):.3e}"
         )
@@ -166,14 +164,13 @@ def predicted_mij_sq(
     h: float,
     n: int,
     rule: QuadratureRule | None = None,
-    certify_tol: float = 1e-10,
 ) -> float:
     """Leading-order prediction of E m_ij^2 for a pair of sites.
 
     (t/n) [1 - t E sech^4]^{-1} [E sech^4]^2 evaluated at the fixed point q.
     The prefactor is singular at the AT line; the computation fails
     explicitly there.  Quadrature adequacy is certified by recomputing with
-    doubled nodes.
+    doubled nodes, which must agree to 1e-10.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -191,7 +188,7 @@ def predicted_mij_sq(
 
     v = value(rule)
     v2 = value(rule.doubled())
-    if abs(v - v2) > certify_tol:
+    if abs(v - v2) > 1e-10:
         raise NumericalError(
             f"quadrature not converged: node-doubling delta {abs(v - v2):.3e}"
         )
@@ -202,37 +199,13 @@ def predicted_mij_sq(
 class ResidualReport:
     """Per-index residuals of one self-consistency equation plus their mean square."""
 
-    kind: str
     residuals: dict
     mean_square: float
 
     @classmethod
-    def create(cls, kind: str, residuals: dict) -> "ResidualReport":
+    def create(cls, residuals: dict) -> "ResidualReport":
         vals = np.array([residuals[k] for k in sorted(residuals)])
-        return cls(kind=kind, residuals=residuals, mean_square=float(np.mean(vals**2)))
-
-    @staticmethod
-    def _key_str(key) -> str:
-        if isinstance(key, tuple):
-            return ",".join(str(v) for v in key)
-        return str(key)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "residuals": {self._key_str(k): float(v) for k, v in self.residuals.items()},
-            "mean_square": self.mean_square,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_csv_text(self) -> str:
-        lines = ["index,residual,squared_residual"]
-        for k in sorted(self.residuals):
-            v = self.residuals[k]
-            lines.append(f"{self._key_str(k).replace(',', ';')},{v:.17g},{v * v:.17g}")
-        return "\n".join(lines) + "\n"
+        return cls(residuals=residuals, mean_square=float(np.mean(vals**2)))
 
 
 def htap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
@@ -249,12 +222,11 @@ def htap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
         cav[i] = 0.0
         arg = params.field[i] + g[i] @ cav
         res[i] = float(full_m[i] - math.tanh(arg))
-    return ResidualReport.create("hTAP1", res)
+    return ResidualReport.create(res)
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"pair ({i}, {j}) out of range for n={n}")
+    _check_sites(n, i, j)
     if i == j:
         raise ValueError("pair residual needs i != j")
 
@@ -285,7 +257,7 @@ def tap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
     onsager = params.t * (1.0 - tabs.q_n)
     args = params.field + cm.entries @ tabs.m - onsager * tabs.m
     res = {i: float(tabs.m[i] - math.tanh(args[i])) for i in range(params.n)}
-    return ResidualReport.create("TAP1", res)
+    return ResidualReport.create(res)
 
 
 def tap2_residual(cm: CouplingMatrix, params: ModelParams, i: int, j: int) -> float:

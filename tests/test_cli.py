@@ -178,8 +178,10 @@ def test_tap_residuals_rejects_pair_out_of_range(argv, capsys):
         *(["--experiment", name, "--n", "1,2,3"]
           for name in ("htap2", "tap2", "mij-sq", "mij-moment", "ito")),
         ["--experiment", "htap1", "--n", "0,1,2"],
+        ["--experiment", "qn-conc", "--n", "4,5,6", "--quad-nodes", "0"],
     ],
-    ids=["ito-steps-1", "htap2-n1", "tap2-n1", "mij-sq-n1", "mij-moment-n1", "ito-n1", "htap1-n0"],
+    ids=["ito-steps-1", "htap2-n1", "tap2-n1", "mij-sq-n1", "mij-moment-n1", "ito-n1", "htap1-n0",
+         "qn-conc-quad-nodes-0"],
 )
 def test_scaling_rejects_sizes_and_steps_the_experiment_cannot_run(argv, capsys):
     code, out, err = run_cli(
@@ -189,6 +191,34 @@ def test_scaling_rejects_sizes_and_steps_the_experiment_cannot_run(argv, capsys)
     assert "invalid configuration" in err and ">= " in err
     assert out == ""
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixed-point", "--t", "nan", "--h", "0.3"],
+        ["at-line", "--h", "nan", "--t-min", "0.5", "--t-max", "1.5", "--grid", "3"],
+        ["dynamics", "--n", "4", "--steps", "4", "--h", "nan"],
+        ["tap-residuals", "--n", "4", "--t", "nan"],
+        ["spectral", "--n", "4", "--h", "inf", "--samples", "2"],
+        ["scaling", "--experiment", "htap1", "--n", "4,5,6", "--t", "0.5", "--h", "nan",
+         "--samples", "2"],
+        ["overlap", "--n", "4,5", "--t", "inf", "--h", "0.3", "--samples", "2"],
+        ["mij-variance", "--n", "4", "--t", "0.5", "--h", "nan", "--samples", "2"],
+        ["scaling", "--experiment", "mij-moment", "--n", "4,5,6", "--t", "0", "--h", "0.3",
+         "--samples", "2", "--moment-p", "-1"],
+        ["scaling", "--experiment", "mij-moment", "--n", "4,5,6", "--t", "0.5", "--h", "0.3",
+         "--samples", "2", "--moment-p", "nan"],
+    ],
+    ids=["fixed-point-t-nan", "at-line-h-nan", "dynamics-h-nan", "tap-residuals-t-nan",
+         "spectral-h-inf", "htap1-h-nan", "overlap-t-inf", "mij-variance-h-nan",
+         "mij-moment-p-negative", "mij-moment-p-nan"],
+)
+def test_non_finite_parameters_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "invalid configuration" in err and "finite" in err
+    assert out == ""
 
 def test_mij_variance_reports_ratio(capsys):
     code, out, _ = run_cli(

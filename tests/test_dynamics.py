@@ -32,10 +32,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ItoCheckConfig(clamped_site=0, target_site=1, steps=4, clamped_spin=0)
     with pytest.raises(ValueError):
-        ItoCheckConfig(
-            clamped_site=0, target_site=1, steps=4, reduced=ReducedSpec(clamped={1: 1})
-        )
-    with pytest.raises(ValueError):
         ItoCheckConfig(clamped_site=0, target_site=1, steps=4, variant="bogus")
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -12,7 +11,6 @@ from sktap import (
     coupling_derivative_residual,
     gibbs_tables,
     key_identity_residual,
-    log_partition,
     magnetizations,
     sample_couplings,
     susceptibility_fd,
@@ -35,29 +33,29 @@ def random_instance(rng, n):
 def test_log_partition_single_spin():
     p = ModelParams.uniform(1, 0.0, 0.7)
     cm = sample_couplings(p, 0)
-    assert log_partition(cm, p) == pytest.approx(math.log(2 * math.cosh(0.7)), abs=1e-13)
+    assert gibbs_tables(cm, p).log_z == pytest.approx(math.log(2 * math.cosh(0.7)), abs=1e-13)
 
 
 def test_log_partition_two_spins():
     p = ModelParams.uniform(2, 1.0, 0.0)
-    assert log_partition(two_site_matrix(0.4), p) == pytest.approx(
+    assert gibbs_tables(two_site_matrix(0.4), p).log_z == pytest.approx(
         math.log(4 * math.cosh(0.4)), abs=1e-13
     )
 
 
 def test_log_partition_clamped_reduces_to_single_site():
     p = ModelParams.uniform(2, 1.0, 0.2)
-    got = log_partition(two_site_matrix(0.4), p, ReducedSpec(clamped={0: +1}))
+    got = gibbs_tables(two_site_matrix(0.4), p, ReducedSpec(clamped={0: +1})).log_z
     assert got == pytest.approx(math.log(2 * math.cosh(0.2 + 0.4)), abs=1e-13)
 
 
 def test_log_partition_rejects_oversized_systems():
     p = ModelParams(n=6, t=0.5, field=np.zeros(6), enum_cap=4)
     cm = sample_couplings(p, 1)
-    with pytest.raises(ValueError):
-        log_partition(cm, p)
+    with pytest.raises(ValueError, match="enum_cap"):
+        gibbs_tables(cm, p)
     # removing enough sites brings the active count under the cap
-    log_partition(cm, p, ReducedSpec(removed=frozenset({0, 1})))
+    gibbs_tables(cm, p, ReducedSpec(removed=frozenset({0, 1})))
 
 
 def test_product_measure_at_zero_coupling():
@@ -205,8 +203,8 @@ def test_empty_active_set_edge_cases():
     p = ModelParams.uniform(3, 0.5, 0.4)
     cm = sample_couplings(p, 2)
     spec = ReducedSpec(clamped={0: 1, 1: -1}, removed=frozenset({2}))
-    assert log_partition(cm, p, spec) == 0.0
     tabs = gibbs_tables(cm, p, spec)
+    assert tabs.log_z == 0.0
     assert tabs.q_n == 0.0
     assert tabs.m[0] == 1.0 and tabs.m[1] == -1.0 and math.isnan(tabs.m[2])
 
@@ -250,14 +248,11 @@ def test_reduced_tables_masking_semantics():
 
 
 def test_overlap_normalizations():
+    # a cavity overlap divides the sum over the active sites by n, not by n - 1
     rng = np.random.default_rng(8)
     params, cm = random_instance(rng, 6)
-    spec = ReducedSpec(removed=frozenset({0}))
-    full = gibbs_tables(cm, params, spec, overlap_norm="full")
-    act = gibbs_tables(cm, params, spec, overlap_norm="active")
-    assert full.q_n * 6 == pytest.approx(act.q_n * 5, abs=1e-15)
-    with pytest.raises(ValueError):
-        gibbs_tables(cm, params, spec, overlap_norm="other")
+    tabs = gibbs_tables(cm, params, ReducedSpec(removed=frozenset({0})))
+    assert tabs.q_n == pytest.approx(np.sum(tabs.m[tabs.active] ** 2) / 6, abs=1e-15)
 
 
 def test_triple_symmetry_zeros():
@@ -462,20 +457,6 @@ def test_magnetizations_shortcut_agrees_with_tables():
     assert np.allclose(m_light, m_full, atol=1e-14, equal_nan=True)
 
 
-def test_tables_serialization():
-    p = ModelParams.uniform(4, 0.5, 0.2)
-    cm = sample_couplings(p, 3)
-    tabs = gibbs_tables(cm, p, ReducedSpec(removed=frozenset({1})))
-    obj = json.loads(tabs.to_json())
-    assert obj["m"][1] is None
-    assert obj["pair"][1][2] is None
-    assert obj["q_n"] == pytest.approx(tabs.q_n)
-    csv_text = tabs.pair_csv_text()
-    assert csv_text.splitlines()[0] == "i,j,m_ij"
-    # three active sites -> three pairs
-    assert len(csv_text.strip().splitlines()) == 4
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         ReducedSpec(clamped={0: 2})
@@ -488,3 +469,23 @@ def test_spec_validation():
     cm = sample_couplings(p, 0)
     with pytest.raises(ValueError):
         gibbs_tables(cm, p, ReducedSpec(removed=frozenset({5})))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cm, p: susceptibility_fd(cm, p, -1, 2),
+        lambda cm, p: susceptibility_fd(cm, p, 6, 2),
+        lambda cm, p: key_identity_residual(cm, p, {}, 0, -1),
+        lambda cm, p: key_identity_residual(cm, p, {}, 0, 1, 6),
+        lambda cm, p: coupling_derivative_residual(cm, p, 0, -1, 0),
+        lambda cm, p: coupling_derivative_residual(cm, p, 0, 1, 6),
+    ],
+    ids=["fd-i-1", "fd-i6", "identity-j-1", "identity-k6", "coupling-l-1", "coupling-k6"],
+)
+def test_site_arguments_out_of_range_are_rejected(call):
+    # negative sites must not wrap around to n - 1, nor sites >= n end in IndexError
+    p = ModelParams.uniform(6, 0.5, 0.3)
+    cm = sample_couplings(p, 4)
+    with pytest.raises(ValueError, match="out of range"):
+        call(cm, p)

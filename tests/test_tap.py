@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ from sktap import (
     BranchError,
     CouplingMatrix,
     ModelParams,
+    NonConvergenceError,
     QuadratureRule,
     ReducedSpec,
     at_value,
@@ -107,8 +107,24 @@ def test_solve_q_bisection_rescues_stalled_iteration():
 def test_solve_q_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         solve_q(0.5, 0.3, tol=0.0)
-    with pytest.raises(ValueError):
-        solve_q(0.5, 0.3, damping=1.5)
+
+
+@pytest.mark.parametrize(
+    "t, h", [(math.nan, 0.3), (0.5, math.nan), (math.inf, 0.3), (0.5, -math.inf)]
+)
+def test_solve_q_rejects_non_finite_parameters(t, h):
+    # a NaN residual compares False against the tolerance, which once let
+    # the bisection fallback return q = 0 as if it were a fixed point
+    with pytest.raises(ValueError, match="finite"):
+        solve_q(t, h)
+
+
+def test_solve_q_never_accepts_a_nan_residual():
+    # finite t and h never make f NaN, but a rule with a NaN node does; the
+    # final check must read a NaN residual as not converged
+    rule = QuadratureRule(nodes=np.array([math.nan]), weights=np.array([1.0]))
+    with pytest.raises(NonConvergenceError):
+        solve_q(0.5, 0.3, rule, max_iter=1)
 
 
 def test_at_value_closed_forms():
@@ -240,15 +256,3 @@ def test_report_mean_square_consistency():
     report = htap1_residuals(cm, p)
     recomputed = np.mean([v**2 for _, v in sorted(report.residuals.items())])
     assert abs(report.mean_square - recomputed) < 1e-14
-
-
-def test_report_serialization():
-    p = ModelParams.uniform(4, 0.5, 0.3)
-    cm = sample_couplings(p, 7)
-    report = tap1_residuals(cm, p)
-    obj = json.loads(report.to_json())
-    assert obj["kind"] == "TAP1"
-    assert len(obj["residuals"]) == 4
-    lines = report.to_csv_text().strip().splitlines()
-    assert lines[0] == "index,residual,squared_residual"
-    assert len(lines) == 5
