@@ -577,7 +577,7 @@ def susceptibility_fd(
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
-    _check_sites(params.n, i, j)
+    _check_sites(params.n, i)
     up = gibbs_tables(cm, params.bumped_field(j, +step))
     down = gibbs_tables(cm, params.bumped_field(j, -step))
     return float((up.m[i] - down.m[i]) / (2.0 * step))
@@ -602,7 +602,7 @@ def coupling_derivative_residual(
         raise ValueError("coupling indices must satisfy i != l")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
-    _check_sites(params.n, i, l, k)
+    _check_sites(params.n, k)
     up = gibbs_tables(cm.bumped(i, l, +step), params)
     down = gibbs_tables(cm.bumped(i, l, -step), params)
     fd = (up.m[k] - down.m[k]) / (2.0 * step)

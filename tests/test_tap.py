@@ -98,7 +98,7 @@ def test_solve_q_monotone_in_field():
 
 
 def test_solve_q_bisection_rescues_stalled_iteration():
-    # starve the damped iteration; the bisection fallback must still land on
+    # starve the iteration; the bisection fallback must still land on
     # a genuine fixed point instead of returning a partial value
     q = solve_q(0.5, 0.3, max_iter=1)
     assert abs(q - f_map(q, 0.5, 0.3)) <= 1e-12

@@ -1,8 +1,6 @@
 """Mutation checks that guard the enumeration kernel and the fixed-point solver.
 
-    python tools/mutants.py              # every mutant
-    python tools/mutants.py --list       # their names
-    python tools/mutants.py NAME [NAME]  # a subset
+    python tools/mutants.py
 
 Each mutant is one exact edit, (file, snippet, replacement), plus the tests
 that must catch it.  The script copies ``src/``, ``tests/`` and
@@ -12,15 +10,14 @@ file and runs its tests with pytest.  A mutant is killed when its tests
 fail (pytest exit 1); an error that stops the tests from running, such as
 a syntax error, does not count as a kill.  The run exits 1 if the unmutated
 tests fail, if a mutant is not killed, or if a snippet no longer occurs
-exactly once in its file: a rewrite of the
-code a mutant guards has to carry the mutant forward, not lose it.  The
-checkout itself is never edited.  Each mutant costs one targeted pytest run
+exactly once in its file: a rewrite of the code a mutant guards has to
+carry the mutant forward, not lose it.  The checkout itself is never
+edited.  Each mutant costs one targeted pytest run
 (about 3-10 s), so the checks stay outside the test suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -104,19 +101,7 @@ def run_tests(copy: Path, tests: list[str]) -> int:
     return proc.returncode
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
-    args = parser.parse_args(argv)
-    if args.list:
-        print("\n".join(m[0] for m in MUTANTS))
-        return 0
-    unknown = set(args.names) - {m[0] for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
-
+def main() -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="sktap-mutants-") as tmp:
         copy = Path(tmp)
@@ -125,11 +110,11 @@ def main(argv=None) -> int:
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
 
-        baseline = sorted({test for m in chosen for test in m[4]})
+        baseline = sorted({test for m in MUTANTS for test in m[4]})
         if run_tests(copy, baseline) != 0:
             print("unmutated: targeted tests fail, so no mutant can be judged")
             return 1
-        for name, rel, snippet, replacement, tests in chosen:
+        for name, rel, snippet, replacement, tests in MUTANTS:
             path = copy / rel
             original = path.read_text()
             found = original.count(snippet)
@@ -145,7 +130,7 @@ def main(argv=None) -> int:
             verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
             print(f"{name}: {verdict}", flush=True)
             failures += code != 1
-    print(f"{len(chosen) - failures} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
     return 1 if failures else 0
 
 
