@@ -192,6 +192,8 @@ def _cmd_at_line(args) -> dict:
 
 
 def _cmd_verify_identities(args) -> dict:
+    if args.n < 3:
+        raise ValueError(f"--n must be >= 3, the triple identities need three sites, got {args.n}")
     params = ModelParams.uniform(args.n, args.t, args.h)
     cm = sample_couplings(params, args.seed)
     rng = np.random.default_rng(substream_seed(args.seed, 1))
@@ -234,7 +236,10 @@ def _cmd_verify_identities(args) -> dict:
 def _cmd_tap_residuals(args) -> dict:
     params = ModelParams.uniform(args.n, args.t, args.h)
     cm = sample_couplings(params, args.seed)
-    i, j = (int(v) for v in args.pair.split(","))
+    try:
+        i, j = (int(v) for v in args.pair.split(","))
+    except ValueError:
+        raise ValueError(f"--pair must be two site indices i,j, got {args.pair!r}") from None
     h1 = htap1_residuals(cm, params)
     t1 = tap1_residuals(cm, params)
     rows = [[site, h1.residuals[site], t1.residuals[site]] for site in range(args.n)]

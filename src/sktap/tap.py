@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gibbs
 from .errors import BranchError, NonConvergenceError, NumericalError
 from .gibbs import ReducedSpec, gibbs_tables, magnetizations
 from .model import CouplingMatrix, ModelParams, _check_sites
@@ -41,6 +42,8 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=np.float64)
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
             raise ValueError("nodes and weights must be matching 1d sequences")
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise ValueError("nodes and weights must be finite")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
         self.nodes = nodes
@@ -212,17 +215,17 @@ def htap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
     """Cavity-form magnetization residuals m_i - tanh(h_i + sum_j g_ij m_j^{(i)}).
 
     m^{(i)} is the magnetization vector with particle i removed; no reaction
-    term appears in this form.
+    term appears in this form.  One fancy index cuts the coupling blocks and
+    fields of all n cavity systems (row i of ``others`` lists the sites
+    other than i), and one stacked enumeration gives every m^{(i)}.
     """
     full_m = magnetizations(cm, params)
-    g = cm.entries
-    res = {}
-    for i in range(params.n):
-        cav = magnetizations(cm, params, ReducedSpec(removed={i}))
-        cav[i] = 0.0
-        arg = params.field[i] + g[i] @ cav
-        res[i] = float(full_m[i] - math.tanh(arg))
-    return ResidualReport.create(res)
+    n, g = params.n, cm.entries
+    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    cavities = gibbs.BlockEnumerator(g[others[:, :, None], others[:, None, :]])
+    cav = cavities.moments(params.field[others], want_pair=False).mag
+    args = params.field + np.einsum("ij,ij->i", g[np.arange(n)[:, None], others], cav)
+    return ResidualReport.create(dict(enumerate((full_m - np.tanh(args)).tolist())))
 
 
 def _check_pair(n: int, i: int, j: int) -> None:

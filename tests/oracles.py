@@ -9,9 +9,9 @@ Two references check the package's block enumeration engine:
   hypercube with an O(n) energy update per flip, then plain sums over the
   visited states.
   It has the stacked ``moments`` interface of ``sktap.gibbs.BlockEnumerator``,
-  so ``on_engine`` can put it in the block engine's place and the
-  package's reduction, table assembly and row-flow code run unchanged
-  around it.
+  for one coupling block or a stack of them, so ``on_engine`` can put it in
+  the block engine's place and the package's reduction, table assembly,
+  cavity sweep and row-flow code run unchanged around it.
 
 Neither shares enumeration or reduction code with the block engine, so
 agreement is a genuine two-route check.
@@ -113,14 +113,21 @@ def gray_moments(G, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
 
 
 class GrayEnumerator:
-    """Drop-in for ``BlockEnumerator``: one Gray-code walk per stacked field."""
+    """Drop-in for ``BlockEnumerator``: one Gray-code walk per stacked field.
+
+    ``G`` is one coupling block, which every field row uses, or a stack of
+    K blocks, (K, na, na), whose block r walks with field row r.
+    """
 
     def __init__(self, G):
-        self.G = G
+        self.G = G if G.ndim == 3 else G[None]
 
     def moments(self, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
         H = np.atleast_2d(np.asarray(h, dtype=np.float64))
-        points = [gray_moments(self.G, row, want_pair, triples, cols) for row in H]
+        blocks = self.G if len(self.G) > 1 else [self.G[0]] * len(H)
+        if len(blocks) != len(H):
+            raise ValueError(f"{len(H)} field rows for a stack of {len(blocks)} coupling blocks")
+        points = [gray_moments(G, row, want_pair, triples, cols) for G, row in zip(blocks, H)]
         return _RawMoments(
             np.array([p.log_z for p in points]),
             np.array([p.mag for p in points]),

@@ -171,6 +171,24 @@ def test_tap_residuals_rejects_pair_out_of_range(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("pair", ["0", "0,1,2", "a,b", "0;1", ""])
+def test_tap_residuals_rejects_a_malformed_pair(pair, capsys):
+    code, out, err = run_cli(["tap-residuals", "--n", "4", "--pair", pair], capsys)
+    assert code == 1
+    assert "invalid configuration: --pair must be two site indices i,j" in err
+    assert "unpack" not in err and "literal" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("n", ["2", "1", "0"])
+def test_verify_identities_rejects_fewer_than_three_sites(n, capsys):
+    code, out, err = run_cli(["verify-identities", "--n", n, "--trials", "2"], capsys)
+    assert code == 1
+    assert "invalid configuration: --n must be >= 3" in err
+    assert "unpack" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

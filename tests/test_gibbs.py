@@ -128,6 +128,48 @@ def test_stacked_moments_match_one_call_per_row(na, rows):
     assert np.array_equal(stacked.cols[(0,)][-1], stacked.cols[(0,)][0])
 
 
+def test_coupling_stack_is_bit_equal_to_one_system_per_block():
+    # A stack of 16 systems at na = 14, where a chunk holds up to 12 systems
+    # of b = 2.  Scaling a low-left coupling row past the guard gives
+    # systems 2 and 9 b = 0 and system 5 b = 1, so the stack mixes three b
+    # and the b = 2 systems split over two chunks.  Every system must give
+    # the bits of its own one-block enumerator, and equal systems give equal
+    # bits wherever they sit.
+    from sktap.gibbs import BlockEnumerator
+
+    rng = np.random.default_rng(14)
+    n, n1, K = 14, 7, 16
+    params = ModelParams(n=n, t=0.5, field=np.zeros(n))
+    G = np.array([sample_couplings(params, s).entries for s in range(K)])
+    for r, row in [(2, 0), (9, 0), (5, 1)]:
+        scale = 400.0 / np.abs(G[r, row, n1:]).sum()
+        G[r, row, n1:] *= scale
+        G[r, n1:, row] *= scale
+    G[12] = G[3]
+    fields = rng.normal(0.0, 0.5, (K, n))
+    fields[12] = fields[3]
+    ctx = BlockEnumerator(G)
+    assert sorted(set(ctx.low.tolist())) == [0, 1, 2]
+    assert ctx.low[2] == ctx.low[9] == 0 and ctx.low[5] == 1
+    triples, cols = [(0, n1, n - 1)], [(1,), (0, n - 1)]
+    stacked = ctx.moments(fields, want_pair=True, triples=triples, cols=cols)
+    for r in range(K):
+        one = BlockEnumerator(G[r]).moments(fields[r], want_pair=True, triples=triples, cols=cols)
+        assert stacked.log_z[r] == one.log_z[0]
+        assert np.array_equal(stacked.mag[r], one.mag[0])
+        assert np.array_equal(stacked.second[r], one.second[0])
+        assert stacked.triples[triples[0]][r] == one.triples[triples[0]][0]
+        for key in cols:
+            assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
+    assert np.array_equal(stacked.mag[12], stacked.mag[3])
+    # a second call runs in the workspaces the first one left on the enumerator
+    again = ctx.moments(fields, want_pair=True, triples=triples, cols=cols)
+    assert np.array_equal(again.second, stacked.second)
+    assert np.array_equal(again.cols[cols[1]], stacked.cols[cols[1]])
+    with pytest.raises(ValueError, match="field rows"):
+        ctx.moments(fields[:3])
+
+
 def test_one_pass_allocates_far_less_than_one_grid():
     # the 2^22 float64 grid is 32 MiB; a streamed pass holds a few tiles
     from sktap.gibbs import BlockEnumerator

@@ -133,7 +133,8 @@ def test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile(monkeypa
     G, h = instance(n, 2718, 0.6, 0.3)
     ctx = BlockEnumerator(G)
     assert ctx.low > 0
-    assert ctx.tile_rows * 4 <= ctx.Sh.shape[0]  # the pass spans several tiles
+    layout = sktap.gibbs._Layout(ctx.n1, ctx.n2, int(ctx.low[0]))
+    assert layout.tile_rows * 4 <= layout.Sh.shape[0]  # the pass spans several tiles
     n1 = ctx.n1
     h[:n1] += 4.0
     triples = [(0, n1, n - 1), (1, 2, n1 + 1)]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sktap.tap
 from sktap import (
     BranchError,
     CouplingMatrix,
@@ -23,7 +24,7 @@ from sktap import (
     tap1_residuals,
     tap2_residual,
 )
-from oracles import bisect_fixed_point, naive_tables
+from oracles import GrayEnumerator, bisect_fixed_point, naive_tables, on_engine
 
 GAUSS_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0, 7: 0.0, 8: 105.0}
 
@@ -119,12 +120,24 @@ def test_solve_q_rejects_non_finite_parameters(t, h):
         solve_q(t, h)
 
 
-def test_solve_q_never_accepts_a_nan_residual():
-    # finite t and h never make f NaN, but a rule with a NaN node does; the
-    # final check must read a NaN residual as not converged
-    rule = QuadratureRule(nodes=np.array([math.nan]), weights=np.array([1.0]))
+def test_solve_q_never_accepts_a_nan_residual(monkeypatch):
+    # finite t and h never make f NaN, and a rule cannot hold a NaN node, so
+    # a map that returns NaN stands in for any other route to a NaN
+    # residual; the final check must read it as not converged
+    monkeypatch.setattr(sktap.tap, "f_map", lambda x, t, h, rule=None: math.nan)
     with pytest.raises(NonConvergenceError):
-        solve_q(0.5, 0.3, rule, max_iter=1)
+        solve_q(0.5, 0.3, max_iter=1)
+
+
+@pytest.mark.parametrize(
+    "nodes, weights",
+    [([math.nan], [1.0]), ([0.0, math.inf], [0.5, 0.5]), ([0.0], [math.nan]), ([0.0], [math.inf])],
+)
+def test_quadrature_rule_rejects_non_finite_values(nodes, weights):
+    # a NaN weight passes the positivity check, and a NaN or infinite node
+    # once made at_value and f_map return NaN without an error
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureRule(nodes=np.array(nodes), weights=np.array(weights))
 
 
 def test_at_value_closed_forms():
@@ -237,6 +250,43 @@ def test_htap1_report_matches_direct_recomputation():
             cm.entries[i, j] * cav[j] for j in range(12) if j != i
         )
         assert report.residuals[i] == pytest.approx(full.m[i] - math.tanh(arg), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 12, 19])
+def test_cavity_sweep_matches_one_enumeration_per_site_and_the_oracles(n):
+    # One stacked enumeration of the n cavity systems against the per-site
+    # route through ReducedSpec(removed={i}), the Gray-code engine (every
+    # cavity up to n = 12, two of them at n = 19) and, at n = 8, the naive
+    # oracle
+    rng = np.random.default_rng(n)
+    p = ModelParams(n=n, t=0.5, field=rng.normal(0.3, 0.2, n))
+    cm = sample_couplings(p, n)
+    g = cm.entries
+    report = htap1_residuals(cm, p)
+    full = magnetizations(cm, p)
+    cavities = []
+    for i in range(n):
+        cav = magnetizations(cm, p, ReducedSpec(removed=frozenset({i})))
+        cav[i] = 0.0
+        cavities.append(cav)
+        expected = full[i] - math.tanh(p.field[i] + g[i] @ cav)
+        assert report.residuals[i] == pytest.approx(expected, abs=1e-12)
+    if n <= 12:
+        gray = on_engine("gray", htap1_residuals, cm, p)
+        for i in range(n):
+            assert report.residuals[i] == pytest.approx(gray.residuals[i], abs=1e-12)
+    else:
+        for i in (3, n - 3):
+            keep = [j for j in range(n) if j != i]
+            m = GrayEnumerator(g[np.ix_(keep, keep)]).moments(p.field[keep], want_pair=False).mag[0]
+            assert np.max(np.abs(m - cavities[i][keep])) < 1e-12
+    if n == 8:
+        _, m_full, _, _ = naive_tables(g.tolist(), p.field.tolist())
+        for i in range(n):
+            keep = [j for j in range(n) if j != i]
+            _, m_cav, _, _ = naive_tables(g[np.ix_(keep, keep)].tolist(), p.field[keep].tolist())
+            expected = m_full[i] - math.tanh(p.field[i] + math.fsum(g[i, keep] * np.array(m_cav)))
+            assert report.residuals[i] == pytest.approx(expected, abs=1e-12)
 
 
 def test_tap1_report_matches_direct_recomputation():

@@ -1,4 +1,4 @@
-"""Time one ``BlockEnumerator`` pass at n = 12..26 next to an ``np.exp`` floor.
+"""Time ``BlockEnumerator`` passes at n = 12..26 and ``htap1_residuals`` at n = 8..20.
 
     python tools/bench_kernel.py change=src parent=../parent/src > BENCH_kernel.json
 
@@ -12,7 +12,13 @@ untimed warm-up pass), and one ``np.exp`` over a float64 grid of the same
 2^ceil(n/2) x 2^floor(n/2) shape; above 2^24 states the floor runs over a
 2^24-state grid as many times as make up 2^n states, so it holds 256 MiB at
 most.  Small sizes repeat each call so that one timing covers at least 2^20
-states.  The report gives the min and median over the rounds.
+states.  Before the kernel rows, while the interpreter is still fresh, a
+worker runs the cavity sweep ``htap1_residuals`` of criterion 04 on
+``HTAP1_SAMPLES`` disorder samples per size after one untimed sample, and
+records the time and the minor page faults (``ru_minflt``) per sample; then
+it times the ensemble of criterion 04 itself (``tests/test_acceptance.py``,
+500 samples at each of n = 8, 12, 16, 20).  The report gives the min and
+median over the rounds.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ import sys
 import time
 
 SIZES = (12, 16, 20, 22, 24, 26)
+HTAP1_SIZES = (8, 12, 16, 20)
+HTAP1_SAMPLES = 16
 FLOOR_STATES = 24  # log2 of the largest grid the floor allocates
 ROUNDS = 7
 THREADS = 1
@@ -38,12 +46,45 @@ def _timed(fn, calls: int) -> float:
     return (time.perf_counter() - start) / calls * 1e3
 
 
+def _htap1_rows() -> list:
+    import resource
+
+    from sktap.model import ModelParams, sample_couplings
+    from sktap.tap import htap1_residuals
+
+    rows = []
+    for n in HTAP1_SIZES:
+        params = ModelParams.uniform(n, 0.5, 0.3)
+        samples = [sample_couplings(params, seed) for seed in range(HTAP1_SAMPLES + 1)]
+        htap1_residuals(samples.pop(), params)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        for cm in samples:
+            htap1_residuals(cm, params)
+        ms = (time.perf_counter() - start) / HTAP1_SAMPLES * 1e3
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        rows.append({"n": n, "ms_per_sample": ms, "minflt_per_sample": faults / HTAP1_SAMPLES})
+    return rows
+
+
+def _criterion_04_s() -> float:
+    from sktap.ensemble import EnsembleConfig, run_ensemble
+
+    cfg = EnsembleConfig(n_values=(8, 12, 16, 20), samples=500, t=0.5, h=0.3,
+                         master_seed=42, experiment="htap1")
+    start = time.perf_counter()
+    run_ensemble(cfg)
+    return time.perf_counter() - start
+
+
 def worker() -> None:
     import numpy as np
 
     from sktap.gibbs import BlockEnumerator
     from sktap.model import ModelParams, sample_couplings
 
+    htap1 = _htap1_rows()
+    criterion_04_s = _criterion_04_s()
     rows = []
     for n in SIZES:
         calls = max(1, (1 << 20) >> n)
@@ -62,7 +103,7 @@ def worker() -> None:
             moments_ms = _timed(lambda: ctx.moments(params.field, want_pair=want_pair), calls)
             rows.append({"n": n, "want_pair": want_pair, "init_ms": init_ms,
                          "moments_ms": moments_ms, "exp_floor_ms": floor_ms})
-    print(json.dumps(rows))
+    print(json.dumps({"kernel": rows, "htap1": htap1, "criterion_04_s": criterion_04_s}))
 
 
 def _run(src: str) -> list:
@@ -104,17 +145,24 @@ def main(argv: list) -> int:
     for r in range(ROUNDS):
         for label in order if r % 2 == 0 else order[::-1]:
             runs[label].append(_run(labels[label]))
-    results = {}
+    results, htap1, criterion_04 = {}, {}, {}
     for label, rounds in runs.items():
+        criterion_04[label] = _summary([rnd["criterion_04_s"] for rnd in rounds])
         results[label] = []
-        for i, row in enumerate(rounds[0]):
+        for i, row in enumerate(rounds[0]["kernel"]):
             cell = {"n": row["n"], "want_pair": row["want_pair"]}
             for key in ("init_ms", "moments_ms", "exp_floor_ms"):
-                cell[key] = _summary([rnd[i][key] for rnd in rounds])
+                cell[key] = _summary([rnd["kernel"][i][key] for rnd in rounds])
             cell["moments_over_floor"] = cell["moments_ms"]["median"] / cell["exp_floor_ms"]["median"]
             results[label].append(cell)
+        htap1[label] = [
+            {"n": row["n"], **{key: _summary([rnd["htap1"][i][key] for rnd in rounds])
+                               for key in ("ms_per_sample", "minflt_per_sample")}}
+            for i, row in enumerate(rounds[0]["htap1"])
+        ]
     print(json.dumps({"what": __doc__.strip().splitlines()[0], "rounds": ROUNDS,
-                      "machine": _machine(), "results": results}, indent=1))
+                      "machine": _machine(), "results": results, "htap1": htap1,
+                      "criterion_04_s": criterion_04}, indent=1))
     return 0
 
 

@@ -62,16 +62,23 @@ MUTANTS = (
     (
         "drop-c-shift",
         "src/sktap/gibbs.py",
-        "np.log(zsum) + top + self.c_shift",
+        "np.log(zsum) + top + c_shift",
         "np.log(zsum) + top",
         [LATE_TILE],
     ),
     (
         "remove-guard",
         "src/sktap/gibbs.py",
-        "    return int(np.count_nonzero(reach[:most] <= _GUARD))\n",
-        "    return most\n",
+        "    return np.array([np.count_nonzero(row[:most] <= _GUARD) for row in reach])\n",
+        "    return np.full(len(reach), most)\n",
         ["tests/test_gibbs.py::test_guard_keeps_strong_low_left_couplings_exact"],
+    ),
+    (
+        "stack-shares-first-factor",
+        "src/sktap/gibbs.py",
+        "        eC = np.matmul(layout.Sl, G_LR[:, :b] @ SR.T, out=work[\"eC\"][:blocks])\n",
+        "        eC = np.matmul(layout.Sl, G_LR[:1, :b] @ SR.T, out=work[\"eC\"][:blocks])\n",
+        ["tests/test_gibbs.py::test_coupling_stack_is_bit_equal_to_one_system_per_block"],
     ),
     (
         "shift-gray-magnetizations",
