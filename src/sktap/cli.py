@@ -194,6 +194,8 @@ def _cmd_at_line(args) -> dict:
 def _cmd_verify_identities(args) -> dict:
     if args.n < 3:
         raise ValueError(f"--n must be >= 3, the triple identities need three sites, got {args.n}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     params = ModelParams.uniform(args.n, args.t, args.h)
     cm = sample_couplings(params, args.seed)
     rng = np.random.default_rng(substream_seed(args.seed, 1))

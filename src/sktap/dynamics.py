@@ -32,22 +32,6 @@ from .model import CouplingPath, ModelParams
 _VARIANTS = ("pair", "two_point", "product")
 
 
-class _Kahan:
-    """Compensated accumulator; many small increments must not lose bits."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self):
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-
-
 @dataclass
 class ItoCheckConfig:
     """Which decomposition to check, for which sites, on how fine a grid."""
@@ -142,17 +126,24 @@ def ito_decomposition_trace(
     mart_inc = (mart_vec[:-1, None, :] @ scan.increments[:, :, None])[:, 0, 0]
     drift_inc = -np.sum(drift_vec[:-1], axis=1) * np.diff(path.grid) / params.n
 
-    # compensated partial sums, accumulated strictly in grid order
-    mart_acc, drift_acc = _Kahan(), _Kahan()
+    # compensated (Kahan) partial sums, accumulated strictly in grid order;
+    # many small increments must not lose bits
+    mart, mart_carry, drift, drift_carry = 0.0, 0.0, 0.0, 0.0
     mart_partial = [0.0]
     drift_partial = [0.0]
     for dm, dd in zip(mart_inc.tolist(), drift_inc.tolist()):
-        mart_acc.add(dm)
-        drift_acc.add(dd)
-        mart_partial.append(mart_acc.total)
-        drift_partial.append(drift_acc.total)
+        y = dm - mart_carry
+        total = mart + y
+        mart_carry = (total - mart) - y
+        mart = total
+        y = dd - drift_carry
+        total = drift + y
+        drift_carry = (total - drift) - y
+        drift = total
+        mart_partial.append(mart)
+        drift_partial.append(drift)
 
-    residual = abs(lhs[-1] - lhs[0] - (mart_acc.total + drift_acc.total))
+    residual = abs(lhs[-1] - lhs[0] - (mart + drift))
     return {
         "s": np.array(path.grid),
         "lhs": lhs,

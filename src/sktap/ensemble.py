@@ -112,6 +112,8 @@ class EnsembleConfig:
         ModelParams.uniform(self.n_values[0], self.t, self.h, self.enum_cap)
         if self.experiment == "ito" and self.ito_steps < 2:
             raise ValueError(f"ito needs steps >= 2, got {self.ito_steps}")
+        if self.experiment == "ito" and self.t <= 0:
+            raise ValueError(f"ito samples a coupling path on [0, t], it needs t > 0, got {self.t}")
         if self.experiment == "mij_moment" and not 0 < self.moment_p < math.inf:
             raise ValueError(f"mij_moment needs a finite moment_p > 0, got {self.moment_p}")
         if self.quad_nodes < 1:

@@ -21,9 +21,17 @@ and the factor.  A guard caps b so that C spans at most ``_GUARD`` (600):
 weights that matter then stay far from float64 underflow, and couplings too
 strong for any b > 0 get b = 0, one exponential per state.  One enumerator
 also takes a stack of coupling blocks of equal size, such as the n cavity
-systems of a disorder sample, and runs them all in one batched pass.  The
-tests check the engine against a naive direct summation and a Gray-code
-walk that share no reduction code with it.
+systems of a disorder sample, and runs them all in one batched pass.
+
+Systems of up to ``_WALSH_SITES`` (6) sites, too small to factorise, take a
+second kernel instead, chosen by na alone: the 2^na weights of each field
+row are exponentiated whole and go through one fast Walsh-Hadamard
+transform, after which every moment is one row of the transform divided by
+its row 0.  The pass uses elementwise ufuncs only, with no BLAS, so its
+bits do not depend on the stack either.  The clamped systems of the Ito
+check (na = 5 at n = 6) and every small-n enumeration run through it.  The
+tests check both kernels against a naive direct summation and a Gray-code
+walk that share no reduction code with them.
 
 All weights are handled as exp(H - max H), so partition sums stay finite for
 |H| up to the exponent range of float64 (~700).
@@ -135,6 +143,16 @@ _TILE_STATES = 1 << 16
 # clear of the float64 underflow near e^-708.
 _GUARD = 600.0
 
+# Largest system that the Walsh-Hadamard pass enumerates (see
+# ``BlockEnumerator``): the largest that the block pass would never
+# factorise (b = 0 below na = 7).  There the butterfly's 2 na elementwise
+# sweeps over the grid cost less than the block pass's batched products on
+# tiles of a few states.  A 2049-row pass with one ``cols`` key, one BLAS
+# thread, 2-core Xeon, took 0.68-0.76 against 2.3-2.8 ms at na = 5 (the Ito
+# check at n = 6) and 1.5-1.6 against 2.1-3.2 ms at na = 6, but 6.2-6.6
+# against 3.7-3.8 ms at na = 8.
+_WALSH_SITES = 6
+
 
 @functools.cache
 def _sign_matrix(k: int) -> np.ndarray:
@@ -181,8 +199,9 @@ def _low_bits(G_LR: np.ndarray) -> np.ndarray:
     over column sums the size of the factor, 2^(b+n2) entries, which each
     chunk also exponentiates.  The two balance near b = n1/2 - 1;
     at n = 19-20 (htap1), caps of 4 and 5 timed alike, 3 and 6 slower.
-    Systems of up to 6 sites get b = 0, as do couplings too strong for the
-    guard, or not finite.
+    Couplings too strong for the guard, or not finite, get b = 0.  Only the
+    block pass asks: systems of up to ``_WALSH_SITES`` sites, which the cap
+    n1/2 - 1 would give b = 0 anyway, take the Walsh-Hadamard pass instead.
     """
     n1, n2 = G_LR.shape[1:]
     reach = 2.0 * np.cumsum(np.abs(G_LR).sum(axis=2), axis=1)
@@ -236,11 +255,21 @@ class BlockEnumerator:
     systems at n = 20, twice the peak of the pass itself.  A chunk only
     holds systems of equal b, so a system's bits depend neither on the
     guard of another system nor on its place in the stack.
+
+    A system of na <= ``_WALSH_SITES`` sites skips all of this: the context
+    keeps only the interaction energy E of every state of every block, and
+    ``moments`` runs the Walsh-Hadamard pass (``_walsh_pass``) on chunks of
+    up to 2^16 states, in two buffers that the context keeps.
     """
 
     def __init__(self, G: np.ndarray):
         self.G = G if G.ndim == 3 else G[None]
         self.na = na = self.G.shape[-1]
+        if na <= _WALSH_SITES:
+            # the interaction energy of every state, one column per block
+            self.E = _quadratic(_sign_matrix(na), self.G).T.copy()
+            self._grids = None  # the two chunk buffers of the butterfly
+            return
         self.n1 = n1 = (na + 1) // 2
         self.n2 = na - n1
         self.low = _low_bits(self.G[:, :n1, n1:])
@@ -287,6 +316,13 @@ class BlockEnumerator:
             {key: np.empty(K) for key in triples},
             {key: np.empty((K, na)) for key in cols},
         )
+        if na <= _WALSH_SITES:
+            per = _TILE_STATES >> na
+            if self._grids is None or self._grids[0].size < min(per, K) << na:
+                self._grids = [_aligned_empty((min(per, K) << na,)) for _ in range(2)]
+            for a in range(0, K, per):
+                self._walsh_pass(H[a : a + per], slice(a, a + per), out)
+            return out
         for b, systems in self.systems.items():
             count = systems.size if blocks > 1 else K
             layout = _Layout(self.n1, self.n2, b)
@@ -300,6 +336,48 @@ class BlockEnumerator:
                 rows = systems[a : a + per] if blocks > 1 else slice(a, a + per)
                 self._pass(layout, rows if blocks > 1 else systems, H[rows], rows, out, work)
         return out
+
+    def _walsh_pass(self, H, rows: slice, out: _RawMoments) -> None:
+        """Fill ``rows`` of every field of ``out`` from the field chunk ``H``
+        by one Walsh-Hadamard transform of the weights.
+
+        The log-weights of the chunk form a (2^na, k) grid, the field rows
+        the contiguous inner axis: the interaction energies E plus the field
+        energies, which double site by site from the states of sites 0..i-1
+        to those of sites 0..i (-h_i where s_i = -1, +h_i where s_i = +1).
+        Each column is shifted by its maximum and exponentiated.  Butterfly stage i then
+        maps the weight pair (lo, hi) of states that differ in site i to
+        (lo + hi, hi - lo), so that afterwards row ``mask`` holds the sum
+        over states of w_s prod_{i in mask} s_i, and every moment is one
+        row divided by row 0.  Every step is an elementwise ufunc on whole
+        columns, so a row's bits depend neither on k nor on the chunk.
+        """
+        k, na = H.shape
+        X, Y = (grid[: k << na].reshape(1 << na, k) for grid in self._grids)
+        Y[0] = 0.0
+        for i, h in enumerate(H.T):
+            np.add(Y[: 1 << i], h, out=Y[1 << i : 2 << i])
+            Y[: 1 << i] -= h
+        np.add(self.E[:, rows] if self.E.shape[1] > 1 else self.E, Y, out=X)
+        shift = X.max(axis=0)
+        X -= shift
+        np.exp(X, out=X)
+        for i in range(na):
+            lo, hi = X.reshape(-1, 2, 1 << i, k).swapaxes(0, 1)
+            dst = Y.reshape(-1, 2, 1 << i, k)
+            np.add(lo, hi, out=dst[:, 0])
+            np.subtract(hi, lo, out=dst[:, 1])
+            X, Y = Y, X
+        z = X[0]
+        out.log_z[rows] = np.log(z) + shift
+        bits = 1 << np.arange(na)
+        out.mag[rows] = (X[bits] / z).T
+        if out.second is not None:
+            out.second[rows] = (X[bits[:, None] ^ bits] / z).transpose(2, 0, 1)
+        for key, val in out.triples.items():
+            val[rows] = X[_mask(key)] / z
+        for key, val in out.cols.items():
+            val[rows] = (X[_mask(key) ^ bits] / z).T
 
     def _pass(self, layout, own, H, rows, out: _RawMoments, work: dict) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``.
@@ -373,11 +451,13 @@ class BlockEnumerator:
                 col_sums *= np.exp(top - grown)[:, None, None]
                 col_sums += (np.exp(shift - grown)[:, None, None] * by_col[:, :, r]) @ W
                 top = grown
-        # bring the sums of every tile to the system's final shift
-        scale = np.exp(shifts - top[:, None])
-        row_sums.reshape(k, -1, tiles, tr)[...] *= scale[:, None, :, None]
-        if out.second is not None:
-            cross.reshape(k, tiles, tr, -1)[...] *= scale[:, :, None, None]
+        # bring the sums of every tile to the system's final shift (one tile
+        # has it already: every scale would be exp(0) = 1)
+        if tiles > 1:
+            scale = np.exp(shifts - top[:, None])
+            row_sums.reshape(k, -1, tiles, tr)[...] *= scale[:, None, :, None]
+            if out.second is not None:
+                cross.reshape(k, tiles, tr, -1)[...] *= scale[:, :, None, None]
 
         # the sums over c per left state (t, T), and over (t, T) per right
         # state c, plain (u, v) and per key
@@ -472,6 +552,15 @@ class _Layout:
         return work
 
 
+def _mask(key) -> int:
+    """Row of the Walsh-Hadamard transform that holds the product of the
+    spins ``key``; a site listed twice drops out, as s^2 = 1."""
+    mask = 0
+    for a in key:
+        mask ^= 1 << int(a)
+    return mask
+
+
 def _aligned_empty(shape: tuple) -> np.ndarray:
     """Uninitialized float64 array whose data starts on a 64-byte boundary.
 
@@ -491,7 +580,7 @@ def _each(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _block_moments(G, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
-    """Vectorized split-block enumeration of all 2^na states (one-shot form)."""
+    """Enumeration of all 2^na states of one system (one-shot form)."""
     return BlockEnumerator(G).moments(h[None, :], want_pair, triples, cols).row(0)
 
 

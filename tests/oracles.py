@@ -175,6 +175,23 @@ def naive_raw_moment(g, h, indices):
     return math.fsum(num_terms) / math.fsum(den_terms)
 
 
+class Kahan:
+    """Compensated accumulator, the reference for the partial sums of
+    ``sktap.dynamics.ito_decomposition_trace``."""
+
+    __slots__ = ("total", "carry")
+
+    def __init__(self):
+        self.total = 0.0
+        self.carry = 0.0
+
+    def add(self, x: float) -> None:
+        y = x - self.carry
+        t = self.total + y
+        self.carry = (t - self.total) - y
+        self.total = t
+
+
 def bisect_fixed_point(t, h, expect_fn, tol=1e-13):
     """Bisection root of q - E tanh^2(h + sqrt(t q) Z) on [0, 1].
 

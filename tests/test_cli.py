@@ -180,33 +180,43 @@ def test_tap_residuals_rejects_a_malformed_pair(pair, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("n", ["2", "1", "0"])
-def test_verify_identities_rejects_fewer_than_three_sites(n, capsys):
-    code, out, err = run_cli(["verify-identities", "--n", n, "--trials", "2"], capsys)
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        *((["--n", n, "--trials", "2"], "--n must be >= 3") for n in ("2", "1", "0")),
+        # zero trials would report a maximum residual of 0.0 from no check
+        (["--n", "5", "--trials", "0"], "--trials must be >= 1"),
+    ],
+    ids=["2", "1", "0", "trials-0"],
+)
+def test_verify_identities_rejects_fewer_than_three_sites(argv, message, capsys):
+    code, out, err = run_cli(["verify-identities", *argv], capsys)
     assert code == 1
-    assert "invalid configuration: --n must be >= 3" in err
+    assert f"invalid configuration: {message}" in err
     assert "unpack" not in err
     assert out == ""
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["--experiment", "ito", "--steps", "1", "--n", "4,5,6"],
-        *(["--experiment", name, "--n", "1,2,3"]
+        (["--experiment", "ito", "--steps", "1", "--n", "4,5,6"], "needs steps >= 2"),
+        *((["--experiment", name, "--n", "1,2,3"], "needs every n >= 2")
           for name in ("htap2", "tap2", "mij-sq", "mij-moment", "ito")),
-        ["--experiment", "htap1", "--n", "0,1,2"],
-        ["--experiment", "qn-conc", "--n", "4,5,6", "--quad-nodes", "0"],
+        (["--experiment", "htap1", "--n", "0,1,2"], "needs every n >= 1"),
+        (["--experiment", "qn-conc", "--n", "4,5,6", "--quad-nodes", "0"], "must be >= 1"),
+        # a path on [0, t] needs t > 0; before, every sample raised inside
+        (["--experiment", "ito", "--n", "4,5,6", "--t", "0"], "needs t > 0"),
     ],
     ids=["ito-steps-1", "htap2-n1", "tap2-n1", "mij-sq-n1", "mij-moment-n1", "ito-n1", "htap1-n0",
-         "qn-conc-quad-nodes-0"],
+         "qn-conc-quad-nodes-0", "ito-t-0"],
 )
-def test_scaling_rejects_sizes_and_steps_the_experiment_cannot_run(argv, capsys):
+def test_scaling_rejects_sizes_and_steps_the_experiment_cannot_run(argv, message, capsys):
     code, out, err = run_cli(
-        ["scaling", *argv, "--t", "0.5", "--h", "0.3", "--samples", "2", "--seed", "1"], capsys
+        ["scaling", "--t", "0.5", "--h", "0.3", "--samples", "2", "--seed", "1", *argv], capsys
     )
     assert code == 1
-    assert "invalid configuration" in err and ">= " in err
+    assert "invalid configuration" in err and message in err
     assert out == ""
 
 

@@ -17,7 +17,7 @@ from sktap import (
     sample_path,
     substream_seed,
 )
-from oracles import on_engine
+from oracles import Kahan, on_engine
 
 P6 = ModelParams.uniform(6, 0.5, 0.3)
 
@@ -136,6 +136,20 @@ def test_trace_partial_sums_and_fixed_reduction():
     again = ito_decomposition_trace(path, cfg, P6)
     assert np.array_equal(trace["lhs"], again["lhs"])
     assert trace["residual"] == again["residual"]
+
+
+def test_partial_sums_equal_the_kahan_reference_bit_for_bit():
+    path = sample_path(P6, 512, 12)
+    cfg = ItoCheckConfig(clamped_site=0, target_site=1, steps=512)
+    trace = ito_decomposition_trace(path, cfg, P6)
+    for name in ("martingale", "drift"):
+        acc, partial = Kahan(), [0.0]
+        for x in trace[f"{name}_increments"].tolist():
+            acc.add(x)
+            partial.append(acc.total)
+        assert trace[name].tolist() == partial
+    lhs = trace["lhs"][-1] - trace["lhs"][0]
+    assert trace["residual"] == abs(lhs - (trace["martingale"][-1] + trace["drift"][-1]))
 
 
 def test_integrands_match_independent_clamped_route():

@@ -101,10 +101,12 @@ def test_engines_match_each_other_with_reductions():
     assert np.allclose(tb.pair, tg.pair, rtol=0.0, atol=1e-12, equal_nan=True)
 
 
-@pytest.mark.parametrize("na,rows", [(12, 7), (12, 19), (12, 50), (16, 3)])
+@pytest.mark.parametrize("na,rows", [(12, 7), (12, 19), (12, 50), (16, 3), (5, 2051), (6, 1027)])
 def test_stacked_moments_match_one_call_per_row(na, rows):
     # na = 12 fits 43 systems per chunk, so 7 and 19 rows share one chunk
-    # and 50 rows split 43 + 7; na = 16 fits 6 systems per chunk
+    # and 50 rows split 43 + 7; na = 16 fits 6 systems per chunk.  The
+    # Walsh-Hadamard pass fits 2048 rows per chunk at na = 5 and 1024 at
+    # na = 6, so 2051 and 1027 rows end in a remainder chunk of 3.
     from sktap.gibbs import BlockEnumerator
 
     rng = np.random.default_rng(na)
@@ -113,16 +115,22 @@ def test_stacked_moments_match_one_call_per_row(na, rows):
     fields[1] *= 600.0  # |H| ~ 1e3: each row needs its own log-sum-exp shift
     fields[-1] = fields[0]
     cols = [(0,), (na - 1,), (1, na - 2)]
+    triple = (0, 2, na - 1)
     ctx = BlockEnumerator(cm.entries)
-    stacked = ctx.moments(fields, want_pair=True, cols=cols)
+    stacked = ctx.moments(fields, want_pair=True, triples=[triple], cols=cols)
     assert stacked.mag.shape == (rows, na)
     for r, h in enumerate(fields):
-        one = ctx.moments(h[None, :], want_pair=True, cols=cols)
-        assert abs(stacked.log_z[r] - one.log_z[0]) <= 1e-15 * abs(one.log_z[0])
-        assert np.max(np.abs(stacked.mag[r] - one.mag[0])) <= 1e-15
-        assert np.max(np.abs(stacked.second[r] - one.second[0])) <= 1e-15
+        one = ctx.moments(h[None, :], want_pair=True, triples=[triple], cols=cols)
+        assert stacked.log_z[r] == one.log_z[0]
+        assert np.array_equal(stacked.mag[r], one.mag[0])
+        assert np.array_equal(stacked.second[r], one.second[0])
+        assert stacked.triples[triple][r] == one.triples[triple][0]
         for key in cols:
-            assert np.max(np.abs(stacked.cols[key][r] - one.cols[key][0])) <= 1e-15
+            assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
+    # a fresh enumerator, whose buffers hold one row, gives the same bits
+    fresh = BlockEnumerator(cm.entries).moments(fields[-2], want_pair=True, cols=cols)
+    assert np.array_equal(fresh.second[0], stacked.second[-2])
+    assert np.array_equal(fresh.cols[cols[2]][0], stacked.cols[cols[2]][-2])
     # equal field rows in different chunks give equal bits
     assert np.array_equal(stacked.mag[-1], stacked.mag[0])
     assert np.array_equal(stacked.cols[(0,)][-1], stacked.cols[(0,)][0])
@@ -168,6 +176,92 @@ def test_coupling_stack_is_bit_equal_to_one_system_per_block():
     assert np.array_equal(again.cols[cols[1]], stacked.cols[cols[1]])
     with pytest.raises(ValueError, match="field rows"):
         ctx.moments(fields[:3])
+
+
+def small_keys(na):
+    """A triple and a one- and a two-site ``cols`` key, where na has room."""
+    triples = [(0, na // 2, na - 1)] if na >= 3 else []
+    cols = [(0,), (0, na - 1)] if na >= 2 else [(0,)] * na
+    return triples, cols
+
+
+@pytest.mark.parametrize("na", range(8))
+def test_small_systems_match_the_oracles_at_huge_fields(na):
+    # na <= 6 take the Walsh-Hadamard pass and na = 7 the block pass, so
+    # na = 6 and 7 check either side of the switch.  Field rows of
+    # |H| ~ 1e3 need their own log-sum-exp shift.
+    from sktap.gibbs import BlockEnumerator
+
+    params = ModelParams(n=max(na, 1), t=0.8, field=np.zeros(max(na, 1)))
+    G = sample_couplings(params, na).entries[:na, :na]
+    H = np.random.default_rng(na).normal(0.0, 0.5, (3, na))
+    H[0] *= 2000.0
+    H[2, : na // 2] += 4.0
+    triples, cols = small_keys(na)
+    ran = []
+
+    def spy(name):
+        kernel = getattr(BlockEnumerator, name)
+
+        def run(*args):
+            ran.append(name)
+            return kernel(*args)
+
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_walsh_pass", "_pass"):
+            patch.setattr(BlockEnumerator, name, spy(name))
+        block = BlockEnumerator(G).moments(H, want_pair=True, triples=triples, cols=cols)
+    assert set(ran) == {"_walsh_pass" if na <= 6 else "_pass"}
+    gray = GrayEnumerator(G).moments(H, want_pair=True, triples=triples, cols=cols)
+    assert np.max(np.abs(block.log_z - gray.log_z) / np.maximum(1.0, np.abs(gray.log_z))) < 1e-12
+    for got, want in [(block.mag, gray.mag), (block.second, gray.second),
+                      *((block.cols[key], gray.cols[key]) for key in cols)]:
+        assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+    for key in triples:
+        assert np.max(np.abs(block.triples[key] - gray.triples[key])) < 1e-12
+    if na == 0:
+        assert np.array_equal(block.log_z, np.zeros(3))
+        return
+    g = G.tolist()
+    for r, h in enumerate(H):
+        f = h.tolist()
+        log_z, m, pair, _ = naive_tables(g, f)
+        second = np.array(pair) + np.outer(m, m)
+        np.fill_diagonal(second, 1.0)
+        assert abs(block.log_z[r] - log_z) <= 1e-12 * max(1.0, abs(log_z))
+        assert np.max(np.abs(block.mag[r] - np.array(m))) < 1e-12
+        assert np.max(np.abs(block.second[r] - second)) < 1e-12
+        for key in triples:
+            assert abs(block.triples[key][r] - naive_raw_moment(g, f, key)) < 1e-12
+        for key in cols:
+            want = [naive_raw_moment(g, f, (*key, site)) for site in range(na)]
+            assert np.max(np.abs(block.cols[key][r] - np.array(want))) < 1e-12
+
+
+def test_walsh_coupling_stack_is_bit_equal_to_one_block_per_system():
+    # 1026 systems at na = 6 span two chunks of 1024 rows; systems 3 and
+    # 1025 are equal and sit in different chunks.
+    from sktap.gibbs import _TILE_STATES, BlockEnumerator
+
+    na = 6
+    K = (_TILE_STATES >> na) + 2
+    params = ModelParams(n=na, t=0.8, field=np.zeros(na))
+    G = np.array([sample_couplings(params, s).entries for s in range(K)])
+    H = np.random.default_rng(6).normal(0.0, 0.5, (K, na))
+    G[-1], H[-1] = G[3], H[3]
+    triples, cols = small_keys(na)
+    stacked = BlockEnumerator(G).moments(H, want_pair=True, triples=triples, cols=cols)
+    for r in range(K):
+        one = BlockEnumerator(G[r]).moments(H[r], want_pair=True, triples=triples, cols=cols)
+        assert stacked.log_z[r] == one.log_z[0]
+        assert np.array_equal(stacked.mag[r], one.mag[0])
+        assert np.array_equal(stacked.second[r], one.second[0])
+        assert stacked.triples[triples[0]][r] == one.triples[triples[0]][0]
+        for key in cols:
+            assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
+    assert np.array_equal(stacked.second[-1], stacked.second[3])
 
 
 def test_one_pass_allocates_far_less_than_one_grid():

@@ -1,4 +1,4 @@
-"""Time ``BlockEnumerator`` passes at n = 12..26 and ``htap1_residuals`` at n = 8..20.
+"""Time ``BlockEnumerator`` passes at n = 5..26, ``htap1_residuals`` at n = 8..20 and Ito paths.
 
     python tools/bench_kernel.py change=src parent=../parent/src > BENCH_kernel.json
 
@@ -17,8 +17,12 @@ worker runs the cavity sweep ``htap1_residuals`` of criterion 04 on
 ``HTAP1_SAMPLES`` disorder samples per size after one untimed sample, and
 records the time and the minor page faults (``ru_minflt``) per sample; then
 it times the ensemble of criterion 04 itself (``tests/test_acceptance.py``,
-500 samples at each of n = 8, 12, 16, 20).  The report gives the min and
-median over the rounds.
+500 samples at each of n = 8, 12, 16, 20).  For the small systems of the
+Ito check it times one ``moments`` call of the shape that check makes (no
+pair matrix, one ``cols`` key) at na = 5 and 6, on 1 and on 2049 field rows,
+and one whole check, ``ito_decomposition_residual`` on a 2048-step path at
+n = 6 (the ``ito-n6`` workload's sample), per path over ``ITO_PATHS`` paths.
+The report gives the min and median over the rounds.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ import time
 SIZES = (12, 16, 20, 22, 24, 26)
 HTAP1_SIZES = (8, 12, 16, 20)
 HTAP1_SAMPLES = 16
+SMALL = ((5, 1), (5, 2049), (6, 1), (6, 2049))  # (na, field rows)
+ITO_PATHS = 16
 FLOOR_STATES = 24  # log2 of the largest grid the floor allocates
 ROUNDS = 7
 THREADS = 1
@@ -77,6 +83,38 @@ def _criterion_04_s() -> float:
     return time.perf_counter() - start
 
 
+def _small_rows() -> list:
+    import numpy as np
+
+    from sktap.gibbs import BlockEnumerator
+    from sktap.model import ModelParams, sample_couplings
+
+    rows = []
+    for na, count in SMALL:
+        params = ModelParams.uniform(na, 0.5, 0.3)
+        ctx = BlockEnumerator(sample_couplings(params, 0).entries)
+        fields = np.random.default_rng(na).normal(0.3, 0.5, (count, na))
+        ctx.moments(fields, want_pair=False, cols=[(1,)])
+        calls = max(1, (1 << 20) // (count << na))
+        ms = _timed(lambda: ctx.moments(fields, want_pair=False, cols=[(1,)]), calls)
+        rows.append({"na": na, "rows": count, "moments_ms": ms})
+    return rows
+
+
+def _ito_path_ms() -> float:
+    from sktap.dynamics import ItoCheckConfig, ito_decomposition_residual
+    from sktap.model import ModelParams, sample_path
+
+    params = ModelParams.uniform(6, 0.5, 0.3)
+    check = ItoCheckConfig(clamped_site=0, target_site=1, steps=2048)
+    paths = [sample_path(params, 2048, seed) for seed in range(ITO_PATHS + 1)]
+    ito_decomposition_residual(paths.pop(), check, params)
+    start = time.perf_counter()
+    for path in paths:
+        ito_decomposition_residual(path, check, params)
+    return (time.perf_counter() - start) / ITO_PATHS * 1e3
+
+
 def worker() -> None:
     import numpy as np
 
@@ -85,6 +123,8 @@ def worker() -> None:
 
     htap1 = _htap1_rows()
     criterion_04_s = _criterion_04_s()
+    small = _small_rows()
+    ito_path_ms = _ito_path_ms()
     rows = []
     for n in SIZES:
         calls = max(1, (1 << 20) >> n)
@@ -103,7 +143,8 @@ def worker() -> None:
             moments_ms = _timed(lambda: ctx.moments(params.field, want_pair=want_pair), calls)
             rows.append({"n": n, "want_pair": want_pair, "init_ms": init_ms,
                          "moments_ms": moments_ms, "exp_floor_ms": floor_ms})
-    print(json.dumps({"kernel": rows, "htap1": htap1, "criterion_04_s": criterion_04_s}))
+    print(json.dumps({"kernel": rows, "htap1": htap1, "criterion_04_s": criterion_04_s,
+                      "small": small, "ito_path_ms": ito_path_ms}))
 
 
 def _run(src: str) -> list:
@@ -145,9 +186,15 @@ def main(argv: list) -> int:
     for r in range(ROUNDS):
         for label in order if r % 2 == 0 else order[::-1]:
             runs[label].append(_run(labels[label]))
-    results, htap1, criterion_04 = {}, {}, {}
+    results, htap1, criterion_04, small, ito_path = {}, {}, {}, {}, {}
     for label, rounds in runs.items():
         criterion_04[label] = _summary([rnd["criterion_04_s"] for rnd in rounds])
+        ito_path[label] = _summary([rnd["ito_path_ms"] for rnd in rounds])
+        small[label] = [
+            {"na": row["na"], "rows": row["rows"],
+             "moments_ms": _summary([rnd["small"][i]["moments_ms"] for rnd in rounds])}
+            for i, row in enumerate(rounds[0]["small"])
+        ]
         results[label] = []
         for i, row in enumerate(rounds[0]["kernel"]):
             cell = {"n": row["n"], "want_pair": row["want_pair"]}
@@ -162,7 +209,8 @@ def main(argv: list) -> int:
         ]
     print(json.dumps({"what": __doc__.strip().splitlines()[0], "rounds": ROUNDS,
                       "machine": _machine(), "results": results, "htap1": htap1,
-                      "criterion_04_s": criterion_04}, indent=1))
+                      "criterion_04_s": criterion_04, "small": small,
+                      "ito_path_ms": ito_path}, indent=1))
     return 0
 
 

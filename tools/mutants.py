@@ -28,21 +28,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 LATE_TILE = "tests/test_gibbs_properties.py::test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile"
+SMALL_SYSTEMS = "tests/test_gibbs.py::test_small_systems_match_the_oracles_at_huge_fields"
 
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
     (
         "drop-final-row-sum-rescale",
         "src/sktap/gibbs.py",
-        "        row_sums.reshape(k, -1, tiles, tr)[...] *= scale[:, None, :, None]\n",
+        "            row_sums.reshape(k, -1, tiles, tr)[...] *= scale[:, None, :, None]\n",
         "",
         [LATE_TILE],
     ),
     (
         "drop-cross-block-rescale",
         "src/sktap/gibbs.py",
-        "            cross.reshape(k, tiles, tr, -1)[...] *= scale[:, :, None, None]\n",
-        "            pass\n",
+        "                cross.reshape(k, tiles, tr, -1)[...] *= scale[:, :, None, None]\n",
+        "                pass\n",
         [LATE_TILE],
     ),
     (
@@ -79,6 +80,27 @@ MUTANTS = (
         "        eC = np.matmul(layout.Sl, G_LR[:, :b] @ SR.T, out=work[\"eC\"][:blocks])\n",
         "        eC = np.matmul(layout.Sl, G_LR[:1, :b] @ SR.T, out=work[\"eC\"][:blocks])\n",
         ["tests/test_gibbs.py::test_coupling_stack_is_bit_equal_to_one_system_per_block"],
+    ),
+    (
+        "walsh-no-column-shift",
+        "src/sktap/gibbs.py",
+        "        X -= shift\n",
+        "",
+        [SMALL_SYSTEMS],
+    ),
+    (
+        "walsh-flipped-butterfly-sign",
+        "src/sktap/gibbs.py",
+        "            np.subtract(hi, lo, out=dst[:, 1])\n",
+        "            np.subtract(lo, hi, out=dst[:, 1])\n",
+        [SMALL_SYSTEMS],
+    ),
+    (
+        "walsh-stack-reads-first-couplings",
+        "src/sktap/gibbs.py",
+        "        np.add(self.E[:, rows] if self.E.shape[1] > 1 else self.E, Y, out=X)\n",
+        "        np.add(self.E[:, :1], Y, out=X)\n",
+        ["tests/test_gibbs.py::test_walsh_coupling_stack_is_bit_equal_to_one_block_per_system"],
     ),
     (
         "shift-gray-magnetizations",
