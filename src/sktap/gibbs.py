@@ -14,12 +14,15 @@ a (2^n1 states), D (2^(n-b) states) and that factor (2^(b+n2) states), and
 forms every sum over the 2^n states as a matrix product against the factor:
 cost O(2^(n-b)) exponentials plus O(2^n * n) multiply-adds in BLAS-3
 products.  D is never stored whole: a pass streams it through one
-cache-sized tile of rows at a time, exponentiates each tile against its own
-maximum, reduces it at once, and rescales the partial sums to a running
-maximum (an online log-sum-exp).  Memory is O(2^(n/2) * n) plus one tile
-and the factor.  A guard caps b so that C spans at most ``_GUARD`` (600):
-weights that matter then stay far from float64 underflow, and couplings too
-strong for any b > 0 get b = 0, one exponential per state.  One enumerator
+cache-sized tile of columns (right states) at a time, exponentiates each
+tile against the running maximum of its system and reduces it at once.  The
+sums over the right states, small per left state, are rescaled whenever that
+maximum grows (an online log-sum-exp); the sums per right state, written
+once per tile, are brought to the final maximum after the last tile.
+Memory is O(2^(n/2) * n) plus one tile and the factor.  A guard caps b so
+that C spans at most ``_GUARD`` (600): weights that matter then stay far
+from float64 underflow, and couplings too strong for any b > 0 get b = 0,
+one exponential per state.  One enumerator
 also takes a stack of coupling blocks of equal size, such as the n cavity
 systems of a disorder sample, and runs them all in one batched pass.
 
@@ -128,7 +131,7 @@ class _RawMoments:
 
 
 # State budget of the factor, and of a tile with the product of its shape
-# that the pair matrix needs.  A tile is a run of rows of one
+# that the pair matrix needs.  A tile is a run of columns of one
 # system's D grid (see ``BlockEnumerator``), or the whole D grids of several
 # stacked systems.  2^16 float64 states are 512 KiB: the working set of a
 # tile stays in one core's L2 cache, while a pass at na = 24 still takes
@@ -297,13 +300,15 @@ class BlockEnumerator:
         set stays within ``_TILE_STATES`` states however large na or K is.
         The enumerator keeps the workspace of each shape it has served, so
         every chunk of this call and of later ones reuses it instead of
-        faulting in fresh pages.  Each tile is exponentiated against its
-        own maximum and reduced at once by products against eC; every
-        system keeps a running maximum (an online log-sum-exp) to which its
-        sums are rescaled.  A pass costs 2^n1 + 2^(na-b) exponentials, plus
-        2^(b+n2) per chunk for eC, and 2^na multiply-adds per product: two,
-        plus one with the pair matrix, one per triple and two per ``cols``
-        key.
+        faulting in fresh pages.  A tile is a run of right states c; it is
+        exponentiated against the running maximum of its system and reduced
+        at once by products against eC.  The sums over c per left state are
+        rescaled as that maximum grows (an online log-sum-exp), and the sums
+        per right state, which each tile writes once, are rescaled to the
+        final maximum after the last tile.  A pass costs 2^n1 + 2^(na-b)
+        exponentials, plus 2^(b+n2) per chunk for eC, and 2^na multiply-adds
+        per product: two, plus one with the pair matrix, one per triple and
+        two per ``cols`` key.
         """
         H = np.atleast_2d(np.ascontiguousarray(h, dtype=np.float64))
         K, na, blocks = H.shape[0], self.na, len(self.G)
@@ -384,7 +389,7 @@ class BlockEnumerator:
 
         ``own`` are the places in the stack of the chunk's coupling blocks,
         one per field row, or the one block that serves them all.  Tiles
-        split D along its rows only, at boundaries fixed by na and b, and
+        split D along its columns only, at boundaries fixed by na and b, and
         every product is a matmul batched over the leading axis, one BLAS
         call per system, never one gemm whose row dimension spans the chunk.
         A system's bits therefore do not depend on the systems that share
@@ -392,7 +397,7 @@ class BlockEnumerator:
         """
         k, blocks = H.shape[0], len(own)
         n1, b = self.n1, layout.low
-        SL, SR, tr = layout.SL, layout.SR, layout.tile_rows
+        SL, SR, tc = layout.SL, layout.SR, layout.tile_cols
         nt, ncol, nT = 1 << b, SR.shape[0], layout.Sh.shape[0]
         left, right, W, row_sums, col_sums = (
             work[name][:k] for name in ("left", "right", "W", "row_sums", "col_sums")
@@ -418,46 +423,58 @@ class BlockEnumerator:
         # and per ``cols`` key, which eC weighs and sums over t at the end.
         keys = list(dict.fromkeys([*out.triples, *out.cols]))
         parts = {key: layout.parts(key) for key in keys}
-        by_row = np.concatenate(
-            [eC[:, None]] + [parts[key][1] * eC[:, None] for key in keys], axis=1
-        ).reshape(blocks, -1, ncol)
+        # A tile reads a slice of the columns c of by_row, which the row
+        # product takes about 1.6x faster with c as the outer axis (a pass at
+        # n = 22-24 takes 7-15% less).  A pass of one tile reads it whole,
+        # where the order gains nothing, and keeps c inner: a README command
+        # whose passes all take one tile then keeps its bits.
+        tiles = ncol // tc
+        size = (1 + len(keys)) * nt
+        if tiles > 1:
+            by_row = np.empty((blocks, ncol, size)).transpose(0, 2, 1)
+        else:
+            by_row = np.empty((blocks, size, ncol))
+        np.concatenate([eC] + [parts[key][1] * eC for key in keys], axis=1, out=by_row)
         by_col = np.concatenate(
             [eA[:, None]] + [parts[key][0].reshape(nt, nT) * eA[:, None] for key in out.cols],
             axis=1,
         ).reshape(k, -1, nT)
 
-        tiles = nT // tr
+        # Every tile is shifted by the running maximum of its system.  The
+        # first tile writes the sums over c, small per left state; a later
+        # one rescales them to the grown maximum and adds its own.  The
+        # column sums of each tile are written once and brought to the final
+        # maximum after the loop.
+        shifts = np.empty((k, tiles))
         if out.second is not None:
             M, cross = work["M"][:k], work["cross"][:k]
-        shifts = np.empty((k, tiles))
-        for t in range(tiles):
-            r = slice(t * tr, (t + 1) * tr)
-            np.matmul(left[:, r], right, out=W)
-            shift = W.reshape(k, -1).max(axis=1)
-            W -= shift[:, None, None]
+        for j in range(tiles):
+            c = slice(j * tc, (j + 1) * tc)
+            np.matmul(left, right[:, :, c], out=W)
+            peak = W.reshape(k, -1).max(axis=1)
+            grown = np.maximum(top, peak) if j else peak
+            W -= grown[:, None, None]
             np.exp(W, out=W)
-            np.matmul(by_row, W.transpose(0, 2, 1), out=row_sums[:, :, r])
+            np.matmul(by_col, W, out=col_sums[:, :, c])
+            WT = W.transpose(0, 2, 1)
+            row_part = np.matmul(by_row[:, :, c], WT, out=None if j else row_sums)
             if out.second is not None:
                 # the high left sites meet the right block in W * (eA^T @ eC)
-                np.matmul(eA[:, :, r].transpose(0, 2, 1), eC, out=M)
+                np.matmul(eA.transpose(0, 2, 1), eC[:, :, c], out=M)
                 M *= W
-                np.matmul(M, SR, out=cross[:, r])
-            shifts[:, t] = shift
-            if t == 0:
-                np.matmul(by_col[:, :, r], W, out=col_sums)
-                top = shift
-            else:
-                grown = np.maximum(top, shift)
-                col_sums *= np.exp(top - grown)[:, None, None]
-                col_sums += (np.exp(shift - grown)[:, None, None] * by_col[:, :, r]) @ W
-                top = grown
-        # bring the sums of every tile to the system's final shift (one tile
-        # has it already: every scale would be exp(0) = 1)
+                cross_part = np.matmul(M, SR[c], out=None if j else cross)
+            if j:
+                scale = np.exp(top - grown)[:, None, None]
+                row_sums *= scale
+                row_sums += row_part
+                if out.second is not None:
+                    cross *= scale
+                    cross += cross_part
+            top = shifts[:, j] = grown
+        # one tile has the final shift already: every scale would be exp(0) = 1
         if tiles > 1:
             scale = np.exp(shifts - top[:, None])
-            row_sums.reshape(k, -1, tiles, tr)[...] *= scale[:, None, :, None]
-            if out.second is not None:
-                cross.reshape(k, tiles, tr, -1)[...] *= scale[:, :, None, None]
+            col_sums.reshape(k, -1, tiles, tc)[...] *= scale[:, None, :, None]
 
         # the sums over c per left state (t, T), and over (t, T) per right
         # state c, plain (u, v) and per key
@@ -506,13 +523,13 @@ class _Layout:
         self.SR = _sign_matrix(n2)
         self.Sl = _sign_matrix(b)
         self.Sh = _sign_matrix(n1 - b)
-        # Tile boundaries depend on na and b alone: `tile_rows` rows of D,
-        # half the budget, which the weights W of a tile share with the
-        # product of the same shape that the pair matrix needs.  Measured at
-        # n = 19-24, half-budget tiles are as fast or faster, and up to 1.7x
-        # with the pair matrix at n = 20, than full-budget ones.
+        # Tile boundaries depend on na and b alone: `tile_cols` columns of
+        # D, half the budget, which the weights W of a tile share with the
+        # product of the same shape that the pair matrix needs.  Passes at
+        # n = 22-24 took 13-26% longer with full-budget tiles and 8-17%
+        # longer with quarter-budget ones (in-process, one BLAS thread).
         rows = self.Sh.shape[0]
-        self.tile_rows = min(rows, max(1, (_TILE_STATES // 2) >> n2))
+        self.tile_cols = min(1 << n2, max(1, (_TILE_STATES // 2) // rows))
         # a system's left and right operands and D grid
         self.per_system = rows * (n1 - b + 2) + (n1 - b + 2 << n2) + (rows << n2)
 
@@ -531,24 +548,36 @@ class _Layout:
         """Buffers of a pass over up to k field rows and ``blocks`` coupling
         blocks that fills ``out``."""
         keys = len(dict.fromkeys([*out.triples, *out.cols]))
-        nt, ncol, nT, tr = 1 << self.low, self.SR.shape[0], self.Sh.shape[0], self.tile_rows
+        nt, ncol, nT, tc = 1 << self.low, self.SR.shape[0], self.Sh.shape[0], self.tile_cols
         high = self.n1 - self.low
         # [Sh | column shift of a | 1] @ [G_LR[high] SR^T ; 1 ; right field]
         # is a tile of D in one product; a pass fills in the per-system slots
-        work = {
-            "left": _aligned_empty((k, nT, high + 2)),
-            "right": _aligned_empty((k, high + 2, ncol)),
-            "eC": _aligned_empty((blocks, nt, ncol)),
-            "W": _aligned_empty((k, tr, ncol)),
-            "row_sums": _aligned_empty((k, (1 + keys) * nt, nT)),
-            "col_sums": _aligned_empty((k, (1 + len(out.cols)) * nt, ncol)),
+        shapes = {
+            "left": (k, nT, high + 2),
+            "right": (k, high + 2, ncol),
+            "eC": (blocks, nt, ncol),
+            "W": (k, nT, tc),
+            "row_sums": (k, (1 + keys) * nt, nT),
+            "col_sums": (k, (1 + len(out.cols)) * nt, ncol),
         }
+        if out.second is not None:
+            shapes["M"] = (k, nT, tc)
+            shapes["cross"] = (k, nT, self.n2)
+        # One block holds every buffer, each on a 64-byte boundary.  Where
+        # each had its own, the heap of a process that builds a fresh
+        # enumerator per sample (the cavity stacks of ``htap1_residuals``)
+        # was trimmed and faulted in again on every sample, or not, as the
+        # heap's layout fell: 6 or 110-200 minor faults per sample at
+        # n = 16 from one edit to the next.  With one block it took 7-11.
+        sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes.values()]
+        block = _aligned_empty((sum(sizes),))
+        work, at = {}, 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            work[name] = block[at : at + math.prod(shape)].reshape(shape)
+            at += size
         work["left"][:, :, :high] = self.Sh
         work["left"][:, :, -1] = 1.0
         work["right"][:, -2] = 1.0
-        if out.second is not None:
-            work["M"] = _aligned_empty((k, tr, ncol))
-            work["cross"] = _aligned_empty((k, nT, self.n2))
         return work
 
 

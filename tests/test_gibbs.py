@@ -136,15 +136,10 @@ def test_stacked_moments_match_one_call_per_row(na, rows):
     assert np.array_equal(stacked.cols[(0,)][-1], stacked.cols[(0,)][0])
 
 
-def test_coupling_stack_is_bit_equal_to_one_system_per_block():
-    # A stack of 16 systems at na = 14, where a chunk holds up to 12 systems
-    # of b = 2.  Scaling a low-left coupling row past the guard gives
-    # systems 2 and 9 b = 0 and system 5 b = 1, so the stack mixes three b
-    # and the b = 2 systems split over two chunks.  Every system must give
-    # the bits of its own one-block enumerator, and equal systems give equal
-    # bits wherever they sit.
-    from sktap.gibbs import BlockEnumerator
-
+def mixed_coupling_stack():
+    """16 systems at na = 14 and their fields.  Scaling a low-left coupling
+    row past the guard gives systems 2 and 9 b = 0 and system 5 b = 1, the
+    rest b = 2; system 12 repeats system 3."""
     rng = np.random.default_rng(14)
     n, n1, K = 14, 7, 16
     params = ModelParams(n=n, t=0.5, field=np.zeros(n))
@@ -156,26 +151,66 @@ def test_coupling_stack_is_bit_equal_to_one_system_per_block():
     G[12] = G[3]
     fields = rng.normal(0.0, 0.5, (K, n))
     fields[12] = fields[3]
-    ctx = BlockEnumerator(G)
+    return G, fields
+
+
+STACK_TRIPLES, STACK_COLS = [(0, 7, 13)], [(1,), (0, 13)]
+
+
+def assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields):
+    """Every system of the stack gives the bits of its own one-block
+    enumerator, and equal systems give equal bits wherever they sit."""
+    from sktap.gibbs import BlockEnumerator
+
     assert sorted(set(ctx.low.tolist())) == [0, 1, 2]
     assert ctx.low[2] == ctx.low[9] == 0 and ctx.low[5] == 1
-    triples, cols = [(0, n1, n - 1)], [(1,), (0, n - 1)]
-    stacked = ctx.moments(fields, want_pair=True, triples=triples, cols=cols)
-    for r in range(K):
-        one = BlockEnumerator(G[r]).moments(fields[r], want_pair=True, triples=triples, cols=cols)
+    stacked = ctx.moments(fields, want_pair=True, triples=STACK_TRIPLES, cols=STACK_COLS)
+    for r in range(len(G)):
+        one = BlockEnumerator(G[r]).moments(
+            fields[r], want_pair=True, triples=STACK_TRIPLES, cols=STACK_COLS
+        )
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
         assert np.array_equal(stacked.second[r], one.second[0])
-        assert stacked.triples[triples[0]][r] == one.triples[triples[0]][0]
-        for key in cols:
+        assert stacked.triples[STACK_TRIPLES[0]][r] == one.triples[STACK_TRIPLES[0]][0]
+        for key in STACK_COLS:
             assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
     assert np.array_equal(stacked.mag[12], stacked.mag[3])
+    return stacked
+
+
+def test_coupling_stack_is_bit_equal_to_one_system_per_block():
+    # At na = 14 a chunk holds up to 12 systems of b = 2, so the stack mixes
+    # three b and the b = 2 systems split over two chunks.
+    from sktap.gibbs import BlockEnumerator
+
+    G, fields = mixed_coupling_stack()
+    ctx = BlockEnumerator(G)
+    stacked = assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields)
     # a second call runs in the workspaces the first one left on the enumerator
-    again = ctx.moments(fields, want_pair=True, triples=triples, cols=cols)
+    again = ctx.moments(fields, want_pair=True, triples=STACK_TRIPLES, cols=STACK_COLS)
     assert np.array_equal(again.second, stacked.second)
-    assert np.array_equal(again.cols[cols[1]], stacked.cols[cols[1]])
+    assert np.array_equal(again.cols[STACK_COLS[1]], stacked.cols[STACK_COLS[1]])
     with pytest.raises(ValueError, match="field rows"):
         ctx.moments(fields[:3])
+
+
+def test_coupling_stack_spanning_several_tiles_is_bit_equal_to_one_system_per_block(
+    monkeypatch,
+):
+    # A 2^9 state budget splits the pass of every system of the same stack
+    # into column tiles, 16 at b = 2 and 64 at b = 0, so every system runs
+    # the running rescale of its own sums.
+    import sktap.gibbs
+    from sktap.gibbs import BlockEnumerator, _Layout
+
+    monkeypatch.setattr(sktap.gibbs, "_TILE_STATES", 1 << 9)
+    G, fields = mixed_coupling_stack()
+    ctx = BlockEnumerator(G)
+    for b in ctx.systems:
+        layout = _Layout(ctx.n1, ctx.n2, b)
+        assert layout.tile_cols * 4 <= layout.SR.shape[0]
+    assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields)
 
 
 def small_keys(na):

@@ -123,20 +123,21 @@ def test_stacked_pass_equals_one_pass_per_row(n, seed, t, scale, rows):
 
 
 def test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile(monkeypatch):
-    # Tiles run over the rows T of D, the states of the high left sites, so a
-    # strong field on the left block puts the heaviest states in the last
-    # tile: every earlier tile must be rescaled to the final shift.  A 2^12
-    # state budget makes the factorised pass span 16 tiles at a size the
-    # Gray-code engine reaches.
+    # Tiles run over the columns c of D, the states of the right block, so a
+    # strong field on the right block puts the heaviest states in the last
+    # tile: the sums over c held so far must be rescaled as the running
+    # maximum grows, and the column sums of every earlier tile brought to the
+    # final one.  A 2^12 state budget makes the factorised pass span 16
+    # tiles at a size the Gray-code engine reaches.
     monkeypatch.setattr(sktap.gibbs, "_TILE_STATES", 1 << 12)
     n = 18
     G, h = instance(n, 2718, 0.6, 0.3)
     ctx = BlockEnumerator(G)
     assert ctx.low > 0
     layout = sktap.gibbs._Layout(ctx.n1, ctx.n2, int(ctx.low[0]))
-    assert layout.tile_rows * 4 <= layout.Sh.shape[0]  # the pass spans several tiles
+    assert layout.tile_cols * 4 <= layout.SR.shape[0]  # the pass spans several tiles
     n1 = ctx.n1
-    h[:n1] += 4.0
+    h[n1:] += 4.0
     triples = [(0, n1, n - 1), (1, 2, n1 + 1)]
     cols = [(n1 - 1,), (0, n - 1)]
     block = ctx.moments(h, want_pair=True, triples=triples, cols=cols).row(0)

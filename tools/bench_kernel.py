@@ -3,20 +3,22 @@
     python tools/bench_kernel.py change=src parent=../parent/src > BENCH_kernel.json
 
 Each ``LABEL=SRC`` argument names the ``src`` directory of a checkout.  The
-script runs ``ROUNDS`` rounds; in every round each label runs once in a fresh
-interpreter with the BLAS pools pinned to one thread, and the order of the
-labels alternates from round to round, so slow phases of a shared machine
-fall on both sides.  A worker times, for every size and with and without the
-pair matrix, the enumerator construction and one ``moments`` call (after one
-untimed warm-up pass), and one ``np.exp`` over a float64 grid of the same
-2^ceil(n/2) x 2^floor(n/2) shape; above 2^24 states the floor runs over a
-2^24-state grid as many times as make up 2^n states, so it holds 256 MiB at
-most.  Small sizes repeat each call so that one timing covers at least 2^20
-states.  Before the kernel rows, while the interpreter is still fresh, a
-worker runs the cavity sweep ``htap1_residuals`` of criterion 04 on
-``HTAP1_SAMPLES`` disorder samples per size after one untimed sample, and
-records the time and the minor page faults (``ru_minflt``) per sample; then
-it times the ensemble of criterion 04 itself (``tests/test_acceptance.py``,
+script runs ``ROUNDS`` rounds; in every round each label runs its workers,
+each a fresh interpreter with the BLAS pools pinned to one thread, and the
+order of the labels alternates from round to round, so slow phases of a
+shared machine fall on both sides.  First, one worker per size, one after
+another, runs the cavity sweep ``htap1_residuals`` of criterion 04 on
+``HTAP1_SAMPLES`` disorder samples after one untimed sample, and records the
+time and the minor page faults (``ru_minflt``) per sample.  A fresh
+interpreter per size keeps the fault count from depending on what the
+allocator still holds from earlier sizes.  Then one worker times the rest:
+for every size and with and without the pair matrix, the enumerator
+construction and one ``moments`` call (after one untimed warm-up pass), and
+one ``np.exp`` over a float64 grid of the same 2^ceil(n/2) x 2^floor(n/2)
+shape; above 2^24 states the floor runs over a 2^24-state grid as many times
+as make up 2^n states, so it holds 256 MiB at most.  Small sizes repeat each
+call so that one timing covers at least 2^20 states.  Before the kernel rows, while the interpreter is still fresh, it
+times the ensemble of criterion 04 itself (``tests/test_acceptance.py``,
 500 samples at each of n = 8, 12, 16, 20).  For the small systems of the
 Ito check it times one ``moments`` call of the shape that check makes (no
 pair matrix, one ``cols`` key) at na = 5 and 6, on 1 and on 2049 field rows,
@@ -52,25 +54,22 @@ def _timed(fn, calls: int) -> float:
     return (time.perf_counter() - start) / calls * 1e3
 
 
-def _htap1_rows() -> list:
+def _htap1_row(n: int) -> dict:
     import resource
 
     from sktap.model import ModelParams, sample_couplings
     from sktap.tap import htap1_residuals
 
-    rows = []
-    for n in HTAP1_SIZES:
-        params = ModelParams.uniform(n, 0.5, 0.3)
-        samples = [sample_couplings(params, seed) for seed in range(HTAP1_SAMPLES + 1)]
-        htap1_residuals(samples.pop(), params)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        start = time.perf_counter()
-        for cm in samples:
-            htap1_residuals(cm, params)
-        ms = (time.perf_counter() - start) / HTAP1_SAMPLES * 1e3
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        rows.append({"n": n, "ms_per_sample": ms, "minflt_per_sample": faults / HTAP1_SAMPLES})
-    return rows
+    params = ModelParams.uniform(n, 0.5, 0.3)
+    samples = [sample_couplings(params, seed) for seed in range(HTAP1_SAMPLES + 1)]
+    htap1_residuals(samples.pop(), params)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    for cm in samples:
+        htap1_residuals(cm, params)
+    ms = (time.perf_counter() - start) / HTAP1_SAMPLES * 1e3
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return {"n": n, "ms_per_sample": ms, "minflt_per_sample": faults / HTAP1_SAMPLES}
 
 
 def _criterion_04_s() -> float:
@@ -121,7 +120,6 @@ def worker() -> None:
     from sktap.gibbs import BlockEnumerator
     from sktap.model import ModelParams, sample_couplings
 
-    htap1 = _htap1_rows()
     criterion_04_s = _criterion_04_s()
     small = _small_rows()
     ito_path_ms = _ito_path_ms()
@@ -143,17 +141,22 @@ def worker() -> None:
             moments_ms = _timed(lambda: ctx.moments(params.field, want_pair=want_pair), calls)
             rows.append({"n": n, "want_pair": want_pair, "init_ms": init_ms,
                          "moments_ms": moments_ms, "exp_floor_ms": floor_ms})
-    print(json.dumps({"kernel": rows, "htap1": htap1, "criterion_04_s": criterion_04_s,
+    print(json.dumps({"kernel": rows, "criterion_04_s": criterion_04_s,
                       "small": small, "ito_path_ms": ito_path_ms}))
 
 
-def _run(src: str) -> list:
+def _worker(src: str, *args: str):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(THREADS)
-    done = subprocess.run([sys.executable, __file__, "--worker"], env=env, check=True,
+    done = subprocess.run([sys.executable, __file__, "--worker", *args], env=env, check=True,
                           capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _run(src: str) -> dict:
+    htap1 = [_worker(src, "htap1", str(n)) for n in HTAP1_SIZES]
+    return {**_worker(src), "htap1": htap1}
 
 
 def _summary(values: list) -> dict:
@@ -215,7 +218,9 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--worker"]:
+    if sys.argv[1:3] == ["--worker", "htap1"]:
+        print(json.dumps(_htap1_row(int(sys.argv[3]))))
+    elif sys.argv[1:] == ["--worker"]:
         worker()
     else:
         raise SystemExit(main(sys.argv[1:]))

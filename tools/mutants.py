@@ -33,23 +33,23 @@ SMALL_SYSTEMS = "tests/test_gibbs.py::test_small_systems_match_the_oracles_at_hu
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
     (
-        "drop-final-row-sum-rescale",
+        "drop-final-column-sum-rescale",
         "src/sktap/gibbs.py",
-        "            row_sums.reshape(k, -1, tiles, tr)[...] *= scale[:, None, :, None]\n",
+        "            col_sums.reshape(k, -1, tiles, tc)[...] *= scale[:, None, :, None]\n",
         "",
         [LATE_TILE],
     ),
     (
-        "drop-cross-block-rescale",
+        "drop-running-row-sum-rescale",
         "src/sktap/gibbs.py",
-        "                cross.reshape(k, tiles, tr, -1)[...] *= scale[:, :, None, None]\n",
-        "                pass\n",
+        "                row_sums *= scale\n",
+        "",
         [LATE_TILE],
     ),
     (
-        "drop-running-column-rescale",
+        "drop-running-cross-rescale",
         "src/sktap/gibbs.py",
-        "                col_sums *= np.exp(top - grown)[:, None, None]\n",
+        "                    cross *= scale\n",
         "",
         [LATE_TILE],
     ),
