@@ -347,7 +347,7 @@ def _cmd_mij_variance(args) -> dict:
 def _cmd_dynamics(args) -> dict:
     params = ModelParams.uniform(args.n, args.t, args.h)
     path = sample_path(params, args.steps, args.seed)
-    cfg = ItoCheckConfig(clamped_site=args.site_i, target_site=args.site_j, steps=args.steps)
+    cfg = ItoCheckConfig(clamped_site=args.site_i, target_site=args.site_j)
     trace = ito_decomposition_trace(path, cfg, params)
     diff = cavity_difference_path(path, params, args.site_i, args.site_j)
     rows = [

@@ -34,11 +34,10 @@ _VARIANTS = ("pair", "two_point", "product")
 
 @dataclass
 class ItoCheckConfig:
-    """Which decomposition to check, for which sites, on how fine a grid."""
+    """Which decomposition to check, and for which sites; the grid is the path's."""
 
     clamped_site: int
     target_site: int
-    steps: int
     clamped_spin: int = 1
     second_site: int | None = None
     variant: str = "pair"
@@ -46,8 +45,6 @@ class ItoCheckConfig:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.clamped_spin not in (-1, 1):
             raise ValueError("clamped_spin must be +-1")
         sites = {self.clamped_site, self.target_site}

@@ -40,7 +40,7 @@ def reference_overlap(t: float, h: float, quad_nodes: int) -> float:
 
 def _ito(cfg, params, seed) -> float:
     path = sample_path(params, cfg.ito_steps, seed)
-    check = ItoCheckConfig(clamped_site=0, target_site=1, steps=cfg.ito_steps)
+    check = ItoCheckConfig(clamped_site=0, target_site=1)
     return float(ito_decomposition_residual(path, check, params))
 
 

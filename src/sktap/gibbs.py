@@ -108,15 +108,14 @@ class _RawMoments:
     """Unnormalized-measure moments in active-local index order.
 
     ``cols`` maps a tuple F of fixed local indices (length 1 or 2) to the raw
-    moment vector <s_F s_l> over every local site l; ``triples`` maps an
-    index triple to the raw scalar <s_a s_b s_c>.  A stacked pass over K
-    field vectors gives every field a leading K axis.
+    moment vector <s_F s_l> over every local site l, so entry c of the
+    two-site key (a, b) is the three-point moment <s_a s_b s_c>.  A stacked
+    pass over K field vectors gives every field a leading K axis.
     """
 
     log_z: float | np.ndarray
     mag: np.ndarray
     second: np.ndarray | None  # raw <sigma_a sigma_b>, unit diagonal
-    triples: dict
     cols: dict
 
     def row(self, r: int) -> "_RawMoments":
@@ -125,7 +124,6 @@ class _RawMoments:
             float(self.log_z[r]),
             self.mag[r],
             None if self.second is None else self.second[r],
-            {key: float(val[r]) for key, val in self.triples.items()},
             {key: val[r] for key, val in self.cols.items()},
         )
 
@@ -286,9 +284,9 @@ class BlockEnumerator:
         for b, systems in self.systems.items():
             self.EL[systems] = _quadratic(_split_signs(n1, b), self.G[systems, :n1, :n1])
         self.ER = _quadratic(_sign_matrix(self.n2), self.G[:, n1:, n1:])
-        self._work = {}  # workspaces by (b, rows, blocks, triples, cols, pair)
+        self._work = {}  # workspaces by (b, rows, blocks, cols, pair)
 
-    def moments(self, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
+    def moments(self, h, want_pair=True, cols=()) -> _RawMoments:
         """Raw moments for a stack of field vectors ``h`` of shape (K, na).
 
         Every field of the result carries a leading K axis (a single vector
@@ -307,8 +305,8 @@ class BlockEnumerator:
         per right state, which each tile writes once, are rescaled to the
         final maximum after the last tile.  A pass costs 2^n1 + 2^(na-b)
         exponentials, plus 2^(b+n2) per chunk for eC, and 2^na multiply-adds
-        per product: two, plus one with the pair matrix, one per triple and
-        two per ``cols`` key.
+        per product: two, plus one with the pair matrix and two per ``cols``
+        key.
         """
         H = np.atleast_2d(np.ascontiguousarray(h, dtype=np.float64))
         K, na, blocks = H.shape[0], self.na, len(self.G)
@@ -318,7 +316,6 @@ class BlockEnumerator:
             np.empty(K),
             np.empty((K, na)),
             np.empty((K, na, na)) if want_pair else None,
-            {key: np.empty(K) for key in triples},
             {key: np.empty((K, na)) for key in cols},
         )
         if na <= _WALSH_SITES:
@@ -333,7 +330,7 @@ class BlockEnumerator:
             layout = _Layout(self.n1, self.n2, b)
             per = max(1, _TILE_STATES // layout.per_system)
             shape = (min(per, count), min(per, systems.size))
-            key = (b, *shape, len(out.triples), len(out.cols), want_pair)
+            key = (b, *shape, len(out.cols), want_pair)
             if key not in self._work:
                 self._work[key] = layout.workspace(*shape, out)
             work = self._work[key]
@@ -379,8 +376,6 @@ class BlockEnumerator:
         out.mag[rows] = (X[bits] / z).T
         if out.second is not None:
             out.second[rows] = (X[bits[:, None] ^ bits] / z).transpose(2, 0, 1)
-        for key, val in out.triples.items():
-            val[rows] = X[_mask(key)] / z
         for key, val in out.cols.items():
             val[rows] = (X[_mask(key) ^ bits] / z).T
 
@@ -421,20 +416,19 @@ class BlockEnumerator:
         # times eA, the sums over c of every (t, T), plain and per key.
         # [eA | eA pl...] @ W gives the sums over T of every (t, c), plain
         # and per ``cols`` key, which eC weighs and sums over t at the end.
-        keys = list(dict.fromkeys([*out.triples, *out.cols]))
-        parts = {key: layout.parts(key) for key in keys}
+        parts = {key: layout.parts(key) for key in out.cols}
         # A tile reads a slice of the columns c of by_row, which the row
         # product takes about 1.6x faster with c as the outer axis (a pass at
         # n = 22-24 takes 7-15% less).  A pass of one tile reads it whole,
         # where the order gains nothing, and keeps c inner: a README command
         # whose passes all take one tile then keeps its bits.
         tiles = ncol // tc
-        size = (1 + len(keys)) * nt
+        size = (1 + len(out.cols)) * nt
         if tiles > 1:
             by_row = np.empty((blocks, ncol, size)).transpose(0, 2, 1)
         else:
             by_row = np.empty((blocks, size, ncol))
-        np.concatenate([eC] + [parts[key][1] * eC for key in keys], axis=1, out=by_row)
+        np.concatenate([eC] + [parts[key][1] * eC for key in out.cols], axis=1, out=by_row)
         by_col = np.concatenate(
             [eA[:, None]] + [parts[key][0].reshape(nt, nT) * eA[:, None] for key in out.cols],
             axis=1,
@@ -488,9 +482,6 @@ class BlockEnumerator:
         zsum = u.sum(axis=1)
         norm = zsum[:, None]
         out.log_z[rows] = np.log(zsum) + top + c_shift
-        row_of = {key: 1 + c for c, key in enumerate(keys)}
-        for key, val in out.triples.items():
-            val[rows] = (by_left[:, row_of[key], None, :] @ parts[key][0])[:, 0] / zsum
 
         if out.second is not None:
             sec = np.empty((k, self.na, self.na))
@@ -506,12 +497,12 @@ class BlockEnumerator:
         # product per block sums every site's signs against all of them, row
         # 0 giving the magnetizations.
         for c, key in enumerate(out.cols, start=1):
-            by_left[:, row_of[key]] *= parts[key][0]
+            by_left[:, c] *= parts[key][0]
             by_right[:, c] *= parts[key][1]
         at_left, at_right = by_left @ SL, by_right @ SR
         out.mag[rows] = np.concatenate([at_left[:, 0], at_right[:, 0]], axis=1) / norm
         for c, (key, val) in enumerate(out.cols.items(), start=1):
-            val[rows] = np.concatenate([at_left[:, row_of[key]], at_right[:, c]], axis=1) / norm
+            val[rows] = np.concatenate([at_left[:, c], at_right[:, c]], axis=1) / norm
 
 
 class _Layout:
@@ -547,7 +538,7 @@ class _Layout:
     def workspace(self, k: int, blocks: int, out: _RawMoments) -> dict:
         """Buffers of a pass over up to k field rows and ``blocks`` coupling
         blocks that fills ``out``."""
-        keys = len(dict.fromkeys([*out.triples, *out.cols]))
+        keys = len(out.cols)
         nt, ncol, nT, tc = 1 << self.low, self.SR.shape[0], self.Sh.shape[0], self.tile_cols
         high = self.n1 - self.low
         # [Sh | column shift of a | 1] @ [G_LR[high] SR^T ; 1 ; right field]
@@ -558,7 +549,7 @@ class _Layout:
             "eC": (blocks, nt, ncol),
             "W": (k, nT, tc),
             "row_sums": (k, (1 + keys) * nt, nT),
-            "col_sums": (k, (1 + len(out.cols)) * nt, ncol),
+            "col_sums": (k, (1 + keys) * nt, ncol),
         }
         if out.second is not None:
             shapes["M"] = (k, nT, tc)
@@ -608,9 +599,9 @@ def _each(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (M @ X[:, :, None])[:, :, 0]
 
 
-def _block_moments(G, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
+def _block_moments(G, h, want_pair=True, cols=()) -> _RawMoments:
     """Enumeration of all 2^na states of one system (one-shot form)."""
-    return BlockEnumerator(G).moments(h[None, :], want_pair, triples, cols).row(0)
+    return BlockEnumerator(G).moments(h[None, :], want_pair, cols).row(0)
 
 
 def _reduce_system(cm: CouplingMatrix, params: ModelParams, spec: ReducedSpec):
@@ -716,18 +707,19 @@ def triple_correlation(
 ) -> float:
     """Centered three-point function <(s_i - m_i)(s_j - m_j)(s_k - m_k)>.
 
-    Exact, from one enumeration pass over the reduced measure.  The indices
-    must be three distinct active sites.
+    Exact, from one enumeration pass over the reduced measure, which reads
+    the raw <s_i s_j s_k> at site k of the two-site ``cols`` key (i, j).  The
+    indices must be three distinct active sites.
     """
     if len({i, j, k}) != 3:
         raise ValueError(f"triple indices must be distinct, got ({i}, {j}, {k})")
     spec = spec if spec is not None else ReducedSpec()
     active, g_act, h_eff = _reduce_system(cm, params, spec)
     la, lb, lc = (_local_index(active, s) for s in (i, j, k))
-    raw = _block_moments(g_act, h_eff, want_pair=True, triples=[(la, lb, lc)])
+    raw = _block_moments(g_act, h_eff, want_pair=True, cols=[(la, lb)])
     mi, mj, mk = raw.mag[la], raw.mag[lb], raw.mag[lc]
     s = raw.second
-    t = raw.triples[(la, lb, lc)]
+    t = raw.cols[(la, lb)][lc]
     return float(t - mi * s[lb, lc] - mj * s[la, lc] - mk * s[la, lb] + 2.0 * mi * mj * mk)
 
 

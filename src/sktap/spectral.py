@@ -57,21 +57,18 @@ def build_deformed(
 def resolvent_error(
     cm: CouplingMatrix,
     params: ModelParams,
-    include_rank_one: bool = True,
     tables: GibbsTables | None = None,
 ) -> float:
     """Relative Frobenius error between M and the resolvent at E0.
 
-    ||M - (Lambda - t A - G - E0)^{-1}||_F / ||M||_F.  The rank-one part A is
-    included by default; the inverse is obtained by a direct solve, refused
-    when the condition estimate exceeds 1e12.
+    ||M - (Lambda - t A - G - E0)^{-1}||_F / ||M||_F.  The inverse is
+    obtained by a direct solve, refused when the condition estimate exceeds
+    1e12.
     """
     tables = tables if tables is not None else gibbs_tables(cm, params)
     op = build_deformed(cm, params, tables)
     n = params.n
-    d = np.diag(op.lambda_diag) - cm.entries - op.e0 * np.eye(n)
-    if include_rank_one:
-        d = d - params.t * op.rank_one
+    d = np.diag(op.lambda_diag) - cm.entries - op.e0 * np.eye(n) - params.t * op.rank_one
     cond = np.linalg.cond(d)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularOperatorError(f"operator condition estimate {cond:.3e} exceeds 1e12")
@@ -80,26 +77,18 @@ def resolvent_error(
     return float(np.linalg.norm(m_mat - resolvent) / np.linalg.norm(m_mat))
 
 
-def self_consistent_s(
-    lambda_diag: np.ndarray,
-    t: float,
-    e: float,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> float:
+def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
     """Solve S = n^{-1} sum_i 1/(Lambda_ii - e - t S) on the real branch.
 
     Starts from the t = 0 value S0 = n^{-1} sum 1/(Lambda_ii - e) and iterates
     undamped, which follows the branch continuous in t.  Any nonpositive
     denominator means the real branch has been left (e is not safely below
     the spectrum) and raises.  Falls back to bisection if the plain iteration
-    stalls near the edge.
+    stalls near the edge.  The result satisfies |S - phi(S)| <= 1e-12.
     """
     lam = np.asarray(lambda_diag, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("lambda_diag must be a nonempty 1d sequence")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     if np.min(lam) - e <= 0:
         raise BranchError(f"energy {e} is not below the bare spectrum min {np.min(lam)}")
 
@@ -109,8 +98,9 @@ def self_consistent_s(
             raise BranchError(f"left the real branch at e={e} (denominator <= 0)")
         return float(np.mean(1.0 / denom))
 
+    tol = 1e-12
     s = phi(0.0)
-    for _ in range(max_iter):
+    for _ in range(100_000):
         s_new = phi(s)
         if abs(s_new - s) <= 0.25 * tol:
             s = s_new
@@ -148,22 +138,15 @@ def self_consistent_s(
     return s
 
 
-def s_prime_at_e0(
-    cm: CouplingMatrix,
-    params: ModelParams,
-    step: float = 1e-5,
-    tables: GibbsTables | None = None,
-) -> tuple:
+def s_prime_at_e0(cm: CouplingMatrix, params: ModelParams) -> tuple:
     """S'(E0) two ways: central finite difference and the closed form X/(1 - tX).
 
     X = n^{-1} sum_i M_ii(E0)^2 with M_ii(E0) = (Lambda_ii - E0 - t S(E0))^{-1}.
     Returns (finite_difference, closed_form); both are finite only while
-    t X < 1.
+    t X < 1.  The difference steps E0 by 1e-5 either way.
     """
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    tables = tables if tables is not None else gibbs_tables(cm, params)
-    op = build_deformed(cm, params, tables)
+    step = 1e-5
+    op = build_deformed(cm, params)
     lam, e0, t = op.lambda_diag, op.e0, params.t
     s_plus = self_consistent_s(lam, t, e0 + step)
     s_minus = self_consistent_s(lam, t, e0 - step)

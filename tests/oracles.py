@@ -59,8 +59,13 @@ def naive_tables(g, h):
     return log_z, m, pair, q_full
 
 
-def gray_moments(G, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
+def gray_moments(G, h, want_pair=True, cols=()) -> _RawMoments:
     """Raw moments of one system by a single-flip Gray-code walk.
+
+    The same fields as a row of ``BlockEnumerator.moments``: log Z, the
+    magnetizations, the second moment if ``want_pair``, and for each
+    ``cols`` key F the vector <s_F s_l> over every site l, whose entry c of
+    a two-site key (a, b) is the three-point moment <s_a s_b s_c>.
 
     The walk starts from the all-down state; step k flips the bit at the
     ruler position ctz(k).  Energies follow from the local fields
@@ -100,20 +105,18 @@ def gray_moments(G, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
         raw = S.T @ (w[:, None] * S) / zsum
         upper = np.triu(raw, 1)
         second = upper + upper.T + np.eye(na)
-    trip_vals = {
-        key: float((S[:, key[0]] * S[:, key[1]] * S[:, key[2]]) @ w) / zsum for key in triples
-    }
     col_vals = {}
     for key in cols:
         prod = w.copy()
         for a in key:
             prod *= S[:, a]
         col_vals[key] = S.T @ prod / zsum
-    return _RawMoments(log_z, mag, second, trip_vals, col_vals)
+    return _RawMoments(log_z, mag, second, col_vals)
 
 
 class GrayEnumerator:
-    """Drop-in for ``BlockEnumerator``: one Gray-code walk per stacked field.
+    """Drop-in for ``BlockEnumerator``: one Gray-code walk per stacked field,
+    behind the same ``moments(h, want_pair, cols)``.
 
     ``G`` is one coupling block, which every field row uses, or a stack of
     K blocks, (K, na, na), whose block r walks with field row r.
@@ -122,17 +125,16 @@ class GrayEnumerator:
     def __init__(self, G):
         self.G = G if G.ndim == 3 else G[None]
 
-    def moments(self, h, want_pair=True, triples=(), cols=()) -> _RawMoments:
+    def moments(self, h, want_pair=True, cols=()) -> _RawMoments:
         H = np.atleast_2d(np.asarray(h, dtype=np.float64))
         blocks = self.G if len(self.G) > 1 else [self.G[0]] * len(H)
         if len(blocks) != len(H):
             raise ValueError(f"{len(H)} field rows for a stack of {len(blocks)} coupling blocks")
-        points = [gray_moments(G, row, want_pair, triples, cols) for G, row in zip(blocks, H)]
+        points = [gray_moments(G, row, want_pair, cols) for G, row in zip(blocks, H)]
         return _RawMoments(
             np.array([p.log_z for p in points]),
             np.array([p.mag for p in points]),
             np.array([p.second for p in points]) if want_pair else None,
-            {key: np.array([p.triples[key] for p in points]) for key in triples},
             {key: np.array([p.cols[key] for p in points]) for key in cols},
         )
 

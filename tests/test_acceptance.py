@@ -64,7 +64,7 @@ def test_criterion_01_exactness_suite():
     checks["tap2 t=0"] = abs(tap2_residual(cm0, p0, 0, 1))
     checks["resolvent t=0"] = resolvent_error(cm0, p0)
     checks["ito degenerate"] = ito_decomposition_residual(
-        CouplingPath.degenerate(6), ItoCheckConfig(0, 1, 4), p0
+        CouplingPath.degenerate(6), ItoCheckConfig(0, 1), p0
     )
     checks["condid t=0"] = abs(key_identity_residual(cm0, p0, {2: 1}, 0, 1))
     checks["condid2 t=0"] = abs(key_identity_residual(cm0, p0, {2: 1}, 0, 1, 3))
@@ -79,7 +79,7 @@ def test_criterion_01_exactness_suite():
     checks["condid2 h=0"] = abs(key_identity_residual(cmh, ph, {}, 0, 1, 2))
     # frozen couplings: both sides of the decomposition vanish identically
     frozen = CouplingPath(6, np.linspace(0.0, 0.6, 9), np.zeros((8, 15)))
-    checks["ito frozen"] = ito_decomposition_residual(frozen, ItoCheckConfig(0, 1, 8), ph)
+    checks["ito frozen"] = ito_decomposition_residual(frozen, ItoCheckConfig(0, 1), ph)
 
     worst = max(checks.values())
     _report(1, "exactness", worst <= 1e-12, f"worst residual {worst:.3e}")
@@ -190,9 +190,9 @@ def test_criterion_08_ito_refinement():
     seeds, wins = 200, 0
     for s in range(seeds):
         fine = sample_path(params, 2048, substream_seed(SEED, 6, s))
-        r_fine = ito_decomposition_residual(fine, ItoCheckConfig(0, 1, 2048), params)
+        r_fine = ito_decomposition_residual(fine, ItoCheckConfig(0, 1), params)
         coarse = fine.coarsened(256)
-        r_coarse = ito_decomposition_residual(coarse, ItoCheckConfig(0, 1, 8), params)
+        r_coarse = ito_decomposition_residual(coarse, ItoCheckConfig(0, 1), params)
         wins += r_fine < r_coarse
     _report(8, "ito refinement", wins >= 0.9 * seeds, f"{wins}/{seeds} refined paths improved")
 

@@ -197,24 +197,28 @@ def test_verify_identities_rejects_fewer_than_three_sites(argv, message, capsys)
     assert out == ""
 
 
+SCALING = ["scaling", "--t", "0.5", "--h", "0.3", "--samples", "2", "--seed", "1"]
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["--experiment", "ito", "--steps", "1", "--n", "4,5,6"], "needs steps >= 2"),
-        *((["--experiment", name, "--n", "1,2,3"], "needs every n >= 2")
+        ([*SCALING, "--experiment", "ito", "--steps", "1", "--n", "4,5,6"], "needs steps >= 2"),
+        *(([*SCALING, "--experiment", name, "--n", "1,2,3"], "needs every n >= 2")
           for name in ("htap2", "tap2", "mij-sq", "mij-moment", "ito")),
-        (["--experiment", "htap1", "--n", "0,1,2"], "needs every n >= 1"),
-        (["--experiment", "qn-conc", "--n", "4,5,6", "--quad-nodes", "0"], "must be >= 1"),
+        ([*SCALING, "--experiment", "htap1", "--n", "0,1,2"], "needs every n >= 1"),
+        ([*SCALING, "--experiment", "qn-conc", "--n", "4,5,6", "--quad-nodes", "0"],
+         "must be >= 1"),
         # a path on [0, t] needs t > 0; before, every sample raised inside
-        (["--experiment", "ito", "--n", "4,5,6", "--t", "0"], "needs t > 0"),
+        ([*SCALING, "--experiment", "ito", "--n", "4,5,6", "--t", "0"], "needs t > 0"),
+        # the Ito check of the dynamics command needs a path of two segments
+        (["dynamics", "--n", "4", "--steps", "1"], "at least 2 steps"),
     ],
     ids=["ito-steps-1", "htap2-n1", "tap2-n1", "mij-sq-n1", "mij-moment-n1", "ito-n1", "htap1-n0",
-         "qn-conc-quad-nodes-0", "ito-t-0"],
+         "qn-conc-quad-nodes-0", "ito-t-0", "dynamics-steps-1"],
 )
 def test_scaling_rejects_sizes_and_steps_the_experiment_cannot_run(argv, message, capsys):
-    code, out, err = run_cli(
-        ["scaling", "--t", "0.5", "--h", "0.3", "--samples", "2", "--seed", "1", *argv], capsys
-    )
+    code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert "invalid configuration" in err and message in err
     assert out == ""

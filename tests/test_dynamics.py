@@ -24,25 +24,23 @@ P6 = ModelParams.uniform(6, 0.5, 0.3)
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ItoCheckConfig(clamped_site=0, target_site=0, steps=4)
+        ItoCheckConfig(clamped_site=0, target_site=0)
     with pytest.raises(ValueError):
-        ItoCheckConfig(clamped_site=0, target_site=1, steps=1)
+        ItoCheckConfig(clamped_site=0, target_site=1, variant="two_point")
     with pytest.raises(ValueError):
-        ItoCheckConfig(clamped_site=0, target_site=1, steps=4, variant="two_point")
+        ItoCheckConfig(clamped_site=0, target_site=1, clamped_spin=0)
     with pytest.raises(ValueError):
-        ItoCheckConfig(clamped_site=0, target_site=1, steps=4, clamped_spin=0)
-    with pytest.raises(ValueError):
-        ItoCheckConfig(clamped_site=0, target_site=1, steps=4, variant="bogus")
+        ItoCheckConfig(clamped_site=0, target_site=1, variant="bogus")
 
 
 def test_degenerate_path_has_zero_residual():
-    cfg = ItoCheckConfig(clamped_site=0, target_site=1, steps=4)
+    cfg = ItoCheckConfig(clamped_site=0, target_site=1)
     path = CouplingPath.degenerate(6)
     assert ito_decomposition_residual(path, cfg, P6) == 0.0
 
 
 def test_single_segment_path_rejected():
-    cfg = ItoCheckConfig(clamped_site=0, target_site=1, steps=2)
+    cfg = ItoCheckConfig(clamped_site=0, target_site=1)
     path = sample_path(P6, 1, 3)
     with pytest.raises(ValueError):
         ito_decomposition_residual(path, cfg, P6)
@@ -51,7 +49,7 @@ def test_single_segment_path_rejected():
 def test_zero_increment_path_is_exact():
     # frozen couplings: the clamped row never moves, both sides vanish exactly
     path = CouplingPath(6, np.linspace(0.0, 0.5, 9), np.zeros((8, 15)))
-    cfg = ItoCheckConfig(clamped_site=0, target_site=1, steps=8)
+    cfg = ItoCheckConfig(clamped_site=0, target_site=1)
     assert ito_decomposition_residual(path, cfg, P6) == 0.0
     assert np.all(cavity_difference_path(path, P6, 0, 1) == 0.0)
 
@@ -71,7 +69,7 @@ def test_zero_increment_path_is_exact():
 def test_engines_agree(variant, second, n, steps):
     params = ModelParams.uniform(n, 0.5, 0.3)
     path = sample_path(params, steps, 9)
-    cfg = ItoCheckConfig(0, 1, steps, second_site=second, variant=variant)
+    cfg = ItoCheckConfig(0, 1, second_site=second, variant=variant)
     tb = ito_decomposition_trace(path, cfg, params)
     tg = on_engine("gray", ito_decomposition_trace, path, cfg, params)
     assert abs(tb["residual"] - tg["residual"]) < 1e-12
@@ -84,7 +82,7 @@ def test_residual_shrinks_under_refinement_of_one_path():
     points = []
     for steps in (32, 64, 128, 256, 512):
         path = fine.coarsened(512 // steps)
-        cfg = ItoCheckConfig(clamped_site=0, target_site=1, steps=steps)
+        cfg = ItoCheckConfig(clamped_site=0, target_site=1)
         points.append((steps, ito_decomposition_residual(path, cfg, P6)))
     slope, _, _ = fit_power_law(points)
     assert slope <= -0.4
@@ -94,8 +92,8 @@ def test_paired_refinement_smoke():
     wins = 0
     for s in range(12):
         fine = sample_path(P6, 256, substream_seed(2**20, 6, s))
-        rf = ito_decomposition_residual(fine, ItoCheckConfig(0, 1, 256), P6)
-        rc = ito_decomposition_residual(fine.coarsened(64), ItoCheckConfig(0, 1, 4), P6)
+        rf = ito_decomposition_residual(fine, ItoCheckConfig(0, 1), P6)
+        rc = ito_decomposition_residual(fine.coarsened(64), ItoCheckConfig(0, 1), P6)
         wins += rf < rc
     assert wins >= 8
 
@@ -108,7 +106,7 @@ def test_variant_residuals_shrink_under_refinement():
         for s in range(8):
             fine = sample_path(P6, 256, substream_seed(777, 6, s))
             for steps in (16, 256):
-                cfg = ItoCheckConfig(0, 1, steps, second_site=3, variant=variant)
+                cfg = ItoCheckConfig(0, 1, second_site=3, variant=variant)
                 r = ito_decomposition_residual(fine.coarsened(256 // steps), cfg, P6)
                 sq[steps] += r * r
         assert math.sqrt(sq[16] / sq[256]) > 1.8
@@ -116,7 +114,7 @@ def test_variant_residuals_shrink_under_refinement():
 
 def test_trace_partial_sums_and_fixed_reduction():
     path = sample_path(P6, 32, 5)
-    cfg = ItoCheckConfig(clamped_site=0, target_site=1, steps=32)
+    cfg = ItoCheckConfig(clamped_site=0, target_site=1)
     trace = ito_decomposition_trace(path, cfg, P6)
     # compensated partial sums agree with exact summation of the increments
     assert abs(trace["martingale"][-1] - math.fsum(trace["martingale_increments"])) < 1e-15
@@ -140,7 +138,7 @@ def test_trace_partial_sums_and_fixed_reduction():
 
 def test_partial_sums_equal_the_kahan_reference_bit_for_bit():
     path = sample_path(P6, 512, 12)
-    cfg = ItoCheckConfig(clamped_site=0, target_site=1, steps=512)
+    cfg = ItoCheckConfig(clamped_site=0, target_site=1)
     trace = ito_decomposition_trace(path, cfg, P6)
     for name in ("martingale", "drift"):
         acc, partial = Kahan(), [0.0]
@@ -161,7 +159,7 @@ def test_integrands_match_independent_clamped_route():
     from sktap import CouplingMatrix, ReducedSpec, gibbs_tables
 
     path = sample_path(P6, 8, 6)
-    cfg = ItoCheckConfig(clamped_site=0, target_site=1, steps=8)
+    cfg = ItoCheckConfig(clamped_site=0, target_site=1)
     trace = ito_decomposition_trace(path, cfg, P6)
     terminal = path.terminal().entries
     for k in (0, 3):
@@ -182,7 +180,7 @@ def test_integrands_match_independent_clamped_route():
 
 def test_trace_left_endpoint_lhs_starts_at_zero():
     path = sample_path(P6, 16, 8)
-    cfg = ItoCheckConfig(clamped_site=0, target_site=1, steps=16)
+    cfg = ItoCheckConfig(clamped_site=0, target_site=1)
     trace = ito_decomposition_trace(path, cfg, P6)
     # at time 0 the clamped row vanishes, so the half-difference is exactly 0
     assert trace["lhs"][0] == 0.0

@@ -115,16 +115,14 @@ def test_stacked_moments_match_one_call_per_row(na, rows):
     fields[1] *= 600.0  # |H| ~ 1e3: each row needs its own log-sum-exp shift
     fields[-1] = fields[0]
     cols = [(0,), (na - 1,), (1, na - 2)]
-    triple = (0, 2, na - 1)
     ctx = BlockEnumerator(cm.entries)
-    stacked = ctx.moments(fields, want_pair=True, triples=[triple], cols=cols)
+    stacked = ctx.moments(fields, want_pair=True, cols=cols)
     assert stacked.mag.shape == (rows, na)
     for r, h in enumerate(fields):
-        one = ctx.moments(h[None, :], want_pair=True, triples=[triple], cols=cols)
+        one = ctx.moments(h[None, :], want_pair=True, cols=cols)
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
         assert np.array_equal(stacked.second[r], one.second[0])
-        assert stacked.triples[triple][r] == one.triples[triple][0]
         for key in cols:
             assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
     # a fresh enumerator, whose buffers hold one row, gives the same bits
@@ -154,7 +152,7 @@ def mixed_coupling_stack():
     return G, fields
 
 
-STACK_TRIPLES, STACK_COLS = [(0, 7, 13)], [(1,), (0, 13)]
+STACK_COLS = [(1,), (0, 13)]
 
 
 def assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields):
@@ -164,15 +162,12 @@ def assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields):
 
     assert sorted(set(ctx.low.tolist())) == [0, 1, 2]
     assert ctx.low[2] == ctx.low[9] == 0 and ctx.low[5] == 1
-    stacked = ctx.moments(fields, want_pair=True, triples=STACK_TRIPLES, cols=STACK_COLS)
+    stacked = ctx.moments(fields, want_pair=True, cols=STACK_COLS)
     for r in range(len(G)):
-        one = BlockEnumerator(G[r]).moments(
-            fields[r], want_pair=True, triples=STACK_TRIPLES, cols=STACK_COLS
-        )
+        one = BlockEnumerator(G[r]).moments(fields[r], want_pair=True, cols=STACK_COLS)
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
         assert np.array_equal(stacked.second[r], one.second[0])
-        assert stacked.triples[STACK_TRIPLES[0]][r] == one.triples[STACK_TRIPLES[0]][0]
         for key in STACK_COLS:
             assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
     assert np.array_equal(stacked.mag[12], stacked.mag[3])
@@ -188,7 +183,7 @@ def test_coupling_stack_is_bit_equal_to_one_system_per_block():
     ctx = BlockEnumerator(G)
     stacked = assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields)
     # a second call runs in the workspaces the first one left on the enumerator
-    again = ctx.moments(fields, want_pair=True, triples=STACK_TRIPLES, cols=STACK_COLS)
+    again = ctx.moments(fields, want_pair=True, cols=STACK_COLS)
     assert np.array_equal(again.second, stacked.second)
     assert np.array_equal(again.cols[STACK_COLS[1]], stacked.cols[STACK_COLS[1]])
     with pytest.raises(ValueError, match="field rows"):
@@ -214,10 +209,11 @@ def test_coupling_stack_spanning_several_tiles_is_bit_equal_to_one_system_per_bl
 
 
 def small_keys(na):
-    """A triple and a one- and a two-site ``cols`` key, where na has room."""
-    triples = [(0, na // 2, na - 1)] if na >= 3 else []
-    cols = [(0,), (0, na - 1)] if na >= 2 else [(0,)] * na
-    return triples, cols
+    """A one-site and two two-site ``cols`` keys, where na has room; entry
+    na - 1 of the key (0, na // 2) is the triple <s_0 s_{na/2} s_{na-1}>."""
+    if na < 3:
+        return [(0,), (0, na - 1)] if na == 2 else [(0,)] * na
+    return [(0,), (0, na - 1), (0, na // 2)]
 
 
 @pytest.mark.parametrize("na", range(8))
@@ -232,7 +228,7 @@ def test_small_systems_match_the_oracles_at_huge_fields(na):
     H = np.random.default_rng(na).normal(0.0, 0.5, (3, na))
     H[0] *= 2000.0
     H[2, : na // 2] += 4.0
-    triples, cols = small_keys(na)
+    cols = small_keys(na)
     ran = []
 
     def spy(name):
@@ -247,15 +243,13 @@ def test_small_systems_match_the_oracles_at_huge_fields(na):
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_walsh_pass", "_pass"):
             patch.setattr(BlockEnumerator, name, spy(name))
-        block = BlockEnumerator(G).moments(H, want_pair=True, triples=triples, cols=cols)
+        block = BlockEnumerator(G).moments(H, want_pair=True, cols=cols)
     assert set(ran) == {"_walsh_pass" if na <= 6 else "_pass"}
-    gray = GrayEnumerator(G).moments(H, want_pair=True, triples=triples, cols=cols)
+    gray = GrayEnumerator(G).moments(H, want_pair=True, cols=cols)
     assert np.max(np.abs(block.log_z - gray.log_z) / np.maximum(1.0, np.abs(gray.log_z))) < 1e-12
     for got, want in [(block.mag, gray.mag), (block.second, gray.second),
                       *((block.cols[key], gray.cols[key]) for key in cols)]:
         assert np.max(np.abs(got - want), initial=0.0) < 1e-12
-    for key in triples:
-        assert np.max(np.abs(block.triples[key] - gray.triples[key])) < 1e-12
     if na == 0:
         assert np.array_equal(block.log_z, np.zeros(3))
         return
@@ -268,8 +262,6 @@ def test_small_systems_match_the_oracles_at_huge_fields(na):
         assert abs(block.log_z[r] - log_z) <= 1e-12 * max(1.0, abs(log_z))
         assert np.max(np.abs(block.mag[r] - np.array(m))) < 1e-12
         assert np.max(np.abs(block.second[r] - second)) < 1e-12
-        for key in triples:
-            assert abs(block.triples[key][r] - naive_raw_moment(g, f, key)) < 1e-12
         for key in cols:
             want = [naive_raw_moment(g, f, (*key, site)) for site in range(na)]
             assert np.max(np.abs(block.cols[key][r] - np.array(want))) < 1e-12
@@ -286,14 +278,13 @@ def test_walsh_coupling_stack_is_bit_equal_to_one_block_per_system():
     G = np.array([sample_couplings(params, s).entries for s in range(K)])
     H = np.random.default_rng(6).normal(0.0, 0.5, (K, na))
     G[-1], H[-1] = G[3], H[3]
-    triples, cols = small_keys(na)
-    stacked = BlockEnumerator(G).moments(H, want_pair=True, triples=triples, cols=cols)
+    cols = small_keys(na)
+    stacked = BlockEnumerator(G).moments(H, want_pair=True, cols=cols)
     for r in range(K):
-        one = BlockEnumerator(G[r]).moments(H[r], want_pair=True, triples=triples, cols=cols)
+        one = BlockEnumerator(G[r]).moments(H[r], want_pair=True, cols=cols)
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
         assert np.array_equal(stacked.second[r], one.second[0])
-        assert stacked.triples[triples[0]][r] == one.triples[triples[0]][0]
         for key in cols:
             assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
     assert np.array_equal(stacked.second[-1], stacked.second[3])
@@ -349,13 +340,12 @@ def test_guard_keeps_strong_low_left_couplings_exact(n, b):
     h[n1:] += 1500.0 / n2 * (-1.0) ** np.arange(n2) * np.sign(G[b, n1:])
     ctx = BlockEnumerator(G)
     assert ctx.low == b
-    triple, key = (0, n1 - 1, n - 1), (0, n - 1)
-    block = ctx.moments(h, want_pair=True, triples=[triple], cols=[key]).row(0)
-    gray = GrayEnumerator(G).moments(h, want_pair=True, triples=[triple], cols=[key]).row(0)
+    key = (0, n - 1)  # its entry n1 - 1 is a triple across both blocks
+    block = ctx.moments(h, want_pair=True, cols=[key]).row(0)
+    gray = GrayEnumerator(G).moments(h, want_pair=True, cols=[key]).row(0)
     assert abs(block.log_z - gray.log_z) <= 1e-12 * abs(gray.log_z)
     assert np.max(np.abs(block.mag - gray.mag)) < 1e-12
     assert np.max(np.abs(block.second - gray.second)) < 1e-12
-    assert abs(block.triples[triple] - gray.triples[triple]) < 1e-12
     assert np.max(np.abs(block.cols[key] - gray.cols[key])) < 1e-12
     if n == 14:
         g, f = G.tolist(), h.tolist()
@@ -365,8 +355,7 @@ def test_guard_keeps_strong_low_left_couplings_exact(n, b):
         assert abs(block.log_z - log_z) <= 1e-12 * abs(log_z)
         assert np.max(np.abs(block.mag - np.array(m))) < 1e-12
         assert np.max(np.abs(block.second - second)) < 1e-12
-        assert abs(block.triples[triple] - naive_raw_moment(g, f, triple)) < 1e-12
-        for site in (1, n1):
+        for site in (1, n1 - 1, n1):
             assert abs(block.cols[key][site] - naive_raw_moment(g, f, (*key, site))) < 1e-12
 
 
@@ -437,12 +426,16 @@ def test_triple_symmetry_zeros():
     assert abs(triple_correlation(cm0, p0, None, 1, 2, 3)) < 1e-13
 
 
-def test_triple_matches_raw_moment_expansion():
-    p = ModelParams.uniform(6, 0.5, 0.3)
+@pytest.mark.parametrize("n,j", [(6, 3), (8, 6)], ids=["6", "8"])
+def test_triple_matches_raw_moment_expansion(n, j):
+    # n = 6 takes the Walsh-Hadamard pass.  At n = 8 the block pass puts
+    # sites j and k in the right block, so the triple, read at k from the
+    # ``cols`` key (i, j), needs that key's right-block signs.
+    p = ModelParams.uniform(n, 0.5, 0.3)
     cm = sample_couplings(p, 2)
     g = cm.entries.tolist()
     h = p.field.tolist()
-    i, j, k = 0, 3, 5
+    i, k = 0, 5
     raw3 = naive_raw_moment(g, h, (i, j, k))
     _, m, _, _ = naive_tables(g, h)
     rij = naive_raw_moment(g, h, (i, j))

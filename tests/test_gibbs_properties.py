@@ -34,8 +34,8 @@ def instance(n, seed, t, scale):
     return sample_couplings(params, seed).entries, np.array(params.field)
 
 
-def one_pass(G, h, triples=(), cols=()):
-    return BlockEnumerator(G).moments(h, want_pair=True, triples=triples, cols=cols).row(0)
+def one_pass(G, h, cols=()):
+    return BlockEnumerator(G).moments(h, want_pair=True, cols=cols).row(0)
 
 
 @PROPERTY
@@ -59,17 +59,15 @@ def test_gauge_flip_negates_the_flipped_site(n, seed, t, scale, site):
 def test_relabelling_sites_permutes_the_outputs(n, seed, t, scale):
     G, h = instance(n, seed, t, scale)
     perm = np.random.default_rng(seed + 1).permutation(n)
-    a, b, c = (int(v) for v in perm[:3])
-    base = one_pass(G, h, triples=[(a, b, c)], cols=[(a,), (a, b)])
+    a, b = (int(v) for v in perm[:2])
+    base = one_pass(G, h, cols=[(a,), (a, b)])
     # new site k is old site perm[k], so old site perm[k] sits at new k
     where = np.argsort(perm)
-    la, lb, lc = (int(where[s]) for s in (a, b, c))
-    moved = one_pass(G[np.ix_(perm, perm)], h[perm], triples=[(la, lb, lc)],
-                     cols=[(la,), (la, lb)])
+    la, lb = (int(where[s]) for s in (a, b))
+    moved = one_pass(G[np.ix_(perm, perm)], h[perm], cols=[(la,), (la, lb)])
     assert abs(moved.log_z - base.log_z) < 1e-12
     assert np.max(np.abs(moved.mag - base.mag[perm])) < 1e-12
     assert np.max(np.abs(moved.second - base.second[np.ix_(perm, perm)])) < 1e-12
-    assert abs(moved.triples[(la, lb, lc)] - base.triples[(a, b, c)]) < 1e-12
     assert np.max(np.abs(moved.cols[(la,)] - base.cols[(a,)][perm])) < 1e-12
     assert np.max(np.abs(moved.cols[(la, lb)] - base.cols[(a, b)][perm])) < 1e-12
 
@@ -79,10 +77,9 @@ def test_relabelling_sites_permutes_the_outputs(n, seed, t, scale):
 @example(22, 13, 0.9)
 def test_zero_field_measure_is_spin_flip_symmetric(n, seed, t):
     G, _ = instance(n, seed, t, 0.0)
-    raw = one_pass(G, np.zeros(n), triples=[(0, n // 2, n - 1)], cols=[(0, n - 1)])
+    raw = one_pass(G, np.zeros(n), cols=[(0, n - 1)])
     # every odd moment of a flip-symmetric measure vanishes
     assert np.max(np.abs(raw.mag)) < 1e-12
-    assert abs(raw.triples[(0, n // 2, n - 1)]) < 1e-12
     assert np.max(np.abs(raw.cols[(0, n - 1)])) < 1e-12
 
 
@@ -111,13 +108,12 @@ def test_stacked_pass_equals_one_pass_per_row(n, seed, t, scale, rows):
     fields = h + np.random.default_rng(seed).normal(0.0, 1.0, (rows, n))
     ctx = BlockEnumerator(G)
     cols = [(0,), (1, n - 1)]
-    stacked = ctx.moments(fields, want_pair=True, triples=[(0, 1, n - 1)], cols=cols)
+    stacked = ctx.moments(fields, want_pair=True, cols=cols)
     for r, f in enumerate(fields):
-        one = ctx.moments(f, want_pair=True, triples=[(0, 1, n - 1)], cols=cols)
+        one = ctx.moments(f, want_pair=True, cols=cols)
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
         assert np.array_equal(stacked.second[r], one.second[0])
-        assert stacked.triples[(0, 1, n - 1)][r] == one.triples[(0, 1, n - 1)][0]
         for key in cols:
             assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
 
@@ -138,14 +134,12 @@ def test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile(monkeypa
     assert layout.tile_cols * 4 <= layout.SR.shape[0]  # the pass spans several tiles
     n1 = ctx.n1
     h[n1:] += 4.0
-    triples = [(0, n1, n - 1), (1, 2, n1 + 1)]
-    cols = [(n1 - 1,), (0, n - 1)]
-    block = ctx.moments(h, want_pair=True, triples=triples, cols=cols).row(0)
-    gray = GrayEnumerator(G).moments(h, want_pair=True, triples=triples, cols=cols).row(0)
+    # entries n - 1 of (0, n1) and n1 + 1 of (1, 2) are triples
+    cols = [(n1 - 1,), (0, n - 1), (0, n1), (1, 2)]
+    block = ctx.moments(h, want_pair=True, cols=cols).row(0)
+    gray = GrayEnumerator(G).moments(h, want_pair=True, cols=cols).row(0)
     assert abs(block.log_z - gray.log_z) < 1e-12
     assert np.max(np.abs(block.mag - gray.mag)) < 1e-12
     assert np.max(np.abs(block.second - gray.second)) < 1e-12
-    for key in triples:
-        assert abs(block.triples[key] - gray.triples[key]) < 1e-12
     for key in cols:
         assert np.max(np.abs(block.cols[key] - gray.cols[key])) < 1e-12

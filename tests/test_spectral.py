@@ -51,8 +51,12 @@ def test_resolvent_exact_at_zero_coupling():
 def test_resolvent_error_moderate_at_desk_scale():
     p = ModelParams.uniform(12, 0.4, 0.3)
     cm = sample_couplings(p, 3)
-    err_with = resolvent_error(cm, p)
-    err_without = resolvent_error(cm, p, include_rank_one=False)
+    tabs = gibbs_tables(cm, p)
+    op = build_deformed(cm, p, tabs)
+    # the resolvent without the rank-one part t A
+    bare = np.linalg.inv(np.diag(op.lambda_diag) - cm.entries - op.e0 * np.eye(p.n))
+    err_with = resolvent_error(cm, p, tables=tabs)
+    err_without = float(np.linalg.norm(tabs.pair - bare) / np.linalg.norm(tabs.pair))
     assert 0.0 < err_with < 1.0
     assert 0.0 < err_without < 1.0
     assert err_with != err_without

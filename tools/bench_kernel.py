@@ -105,7 +105,7 @@ def _ito_path_ms() -> float:
     from sktap.model import ModelParams, sample_path
 
     params = ModelParams.uniform(6, 0.5, 0.3)
-    check = ItoCheckConfig(clamped_site=0, target_site=1, steps=2048)
+    check = ItoCheckConfig(clamped_site=0, target_site=1)
     paths = [sample_path(params, 2048, seed) for seed in range(ITO_PATHS + 1)]
     ito_decomposition_residual(paths.pop(), check, params)
     start = time.perf_counter()

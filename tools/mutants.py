@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 LATE_TILE = "tests/test_gibbs_properties.py::test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile"
 SMALL_SYSTEMS = "tests/test_gibbs.py::test_small_systems_match_the_oracles_at_huge_fields"
+BLOCK_TRIPLE = "tests/test_gibbs.py::test_triple_matches_raw_moment_expansion[8]"
 
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
@@ -80,6 +81,13 @@ MUTANTS = (
         "        eC = np.matmul(layout.Sl, G_LR[:, :b] @ SR.T, out=work[\"eC\"][:blocks])\n",
         "        eC = np.matmul(layout.Sl, G_LR[:1, :b] @ SR.T, out=work[\"eC\"][:blocks])\n",
         ["tests/test_gibbs.py::test_coupling_stack_is_bit_equal_to_one_system_per_block"],
+    ),
+    (
+        "drop-right-cols-sign",
+        "src/sktap/gibbs.py",
+        "            by_right[:, c] *= parts[key][1]\n",
+        "",
+        [BLOCK_TRIPLE, SMALL_SYSTEMS],
     ),
     (
         "walsh-no-column-shift",
