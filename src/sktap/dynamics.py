@@ -11,8 +11,8 @@ that must shrink under grid refinement.
 Three decompositions are covered:
 
 * ``pair``:      delta_i m_j           (half-difference over the clamped spin)
-* ``two_point``: m_jk at fixed clamped spin, relative to its cavity value
-* ``product``:   m_k * m_jk at fixed clamped spin, relative to cavity
+* ``two_point``: m_jk with the clamped spin at +1, relative to its cavity value
+* ``product``:   m_k * m_jk with the clamped spin at +1, relative to cavity
 
 The clamped row enters the reduced system only through the effective fields,
 so one enumeration context (couplings fixed) serves the whole grid: the
@@ -38,15 +38,12 @@ class ItoCheckConfig:
 
     clamped_site: int
     target_site: int
-    clamped_spin: int = 1
     second_site: int | None = None
     variant: str = "pair"
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.clamped_spin not in (-1, 1):
-            raise ValueError("clamped_spin must be +-1")
         sites = {self.clamped_site, self.target_site}
         if self.variant != "pair":
             if self.second_site is None:
@@ -98,23 +95,11 @@ def ito_decomposition_trace(
     Returns arrays over the grid: left-hand side, partial martingale and
     drift sums, the per-segment increments, and the terminal residual
     |LHS(t) - LHS(0) - (martingale + drift)|.  A single-point path (time 0)
-    is the degenerate case where both sides are empty and the residual is
-    exactly zero.
+    has no increments, so both sides are empty and the residual is exactly
+    zero; a one-step path is rejected.
     """
-    segs = path.steps
-    if segs == 0:
-        z = np.zeros(1)
-        return {
-            "s": np.array(path.grid),
-            "lhs": z.copy(),
-            "martingale": z.copy(),
-            "drift": z.copy(),
-            "martingale_increments": np.zeros(0),
-            "drift_increments": np.zeros(0),
-            "residual": 0.0,
-        }
-    if segs < 2:
-        raise ValueError(f"path must have at least 2 steps, got {segs}")
+    if path.steps == 1:
+        raise ValueError("path must have at least 2 steps, got 1")
 
     scan = _RowFlowScan(path, params, cfg.clamped_site)
     lhs, mart_vec, drift_vec = _integrands(scan, cfg)
@@ -175,8 +160,7 @@ def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
         return lhs, eps_col, delta_prod
 
     kl = scan.local(cfg.second_site)
-    spin = cfg.clamped_spin
-    raw = scan.stack(spin, cols=[(jl,), (kl,), (jl, kl)])
+    raw = scan.stack(+1, cols=[(jl,), (kl,), (jl, kl)])
     m = raw.mag
     mj, mk = m[:, jl, None], m[:, kl, None]
     rj, rk, rt = raw.cols[(jl,)], raw.cols[(kl,)], raw.cols[(jl, kl)]
@@ -186,10 +170,10 @@ def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
     trip = rt - mj * rk - mk * rj - m * raw_jk + 2.0 * mj * mk * m
     pjk = raw_jk - mj * mk
     if cfg.variant == "two_point":
-        return pjk[:, 0], spin * trip, m * trip + pj * pk
+        return pjk[:, 0], trip, m * trip + pj * pk
     # product variant: X = m_k, Y = m_jk, track d(XY)
     lhs = mk * pjk
-    mart = spin * (pjk * pk + mk * trip)
+    mart = pjk * pk + mk * trip
     drift = m * pjk * pk + mk * (m * trip + pj * pk) - pk * trip
     return lhs[:, 0], mart, drift
 

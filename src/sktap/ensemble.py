@@ -13,13 +13,13 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import ItoCheckConfig, ito_decomposition_residual
 from .errors import EnsembleSampleError, NumericalError
-from .gibbs import gibbs_tables
+from .gibbs import ENUM_CAP, gibbs_tables, magnetizations
 from .model import ModelParams, sample_couplings, sample_path, substream_seed
 from .spectral import resolvent_error
 from .tap import (
@@ -45,7 +45,8 @@ def _ito(cfg, params, seed) -> float:
 
 
 def _qn_conc(cfg, params, seed) -> float:
-    q_n = gibbs_tables(sample_couplings(params, seed), params).q_n
+    m = magnetizations(sample_couplings(params, seed), params)
+    q_n = float(np.sum(m**2)) / params.n
     return (q_n - reference_overlap(cfg.t, cfg.h, cfg.quad_nodes)) ** 2
 
 
@@ -85,7 +86,6 @@ class EnsembleConfig:
     experiment: str
     moment_p: float = 2.1        # exponent for mij_moment (2 + eps, eps = 0.1)
     ito_steps: int = 64
-    enum_cap: int = 24
     quad_nodes: int = 61
     workers: int = 1
 
@@ -95,8 +95,8 @@ class EnsembleConfig:
             raise ValueError("n_values must be nonempty")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        if any(n > self.enum_cap for n in self.n_values):
-            raise ValueError(f"all n_values must be <= enum_cap={self.enum_cap}")
+        if any(n > ENUM_CAP for n in self.n_values):
+            raise ValueError(f"all n_values must be <= enum_cap={ENUM_CAP}")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
         if self.experiment not in EXPERIMENTS:
@@ -109,7 +109,7 @@ class EnsembleConfig:
                 f"experiment {self.experiment!r} needs every n >= {least}, got {self.n_values[0]}"
             )
         # the parameters every sample builds, checked before any sample runs
-        ModelParams.uniform(self.n_values[0], self.t, self.h, self.enum_cap)
+        ModelParams.uniform(self.n_values[0], self.t, self.h)
         if self.experiment == "ito" and self.ito_steps < 2:
             raise ValueError(f"ito needs steps >= 2, got {self.ito_steps}")
         if self.experiment == "ito" and self.t <= 0:
@@ -126,16 +126,15 @@ class EnsembleConfig:
 class EnsembleStats:
     """Per-size statistics of the experiment scalar plus the log-log fit.
 
-    ``per_n`` maps n -> (mean, sample variance, standard error), with the
-    standard error sqrt(variance / samples).  ``fit`` is (slope, intercept,
-    slope standard error) of log(mean) vs log(n); when any mean is
-    nonpositive the fit is flagged degenerate and omitted.
+    ``per_n`` maps each n, in increasing order, to (mean, sample variance,
+    standard error), with the standard error sqrt(variance / samples).
+    ``fit`` is (slope, intercept, slope standard error) of log(mean) vs
+    log(n), or None (a degenerate fit) for fewer than 3 sizes or when a mean
+    is not above the rounding floor.
     """
 
     per_n: dict
     fit: tuple | None
-    degenerate: bool
-    config: EnsembleConfig | None = field(default=None, repr=False)
 
     def loglog_text(self) -> str:
         """Plot-ready two-column file: log n, log mean (skips nonpositive means)."""
@@ -156,7 +155,7 @@ def _sample_scalar(task: tuple):
     """
     cfg, n, index, seed = task
     try:
-        params = ModelParams.uniform(n, cfg.t, cfg.h, cfg.enum_cap)
+        params = ModelParams.uniform(n, cfg.t, cfg.h)
         return "ok", EXPERIMENTS[cfg.experiment](cfg, params, seed)
     except NumericalError as exc:  # deterministic error transport across workers
         return "err", f"{type(exc).__name__}: {exc}"
@@ -196,9 +195,8 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     floor = 1e-28
     means = [per_n[n][0] for n in cfg.n_values]
     if len(cfg.n_values) >= 3 and all(m > floor for m in means):
-        fit = fit_power_law(list(zip(cfg.n_values, means)))
-        return EnsembleStats(per_n, fit, False, cfg)
-    return EnsembleStats(per_n, None, True, cfg)
+        return EnsembleStats(per_n, fit_power_law(list(zip(cfg.n_values, means))))
+    return EnsembleStats(per_n, None)
 
 
 def fit_power_law(points) -> tuple:

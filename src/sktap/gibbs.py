@@ -604,6 +604,10 @@ def _block_moments(G, h, want_pair=True, cols=()) -> _RawMoments:
     return BlockEnumerator(G).moments(h[None, :], want_pair, cols).row(0)
 
 
+# Most active sites an exact enumeration accepts: 2^24 states per pass.
+ENUM_CAP = 24
+
+
 def _reduce_system(cm: CouplingMatrix, params: ModelParams, spec: ReducedSpec):
     """Active site list, coupling block and effective fields for a reduced measure.
 
@@ -616,10 +620,8 @@ def _reduce_system(cm: CouplingMatrix, params: ModelParams, spec: ReducedSpec):
     spec.validate(params.n)
     excluded = spec.excluded()
     active = np.array(sorted(set(range(params.n)) - excluded), dtype=np.intp)
-    if active.size > params.enum_cap:
-        raise ValueError(
-            f"{active.size} active sites exceed enum_cap={params.enum_cap}"
-        )
+    if active.size > ENUM_CAP:
+        raise ValueError(f"{active.size} active sites exceed enum_cap={ENUM_CAP}")
     G = cm.entries
     h_eff = params.field[active].copy()
     for j, tau in spec.clamped.items():

@@ -47,27 +47,22 @@ def _check_sites(n: int, *sites: int) -> None:
 
 @dataclass
 class ModelParams:
-    """System size, coupling variance scale t, per-site fields, enumeration cap.
+    """System size, coupling variance scale t and per-site fields.
 
     t plays the role of the squared inverse temperature; the couplings have
     variance t/n.  The field is per-site to support finite-difference
     susceptibility checks; the uniform-field case is the physical default.
-    ``enum_cap`` bounds the number of active sites accepted by the exact
-    enumeration routines (2^enum_cap states are visited).
     """
 
     n: int
     t: float
     field: np.ndarray
-    enum_cap: int = 24
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.t < np.inf:
             raise ValueError(f"t must be finite and >= 0, got {self.t}")
-        if self.enum_cap < 1:
-            raise ValueError(f"enum_cap must be >= 1, got {self.enum_cap}")
         f = np.asarray(self.field, dtype=np.float64)
         if f.shape != (self.n,):
             raise ValueError(f"field must have length n={self.n}, got shape {f.shape}")
@@ -78,16 +73,16 @@ class ModelParams:
         self.field = f
 
     @classmethod
-    def uniform(cls, n: int, t: float, h: float, enum_cap: int = 24) -> "ModelParams":
+    def uniform(cls, n: int, t: float, h: float) -> "ModelParams":
         """Uniform external field h at every site."""
-        return cls(n=n, t=float(t), field=np.full(n, float(h)), enum_cap=enum_cap)
+        return cls(n=n, t=float(t), field=np.full(n, float(h)))
 
     def bumped_field(self, j: int, delta: float) -> "ModelParams":
         """Copy of the parameters with field[j] shifted by delta."""
         _check_sites(self.n, j)
         f = np.array(self.field)
         f[j] += delta
-        return ModelParams(n=self.n, t=self.t, field=f, enum_cap=self.enum_cap)
+        return ModelParams(n=self.n, t=self.t, field=f)
 
 
 @dataclass
@@ -170,8 +165,7 @@ class CouplingPath:
         self.grid = g
         self.increments = inc
         cum = np.zeros((g.size, npairs))
-        if g.size > 1:
-            np.cumsum(inc, axis=0, out=cum[1:])
+        np.cumsum(inc, axis=0, out=cum[1:])
         cum.setflags(write=False)
         self._cum = cum
 

@@ -77,18 +77,35 @@ def resolvent_error(
     return float(np.linalg.norm(m_mat - resolvent) / np.linalg.norm(m_mat))
 
 
+def _last_true(holds, lo: float, hi: float) -> float:
+    """Bisect [lo, hi] for the last point where ``holds``, true at lo and false past it."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
     """Solve S = n^{-1} sum_i 1/(Lambda_ii - e - t S) on the real branch.
 
     Starts from the t = 0 value S0 = n^{-1} sum 1/(Lambda_ii - e) and iterates
     undamped, which follows the branch continuous in t.  Any nonpositive
     denominator means the real branch has been left (e is not safely below
-    the spectrum) and raises.  Falls back to bisection if the plain iteration
-    stalls near the edge.  The result satisfies |S - phi(S)| <= 1e-12.
+    the spectrum) and raises.  When the plain iteration stalls near the
+    edge, a bisection takes over: below the cut (min Lambda - e) / t, phi
+    rises and is convex, so F(S) = S - phi(S) has one peak, where
+    phi'(S) = t n^{-1} sum 1/denominator^2 = 1.  A real solution exists only
+    if F(peak) >= 0, and the branch's is the root of F on [S0, peak].  The
+    result satisfies |S - phi(S)| <= 1e-12.
     """
     lam = np.asarray(lambda_diag, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("lambda_diag must be a nonempty 1d sequence")
+    if not (np.isfinite(t) and t >= 0 and np.isfinite(e)):
+        raise ValueError(f"t must be finite and >= 0 and e finite, got t={t}, e={e}")
     if np.min(lam) - e <= 0:
         raise BranchError(f"energy {e} is not below the bare spectrum min {np.min(lam)}")
 
@@ -98,8 +115,13 @@ def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
             raise BranchError(f"left the real branch at e={e} (denominator <= 0)")
         return float(np.mean(1.0 / denom))
 
+    def rising(s: float) -> bool:
+        # phi'(s) < 1, tested only while every denominator is positive
+        denom = lam - e - t * s
+        return bool(np.min(denom) > 0 and t * np.mean(denom**-2.0) < 1.0)
+
     tol = 1e-12
-    s = phi(0.0)
+    s0 = s = phi(0.0)
     for _ in range(100_000):
         s_new = phi(s)
         if abs(s_new - s) <= 0.25 * tol:
@@ -108,30 +130,12 @@ def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
         s = s_new
     if abs(s - phi(s)) <= tol:
         return s
-    # Bisection on F(s) = s - phi(s): F < 0 between S0 and the physical root.
-    lo = phi(0.0)
-    hi = lo
-    for _ in range(200):
-        hi_try = 2.0 * hi + 1.0
-        try:
-            f_hi = hi_try - phi(hi_try)
-        except BranchError:
-            raise BranchError(
-                f"no real self-consistent solution at e={e}; energy inside the spectrum"
-            ) from None
-        hi = hi_try
-        if f_hi > 0:
-            break
-    else:
-        raise NonConvergenceError("could not bracket the self-consistent trace")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - phi(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    s = lo
-    if abs(s - phi(s)) > tol:
+    # t > 0 here: at t = 0, phi is constant and the iteration stops at once
+    peak = _last_true(rising, s0, (np.min(lam) - e) / t)
+    if peak - phi(peak) < 0:
+        raise BranchError(f"no real self-consistent solution at e={e}; energy inside the spectrum")
+    s = _last_true(lambda x: x - phi(x) <= 0, s0, peak)
+    if not abs(s - phi(s)) <= tol:
         raise NonConvergenceError(
             f"self-consistent trace not converged at e={e}: residual {abs(s - phi(s)):.3e}"
         )

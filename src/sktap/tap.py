@@ -13,6 +13,7 @@ quantities plus the Onsager correction t (1 - q_N) m_i.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,14 +66,9 @@ class QuadratureRule:
         return float(self.weights @ values)
 
 
-_DEFAULT_RULE = None
-
-
+@functools.cache
 def default_rule() -> QuadratureRule:
-    global _DEFAULT_RULE
-    if _DEFAULT_RULE is None:
-        _DEFAULT_RULE = QuadratureRule.gauss_hermite(61)
-    return _DEFAULT_RULE
+    return QuadratureRule.gauss_hermite(61)
 
 
 def f_map(x: float, t: float, h: float, rule: QuadratureRule | None = None) -> float:
@@ -102,20 +98,18 @@ def f_prime(x: float, t: float, h: float, rule: QuadratureRule | None = None) ->
     return t * rule.expect(s2 * s2 - 2.0 * (np.tanh(y) ** 2) * s2)
 
 
-def solve_q(
-    t: float,
-    h: float,
-    rule: QuadratureRule | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> float:
+# Plain iterations of ``solve_q`` before its bisection fallback.
+_MAX_ITER = 10_000
+
+
+def solve_q(t: float, h: float, rule: QuadratureRule | None = None, tol: float = 1e-12) -> float:
     """Fixed point q = f(q) by plain iteration from q_0 = tanh^2(h).
 
     Uniqueness of the fixed point is guaranteed for t < 1 (|f'| <= t); larger
     t is accepted but converges to whichever fixed point the iteration finds
     (q = 0 at h = 0).  Falls back to bisection on q - f(q) over [0, 1] when
-    the iteration stalls, and raises rather than returning a partially
-    converged value.
+    ``_MAX_ITER`` iterations have not converged, and raises rather than
+    returning a partially converged value.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -123,7 +117,7 @@ def solve_q(
         raise ValueError(f"t and h must be finite, got t={t}, h={h}")
     rule = rule or default_rule()
     q = math.tanh(h) ** 2
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         fq = f_map(q, t, h, rule)
         if abs(q - fq) <= tol:
             return q
@@ -152,12 +146,11 @@ def at_value(t: float, h: float, q: float, rule: QuadratureRule | None = None) -
         raise ValueError(f"q must be in [0, 1], got {q}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    rule = rule or default_rule()
-    y = h + math.sqrt(t * q) * rule.nodes
-    return t * rule.expect(_sech(y) ** 4)
+    return t * _sech4_mean(t, h, q, rule or default_rule())
 
 
 def _sech4_mean(t: float, h: float, q: float, rule: QuadratureRule) -> float:
+    """E sech^4(h + sqrt(t q) Z)."""
     y = h + math.sqrt(t * q) * rule.nodes
     return rule.expect(_sech(y) ** 4)
 
@@ -200,15 +193,13 @@ def predicted_mij_sq(
 
 @dataclass
 class ResidualReport:
-    """Per-index residuals of one self-consistency equation plus their mean square."""
+    """Residual of one self-consistency equation at every site, in site order."""
 
-    residuals: dict
-    mean_square: float
+    residuals: np.ndarray
 
-    @classmethod
-    def create(cls, residuals: dict) -> "ResidualReport":
-        vals = np.array([residuals[k] for k in sorted(residuals)])
-        return cls(residuals=residuals, mean_square=float(np.mean(vals**2)))
+    @property
+    def mean_square(self) -> float:
+        return float(np.mean(self.residuals**2))
 
 
 def htap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
@@ -225,7 +216,7 @@ def htap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
     cavities = gibbs.BlockEnumerator(g[others[:, :, None], others[:, None, :]])
     cav = cavities.moments(params.field[others], want_pair=False).mag
     args = params.field + np.einsum("ij,ij->i", g[np.arange(n)[:, None], others], cav)
-    return ResidualReport.create(dict(enumerate((full_m - np.tanh(args)).tolist())))
+    return ResidualReport(full_m - np.tanh(args))
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -253,14 +244,13 @@ def htap2_residual(cm: CouplingMatrix, params: ModelParams, i: int, j: int) -> f
 def tap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
     """Classical TAP residuals m_i - tanh(h_i + sum_j g_ij m_j - t (1 - q_N) m_i).
 
-    Everything on the right comes from the full-system tables, with
-    q_N = n^{-1} sum_k m_k^2.
+    Everything on the right comes from the full-system magnetizations, with
+    q_N = n^{-1} sum_k m_k^2; one enumeration pass without the pair matrix.
     """
-    tabs = gibbs_tables(cm, params)
-    onsager = params.t * (1.0 - tabs.q_n)
-    args = params.field + cm.entries @ tabs.m - onsager * tabs.m
-    res = {i: float(tabs.m[i] - math.tanh(args[i])) for i in range(params.n)}
-    return ResidualReport.create(res)
+    m = magnetizations(cm, params)
+    onsager = params.t * (1.0 - float(np.sum(m**2)) / params.n)
+    args = params.field + cm.entries @ m - onsager * m
+    return ResidualReport(np.array([m[i] - math.tanh(args[i]) for i in range(params.n)]))
 
 
 def tap2_residual(cm: CouplingMatrix, params: ModelParams, i: int, j: int) -> float:

@@ -287,6 +287,28 @@ def test_missing_required_argument_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("sizes", ["4,x", "", "4,,5"], ids=["4-x", "empty", "4--5"])
+def test_size_list_that_is_not_all_integers_exits_one(sizes, capsys):
+    code, out, err = run_cli([*SCALING, "--experiment", "htap1", "--n", sizes], capsys)
+    assert code == 1
+    assert f"not a comma list of integers: {sizes!r}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", [1e-9, math.nan], ids=["1e-9", "nan"])
+def test_verify_identities_exits_two_naming_the_seed_when_a_residual_fails(
+    value, monkeypatch, capsys
+):
+    # a NaN residual must fail its tolerance too, not vanish from the maximum
+    monkeypatch.setattr(sktap.cli, "key_identity_residual", lambda *args: value)
+    code, _, err = run_cli(
+        ["verify-identities", "--n", "5", "--seed", "3", "--trials", "2"], capsys
+    )
+    assert code == 2
+    assert "numerical failure: pair_identity residual" in err
+    assert "(seed=3)" in err
+
+
 def test_numerical_failure_exits_two(capsys):
     code, _, err = run_cli(
         ["mij-variance", "--n", "8", "--t", "1.2", "--h", "0", "--samples", "5"], capsys

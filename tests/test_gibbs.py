@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sktap.gibbs
 from sktap import (
     CouplingMatrix,
     ModelParams,
@@ -49,8 +50,9 @@ def test_log_partition_clamped_reduces_to_single_site():
     assert got == pytest.approx(math.log(2 * math.cosh(0.2 + 0.4)), abs=1e-13)
 
 
-def test_log_partition_rejects_oversized_systems():
-    p = ModelParams(n=6, t=0.5, field=np.zeros(6), enum_cap=4)
+def test_log_partition_rejects_oversized_systems(monkeypatch):
+    monkeypatch.setattr(sktap.gibbs, "ENUM_CAP", 4)
+    p = ModelParams(n=6, t=0.5, field=np.zeros(6))
     cm = sample_couplings(p, 1)
     with pytest.raises(ValueError, match="enum_cap"):
         gibbs_tables(cm, p)
@@ -652,4 +654,26 @@ def test_site_arguments_out_of_range_are_rejected(call):
     p = ModelParams.uniform(6, 0.5, 0.3)
     cm = sample_couplings(p, 4)
     with pytest.raises(ValueError, match="out of range"):
+        call(cm, p)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cm, p: gibbs_tables(cm, ModelParams.uniform(5, 0.5, 0.3)), "size 6 != params n 5"),
+        (lambda cm, p: magnetizations(cm, ModelParams.uniform(7, 0.5, 0.3)), "size 6 != params n 7"),
+        (lambda cm, p: key_identity_residual(cm, p, {}, 0, 0), "must be distinct"),
+        (lambda cm, p: key_identity_residual(cm, p, {}, 0, 1, 0), "must be distinct"),
+        (lambda cm, p: key_identity_residual(cm, p, {1: -1}, 0, 1), "not be clamped"),
+        (lambda cm, p: key_identity_residual(cm, p, {2: 1}, 0, 1, 2), "not be clamped"),
+        (lambda cm, p: coupling_derivative_residual(cm, p, 0, 1, 2, 0.0), "step must be > 0"),
+        (lambda cm, p: coupling_derivative_residual(cm, p, 0, 1, 2, -1e-5), "step must be > 0"),
+    ],
+    ids=["tables-n5", "mags-n7", "pair-repeated", "triple-repeated", "pair-clamped",
+         "triple-clamped", "step-0", "step-negative"],
+)
+def test_malformed_arguments_are_rejected(call, message):
+    p = ModelParams.uniform(6, 0.5, 0.3)
+    cm = sample_couplings(p, 4)
+    with pytest.raises(ValueError, match=message):
         call(cm, p)

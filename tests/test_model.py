@@ -101,6 +101,23 @@ def test_path_rejects_bad_arguments():
         sample_path(ModelParams.uniform(3, 0.0, 0.0), 4, 1)
 
 
+@pytest.mark.parametrize(
+    "grid, increments, message",
+    [
+        (np.zeros((2, 2)), np.zeros((1, 3)), "starting at 0"),
+        (np.zeros(0), np.zeros((0, 3)), "starting at 0"),
+        (np.array([0.1, 0.5]), np.zeros((1, 3)), "starting at 0"),
+        (np.array([0.0, 0.5, 0.5]), np.zeros((2, 3)), "strictly increasing"),
+        (np.array([0.0, 0.5]), np.zeros((2, 3)), r"shape \(1, 3\)"),
+        (np.array([0.0, 0.5]), np.zeros((1, 2)), r"shape \(1, 3\)"),
+    ],
+    ids=["grid-2d", "grid-empty", "grid-from-0.1", "grid-repeats", "steps-2", "pairs-2"],
+)
+def test_path_rejects_malformed_grids_and_increments(grid, increments, message):
+    with pytest.raises(ValueError, match=message):
+        CouplingPath(3, grid, increments)
+
+
 def test_path_entry_variance_grows_linearly_in_time():
     # empirical variance of one entry over seeds vs s/n at the midpoint and
     # the terminal grid point, three standard errors each

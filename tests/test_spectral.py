@@ -96,6 +96,35 @@ def test_self_consistent_s_leaves_branch_inside_spectrum():
         self_consistent_s(np.ones(4), 0.25, 2.0)
 
 
+@pytest.mark.parametrize("contraction", [0.99995, 0.999999])
+def test_self_consistent_s_finds_the_root_where_the_iteration_stalls(contraction):
+    # S = 1/(c - t S) at t = 1/2 and c = 1/s1 + s1/2 has the roots s1 and
+    # 2/s1, and phi'(s1) = t s1^2 = contraction: 100,000 plain iterations
+    # stop short, and the bisection must find the branch root s1 inside the
+    # narrow interval where F(s) = s - phi(s) > 0
+    t = 0.5
+    s1 = math.sqrt(contraction / t)
+    c = 1.0 / s1 + t * s1
+    s = self_consistent_s(np.array([c]), t, 0.0)
+    assert s == pytest.approx(s1, abs=1e-8)
+    assert abs(s - 1.0 / (c - t * s)) <= 1e-12
+
+
+def test_self_consistent_s_stalls_and_finds_no_root_below_the_critical_energy():
+    # just below c = sqrt(2) the equation has no real root, yet the
+    # iteration crawls past the peak of F for more than 100,000 steps
+    with pytest.raises(BranchError, match="no real self-consistent solution"):
+        self_consistent_s(np.array([math.sqrt(2.0) * (1.0 - 1e-10)]), 0.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "t, e", [(-0.1, -1.0), (math.nan, -1.0), (0.25, math.nan), (0.25, -math.inf)]
+)
+def test_self_consistent_s_rejects_negative_or_non_finite_parameters(t, e):
+    with pytest.raises(ValueError, match="finite"):
+        self_consistent_s(np.ones(2), t, e)
+
+
 def test_s_prime_scalar_analytic_derivative():
     # at h = 0 the tables give lambda = 1 and e0 = -t exactly, so the branch
     # is the scalar quadratic root S(E) = ((1-E) - sqrt((1-E)^2 - 4t))/(2t);

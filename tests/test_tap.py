@@ -98,10 +98,11 @@ def test_solve_q_monotone_in_field():
     assert solve_q(0.5, -0.3) == pytest.approx(solve_q(0.5, 0.3), abs=1e-13)
 
 
-def test_solve_q_bisection_rescues_stalled_iteration():
+def test_solve_q_bisection_rescues_stalled_iteration(monkeypatch):
     # starve the iteration; the bisection fallback must still land on
     # a genuine fixed point instead of returning a partial value
-    q = solve_q(0.5, 0.3, max_iter=1)
+    monkeypatch.setattr(sktap.tap, "_MAX_ITER", 1)
+    q = solve_q(0.5, 0.3)
     assert abs(q - f_map(q, 0.5, 0.3)) <= 1e-12
 
 
@@ -125,8 +126,9 @@ def test_solve_q_never_accepts_a_nan_residual(monkeypatch):
     # a map that returns NaN stands in for any other route to a NaN
     # residual; the final check must read it as not converged
     monkeypatch.setattr(sktap.tap, "f_map", lambda x, t, h, rule=None: math.nan)
+    monkeypatch.setattr(sktap.tap, "_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError):
-        solve_q(0.5, 0.3, max_iter=1)
+        solve_q(0.5, 0.3)
 
 
 @pytest.mark.parametrize(
@@ -226,14 +228,23 @@ def test_pair_residuals_reject_sites_out_of_range(residual, i, j):
         residual(cm, p, i, j)
 
 
-def test_tap2_three_site_hand_expansion():
-    # at h = 0 all magnetizations vanish: residual = m_ij - sum_k g_ik m_kj + t m_ij
-    p = ModelParams.uniform(3, 0.5, 0.0)
+@pytest.mark.parametrize("h", [0.0, 0.3])
+def test_tap2_three_site_hand_expansion(h):
+    # m_ij - (1 - m_i^2) (sum_k g_ik m_kj + (2t/n) (M m)_j m_i - t (1 - q) m_ij)
+    # from the naive oracle; at h = 0 all magnetizations vanish and it reads
+    # m_ij - sum_k g_ik m_kj + t m_ij, so only h != 0 reaches the (2t/n) term
+    p = ModelParams.uniform(3, 0.5, h)
     cm = sample_couplings(p, 9)
-    _, _, pair, _ = naive_tables(cm.entries.tolist(), p.field.tolist())
-    pair = np.array(pair)
+    _, m, pair, _ = naive_tables(cm.entries.tolist(), p.field.tolist())
+    m, pair = np.array(m), np.array(pair)
     i, j = 0, 1
-    expected = pair[i, j] - float(cm.entries[i] @ pair[:, j]) + p.t * pair[i, j]
+    q = float(np.sum(m**2)) / 3
+    inner = (
+        float(cm.entries[i] @ pair[:, j])
+        + (2.0 * p.t / 3) * float(pair[j] @ m) * m[i]
+        - p.t * (1.0 - q) * pair[i, j]
+    )
+    expected = pair[i, j] - (1.0 - m[i] ** 2) * inner
     assert tap2_residual(cm, p, i, j) == pytest.approx(expected, abs=1e-12)
 
 
@@ -304,5 +315,5 @@ def test_report_mean_square_consistency():
     p = ModelParams.uniform(8, 0.5, 0.3)
     cm = sample_couplings(p, 7)
     report = htap1_residuals(cm, p)
-    recomputed = np.mean([v**2 for _, v in sorted(report.residuals.items())])
+    recomputed = np.mean([v**2 for v in report.residuals])
     assert abs(report.mean_square - recomputed) < 1e-14

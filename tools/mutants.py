@@ -1,4 +1,4 @@
-"""Mutation checks that guard the enumeration kernel and the fixed-point solver.
+"""Mutation checks of the enumeration kernel, the fixed-point solver and three formulas.
 
     python tools/mutants.py
 
@@ -123,6 +123,27 @@ MUTANTS = (
         "    if not abs(q - f_map(q, t, h, rule)) <= tol:\n",
         "    if abs(q - f_map(q, t, h, rule)) > tol:\n",
         ["tests/test_tap.py::test_solve_q_never_accepts_a_nan_residual"],
+    ),
+    (
+        "biased-sample-variance",
+        "src/sktap/ensemble.py",
+        "        var = float(scalars.var(ddof=1))\n",
+        "        var = float(scalars.var(ddof=0))\n",
+        ["tests/test_ensemble.py::test_stats_shape_and_stderr_definition"],
+    ),
+    (
+        "fit-residual-dof-off-by-one",
+        "src/sktap/ensemble.py",
+        "    dof = len(pts) - 2\n",
+        "    dof = len(pts) - 1\n",
+        ["tests/test_ensemble.py::test_fit_power_law_synthetic_noise"],
+    ),
+    (
+        "halved-tap2-field-term",
+        "src/sktap/tap.py",
+        "(2.0 * params.t / params.n)",
+        "(1.0 * params.t / params.n)",
+        ["tests/test_tap.py::test_tap2_three_site_hand_expansion"],
     ),
 )
 
