@@ -192,20 +192,18 @@ def cavity_difference_path(
     params: ModelParams,
     i: int,
     j: int,
-    clamped_spin: int = 1,
 ) -> np.ndarray:
     """Trajectory of m_j^{[i]}(s) - m_j^{(i)} along the row-i Brownian flow.
 
-    The cavity reference m_j^{(i)} never sees row i, so it is a constant along
-    the path; at s = 0 the clamped and cavity measures coincide exactly and
-    the difference vanishes.  The terminal square of this trajectory is the
-    quantity whose disorder average decays like 1/n.
+    m^{[i]} clamps site i at +1.  The cavity reference m_j^{(i)} never sees
+    row i, so it is a constant along the path; at s = 0 the clamped and
+    cavity measures coincide exactly and the difference vanishes.  The
+    terminal square of this trajectory is the quantity whose disorder
+    average decays like 1/n.
     """
     if i == j:
         raise ValueError("sites must be distinct")
-    if clamped_spin not in (-1, 1):
-        raise ValueError("clamped_spin must be +-1")
     scan = _RowFlowScan(path, params, i)
     jl = scan.local(j)
     cavity = float(magnetizations(path.terminal(), params, ReducedSpec(removed={i}))[j])
-    return scan.stack(clamped_spin).mag[:, jl] - cavity
+    return scan.stack(+1).mag[:, jl] - cavity

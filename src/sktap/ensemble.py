@@ -203,7 +203,7 @@ def fit_power_law(points) -> tuple:
     """Least-squares slope/intercept of log y vs log n, with slope standard error.
 
     Needs at least 3 points with positive ordinates.  The standard error
-    comes from the residual variance with len(points) - 2 degrees of freedom.
+    comes from the residual variance with len(points) - 2 >= 1 degrees of freedom.
     """
     pts = [(float(n), float(y)) for n, y in points]
     if len(pts) < 3:
@@ -220,5 +220,5 @@ def fit_power_law(points) -> tuple:
     intercept = float(ym - slope * xm)
     resid = y - (intercept + slope * x)
     dof = len(pts) - 2
-    sigma2 = float(np.sum(resid**2) / dof) if dof > 0 else 0.0
+    sigma2 = float(np.sum(resid**2) / dof)
     return slope, intercept, math.sqrt(sigma2 / sxx)

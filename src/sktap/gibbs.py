@@ -672,8 +672,8 @@ def _assemble_tables(params, spec, active, raw) -> GibbsTables:
     pair = np.full((n, n), np.nan)
     m[active] = raw.mag
     cov = raw.second - np.outer(raw.mag, raw.mag)
+    # the diagonal is 1 - m_i^2 already: ``second`` holds exactly 1 there
     pair[np.ix_(active, active)] = cov
-    pair[active, active] = 1.0 - raw.mag**2
     keep = np.ones(n, dtype=bool)
     for i in spec.removed:
         keep[i] = False
@@ -770,14 +770,15 @@ def susceptibility_fd(
 ) -> float:
     """Central finite difference d m_i / d h_j of the full measure.
 
-    Agrees with the truncated correlation pair[i, j] up to O(step^2).
+    Agrees with the truncated correlation pair[i, j] up to O(step^2); each
+    side reads the magnetizations only.
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     _check_sites(params.n, i)
-    up = gibbs_tables(cm, params.bumped_field(j, +step))
-    down = gibbs_tables(cm, params.bumped_field(j, -step))
-    return float((up.m[i] - down.m[i]) / (2.0 * step))
+    up = magnetizations(cm, params.bumped_field(j, +step))
+    down = magnetizations(cm, params.bumped_field(j, -step))
+    return float((up[i] - down[i]) / (2.0 * step))
 
 
 def coupling_derivative_residual(
@@ -793,16 +794,16 @@ def coupling_derivative_residual(
     The bond g_il is bumped once (both symmetric storage slots move, the
     energy counts the pair once).  Repeated target indices use the centered
     conventions m_kk = 1 - m_k^2 and m_ilk|_{k=i} = -2 m_i m_il, which is
-    what the centered moments reduce to.
+    what the centered moments reduce to.  The bumped passes read m only.
     """
     if i == l:
         raise ValueError("coupling indices must satisfy i != l")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     _check_sites(params.n, k)
-    up = gibbs_tables(cm.bumped(i, l, +step), params)
-    down = gibbs_tables(cm.bumped(i, l, -step), params)
-    fd = (up.m[k] - down.m[k]) / (2.0 * step)
+    up = magnetizations(cm.bumped(i, l, +step), params)
+    down = magnetizations(cm.bumped(i, l, -step), params)
+    fd = (up[k] - down[k]) / (2.0 * step)
     base = gibbs_tables(cm, params)
     if k == i:
         mtrip = -2.0 * base.m[i] * base.pair[i, l]

@@ -20,10 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, NonConvergenceError, SingularOperatorError
-from .gibbs import GibbsTables, gibbs_tables
+from .gibbs import GibbsTables, gibbs_tables, magnetizations
 from .model import CouplingMatrix, ModelParams
+from .tap import _last_true
 
 _COND_LIMIT = 1e12
+_MAX_ITER = 1_000  # plain iterations of ``self_consistent_s`` before its bisections
 
 
 @dataclass
@@ -35,14 +37,8 @@ class DeformedOperator:
     e0: float
 
 
-def build_deformed(
-    cm: CouplingMatrix,
-    params: ModelParams,
-    tables: GibbsTables | None = None,
-) -> DeformedOperator:
-    """Assemble Lambda, the rank-one part, and E0 from exact full-system tables."""
-    tables = tables if tables is not None else gibbs_tables(cm, params)
-    m = tables.m
+def build_deformed(m: np.ndarray, params: ModelParams) -> DeformedOperator:
+    """Lambda, the rank-one part, and E0, with q_n = n^{-1} sum m_i^2, from the exact m."""
     if np.any(np.abs(m) >= 1.0):
         # tanh saturates to exactly 1 in float64 once a local field passes ~19
         raise SingularOperatorError(
@@ -50,7 +46,7 @@ def build_deformed(
         )
     lam = 1.0 / (1.0 - m**2)
     rank_one = (2.0 / params.n) * np.outer(m, m)
-    e0 = -params.t * (1.0 - tables.q_n)
+    e0 = -params.t * (1.0 - float(np.sum(m**2)) / params.n)
     return DeformedOperator(lambda_diag=lam, rank_one=rank_one, e0=e0)
 
 
@@ -66,7 +62,7 @@ def resolvent_error(
     1e12.
     """
     tables = tables if tables is not None else gibbs_tables(cm, params)
-    op = build_deformed(cm, params, tables)
+    op = build_deformed(tables.m, params)
     n = params.n
     d = np.diag(op.lambda_diag) - cm.entries - op.e0 * np.eye(n) - params.t * op.rank_one
     cond = np.linalg.cond(d)
@@ -75,17 +71,6 @@ def resolvent_error(
     resolvent = np.linalg.solve(d, np.eye(n))
     m_mat = tables.pair
     return float(np.linalg.norm(m_mat - resolvent) / np.linalg.norm(m_mat))
-
-
-def _last_true(holds, lo: float, hi: float) -> float:
-    """Bisect [lo, hi] for the last point where ``holds``, true at lo and false past it."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
@@ -122,7 +107,7 @@ def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
 
     tol = 1e-12
     s0 = s = phi(0.0)
-    for _ in range(100_000):
+    for _ in range(_MAX_ITER):
         s_new = phi(s)
         if abs(s_new - s) <= 0.25 * tol:
             s = s_new
@@ -150,7 +135,7 @@ def s_prime_at_e0(cm: CouplingMatrix, params: ModelParams) -> tuple:
     t X < 1.  The difference steps E0 by 1e-5 either way.
     """
     step = 1e-5
-    op = build_deformed(cm, params)
+    op = build_deformed(magnetizations(cm, params), params)
     lam, e0, t = op.lambda_diag, op.e0, params.t
     s_plus = self_consistent_s(lam, t, e0 + step)
     s_minus = self_consistent_s(lam, t, e0 - step)
@@ -169,9 +154,9 @@ def spectral_margin(
     tables: GibbsTables | None = None,
 ) -> tuple:
     """(smallest eigenvalue of Lambda - t A - G, E0); E0 below the edge means
-    the resolvent at E0 is well defined."""
-    tables = tables if tables is not None else gibbs_tables(cm, params)
-    op = build_deformed(cm, params, tables)
+    the resolvent at E0 is well defined.  Reads only m, from ``tables`` if given."""
+    m = tables.m if tables is not None else magnetizations(cm, params)
+    op = build_deformed(m, params)
     d = np.diag(op.lambda_diag) - params.t * op.rank_one - cm.entries
     eigmin = float(np.linalg.eigvalsh(d)[0])
     return eigmin, op.e0

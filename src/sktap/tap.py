@@ -102,6 +102,17 @@ def f_prime(x: float, t: float, h: float, rule: QuadratureRule | None = None) ->
 _MAX_ITER = 10_000
 
 
+def _last_true(holds, lo: float, hi: float) -> float:
+    """Bisect [lo, hi] for the last point where ``holds``, true at lo and false past it."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def solve_q(t: float, h: float, rule: QuadratureRule | None = None, tol: float = 1e-12) -> float:
     """Fixed point q = f(q) by plain iteration from q_0 = tanh^2(h).
 
@@ -122,17 +133,9 @@ def solve_q(t: float, h: float, rule: QuadratureRule | None = None, tol: float =
         if abs(q - fq) <= tol:
             return q
         q = fq
-    # Bisection fallback on g(q) = q - f(q); g(0) <= 0 and g(1) > 0.
-    lo, hi = 0.0, 1.0
-    if -f_map(0.0, t, h, rule) > 0:
-        raise NonConvergenceError("no bracket for the fixed point on [0, 1]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - f_map(mid, t, h, rule) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    q = lo
+    # Bisection fallback on g(q) = q - f(q): g(0) = -f(0) <= 0, as f is a
+    # positive-weighted mean of tanh^2, and g(1) > 0.
+    q = _last_true(lambda x: x - f_map(x, t, h, rule) <= 0, 0.0, 1.0)
     if not abs(q - f_map(q, t, h, rule)) <= tol:
         raise NonConvergenceError(
             f"fixed point not reached at t={t}, h={h}: residual {abs(q - f_map(q, t, h, rule)):.3e}"

@@ -208,10 +208,10 @@ def test_cavity_difference_starts_at_zero_and_moves():
         cavity_difference_path(path, P6, 0, 0)
 
 
-@pytest.mark.parametrize("spin", [1, -1])
+@pytest.mark.parametrize("spin", [1])
 def test_cavity_difference_matches_independent_clamped_route(spin):
     path = sample_path(P6, 16, 4)
-    diff = cavity_difference_path(path, P6, 0, 1, clamped_spin=spin)
+    diff = cavity_difference_path(path, P6, 0, 1)
     terminal = path.terminal().entries
     cavity = magnetizations(path.terminal(), P6, ReducedSpec(removed={0}))[1]
     for k in (0, 5, 16):

@@ -8,6 +8,7 @@ from sktap import (
     ModelParams,
     build_deformed,
     gibbs_tables,
+    magnetizations,
     resolvent_error,
     s_prime_at_e0,
     sample_couplings,
@@ -19,7 +20,7 @@ from sktap import (
 def test_build_deformed_zero_field():
     p = ModelParams.uniform(8, 0.4, 0.0)
     cm = sample_couplings(p, 3)
-    op = build_deformed(cm, p)
+    op = build_deformed(magnetizations(cm, p), p)
     assert np.max(np.abs(op.lambda_diag - 1.0)) < 1e-12
     assert np.max(np.abs(op.rank_one)) < 1e-12
     assert op.e0 == pytest.approx(-0.4, abs=1e-12)
@@ -28,7 +29,7 @@ def test_build_deformed_zero_field():
 def test_build_deformed_zero_coupling():
     p = ModelParams.uniform(6, 0.0, 0.3)
     cm = sample_couplings(p, 1)
-    op = build_deformed(cm, p)
+    op = build_deformed(magnetizations(cm, p), p)
     assert np.max(np.abs(op.lambda_diag - math.cosh(0.3) ** 2)) < 1e-12
     assert op.e0 == 0.0
 
@@ -36,7 +37,7 @@ def test_build_deformed_zero_coupling():
 def test_deformed_operator_invariants():
     p = ModelParams.uniform(12, 0.5, 0.3)
     cm = sample_couplings(p, 5)
-    op = build_deformed(cm, p)
+    op = build_deformed(magnetizations(cm, p), p)
     assert np.all(op.lambda_diag >= 1.0)
     s = np.linalg.svd(op.rank_one, compute_uv=False)
     assert s[0] >= (1.0 - 1e-10) * np.linalg.norm(op.rank_one)
@@ -52,7 +53,7 @@ def test_resolvent_error_moderate_at_desk_scale():
     p = ModelParams.uniform(12, 0.4, 0.3)
     cm = sample_couplings(p, 3)
     tabs = gibbs_tables(cm, p)
-    op = build_deformed(cm, p, tabs)
+    op = build_deformed(tabs.m, p)
     # the resolvent without the rank-one part t A
     bare = np.linalg.inv(np.diag(op.lambda_diag) - cm.entries - op.e0 * np.eye(p.n))
     err_with = resolvent_error(cm, p, tables=tabs)
@@ -76,7 +77,7 @@ def test_self_consistent_s_zero_t_closed_form():
 def test_self_consistent_s_fixed_point_tolerance():
     p = ModelParams.uniform(12, 0.4, 0.3)
     cm = sample_couplings(p, 7)
-    op = build_deformed(cm, p)
+    op = build_deformed(magnetizations(cm, p), p)
     s = self_consistent_s(op.lambda_diag, p.t, op.e0)
     denom = op.lambda_diag - op.e0 - p.t * s
     assert abs(s - float(np.mean(1.0 / denom))) <= 1e-12
@@ -99,8 +100,8 @@ def test_self_consistent_s_leaves_branch_inside_spectrum():
 @pytest.mark.parametrize("contraction", [0.99995, 0.999999])
 def test_self_consistent_s_finds_the_root_where_the_iteration_stalls(contraction):
     # S = 1/(c - t S) at t = 1/2 and c = 1/s1 + s1/2 has the roots s1 and
-    # 2/s1, and phi'(s1) = t s1^2 = contraction: 100,000 plain iterations
-    # stop short, and the bisection must find the branch root s1 inside the
+    # 2/s1, and phi'(s1) = t s1^2 = contraction: the capped plain
+    # iteration stops short, and the bisection must find the branch root s1 inside the
     # narrow interval where F(s) = s - phi(s) > 0
     t = 0.5
     s1 = math.sqrt(contraction / t)
@@ -112,7 +113,7 @@ def test_self_consistent_s_finds_the_root_where_the_iteration_stalls(contraction
 
 def test_self_consistent_s_stalls_and_finds_no_root_below_the_critical_energy():
     # just below c = sqrt(2) the equation has no real root, yet the
-    # iteration crawls past the peak of F for more than 100,000 steps
+    # iteration crawls past the peak of F for longer than its cap
     with pytest.raises(BranchError, match="no real self-consistent solution"):
         self_consistent_s(np.array([math.sqrt(2.0) * (1.0 - 1e-10)]), 0.5, 0.0)
 
