@@ -58,22 +58,22 @@ class _RowFlowScan:
     """Enumeration context along one Brownian row, couplings frozen elsewhere.
 
     Clamping site i leaves the active coupling block constant along the
-    path; only the effective fields move, by sigma_i times the row values.
-    So one stacked pass per clamped spin covers every grid point at once.
+    path; only the effective fields move, from the cavity fields h by
+    sigma_i times the row values.  So one stacked pass per clamped spin
+    covers every grid point at once.
     """
 
     def __init__(self, path: CouplingPath, params: ModelParams, i: int):
         if path.n != params.n:
             raise ValueError(f"path size {path.n} != params n {params.n}")
-        terminal = path.terminal()
-        active, g_act, h_plus = _reduce_system(terminal, params, ReducedSpec({i: +1}))
-        self.active = active
-        self.base_h = h_plus - terminal.entries[active, i]
+        # the cavity fields are h exactly: no row of i is added and taken off
+        spec = ReducedSpec(removed={i})
+        self.active, g_act, self.base_h = _reduce_system(path.terminal(), params, spec)
         rows, increments = path.row_path(i)
-        self.rows = rows[:, active]
+        self.rows = rows[:, self.active]
         # C order: a strided BLAS dot sums in another order than a
         # contiguous one, and the martingale increments are such dots
-        self.increments = np.ascontiguousarray(increments[:, active])
+        self.increments = np.ascontiguousarray(increments[:, self.active])
         self._ctx = BlockEnumerator(g_act)
 
     def local(self, site: int) -> int:

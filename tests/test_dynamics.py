@@ -208,6 +208,15 @@ def test_cavity_difference_starts_at_zero_and_moves():
         cavity_difference_path(path, P6, 0, 0)
 
 
+def test_cavity_difference_is_exactly_zero_at_time_zero():
+    # at s = 0 the clamped row is zero, so the clamped fields must be the
+    # cavity fields h bit for bit; adding the terminal row and taking it
+    # off again left 1 ulp on some sites
+    params = ModelParams.uniform(8, 0.5, 0.3)
+    for seed in range(1, 41):
+        assert cavity_difference_path(sample_path(params, 64, seed), params, 0, 1)[0] == 0.0
+
+
 @pytest.mark.parametrize("spin", [1])
 def test_cavity_difference_matches_independent_clamped_route(spin):
     path = sample_path(P6, 16, 4)
