@@ -288,7 +288,7 @@ def _cmd_scaling(args) -> dict:
     if stats.fit is not None:
         print(f"slope = {_fmt(stats.fit[0])}  stderr = {_fmt(stats.fit[2])}")
     else:
-        print("fit degenerate (nonpositive means)")
+        print("fit degenerate (fewer than 3 sizes, or a mean at the rounding floor)")
     if args.loglog_out is not None:
         args.loglog_out.write_text(stats.loglog_text())
     return payload

@@ -67,7 +67,7 @@ def resolvent_error(
     d = np.diag(op.lambda_diag) - cm.entries - op.e0 * np.eye(n) - params.t * op.rank_one
     cond = np.linalg.cond(d)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularOperatorError(f"operator condition estimate {cond:.3e} exceeds 1e12")
+        raise SingularOperatorError(f"operator condition estimate {cond:.3e} exceeds {_COND_LIMIT:g}")
     resolvent = np.linalg.solve(d, np.eye(n))
     m_mat = tables.pair
     return float(np.linalg.norm(m_mat - resolvent) / np.linalg.norm(m_mat))

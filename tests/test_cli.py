@@ -99,6 +99,51 @@ def test_every_experiment_runs_through_the_cli(experiment, tmp_path, capsys):
     assert [row[0] for row in payload["rows"]] == [4, 5, 6]
 
 
+# mean per n of ``scaling --n 4,5,6 --t 0.5 --h 0.3 --samples 3 --seed 1
+# --steps 8``: a changed formula moves these far more than float noise does
+PINNED_SCALING_MEANS = {
+    "htap1": (0.0003539980374254973, 2.3874564522024198e-05, 0.0005599290204078899),
+    "htap2": (0.0020215133765334042, 6.6029217552721756e-06, 6.239905381560078e-05),
+    "ito": (0.002155976466268342, 0.004100424147863372, 0.006856375682923642),
+    "mij-moment": (0.08919390159577804, 0.015379561344794302, 0.03524941469445233),
+    "mij-sq": (0.3821013156804431, 0.09291142756452668, 0.2398331259556454),
+    "qn-conc": (0.00520688228685655, 0.0017676532828210688, 0.009934914169333092),
+    "spectral": (0.18359435266112822, 0.18278004373505355, 0.30781879714510624),
+    "tap1": (0.003941517286393592, 0.0061984732283107144, 0.004245182717671634),
+    "tap2": (0.004344348791405365, 0.000653203015715819, 0.003683925899491484),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PINNED_SCALING_MEANS))
+def test_small_scaling_payload_matches_its_pinned_means(experiment, tmp_path, capsys):
+    out_file = tmp_path / "o.json"
+    code, _, err = run_cli(
+        ["scaling", "--experiment", experiment, "--n", "4,5,6", "--t", "0.5", "--h", "0.3",
+         "--samples", "3", "--seed", "1", "--steps", "8", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0, err
+    means = [row[1] for row in json.loads(out_file.read_text())["rows"]]
+    assert means == pytest.approx(PINNED_SCALING_MEANS[experiment], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "sizes, t", [("4,5", "0.5"), ("4,5,6", "0")], ids=["two-sizes", "zero-coupling"]
+)
+def test_scaling_reports_a_degenerate_fit(sizes, t, tmp_path, capsys):
+    # two sizes cannot carry a slope with an error; at t = 0 the tap1
+    # residuals are rounding noise, below the floor a fit needs
+    out_file = tmp_path / "o.json"
+    code, out, _ = run_cli(
+        ["scaling", "--experiment", "tap1", "--n", sizes, "--t", t, "--h", "0.3",
+         "--samples", "3", "--seed", "1", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0
+    assert out.startswith("fit degenerate")
+    assert json.loads(out_file.read_text())["summary"] == {"degenerate": True}
+
+
 def test_verify_identities_passes(capsys):
     code, out, _ = run_cli(
         ["verify-identities", "--n", "6", "--t", "0.5", "--h", "0.3", "--seed", "3",

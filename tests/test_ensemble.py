@@ -57,6 +57,8 @@ def test_fit_power_law_rejections():
 def test_config_validation():
     good = dict(n_values=(4, 6), samples=5, t=0.5, h=0.3, master_seed=1, experiment="tap1")
     EnsembleConfig(**good)
+    with pytest.raises(ValueError, match="nonempty"):
+        EnsembleConfig(**{**good, "n_values": ()})
     with pytest.raises(ValueError):
         EnsembleConfig(**{**good, "n_values": (6, 4)})
     with pytest.raises(ValueError):

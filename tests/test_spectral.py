@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import sktap.spectral
 from sktap import (
     BranchError,
     ModelParams,
+    SingularOperatorError,
     build_deformed,
     gibbs_tables,
     magnetizations,
@@ -15,6 +17,7 @@ from sktap import (
     self_consistent_s,
     spectral_margin,
 )
+from oracles import naive_tables
 
 
 def test_build_deformed_zero_field():
@@ -43,6 +46,25 @@ def test_deformed_operator_invariants():
     assert s[0] >= (1.0 - 1e-10) * np.linalg.norm(op.rank_one)
 
 
+def test_deformed_operator_and_resolvent_match_hand_formulas():
+    # Lambda_ii = 1/(1 - m_i^2), A = (2/n) m m^T and E0 = -t (1 - q_n) on the
+    # naive oracle's m at n = 4, and the relative Frobenius distance of its
+    # pair matrix from (Lambda - t A - G - E0)^{-1}
+    p = ModelParams.uniform(4, 0.5, 0.3)
+    cm = sample_couplings(p, 9)
+    _, m, pair, _ = naive_tables(cm.entries.tolist(), p.field.tolist())
+    m, pair = np.array(m), np.array(pair)
+    q = math.fsum(m**2) / 4
+    op = build_deformed(m, p)
+    assert op.lambda_diag == pytest.approx(1.0 / (1.0 - m**2), rel=1e-12)
+    assert op.rank_one.ravel() == pytest.approx(0.5 * np.outer(m, m).ravel(), rel=1e-12)
+    assert op.e0 == pytest.approx(-0.5 * (1.0 - q), rel=1e-12)
+    d = np.diag(1.0 / (1.0 - m**2)) - 0.25 * np.outer(m, m) - cm.entries
+    d += 0.5 * (1.0 - q) * np.eye(4)
+    want = np.linalg.norm(pair - np.linalg.inv(d)) / np.linalg.norm(pair)
+    assert resolvent_error(cm, p) == pytest.approx(want, rel=1e-9)
+
+
 def test_resolvent_exact_at_zero_coupling():
     p = ModelParams.uniform(8, 0.0, 0.3)
     cm = sample_couplings(p, 2)
@@ -61,6 +83,13 @@ def test_resolvent_error_moderate_at_desk_scale():
     assert 0.0 < err_with < 1.0
     assert 0.0 < err_without < 1.0
     assert err_with != err_without
+
+
+def test_resolvent_error_refuses_an_ill_conditioned_operator(monkeypatch):
+    monkeypatch.setattr(sktap.spectral, "_COND_LIMIT", 1.0)
+    p = ModelParams.uniform(6, 0.4, 0.3)
+    with pytest.raises(SingularOperatorError, match="condition estimate .* exceeds 1"):
+        resolvent_error(sample_couplings(p, 2), p)
 
 
 def test_self_consistent_s_scalar_quadratic():
@@ -124,6 +153,24 @@ def test_self_consistent_s_stalls_and_finds_no_root_below_the_critical_energy():
 def test_self_consistent_s_rejects_negative_or_non_finite_parameters(t, e):
     with pytest.raises(ValueError, match="finite"):
         self_consistent_s(np.ones(2), t, e)
+
+
+@pytest.mark.parametrize("lam", [[], [[1.0, 2.0]]], ids=["empty", "2d"])
+def test_self_consistent_s_rejects_a_spectrum_that_is_not_a_nonempty_vector(lam):
+    with pytest.raises(ValueError, match="nonempty 1d"):
+        self_consistent_s(np.array(lam), 0.25, -1.0)
+
+
+def test_s_prime_raises_where_the_closed_form_diverges(monkeypatch):
+    # a root of the real branch has t X = phi'(S) < 1, and next to a double
+    # root the shifted solves raise first, so a stub trace with one
+    # denominator of 1e-3 stands in for the edge
+    monkeypatch.setattr(
+        sktap.spectral, "self_consistent_s", lambda lam, t, e: (np.min(lam) - e - 1e-3) / t
+    )
+    p = ModelParams.uniform(6, 0.4, 0.3)
+    with pytest.raises(BranchError, match="closed-form derivative diverges"):
+        s_prime_at_e0(sample_couplings(p, 2), p)
 
 
 def test_s_prime_scalar_analytic_derivative():

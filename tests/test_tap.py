@@ -9,6 +9,7 @@ from sktap import (
     CouplingMatrix,
     ModelParams,
     NonConvergenceError,
+    NumericalError,
     QuadratureRule,
     ReducedSpec,
     at_value,
@@ -140,6 +141,40 @@ def test_quadrature_rule_rejects_non_finite_values(nodes, weights):
     # once made at_value and f_map return NaN without an error
     with pytest.raises(ValueError, match="finite"):
         QuadratureRule(nodes=np.array(nodes), weights=np.array(weights))
+
+
+@pytest.mark.parametrize(
+    "nodes, weights", [([0.0, 1.0], [1.0]), ([[0.0]], [[1.0]]), ([], [])],
+    ids=["lengths", "2d", "empty"],
+)
+def test_quadrature_rule_rejects_mismatched_shapes(nodes, weights):
+    with pytest.raises(ValueError, match="matching 1d sequences"):
+        QuadratureRule(nodes=np.array(nodes), weights=np.array(weights))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: f_map(0.1, -0.5, 0.3), "t must be >= 0"),
+        (lambda: f_prime(-0.1, 0.5, 0.3), "x must be >= 0"),
+        (lambda: f_prime(0.1, -0.5, 0.3), "t must be >= 0"),
+        (lambda: at_value(0.5, 0.3, 1.5), r"q must be in \[0, 1\]"),
+        (lambda: at_value(0.5, 0.3, -0.1), r"q must be in \[0, 1\]"),
+        (lambda: at_value(-0.5, 0.3, 0.2), "t must be >= 0"),
+        (lambda: predicted_mij_sq(0.5, 0.3, 0), "n must be >= 1"),
+    ],
+    ids=["f_map-t", "f_prime-x", "f_prime-t", "at_value-q-above", "at_value-q-below",
+         "at_value-t", "predicted_mij_sq-n"],
+)
+def test_gaussian_maps_reject_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_predicted_mij_sq_refuses_a_rule_that_node_doubling_moves():
+    # two nodes against four differ far beyond the 1e-10 certification
+    with pytest.raises(NumericalError, match="node-doubling delta"):
+        predicted_mij_sq(0.5, 0.3, 20, QuadratureRule.gauss_hermite(2))
 
 
 def test_at_value_closed_forms():

@@ -18,6 +18,7 @@ checkouts whose digests match print byte-identical payloads.
 ``--compare A B`` reads two ``--save`` directories, made from two checkouts,
 and prints for each command the largest absolute and relative change of any
 number in its payload.  Payloads must agree in everything but their numbers.
+It exits 1 when any payload differs, so it is the byte-for-byte gate.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def compare(old: Path, new: Path) -> int:
         a, b = (old / name).read_text(), (new / name).read_text()
         report[command] = {"identical": a == b, **numeric_change(a, b)}
     print(json.dumps(report, indent=2))
-    return 0
+    return 0 if all(entry["identical"] for entry in report.values()) else 1
 
 
 def main(argv: list[str]) -> int:

@@ -1,4 +1,4 @@
-"""Mutation checks of the enumeration kernel, the fixed-point solver and three formulas.
+"""Mutation checks of the enumeration kernel, the solvers and the TAP, spectral and Ito formulas.
 
     python tools/mutants.py
 
@@ -13,7 +13,7 @@ tests fail, if a mutant is not killed, or if a snippet no longer occurs
 exactly once in its file: a rewrite of the code a mutant guards has to
 carry the mutant forward, not lose it.  The checkout itself is never
 edited.  Each mutant costs one targeted pytest run
-(about 3-10 s), so the checks stay outside the test suite.
+(about 2-10 s), so the checks stay outside the test suite.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LATE_TILE = "tests/test_gibbs_properties.py::test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile"
 SMALL_SYSTEMS = "tests/test_gibbs.py::test_small_systems_match_the_oracles_at_huge_fields"
 BLOCK_TRIPLE = "tests/test_gibbs.py::test_triple_matches_raw_moment_expansion[8]"
+HAND_SPECTRAL = "tests/test_spectral.py::test_deformed_operator_and_resolvent_match_hand_formulas"
 
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
@@ -144,6 +145,76 @@ MUTANTS = (
         "(2.0 * params.t / params.n)",
         "(1.0 * params.t / params.n)",
         ["tests/test_tap.py::test_tap2_three_site_hand_expansion"],
+    ),
+    (
+        "flipped-e0-overlap-sign",
+        "src/sktap/spectral.py",
+        "e0 = -params.t * (1.0 - float(np.sum(m**2)) / params.n)",
+        "e0 = -params.t * (1.0 + float(np.sum(m**2)) / params.n)",
+        [HAND_SPECTRAL],
+    ),
+    (
+        "halved-rank-one",
+        "src/sktap/spectral.py",
+        "rank_one = (2.0 / params.n) * np.outer(m, m)",
+        "rank_one = (1.0 / params.n) * np.outer(m, m)",
+        [HAND_SPECTRAL],
+    ),
+    (
+        "phi-without-t-s",
+        "src/sktap/spectral.py",
+        "        denom = lam - e - t * s\n        if np.min(denom) <= 0:\n",
+        "        denom = lam - e\n        if np.min(denom) <= 0:\n",
+        ["tests/test_spectral.py::test_self_consistent_s_scalar_quadratic"],
+    ),
+    (
+        "flipped-onsager-sign",
+        "src/sktap/tap.py",
+        "args = params.field + cm.entries @ m - onsager * m",
+        "args = params.field + cm.entries @ m + onsager * m",
+        ["tests/test_tap.py::test_tap1_report_matches_direct_recomputation"],
+    ),
+    (
+        "flipped-htap1-field-sign",
+        "src/sktap/tap.py",
+        "    args = params.field + np.einsum(",
+        "    args = -params.field + np.einsum(",
+        ["tests/test_tap.py::test_htap1_report_matches_direct_recomputation"],
+    ),
+    (
+        "flipped-ito-drift-sign",
+        "src/sktap/dynamics.py",
+        "drift_inc = -np.sum(drift_vec[:-1], axis=1)",
+        "drift_inc = np.sum(drift_vec[:-1], axis=1)",
+        ["tests/test_dynamics.py::test_residual_shrinks_under_refinement_of_one_path"],
+    ),
+    (
+        "right-endpoint-martingale",
+        "src/sktap/dynamics.py",
+        "mart_inc = (mart_vec[:-1, None, :]",
+        "mart_inc = (mart_vec[1:, None, :]",
+        ["tests/test_dynamics.py::test_integrands_match_independent_clamped_route"],
+    ),
+    (
+        "product-drift-without-cross-term",
+        "src/sktap/dynamics.py",
+        "drift = m * pjk * pk + mk * (m * trip + pj * pk) - pk * trip",
+        "drift = m * pjk * pk + mk * (m * trip + pj * pk)",
+        ["tests/test_dynamics.py::test_variant_residuals_shrink_under_refinement"],
+    ),
+    (
+        "unmixed-seed-index",
+        "src/sktap/model.py",
+        "state = _mix64(state ^ _mix64(ix & _MASK64))",
+        "state = _mix64(state ^ (ix & _MASK64))",
+        ["tests/test_dynamics.py::test_cavity_difference_terminal_square_scales_inversely_with_n"],
+    ),
+    (
+        "halved-susceptibility-step",
+        "src/sktap/gibbs.py",
+        "    return float((up[i] - down[i]) / (2.0 * step))\n",
+        "    return float((up[i] - down[i]) / (1.0 * step))\n",
+        ["tests/test_gibbs.py::test_susceptibility_matches_pair"],
     ),
 )
 
