@@ -67,7 +67,7 @@ def resolvent_error(
     d = np.diag(op.lambda_diag) - cm.entries - op.e0 * np.eye(n) - params.t * op.rank_one
     cond = np.linalg.cond(d)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularOperatorError(f"operator condition estimate {cond:.3e} exceeds {_COND_LIMIT:g}")
+        raise SingularOperatorError(f"operator condition estimate {cond:.3e} exceeds 1e12")
     resolvent = np.linalg.solve(d, np.eye(n))
     m_mat = tables.pair
     return float(np.linalg.norm(m_mat - resolvent) / np.linalg.norm(m_mat))
@@ -79,8 +79,8 @@ def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
     Starts from the t = 0 value S0 = n^{-1} sum 1/(Lambda_ii - e) and iterates
     undamped, which follows the branch continuous in t.  Any nonpositive
     denominator means the real branch has been left (e is not safely below
-    the spectrum) and raises.  When the plain iteration stalls near the
-    edge, a bisection takes over: below the cut (min Lambda - e) / t, phi
+    the spectrum) and raises.  When ``_MAX_ITER`` plain iterations stall near
+    the edge, a bisection takes over: below the cut (min Lambda - e) / t, phi
     rises and is convex, so F(S) = S - phi(S) has one peak, where
     phi'(S) = t n^{-1} sum 1/denominator^2 = 1.  A real solution exists only
     if F(peak) >= 0, and the branch's is the root of F on [S0, peak].  The

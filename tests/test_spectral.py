@@ -88,7 +88,7 @@ def test_resolvent_error_moderate_at_desk_scale():
 def test_resolvent_error_refuses_an_ill_conditioned_operator(monkeypatch):
     monkeypatch.setattr(sktap.spectral, "_COND_LIMIT", 1.0)
     p = ModelParams.uniform(6, 0.4, 0.3)
-    with pytest.raises(SingularOperatorError, match="condition estimate .* exceeds 1"):
+    with pytest.raises(SingularOperatorError, match="condition estimate"):
         resolvent_error(sample_couplings(p, 2), p)
 
 
