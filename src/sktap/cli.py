@@ -69,14 +69,22 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", type=Path, default=None, help="write the payload here")
-    common.add_argument("--quad-nodes", type=int, default=61)
+    quad = _Parser(add_help=False, parents=[common])
+    quad.add_argument("--quad-nodes", type=int, default=61)
+    # what ``_ensemble_config`` reads, but ``--samples``, whose default differs per command
+    ensemble = _Parser(add_help=False, parents=[quad])
+    ensemble.add_argument("--n", type=_parse_n_list, required=True, help="comma list of sizes")
+    ensemble.add_argument("--t", type=float, required=True)
+    ensemble.add_argument("--h", type=float, required=True)
+    ensemble.add_argument("--seed", type=int, default=42)
+    ensemble.add_argument("--threads", type=int, default=1)
 
-    p = sub.add_parser("fixed-point", parents=[common], help="solve q = E tanh^2(h + sqrt(tq) Z)")
+    p = sub.add_parser("fixed-point", parents=[quad], help="solve q = E tanh^2(h + sqrt(tq) Z)")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
 
-    p = sub.add_parser("at-line", parents=[common], help="AT criterion values on a grid of t")
+    p = sub.add_parser("at-line", parents=[quad], help="AT criterion values on a grid of t")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--t-min", type=float, required=True)
     p.add_argument("--t-max", type=float, required=True)
@@ -101,39 +109,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--pair", type=str, default="0,1", help="pair i,j for the two-point residuals")
 
-    p = sub.add_parser("scaling", parents=[common], help="disorder ensemble + log-log decay fit")
+    p = sub.add_parser("scaling", parents=[ensemble], help="disorder ensemble + log-log decay fit")
     p.add_argument(
         "--experiment", choices=sorted(name.replace("_", "-") for name in EXPERIMENTS),
         required=True,
     )
-    p.add_argument("--n", type=_parse_n_list, required=True, help="comma list of sizes")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--moment-p", type=float, default=2.1)
     p.add_argument("--steps", type=int, default=64, help="grid steps for the ito experiment")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--loglog-out", type=Path, default=None,
                    help="also write the plot-ready (log n, log mean) table here")
 
-    p = sub.add_parser("overlap", parents=[common], help="overlap concentration (q_n - q)^2")
-    p.add_argument("--n", type=_parse_n_list, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
+    p = sub.add_parser("overlap", parents=[ensemble], help="overlap concentration (q_n - q)^2")
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser(
-        "mij-variance", parents=[common], help="measured n E m01^2 vs leading-order prediction"
+        "mij-variance", parents=[ensemble], help="measured n E m01^2 vs leading-order prediction"
     )
-    p.add_argument("--n", type=_parse_n_list, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser(
         "dynamics", parents=[common], help="Ito decomposition residual along one coupling path"
@@ -308,13 +301,19 @@ def _cmd_overlap(args) -> dict:
 
 
 def _cmd_mij_variance(args) -> dict:
+    """Measured n E m01^2 against its leading-order prediction, one row per ``--n`` entry.
+
+    One ensemble serves the distinct sizes.  Every prediction comes first, so a
+    run at or below the AT line fails before any sample runs.
+    """
+    cfg = _ensemble_config(args, "mij_sq", tuple(sorted(set(args.n))))
     rule = QuadratureRule.gauss_hermite(args.quad_nodes)
+    predictions = {n: n * predicted_mij_sq(args.t, args.h, n, rule) for n in cfg.n_values}
+    stats = run_ensemble(cfg)
     rows = []
     for n in args.n:
-        stats = run_ensemble(_ensemble_config(args, "mij_sq", (n,)))
-        measured = stats.per_n[n][0]
-        predicted = n * predicted_mij_sq(args.t, args.h, n, rule)
-        rows.append([n, measured, stats.per_n[n][2], predicted, measured / predicted])
+        (measured, _, stderr), predicted = stats.per_n[n], predictions[n]
+        rows.append([n, measured, stderr, predicted, measured / predicted])
         print(
             f"n = {n}  measured n E m01^2 = {_fmt(measured)}  predicted = {_fmt(predicted)}"
             f"  ratio = {_fmt(measured / predicted)}"

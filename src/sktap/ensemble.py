@@ -169,26 +169,26 @@ def _sample_scalar(task: tuple):
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     """Run the configured experiment over all sizes and fit the decay.
 
-    Deterministic for a fixed config; a failed sample aborts the run with
-    its (n, index, seed) recorded in the raised error.
+    Maps one task per (n, sample index, seed), in size order, once: in this
+    process for one worker, else through one process pool for every size.  The
+    first failed sample in that order aborts the run, its (n, index, seed) in the error.
     """
+    tasks = [(cfg, n, k, substream_seed(cfg.master_seed, n, k))
+             for n in cfg.n_values for k in range(cfg.samples)]
+    if cfg.workers > 1:
+        chunk = max(1, cfg.samples // (4 * cfg.workers))
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(_sample_scalar, tasks, chunksize=chunk))
+    else:
+        results = list(map(_sample_scalar, tasks))
+    for (_, n, index, seed), (status, value) in zip(tasks, results):
+        if status != "ok":
+            raise EnsembleSampleError(n, index, seed, value)
+    scalars = np.array([value for _, value in results]).reshape(len(cfg.n_values), cfg.samples)
     per_n = {}
-    for n in cfg.n_values:
-        seeds = [substream_seed(cfg.master_seed, n, k) for k in range(cfg.samples)]
-        tasks = [(cfg, n, k, s) for k, s in enumerate(seeds)]
-        if cfg.workers > 1:
-            chunk = max(1, cfg.samples // (4 * cfg.workers))
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(_sample_scalar, tasks, chunksize=chunk))
-        else:
-            results = [_sample_scalar(task) for task in tasks]
-        for idx, (status, value) in enumerate(results):
-            if status != "ok":
-                raise EnsembleSampleError(n, idx, seeds[idx], value)
-        scalars = np.array([value for _, value in results])
-        mean = float(scalars.mean())
-        var = float(scalars.var(ddof=1))
-        per_n[n] = (mean, var, math.sqrt(var / cfg.samples))
+    for n, row in zip(cfg.n_values, scalars):
+        var = float(row.var(ddof=1))
+        per_n[n] = (float(row.mean()), var, math.sqrt(var / cfg.samples))
 
     # Exactly-zero experiments (e.g. residuals at t = 0) produce squared
     # rounding noise ~1e-33; fitting a decay law to that is meaningless.

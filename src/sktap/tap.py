@@ -122,8 +122,8 @@ def solve_q(t: float, h: float, rule: QuadratureRule | None = None, tol: float =
     ``_MAX_ITER`` iterations have not converged, and raises rather than
     returning a partially converged value.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if not (math.isfinite(t) and math.isfinite(h)):
         raise ValueError(f"t and h must be finite, got t={t}, h={h}")
     rule = rule or default_rule()

@@ -274,6 +274,9 @@ def test_scaling_rejects_sizes_and_steps_the_experiment_cannot_run(argv, message
     "argv",
     [
         ["fixed-point", "--t", "nan", "--h", "0.3"],
+        # usage errors, not an unconverged q (inf) or a numerical failure (nan)
+        ["fixed-point", "--t", "0.5", "--h", "0.3", "--tol", "inf"],
+        ["fixed-point", "--t", "0.5", "--h", "0.3", "--tol", "nan"],
         ["at-line", "--h", "nan", "--t-min", "0.5", "--t-max", "1.5", "--grid", "3"],
         ["dynamics", "--n", "4", "--steps", "4", "--h", "nan"],
         ["tap-residuals", "--n", "4", "--t", "nan"],
@@ -287,9 +290,9 @@ def test_scaling_rejects_sizes_and_steps_the_experiment_cannot_run(argv, message
         ["scaling", "--experiment", "mij-moment", "--n", "4,5,6", "--t", "0.5", "--h", "0.3",
          "--samples", "2", "--moment-p", "nan"],
     ],
-    ids=["fixed-point-t-nan", "at-line-h-nan", "dynamics-h-nan", "tap-residuals-t-nan",
-         "spectral-h-inf", "htap1-h-nan", "overlap-t-inf", "mij-variance-h-nan",
-         "mij-moment-p-negative", "mij-moment-p-nan"],
+    ids=["fixed-point-t-nan", "fixed-point-tol-inf", "fixed-point-tol-nan", "at-line-h-nan",
+         "dynamics-h-nan", "tap-residuals-t-nan", "spectral-h-inf", "htap1-h-nan", "overlap-t-inf",
+         "mij-variance-h-nan", "mij-moment-p-negative", "mij-moment-p-nan"],
 )
 def test_non_finite_parameters_are_usage_errors(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -305,6 +308,41 @@ def test_mij_variance_reports_ratio(capsys):
     )
     assert code == 0
     assert "ratio = " in out
+
+
+def test_mij_variance_rows_follow_the_order_of_n(tmp_path, capsys):
+    # one ensemble serves the sorted distinct sizes; the rows keep --n's order
+    def rows(sizes):
+        out_file = tmp_path / f"{sizes}.json"
+        code, _, err = run_cli(
+            ["mij-variance", "--n", sizes, "--t", "0.5", "--h", "0.3", "--samples", "6",
+             "--seed", "5", "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 0, err
+        return json.loads(out_file.read_text())["rows"]
+
+    single = {n: rows(str(n))[0] for n in (4, 6)}
+    assert rows("6,4,6") == [single[6], single[4], single[6]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-identities", "--n", "4", "--trials", "1"],
+        ["tap-residuals", "--n", "4"],
+        ["dynamics", "--n", "4", "--steps", "4"],
+        ["spectral", "--n", "4", "--samples", "2"],
+    ],
+    ids=["verify-identities", "tap-residuals", "dynamics", "spectral"],
+)
+def test_quad_nodes_belongs_only_to_the_commands_that_read_it(argv, tmp_path, capsys):
+    code, out, err = run_cli([*argv, "--quad-nodes", "3"], capsys)
+    assert code == 1
+    assert "unrecognized arguments: --quad-nodes 3" in err and out == ""
+    out_file = tmp_path / "o.json"
+    assert run_cli([*argv, "--out", str(out_file)], capsys)[0] == 0
+    assert "quad_nodes" not in json.loads(out_file.read_text())["config"]
 
 
 def test_scaling_loglog_output(tmp_path, capsys):
@@ -354,12 +392,16 @@ def test_verify_identities_exits_two_naming_the_seed_when_a_residual_fails(
     assert "(seed=3)" in err
 
 
-def test_numerical_failure_exits_two(capsys):
+def test_numerical_failure_exits_two(monkeypatch, capsys):
+    # the prediction fails past the AT line, and it is computed before any sample runs
+    ensembles = []
+    monkeypatch.setattr(sktap.cli, "run_ensemble", ensembles.append)
     code, _, err = run_cli(
         ["mij-variance", "--n", "8", "--t", "1.2", "--h", "0", "--samples", "5"], capsys
     )
     assert code == 2
-    assert "numerical failure" in err
+    assert "numerical failure: prediction undefined at/below the AT line" in err
+    assert ensembles == []
 
 
 @pytest.mark.parametrize(

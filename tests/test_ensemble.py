@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sktap import (
     NumericalError,
     fit_power_law,
     gibbs_tables,
+    htap1_residuals,
     run_ensemble,
     sample_couplings,
     substream_seed,
@@ -81,10 +83,21 @@ def test_reruns_are_bit_identical():
     assert a.fit == b.fit
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
+    pools = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble_mod, "ProcessPoolExecutor", CountedPool)
     base = dict(n_values=(4, 6, 8), samples=8, t=0.5, h=0.3, master_seed=3, experiment="mij_sq")
     serial = run_ensemble(EnsembleConfig(**base, workers=1))
+    assert pools == []
     pooled = run_ensemble(EnsembleConfig(**base, workers=2))
+    # one pool serves every size
+    assert pools == [{"max_workers": 2}]
     assert serial.per_n == pooled.per_n
     assert serial.fit == pooled.fit
 
@@ -195,3 +208,21 @@ def test_failed_sample_reports_its_seed(monkeypatch):
     assert not isinstance(err.value, NumericalError)
     assert isinstance(err.value.__cause__, TypeError)
     assert f"sample 0 at n=4 (seed={substream_seed(21, 4, 0)})" in str(err.value)
+
+    # samples 1 and 2 of the second size fail; the first of them in task
+    # order is named, however many workers map the tasks
+    failing = {substream_seed(21, 5, k) for k in (1, 2)}
+
+    def diverge_at(cm, params):
+        if any(np.array_equal(cm.entries, sample_couplings(params, s).entries) for s in failing):
+            raise NonConvergenceError("synthetic failure")
+        return htap1_residuals(cm, params)
+
+    monkeypatch.setattr(ensemble_mod, "htap1_residuals", diverge_at)
+    for workers in (1, 2):
+        sizes = EnsembleConfig(n_values=(4, 5, 6), samples=3, t=0.5, h=0.3, master_seed=21,
+                               experiment="htap1", workers=workers)
+        with pytest.raises(EnsembleSampleError) as err:
+            run_ensemble(sizes)
+        assert (err.value.n, err.value.index) == (5, 1)
+        assert err.value.seed == substream_seed(21, 5, 1)

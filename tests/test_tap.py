@@ -108,8 +108,11 @@ def test_solve_q_bisection_rescues_stalled_iteration(monkeypatch):
 
 
 def test_solve_q_rejects_bad_tolerances():
-    with pytest.raises(ValueError):
-        solve_q(0.5, 0.3, tol=0.0)
+    # inf would accept the start point tanh^2(h) unconverged, and nan would
+    # fail every check and end as a numerical failure, not a usage error
+    for tol in (0.0, -1e-12, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            solve_q(0.5, 0.3, tol=tol)
 
 
 @pytest.mark.parametrize(
@@ -197,6 +200,12 @@ def test_predicted_mij_sq_values():
     v61 = predicted_mij_sq(0.5, 0.3, 20, QuadratureRule.gauss_hermite(61))
     v121 = predicted_mij_sq(0.5, 0.3, 20, QuadratureRule.gauss_hermite(121))
     assert abs(v61 - v121) < 1e-10
+    # (t/n) (E sech^4)^2 / (1 - t E sech^4) with E sech^4 from its own
+    # quadrature: at h = 0, q = 0 and E sech^4 = 1 hide a dropped square
+    x, w = np.polynomial.hermite.hermgauss(61)
+    y = 0.3 + math.sqrt(2.0 * 0.5 * solve_q(0.5, 0.3)) * x
+    es4 = float(w @ np.cosh(y) ** -4) / math.sqrt(math.pi)
+    assert v61 == pytest.approx((0.5 / 20) * es4**2 / (1.0 - 0.5 * es4), rel=1e-12)
 
 
 def test_predicted_mij_sq_fails_beyond_at_line():

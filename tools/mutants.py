@@ -128,8 +128,8 @@ MUTANTS = (
     (
         "biased-sample-variance",
         "src/sktap/ensemble.py",
-        "        var = float(scalars.var(ddof=1))\n",
-        "        var = float(scalars.var(ddof=0))\n",
+        "        var = float(row.var(ddof=1))\n",
+        "        var = float(row.var(ddof=0))\n",
         ["tests/test_ensemble.py::test_stats_shape_and_stderr_definition"],
     ),
     (
@@ -215,6 +215,41 @@ MUTANTS = (
         "    return float((up[i] - down[i]) / (2.0 * step))\n",
         "    return float((up[i] - down[i]) / (1.0 * step))\n",
         ["tests/test_gibbs.py::test_susceptibility_matches_pair"],
+    ),
+    (
+        "htap2-full-system-magnetizations",
+        "src/sktap/tap.py",
+        "    mvec = np.where(cav.active, cav.m, 0.0)\n",
+        "    mvec = full.m\n",
+        ["tests/test_cli.py::test_small_scaling_payload_matches_its_pinned_means[htap2]"],
+    ),
+    (
+        "flipped-key-identity-triple-term",
+        "src/sktap/gibbs.py",
+        "+ 2.0 * base.m[i] * base.pair[i, k] * delta_mj)",
+        "- 2.0 * base.m[i] * base.pair[i, k] * delta_mj)",
+        ["tests/test_cli.py::test_verify_identities_passes"],
+    ),
+    (
+        "flipped-triple-product-term",
+        "src/sktap/gibbs.py",
+        "+ 2.0 * mi * mj * mk)",
+        "- 2.0 * mi * mj * mk)",
+        ["tests/test_acceptance.py::test_criterion_01_exactness_suite"],
+    ),
+    (
+        "at-value-without-t",
+        "src/sktap/tap.py",
+        "    return t * _sech4_mean(",
+        "    return _sech4_mean(",
+        ["tests/test_acceptance.py::test_criterion_10_solver_suite"],
+    ),
+    (
+        "predicted-mij-unsquared-sech4",
+        "src/sktap/tap.py",
+        "(t / n) * es4**2 / denom",
+        "(t / n) * es4 / denom",
+        ["tests/test_tap.py::test_predicted_mij_sq_values"],
     ),
 )
 
