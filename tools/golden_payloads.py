@@ -17,8 +17,10 @@ checkouts whose digests match print byte-identical payloads.
 
 ``--compare A B`` reads two ``--save`` directories, made from two checkouts,
 and prints for each command the largest absolute and relative change of any
-number in its payload.  Payloads must agree in everything but their numbers.
-It exits 1 when any payload differs, so it is the byte-for-byte gate.
+number in the lines its two payloads share.  A payload that differs in more
+than its numbers also reports its first line of changed text, marked ``-``
+when only the old payload has it and ``+`` otherwise.  It exits 1 when any
+payload differs, so it is the byte-for-byte gate.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -65,19 +68,28 @@ def with_out(argv: list[str], path: Path) -> list[str]:
 def numeric_change(old: str, new: str) -> dict:
     """Largest absolute and relative change between the numbers of two payloads.
 
-    The relative change of a pair is |new - old| / max(|old|, |new|); NaN
-    against NaN counts as no change.
+    Lines are paired where the payloads agree in everything but their
+    numbers.  The relative change of a pair of numbers is
+    |new - old| / max(|old|, |new|); NaN against NaN counts as no change.  A
+    line without a partner is reported as ``text_change``, the first one only.
     """
-    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
-        raise ValueError("the payloads differ in more than their numbers")
-    worst_abs = worst_rel = 0.0
-    for a, b in zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new))):
-        if a == b or (math.isnan(a) and math.isnan(b)):
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    matcher = difflib.SequenceMatcher(None, *(
+        [NUMBER.sub("#", line) for line in lines] for lines in (old_lines, new_lines)
+    ))
+    report = {"max_abs": 0.0, "max_rel": 0.0}
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            first = f"- {old_lines[i1]}" if i1 < i2 else f"+ {new_lines[j1]}"
+            report.setdefault("text_change", first)
             continue
-        diff = abs(b - a)
-        worst_abs = max(worst_abs, diff)
-        worst_rel = max(worst_rel, diff / max(abs(a), abs(b)))
-    return {"max_abs": worst_abs, "max_rel": worst_rel}
+        for a, b in zip(old_lines[i1:i2], new_lines[j1:j2]):
+            for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+                if x == y or (math.isnan(x) and math.isnan(y)):
+                    continue
+                report["max_abs"] = max(report["max_abs"], abs(y - x))
+                report["max_rel"] = max(report["max_rel"], abs(y - x) / max(abs(x), abs(y)))
+    return report
 
 
 def run_commands(save: Path | None) -> int:
