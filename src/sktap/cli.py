@@ -303,8 +303,7 @@ def _cmd_overlap(args) -> dict:
 def _cmd_mij_variance(args) -> dict:
     """Measured n E m01^2 against its leading-order prediction, one row per ``--n`` entry.
 
-    One ensemble serves the distinct sizes.  Every prediction comes first, so a
-    run at or below the AT line fails before any sample runs.
+    One ensemble serves the distinct sizes, after every prediction: past the AT line no sample runs.
     """
     cfg = _ensemble_config(args, "mij_sq", tuple(sorted(set(args.n))))
     rule = QuadratureRule.gauss_hermite(args.quad_nodes)

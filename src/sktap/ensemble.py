@@ -180,13 +180,14 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_sample_scalar, tasks, chunksize=chunk))
     else:
-        results = list(map(_sample_scalar, tasks))
+        results = map(_sample_scalar, tasks)  # lazy, so no sample runs after a failed one
+    values = []
     for (_, n, index, seed), (status, value) in zip(tasks, results):
         if status != "ok":
             raise EnsembleSampleError(n, index, seed, value)
-    scalars = np.array([value for _, value in results]).reshape(len(cfg.n_values), cfg.samples)
+        values.append(value)
     per_n = {}
-    for n, row in zip(cfg.n_values, scalars):
+    for n, row in zip(cfg.n_values, np.reshape(values, (len(cfg.n_values), cfg.samples))):
         var = float(row.var(ddof=1))
         per_n[n] = (float(row.mean()), var, math.sqrt(var / cfg.samples))
 

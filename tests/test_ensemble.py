@@ -212,8 +212,10 @@ def test_failed_sample_reports_its_seed(monkeypatch):
     # samples 1 and 2 of the second size fail; the first of them in task
     # order is named, however many workers map the tasks
     failing = {substream_seed(21, 5, k) for k in (1, 2)}
+    sizes_run = []
 
     def diverge_at(cm, params):
+        sizes_run.append(params.n)
         if any(np.array_equal(cm.entries, sample_couplings(params, s).entries) for s in failing):
             raise NonConvergenceError("synthetic failure")
         return htap1_residuals(cm, params)
@@ -226,3 +228,5 @@ def test_failed_sample_reports_its_seed(monkeypatch):
             run_ensemble(sizes)
         assert (err.value.n, err.value.index) == (5, 1)
         assert err.value.seed == substream_seed(21, 5, 1)
+    # pool workers append to their own copies; one worker stops at the failure
+    assert sizes_run == [4, 4, 4, 5, 5]
