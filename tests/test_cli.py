@@ -327,6 +327,26 @@ def test_mij_variance_rows_follow_the_order_of_n(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "route", [["scaling", "--experiment", "htap1"], ["overlap"]], ids=["scaling", "overlap"]
+)
+def test_ensemble_commands_read_the_sizes_sorted(route, tmp_path, capsys):
+    def payload(sizes):
+        out_file = tmp_path / f"{sizes}.json"
+        code, _, err = run_cli(
+            [*route, "--n", sizes, "--t", "0.5", "--h", "0.3", "--samples", "4",
+             "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 0, err
+        return json.loads(out_file.read_text())
+
+    given, ordered = payload("8,4,6"), payload("4,6,8")
+    assert [row[0] for row in given["rows"]] == [4, 6, 8]
+    assert given["rows"] == ordered["rows"]
+    assert given["summary"] == ordered["summary"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify-identities", "--n", "4", "--trials", "1"],
@@ -404,6 +424,30 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
     assert ensembles == []
 
 
+@pytest.mark.parametrize("flag", ["--out", "--loglog-out"])
+def test_missing_output_directory_exits_one_before_any_sample(flag, tmp_path, monkeypatch, capsys):
+    ensembles = []
+    monkeypatch.setattr(sktap.cli, "run_ensemble", ensembles.append)
+    target = tmp_path / "absent" / "x.json"
+    code, out, err = run_cli(
+        ["scaling", "--experiment", "htap1", "--n", "8,12,16", "--t", "0.5", "--h", "0.3",
+         "--samples", "200", flag, str(target)],
+        capsys,
+    )
+    assert code == 1
+    assert f"invalid configuration: cannot write {target}" in err
+    assert ensembles == [] and out == ""
+
+
+def test_failed_payload_write_exits_one_naming_the_path(tmp_path, capsys):
+    # the parent directory exists, but the path is itself a directory
+    code, out, err = run_cli(["fixed-point", "--t", "0.5", "--h", "0.3", "--out", str(tmp_path)],
+                             capsys)
+    assert code == 1
+    assert "invalid configuration" in err and str(tmp_path) in err
+    assert out.startswith("q = ")
+
+
 @pytest.mark.parametrize(
     "route", [["spectral"], ["scaling", "--experiment", "spectral"]], ids=["spectral", "scaling"]
 )
@@ -439,6 +483,34 @@ def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path):
             assert proc.returncode == 0, proc.stderr
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1], name
+
+
+def test_one_worker_run_never_imports_the_process_pool(tmp_path):
+    # a fresh interpreter, since this one may have imported the pool already
+    src = str(Path(sktap.__file__).resolve().parents[1])
+    script = (
+        "import json, sys\n"
+        "from sktap.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, [m for m in ('concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules]]))\n"
+    )
+    texts = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.json"
+        argv = ["scaling", "--experiment", "htap1", "--n", "4,5,6", "--t", "0.5", "--h", "0.3",
+                "--samples", "2", "--threads", threads, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, pool_modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert pool_modules == ([] if threads == "1" else ["concurrent.futures", "multiprocessing"])
+        texts[threads] = out.read_text()
+    assert '"threads": 1' in texts["1"]
+    assert texts["1"].replace('"threads": 1', '"threads": 2') == texts["2"]
 
 
 def test_validation_failure_exits_one(capsys):

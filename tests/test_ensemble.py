@@ -1,5 +1,5 @@
+import concurrent.futures
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -86,12 +86,13 @@ def test_reruns_are_bit_identical():
 def test_worker_count_does_not_change_results(monkeypatch):
     pools = []
 
-    class CountedPool(ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(ensemble_mod, "ProcessPoolExecutor", CountedPool)
+    # run_ensemble imports the pool class from concurrent.futures only when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     base = dict(n_values=(4, 6, 8), samples=8, t=0.5, h=0.3, master_seed=3, experiment="mij_sq")
     serial = run_ensemble(EnsembleConfig(**base, workers=1))
     assert pools == []

@@ -1,4 +1,5 @@
-"""Mutation checks of the enumeration kernel, the solvers and the TAP, spectral and Ito formulas.
+"""Mutation checks of the enumeration kernel, the solvers, the TAP, spectral and Ito formulas
+and the ensemble driver.
 
     python tools/mutants.py
 
@@ -250,6 +251,13 @@ MUTANTS = (
         "(t / n) * es4**2 / denom",
         "(t / n) * es4 / denom",
         ["tests/test_tap.py::test_predicted_mij_sq_values"],
+    ),
+    (
+        "pool-for-one-worker",
+        "src/sktap/ensemble.py",
+        "    if cfg.workers > 1:\n",
+        "    if cfg.workers >= 1:\n",
+        ["tests/test_ensemble.py::test_worker_count_does_not_change_results"],
     ),
 )
 
