@@ -250,12 +250,9 @@ def _cmd_tap_residuals(args) -> dict:
 
 
 def _ensemble_config(args, experiment: str, **extra) -> EnsembleConfig:
-    """The ensemble that the flags shared by ``scaling``, ``overlap`` and ``mij-variance`` set.
-
-    It runs over the sorted distinct sizes of ``--n``, in whatever order they were given.
-    """
+    """The ensemble that the flags shared by ``scaling``, ``overlap`` and ``mij-variance`` set."""
     return EnsembleConfig(
-        n_values=tuple(sorted(set(args.n))),
+        n_values=tuple(sorted(set(args.n))),  # --n may come in any order, with repeats
         samples=args.samples,
         t=args.t,
         h=args.h,

@@ -1,4 +1,4 @@
-"""Time ``BlockEnumerator`` passes at n = 5..26, ``htap1_residuals`` at n = 8..20 and Ito paths.
+"""Time ``BlockEnumerator`` passes at n = 5..26, ``htap1_residuals`` at n = 8..20, Ito paths and start-up.
 
     python tools/bench_kernel.py change=src parent=../parent/src > BENCH_kernel.json
 
@@ -24,7 +24,12 @@ Ito check it times one ``moments`` call of the shape that check makes (no
 pair matrix, one ``cols`` key) at na = 5 and 6, on 1 and on 2049 field rows,
 and one whole check, ``ito_decomposition_residual`` on a 2048-step path at
 n = 6 (the ``ito-n6`` workload's sample), per path over ``ITO_PATHS`` paths.
-The report gives the min and median over the rounds.
+After the htap1 workers of each round, ``STARTUP_REPEATS`` fresh
+interpreters each time ``import sktap.cli`` and read their peak RSS
+(``ru_maxrss``) right after it, and as many run ``python -m sktap.cli
+--help``, timed from start to exit: the floor of every CLI call.  The
+report gives the min and median over the rounds (over every repeat of
+every round for the start-up rows).
 """
 
 from __future__ import annotations
@@ -45,6 +50,16 @@ ITO_PATHS = 16
 FLOOR_STATES = 24  # log2 of the largest grid the floor allocates
 ROUNDS = 7
 THREADS = 1
+STARTUP_REPEATS = 5
+# Run by ``python -c`` rather than as this file, whose own imports (subprocess
+# among them) would already be loaded when sktap.cli's import is timed.
+IMPORT_PROBE = """\
+import resource, time
+start = time.perf_counter()
+import sktap.cli
+ms = (time.perf_counter() - start) * 1e3
+print(ms, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
 
 
 def _timed(fn, calls: int) -> float:
@@ -145,18 +160,34 @@ def worker() -> None:
                       "small": small, "ito_path_ms": ito_path_ms}))
 
 
-def _worker(src: str, *args: str):
+def _env(src: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(THREADS)
-    done = subprocess.run([sys.executable, __file__, "--worker", *args], env=env, check=True,
-                          capture_output=True, text=True)
+    return env
+
+
+def _worker(src: str, *args: str):
+    done = subprocess.run([sys.executable, __file__, "--worker", *args], env=_env(src),
+                          check=True, capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _startup(src: str) -> dict:
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=_env(src), check=True,
+                          capture_output=True, text=True)
+    import_ms, maxrss_mib = (float(v) for v in done.stdout.split())
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "sktap.cli", "--help"], env=_env(src), check=True,
+                   capture_output=True)
+    help_ms = (time.perf_counter() - start) * 1e3
+    return {"import_ms": import_ms, "import_maxrss_mib": maxrss_mib, "help_ms": help_ms}
 
 
 def _run(src: str) -> dict:
     htap1 = [_worker(src, "htap1", str(n)) for n in HTAP1_SIZES]
-    return {**_worker(src), "htap1": htap1}
+    startup = [_startup(src) for _ in range(STARTUP_REPEATS)]
+    return {**_worker(src), "htap1": htap1, "startup": startup}
 
 
 def _summary(values: list) -> dict:
@@ -176,7 +207,9 @@ def _machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"cpu": model, "logical_cpus": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
-            "blas_threads": THREADS}
+            "blas_threads": THREADS,
+            # when set, every start-up row includes compiling sktap's sources
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def main(argv: list) -> int:
@@ -189,8 +222,10 @@ def main(argv: list) -> int:
     for r in range(ROUNDS):
         for label in order if r % 2 == 0 else order[::-1]:
             runs[label].append(_run(labels[label]))
-    results, htap1, criterion_04, small, ito_path = {}, {}, {}, {}, {}
+    results, htap1, criterion_04, small, ito_path, startup = {}, {}, {}, {}, {}, {}
     for label, rounds in runs.items():
+        startup[label] = {key: _summary([rep[key] for rnd in rounds for rep in rnd["startup"]])
+                          for key in ("import_ms", "import_maxrss_mib", "help_ms")}
         criterion_04[label] = _summary([rnd["criterion_04_s"] for rnd in rounds])
         ito_path[label] = _summary([rnd["ito_path_ms"] for rnd in rounds])
         small[label] = [
@@ -213,7 +248,7 @@ def main(argv: list) -> int:
     print(json.dumps({"what": __doc__.strip().splitlines()[0], "rounds": ROUNDS,
                       "machine": _machine(), "results": results, "htap1": htap1,
                       "criterion_04_s": criterion_04, "small": small,
-                      "ito_path_ms": ito_path}, indent=1))
+                      "ito_path_ms": ito_path, "startup": startup}, indent=1))
     return 0
 
 
