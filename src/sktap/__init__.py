@@ -47,7 +47,6 @@ from .spectral import (
     spectral_margin,
 )
 from .tap import (
-    QuadratureRule,
     ResidualReport,
     at_value,
     f_map,

@@ -29,7 +29,7 @@ from .gibbs import (
 from .model import ModelParams, sample_couplings, sample_path, substream_seed
 from .spectral import resolvent_error, s_prime_at_e0, spectral_margin
 from .tap import (
-    QuadratureRule,
+    QUAD_NODES,
     at_value,
     f_map,
     htap1_residuals,
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", type=Path, default=None, help="write the payload here")
     quad = _Parser(add_help=False, parents=[common])
-    quad.add_argument("--quad-nodes", type=int, default=61)
+    quad.add_argument("--quad-nodes", type=int, default=QUAD_NODES)
     # what ``_ensemble_config`` reads, but ``--samples``, whose default differs per command
     ensemble = _Parser(add_help=False, parents=[quad])
     ensemble.add_argument("--n", type=_parse_n_list, required=True, help="comma list of sizes")
@@ -152,10 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fixed_point(args) -> dict:
-    rule = QuadratureRule.gauss_hermite(args.quad_nodes)
-    q = solve_q(args.t, args.h, rule, tol=args.tol)
-    q2 = solve_q(args.t, args.h, rule.doubled(), tol=args.tol)
-    at = at_value(args.t, args.h, q, rule)
+    nodes = args.quad_nodes
+    q = solve_q(args.t, args.h, nodes, tol=args.tol)
+    q2 = solve_q(args.t, args.h, 2 * nodes, tol=args.tol)
+    at = at_value(args.t, args.h, q, nodes)
     print(f"q = {_fmt(q)}")
     print(f"at_value = {_fmt(at)}")
     return {
@@ -164,20 +164,19 @@ def _cmd_fixed_point(args) -> dict:
         "summary": {
             "q": q,
             "at_value": at,
-            "fixed_point_residual": abs(q - f_map(q, args.t, args.h, rule)),
+            "fixed_point_residual": abs(q - f_map(q, args.t, args.h, nodes)),
             "node_doubling_delta": abs(q - q2),
         },
     }
 
 
 def _cmd_at_line(args) -> dict:
-    rule = QuadratureRule.gauss_hermite(args.quad_nodes)
     if args.grid < 2 or args.t_max <= args.t_min:
         raise ValueError("need grid >= 2 and t_max > t_min")
     rows = []
     for t in np.linspace(args.t_min, args.t_max, args.grid):
-        q = solve_q(float(t), args.h, rule)
-        rows.append([float(t), q, at_value(float(t), args.h, q, rule)])
+        q = solve_q(float(t), args.h, args.quad_nodes)
+        rows.append([float(t), q, at_value(float(t), args.h, q, args.quad_nodes)])
     for t, q, at in rows:
         print(f"t = {_fmt(t)}  q = {_fmt(q)}  at_value = {_fmt(at)}")
     return {"columns": ["t", "q", "at_value"], "rows": rows, "summary": {}}
@@ -307,8 +306,8 @@ def _cmd_mij_variance(args) -> dict:
     One ensemble serves the distinct sizes, after every prediction: past the AT line no sample runs.
     """
     cfg = _ensemble_config(args, "mij_sq")
-    rule = QuadratureRule.gauss_hermite(args.quad_nodes)
-    predictions = {n: n * predicted_mij_sq(args.t, args.h, n, rule) for n in cfg.n_values}
+    predictions = {n: n * predicted_mij_sq(args.t, args.h, n, args.quad_nodes)
+                   for n in cfg.n_values}
     stats = run_ensemble(cfg)
     rows = []
     for n in args.n:

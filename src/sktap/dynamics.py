@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import BlockEnumerator, ReducedSpec, _local_index, _reduce_system, magnetizations
-from .model import CouplingPath, ModelParams
+from .gibbs import BlockEnumerator, ReducedSpec, _local_index, _reduce_system
+from .model import CouplingPath, ModelParams, _check_sites
 
 _VARIANTS = ("pair", "two_point", "product")
 
@@ -75,8 +75,10 @@ class _RowFlowScan:
         # contiguous one, and the martingale increments are such dots
         self.increments = np.ascontiguousarray(increments[:, self.active])
         self._ctx = BlockEnumerator(g_act)
+        self.n = params.n
 
     def local(self, site: int) -> int:
+        _check_sites(self.n, site)
         return _local_index(self.active, site)
 
     def stack(self, spin: int, cols=()):
@@ -196,14 +198,13 @@ def cavity_difference_path(
     """Trajectory of m_j^{[i]}(s) - m_j^{(i)} along the row-i Brownian flow.
 
     m^{[i]} clamps site i at +1.  The cavity reference m_j^{(i)} never sees
-    row i, so it is a constant along the path; at s = 0 the clamped and
-    cavity measures coincide exactly and the difference vanishes.  The
-    terminal square of this trajectory is the quantity whose disorder
-    average decays like 1/n.
+    row i, so it is a constant along the path; at s = 0 the row vanishes,
+    the clamped and cavity measures coincide exactly, and the s = 0 row of
+    the scan is the cavity reference.  The terminal square of this
+    trajectory is the quantity whose disorder average decays like 1/n.
     """
     if i == j:
         raise ValueError("sites must be distinct")
     scan = _RowFlowScan(path, params, i)
-    jl = scan.local(j)
-    cavity = float(magnetizations(path.terminal(), params, ReducedSpec(removed={i}))[j])
-    return scan.stack(+1).mag[:, jl] - cavity
+    mag = scan.stack(+1).mag[:, scan.local(j)]
+    return mag - mag[0]

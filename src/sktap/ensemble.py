@@ -22,7 +22,8 @@ from .gibbs import ENUM_CAP, gibbs_tables, magnetizations
 from .model import ModelParams, sample_couplings, sample_path, substream_seed
 from .spectral import resolvent_error
 from .tap import (
-    QuadratureRule,
+    QUAD_NODES,
+    gauss_hermite,
     htap1_residuals,
     htap2_residual,
     solve_q,
@@ -34,7 +35,7 @@ from .tap import (
 @functools.cache
 def reference_overlap(t: float, h: float, quad_nodes: int) -> float:
     """Replica-symmetric overlap q that ``qn_conc`` measures the spread around."""
-    return solve_q(t, h, QuadratureRule.gauss_hermite(quad_nodes))
+    return solve_q(t, h, quad_nodes)
 
 
 def _ito(cfg, params, seed) -> float:
@@ -85,7 +86,7 @@ class EnsembleConfig:
     experiment: str
     moment_p: float = 2.1        # exponent for mij_moment (2 + eps, eps = 0.1)
     ito_steps: int = 64
-    quad_nodes: int = 61
+    quad_nodes: int = QUAD_NODES
     workers: int = 1
 
     def __post_init__(self):
@@ -115,7 +116,11 @@ class EnsembleConfig:
             raise ValueError(f"ito samples a coupling path on [0, t], it needs t > 0, got {self.t}")
         if self.experiment == "mij_moment" and not 0 < self.moment_p < math.inf:
             raise ValueError(f"mij_moment needs a finite moment_p > 0, got {self.moment_p}")
-        if self.quad_nodes < 1:
+        # qn_conc's samples read the rule, so a count numpy cannot build fails
+        # here, before any sample; the other experiments never build it
+        if self.experiment == "qn_conc":
+            gauss_hermite(self.quad_nodes)
+        elif self.quad_nodes < 1:
             raise ValueError(f"quad_nodes must be >= 1, got {self.quad_nodes}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")

@@ -484,11 +484,11 @@ class BlockEnumerator:
         out.log_z[rows] = np.log(zsum) + top + c_shift
 
         if out.second is not None:
-            sec = np.empty((k, self.na, self.na))
+            # the right-left block stays 0: only the upper triangle is read
+            sec = np.zeros((k, self.na, self.na))
             sec[:, :n1, :n1] = SL.T @ (u[:, :, None] * SL)
             sec[:, :b, n1:] = layout.Sl.T @ (low_right[:, 0] @ SR)
             sec[:, b:n1, n1:] = layout.Sh.T @ cross
-            sec[:, n1:, :n1] = sec[:, :n1, n1:].transpose(0, 2, 1)
             sec[:, n1:, n1:] = SR.T @ (v[:, :, None] * SR)
             sec /= norm[:, :, None]
             out.second[rows] = _symmetrized_second(sec)

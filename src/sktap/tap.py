@@ -31,58 +31,45 @@ def _sech(y: np.ndarray) -> np.ndarray:
     return 2.0 * a / (1.0 + a * a)
 
 
-@dataclass
-class QuadratureRule:
-    """Nodes/weights integrating g against the standard Gaussian: E g(Z) = sum w g(z)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
-            raise ValueError("nodes and weights must be matching 1d sequences")
-        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
-            raise ValueError("nodes and weights must be finite")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        self.nodes = nodes
-        self.weights = weights
-
-    @classmethod
-    def gauss_hermite(cls, count: int = 61) -> "QuadratureRule":
-        """Gauss-Hermite rule mapped to the standard Gaussian via z = sqrt(2) x."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        x, w = np.polynomial.hermite.hermgauss(count)
-        return cls(nodes=np.sqrt(2.0) * x, weights=w / np.sqrt(np.pi))
-
-    def doubled(self) -> "QuadratureRule":
-        """Same family with twice the node count (adequacy certification)."""
-        return QuadratureRule.gauss_hermite(2 * self.nodes.size)
-
-    def expect(self, values: np.ndarray) -> float:
-        return float(self.weights @ values)
+# Gauss-Hermite node count of every Gaussian expectation unless a caller sets one.
+QUAD_NODES = 61
 
 
 @functools.cache
-def default_rule() -> QuadratureRule:
-    return QuadratureRule.gauss_hermite(61)
+def gauss_hermite(nodes: int) -> tuple:
+    """Read-only points z and weights w with E g(Z) = w @ g(z) for a standard Gaussian Z.
+
+    numpy's ``nodes``-point Gauss-Hermite rule mapped by z = sqrt(2) x and
+    w / sqrt(pi).  numpy 2.4 builds finite positive weights only up to 370
+    nodes: past that they underflow to 0, then turn NaN.  Such a count is
+    rejected by name, and numpy's own warnings about it are kept quiet.
+    """
+    if nodes < 1:
+        raise ValueError(f"nodes must be >= 1, got {nodes}")
+    with np.errstate(all="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(nodes)
+    points, weights = np.sqrt(2.0) * x, w / np.sqrt(np.pi)
+    if not (np.isfinite(points).all() and np.isfinite(weights).all() and (weights > 0).all()):
+        raise ValueError(
+            f"numpy cannot build a {nodes}-node Gauss-Hermite rule: "
+            "its weights are not all finite and positive"
+        )
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
 
 
-def f_map(x: float, t: float, h: float, rule: QuadratureRule | None = None) -> float:
+def f_map(x: float, t: float, h: float, nodes: int = QUAD_NODES) -> float:
     """Overlap response map f(x) = E tanh^2(h + sqrt(t x) Z)."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    rule = rule or default_rule()
-    y = h + math.sqrt(t * x) * rule.nodes
-    return rule.expect(np.tanh(y) ** 2)
+    z, w = gauss_hermite(nodes)
+    y = h + math.sqrt(t * x) * z
+    return float(w @ np.tanh(y) ** 2)
 
 
-def f_prime(x: float, t: float, h: float, rule: QuadratureRule | None = None) -> float:
+def f_prime(x: float, t: float, h: float, nodes: int = QUAD_NODES) -> float:
     """Derivative of the overlap map: t E (1 - 2 sinh^2 y)/cosh^4 y at y = h + sqrt(t x) Z.
 
     Evaluated as sech^4 - 2 tanh^2 sech^2, which stays finite for any y.
@@ -92,10 +79,10 @@ def f_prime(x: float, t: float, h: float, rule: QuadratureRule | None = None) ->
         raise ValueError(f"x must be >= 0, got {x}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    rule = rule or default_rule()
-    y = h + math.sqrt(t * x) * rule.nodes
+    z, w = gauss_hermite(nodes)
+    y = h + math.sqrt(t * x) * z
     s2 = _sech(y) ** 2
-    return t * rule.expect(s2 * s2 - 2.0 * (np.tanh(y) ** 2) * s2)
+    return t * float(w @ (s2 * s2 - 2.0 * (np.tanh(y) ** 2) * s2))
 
 
 # Plain iterations of ``solve_q`` before its bisection fallback.
@@ -113,7 +100,7 @@ def _last_true(holds, lo: float, hi: float) -> float:
     return lo
 
 
-def solve_q(t: float, h: float, rule: QuadratureRule | None = None, tol: float = 1e-12) -> float:
+def solve_q(t: float, h: float, nodes: int = QUAD_NODES, tol: float = 1e-12) -> float:
     """Fixed point q = f(q) by plain iteration from q_0 = tanh^2(h).
 
     Uniqueness of the fixed point is guaranteed for t < 1 (|f'| <= t); larger
@@ -126,58 +113,57 @@ def solve_q(t: float, h: float, rule: QuadratureRule | None = None, tol: float =
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if not (math.isfinite(t) and math.isfinite(h)):
         raise ValueError(f"t and h must be finite, got t={t}, h={h}")
-    rule = rule or default_rule()
     q = math.tanh(h) ** 2
     for _ in range(_MAX_ITER):
-        fq = f_map(q, t, h, rule)
+        fq = f_map(q, t, h, nodes)
         if abs(q - fq) <= tol:
             return q
         q = fq
     # Bisection fallback on g(q) = q - f(q): g(0) = -f(0) <= 0, as f is a
     # positive-weighted mean of tanh^2, and g(1) > 0.
-    q = _last_true(lambda x: x - f_map(x, t, h, rule) <= 0, 0.0, 1.0)
-    if not abs(q - f_map(q, t, h, rule)) <= tol:
+    q = _last_true(lambda x: x - f_map(x, t, h, nodes) <= 0, 0.0, 1.0)
+    if not abs(q - f_map(q, t, h, nodes)) <= tol:
         raise NonConvergenceError(
-            f"fixed point not reached at t={t}, h={h}: residual {abs(q - f_map(q, t, h, rule)):.3e}"
+            f"fixed point not reached at t={t}, h={h}: residual {abs(q - f_map(q, t, h, nodes)):.3e}"
         )
     return q
 
 
-def at_value(t: float, h: float, q: float, rule: QuadratureRule | None = None) -> float:
+def at_value(t: float, h: float, q: float, nodes: int = QUAD_NODES) -> float:
     """AT criterion value E t sech^4(sqrt(t q) Z + h); below 1 means replica-symmetric."""
     if not 0 <= q <= 1:
         raise ValueError(f"q must be in [0, 1], got {q}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return t * _sech4_mean(t, h, q, rule or default_rule())
+    return t * _sech4_mean(t, h, q, nodes)
 
 
-def _sech4_mean(t: float, h: float, q: float, rule: QuadratureRule) -> float:
+def _sech4_mean(t: float, h: float, q: float, nodes: int) -> float:
     """E sech^4(h + sqrt(t q) Z)."""
-    y = h + math.sqrt(t * q) * rule.nodes
-    return rule.expect(_sech(y) ** 4)
+    z, w = gauss_hermite(nodes)
+    y = h + math.sqrt(t * q) * z
+    return float(w @ _sech(y) ** 4)
 
 
 def predicted_mij_sq(
     t: float,
     h: float,
     n: int,
-    rule: QuadratureRule | None = None,
+    nodes: int = QUAD_NODES,
 ) -> float:
     """Leading-order prediction of E m_ij^2 for a pair of sites.
 
     (t/n) [1 - t E sech^4]^{-1} [E sech^4]^2 evaluated at the fixed point q.
     The prefactor is singular at the AT line; the computation fails
     explicitly there.  Quadrature adequacy is certified by recomputing with
-    doubled nodes, which must agree to 1e-10.
+    2 * nodes, which must agree to 1e-10.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rule = rule or default_rule()
 
-    def value(r: QuadratureRule) -> float:
-        q = solve_q(t, h, r)
-        es4 = _sech4_mean(t, h, q, r)
+    def value(count: int) -> float:
+        q = solve_q(t, h, count)
+        es4 = _sech4_mean(t, h, q, count)
         denom = 1.0 - t * es4
         if denom <= 0:
             raise BranchError(
@@ -185,8 +171,8 @@ def predicted_mij_sq(
             )
         return (t / n) * es4**2 / denom
 
-    v = value(rule)
-    v2 = value(rule.doubled())
+    v = value(nodes)
+    v2 = value(2 * nodes)
     if abs(v - v2) > 1e-10:
         raise NumericalError(
             f"quadrature not converged: node-doubling delta {abs(v - v2):.3e}"

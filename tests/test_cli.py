@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,23 @@ def test_tap_residuals_rejects_pair_out_of_range(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--n", "4", "--site-j", "9"], "site 9 out of range for n=4"),
+        (["--n", "4", "--site-j", "-1"], "site -1 out of range for n=4"),
+        (["--n", "1"], "site 1 out of range for n=1"),
+    ],
+    ids=["j-too-large", "j-negative", "n-1"],
+)
+def test_dynamics_rejects_sites_out_of_range(argv, message, capsys):
+    # a usage error naming n, not a site missing from the reduced measure
+    code, out, err = run_cli(["dynamics", "--steps", "4", *argv], capsys)
+    assert code == 1
+    assert f"invalid configuration: {message}" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("pair", ["0", "0,1,2", "a,b", "0;1", ""])
 def test_tap_residuals_rejects_a_malformed_pair(pair, capsys):
     code, out, err = run_cli(["tap-residuals", "--n", "4", "--pair", pair], capsys)
@@ -254,16 +272,32 @@ SCALING = ["scaling", "--t", "0.5", "--h", "0.3", "--samples", "2", "--seed", "1
         ([*SCALING, "--experiment", "htap1", "--n", "0,1,2"], "needs every n >= 1"),
         ([*SCALING, "--experiment", "qn-conc", "--n", "4,5,6", "--quad-nodes", "0"],
          "must be >= 1"),
+        # numpy's Gauss-Hermite weights are 0 at 371 nodes and NaN at 400, so
+        # these must fail before any sample, naming the count
+        ([*SCALING, "--experiment", "qn-conc", "--n", "4,5,6", "--quad-nodes", "371"],
+         "numpy cannot build a 371-node Gauss-Hermite rule"),
+        (["overlap", "--n", "4", "--t", "0.5", "--h", "0.3", "--samples", "2",
+          "--quad-nodes", "400"], "numpy cannot build a 400-node Gauss-Hermite rule"),
+        # both certify their result against twice the nodes: 200 builds, 400 does not
+        (["fixed-point", "--t", "0.5", "--h", "0.3", "--quad-nodes", "200"],
+         "numpy cannot build a 400-node Gauss-Hermite rule"),
+        (["mij-variance", "--n", "4", "--t", "0.5", "--h", "0.3", "--samples", "2",
+          "--quad-nodes", "200"], "numpy cannot build a 400-node Gauss-Hermite rule"),
         # a path on [0, t] needs t > 0; before, every sample raised inside
         ([*SCALING, "--experiment", "ito", "--n", "4,5,6", "--t", "0"], "needs t > 0"),
         # the Ito check of the dynamics command needs a path of two segments
         (["dynamics", "--n", "4", "--steps", "1"], "at least 2 steps"),
     ],
     ids=["ito-steps-1", "htap2-n1", "tap2-n1", "mij-sq-n1", "mij-moment-n1", "ito-n1", "htap1-n0",
-         "qn-conc-quad-nodes-0", "ito-t-0", "dynamics-steps-1"],
+         "qn-conc-quad-nodes-0", "qn-conc-quad-nodes-371", "overlap-quad-nodes-400",
+         "fixed-point-quad-nodes-200", "mij-variance-quad-nodes-200", "ito-t-0",
+         "dynamics-steps-1"],
 )
 def test_scaling_rejects_sizes_and_steps_the_experiment_cannot_run(argv, message, capsys):
-    code, out, err = run_cli(argv, capsys)
+    # as errors, so that a warning numpy prints about a node count fails too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert "invalid configuration" in err and message in err
     assert out == ""

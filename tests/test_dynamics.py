@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sktap.dynamics
 from sktap import (
     CouplingMatrix,
     CouplingPath,
@@ -48,6 +49,24 @@ def test_degenerate_path_has_zero_residual():
 def test_path_of_another_size_is_rejected(check):
     path = sample_path(ModelParams.uniform(5, 0.5, 0.3), 4, 3)
     with pytest.raises(ValueError, match="path size 5 != params n 6"):
+        check(path)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda path: ito_decomposition_trace(path, ItoCheckConfig(0, 9), P6),
+        lambda path: ito_decomposition_trace(path, ItoCheckConfig(0, -1), P6),
+        lambda path: ito_decomposition_trace(
+            path, ItoCheckConfig(0, 1, second_site=6, variant="two_point"), P6),
+        lambda path: cavity_difference_path(path, P6, 0, 9),
+    ],
+    ids=["ito-target", "ito-target-negative", "ito-second", "cavity-difference"],
+)
+def test_sites_out_of_range_are_named_so(check):
+    # a usage error naming n, not a site missing from the reduced measure
+    path = sample_path(P6, 4, 3)
+    with pytest.raises(ValueError, match="out of range for n=6"):
         check(path)
 
 
@@ -210,11 +229,16 @@ def test_cavity_difference_starts_at_zero_and_moves():
 
 def test_cavity_difference_is_exactly_zero_at_time_zero():
     # at s = 0 the clamped row is zero, so the clamped fields must be the
-    # cavity fields h bit for bit; adding the terminal row and taking it
-    # off again left 1 ulp on some sites
+    # cavity fields h bit for bit (adding the terminal row and taking it off
+    # again left 1 ulp on some sites), and the s = 0 row of the scan, the
+    # cavity reference of the difference, is the cavity enumeration itself
     params = ModelParams.uniform(8, 0.5, 0.3)
     for seed in range(1, 41):
-        assert cavity_difference_path(sample_path(params, 64, seed), params, 0, 1)[0] == 0.0
+        path = sample_path(params, 64, seed)
+        assert cavity_difference_path(path, params, 0, 1)[0] == 0.0
+        scan = sktap.dynamics._RowFlowScan(path, params, 0)
+        cavity = magnetizations(path.terminal(), params, ReducedSpec(removed={0}))
+        assert np.array_equal(scan.stack(+1).mag[0], cavity[scan.active])
 
 
 @pytest.mark.parametrize("spin", [1])

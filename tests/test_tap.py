@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from sktap import (
     ModelParams,
     NonConvergenceError,
     NumericalError,
-    QuadratureRule,
     ReducedSpec,
     at_value,
     f_map,
@@ -25,24 +25,44 @@ from sktap import (
     tap1_residuals,
     tap2_residual,
 )
+from sktap.tap import gauss_hermite
 from oracles import GrayEnumerator, bisect_fixed_point, naive_tables, on_engine
 
 GAUSS_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0, 7: 0.0, 8: 105.0}
 
 
 def test_quadrature_integrates_low_degree_polynomials_exactly():
-    rule = QuadratureRule.gauss_hermite(61)
+    z, w = gauss_hermite(61)
     for deg, want in GAUSS_MOMENTS.items():
-        assert rule.expect(rule.nodes**deg) == pytest.approx(want, abs=1e-12)
-    assert abs(rule.weights.sum() - 1.0) < 1e-13
-    assert rule.doubled().nodes.size == 122
+        assert float(w @ z**deg) == pytest.approx(want, abs=1e-12)
+    assert abs(w.sum() - 1.0) < 1e-13
+    assert gauss_hermite(122)[0].size == 122
+    # one cached table per count, which no caller can write into
+    assert gauss_hermite(61) is gauss_hermite(61)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
 
 
 def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.zeros(3), weights=np.array([0.5, -0.1, 0.6]))
-    with pytest.raises(ValueError):
-        QuadratureRule.gauss_hermite(0)
+    with pytest.raises(ValueError, match="nodes must be >= 1"):
+        gauss_hermite(0)
+
+
+@pytest.mark.parametrize("nodes", [371, 400])
+def test_quadrature_rejects_a_count_numpy_cannot_build(nodes):
+    # numpy's weights underflow to 0 at 371 nodes and are NaN at 400; the
+    # error names the count, and numpy's own warnings stay quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"cannot build a {nodes}-node Gauss-Hermite rule"):
+            gauss_hermite(nodes)
+
+
+def test_quadrature_builds_counts_up_to_370():
+    for nodes in (1, 2, 185, 370):
+        z, w = gauss_hermite(nodes)
+        assert z.size == nodes and np.isfinite(z).all()
+        assert (w > 0).all() and abs(w.sum() - 1.0) < 1e-12
 
 
 def test_f_map_zero_coupling_is_field_only():
@@ -79,16 +99,16 @@ def test_solve_q_trivial_cases():
 
 
 def test_solve_q_certified_by_bisection():
-    rule = QuadratureRule.gauss_hermite(201)
+    x, w = np.polynomial.hermite.hermgauss(201)
 
     def expect(fn):
-        return float(rule.weights @ np.vectorize(fn)(rule.nodes))
+        return float(w @ np.vectorize(fn)(math.sqrt(2.0) * x)) / math.sqrt(math.pi)
 
     for t, h in ((0.5, 0.3), (0.8, 0.1), (0.3, 1.0)):
-        q = solve_q(t, h, rule)
+        q = solve_q(t, h, 201)
         q_bis = bisect_fixed_point(t, h, expect)
         assert abs(q - q_bis) < 1e-10
-        assert abs(q - f_map(q, t, h, rule)) <= 1e-12
+        assert abs(q - f_map(q, t, h, 201)) <= 1e-12
         assert 0.0 <= q <= 1.0
 
 
@@ -126,33 +146,13 @@ def test_solve_q_rejects_non_finite_parameters(t, h):
 
 
 def test_solve_q_never_accepts_a_nan_residual(monkeypatch):
-    # finite t and h never make f NaN, and a rule cannot hold a NaN node, so
-    # a map that returns NaN stands in for any other route to a NaN
+    # finite t and h never make f NaN, and the table cannot hold a NaN node,
+    # so a map that returns NaN stands in for any other route to a NaN
     # residual; the final check must read it as not converged
-    monkeypatch.setattr(sktap.tap, "f_map", lambda x, t, h, rule=None: math.nan)
+    monkeypatch.setattr(sktap.tap, "f_map", lambda x, t, h, nodes=61: math.nan)
     monkeypatch.setattr(sktap.tap, "_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError):
         solve_q(0.5, 0.3)
-
-
-@pytest.mark.parametrize(
-    "nodes, weights",
-    [([math.nan], [1.0]), ([0.0, math.inf], [0.5, 0.5]), ([0.0], [math.nan]), ([0.0], [math.inf])],
-)
-def test_quadrature_rule_rejects_non_finite_values(nodes, weights):
-    # a NaN weight passes the positivity check, and a NaN or infinite node
-    # once made at_value and f_map return NaN without an error
-    with pytest.raises(ValueError, match="finite"):
-        QuadratureRule(nodes=np.array(nodes), weights=np.array(weights))
-
-
-@pytest.mark.parametrize(
-    "nodes, weights", [([0.0, 1.0], [1.0]), ([[0.0]], [[1.0]]), ([], [])],
-    ids=["lengths", "2d", "empty"],
-)
-def test_quadrature_rule_rejects_mismatched_shapes(nodes, weights):
-    with pytest.raises(ValueError, match="matching 1d sequences"):
-        QuadratureRule(nodes=np.array(nodes), weights=np.array(weights))
 
 
 @pytest.mark.parametrize(
@@ -177,7 +177,13 @@ def test_gaussian_maps_reject_arguments_out_of_range(call, message):
 def test_predicted_mij_sq_refuses_a_rule_that_node_doubling_moves():
     # two nodes against four differ far beyond the 1e-10 certification
     with pytest.raises(NumericalError, match="node-doubling delta"):
-        predicted_mij_sq(0.5, 0.3, 20, QuadratureRule.gauss_hermite(2))
+        predicted_mij_sq(0.5, 0.3, 20, 2)
+
+
+def test_predicted_mij_sq_names_the_doubled_count_numpy_cannot_build():
+    # 200 nodes build, but their certification needs 400
+    with pytest.raises(ValueError, match="cannot build a 400-node"):
+        predicted_mij_sq(0.5, 0.3, 20, 200)
 
 
 def test_at_value_closed_forms():
@@ -197,8 +203,8 @@ def test_predicted_mij_sq_values():
     assert predicted_mij_sq(0.5, 0.0, 10) == pytest.approx(0.1, abs=1e-13)
     assert predicted_mij_sq(0.0, 0.7, 12) == 0.0
     # node-doubling certification is built in; a converged call just works
-    v61 = predicted_mij_sq(0.5, 0.3, 20, QuadratureRule.gauss_hermite(61))
-    v121 = predicted_mij_sq(0.5, 0.3, 20, QuadratureRule.gauss_hermite(121))
+    v61 = predicted_mij_sq(0.5, 0.3, 20, 61)
+    v121 = predicted_mij_sq(0.5, 0.3, 20, 121)
     assert abs(v61 - v121) < 1e-10
     # (t/n) (E sech^4)^2 / (1 - t E sech^4) with E sech^4 from its own
     # quadrature: at h = 0, q = 0 and E sech^4 = 1 hide a dropped square

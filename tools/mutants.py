@@ -122,8 +122,8 @@ MUTANTS = (
     (
         "nan-blind-fixed-point-check",
         "src/sktap/tap.py",
-        "    if not abs(q - f_map(q, t, h, rule)) <= tol:\n",
-        "    if abs(q - f_map(q, t, h, rule)) > tol:\n",
+        "    if not abs(q - f_map(q, t, h, nodes)) <= tol:\n",
+        "    if abs(q - f_map(q, t, h, nodes)) > tol:\n",
         ["tests/test_tap.py::test_solve_q_never_accepts_a_nan_residual"],
     ),
     (
@@ -251,6 +251,13 @@ MUTANTS = (
         "(t / n) * es4**2 / denom",
         "(t / n) * es4 / denom",
         ["tests/test_tap.py::test_predicted_mij_sq_values"],
+    ),
+    (
+        "predicted-mij-without-node-doubling",
+        "src/sktap/tap.py",
+        "    v2 = value(2 * nodes)\n",
+        "    v2 = value(nodes)\n",
+        ["tests/test_tap.py::test_predicted_mij_sq_refuses_a_rule_that_node_doubling_moves"],
     ),
     (
         "pool-for-one-worker",
