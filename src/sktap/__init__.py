@@ -50,7 +50,6 @@ from .tap import (
     ResidualReport,
     at_value,
     f_map,
-    f_prime,
     htap1_residuals,
     htap2_residual,
     predicted_mij_sq,

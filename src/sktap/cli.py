@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--moment-p", type=float, default=2.1)
-    p.add_argument("--steps", type=int, default=64, help="grid steps for the ito experiment")
+    p.add_argument("--moment-p", type=float, default=EnsembleConfig.moment_p)
+    p.add_argument("--steps", type=int, default=EnsembleConfig.ito_steps, help="ito grid steps")
     p.add_argument("--loglog-out", type=Path, default=None,
                    help="also write the plot-ready (log n, log mean) table here")
 
@@ -171,6 +171,9 @@ def _cmd_fixed_point(args) -> dict:
 
 
 def _cmd_at_line(args) -> dict:
+    for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if args.grid < 2 or args.t_max <= args.t_min:
         raise ValueError("need grid >= 2 and t_max > t_min")
     rows = []
@@ -276,6 +279,13 @@ def _ensemble_payload(stats) -> dict:
 def _cmd_scaling(args) -> dict:
     experiment = args.experiment.replace("-", "_")
     cfg = _ensemble_config(args, experiment, moment_p=args.moment_p, ito_steps=args.steps)
+    # a flag that one experiment alone reads keeps its default elsewhere (NaN does not)
+    for flag, name, reader in (("--moment-p", "moment_p", "mij-moment"),
+                               ("--steps", "ito_steps", "ito"),
+                               ("--quad-nodes", "quad_nodes", "qn-conc")):
+        if args.experiment != reader and getattr(cfg, name) != getattr(EnsembleConfig, name):
+            raise ValueError(f"{flag} is read only by --experiment {reader}, not by "
+                             f"{args.experiment}; got {getattr(cfg, name)}")
     stats = run_ensemble(cfg)
     payload = _ensemble_payload(stats)
     if stats.fit is not None:
@@ -308,6 +318,8 @@ def _cmd_mij_variance(args) -> dict:
     cfg = _ensemble_config(args, "mij_sq")
     predictions = {n: n * predicted_mij_sq(args.t, args.h, n, args.quad_nodes)
                    for n in cfg.n_values}
+    if not all(p > 0 for p in predictions.values()):  # each ratio divides by it
+        raise ValueError(f"the predicted n E m01^2 is not > 0 at t={args.t}, h={args.h}")
     stats = run_ensemble(cfg)
     rows = []
     for n in args.n:

@@ -109,7 +109,7 @@ class EnsembleConfig:
                 f"experiment {self.experiment!r} needs every n >= {least}, got {self.n_values[0]}"
             )
         # the parameters every sample builds, checked before any sample runs
-        ModelParams.uniform(self.n_values[0], self.t, self.h)
+        ModelParams.uniform(self.n_values[-1], self.t, self.h)
         if self.experiment == "ito" and self.ito_steps < 2:
             raise ValueError(f"ito needs steps >= 2, got {self.ito_steps}")
         if self.experiment == "ito" and self.t <= 0:

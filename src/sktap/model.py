@@ -15,6 +15,13 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+# Largest field energy sum_i |h_i|: a pass spans log-weights over about
+# 2 sum_i |h_i| plus the coupling energy, which gets the other half of the
+# float64 range.  Largest t: a squared pair residual grows like n t, and an
+# ensemble squares each sample's scalar again in its variance.
+_FIELD_ENERGY_MAX = float(np.finfo(np.float64).max) / 4
+_T_MAX = float(np.finfo(np.float64).max) ** 0.25
+
 
 def _mix64(z: int) -> int:
     """SplitMix64 finalizer: avalanching 64-bit integer hash."""
@@ -61,13 +68,18 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.t < np.inf:
-            raise ValueError(f"t must be finite and >= 0, got {self.t}")
+        if not 0 <= self.t <= _T_MAX:
+            raise ValueError(f"t must be finite, >= 0 and <= {_T_MAX:.3e}, got {self.t}")
+        self.t = self.t + 0.0  # -0.0 becomes 0.0: numpy's normal refuses the scale sqrt(-0.0)
         f = np.asarray(self.field, dtype=np.float64)
         if f.shape != (self.n,):
             raise ValueError(f"field must have length n={self.n}, got shape {f.shape}")
         if not np.all(np.isfinite(f)):
             raise ValueError("field must be finite at every site")
+        energy = float(np.sum(np.abs(f) / self.n)) * self.n  # a float64 sum could overflow
+        if not energy <= _FIELD_ENERGY_MAX:
+            raise ValueError(f"field energy sum |h_i| = {energy:.3e} exceeds "
+                             f"{_FIELD_ENERGY_MAX:.3e}, past which the log-weights overflow")
         f = f.copy()
         f.setflags(write=False)
         self.field = f
@@ -169,39 +181,17 @@ class CouplingPath:
         cum.setflags(write=False)
         self._cum = cum
 
-    @classmethod
-    def degenerate(cls, n: int) -> "CouplingPath":
-        """Single-point path at time 0 (zero couplings, no increments)."""
-        return cls(n=n, grid=np.zeros(1), increments=np.zeros((0, n * (n - 1) // 2)))
-
     @property
     def steps(self) -> int:
         return self.grid.size - 1
 
-    def coarsened(self, factor: int) -> "CouplingPath":
-        """Same Brownian motion on a grid coarsened by ``factor``.
-
-        Consecutive increments are summed, so every retained grid point and
-        in particular the terminal matrix agree with the fine path up to
-        float summation order.  Used for paired grid-refinement comparisons.
-        """
-        if factor < 1 or self.steps % factor != 0:
-            raise ValueError(f"factor {factor} must divide steps={self.steps}")
-        if factor == 1:
-            return self
-        inc = self.increments.reshape(self.steps // factor, factor, -1).sum(axis=1)
-        return CouplingPath(n=self.n, grid=self.grid[::factor], increments=inc)
-
-    def matrix_at(self, k: int) -> CouplingMatrix:
-        """Coupling matrix at grid point k (k may be negative, python-style)."""
+    def terminal(self) -> CouplingMatrix:
+        """Coupling matrix at the last grid point, time t."""
         iu = np.triu_indices(self.n, 1)
         e = np.zeros((self.n, self.n))
-        e[iu] = self._cum[k]
+        e[iu] = self._cum[-1]
         e = e + e.T
         return CouplingMatrix(n=self.n, entries=e)
-
-    def terminal(self) -> CouplingMatrix:
-        return self.matrix_at(-1)
 
     def _row_columns(self, i: int) -> tuple:
         """Partner sites of row i and the increment columns of their couplings."""

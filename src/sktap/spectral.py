@@ -28,6 +28,14 @@ _COND_LIMIT = 1e12
 _MAX_ITER = 1_000  # plain iterations of ``self_consistent_s`` before its bisections
 
 
+def _linalg(fn, *args):
+    """``fn(*args)``, with numpy's ``LinAlgError`` raised as a ``SingularOperatorError``."""
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as exc:  # an operator with a NaN entry, say
+        raise SingularOperatorError(f"{fn.__name__} of the deformed operator failed: {exc}") from exc
+
+
 @dataclass
 class DeformedOperator:
     """Pieces of the deformed operator Lambda - t A - G evaluated at E0."""
@@ -65,10 +73,10 @@ def resolvent_error(
     op = build_deformed(tables.m, params)
     n = params.n
     d = np.diag(op.lambda_diag) - cm.entries - op.e0 * np.eye(n) - params.t * op.rank_one
-    cond = np.linalg.cond(d)
+    cond = _linalg(np.linalg.cond, d)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularOperatorError(f"operator condition estimate {cond:.3e} exceeds 1e12")
-    resolvent = np.linalg.solve(d, np.eye(n))
+    resolvent = _linalg(np.linalg.solve, d, np.eye(n))
     m_mat = tables.pair
     return float(np.linalg.norm(m_mat - resolvent) / np.linalg.norm(m_mat))
 
@@ -158,5 +166,5 @@ def spectral_margin(
     m = tables.m if tables is not None else magnetizations(cm, params)
     op = build_deformed(m, params)
     d = np.diag(op.lambda_diag) - params.t * op.rank_one - cm.entries
-    eigmin = float(np.linalg.eigvalsh(d)[0])
+    eigmin = float(_linalg(np.linalg.eigvalsh, d)[0])
     return eigmin, op.e0

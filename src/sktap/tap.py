@@ -69,22 +69,6 @@ def f_map(x: float, t: float, h: float, nodes: int = QUAD_NODES) -> float:
     return float(w @ np.tanh(y) ** 2)
 
 
-def f_prime(x: float, t: float, h: float, nodes: int = QUAD_NODES) -> float:
-    """Derivative of the overlap map: t E (1 - 2 sinh^2 y)/cosh^4 y at y = h + sqrt(t x) Z.
-
-    Evaluated as sech^4 - 2 tanh^2 sech^2, which stays finite for any y.
-    Satisfies |f'(x)| <= t everywhere.
-    """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    z, w = gauss_hermite(nodes)
-    y = h + math.sqrt(t * x) * z
-    s2 = _sech(y) ** 2
-    return t * float(w @ (s2 * s2 - 2.0 * (np.tanh(y) ** 2) * s2))
-
-
 # Plain iterations of ``solve_q`` before its bisection fallback.
 _MAX_ITER = 10_000
 

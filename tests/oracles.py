@@ -15,6 +15,10 @@ Two references check the package's block enumeration engine:
 
 Neither shares enumeration or reduction code with the block engine, so
 agreement is a genuine two-route check.
+
+The module also keeps the helpers that only the tests call: the derivative
+``f_prime`` of the overlap map and the grid coarsening ``coarsened`` of a
+coupling path.
 """
 
 import math
@@ -24,7 +28,9 @@ import pytest
 
 import sktap.dynamics
 import sktap.gibbs
+from sktap import CouplingPath
 from sktap.gibbs import _RawMoments
+from sktap.tap import QUAD_NODES, _sech, gauss_hermite
 
 
 def naive_tables(g, h):
@@ -233,3 +239,31 @@ def ks_two_sample(x, y):
         d = max(d, abs(ix / nx - iy / ny))
     crit = 1.628 * math.sqrt((nx + ny) / (nx * ny))  # alpha = 0.01
     return d, crit
+
+
+def f_prime(x, t, h, nodes=QUAD_NODES):
+    """Derivative of the overlap map: t E (1 - 2 sinh^2 y)/cosh^4 y at y = h + sqrt(t x) Z.
+
+    Evaluated as sech^4 - 2 tanh^2 sech^2, which stays finite for any y.
+    Satisfies |f'(x)| <= t everywhere, the contraction bound behind the
+    uniqueness of ``sktap.solve_q``'s fixed point for t < 1.
+    """
+    z, w = gauss_hermite(nodes)
+    y = h + math.sqrt(t * x) * z
+    s2 = _sech(y) ** 2
+    return t * float(w @ (s2 * s2 - 2.0 * (np.tanh(y) ** 2) * s2))
+
+
+def coarsened(path, factor):
+    """The Brownian motion of ``path`` on its grid coarsened by ``factor``.
+
+    Consecutive increments are summed, so every retained grid point and in
+    particular the terminal matrix agree with the fine path up to float
+    summation order: the coarse half of a paired grid-refinement comparison.
+    """
+    if factor < 1 or path.steps % factor != 0:
+        raise ValueError(f"factor {factor} must divide steps={path.steps}")
+    if factor == 1:
+        return path
+    inc = path.increments.reshape(path.steps // factor, factor, -1).sum(axis=1)
+    return CouplingPath(n=path.n, grid=path.grid[::factor], increments=inc)

@@ -17,7 +17,6 @@ from sktap import (
     at_value,
     coupling_derivative_residual,
     f_map,
-    f_prime,
     gibbs_tables,
     htap1_residuals,
     htap2_residual,
@@ -36,7 +35,7 @@ from sktap import (
     tap1_residuals,
     tap2_residual,
 )
-from oracles import bisect_fixed_point, naive_tables, on_engine
+from oracles import bisect_fixed_point, coarsened, f_prime, naive_tables, on_engine
 
 SEED = 42
 
@@ -62,9 +61,8 @@ def test_criterion_01_exactness_suite():
     checks["htap2 t=0"] = abs(htap2_residual(cm0, p0, 0, 1))
     checks["tap2 t=0"] = abs(tap2_residual(cm0, p0, 0, 1))
     checks["resolvent t=0"] = resolvent_error(cm0, p0)
-    checks["ito degenerate"] = ito_decomposition_residual(
-        CouplingPath.degenerate(6), ItoCheckConfig(0, 1), p0
-    )
+    one_point = CouplingPath(n=6, grid=np.zeros(1), increments=np.zeros((0, 15)))
+    checks["ito degenerate"] = ito_decomposition_residual(one_point, ItoCheckConfig(0, 1), p0)
     checks["condid t=0"] = abs(key_identity_residual(cm0, p0, {2: 1}, 0, 1))
     checks["condid2 t=0"] = abs(key_identity_residual(cm0, p0, {2: 1}, 0, 1, 3))
 
@@ -190,7 +188,7 @@ def test_criterion_08_ito_refinement():
     for s in range(seeds):
         fine = sample_path(params, 2048, substream_seed(SEED, 6, s))
         r_fine = ito_decomposition_residual(fine, ItoCheckConfig(0, 1), params)
-        coarse = fine.coarsened(256)
+        coarse = coarsened(fine, 256)
         r_coarse = ito_decomposition_residual(coarse, ItoCheckConfig(0, 1), params)
         wins += r_fine < r_coarse
     _report(8, "ito refinement", wins >= 0.9 * seeds, f"{wins}/{seeds} refined paths improved")

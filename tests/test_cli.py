@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import sktap
 from sktap import EXPERIMENTS, substream_seed
-from sktap.cli import main
+from sktap.cli import _parse_n_list, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -86,12 +87,17 @@ def test_csv_and_json_carry_equal_numbers(tmp_path, capsys):
             assert float(got) == pytest.approx(float(want), abs=1e-12)
 
 
+# --steps 8 for the one experiment that reads it; the others refuse it
+ITO_STEPS = {name.replace("_", "-"): ["--steps", "8"] if name == "ito" else []
+             for name in EXPERIMENTS}
+
+
 @pytest.mark.parametrize("experiment", sorted(name.replace("_", "-") for name in EXPERIMENTS))
 def test_every_experiment_runs_through_the_cli(experiment, tmp_path, capsys):
     out_file = tmp_path / "o.json"
     code, _, err = run_cli(
         ["scaling", "--experiment", experiment, "--n", "4,5,6", "--t", "0.5", "--h", "0.3",
-         "--samples", "2", "--steps", "8", "--out", str(out_file)],
+         "--samples", "2", *ITO_STEPS[experiment], "--out", str(out_file)],
         capsys,
     )
     assert code == 0, err
@@ -100,8 +106,9 @@ def test_every_experiment_runs_through_the_cli(experiment, tmp_path, capsys):
     assert [row[0] for row in payload["rows"]] == [4, 5, 6]
 
 
-# mean per n of ``scaling --n 4,5,6 --t 0.5 --h 0.3 --samples 3 --seed 1
-# --steps 8``: a changed formula moves these far more than float noise does
+# mean per n of ``scaling --n 4,5,6 --t 0.5 --h 0.3 --samples 3 --seed 1``,
+# with ``--steps 8`` for ito: a changed formula moves these far more than
+# float noise does
 PINNED_SCALING_MEANS = {
     "htap1": (0.0003539980374254973, 2.3874564522024198e-05, 0.0005599290204078899),
     "htap2": (0.0020215133765334042, 6.6029217552721756e-06, 6.239905381560078e-05),
@@ -120,7 +127,7 @@ def test_small_scaling_payload_matches_its_pinned_means(experiment, tmp_path, ca
     out_file = tmp_path / "o.json"
     code, _, err = run_cli(
         ["scaling", "--experiment", experiment, "--n", "4,5,6", "--t", "0.5", "--h", "0.3",
-         "--samples", "3", "--seed", "1", "--steps", "8", "--out", str(out_file)],
+         "--samples", "3", "--seed", "1", *ITO_STEPS[experiment], "--out", str(out_file)],
         capsys,
     )
     assert code == 0, err
@@ -560,3 +567,213 @@ def test_fixed_point_t0_value_matches_closed_form(capsys):
     q_line = out.splitlines()[0]
     q = float(q_line.split("=")[1])
     assert q == pytest.approx(math.tanh(0.3) ** 2, abs=1e-13)
+
+
+# One small run of each command; the sweep sets one flag at a time to an edge value.
+SWEEP_BASES = {
+    "fixed-point": ["--t", "0.5", "--h", "0.3"],
+    "at-line": ["--h", "0", "--t-min", "0.5", "--t-max", "1.5", "--grid", "3"],
+    "verify-identities": ["--n", "4", "--trials", "1"],
+    "tap-residuals": ["--n", "4"],
+    "overlap": ["--n", "4,5", "--t", "0.5", "--h", "0.3", "--samples", "2"],
+    "mij-variance": ["--n", "4,5", "--t", "0.5", "--h", "0.3", "--samples", "2"],
+    "dynamics": ["--n", "4", "--steps", "4"],
+    "spectral": ["--n", "4", "--samples", "2"],
+    **{f"scaling {name}": ["--experiment", name, "--n", "4,5,6", "--t", "0.5", "--h", "0.3",
+                           "--samples", "2"]
+       for name in sorted(name.replace("_", "-") for name in EXPERIMENTS)},
+}
+SWEEP_VALUES = {
+    float: ["0", "-0.0", "-1", "inf", "-inf", "nan", "1e308", "1e-300", "40"],
+    int: ["0", "-1", "1", "2", "30"],
+    # lists of sizes and pairs: unsorted, repeated, out of range, malformed
+    _parse_n_list: ["8,4,6", "4,4", "1,2,3", "0,4", "-1,4", "25", "4,x", "", "4,,5"],
+    str: ["0", "0,1,2", "a,b", "0;1", "", "0,0", "-1,1", "0,30", "1,0"],
+}
+
+
+def _subcommand_parsers():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _sweep_cases(base_name):
+    command = base_name.split()[0]
+    base = SWEEP_BASES[base_name]
+    for action in _subcommand_parsers()[command]._actions:
+        if action.type not in SWEEP_VALUES or not action.option_strings:
+            continue  # help, the output paths and the choices
+        flag = action.option_strings[0]
+        for value in SWEEP_VALUES[action.type]:
+            if flag == "--threads" and int(value) > 2:
+                continue  # one process per worker
+            argv = list(base)
+            if flag in argv:
+                argv[argv.index(flag) + 1] = value
+            else:
+                argv += [flag, value]
+            yield [command, *argv]
+
+
+def _finite_numbers(node) -> bool:
+    if isinstance(node, dict):
+        return all(_finite_numbers(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_finite_numbers(v) for v in node)
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_command_has_a_sweep_base():
+    commands = {name.split()[0] for name in SWEEP_BASES}
+    assert commands == set(_subcommand_parsers())
+    experiments = {name.split()[1] for name in SWEEP_BASES if name.startswith("scaling ")}
+    assert experiments == {name.replace("_", "-") for name in EXPERIMENTS}
+
+
+@pytest.mark.parametrize("base_name", sorted(SWEEP_BASES))
+def test_edge_values_of_every_flag_keep_the_exit_contract(base_name, tmp_path, capsys):
+    # exit 0, 1 or 2 and never a raise or a warning; an exit-0 payload is
+    # strict JSON with every number finite
+    out_file = tmp_path / "o.json"
+    faults = []
+    for argv in _sweep_cases(base_name):
+        out_file.unlink(missing_ok=True)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([*argv, "--out", str(out_file)])
+        except BaseException as exc:
+            faults.append((argv, f"raised {type(exc).__name__}: {exc}"))
+            continue
+        finally:
+            capsys.readouterr()
+        if code not in (0, 1, 2):
+            faults.append((argv, f"exit {code}"))
+        elif code == 0:
+            try:
+                payload = _strict_json(out_file.read_text())
+            except ValueError as exc:
+                faults.append((argv, f"payload: {exc}"))
+                continue
+            if not _finite_numbers(payload):
+                faults.append((argv, "payload has a non-finite number"))
+    assert not faults, "\n".join(f"{' '.join(argv)}: {fault}" for argv, fault in faults)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tap-residuals", "--n", "4"],
+     ["scaling", "--experiment", "htap1", "--n", "4,5", "--h", "0.3", "--samples", "2"],
+     ["overlap", "--n", "4,5", "--h", "0.3", "--samples", "2"]],
+    ids=["tap-residuals", "scaling", "overlap"],
+)
+def test_negative_zero_t_runs_as_zero(argv, tmp_path, capsys):
+    # numpy's normal refuses the coupling scale sqrt(-0.0) = -0.0
+    payloads = {}
+    for t in ("0", "-0.0"):
+        out_file = tmp_path / f"{t}.json"
+        code, _, err = run_cli([*argv, "--t", t, "--out", str(out_file)], capsys)
+        assert code == 0, err
+        payloads[t] = json.loads(out_file.read_text())
+    assert payloads["-0.0"]["rows"] == payloads["0"]["rows"]
+    assert payloads["-0.0"]["summary"] == payloads["0"]["summary"]
+
+
+@pytest.mark.parametrize(
+    "bounds, flag",
+    [(["--t-min", "0.5", "--t-max", "inf"], "--t-max"),
+     (["--t-min", "nan", "--t-max", "1.5"], "--t-min"),
+     (["--t-min=-inf", "--t-max", "1.5"], "--t-min")],
+    ids=["t-max-inf", "t-min-nan", "t-min-minus-inf"],
+)
+def test_at_line_rejects_a_non_finite_t_bound_by_name(bounds, flag, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["at-line", "--h", "0", *bounds], capsys)
+    assert code == 1
+    assert f"invalid configuration: {flag} must be finite" in err
+    assert "t=nan" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "t, h", [("0", "0.3"), ("-0.0", "0.3"), ("0.5", "200")], ids=["t-0", "t-minus-0", "h-200"]
+)
+def test_mij_variance_refuses_a_prediction_that_is_not_positive(t, h, monkeypatch, capsys):
+    # the ratio divides by the prediction, which is 0 at t = 0 and underflows at h = 200
+    ensembles = []
+    monkeypatch.setattr(sktap.cli, "run_ensemble", ensembles.append)
+    code, out, err = run_cli(
+        ["mij-variance", "--n", "4", "--t", t, "--h", h, "--samples", "2"], capsys
+    )
+    assert code == 1
+    assert "invalid configuration: the predicted n E m01^2 is not > 0" in err
+    assert f"t={float(t)}, h={float(h)}" in err
+    assert ensembles == [] and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tap-residuals", "--n", "12", "--h", "1e308"],
+     ["tap-residuals", "--n", "12", "--h", "3.8e306"],
+     ["dynamics", "--n", "4", "--steps", "4", "--h", "1e308"],
+     ["overlap", "--n", "4,5", "--t", "0.5", "--h", "1e308", "--samples", "2"],
+     ["spectral", "--n", "4", "--h", "1e308", "--samples", "2"],
+     [*SCALING, "--experiment", "spectral", "--n", "4,5", "--h", "1e308"],
+     # the largest size carries the largest field energy: 4e307 passes, 1.2e308 does not
+     [*SCALING, "--experiment", "htap1", "--n", "4,12", "--h", "1e307"]],
+    ids=["tap-residuals-1e308", "tap-residuals-3.8e306", "dynamics", "overlap", "spectral",
+         "scaling-spectral", "scaling-largest-n"],
+)
+def test_a_field_energy_past_the_float_range_is_a_usage_error(argv, monkeypatch, capsys):
+    ensembles = []
+    monkeypatch.setattr(sktap.cli, "run_ensemble", ensembles.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "invalid configuration: field energy sum |h_i| = " in err
+    assert "exceeds 4.494e+307, past which the log-weights overflow" in err
+    assert ensembles == [] and out == ""
+
+
+def test_a_field_energy_inside_the_bound_runs_clean(tmp_path, capsys):
+    # n |h| = 4.44e307, below the bound 4.49e307 that 3.8e306 passes
+    out_file = tmp_path / "o.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(
+            ["tap-residuals", "--n", "12", "--h", "3.7e306", "--out", str(out_file)], capsys
+        )
+    assert code == 0, err
+    assert _finite_numbers(_strict_json(out_file.read_text()))
+
+
+@pytest.mark.parametrize(
+    "experiment, flag, value, reader",
+    [("htap1", "--moment-p", "nan", "mij-moment"),
+     ("ito", "--moment-p", "3", "mij-moment"),
+     ("htap1", "--steps", "0", "ito"),
+     ("qn-conc", "--steps", "8", "ito"),
+     ("htap1", "--quad-nodes", "400", "qn-conc"),
+     ("mij-moment", "--quad-nodes", "3", "qn-conc")],
+    ids=["htap1-moment-p-nan", "ito-moment-p", "htap1-steps-0", "qn-conc-steps",
+         "htap1-quad-nodes-400", "mij-moment-quad-nodes"],
+)
+def test_scaling_rejects_a_flag_its_experiment_never_reads(
+    experiment, flag, value, reader, monkeypatch, capsys
+):
+    ensembles = []
+    monkeypatch.setattr(sktap.cli, "run_ensemble", ensembles.append)
+    code, out, err = run_cli(
+        [*SCALING, "--experiment", experiment, "--n", "4,5", flag, value], capsys
+    )
+    assert code == 1
+    assert f"{flag} is read only by --experiment {reader}, not by {experiment}" in err
+    assert ensembles == [] and out == ""

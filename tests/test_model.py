@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from sktap import (
     sample_path,
     substream_seed,
 )
-from oracles import ks_two_sample
+from oracles import coarsened, ks_two_sample
 
 
 def test_params_validation():
@@ -88,7 +89,8 @@ def test_bumped_coupling_moves_both_slots_once():
 def test_path_starts_at_zero_matrix():
     params = ModelParams.uniform(5, 0.6, 0.0)
     path = sample_path(params, 8, 17)
-    assert np.all(path.matrix_at(0).entries == 0.0)
+    rows = np.stack([path.row_path(i)[0][0] for i in range(5)])
+    assert np.all(rows == 0.0)
     assert path.grid[0] == 0.0 and path.grid[-1] == params.t
     assert np.allclose(np.diff(path.grid), params.t / 8)
 
@@ -127,7 +129,7 @@ def test_path_entry_variance_grows_linearly_in_time():
     end = np.empty(seeds)
     for s in range(seeds):
         path = sample_path(params, 6, 1000 + s)
-        mid[s] = path.matrix_at(3).entries[0, 1]
+        mid[s] = path.row_path(0)[0][3, 1]
         end[s] = path.terminal().entries[0, 1]
     for vals, target in ((mid, 0.5 * t / n), (end, t / n)):
         sv = float(np.var(vals, ddof=1))
@@ -166,23 +168,22 @@ def test_path_halving_leaves_terminal_distribution_unchanged():
 def test_path_coarsening_preserves_the_motion():
     params = ModelParams.uniform(4, 0.5, 0.0)
     fine = sample_path(params, 16, 3)
-    coarse = fine.coarsened(4)
+    coarse = coarsened(fine, 4)
     assert coarse.steps == 4
     assert np.array_equal(coarse.grid, fine.grid[::4])
     assert np.max(np.abs(coarse.terminal().entries - fine.terminal().entries)) < 1e-14
     with pytest.raises(ValueError):
-        fine.coarsened(5)
+        coarsened(fine, 5)
 
 
 def test_path_row_accessors_match_matrix():
     params = ModelParams.uniform(5, 0.7, 0.0)
     path = sample_path(params, 6, 9)
-    for k in (0, 3, 6):
-        assert np.array_equal(path.row_at(2, k), path.matrix_at(k).entries[2])
-    inc = path.row_at(2, 4) - path.row_at(2, 3)
-    assert np.allclose(path.row_increment(2, 3), inc, atol=1e-15)
     rows, incs = path.row_path(2)
     assert rows.shape == (7, 5) and incs.shape == (6, 5)
+    assert np.array_equal(rows[6], path.terminal().entries[2])
+    inc = path.row_at(2, 4) - path.row_at(2, 3)
+    assert np.allclose(path.row_increment(2, 3), inc, atol=1e-15)
     for k in range(6):
         assert np.array_equal(rows[k], path.row_at(2, k))
         assert np.array_equal(incs[k], path.row_increment(2, k))
@@ -192,9 +193,9 @@ def test_path_row_accessors_match_matrix():
 
 
 def test_degenerate_path():
-    path = CouplingPath.degenerate(4)
+    path = CouplingPath(n=4, grid=np.zeros(1), increments=np.zeros((0, 6)))
     assert path.steps == 0
-    assert np.all(path.matrix_at(0).entries == 0.0)
+    assert np.all(path.terminal().entries == 0.0)
 
 
 def test_substream_seed_is_stable_and_distinct():
@@ -213,3 +214,35 @@ def test_params_bumped_field():
     assert p.field[1] == 0.1
     with pytest.raises(ValueError):
         p.bumped_field(5, 0.1)
+
+
+def test_params_store_negative_zero_t_as_zero():
+    # numpy's normal refuses the scale sqrt(-0.0) = -0.0
+    p = ModelParams.uniform(4, -0.0, 0.3)
+    assert p.t == 0.0 and math.copysign(1.0, p.t) == 1.0
+    assert np.all(sample_couplings(p, 1).entries == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 12, 24])
+def test_params_bound_the_field_energy(n):
+    # a quarter of the float64 range, checked without an overflow warning
+    cap = float(np.finfo(np.float64).max) / 4
+    inside, past = cap / n * (1 - 1e-12), cap / n * (1 + 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = ModelParams.uniform(n, 0.5, inside)
+        for h in (past, 1e308, -1e308):
+            with pytest.raises(ValueError, match="field energy"):
+                ModelParams.uniform(n, 0.5, h)
+        with pytest.raises(ValueError, match="field energy"):
+            p.bumped_field(0, cap * 1e-11)
+    field = np.zeros(n)
+    field[0] = -cap * (1 - 1e-12)
+    ModelParams(n=n, t=0.5, field=field)
+
+
+def test_params_bound_t_by_the_fourth_root_of_the_float_range():
+    t_max = float(np.finfo(np.float64).max) ** 0.25
+    ModelParams.uniform(4, t_max, 0.3)
+    with pytest.raises(ValueError, match="t must be finite"):
+        ModelParams.uniform(4, np.nextafter(t_max, np.inf), 0.3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,6 +91,17 @@ def test_resolvent_error_refuses_an_ill_conditioned_operator(monkeypatch):
     p = ModelParams.uniform(6, 0.4, 0.3)
     with pytest.raises(SingularOperatorError, match="condition estimate"):
         resolvent_error(sample_couplings(p, 2), p)
+
+
+@pytest.mark.parametrize("route", [resolvent_error, spectral_margin])
+def test_a_failed_linear_algebra_call_is_a_singular_operator(route):
+    # NaN magnetizations make the operator NaN: numpy's SVD and eigensolver
+    # raise LinAlgError, a ValueError that the CLI would file as a usage error
+    p = ModelParams.uniform(4, 0.5, 0.3)
+    cm = sample_couplings(p, 1)
+    tables = dataclasses.replace(gibbs_tables(cm, p), m=np.full(4, np.nan))
+    with pytest.raises(SingularOperatorError, match="of the deformed operator failed"):
+        route(cm, p, tables=tables)
 
 
 def test_self_consistent_s_scalar_quadratic():

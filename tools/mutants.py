@@ -260,6 +260,22 @@ MUTANTS = (
         ["tests/test_tap.py::test_predicted_mij_sq_refuses_a_rule_that_node_doubling_moves"],
     ),
     (
+        "negative-zero-t-kept",
+        "src/sktap/model.py",
+        "        self.t = self.t + 0.0",
+        "        self.t = self.t",
+        ["tests/test_model.py::test_params_store_negative_zero_t_as_zero",
+         "tests/test_cli.py::test_negative_zero_t_runs_as_zero"],
+    ),
+    (
+        "field-energy-bound-without-margin",
+        "src/sktap/model.py",
+        "_FIELD_ENERGY_MAX = float(np.finfo(np.float64).max) / 4\n",
+        "_FIELD_ENERGY_MAX = float(np.finfo(np.float64).max) / 2\n",
+        ["tests/test_model.py::test_params_bound_the_field_energy",
+         "tests/test_cli.py::test_a_field_energy_past_the_float_range_is_a_usage_error"],
+    ),
+    (
         "pool-for-one-worker",
         "src/sktap/ensemble.py",
         "    if cfg.workers > 1:\n",
