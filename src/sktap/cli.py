@@ -10,8 +10,10 @@ seed is printed when one is known).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import locale  # unused here: argparse's gettext imports it at the first parser, so pay it at import
+import re
 import sys
 from pathlib import Path
 
@@ -46,8 +48,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# A leading minus on anything float() reads (-1e-3, -inf, -nan), which
+# argparse's own pattern, ^-\d+$|^-\d*\.\d+$, takes for an option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits with code 1 on usage errors, as documented."""
+    """argparse that exits with code 1 on usage errors, as documented, and
+    reads every negative number as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -63,37 +76,55 @@ def _parse_n_list(text: str) -> tuple:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, each registered with its help.  Given
+    ``command``, only that one declares its flags; the others take none."""
     parser = _Parser(prog="sktap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, declare, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            declare(p)
+    return parser
 
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", type=Path, default=None, help="write the payload here")
-    quad = _Parser(add_help=False, parents=[common])
-    quad.add_argument("--quad-nodes", type=int, default=QUAD_NODES)
-    # what ``_ensemble_config`` reads, but ``--samples``, whose default differs per command
-    ensemble = _Parser(add_help=False, parents=[quad])
-    ensemble.add_argument("--n", type=_parse_n_list, required=True, help="comma list of sizes")
-    ensemble.add_argument("--t", type=float, required=True)
-    ensemble.add_argument("--h", type=float, required=True)
-    ensemble.add_argument("--seed", type=int, default=42)
-    ensemble.add_argument("--threads", type=int, default=1)
 
-    p = sub.add_parser("fixed-point", parents=[quad], help="solve q = E tanh^2(h + sqrt(tq) Z)")
+def _declare_common(p) -> None:
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", type=Path, default=None, help="write the payload here")
+
+
+def _declare_quad(p) -> None:
+    _declare_common(p)
+    p.add_argument("--quad-nodes", type=int, default=QUAD_NODES)
+
+
+def _declare_ensemble(p) -> None:
+    """What ``_ensemble_config`` reads, but ``--samples``, whose default differs per command."""
+    _declare_quad(p)
+    p.add_argument("--n", type=_parse_n_list, required=True, help="comma list of sizes")
+    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--threads", type=int, default=1)
+
+
+def _declare_fixed_point(p) -> None:
+    _declare_quad(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
 
-    p = sub.add_parser("at-line", parents=[quad], help="AT criterion values on a grid of t")
+
+def _declare_at_line(p) -> None:
+    _declare_quad(p)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--t-min", type=float, required=True)
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--grid", type=int, default=11)
 
-    p = sub.add_parser(
-        "verify-identities", parents=[common], help="conditional/derivative identity residuals"
-    )
+
+def _declare_verify_identities(p) -> None:
+    _declare_common(p)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--h", type=float, default=0.3)
@@ -101,16 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--step", type=float, default=1e-5)
 
-    p = sub.add_parser(
-        "tap-residuals", parents=[common], help="all four TAP residual kinds for one sample"
-    )
+
+def _declare_tap_residuals(p) -> None:
+    _declare_common(p)
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--h", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--pair", type=str, default="0,1", help="pair i,j for the two-point residuals")
 
-    p = sub.add_parser("scaling", parents=[ensemble], help="disorder ensemble + log-log decay fit")
+
+def _declare_scaling(p) -> None:
+    _declare_ensemble(p)
     p.add_argument(
         "--experiment", choices=sorted(name.replace("_", "-") for name in EXPERIMENTS),
         required=True,
@@ -121,17 +154,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loglog-out", type=Path, default=None,
                    help="also write the plot-ready (log n, log mean) table here")
 
-    p = sub.add_parser("overlap", parents=[ensemble], help="overlap concentration (q_n - q)^2")
+
+def _declare_overlap(p) -> None:
+    _declare_ensemble(p)
     p.add_argument("--samples", type=int, default=500)
 
-    p = sub.add_parser(
-        "mij-variance", parents=[ensemble], help="measured n E m01^2 vs leading-order prediction"
-    )
+
+def _declare_mij_variance(p) -> None:
+    _declare_ensemble(p)
     p.add_argument("--samples", type=int, default=2000)
 
-    p = sub.add_parser(
-        "dynamics", parents=[common], help="Ito decomposition residual along one coupling path"
-    )
+
+def _declare_dynamics(p) -> None:
+    _declare_common(p)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--h", type=float, default=0.3)
@@ -140,15 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--site-i", type=int, default=0)
     p.add_argument("--site-j", type=int, default=1)
 
-    p = sub.add_parser(
-        "spectral", parents=[common], help="resolvent errors and spectral margins over disorder"
-    )
+
+def _declare_spectral(p) -> None:
+    _declare_common(p)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--t", type=float, default=0.4)
     p.add_argument("--h", type=float, default=0.3)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
-    return parser
 
 
 def _cmd_fixed_point(args) -> dict:
@@ -386,16 +420,22 @@ def _cmd_spectral(args) -> dict:
     return {"columns": ["n", "seed", "resolvent_error", "margin"], "rows": rows, "summary": summary}
 
 
-_HANDLERS = {
-    "fixed-point": _cmd_fixed_point,
-    "at-line": _cmd_at_line,
-    "verify-identities": _cmd_verify_identities,
-    "tap-residuals": _cmd_tap_residuals,
-    "scaling": _cmd_scaling,
-    "overlap": _cmd_overlap,
-    "mij-variance": _cmd_mij_variance,
-    "dynamics": _cmd_dynamics,
-    "spectral": _cmd_spectral,
+# name: (help, the function that declares its flags, the handler), in the order of --help
+_COMMANDS = {
+    "fixed-point": ("solve q = E tanh^2(h + sqrt(tq) Z)", _declare_fixed_point, _cmd_fixed_point),
+    "at-line": ("AT criterion values on a grid of t", _declare_at_line, _cmd_at_line),
+    "verify-identities": ("conditional/derivative identity residuals",
+                          _declare_verify_identities, _cmd_verify_identities),
+    "tap-residuals": ("all four TAP residual kinds for one sample",
+                      _declare_tap_residuals, _cmd_tap_residuals),
+    "scaling": ("disorder ensemble + log-log decay fit", _declare_scaling, _cmd_scaling),
+    "overlap": ("overlap concentration (q_n - q)^2", _declare_overlap, _cmd_overlap),
+    "mij-variance": ("measured n E m01^2 vs leading-order prediction",
+                     _declare_mij_variance, _cmd_mij_variance),
+    "dynamics": ("Ito decomposition residual along one coupling path",
+                 _declare_dynamics, _cmd_dynamics),
+    "spectral": ("resolvent errors and spectral margins over disorder",
+                 _declare_spectral, _cmd_spectral),
 }
 
 
@@ -427,9 +467,22 @@ def _render_json(payload: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # What the imports left, about 1e5 objects, stays out of every collection
+    # during the call; a caller's own freeze is left as it is.
+    thaw = not gc.get_freeze_count()
+    if thaw:
+        gc.freeze()
     try:
-        args = parser.parse_args(argv)
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        if thaw:
+            gc.unfreeze()
+
+
+def _run(argv) -> int:
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    try:
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exit_request:
         code = exit_request.code
         return code if isinstance(code, int) else 0
@@ -438,7 +491,7 @@ def main(argv=None) -> int:
         for path in (args.out, getattr(args, "loglog_out", None)):
             if path is not None and not path.parent.is_dir():
                 raise ValueError(f"cannot write {path}: no directory {path.parent}")
-        payload = _HANDLERS[args.command](args)
+        payload = _COMMANDS[args.command][2](args)
         payload["config"] = _config_echo(args)
         text = _render_csv(payload) if args.format == "csv" else _render_json(payload)
         if args.out is not None:

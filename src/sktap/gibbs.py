@@ -260,7 +260,8 @@ class BlockEnumerator:
     A system of na <= ``_WALSH_SITES`` sites skips all of this: the context
     keeps only the interaction energy E of every state of every block, and
     ``moments`` runs the Walsh-Hadamard pass (``_walsh_pass``) on chunks of
-    up to 2^16 states, in two buffers that the context keeps.
+    2^16 states, the last of up to 9/8 of that, in two buffers that the
+    context keeps.
     """
 
     def __init__(self, G: np.ndarray):
@@ -319,11 +320,17 @@ class BlockEnumerator:
             {key: np.empty((K, na)) for key in cols},
         )
         if na <= _WALSH_SITES:
+            # chunks of per rows, the last of which takes a remainder of up to
+            # per / 8 rows rather than leave it a pass of its own
             per = _TILE_STATES >> na
-            if self._grids is None or self._grids[0].size < min(per, K) << na:
-                self._grids = [_aligned_empty((min(per, K) << na,)) for _ in range(2)]
-            for a in range(0, K, per):
-                self._walsh_pass(H[a : a + per], slice(a, a + per), out)
+            most = per + per // 8
+            if self._grids is None or self._grids[0].size < min(most, K) << na:
+                self._grids = [_aligned_empty((min(most, K) << na,)) for _ in range(2)]
+            a = 0
+            while a < K:
+                b = K if K - a <= most else a + per
+                self._walsh_pass(H[a:b], slice(a, b), out)
+                a = b
             return out
         for b, systems in self.systems.items():
             count = systems.size if blocks > 1 else K

@@ -108,6 +108,8 @@ class CouplingMatrix:
         e = np.asarray(self.entries, dtype=np.float64)
         if e.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}, got {e.shape}")
+        if not np.isfinite(e).all():
+            raise ValueError("entries must be finite")
         if not np.array_equal(e, e.T):
             raise ValueError("entries must be bit-identically symmetric")
         if np.any(np.diag(e) != 0.0):

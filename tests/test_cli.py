@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import gc
+import io
 import json
 import math
 import os
@@ -584,7 +587,7 @@ SWEEP_BASES = {
        for name in sorted(name.replace("_", "-") for name in EXPERIMENTS)},
 }
 SWEEP_VALUES = {
-    float: ["0", "-0.0", "-1", "inf", "-inf", "nan", "1e308", "1e-300", "40"],
+    float: ["0", "-0.0", "-1", "-1e-3", "inf", "-inf", "nan", "1e308", "1e-300", "40"],
     int: ["0", "-1", "1", "2", "30"],
     # lists of sizes and pairs: unsorted, repeated, out of range, malformed
     _parse_n_list: ["8,4,6", "4,4", "1,2,3", "0,4", "-1,4", "25", "4,x", "", "4,,5"],
@@ -690,8 +693,11 @@ def test_negative_zero_t_runs_as_zero(argv, tmp_path, capsys):
     "bounds, flag",
     [(["--t-min", "0.5", "--t-max", "inf"], "--t-max"),
      (["--t-min", "nan", "--t-max", "1.5"], "--t-min"),
-     (["--t-min=-inf", "--t-max", "1.5"], "--t-min")],
-    ids=["t-max-inf", "t-min-nan", "t-min-minus-inf"],
+     (["--t-min=-inf", "--t-max", "1.5"], "--t-min"),
+     # a negative value in its own word, which argparse took for a flag
+     (["--t-min", "-inf", "--t-max", "1.5"], "--t-min")],
+    ids=["t-max-inf", "t-min-nan", "t-min-minus-inf",
+         "t-min-minus-inf-spaced"],
 )
 def test_at_line_rejects_a_non_finite_t_bound_by_name(bounds, flag, capsys):
     with warnings.catch_warnings():
@@ -777,3 +783,112 @@ def test_scaling_rejects_a_flag_its_experiment_never_reads(
     assert code == 1
     assert f"{flag} is read only by --experiment {reader}, not by {experiment}" in err
     assert ensembles == [] and out == ""
+
+
+def _full_parser_run(argv):
+    """Exit code, stdout and stderr of the full parser on argv, or its Namespace."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit as exit_request:
+            return exit_request.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("base_name", sorted(SWEEP_BASES))
+def test_main_parses_like_the_full_parser(base_name, monkeypatch, capsys):
+    # main declares the flags of the command it runs alone; help, usage
+    # errors, prefixes of long flags and the Namespace stay those of the
+    # parser that declares every command
+    command, base = base_name.split()[0], SWEEP_BASES[base_name]
+    for argv in ([command, "--help"], [command, *base, "--bogus"], [command, "--form", "xml"]):
+        assert run_cli(argv, capsys) == _full_parser_run(argv)
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return {"columns": [], "rows": [], "summary": {}}
+
+    help_text, declare, _ = sktap.cli._COMMANDS[command]
+    monkeypatch.setitem(sktap.cli._COMMANDS, command, (help_text, declare, record))
+    for argv in ([command, *base], [command, *base, "--form", "csv"]):
+        assert run_cli(argv, capsys)[0] == 0
+        assert seen.pop() == _full_parser_run(argv)
+
+
+def test_top_level_help_and_usage_errors_are_unchanged(capsys):
+    for argv in (["--help"], [], ["bogus"], ["--", "fixed-point", "--t", "0.5", "--h", "0.3"]):
+        assert run_cli(argv, capsys) == _full_parser_run(argv)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("-1e-3", -1e-3), ("-1E+3", -1e3), ("-.5e-2", -0.005), ("-5.", -5.0), ("-inf", -math.inf),
+     ("-Infinity", -math.inf), ("-nan", math.nan)],
+)
+def test_a_negative_float_is_a_value_in_any_form(text, value):
+    args = build_parser("fixed-point").parse_args(["fixed-point", "--t", "0.5", "--h", text])
+    assert args.h == value or (math.isnan(value) and math.isnan(args.h))
+
+
+def test_a_negative_float_in_exponent_form_runs_as_its_decimal_form(tmp_path, capsys):
+    # argparse's own pattern read -1e-3 as a flag: "--h: expected one argument"
+    payloads = []
+    for h in ("-1e-3", "-0.001"):
+        out_file = tmp_path / f"{h}.json"
+        code, _, err = run_cli(["fixed-point", "--t", "0.5", "--h", h, "--out", str(out_file)],
+                               capsys)
+        assert code == 0, err
+        payloads.append(out_file.read_bytes())
+    assert payloads[0] == payloads[1]
+
+
+def _bug(*args, **kwargs):
+    raise RuntimeError("bug")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["fixed-point", "--t", "0.5", "--h", "0.3"], 0),
+     (["fixed-point", "--t", "0.5", "--h", "0.3", "--bogus"], 1),
+     (["fixed-point", "--t", "0.5", "--h", "0.3", "--help"], 0),
+     (["at-line", "--h", "0", "--t-min", "1.0", "--t-max", "0.5"], 1),
+     (["mij-variance", "--n", "8", "--t", "1.2", "--h", "0", "--samples", "5"], 2),
+     (["tap-residuals", "--n", "4"], "bug")],
+    ids=["exit-0", "usage-error", "help", "invalid-configuration", "numerical-failure", "bug"],
+)
+@pytest.mark.parametrize("caller", ["plain", "frozen-and-disabled"])
+def test_main_leaves_the_collector_as_it_found_it(argv, code, caller, monkeypatch, capsys):
+    # main freezes what the imports left for the call, and thaws it on every
+    # way out; a caller's own freeze, and a disabled collector, stay as they are
+    frozen_in_call = []
+
+    def spy(real):
+        def run(*args, **kwargs):
+            frozen_in_call.append(gc.get_freeze_count())
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(sktap.cli, "solve_q", spy(sktap.cli.solve_q))
+    monkeypatch.setattr(sktap.cli, "htap1_residuals", spy(_bug))
+    if caller != "plain":
+        gc.freeze()
+        gc.disable()
+    try:
+        before = gc.isenabled(), gc.get_freeze_count()
+        if code == "bug":
+            with pytest.raises(RuntimeError, match="bug"):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() == before[0]
+        if caller == "plain":
+            assert gc.get_freeze_count() == before[1] == 0
+        else:  # frozen objects the call frees leave the count; none is thawed
+            assert 0 < gc.get_freeze_count() <= before[1]
+    finally:
+        gc.enable()
+        gc.unfreeze()
+        capsys.readouterr()
+    if caller == "plain" and frozen_in_call:
+        assert min(frozen_in_call) > 0

@@ -103,12 +103,15 @@ def test_engines_match_each_other_with_reductions():
     assert np.allclose(tb.pair, tg.pair, rtol=0.0, atol=1e-12, equal_nan=True)
 
 
-@pytest.mark.parametrize("na,rows", [(12, 7), (12, 19), (12, 50), (16, 3), (5, 2051), (6, 1027)])
+@pytest.mark.parametrize(
+    "na,rows", [(12, 7), (12, 19), (12, 50), (16, 3), (5, 2051), (6, 1027), (5, 2400)]
+)
 def test_stacked_moments_match_one_call_per_row(na, rows):
     # na = 12 fits 43 systems per chunk, so 7 and 19 rows share one chunk
     # and 50 rows split 43 + 7; na = 16 fits 6 systems per chunk.  The
     # Walsh-Hadamard pass fits 2048 rows per chunk at na = 5 and 1024 at
-    # na = 6, so 2051 and 1027 rows end in a remainder chunk of 3.
+    # na = 6, and its last chunk takes a remainder of up to an eighth of
+    # that: 2051 and 1027 rows make one chunk, 2400 rows split 2048 + 352.
     from sktap.gibbs import BlockEnumerator
 
     rng = np.random.default_rng(na)
@@ -131,7 +134,7 @@ def test_stacked_moments_match_one_call_per_row(na, rows):
     fresh = BlockEnumerator(cm.entries).moments(fields[-2], want_pair=True, cols=cols)
     assert np.array_equal(fresh.second[0], stacked.second[-2])
     assert np.array_equal(fresh.cols[cols[2]][0], stacked.cols[cols[2]][-2])
-    # equal field rows in different chunks give equal bits
+    # equal field rows give equal bits, in different chunks where the stack splits
     assert np.array_equal(stacked.mag[-1], stacked.mag[0])
     assert np.array_equal(stacked.cols[(0,)][-1], stacked.cols[(0,)][0])
 
@@ -270,12 +273,14 @@ def test_small_systems_match_the_oracles_at_huge_fields(na):
 
 
 def test_walsh_coupling_stack_is_bit_equal_to_one_block_per_system():
-    # 1026 systems at na = 6 span two chunks of 1024 rows; systems 3 and
-    # 1025 are equal and sit in different chunks.
+    # 1154 systems at na = 6 span a chunk of 1024 rows and one of 130, more
+    # than the last chunk takes in; systems 3 and 1153 are equal and sit in
+    # different chunks.
     from sktap.gibbs import _TILE_STATES, BlockEnumerator
 
     na = 6
-    K = (_TILE_STATES >> na) + 2
+    per = _TILE_STATES >> na
+    K = per + per // 8 + 2
     params = ModelParams(n=na, t=0.8, field=np.zeros(na))
     G = np.array([sample_couplings(params, s).entries for s in range(K)])
     H = np.random.default_rng(6).normal(0.0, 0.5, (K, na))
@@ -290,6 +295,36 @@ def test_walsh_coupling_stack_is_bit_equal_to_one_block_per_system():
         for key in cols:
             assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
     assert np.array_equal(stacked.second[-1], stacked.second[3])
+
+
+@pytest.mark.parametrize("rows, passes", [(2049, [2049]), (4098, [2048, 2050])])
+def test_walsh_stack_takes_a_small_remainder_into_its_last_chunk(rows, passes):
+    # the clamped-spin stack of a 2048-step Ito path at n = 6 has 2049 rows:
+    # one pass, not a second one for a single row; no chunk passes 9/8 of
+    # the 2048 rows that fit the state budget at na = 5
+    from sktap.gibbs import BlockEnumerator
+
+    na = 5
+    _, cm = random_instance(np.random.default_rng(rows), na)
+    fields = np.random.default_rng(na).normal(0.0, 0.5, (rows, na))
+    cols = [(1,)]
+    ctx = BlockEnumerator(cm.entries)
+    chunks = []
+    kernel = BlockEnumerator._walsh_pass
+
+    def spy(self, H, *args):
+        chunks.append(len(H))
+        return kernel(self, H, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BlockEnumerator, "_walsh_pass", spy)
+        stacked = ctx.moments(fields, want_pair=False, cols=cols)
+    assert chunks == passes
+    for r, h in enumerate(fields):
+        one = ctx.moments(h, want_pair=False, cols=cols)
+        assert stacked.log_z[r] == one.log_z[0]
+        assert np.array_equal(stacked.mag[r], one.mag[0])
+        assert np.array_equal(stacked.cols[(1,)][r], one.cols[(1,)][0])
 
 
 def test_one_pass_allocates_far_less_than_one_grid():

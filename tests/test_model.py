@@ -71,6 +71,20 @@ def test_coupling_matrix_validation():
         CouplingMatrix(3, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "minus-inf", "nan"])
+def test_coupling_matrix_refuses_non_finite_entries(value):
+    # an infinite coupling is symmetric, and spectral_margin then returned (nan, e0)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        CouplingMatrix(2, np.array([[0.0, value], [value, 0.0]]))
+    cm = sample_couplings(ModelParams.uniform(4, 0.5, 0.3), 1)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        cm.bumped(0, 1, value)
+    # the samplers still build their matrices
+    assert np.isfinite(cm.entries).all()
+    path = sample_path(ModelParams.uniform(4, 0.5, 0.3), 8, 1)
+    assert np.isfinite(path.terminal().entries).all()
+
+
 def test_bumped_coupling_moves_both_slots_once():
     params = ModelParams.uniform(4, 0.5, 0.0)
     cm = sample_couplings(params, 2)

@@ -26,10 +26,13 @@ and one whole check, ``ito_decomposition_residual`` on a 2048-step path at
 n = 6 (the ``ito-n6`` workload's sample), per path over ``ITO_PATHS`` paths.
 After the htap1 workers of each round, ``STARTUP_REPEATS`` fresh
 interpreters each time ``import sktap.cli`` and read their peak RSS
-(``ru_maxrss``) right after it, and as many run ``python -m sktap.cli
---help``, timed from start to exit: the floor of every CLI call.  The
-report gives the min and median over the rounds (over every repeat of
-every round for the start-up rows).
+(``ru_maxrss``) right after it, as many run ``python -m sktap.cli
+--help``, timed from start to exit: the floor of every CLI call, and as
+many time one ``sktap.cli.main`` call of the ``ito-n6`` workload's argv
+(2 samples) right after ``import sktap.cli``, as a benchmark worker makes
+it, counting with ``gc.callbacks`` the collections of each generation
+inside the call.  The report gives the min and median over the rounds (over
+every repeat of every round for the start-up rows).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 SIZES = (12, 16, 20, 22, 24, 26)
@@ -60,6 +64,24 @@ import sktap.cli
 ms = (time.perf_counter() - start) * 1e3
 print(ms, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
+# One ``main`` call on the probe's own argv; it prints the exit code, the
+# milliseconds of the call and the collections of each generation inside it.
+MAIN_PROBE = """\
+import gc, sys, time
+import sktap.cli
+collections = [0, 0, 0]
+def count(phase, info):
+    if phase == "start":
+        collections[info["generation"]] += 1
+gc.callbacks.append(count)
+start = time.perf_counter()
+code = sktap.cli.main(sys.argv[1:])
+ms = (time.perf_counter() - start) * 1e3
+gc.callbacks.remove(count)
+print(code, ms, *collections)
+"""
+ITO_ARGV = ("scaling", "--experiment", "ito", "--n", "6", "--steps", "2048", "--t", "0.5",
+            "--h", "0.3", "--threads", "1", "--samples", "2", "--seed", "42")
 
 
 def _timed(fn, calls: int) -> float:
@@ -181,7 +203,16 @@ def _startup(src: str) -> dict:
     subprocess.run([sys.executable, "-m", "sktap.cli", "--help"], env=_env(src), check=True,
                    capture_output=True)
     help_ms = (time.perf_counter() - start) * 1e3
-    return {"import_ms": import_ms, "import_maxrss_mib": maxrss_mib, "help_ms": help_ms}
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run([sys.executable, "-c", MAIN_PROBE, *ITO_ARGV,
+                               "--out", os.path.join(tmp, "ito.json")],
+                              env=_env(src), check=True, capture_output=True, text=True)
+    code, ito_main_ms, *collections = done.stdout.splitlines()[-1].split()
+    if code != "0":
+        raise RuntimeError(f"sktap exit {code}: {done.stderr}")
+    return {"import_ms": import_ms, "import_maxrss_mib": maxrss_mib, "help_ms": help_ms,
+            "ito_main_ms": float(ito_main_ms),
+            **{f"ito_main_gen{g}_collections": int(c) for g, c in enumerate(collections)}}
 
 
 def _run(src: str) -> dict:
@@ -225,7 +256,7 @@ def main(argv: list) -> int:
     results, htap1, criterion_04, small, ito_path, startup = {}, {}, {}, {}, {}, {}
     for label, rounds in runs.items():
         startup[label] = {key: _summary([rep[key] for rnd in rounds for rep in rnd["startup"]])
-                          for key in ("import_ms", "import_maxrss_mib", "help_ms")}
+                          for key in rounds[0]["startup"][0]}
         criterion_04[label] = _summary([rnd["criterion_04_s"] for rnd in rounds])
         ito_path[label] = _summary([rnd["ito_path_ms"] for rnd in rounds])
         small[label] = [

@@ -282,6 +282,28 @@ MUTANTS = (
         "    if cfg.workers >= 1:\n",
         ["tests/test_ensemble.py::test_worker_count_does_not_change_results"],
     ),
+    (
+        "main-without-unfreeze",
+        "src/sktap/cli.py",
+        "        if thaw:\n            gc.unfreeze()\n",
+        "        if thaw:\n            pass\n",
+        ["tests/test_cli.py::test_main_leaves_the_collector_as_it_found_it"],
+    ),
+    (
+        "walsh-one-row-remainder",
+        "src/sktap/gibbs.py",
+        "                b = K if K - a <= most else a + per\n",
+        "                b = min(K, a + per)\n",
+        ["tests/test_gibbs.py::test_walsh_stack_takes_a_small_remainder_into_its_last_chunk"],
+    ),
+    (
+        "negative-exponent-is-an-option",
+        "src/sktap/cli.py",
+        "        self._negative_number_matcher = _NEGATIVE_NUMBER\n",
+        "",
+        ["tests/test_cli.py::test_a_negative_float_in_exponent_form_runs_as_its_decimal_form",
+         "tests/test_cli.py::test_at_line_rejects_a_non_finite_t_bound_by_name"],
+    ),
 )
 
 
