@@ -77,14 +77,16 @@ def _parse_n_list(text: str) -> tuple:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, each registered with its help.  Given
-    ``command``, only that one declares its flags; the others take none."""
+    """The parser of every command, each registered with its help and flags.
+    Given ``command``, only that one is registered; its usage line still
+    names all nine, as the "unrecognized arguments" error prints it."""
     parser = _Parser(prog="sktap", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    names = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar=names)
     for name, (help_text, declare, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if command in (None, name):
-            declare(p)
+            declare(sub.add_parser(name, help=help_text))
     return parser
 
 

@@ -24,7 +24,8 @@ that C spans at most ``_GUARD`` (600): weights that matter then stay far
 from float64 underflow, and couplings too strong for any b > 0 get b = 0,
 one exponential per state.  One enumerator
 also takes a stack of coupling blocks of equal size, such as the n cavity
-systems of a disorder sample, and runs them all in one batched pass.
+systems of a disorder sample, and runs them in chunks that batch every
+numpy call but those of the tile loop.
 
 Systems of up to ``_WALSH_SITES`` (6) sites, too small to factorise, take a
 second kernel instead, chosen by na alone: the 2^na weights of each field
@@ -128,13 +129,14 @@ class _RawMoments:
         )
 
 
-# State budget of the factor, and of a tile with the product of its shape
-# that the pair matrix needs.  A tile is a run of columns of one
-# system's D grid (see ``BlockEnumerator``), or the whole D grids of several
-# stacked systems.  2^16 float64 states are 512 KiB: the working set of a
-# tile stays in one core's L2 cache, while a pass at na = 24 still takes
-# only 32 tiles, so the interpreter overhead per tile stays small next to
-# the exponentials and products.
+# State budget of the factor, of a tile with the product of its shape that
+# the pair matrix needs, and of the operands of the systems a chunk holds
+# (see ``BlockEnumerator.moments``).  A tile is a run of columns of one
+# system's D grid, or the whole D grids of several stacked systems.  2^16
+# float64 states are 512 KiB: the working set of a tile stays in one core's
+# L2 cache, while a pass at na = 24 still takes only 32 tiles, so the
+# interpreter overhead per tile stays small next to the exponentials and
+# products.
 _TILE_STATES = 1 << 16
 
 # Largest coupling range 2 * sum_{a<b} |G_LR[a]|_1 the cross factor eC may
@@ -207,7 +209,7 @@ def _low_bits(G_LR: np.ndarray) -> np.ndarray:
     n1, n2 = G_LR.shape[1:]
     reach = 2.0 * np.cumsum(np.abs(G_LR).sum(axis=2), axis=1)
     most = max(0, min(n1 // 2 - 1, _TILE_STATES.bit_length() - 1 - n2))
-    return np.array([np.count_nonzero(row[:most] <= _GUARD) for row in reach])
+    return np.count_nonzero(reach[:, :most] <= _GUARD, axis=1)
 
 
 @functools.cache
@@ -255,7 +257,8 @@ class BlockEnumerator:
     Kept for a whole stack they would take 1.9 MiB for the 20 cavity
     systems at n = 20, twice the peak of the pass itself.  A chunk only
     holds systems of equal b, so a system's bits depend neither on the
-    guard of another system nor on its place in the stack.
+    guard of another system nor on its place in the stack.  A tile is the
+    part of a chunk's D grids that one exponential call covers.
 
     A system of na <= ``_WALSH_SITES`` sites skips all of this: the context
     keeps only the interaction energy E of every state of every block, and
@@ -277,10 +280,7 @@ class BlockEnumerator:
         self.low = _low_bits(self.G[:, :n1, n1:])
         # the places in the stack of the systems of each b, and the block
         # energies of every system, the left ones in the (t, T) order of its b
-        self.systems = {
-            b: np.array([r for r, x in enumerate(self.low) if x == b])
-            for b in sorted(set(self.low))
-        }
+        self.systems = {b: np.flatnonzero(self.low == b) for b in sorted(set(self.low.tolist()))}
         self.EL = np.empty((len(self.G), 1 << n1))
         for b, systems in self.systems.items():
             self.EL[systems] = _quadratic(_split_signs(n1, b), self.G[systems, :n1, :n1])
@@ -293,18 +293,20 @@ class BlockEnumerator:
         Every field of the result carries a leading K axis (a single vector
         counts as a one-row stack).  One coupling block takes any number of
         rows; a stack of blocks takes one row per block.  The systems of
-        each b run in chunks of as many as fit the state budget with their
-        operands and D grid, which is larger than eC while b < n1 / 2.  The
-        D grid streams through one workspace tile at a time, so the working
-        set stays within ``_TILE_STATES`` states however large na or K is.
-        The enumerator keeps the workspace of each shape it has served, so
-        every chunk of this call and of later ones reuses it instead of
-        faulting in fresh pages.  A tile is a run of right states c; it is
-        exponentiated against the running maximum of its system and reduced
-        at once by products against eC.  The sums over c per left state are
-        rescaled as that maximum grows (an online log-sum-exp), and the sums
-        per right state, which each tile writes once, are rescaled to the
-        final maximum after the last tile.  A pass costs 2^n1 + 2^(na-b)
+        each b run in chunks of as many as fit ``_TILE_STATES`` with their
+        operands (``_Layout.operands``), whose set-up and reductions are
+        calls batched over the chunk; only the tile loop runs per tile.  A
+        tile is the whole D grids of as many of the chunk's systems as fit
+        half the budget, or a run of the right states c of one larger grid,
+        so the working set stays within a few budgets however large na or K
+        is.  The enumerator keeps the workspace of each shape it has served,
+        so every chunk of this call and of later ones reuses it instead of
+        faulting in fresh pages.  A tile is exponentiated against the
+        running maximum of each of its systems and reduced at once by
+        products against eC.  The sums over c per left state are rescaled
+        as that maximum grows (an online log-sum-exp), and the sums per
+        right state, which each tile writes once, are rescaled to the final
+        maximum after the last tile.  A pass costs 2^n1 + 2^(na-b)
         exponentials, plus 2^(b+n2) per chunk for eC, and 2^na multiply-adds
         per product: two, plus one with the pair matrix and two per ``cols``
         key.
@@ -335,7 +337,7 @@ class BlockEnumerator:
         for b, systems in self.systems.items():
             count = systems.size if blocks > 1 else K
             layout = _Layout(self.n1, self.n2, b)
-            per = max(1, _TILE_STATES // layout.per_system)
+            per = max(1, _TILE_STATES // layout.operands(len(out.cols)))
             shape = (min(per, count), min(per, systems.size))
             key = (b, *shape, len(out.cols), want_pair)
             if key not in self._work:
@@ -393,16 +395,17 @@ class BlockEnumerator:
         one per field row, or the one block that serves them all.  Tiles
         split D along its columns only, at boundaries fixed by na and b, and
         every product is a matmul batched over the leading axis, one BLAS
-        call per system, never one gemm whose row dimension spans the chunk.
-        A system's bits therefore do not depend on the systems that share
-        its chunk: equal systems give equal results wherever they sit.
+        call per system, never one gemm whose row dimension spans the chunk
+        or the tile.  A system's bits therefore do not depend on the systems
+        that share its chunk or its tile: equal systems give equal results
+        wherever they sit.
         """
         k, blocks = H.shape[0], len(own)
         n1, b = self.n1, layout.low
         SL, SR, tc = layout.SL, layout.SR, layout.tile_cols
         nt, ncol, nT = 1 << b, SR.shape[0], layout.Sh.shape[0]
-        left, right, W, row_sums, col_sums = (
-            work[name][:k] for name in ("left", "right", "W", "row_sums", "col_sums")
+        left, right, row_sums, col_sums = (
+            work[name][:k] for name in ("left", "right", "row_sums", "col_sums")
         )
         G_LR = self.G[own, :n1, n1:]
         eC = np.matmul(layout.Sl, G_LR[:, :b] @ SR.T, out=work["eC"][:blocks])
@@ -428,50 +431,61 @@ class BlockEnumerator:
         # product takes about 1.6x faster with c as the outer axis (a pass at
         # n = 22-24 takes 7-15% less).  A pass of one tile reads it whole,
         # where the order gains nothing, and keeps c inner: a README command
-        # whose passes all take one tile then keeps its bits.
+        # whose passes all take one tile then keeps its bits.  Without keys
+        # it reads eC and eA themselves, not copies.
         tiles = ncol // tc
         size = (1 + len(out.cols)) * nt
-        if tiles > 1:
-            by_row = np.empty((blocks, ncol, size)).transpose(0, 2, 1)
-        else:
-            by_row = np.empty((blocks, size, ncol))
-        np.concatenate([eC] + [parts[key][1] * eC for key in out.cols], axis=1, out=by_row)
-        by_col = np.concatenate(
-            [eA[:, None]] + [parts[key][0].reshape(nt, nT) * eA[:, None] for key in out.cols],
-            axis=1,
-        ).reshape(k, -1, nT)
+        by_row, by_col = eC, eA
+        if tiles > 1 or out.cols:
+            if tiles > 1:
+                by_row = np.empty((blocks, ncol, size)).transpose(0, 2, 1)
+            else:
+                by_row = np.empty((blocks, size, ncol))
+            np.concatenate([eC] + [parts[key][1] * eC for key in out.cols], axis=1, out=by_row)
+        if out.cols:
+            by_col = np.concatenate(
+                [eA[:, None]] + [parts[key][0].reshape(nt, nT) * eA[:, None] for key in out.cols],
+                axis=1,
+            ).reshape(k, -1, nT)
 
-        # Every tile is shifted by the running maximum of its system.  The
-        # first tile writes the sums over c, small per left state; a later
-        # one rescales them to the grown maximum and adds its own.  The
-        # column sums of each tile are written once and brought to the final
-        # maximum after the loop.
-        shifts = np.empty((k, tiles))
-        if out.second is not None:
-            M, cross = work["M"][:k], work["cross"][:k]
-        for j in range(tiles):
-            c = slice(j * tc, (j + 1) * tc)
-            np.matmul(left, right[:, :, c], out=W)
-            peak = W.reshape(k, -1).max(axis=1)
-            grown = np.maximum(top, peak) if j else peak
-            W -= grown[:, None, None]
-            np.exp(W, out=W)
-            np.matmul(by_col, W, out=col_sums[:, :, c])
-            WT = W.transpose(0, 2, 1)
-            row_part = np.matmul(by_row[:, :, c], WT, out=None if j else row_sums)
-            if out.second is not None:
-                # the high left sites meet the right block in W * (eA^T @ eC)
-                np.matmul(eA.transpose(0, 2, 1), eC[:, :, c], out=M)
-                M *= W
-                cross_part = np.matmul(M, SR[c], out=None if j else cross)
-            if j:
-                scale = np.exp(top - grown)[:, None, None]
-                row_sums *= scale
-                row_sums += row_part
-                if out.second is not None:
-                    cross *= scale
-                    cross += cross_part
-            top = shifts[:, j] = grown
+        # A tile is the whole D grids of ``layout.per_tile`` systems, or a run
+        # of columns of one system's grid; every system's tiles are shifted
+        # by its own running maximum.  The first tile of a system writes its
+        # sums over c, small per left state; a later one rescales them to the
+        # grown maximum and adds its own.  The column sums of each tile are
+        # written once and brought to the final maximum after the loop.
+        pair = out.second is not None
+        shifts, top = np.empty((k, tiles)), np.empty(k)
+        if pair:
+            cross = work["cross"][:k]
+        for s in range(0, k, layout.per_tile):
+            g = slice(s, s + layout.per_tile)
+            e = g if blocks > 1 else slice(None)  # the factor eC of each system of g
+            W = work["W"][: min(k - s, layout.per_tile)]
+            M = work["M"][: len(W)] if pair else None
+            for j in range(tiles):
+                c = slice(j * tc, (j + 1) * tc)
+                np.matmul(left[g], right[g, :, c], out=W)
+                peak = W.reshape(len(W), -1).max(axis=1)
+                grown = np.maximum(top[g], peak) if j else peak
+                W -= grown[:, None, None]
+                np.exp(W, out=W)
+                np.matmul(by_col[g], W, out=col_sums[g, :, c])
+                WT = W.transpose(0, 2, 1)
+                row_part = np.matmul(by_row[e, :, c], WT, out=None if j else row_sums[g])
+                if pair:
+                    # the high left sites meet the right block in W * (eA^T @ eC)
+                    np.matmul(eA[g].transpose(0, 2, 1), eC[e, :, c], out=M)
+                    M *= W
+                    cross_part = np.matmul(M, SR[c], out=None if j else cross[g])
+                if j:
+                    scale = np.exp(top[g] - grown)[:, None, None]
+                    row_sums[g] *= scale
+                    row_sums[g] += row_part
+                    if pair:
+                        cross[g] *= scale
+                        cross[g] += cross_part
+                top[g] = shifts[g, j] = grown
         # one tile has the final shift already: every scale would be exp(0) = 1
         if tiles > 1:
             scale = np.exp(shifts - top[:, None])
@@ -490,7 +504,7 @@ class BlockEnumerator:
         norm = zsum[:, None]
         out.log_z[rows] = np.log(zsum) + top + c_shift
 
-        if out.second is not None:
+        if pair:
             # the right-left block stays 0: only the upper triangle is read
             sec = np.zeros((k, self.na, self.na))
             sec[:, :n1, :n1] = SL.T @ (u[:, :, None] * SL)
@@ -528,8 +542,14 @@ class _Layout:
         # longer with quarter-budget ones (in-process, one BLAS thread).
         rows = self.Sh.shape[0]
         self.tile_cols = min(1 << n2, max(1, (_TILE_STATES // 2) // rows))
-        # a system's left and right operands and D grid
-        self.per_system = rows * (n1 - b + 2) + (n1 - b + 2 << n2) + (rows << n2)
+        # the systems whose whole D grids make one tile, within the same half
+        # budget; a grid of several tiles has its tiles to itself
+        self.per_tile = max(1, (_TILE_STATES // 2) // (rows << n2))
+
+    def operands(self, keys: int) -> int:
+        """Floats per system of eC, eA, the D operands and the row and column sums."""
+        rows, cols = self.Sh.shape[0], self.SR.shape[0]
+        return (rows + cols) * (((2 + keys) << self.low) + self.n1 - self.low + 2)
 
     def parts(self, indices):
         """Products of the spins ``indices`` over the left and right states."""
@@ -554,12 +574,12 @@ class _Layout:
             "left": (k, nT, high + 2),
             "right": (k, high + 2, ncol),
             "eC": (blocks, nt, ncol),
-            "W": (k, nT, tc),
+            "W": (min(k, self.per_tile), nT, tc),
             "row_sums": (k, (1 + keys) * nt, nT),
             "col_sums": (k, (1 + keys) * nt, ncol),
         }
         if out.second is not None:
-            shapes["M"] = (k, nT, tc)
+            shapes["M"] = shapes["W"]
             shapes["cross"] = (k, nT, self.n2)
         # One block holds every buffer, each on a 64-byte boundary.  Where
         # each had its own, the heap of a process that builds a fresh

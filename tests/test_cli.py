@@ -821,6 +821,18 @@ def test_top_level_help_and_usage_errors_are_unchanged(capsys):
         assert run_cli(argv, capsys) == _full_parser_run(argv)
 
 
+def test_the_parser_of_one_command_registers_that_command_alone():
+    # its usage line still names every command, as the full parser's does
+    def subparsers(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    one, full = build_parser("scaling"), build_parser()
+    assert subparsers(one) == ["scaling"]
+    assert subparsers(full) == list(sktap.cli._COMMANDS)
+    assert one.format_usage() == full.format_usage()
+
+
 @pytest.mark.parametrize(
     "text, value",
     [("-1e-3", -1e-3), ("-1E+3", -1e3), ("-.5e-2", -0.005), ("-5.", -5.0), ("-inf", -math.inf),

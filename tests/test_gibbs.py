@@ -107,8 +107,8 @@ def test_engines_match_each_other_with_reductions():
     "na,rows", [(12, 7), (12, 19), (12, 50), (16, 3), (5, 2051), (6, 1027), (5, 2400)]
 )
 def test_stacked_moments_match_one_call_per_row(na, rows):
-    # na = 12 fits 43 systems per chunk, so 7 and 19 rows share one chunk
-    # and 50 rows split 43 + 7; na = 16 fits 6 systems per chunk.  The
+    # na = 12 fits 31 systems per chunk, so 7 and 19 rows share one chunk
+    # and 50 rows split 31 + 19; na = 16 fits 4 systems per chunk.  The
     # Walsh-Hadamard pass fits 2048 rows per chunk at na = 5 and 1024 at
     # na = 6, and its last chunk takes a remainder of up to an eighth of
     # that: 2051 and 1027 rows make one chunk, 2400 rows split 2048 + 352.
@@ -180,8 +180,9 @@ def assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields):
 
 
 def test_coupling_stack_is_bit_equal_to_one_system_per_block():
-    # At na = 14 a chunk holds up to 12 systems of b = 2, so the stack mixes
-    # three b and the b = 2 systems split over two chunks.
+    # At na = 14 a chunk holds up to 17 systems of b = 2 and a tile the
+    # grids of 8, so the stack mixes three b and its 13 systems of b = 2
+    # share one chunk of two tiles.
     from sktap.gibbs import BlockEnumerator
 
     G, fields = mixed_coupling_stack()
@@ -211,6 +212,58 @@ def test_coupling_stack_spanning_several_tiles_is_bit_equal_to_one_system_per_bl
         layout = _Layout(ctx.n1, ctx.n2, b)
         assert layout.tile_cols * 4 <= layout.SR.shape[0]
     assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields)
+
+
+def test_a_chunk_of_several_systems_gives_each_system_its_own_tiles(monkeypatch):
+    # At na = 18 the D grid of a b = 3 system, 2^15 states, is a tile by
+    # itself, while a chunk holds the operands of 2 such systems with the
+    # pair matrix and two ``cols`` keys, or of 4 without: the 7 systems of
+    # b = 3 run in chunks of 2 + 2 + 2 + 1, or 4 + 3.  Systems 2 and 6
+    # (b = 0) share a chunk and span 8 tiles each, system 5 has b = 1, and
+    # system 9 repeats system 1 in another chunk.
+    from sktap.gibbs import BlockEnumerator
+
+    n, n1, K = 18, 9, 10
+    params = ModelParams(n=n, t=0.5, field=np.zeros(n))
+    G = np.array([sample_couplings(params, s).entries for s in range(K)])
+    for r, row in [(2, 0), (6, 0), (5, 1)]:
+        scale = 400.0 / np.abs(G[r, row, n1:]).sum()
+        G[r, row, n1:] *= scale
+        G[r, n1:, row] *= scale
+    G[9] = G[1]
+    fields = np.random.default_rng(n).normal(0.0, 0.5, (K, n))
+    fields[4] *= 600.0  # |H| ~ 1e3 beside systems of |H| ~ 1
+    fields[9] = fields[1]
+    ctx = BlockEnumerator(G)
+    assert ctx.low.tolist() == [3, 3, 0, 3, 3, 1, 0, 3, 3, 3]
+    passes = []
+    kernel = BlockEnumerator._pass
+
+    def spy(self, layout, own, H, *args):
+        passes.append((layout.low, len(H), layout.per_tile, layout.tile_cols))
+        return kernel(self, layout, own, H, *args)
+
+    for want_pair, cols, chunks in [
+        (True, STACK_COLS[:1] + [(0, n - 1)], [2, 1, 2, 2, 2, 1]),
+        (False, [], [2, 1, 4, 3]),
+    ]:
+        passes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(BlockEnumerator, "_pass", spy)
+            stacked = ctx.moments(fields, want_pair=want_pair, cols=cols)
+        assert [k for _, k, _, _ in passes] == chunks
+        for b, _, per_tile, tile_cols in passes:
+            assert per_tile == 1
+            assert tile_cols * {0: 8, 1: 4, 3: 1}[b] == 1 << (n - n1)
+        for r in range(K):
+            one = BlockEnumerator(G[r]).moments(fields[r], want_pair=want_pair, cols=cols)
+            assert stacked.log_z[r] == one.log_z[0]
+            assert np.array_equal(stacked.mag[r], one.mag[0])
+            if want_pair:
+                assert np.array_equal(stacked.second[r], one.second[0])
+            for key in cols:
+                assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
+        assert np.array_equal(stacked.mag[9], stacked.mag[1])
 
 
 def small_keys(na):

@@ -24,6 +24,7 @@ from sktap import (
     tap1_residuals,
     tap2_residual,
 )
+from sktap.gibbs import BlockEnumerator
 from sktap.tap import gauss_hermite
 from oracles import GrayEnumerator, bisect_fixed_point, f_prime, naive_tables, on_engine
 
@@ -311,20 +312,33 @@ def test_htap1_report_matches_direct_recomputation():
 
 
 @pytest.mark.parametrize("n", [8, 12, 19])
-def test_cavity_sweep_matches_one_enumeration_per_site_and_the_oracles(n):
+def test_cavity_sweep_matches_one_enumeration_per_site_and_the_oracles(n, monkeypatch):
     # One stacked enumeration of the n cavity systems against the per-site
-    # route through ReducedSpec(removed={i}), the Gray-code engine (every
-    # cavity up to n = 12, two of them at n = 19) and, at n = 8, the naive
-    # oracle
+    # route through ReducedSpec(removed={i}), bit for bit, the Gray-code
+    # engine (every cavity up to n = 12, two of them at n = 19) and, at
+    # n = 8, the naive oracle.  At n = 19 the stack runs in chunks of 4.
     rng = np.random.default_rng(n)
     p = ModelParams(n=n, t=0.5, field=rng.normal(0.3, 0.2, n))
     cm = sample_couplings(p, n)
     g = cm.entries
+    stacks = []
+    moments = BlockEnumerator.moments
+
+    def spy(self, *args, **kwargs):
+        raw = moments(self, *args, **kwargs)
+        if len(self.G) > 1:
+            stacks.append(raw.mag)
+        return raw
+
+    monkeypatch.setattr(BlockEnumerator, "moments", spy)
     report = htap1_residuals(cm, p)
+    monkeypatch.undo()
+    (stacked,) = stacks
     full = magnetizations(cm, p)
     cavities = []
     for i in range(n):
         cav = magnetizations(cm, p, ReducedSpec(removed=frozenset({i})))
+        assert np.array_equal(stacked[i], np.delete(cav, i))
         cav[i] = 0.0
         cavities.append(cav)
         expected = full[i] - math.tanh(p.field[i] + g[i] @ cav)

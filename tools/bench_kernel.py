@@ -24,6 +24,11 @@ Ito check it times one ``moments`` call of the shape that check makes (no
 pair matrix, one ``cols`` key) at na = 5 and 6, on 1 and on 2049 field rows,
 and one whole check, ``ito_decomposition_residual`` on a 2048-step path at
 n = 6 (the ``ito-n6`` workload's sample), per path over ``ITO_PATHS`` paths.
+For the stacks that chunks batch it times a fresh enumerator and one
+``moments`` call, magnetizations only, over 20 coupling blocks at na = 17,
+18 and 19 (``STACKS``: the htap1 cavity stacks at n = 18-20 have na + 1),
+and over 2049 field rows of one block at na = 17 with one ``cols`` key
+(``WIDE``).
 After the htap1 workers of each round, ``STARTUP_REPEATS`` fresh
 interpreters each time ``import sktap.cli`` and read their peak RSS
 (``ru_maxrss``) right after it, as many run ``python -m sktap.cli
@@ -31,8 +36,10 @@ interpreters each time ``import sktap.cli`` and read their peak RSS
 many time one ``sktap.cli.main`` call of the ``ito-n6`` workload's argv
 (2 samples) right after ``import sktap.cli``, as a benchmark worker makes
 it, counting with ``gc.callbacks`` the collections of each generation
-inside the call.  The report gives the min and median over the rounds (over
-every repeat of every round for the start-up rows).
+inside the call, and as many time the first ``build_parser`` and its
+``parse_args`` of the ``htap1-n20`` workload's argv right after the import.
+The report gives the min and median over the rounds (over every repeat of
+every round for the start-up rows).
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ SIZES = (12, 16, 20, 22, 24, 26)
 HTAP1_SIZES = (8, 12, 16, 20)
 HTAP1_SAMPLES = 16
 SMALL = ((5, 1), (5, 2049), (6, 1), (6, 2049))  # (na, field rows)
+STACKS = ((17, 20), (18, 20), (19, 20))  # (na, coupling blocks), magnetizations only
+WIDE = (17, 2049)  # (na, field rows) on one coupling block, with one ``cols`` key
+STACK_CALLS = 20
 ITO_PATHS = 16
 FLOOR_STATES = 24  # log2 of the largest grid the floor allocates
 ROUNDS = 7
@@ -82,6 +92,17 @@ print(code, ms, *collections)
 """
 ITO_ARGV = ("scaling", "--experiment", "ito", "--n", "6", "--steps", "2048", "--t", "0.5",
             "--h", "0.3", "--threads", "1", "--samples", "2", "--seed", "42")
+# The first parser ``main`` builds in a fresh interpreter, and its parse of the
+# probe's own argv; it prints the milliseconds of both.
+PARSE_PROBE = """\
+import sys, time
+import sktap.cli
+start = time.perf_counter()
+sktap.cli.build_parser(sys.argv[1]).parse_args(sys.argv[1:])
+print((time.perf_counter() - start) * 1e3)
+"""
+HTAP1_ARGV = ("scaling", "--experiment", "htap1", "--n", "20", "--t", "0.5", "--h", "0.3",
+              "--threads", "1", "--samples", "4", "--seed", "42")
 
 
 def _timed(fn, calls: int) -> float:
@@ -137,6 +158,30 @@ def _small_rows() -> list:
     return rows
 
 
+def _stack_rows() -> list:
+    import numpy as np
+
+    from sktap.gibbs import BlockEnumerator
+    from sktap.model import ModelParams, sample_couplings
+
+    rows = []
+    for na, count in STACKS:
+        params = ModelParams.uniform(na, 0.5, 0.3)
+        G = np.array([sample_couplings(params, seed).entries for seed in range(count)])
+        fields = np.random.default_rng(na).normal(0.3, 0.5, (count, na))
+        BlockEnumerator(G).moments(fields, want_pair=False)
+        ms = _timed(lambda: BlockEnumerator(G).moments(fields, want_pair=False), STACK_CALLS)
+        rows.append({"na": na, "blocks": count, "rows": count, "cols": 0, "init_moments_ms": ms})
+    na, count = WIDE
+    params = ModelParams.uniform(na, 0.5, 0.3)
+    G = sample_couplings(params, 0).entries
+    fields = np.random.default_rng(na).normal(0.3, 0.5, (count, na))
+    BlockEnumerator(G).moments(fields, want_pair=False, cols=[(1,)])
+    ms = _timed(lambda: BlockEnumerator(G).moments(fields, want_pair=False, cols=[(1,)]), 2)
+    rows.append({"na": na, "blocks": 1, "rows": count, "cols": 1, "init_moments_ms": ms})
+    return rows
+
+
 def _ito_path_ms() -> float:
     from sktap.dynamics import ItoCheckConfig, ito_decomposition_residual
     from sktap.model import ModelParams, sample_path
@@ -159,6 +204,7 @@ def worker() -> None:
 
     criterion_04_s = _criterion_04_s()
     small = _small_rows()
+    stacks = _stack_rows()
     ito_path_ms = _ito_path_ms()
     rows = []
     for n in SIZES:
@@ -179,7 +225,7 @@ def worker() -> None:
             rows.append({"n": n, "want_pair": want_pair, "init_ms": init_ms,
                          "moments_ms": moments_ms, "exp_floor_ms": floor_ms})
     print(json.dumps({"kernel": rows, "criterion_04_s": criterion_04_s,
-                      "small": small, "ito_path_ms": ito_path_ms}))
+                      "small": small, "stacks": stacks, "ito_path_ms": ito_path_ms}))
 
 
 def _env(src: str) -> dict:
@@ -210,8 +256,10 @@ def _startup(src: str) -> dict:
     code, ito_main_ms, *collections = done.stdout.splitlines()[-1].split()
     if code != "0":
         raise RuntimeError(f"sktap exit {code}: {done.stderr}")
+    done = subprocess.run([sys.executable, "-c", PARSE_PROBE, *HTAP1_ARGV], env=_env(src),
+                          check=True, capture_output=True, text=True)
     return {"import_ms": import_ms, "import_maxrss_mib": maxrss_mib, "help_ms": help_ms,
-            "ito_main_ms": float(ito_main_ms),
+            "htap1_parse_ms": float(done.stdout), "ito_main_ms": float(ito_main_ms),
             **{f"ito_main_gen{g}_collections": int(c) for g, c in enumerate(collections)}}
 
 
@@ -253,7 +301,7 @@ def main(argv: list) -> int:
     for r in range(ROUNDS):
         for label in order if r % 2 == 0 else order[::-1]:
             runs[label].append(_run(labels[label]))
-    results, htap1, criterion_04, small, ito_path, startup = {}, {}, {}, {}, {}, {}
+    results, htap1, criterion_04, small, stacks, ito_path, startup = {}, {}, {}, {}, {}, {}, {}
     for label, rounds in runs.items():
         startup[label] = {key: _summary([rep[key] for rnd in rounds for rep in rnd["startup"]])
                           for key in rounds[0]["startup"][0]}
@@ -263,6 +311,11 @@ def main(argv: list) -> int:
             {"na": row["na"], "rows": row["rows"],
              "moments_ms": _summary([rnd["small"][i]["moments_ms"] for rnd in rounds])}
             for i, row in enumerate(rounds[0]["small"])
+        ]
+        stacks[label] = [
+            {**row, "init_moments_ms": _summary([rnd["stacks"][i]["init_moments_ms"]
+                                                 for rnd in rounds])}
+            for i, row in enumerate(rounds[0]["stacks"])
         ]
         results[label] = []
         for i, row in enumerate(rounds[0]["kernel"]):
@@ -278,7 +331,7 @@ def main(argv: list) -> int:
         ]
     print(json.dumps({"what": __doc__.strip().splitlines()[0], "rounds": ROUNDS,
                       "machine": _machine(), "results": results, "htap1": htap1,
-                      "criterion_04_s": criterion_04, "small": small,
+                      "criterion_04_s": criterion_04, "small": small, "stacks": stacks,
                       "ito_path_ms": ito_path, "startup": startup}, indent=1))
     return 0
 

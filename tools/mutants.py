@@ -32,6 +32,7 @@ LATE_TILE = "tests/test_gibbs_properties.py::test_online_shift_matches_gray_when
 SMALL_SYSTEMS = "tests/test_gibbs.py::test_small_systems_match_the_oracles_at_huge_fields"
 BLOCK_TRIPLE = "tests/test_gibbs.py::test_triple_matches_raw_moment_expansion[8]"
 HAND_SPECTRAL = "tests/test_spectral.py::test_deformed_operator_and_resolvent_match_hand_formulas"
+SEVERAL_PER_CHUNK = "tests/test_gibbs.py::test_a_chunk_of_several_systems_gives_each_system_its_own_tiles"
 
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
@@ -45,14 +46,14 @@ MUTANTS = (
     (
         "drop-running-row-sum-rescale",
         "src/sktap/gibbs.py",
-        "                row_sums *= scale\n",
+        "                    row_sums[g] *= scale\n",
         "",
         [LATE_TILE],
     ),
     (
         "drop-running-cross-rescale",
         "src/sktap/gibbs.py",
-        "                    cross *= scale\n",
+        "                        cross[g] *= scale\n",
         "",
         [LATE_TILE],
     ),
@@ -73,7 +74,7 @@ MUTANTS = (
     (
         "remove-guard",
         "src/sktap/gibbs.py",
-        "    return np.array([np.count_nonzero(row[:most] <= _GUARD) for row in reach])\n",
+        "    return np.count_nonzero(reach[:, :most] <= _GUARD, axis=1)\n",
         "    return np.full(len(reach), most)\n",
         ["tests/test_gibbs.py::test_guard_keeps_strong_low_left_couplings_exact"],
     ),
@@ -83,6 +84,21 @@ MUTANTS = (
         "        eC = np.matmul(layout.Sl, G_LR[:, :b] @ SR.T, out=work[\"eC\"][:blocks])\n",
         "        eC = np.matmul(layout.Sl, G_LR[:1, :b] @ SR.T, out=work[\"eC\"][:blocks])\n",
         ["tests/test_gibbs.py::test_coupling_stack_is_bit_equal_to_one_system_per_block"],
+    ),
+    (
+        "tile-subtracts-previous-system-shift",
+        "src/sktap/gibbs.py",
+        "                W -= grown[:, None, None]\n",
+        "                W -= (grown if j or not s else top[s - 1 : s])[:, None, None]\n",
+        [SEVERAL_PER_CHUNK],
+    ),
+    (
+        "last-partial-chunk-skips-its-final-system",
+        "src/sktap/gibbs.py",
+        "                rows = systems[a : a + per] if blocks > 1 else slice(a, a + per)\n",
+        "                rows = systems[a : a + per if a + per <= count else count - 1]"
+        " if blocks > 1 else slice(a, a + per)\n",
+        [SEVERAL_PER_CHUNK],
     ),
     (
         "drop-right-cols-sign",
