@@ -23,6 +23,7 @@ from .dynamics import ItoCheckConfig, cavity_difference_path, ito_decomposition_
 from .ensemble import EXPERIMENTS, EnsembleConfig, reference_overlap, run_ensemble
 from .errors import NumericalError
 from .gibbs import (
+    ENUM_CAP,
     coupling_derivative_residual,
     gibbs_tables,
     key_identity_residual,
@@ -125,21 +126,32 @@ def _declare_at_line(p) -> None:
     p.add_argument("--grid", type=int, default=11)
 
 
-def _declare_verify_identities(p) -> None:
+def _declare_system(p, n: int, t: float) -> None:
+    """The flags of the one system a command draws, ``--n`` and ``--t`` with these defaults."""
     _declare_common(p)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--t", type=float, default=0.5)
+    p.add_argument("--n", type=int, default=n)
+    p.add_argument("--t", type=float, default=t)
     p.add_argument("--h", type=float, default=0.3)
+
+
+def _system(args, removed: int = 0) -> ModelParams:
+    """The parameters that ``_declare_system``'s flags set.  An n whose
+    enumeration would exceed ``ENUM_CAP`` with ``removed`` sites taken out
+    is refused here, before any draw."""
+    if args.n - removed > ENUM_CAP:
+        raise ValueError(f"{args.n - removed} active sites exceed enum_cap={ENUM_CAP}")
+    return ModelParams.uniform(args.n, args.t, args.h)
+
+
+def _declare_verify_identities(p) -> None:
+    _declare_system(p, 8, 0.5)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--step", type=float, default=1e-5)
 
 
 def _declare_tap_residuals(p) -> None:
-    _declare_common(p)
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--h", type=float, default=0.3)
+    _declare_system(p, 12, 0.5)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--pair", type=str, default="0,1", help="pair i,j for the two-point residuals")
 
@@ -168,10 +180,7 @@ def _declare_mij_variance(p) -> None:
 
 
 def _declare_dynamics(p) -> None:
-    _declare_common(p)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--h", type=float, default=0.3)
+    _declare_system(p, 8, 0.5)
     p.add_argument("--steps", type=int, default=256)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--site-i", type=int, default=0)
@@ -179,10 +188,7 @@ def _declare_dynamics(p) -> None:
 
 
 def _declare_spectral(p) -> None:
-    _declare_common(p)
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--t", type=float, default=0.4)
-    p.add_argument("--h", type=float, default=0.3)
+    _declare_system(p, 16, 0.4)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
 
@@ -226,7 +232,7 @@ def _cmd_verify_identities(args) -> dict:
         raise ValueError(f"--n must be >= 3, the triple identities need three sites, got {args.n}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    params = ModelParams.uniform(args.n, args.t, args.h)
+    params = _system(args)
     cm = sample_couplings(params, args.seed)
     full = gibbs_tables(cm, params)
     rng = np.random.default_rng(substream_seed(args.seed, 1))
@@ -265,7 +271,7 @@ def _cmd_verify_identities(args) -> dict:
 
 
 def _cmd_tap_residuals(args) -> dict:
-    params = ModelParams.uniform(args.n, args.t, args.h)
+    params = _system(args)
     cm = sample_couplings(params, args.seed)
     try:
         i, j = (int(v) for v in args.pair.split(","))
@@ -373,7 +379,7 @@ def _cmd_mij_variance(args) -> dict:
 
 
 def _cmd_dynamics(args) -> dict:
-    params = ModelParams.uniform(args.n, args.t, args.h)
+    params = _system(args, removed=1)  # the Ito check enumerates the cavity of one site
     path = sample_path(params, args.steps, args.seed)
     cfg = ItoCheckConfig(clamped_site=args.site_i, target_site=args.site_j)
     trace = ito_decomposition_trace(path, cfg, params)
@@ -397,7 +403,7 @@ def _cmd_dynamics(args) -> dict:
 def _cmd_spectral(args) -> dict:
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
-    params = ModelParams.uniform(args.n, args.t, args.h)
+    params = _system(args)
     rows = []
     for k in range(args.samples):
         seed = substream_seed(args.seed, args.n, k)
@@ -409,8 +415,9 @@ def _cmd_spectral(args) -> dict:
         except NumericalError as exc:
             raise NumericalError(f"sample {k} (seed={seed}): {exc}") from exc
         rows.append([args.n, seed, err, eigmin - e0])
-    cm0 = sample_couplings(params, substream_seed(args.seed, args.n, 0))
-    fd, closed = s_prime_at_e0(cm0, params)
+        if k == 0:
+            first = cm  # s'(e0) reads sample 0 too
+    fd, closed = s_prime_at_e0(first, params)
     summary = {
         "median_resolvent_error": float(np.median([row[2] for row in rows])),
         "margin_fraction": sum(row[3] > 0 for row in rows) / args.samples,

@@ -184,7 +184,8 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, cfg.samples // (4 * cfg.workers))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # the pool starts all its processes at the first task: no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
             results = list(pool.map(_sample_scalar, tasks, chunksize=chunk))
     else:
         results = map(_sample_scalar, tasks)  # lazy, so no sample runs after a failed one

@@ -73,9 +73,6 @@ class ReducedSpec:
         if set(self.clamped) & self.removed:
             raise ValueError("clamped and removed sites must be disjoint")
 
-    def validate(self, n: int) -> None:
-        _check_sites(n, *self.clamped, *self.removed)
-
     def excluded(self) -> set:
         return set(self.clamped) | set(self.removed)
 
@@ -429,18 +426,13 @@ class BlockEnumerator:
         parts = {key: layout.parts(key) for key in out.cols}
         # A tile reads a slice of the columns c of by_row, which the row
         # product takes about 1.6x faster with c as the outer axis (a pass at
-        # n = 22-24 takes 7-15% less).  A pass of one tile reads it whole,
-        # where the order gains nothing, and keeps c inner: a README command
-        # whose passes all take one tile then keeps its bits.  Without keys
-        # it reads eC and eA themselves, not copies.
+        # n = 22-24 takes 7-15% less).  Without keys a pass reads eA itself,
+        # not a copy, and eC too when it takes one tile.
         tiles = ncol // tc
         size = (1 + len(out.cols)) * nt
         by_row, by_col = eC, eA
         if tiles > 1 or out.cols:
-            if tiles > 1:
-                by_row = np.empty((blocks, ncol, size)).transpose(0, 2, 1)
-            else:
-                by_row = np.empty((blocks, size, ncol))
+            by_row = np.empty((blocks, ncol, size)).transpose(0, 2, 1)
             np.concatenate([eC] + [parts[key][1] * eC for key in out.cols], axis=1, out=by_row)
         if out.cols:
             by_col = np.concatenate(
@@ -626,11 +618,6 @@ def _each(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (M @ X[:, :, None])[:, :, 0]
 
 
-def _block_moments(G, h, want_pair=True, cols=()) -> _RawMoments:
-    """Enumeration of all 2^na states of one system (one-shot form)."""
-    return BlockEnumerator(G).moments(h[None, :], want_pair, cols).row(0)
-
-
 # Most active sites an exact enumeration accepts: 2^24 states per pass.
 ENUM_CAP = 24
 
@@ -644,7 +631,7 @@ def _reduce_system(cm: CouplingMatrix, params: ModelParams, spec: ReducedSpec):
     """
     if cm.n != params.n:
         raise ValueError(f"coupling matrix size {cm.n} != params n {params.n}")
-    spec.validate(params.n)
+    _check_sites(params.n, *spec.clamped, *spec.removed)
     excluded = spec.excluded()
     active = np.array(sorted(set(range(params.n)) - excluded), dtype=np.intp)
     if active.size > ENUM_CAP:
@@ -657,6 +644,28 @@ def _reduce_system(cm: CouplingMatrix, params: ModelParams, spec: ReducedSpec):
     return active, g_act, h_eff
 
 
+def _enumerated(cm, params, spec, want_pair, key=()):
+    """One enumeration of the reduced measure ``spec``, the full one for None.
+
+    Returns the spec, the active sites and the raw moments, with the
+    ``cols`` key of the active sites ``key`` when it names any.
+    """
+    spec = spec if spec is not None else ReducedSpec()
+    active, g_act, h_eff = _reduce_system(cm, params, spec)
+    cols = [tuple(_local_index(active, s) for s in key)] if key else ()
+    return spec, active, BlockEnumerator(g_act).moments(h_eff[None], want_pair, cols).row(0)
+
+
+def _placed(n: int, spec: ReducedSpec, active: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The magnetizations ``m`` of the active sites at full length n:
+    clamped sites carry their value, removed sites NaN."""
+    full = np.full(n, np.nan)
+    full[active] = m
+    for i, tau in spec.clamped.items():
+        full[i] = float(tau)
+    return full
+
+
 def magnetizations(
     cm: CouplingMatrix,
     params: ModelParams,
@@ -667,14 +676,8 @@ def magnetizations(
 
     Full length n: clamped sites carry their value, removed sites NaN.
     """
-    spec = spec if spec is not None else ReducedSpec()
-    active, g_act, h_eff = _reduce_system(cm, params, spec)
-    raw = _block_moments(g_act, h_eff, want_pair=False)
-    m = np.full(params.n, np.nan)
-    m[active] = raw.mag
-    for i, tau in spec.clamped.items():
-        m[i] = float(tau)
-    return m
+    spec, active, raw = _enumerated(cm, params, spec, want_pair=False)
+    return _placed(params.n, spec, active, raw.mag)
 
 
 def gibbs_tables(
@@ -687,32 +690,22 @@ def gibbs_tables(
     The overlap ``q_n`` divides the sum over active m_k^2 by n, the
     convention of cavity overlaps such as q_n^{(i)}.
     """
-    spec = spec if spec is not None else ReducedSpec()
-    active, g_act, h_eff = _reduce_system(cm, params, spec)
-    raw = _block_moments(g_act, h_eff, want_pair=True)
-    return _assemble_tables(params, spec, active, raw)
-
-
-def _assemble_tables(params, spec, active, raw) -> GibbsTables:
+    spec, active, raw = _enumerated(cm, params, spec, want_pair=True)
     n = params.n
-    m = np.full(n, np.nan)
     pair = np.full((n, n), np.nan)
-    m[active] = raw.mag
-    cov = raw.second - np.outer(raw.mag, raw.mag)
     # the diagonal is 1 - m_i^2 already: ``second`` holds exactly 1 there
-    pair[np.ix_(active, active)] = cov
+    pair[np.ix_(active, active)] = raw.second - np.outer(raw.mag, raw.mag)
     keep = np.ones(n, dtype=bool)
     for i in spec.removed:
         keep[i] = False
-    for i, tau in spec.clamped.items():
-        m[i] = float(tau)
+    for i in spec.clamped:
         pair[i, keep] = 0.0
         pair[keep, i] = 0.0
     act_mask = np.zeros(n, dtype=bool)
     act_mask[active] = True
     return GibbsTables(
         log_z=raw.log_z,
-        m=m,
+        m=_placed(n, spec, active, raw.mag),
         pair=pair,
         q_n=float(np.sum(raw.mag**2)) / n,
         active=act_mask,
@@ -742,10 +735,8 @@ def triple_correlation(
     """
     if len({i, j, k}) != 3:
         raise ValueError(f"triple indices must be distinct, got ({i}, {j}, {k})")
-    spec = spec if spec is not None else ReducedSpec()
-    active, g_act, h_eff = _reduce_system(cm, params, spec)
+    _, active, raw = _enumerated(cm, params, spec, want_pair=True, key=(i, j))
     la, lb, lc = (_local_index(active, s) for s in (i, j, k))
-    raw = _block_moments(g_act, h_eff, want_pair=True, cols=[(la, lb)])
     mi, mj, mk = raw.mag[la], raw.mag[lb], raw.mag[lc]
     s = raw.second
     t = raw.cols[(la, lb)][lc]

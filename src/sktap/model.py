@@ -141,12 +141,16 @@ def sample_couplings(params: ModelParams, seed: int) -> CouplingMatrix:
     """
     n = params.n
     rng = np.random.default_rng(seed & _MASK64)
-    iu = np.triu_indices(n, 1)
-    vals = rng.normal(0.0, np.sqrt(params.t / n), size=iu[0].size)
+    upper = rng.normal(0.0, np.sqrt(params.t / n), size=n * (n - 1) // 2)
+    return _symmetric(n, upper)
+
+
+def _symmetric(n: int, upper: np.ndarray) -> CouplingMatrix:
+    """The coupling matrix whose upper triangle holds ``upper`` in row-major
+    (i < j) order, mirrored below it."""
     e = np.zeros((n, n))
-    e[iu] = vals
-    e = e + e.T
-    return CouplingMatrix(n=n, entries=e)
+    e[np.triu_indices(n, 1)] = upper
+    return CouplingMatrix(n=n, entries=e + e.T)
 
 
 @dataclass
@@ -189,20 +193,7 @@ class CouplingPath:
 
     def terminal(self) -> CouplingMatrix:
         """Coupling matrix at the last grid point, time t."""
-        iu = np.triu_indices(self.n, 1)
-        e = np.zeros((self.n, self.n))
-        e[iu] = self._cum[-1]
-        e = e + e.T
-        return CouplingMatrix(n=self.n, entries=e)
-
-    def _row_columns(self, i: int) -> tuple:
-        """Partner sites of row i and the increment columns of their couplings."""
-        _check_sites(self.n, i)
-        partner = np.delete(np.arange(self.n), i)
-        lo = np.minimum(partner, i)
-        hi = np.maximum(partner, i)
-        # row-major position of pair (lo, hi), lo < hi, among the upper pairs
-        return partner, lo * (2 * self.n - lo - 1) // 2 + (hi - lo - 1)
+        return _symmetric(self.n, self._cum[-1])
 
     def row_path(self, i: int) -> tuple:
         """Row i at every grid point and its increments over every segment.
@@ -211,7 +202,12 @@ class CouplingPath:
         column i; row k of each equals ``row_at(i, k)`` and
         ``row_increment(i, k)``.
         """
-        partner, columns = self._row_columns(i)
+        _check_sites(self.n, i)
+        partner = np.delete(np.arange(self.n), i)
+        lo = np.minimum(partner, i)
+        hi = np.maximum(partner, i)
+        # row-major position of pair (lo, hi), lo < hi, among the upper pairs
+        columns = lo * (2 * self.n - lo - 1) // 2 + (hi - lo - 1)
         rows = np.zeros((self.grid.size, self.n))
         rows[:, partner] = self._cum[:, columns]
         increments = np.zeros((self.steps, self.n))
@@ -220,17 +216,11 @@ class CouplingPath:
 
     def row_at(self, i: int, k: int) -> np.ndarray:
         """Row i of the coupling matrix at grid point k (length n, zero at i)."""
-        partner, columns = self._row_columns(i)
-        row = np.zeros(self.n)
-        row[partner] = self._cum[k, columns]
-        return row
+        return self.row_path(i)[0][k]
 
     def row_increment(self, i: int, k: int) -> np.ndarray:
         """Increment of row i over grid segment k -> k+1 (length n, zero at i)."""
-        partner, columns = self._row_columns(i)
-        row = np.zeros(self.n)
-        row[partner] = self.increments[k, columns]
-        return row
+        return self.row_path(i)[1][k]
 
 
 def sample_path(params: ModelParams, steps: int, seed: int) -> CouplingPath:

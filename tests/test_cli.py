@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import sktap
-from sktap import EXPERIMENTS, substream_seed
+from sktap import EXPERIMENTS, sample_couplings, substream_seed
 from sktap.cli import _parse_n_list, build_parser, main
 
 
@@ -747,6 +747,63 @@ def test_a_field_energy_past_the_float_range_is_a_usage_error(argv, monkeypatch,
     assert "invalid configuration: field energy sum |h_i| = " in err
     assert "exceeds 4.494e+307, past which the log-weights overflow" in err
     assert ensembles == [] and out == ""
+
+
+class _Drawn(Exception):
+    """What a spy raises in place of a disorder draw."""
+
+
+def _spy_on_draws(monkeypatch) -> list:
+    """The sizes of the draws of ``sktap.cli``, each stopped by ``_Drawn``."""
+    draws = []
+
+    def spy(params, *args):
+        draws.append(params.n)
+        raise _Drawn
+
+    monkeypatch.setattr(sktap.cli, "sample_couplings", spy)
+    monkeypatch.setattr(sktap.cli, "sample_path", spy)
+    return draws
+
+
+@pytest.mark.parametrize(
+    "argv, active",
+    [(["verify-identities", "--n", "25"], 25),
+     (["tap-residuals", "--n", "1500"], 1500),
+     (["spectral", "--n", "1500", "--samples", "2"], 1500),
+     (["dynamics", "--n", "26", "--steps", "256"], 25),
+     (["dynamics", "--n", "300", "--steps", "256"], 299)],
+    ids=["verify-identities", "tap-residuals", "spectral", "dynamics-26", "dynamics-300"],
+)
+def test_a_system_too_large_to_enumerate_is_refused_before_any_draw(
+    argv, active, monkeypatch, capsys
+):
+    draws = _spy_on_draws(monkeypatch)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert f"invalid configuration: {active} active sites exceed enum_cap=24" in err
+    assert draws == []
+
+
+def test_dynamics_draws_a_path_whose_cavity_fits_the_cap(monkeypatch, capsys):
+    # the Ito check enumerates n - 1 sites, so n = 25 is still in range
+    draws = _spy_on_draws(monkeypatch)
+    with pytest.raises(_Drawn):
+        main(["dynamics", "--n", "25", "--steps", "4"])
+    assert draws == [25]
+
+
+def test_spectral_draws_each_sample_once(monkeypatch, capsys):
+    seeds = []
+
+    def counted(params, seed):
+        seeds.append(seed)
+        return sample_couplings(params, seed)
+
+    monkeypatch.setattr(sktap.cli, "sample_couplings", counted)
+    code, _, _ = run_cli(["spectral", "--n", "4", "--samples", "3"], capsys)
+    assert code == 0
+    assert seeds == [substream_seed(42, 4, k) for k in range(3)]
 
 
 def test_a_field_energy_inside_the_bound_runs_clean(tmp_path, capsys):

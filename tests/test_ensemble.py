@@ -103,6 +103,32 @@ def test_worker_count_does_not_change_results(monkeypatch):
     assert serial.fit == pooled.fit
 
 
+def test_the_pool_starts_no_more_workers_than_there_are_tasks(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records its size and maps in this process, so no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    base = dict(n_values=(4,), samples=2, t=0.5, h=0.3, master_seed=3, experiment="tap1")
+    serial = run_ensemble(EnsembleConfig(**base, workers=1))
+    capped = run_ensemble(EnsembleConfig(**base, workers=4096))
+    assert sizes == [2]
+    assert capped.per_n == serial.per_n
+
+
 def test_zero_coupling_is_degenerate_for_tap1():
     cfg = EnsembleConfig(
         n_values=(4, 6, 8), samples=5, t=0.0, h=0.3, master_seed=2, experiment="tap1"

@@ -299,6 +299,20 @@ MUTANTS = (
         ["tests/test_ensemble.py::test_worker_count_does_not_change_results"],
     ),
     (
+        "pool-as-large-as-asked",
+        "src/sktap/ensemble.py",
+        "max_workers=min(cfg.workers, len(tasks))",
+        "max_workers=cfg.workers",
+        ["tests/test_ensemble.py::test_the_pool_starts_no_more_workers_than_there_are_tasks"],
+    ),
+    (
+        "draw-before-the-size-check",
+        "src/sktap/cli.py",
+        "    if args.n - removed > ENUM_CAP:\n",
+        "    if False:\n",
+        ["tests/test_cli.py::test_a_system_too_large_to_enumerate_is_refused_before_any_draw"],
+    ),
+    (
         "main-without-unfreeze",
         "src/sktap/cli.py",
         "        if thaw:\n            gc.unfreeze()\n",
