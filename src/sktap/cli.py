@@ -4,7 +4,8 @@ Every subcommand echoes its full configuration, so a run can be reproduced
 bit-exactly from its output file.  Floating-point values are printed with 17
 significant digits (full float64 round-trip precision).  Exit codes: 0 on
 success, 1 on usage/validation errors, 2 on numerical failure (the failing
-seed is printed when one is known).
+seed is printed when one is known, and for a failed disorder sample the
+argv that replays it).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dynamics import ItoCheckConfig, cavity_difference_path, ito_decomposition_trace
 from .ensemble import EXPERIMENTS, EnsembleConfig, reference_overlap, run_ensemble
-from .errors import NumericalError
+from .errors import EnsembleSampleError, NumericalError
 from .gibbs import (
     ENUM_CAP,
     coupling_derivative_residual,
@@ -407,13 +408,13 @@ def _cmd_spectral(args) -> dict:
     rows = []
     for k in range(args.samples):
         seed = substream_seed(args.seed, args.n, k)
-        cm = sample_couplings(params, seed)
         try:
+            cm = sample_couplings(params, seed)
             tabs = gibbs_tables(cm, params)
             err = resolvent_error(cm, params, tables=tabs)
             eigmin, e0 = spectral_margin(cm, params, tables=tabs)
         except NumericalError as exc:
-            raise NumericalError(f"sample {k} (seed={seed}): {exc}") from exc
+            raise EnsembleSampleError(args.n, k, seed, f"{type(exc).__name__}: {exc}") from exc
         rows.append([args.n, seed, err, eigmin - e0])
         if k == 0:
             first = cm  # s'(e0) reads sample 0 too
@@ -462,6 +463,22 @@ def _config_echo(args) -> dict:
     return echo
 
 
+def _replay(args, failed: EnsembleSampleError) -> str:
+    """The argv that runs the failed sample again: the command with every
+    echoed flag but ``--loglog-out``, at the failing n, with samples up to
+    the failing one.  Seeds depend on (seed, n, index) alone, so it fails
+    on the same sample."""
+    import shlex  # here: only a failed run needs it, every call would pay 0.5 ms at import
+
+    config = _config_echo(args)
+    config.update(n=failed.n, samples=max(2, failed.index + 1))
+    argv = ["sktap", config.pop("command")]
+    for key, value in config.items():
+        if key != "loglog_out":
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    return shlex.join(argv)
+
+
 def _render_csv(payload: dict) -> str:
     lines = [f"# {k}={_fmt(v)}" for k, v in sorted(payload["config"].items())]
     lines += [f"# summary {k}={_fmt(v)}" for k, v in sorted(payload["summary"].items())]
@@ -507,6 +524,8 @@ def _run(argv) -> int:
             args.out.write_text(text)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        if isinstance(exc, EnsembleSampleError):
+            print(f"replay: {_replay(args, exc)}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

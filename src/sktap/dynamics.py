@@ -16,8 +16,8 @@ Three decompositions are covered:
 
 The clamped row enters the reduced system only through the effective fields,
 so one enumeration context (couplings fixed) serves the whole grid: the
-fields of every grid point form one stack, enumerated in a single batched
-pass per clamped spin.
+fields of every grid point, for each clamped spin the check reads, form one
+stack, enumerated in a single batched call.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import BlockEnumerator, ReducedSpec, _local_index, _reduce_system
+from . import gibbs
+from .gibbs import ReducedSpec, _local_index, _reduce_system
 from .model import CouplingPath, ModelParams, _check_sites
 
 _VARIANTS = ("pair", "two_point", "product")
@@ -59,8 +60,8 @@ class _RowFlowScan:
 
     Clamping site i leaves the active coupling block constant along the
     path; only the effective fields move, from the cavity fields h by
-    sigma_i times the row values.  So one stacked pass per clamped spin
-    covers every grid point at once.
+    sigma_i times the row values.  So one stacked call covers every grid
+    point at once, for one clamped spin or both.
     """
 
     def __init__(self, path: CouplingPath, params: ModelParams, i: int):
@@ -74,16 +75,17 @@ class _RowFlowScan:
         # C order: a strided BLAS dot sums in another order than a
         # contiguous one, and the martingale increments are such dots
         self.increments = np.ascontiguousarray(increments[:, self.active])
-        self._ctx = BlockEnumerator(g_act)
+        self._ctx = gibbs.BlockEnumerator(g_act)
         self.n = params.n
 
     def local(self, site: int) -> int:
         _check_sites(self.n, site)
         return _local_index(self.active, site)
 
-    def stack(self, spin: int, cols=()):
-        """Raw moments at every grid point (leading axis) with site i at ``spin``."""
-        fields = self.base_h + spin * self.rows
+    def stack(self, *spins: int, cols=()):
+        """Raw moments at every grid point with site i at each of ``spins``:
+        along the leading axis, the whole grid of one spin, then of the next."""
+        fields = np.concatenate([self.base_h + spin * self.rows for spin in spins])
         return self._ctx.moments(fields, want_pair=False, cols=cols)
 
 
@@ -152,13 +154,12 @@ def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
     """
     jl = scan.local(cfg.target_site)
     if cfg.variant == "pair":
-        up = scan.stack(+1, cols=[(jl,)])
-        dn = scan.stack(-1, cols=[(jl,)])
-        pc_up = up.cols[(jl,)] - up.mag[:, jl, None] * up.mag
-        pc_dn = dn.cols[(jl,)] - dn.mag[:, jl, None] * dn.mag
-        lhs = 0.5 * (up.mag[:, jl] - dn.mag[:, jl])
+        both = scan.stack(+1, -1, cols=[(jl,)])
+        pc = both.cols[(jl,)] - both.mag[:, jl, None] * both.mag
+        (up, dn), (pc_up, pc_dn) = np.split(both.mag, 2), np.split(pc, 2)
+        lhs = 0.5 * (up[:, jl] - dn[:, jl])
         eps_col = 0.5 * (pc_up + pc_dn)
-        delta_prod = 0.5 * (up.mag * pc_up - dn.mag * pc_dn)
+        delta_prod = 0.5 * (up * pc_up - dn * pc_dn)
         return lhs, eps_col, delta_prod
 
     kl = scan.local(cfg.second_site)

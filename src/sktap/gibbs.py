@@ -250,7 +250,7 @@ class BlockEnumerator:
     of every right state to each high left site (the top rows of the right
     operand of the D tile product) and the factor eC = exp(C - max C) of
     2^b x 2^n2 entries, a pass builds per chunk of systems, batched over
-    the chunk, into a workspace that the context keeps (see ``moments``).
+    the chunk, into a workspace that each ``moments`` call allocates once.
     Kept for a whole stack they would take 1.9 MiB for the 20 cavity
     systems at n = 20, twice the peak of the pass itself.  A chunk only
     holds systems of equal b, so a system's bits depend neither on the
@@ -260,8 +260,8 @@ class BlockEnumerator:
     A system of na <= ``_WALSH_SITES`` sites skips all of this: the context
     keeps only the interaction energy E of every state of every block, and
     ``moments`` runs the Walsh-Hadamard pass (``_walsh_pass``) on chunks of
-    2^16 states, the last of up to 9/8 of that, in two buffers that the
-    context keeps.
+    2^16 states, the last of up to 9/8 of that, in two buffers per call.
+    No call changes the context.
     """
 
     def __init__(self, G: np.ndarray):
@@ -270,7 +270,6 @@ class BlockEnumerator:
         if na <= _WALSH_SITES:
             # the interaction energy of every state, one column per block
             self.E = _quadratic(_sign_matrix(na), self.G).T.copy()
-            self._grids = None  # the two chunk buffers of the butterfly
             return
         self.n1 = n1 = (na + 1) // 2
         self.n2 = na - n1
@@ -282,7 +281,6 @@ class BlockEnumerator:
         for b, systems in self.systems.items():
             self.EL[systems] = _quadratic(_split_signs(n1, b), self.G[systems, :n1, :n1])
         self.ER = _quadratic(_sign_matrix(self.n2), self.G[:, n1:, n1:])
-        self._work = {}  # workspaces by (b, rows, blocks, cols, pair)
 
     def moments(self, h, want_pair=True, cols=()) -> _RawMoments:
         """Raw moments for a stack of field vectors ``h`` of shape (K, na).
@@ -296,17 +294,17 @@ class BlockEnumerator:
         tile is the whole D grids of as many of the chunk's systems as fit
         half the budget, or a run of the right states c of one larger grid,
         so the working set stays within a few budgets however large na or K
-        is.  The enumerator keeps the workspace of each shape it has served,
-        so every chunk of this call and of later ones reuses it instead of
-        faulting in fresh pages.  A tile is exponentiated against the
-        running maximum of each of its systems and reduced at once by
-        products against eC.  The sums over c per left state are rescaled
-        as that maximum grows (an online log-sum-exp), and the sums per
-        right state, which each tile writes once, are rescaled to the final
-        maximum after the last tile.  A pass costs 2^n1 + 2^(na-b)
-        exponentials, plus 2^(b+n2) per chunk for eC, and 2^na multiply-adds
-        per product: two, plus one with the pair matrix and two per ``cols``
-        key.
+        is.  The call allocates the workspace of each b once, and every
+        chunk reuses it instead of faulting in fresh pages, so a caller with
+        several field stacks for one enumerator stacks them into one call.
+        A tile is exponentiated against the running maximum of each of its
+        systems and reduced at once by products against eC.  The sums over
+        c per left state are rescaled as that maximum grows (an online
+        log-sum-exp), and the sums per right state, which each tile writes
+        once, are rescaled to the final maximum after the last tile.  A
+        pass costs 2^n1 + 2^(na-b) exponentials, plus 2^(b+n2) per chunk for
+        eC, and 2^na multiply-adds per product: two, plus one with the pair
+        matrix and two per ``cols`` key.
         """
         H = np.atleast_2d(np.ascontiguousarray(h, dtype=np.float64))
         K, na, blocks = H.shape[0], self.na, len(self.G)
@@ -323,31 +321,27 @@ class BlockEnumerator:
             # per / 8 rows rather than leave it a pass of its own
             per = _TILE_STATES >> na
             most = per + per // 8
-            if self._grids is None or self._grids[0].size < min(most, K) << na:
-                self._grids = [_aligned_empty((min(most, K) << na,)) for _ in range(2)]
+            grids = [_aligned_empty((min(most, K) << na,)) for _ in range(2)]
             a = 0
             while a < K:
                 b = K if K - a <= most else a + per
-                self._walsh_pass(H[a:b], slice(a, b), out)
+                self._walsh_pass(H[a:b], slice(a, b), out, grids)
                 a = b
             return out
         for b, systems in self.systems.items():
             count = systems.size if blocks > 1 else K
             layout = _Layout(self.n1, self.n2, b)
             per = max(1, _TILE_STATES // layout.operands(len(out.cols)))
-            shape = (min(per, count), min(per, systems.size))
-            key = (b, *shape, len(out.cols), want_pair)
-            if key not in self._work:
-                self._work[key] = layout.workspace(*shape, out)
-            work = self._work[key]
+            work = layout.workspace(min(per, count), min(per, systems.size), out)
             for a in range(0, count, per):
                 rows = systems[a : a + per] if blocks > 1 else slice(a, a + per)
                 self._pass(layout, rows if blocks > 1 else systems, H[rows], rows, out, work)
         return out
 
-    def _walsh_pass(self, H, rows: slice, out: _RawMoments) -> None:
+    def _walsh_pass(self, H, rows: slice, out: _RawMoments, grids: list) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``
-        by one Walsh-Hadamard transform of the weights.
+        by one Walsh-Hadamard transform of the weights, in the two buffers
+        ``grids``.
 
         The log-weights of the chunk form a (2^na, k) grid, the field rows
         the contiguous inner axis: the interaction energies E plus the field
@@ -361,7 +355,7 @@ class BlockEnumerator:
         columns, so a row's bits depend neither on k nor on the chunk.
         """
         k, na = H.shape
-        X, Y = (grid[: k << na].reshape(1 << na, k) for grid in self._grids)
+        X, Y = (grid[: k << na].reshape(1 << na, k) for grid in grids)
         Y[0] = 0.0
         for i, h in enumerate(H.T):
             np.add(Y[: 1 << i], h, out=Y[1 << i : 2 << i])

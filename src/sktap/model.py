@@ -172,6 +172,8 @@ class CouplingPath:
         g = np.asarray(self.grid, dtype=np.float64)
         if g.ndim != 1 or g.size < 1 or g[0] != 0.0:
             raise ValueError("grid must be a 1d sequence starting at 0")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("grid points must be finite")
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must be strictly increasing")
         npairs = self.n * (self.n - 1) // 2
@@ -180,6 +182,8 @@ class CouplingPath:
             raise ValueError(
                 f"increments must have shape ({g.size - 1}, {npairs}), got {inc.shape}"
             )
+        if not np.all(np.isfinite(inc)):
+            raise ValueError("increments must be finite")
         self.grid = g
         self.increments = inc
         cum = np.zeros((g.size, npairs))

@@ -95,8 +95,8 @@ def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
     result satisfies |S - phi(S)| <= 1e-12.
     """
     lam = np.asarray(lambda_diag, dtype=np.float64)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("lambda_diag must be a nonempty 1d sequence")
+    if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
+        raise ValueError("lambda_diag must be a nonempty 1d sequence of finite values")
     if not (np.isfinite(t) and t >= 0 and np.isfinite(e)):
         raise ValueError(f"t must be finite and >= 0 and e finite, got t={t}, e={e}")
     if np.min(lam) - e <= 0:

@@ -26,7 +26,6 @@ import math
 import numpy as np
 import pytest
 
-import sktap.dynamics
 import sktap.gibbs
 from sktap import CouplingPath
 from sktap.gibbs import _RawMoments
@@ -155,7 +154,6 @@ def on_engine(engine, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sktap.gibbs, "BlockEnumerator", GrayEnumerator)
-        patch.setattr(sktap.dynamics, "BlockEnumerator", GrayEnumerator)
         return fn(*args, **kwargs)
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import sktap
-from sktap import EXPERIMENTS, sample_couplings, substream_seed
+import sktap.ensemble
+from sktap import EXPERIMENTS, NumericalError, sample_couplings, substream_seed
 from sktap.cli import _parse_n_list, build_parser, main
 
 
@@ -503,6 +505,43 @@ def test_saturated_magnetization_exits_two_with_seed(route, capsys):
     assert code == 2
     assert "numerical failure" in err
     assert f"seed={substream_seed(42, 6, 0)}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, module, n, index",
+    [
+        (["scaling", "--experiment", "htap1", "--n", "4,5,6", "--samples", "4"], sktap.ensemble,
+         5, 2),
+        (["overlap", "--n", "4,6", "--samples", "3"], sktap.ensemble, 6, 0),
+        (["mij-variance", "--n", "6,4", "--samples", "3"], sktap.ensemble, 4, 1),
+        (["spectral", "--n", "6", "--samples", "5"], sktap.cli, 6, 3),
+    ],
+    ids=["scaling", "overlap", "mij-variance", "spectral"],
+)
+def test_a_failed_sample_prints_the_argv_that_replays_it(
+    argv, module, n, index, tmp_path, monkeypatch, capsys
+):
+    failing = substream_seed(42, n, index)
+
+    def draw(params, seed):
+        if seed == failing:
+            raise NumericalError("this draw fails")
+        return sample_couplings(params, seed)
+
+    monkeypatch.setattr(module, "sample_couplings", draw)
+    extra = ["--loglog-out", str(tmp_path / "l.csv")] if argv[0] == "scaling" else []
+    code, _, err = run_cli([*argv, "--t", "0.4", "--h", "-0.3", *extra], capsys)
+    assert code == 2
+    failure, replay = err.splitlines()
+    assert f"sample {index} at n={n} failed (seed={failing})" in failure
+    assert replay.startswith("replay: sktap ")
+    replay_argv = shlex.split(replay.removeprefix("replay: sktap "))
+    assert replay_argv[0] == argv[0] and "--loglog-out" not in replay_argv
+    flags = dict(zip(replay_argv[1::2], replay_argv[2::2]))
+    assert flags["--n"] == str(n) and flags["--samples"] == str(max(2, index + 1))
+    code, _, again = run_cli(replay_argv, capsys)
+    assert code == 2
+    assert again.splitlines() == [failure, replay]
 
 
 def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sktap.dynamics
+import sktap.gibbs
 from sktap import (
     CouplingMatrix,
     CouplingPath,
@@ -106,6 +107,37 @@ def test_engines_agree(variant, second, n, steps):
     assert abs(tb["residual"] - tg["residual"]) < 1e-12
     for key in ("lhs", "martingale_increments", "drift_increments"):
         assert np.max(np.abs(tb[key] - tg[key])) < 1e-12
+
+
+@pytest.mark.parametrize("n, steps", [(6, 2048), (12, 100)])
+def test_one_stacked_call_over_both_spins_equals_one_call_per_spin(n, steps):
+    # the stack of the pair check: the +1 grid, then the -1 grid.  At n = 6
+    # its 4098 Walsh rows run in chunks of 2048 and 2050, at n = 12 its 202
+    # block-pass rows in chunks that straddle the two grids; every row keeps
+    # the bits of its one-spin call
+    params = ModelParams.uniform(n, 0.5, 0.3)
+    scan = sktap.dynamics._RowFlowScan(sample_path(params, steps, 9), params, 0)
+    key = (scan.local(1),)
+    both = scan.stack(+1, -1, cols=[key])
+    for half, spin in enumerate((+1, -1)):
+        one = scan.stack(spin, cols=[key])
+        rows = slice(half * (steps + 1), (half + 1) * (steps + 1))
+        assert np.array_equal(both.log_z[rows], one.log_z)
+        assert np.array_equal(both.mag[rows], one.mag)
+        assert np.array_equal(both.cols[key][rows], one.cols[key])
+
+
+def test_one_pair_check_makes_one_kernel_call(monkeypatch):
+    rows = []
+    moments = sktap.gibbs.BlockEnumerator.moments
+
+    def spy(self, h, *args, **kwargs):
+        rows.append(len(h))
+        return moments(self, h, *args, **kwargs)
+
+    monkeypatch.setattr(sktap.gibbs.BlockEnumerator, "moments", spy)
+    ito_decomposition_residual(sample_path(P6, 16, 3), ItoCheckConfig(0, 1), P6)
+    assert rows == [2 * 17]
 
 
 def test_residual_shrinks_under_refinement_of_one_path():

@@ -188,7 +188,7 @@ def test_coupling_stack_is_bit_equal_to_one_system_per_block():
     G, fields = mixed_coupling_stack()
     ctx = BlockEnumerator(G)
     stacked = assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields)
-    # a second call runs in the workspaces the first one left on the enumerator
+    # a second call on the same enumerator gives the same bits
     again = ctx.moments(fields, want_pair=True, cols=STACK_COLS)
     assert np.array_equal(again.second, stacked.second)
     assert np.array_equal(again.cols[STACK_COLS[1]], stacked.cols[STACK_COLS[1]])
@@ -352,9 +352,11 @@ def test_walsh_coupling_stack_is_bit_equal_to_one_block_per_system():
 
 @pytest.mark.parametrize("rows, passes", [(2049, [2049]), (4098, [2048, 2050])])
 def test_walsh_stack_takes_a_small_remainder_into_its_last_chunk(rows, passes):
-    # the clamped-spin stack of a 2048-step Ito path at n = 6 has 2049 rows:
-    # one pass, not a second one for a single row; no chunk passes 9/8 of
-    # the 2048 rows that fit the state budget at na = 5
+    # the stack of the Ito pair check on a 2048-step path at n = 6 holds
+    # both clamped spins, 4098 rows: chunks of 2048 and 2050, not a third
+    # for two rows; a 2049-row stack (one spin) is one pass, not a second
+    # one for a single row; no chunk passes 9/8 of the 2048 rows that fit
+    # the state budget at na = 5
     from sktap.gibbs import BlockEnumerator
 
     na = 5

@@ -126,8 +126,13 @@ def test_path_rejects_bad_arguments():
         (np.array([0.0, 0.5, 0.5]), np.zeros((2, 3)), "strictly increasing"),
         (np.array([0.0, 0.5]), np.zeros((2, 3)), r"shape \(1, 3\)"),
         (np.array([0.0, 0.5]), np.zeros((1, 2)), r"shape \(1, 3\)"),
+        (np.array([0.0, np.nan]), np.zeros((1, 3)), "grid points must be finite"),
+        (np.array([0.0, np.inf]), np.zeros((1, 3)), "grid points must be finite"),
+        (np.array([0.0, 0.5]), np.array([[0.0, np.nan, 0.0]]), "increments must be finite"),
+        (np.array([0.0, 0.5]), np.array([[0.0, 0.0, -np.inf]]), "increments must be finite"),
     ],
-    ids=["grid-2d", "grid-empty", "grid-from-0.1", "grid-repeats", "steps-2", "pairs-2"],
+    ids=["grid-2d", "grid-empty", "grid-from-0.1", "grid-repeats", "steps-2", "pairs-2",
+         "grid-nan", "grid-inf", "increment-nan", "increment-inf"],
 )
 def test_path_rejects_malformed_grids_and_increments(grid, increments, message):
     with pytest.raises(ValueError, match=message):

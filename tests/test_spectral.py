@@ -167,9 +167,13 @@ def test_self_consistent_s_rejects_negative_or_non_finite_parameters(t, e):
         self_consistent_s(np.ones(2), t, e)
 
 
-@pytest.mark.parametrize("lam", [[], [[1.0, 2.0]]], ids=["empty", "2d"])
+@pytest.mark.parametrize(
+    "lam",
+    [[], [[1.0, 2.0]], [math.nan, 2.0], [math.inf, 2.0], [-math.inf, 2.0]],
+    ids=["empty", "2d", "nan", "inf", "minus-inf"],
+)
 def test_self_consistent_s_rejects_a_spectrum_that_is_not_a_nonempty_vector(lam):
-    with pytest.raises(ValueError, match="nonempty 1d"):
+    with pytest.raises(ValueError, match="nonempty 1d sequence of finite values"):
         self_consistent_s(np.array(lam), 0.25, -1.0)
 
 

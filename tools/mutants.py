@@ -108,6 +108,14 @@ MUTANTS = (
         [BLOCK_TRIPLE, SMALL_SYSTEMS],
     ),
     (
+        "block-pass-magnetizations-off-by-1e-13",
+        "src/sktap/gibbs.py",
+        "        out.mag[rows] = np.concatenate([at_left[:, 0], at_right[:, 0]], axis=1) / norm\n",
+        "        out.mag[rows] = np.concatenate([at_left[:, 0], at_right[:, 0]], axis=1)"
+        " / (norm * (1 + 1e-13))\n",
+        ["tests/test_pinned_payloads.py"],
+    ),
+    (
         "walsh-no-column-shift",
         "src/sktap/gibbs.py",
         "        X -= shift\n",
@@ -213,6 +221,13 @@ MUTANTS = (
         ["tests/test_dynamics.py::test_integrands_match_independent_clamped_route"],
     ),
     (
+        "ito-pair-swapped-spin-halves",
+        "src/sktap/dynamics.py",
+        "        (up, dn), (pc_up, pc_dn) = np.split(both.mag, 2), np.split(pc, 2)\n",
+        "        (dn, up), (pc_dn, pc_up) = np.split(both.mag, 2), np.split(pc, 2)\n",
+        ["tests/test_dynamics.py::test_residual_shrinks_under_refinement_of_one_path"],
+    ),
+    (
         "product-drift-without-cross-term",
         "src/sktap/dynamics.py",
         "drift = m * pjk * pk + mk * (m * trip + pj * pk) - pk * trip",
@@ -311,6 +326,20 @@ MUTANTS = (
         "    if args.n - removed > ENUM_CAP:\n",
         "    if False:\n",
         ["tests/test_cli.py::test_a_system_too_large_to_enumerate_is_refused_before_any_draw"],
+    ),
+    (
+        "replay-one-sample-short",
+        "src/sktap/cli.py",
+        "samples=max(2, failed.index + 1)",
+        "samples=max(2, failed.index)",
+        ["tests/test_cli.py::test_a_failed_sample_prints_the_argv_that_replays_it"],
+    ),
+    (
+        "path-accepts-non-finite-increments",
+        "src/sktap/model.py",
+        "        if not np.all(np.isfinite(inc)):\n",
+        "        if False:\n",
+        ["tests/test_model.py::test_path_rejects_malformed_grids_and_increments"],
     ),
     (
         "main-without-unfreeze",
