@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ItoCheckConfig, cavity_difference_path, ito_decomposition_trace
+from .dynamics import ItoCheckConfig, ito_decomposition_trace
 from .ensemble import EXPERIMENTS, EnsembleConfig, reference_overlap, run_ensemble
 from .errors import EnsembleSampleError, NumericalError
 from .gibbs import (
@@ -384,7 +384,7 @@ def _cmd_dynamics(args) -> dict:
     path = sample_path(params, args.steps, args.seed)
     cfg = ItoCheckConfig(clamped_site=args.site_i, target_site=args.site_j)
     trace = ito_decomposition_trace(path, cfg, params)
-    diff = cavity_difference_path(path, params, args.site_i, args.site_j)
+    diff = trace["cavity_difference"]
     rows = [
         [float(s), float(l), float(m), float(d)]
         for s, l, m, d in zip(trace["s"], trace["lhs"], trace["martingale"], trace["drift"])

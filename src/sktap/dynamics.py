@@ -97,8 +97,11 @@ def ito_decomposition_trace(
     """Full per-grid-point record of one decomposition check.
 
     Returns arrays over the grid: left-hand side, partial martingale and
-    drift sums, the per-segment increments, and the terminal residual
-    |LHS(t) - LHS(0) - (martingale + drift)|.  A single-point path (time 0)
+    drift sums, the per-segment increments, the cavity difference
+    m_j(s) - m_j(0) of the target site with the clamped spin at +1 (what
+    ``cavity_difference_path`` returns, read off the same enumeration), and
+    the terminal residual |LHS(t) - LHS(0) - (martingale + drift)|.  A
+    single-point path (time 0)
     has no increments, so both sides are empty and the residual is exactly
     zero; a one-step path is rejected.
     """
@@ -106,7 +109,7 @@ def ito_decomposition_trace(
         raise ValueError("path must have at least 2 steps, got 1")
 
     scan = _RowFlowScan(path, params, cfg.clamped_site)
-    lhs, mart_vec, drift_vec = _integrands(scan, cfg)
+    lhs, mart_vec, drift_vec, m_up = _integrands(scan, cfg)
     # Ito convention: integrands at the left endpoint of every segment; one
     # BLAS dot per segment
     mart_inc = (mart_vec[:-1, None, :] @ scan.increments[:, :, None])[:, 0, 0]
@@ -137,6 +140,7 @@ def ito_decomposition_trace(
         "drift": np.array(drift_partial),
         "martingale_increments": mart_inc,
         "drift_increments": drift_inc,
+        "cavity_difference": m_up - m_up[0],
         "residual": float(residual),
     }
 
@@ -144,8 +148,9 @@ def ito_decomposition_trace(
 def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
     """LHS values and per-site integrand vectors at every grid point.
 
-    Returns the LHS over the grid, shape (steps + 1,), and the martingale
-    and drift integrands, shape (steps + 1, active sites).  The martingale
+    Returns the LHS over the grid, shape (steps + 1,), the martingale and
+    drift integrands, shape (steps + 1, active sites), and the magnetization
+    of the target site with the clamped spin at +1, shape (steps + 1,).  The martingale
     vector multiplies the row increments dg_il; the drift vector is summed
     and multiplied by -ds/n (the positive product-rule cross term enters
     with its sign already folded in).  Everything is in active-local
@@ -160,7 +165,7 @@ def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
         lhs = 0.5 * (up[:, jl] - dn[:, jl])
         eps_col = 0.5 * (pc_up + pc_dn)
         delta_prod = 0.5 * (up * pc_up - dn * pc_dn)
-        return lhs, eps_col, delta_prod
+        return lhs, eps_col, delta_prod, up[:, jl]
 
     kl = scan.local(cfg.second_site)
     raw = scan.stack(+1, cols=[(jl,), (kl,), (jl, kl)])
@@ -173,12 +178,12 @@ def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
     trip = rt - mj * rk - mk * rj - m * raw_jk + 2.0 * mj * mk * m
     pjk = raw_jk - mj * mk
     if cfg.variant == "two_point":
-        return pjk[:, 0], trip, m * trip + pj * pk
+        return pjk[:, 0], trip, m * trip + pj * pk, m[:, jl]
     # product variant: X = m_k, Y = m_jk, track d(XY)
     lhs = mk * pjk
     mart = pjk * pk + mk * trip
     drift = m * pjk * pk + mk * (m * trip + pj * pk) - pk * trip
-    return lhs[:, 0], mart, drift
+    return lhs[:, 0], mart, drift, m[:, jl]
 
 
 def ito_decomposition_residual(

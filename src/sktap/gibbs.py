@@ -13,13 +13,14 @@ so a pass builds it once for a whole chunk of field rows; it exponentiates
 a (2^n1 states), D (2^(n-b) states) and that factor (2^(b+n2) states), and
 forms every sum over the 2^n states as a matrix product against the factor:
 cost O(2^(n-b)) exponentials plus O(2^n * n) multiply-adds in BLAS-3
-products.  D is never stored whole: a pass streams it through one
-cache-sized tile of columns (right states) at a time, exponentiates each
-tile against the running maximum of its system and reduces it at once.  The
-sums over the right states, small per left state, are rescaled whenever that
-maximum grows (an online log-sum-exp); the sums per right state, written
-once per tile, are brought to the final maximum after the last tile.
-Memory is O(2^(n/2) * n) plus one tile and the factor.  A guard caps b so
+products.  Neither D nor the factor is stored whole: a pass streams both
+through one cache-sized tile of columns (right states) at a time,
+exponentiates each tile against the running maximum of its system and
+reduces it at once.  Every sum it keeps, over the right states per left
+state and over the left states per right state, is rescaled whenever that
+maximum grows (an online log-sum-exp).  Memory is one tile plus
+O(2^n1 + 2^n2) vectors per system, O(2^(n/2) * n) in all; no buffer spans
+the 2^(b+n2) states of the factor, unless it fits one tile.  A guard caps b so
 that C spans at most ``_GUARD`` (600): weights that matter then stay far
 from float64 underflow, and couplings too strong for any b > 0 get b = 0,
 one exponential per state.  One enumerator
@@ -154,6 +155,20 @@ _GUARD = 600.0
 _WALSH_SITES = 6
 
 
+def _signs(k: int, bits) -> np.ndarray:
+    """Read-only (2^k, len(bits)) matrix of +-1 whose column j is the sign of
+    bit ``bits[j]`` of the row index.
+
+    Each column is filled as runs of 2^bit entries of -1, then of +1."""
+    S = np.empty((1 << k, len(bits)))
+    for j, bit in enumerate(bits):
+        halves = S[:, j].reshape(-1, 2, 1 << bit)
+        halves[:, 0] = -1.0
+        halves[:, 1] = 1.0
+    S.setflags(write=False)
+    return S
+
+
 @functools.cache
 def _sign_matrix(k: int) -> np.ndarray:
     """Read-only (2^k, k) matrix of +-1; bit b of the row index is the sign of site b.
@@ -161,11 +176,7 @@ def _sign_matrix(k: int) -> np.ndarray:
     One copy per block size is shared by every enumerator, e.g. by the
     cavity systems of one disorder sample.
     """
-    idx = np.arange(1 << k, dtype=np.uint64)[:, None]
-    bits = (idx >> np.arange(k, dtype=np.uint64)[None, :]) & 1
-    S = 2.0 * bits.astype(np.float64) - 1.0
-    S.setflags(write=False)
-    return S
+    return _signs(k, range(k))
 
 
 def _quadratic(S: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -216,10 +227,7 @@ def _split_signs(n1: int, b: int) -> np.ndarray:
     Row t 2^(n1-b) + T holds the signs of the b low sites from the bits of t
     and those of the n1 - b high sites from the bits of T.
     """
-    low, high = _sign_matrix(b), _sign_matrix(n1 - b)
-    S = np.hstack([np.repeat(low, len(high), axis=0), np.tile(high, (len(low), 1))])
-    S.setflags(write=False)
-    return S
+    return _signs(n1, [*range(n1 - b, n1), *range(n1 - b)])
 
 
 class BlockEnumerator:
@@ -249,10 +257,12 @@ class BlockEnumerator:
     once.  The rest of what depends on the couplings alone, the couplings
     of every right state to each high left site (the top rows of the right
     operand of the D tile product) and the factor eC = exp(C - max C) of
-    2^b x 2^n2 entries, a pass builds per chunk of systems, batched over
-    the chunk, into a workspace that each ``moments`` call allocates once.
-    Kept for a whole stack they would take 1.9 MiB for the 20 cavity
-    systems at n = 20, twice the peak of the pass itself.  A chunk only
+    2^b x 2^n2 entries, a pass builds per tile of columns, batched over the
+    systems of a chunk, into a workspace that each ``moments`` call
+    allocates once.  So a pass holds one tile plus O(2^n1 + 2^n2) vectors
+    per system, and no buffer of 2^(b+n2) entries: at n = 24 with the pair
+    matrix, one call allocates 1.1 MiB at its peak, where it took 2.96 MiB
+    with eC, its column sums and the right operand held whole.  A chunk only
     holds systems of equal b, so a system's bits depend neither on the
     guard of another system nor on its place in the stack.  A tile is the
     part of a chunk's D grids that one exponential call covers.
@@ -297,14 +307,16 @@ class BlockEnumerator:
         is.  The call allocates the workspace of each b once, and every
         chunk reuses it instead of faulting in fresh pages, so a caller with
         several field stacks for one enumerator stacks them into one call.
-        A tile is exponentiated against the running maximum of each of its
-        systems and reduced at once by products against eC.  The sums over
-        c per left state are rescaled as that maximum grows (an online
-        log-sum-exp), and the sums per right state, which each tile writes
-        once, are rescaled to the final maximum after the last tile.  A
-        pass costs 2^n1 + 2^(na-b) exponentials, plus 2^(b+n2) per chunk for
-        eC, and 2^na multiply-adds per product: two, plus one with the pair
-        matrix and two per ``cols`` key.
+        Each tile builds its columns of eC and of the right operand, once
+        for all the systems of a chunk, is exponentiated against the running
+        maximum of each system and reduced at once by products against eC.
+        Every sum a pass keeps, per left state (t, T) or per right state c,
+        is rescaled as that maximum grows (an online log-sum-exp), so the
+        workspace holds one tile plus O(2^n1 + 2^n2) vectors per system and
+        no buffer spans the 2^(b+n2) entries of eC.  A pass costs
+        2^n1 + 2^(na-b) exponentials, plus 2^(b+n2) per chunk for eC, and
+        2^na multiply-adds per product: two, plus one with the pair matrix
+        and two per ``cols`` key.
         """
         H = np.atleast_2d(np.ascontiguousarray(h, dtype=np.float64))
         K, na, blocks = H.shape[0], self.na, len(self.G)
@@ -389,20 +401,74 @@ class BlockEnumerator:
         call per system, never one gemm whose row dimension spans the chunk
         or the tile.  A system's bits therefore do not depend on the systems
         that share its chunk or its tile: equal systems give equal results
-        wherever they sit.
+        wherever they sit.  The plain sums take products of their own,
+        apart from those of the ``cols`` keys, so no key moves a bit of
+        log Z, m or the pair matrix.
         """
-        k, blocks = H.shape[0], len(own)
+        k, n1, b = H.shape[0], self.n1, layout.low
+        SL, SR, nT = layout.SL, layout.SR, layout.Sh.shape[0]
+        parts = [layout.parts(key) for key in out.cols]
+        top, c_shift = self._stream(layout, own, H, parts, out.second is not None, work)
+
+        # the sums over c per left state (t, T) and over (t, T) per right
+        # state c, plain (u, v) and per key
+        by_left = work["row_sums"][:k].reshape(k, 1 + len(parts), -1)
+        by_right = work["by_right"][:k]
+        u = by_left[:, 0]
+        v = by_right[:, 0]
+        zsum = u.sum(axis=1)
+        norm = zsum[:, None]
+        out.log_z[rows] = np.log(zsum) + top + c_shift
+
+        if out.second is not None:
+            # the right-left block stays 0: only the upper triangle is read
+            sec = np.zeros((k, self.na, self.na))
+            sec[:, :n1, :n1] = SL.T @ (u[:, :, None] * SL)
+            cross = work["cross"][:k]
+            sec[:, :b, n1:] = layout.Sl.T @ cross[:, nT:]
+            sec[:, b:n1, n1:] = layout.Sh.T @ cross[:, :nT]
+            sec[:, n1:, n1:] = SR.T @ (v[:, :, None] * SR)
+            sec /= norm[:, :, None]
+            out.second[rows] = _symmetrized_second(sec)
+
+        # One product per block sums every site's signs against the plain
+        # sums, giving the magnetizations.  The sums of each ``cols`` key,
+        # signed by the key's own spins, take a product of their own.
+        at_left, at_right = by_left[:, :1] @ SL, by_right[:, :1] @ SR
+        out.mag[rows] = np.concatenate([at_left[:, 0], at_right[:, 0]], axis=1) / norm
+        if parts:
+            for q, (pl, pr) in enumerate(parts, start=1):
+                by_left[:, q] *= pl
+                by_right[:, q] *= pr
+            at_left, at_right = by_left[:, 1:] @ SL, by_right[:, 1:] @ SR
+            for q, val in enumerate(out.cols.values()):
+                val[rows] = np.concatenate([at_left[:, q], at_right[:, q]], axis=1) / norm
+
+    def _stream(self, layout, own, H, parts: list, pair: bool, work: dict):
+        """Stream the weights of the field chunk ``H`` through the tiles of
+        its D grids, leaving in ``work`` the sums that ``_pass`` reduces.
+
+        Each tile builds its columns of eC and of the right operand once for
+        every system of the chunk, then each system's W against its running
+        maximum.  The sums per left state (t, T), the totals per right state
+        c and the left x right block are rescaled whenever that maximum
+        grows.  ``parts`` holds the sign products of each ``cols`` key.
+        Returns the running maximum of each row and the shift of eC of each
+        block.
+        """
+        k, blocks, keys = H.shape[0], len(own), len(parts)
         n1, b = self.n1, layout.low
         SL, SR, tc = layout.SL, layout.SR, layout.tile_cols
-        nt, ncol, nT = 1 << b, SR.shape[0], layout.Sh.shape[0]
-        left, right, row_sums, col_sums = (
-            work[name][:k] for name in ("left", "right", "row_sums", "col_sums")
+        nt, nT = 1 << b, layout.Sh.shape[0]
+        left, right, row_sums, by_right = (
+            work[name][:k] for name in ("left", "right", "row_sums", "by_right")
         )
+        eC = work["eC"][:blocks]
         G_LR = self.G[own, :n1, n1:]
-        eC = np.matmul(layout.Sl, G_LR[:, :b] @ SR.T, out=work["eC"][:blocks])
-        c_shift = eC.reshape(blocks, -1).max(axis=1)
-        eC -= c_shift[:, None, None]
-        np.exp(eC, out=eC)
+        # C = sl(t) B[:, c] peaks where every low sign matches B, so its shift
+        # max_c sum_a |B[a, c]| is known before the first tile builds eC
+        B = G_LR[:, :b] @ SR.T
+        c_shift = np.abs(B).sum(axis=1).max(axis=1)
         # a[t, T], shifted by its maximum over t; the shift of column T
         # moves into D, so a tile's weights are eA[t, T] eC[t, c] W[T, c]
         a = (self.EL[own] + _each(SL, H[:, :n1])).reshape(k, nt, nT)
@@ -410,106 +476,74 @@ class BlockEnumerator:
         a -= a_shift[:, None, :]
         eA = np.exp(a, out=a)
         left[:, :, -2] = a_shift
-        right[:, :-2] = G_LR[:, b:] @ SR.T
-        right[:, -1] = self.ER[own] + _each(SR, H[:, n1:])
+        field = self.ER[own] + _each(SR, H[:, n1:])
 
-        # Each weight tile W is read twice.  [eC | eC pr...] @ W^T gives,
-        # times eA, the sums over c of every (t, T), plain and per key.
-        # [eA | eA pl...] @ W gives the sums over T of every (t, c), plain
-        # and per ``cols`` key, which eC weighs and sums over t at the end.
-        parts = {key: layout.parts(key) for key in out.cols}
-        # A tile reads a slice of the columns c of by_row, which the row
-        # product takes about 1.6x faster with c as the outer axis (a pass at
-        # n = 22-24 takes 7-15% less).  Without keys a pass reads eA itself,
-        # not a copy, and eC too when it takes one tile.
-        tiles = ncol // tc
-        size = (1 + len(out.cols)) * nt
-        by_row, by_col = eC, eA
-        if tiles > 1 or out.cols:
-            by_row = np.empty((blocks, ncol, size)).transpose(0, 2, 1)
-            np.concatenate([eC] + [parts[key][1] * eC for key in out.cols], axis=1, out=by_row)
-        if out.cols:
-            by_col = np.concatenate(
-                [eA[:, None]] + [parts[key][0].reshape(nt, nT) * eA[:, None] for key in out.cols],
-                axis=1,
+        # Each weight tile W is read twice.  eC @ W^T gives, times eA, the
+        # sums over c of every (t, T); eA @ W gives the sums over T of every
+        # (t, c), which eC weighs.  Each ``cols`` key takes the same two
+        # products on its own signed copies of eA and eC.
+        if keys:
+            eCk = work["eCk"][:blocks]
+            eAk = np.concatenate(
+                [pl.reshape(nt, nT) * eA[:, None] for pl, _ in parts], axis=1
             ).reshape(k, -1, nT)
-
-        # A tile is the whole D grids of ``layout.per_tile`` systems, or a run
-        # of columns of one system's grid; every system's tiles are shifted
-        # by its own running maximum.  The first tile of a system writes its
-        # sums over c, small per left state; a later one rescales them to the
-        # grown maximum and adds its own.  The column sums of each tile are
-        # written once and brought to the final maximum after the loop.
-        pair = out.second is not None
-        shifts, top = np.empty((k, tiles)), np.empty(k)
+            pr = np.array([signs for _, signs in parts])
         if pair:
             cross = work["cross"][:k]
-        for s in range(0, k, layout.per_tile):
-            g = slice(s, s + layout.per_tile)
-            e = g if blocks > 1 else slice(None)  # the factor eC of each system of g
-            W = work["W"][: min(k - s, layout.per_tile)]
-            M = work["M"][: len(W)] if pair else None
-            for j in range(tiles):
-                c = slice(j * tc, (j + 1) * tc)
-                np.matmul(left[g], right[g, :, c], out=W)
+        G_high, SRT, top = G_LR[:, b:], SR.T, np.empty(k)
+        for j in range(layout.tiles):
+            c = slice(j * tc, (j + 1) * tc)
+            np.matmul(layout.Sl, B[:, :, c], out=eC)
+            eC -= c_shift[:, None, None]
+            np.exp(eC, out=eC)
+            if keys:
+                np.multiply(eC[:, None], pr[:, None, c], out=eCk.reshape(blocks, keys, nt, tc))
+            right[:, :-2] = G_high @ SRT[:, c]
+            right[:, -1] = field[:, c]
+            for s in range(0, k, layout.per_tile):
+                g = slice(s, s + layout.per_tile)
+                e = g if blocks > 1 else slice(None)  # the factor eC of each system of g
+                W = work["W"][: min(k - s, layout.per_tile)]
+                np.matmul(left[g], right[g], out=W)
                 peak = W.reshape(len(W), -1).max(axis=1)
                 grown = np.maximum(top[g], peak) if j else peak
                 W -= grown[:, None, None]
                 np.exp(W, out=W)
-                np.matmul(by_col[g], W, out=col_sums[g, :, c])
                 WT = W.transpose(0, 2, 1)
-                row_part = np.matmul(by_row[e, :, c], WT, out=None if j else row_sums[g])
+                row_part = row_sums[g] if not j else np.empty_like(row_sums[g])
+                np.matmul(eC[e], WT, out=row_part[:, :nt])
+                col = work["col"][: len(W)]
+                np.matmul(eA[g], W, out=col[:, :nt])
+                if keys:
+                    np.matmul(eCk[e], WT, out=row_part[:, nt:])
+                    np.matmul(eAk[g], W, out=col[:, nt:])
+                low = col.reshape(len(W), -1, nt, tc)
+                low *= eC[e][:, None]
+                low.sum(axis=2, out=by_right[g, :, c])
                 if pair:
-                    # the high left sites meet the right block in W * (eA^T @ eC)
-                    np.matmul(eA[g].transpose(0, 2, 1), eC[e, :, c], out=M)
+                    # the high left sites meet the right block in W * (eA^T @ eC),
+                    # the low ones in the plain column sums
+                    M = work["M"][: len(W)]
+                    np.matmul(eA[g].transpose(0, 2, 1), eC[e], out=M)
                     M *= W
-                    cross_part = np.matmul(M, SR[c], out=None if j else cross[g])
+                    cross_part = cross[g] if not j else np.empty_like(cross[g])
+                    np.matmul(M, SR[c], out=cross_part[:, :nT])
+                    np.matmul(low[:, 0], SR[c], out=cross_part[:, nT:])
                 if j:
-                    scale = np.exp(top[g] - grown)[:, None, None]
-                    row_sums[g] *= scale
+                    # a grown maximum rescales what the earlier tiles summed;
+                    # one that held would scale by exp(0) = 1
+                    if (grown > top[g]).any():
+                        scale = np.exp(top[g] - grown)[:, None, None]
+                        by_right[g, :, : c.start] *= scale
+                        row_sums[g] *= scale
+                        if pair:
+                            cross[g] *= scale
                     row_sums[g] += row_part
                     if pair:
-                        cross[g] *= scale
                         cross[g] += cross_part
-                top[g] = shifts[g, j] = grown
-        # one tile has the final shift already: every scale would be exp(0) = 1
-        if tiles > 1:
-            scale = np.exp(shifts - top[:, None])
-            col_sums.reshape(k, -1, tiles, tc)[...] *= scale[:, None, :, None]
-
-        # the sums over c per left state (t, T), and over (t, T) per right
-        # state c, plain (u, v) and per key
-        by_left = row_sums.reshape(k, -1, nt * nT)
-        by_left *= eA.reshape(k, 1, -1)
-        low_right = col_sums.reshape(k, -1, nt, ncol)
-        low_right *= eC[:, None]
-        by_right = low_right.sum(axis=2)
-        u = by_left[:, 0]
-        v = by_right[:, 0]
-        zsum = u.sum(axis=1)
-        norm = zsum[:, None]
-        out.log_z[rows] = np.log(zsum) + top + c_shift
-
-        if pair:
-            # the right-left block stays 0: only the upper triangle is read
-            sec = np.zeros((k, self.na, self.na))
-            sec[:, :n1, :n1] = SL.T @ (u[:, :, None] * SL)
-            sec[:, :b, n1:] = layout.Sl.T @ (low_right[:, 0] @ SR)
-            sec[:, b:n1, n1:] = layout.Sh.T @ cross
-            sec[:, n1:, n1:] = SR.T @ (v[:, :, None] * SR)
-            sec /= norm[:, :, None]
-            out.second[rows] = _symmetrized_second(sec)
-
-        # Sign the sums of each ``cols`` key by the key's own spins; then one
-        # product per block sums every site's signs against all of them, row
-        # 0 giving the magnetizations.
-        for c, key in enumerate(out.cols, start=1):
-            by_left[:, c] *= parts[key][0]
-            by_right[:, c] *= parts[key][1]
-        at_left, at_right = by_left @ SL, by_right @ SR
-        out.mag[rows] = np.concatenate([at_left[:, 0], at_right[:, 0]], axis=1) / norm
-        for c, (key, val) in enumerate(out.cols.items(), start=1):
-            val[rows] = np.concatenate([at_left[:, c], at_right[:, c]], axis=1) / norm
+                top[g] = grown
+        row_sums.reshape(k, 1 + keys, -1)[...] *= eA.reshape(k, 1, -1)
+        return top, c_shift
 
 
 class _Layout:
@@ -528,6 +562,7 @@ class _Layout:
         # longer with quarter-budget ones (in-process, one BLAS thread).
         rows = self.Sh.shape[0]
         self.tile_cols = min(1 << n2, max(1, (_TILE_STATES // 2) // rows))
+        self.tiles = (1 << n2) // self.tile_cols
         # the systems whose whole D grids make one tile, within the same half
         # budget; a grid of several tiles has its tiles to itself
         self.per_tile = max(1, (_TILE_STATES // 2) // (rows << n2))
@@ -550,23 +585,37 @@ class _Layout:
 
     def workspace(self, k: int, blocks: int, out: _RawMoments) -> dict:
         """Buffers of a pass over up to k field rows and ``blocks`` coupling
-        blocks that fills ``out``."""
+        blocks that fills ``out``.
+
+        Of the buffers over the right states, only the totals per right
+        state span all 2^n2 of them; the others hold one tile."""
         keys = len(out.cols)
         nt, ncol, nT, tc = 1 << self.low, self.SR.shape[0], self.Sh.shape[0], self.tile_cols
         high = self.n1 - self.low
+        w = min(k, self.per_tile)
         # [Sh | column shift of a | 1] @ [G_LR[high] SR^T ; 1 ; right field]
         # is a tile of D in one product; a pass fills in the per-system slots
         shapes = {
             "left": (k, nT, high + 2),
-            "right": (k, high + 2, ncol),
-            "eC": (blocks, nt, ncol),
-            "W": (min(k, self.per_tile), nT, tc),
+            "right": (k, high + 2, tc),
+            "eC": (blocks, nt, tc),
+            "W": (w, nT, tc),
+            "col": (w, (1 + keys) * nt, tc),
             "row_sums": (k, (1 + keys) * nt, nT),
-            "col_sums": (k, (1 + keys) * nt, ncol),
+            "by_right": (k, 1 + keys, ncol),
         }
+        if keys:
+            shapes["eCk"] = (blocks, keys * nt, tc)
         if out.second is not None:
             shapes["M"] = shapes["W"]
-            shapes["cross"] = (k, nT, self.n2)
+            # the left x right block, over the high left states T, then the low ones t
+            shapes["cross"] = (k, nT + nt, self.n2)
+        # The row product eC @ W^T reads a tile of eC 2.2x faster with c as
+        # the outer axis (16 x 128 by 128 x 256 at n = 24, one BLAS thread),
+        # so a grid of several tiles stores eC c-major.  A grid of one tile
+        # keeps it row-major: OpenBLAS picks its kernel by the layout of the
+        # operands, and the bits of that product with it.
+        flip = ("eC", "eCk") if self.tiles > 1 else ()
         # One block holds every buffer, each on a 64-byte boundary.  Where
         # each had its own, the heap of a process that builds a fresh
         # enumerator per sample (the cavity stacks of ``htap1_residuals``)
@@ -577,7 +626,10 @@ class _Layout:
         block = _aligned_empty((sum(sizes),))
         work, at = {}, 0
         for (name, shape), size in zip(shapes.items(), sizes):
-            work[name] = block[at : at + math.prod(shape)].reshape(shape)
+            stored = (shape[0], shape[2], shape[1]) if name in flip else shape
+            work[name] = block[at : at + math.prod(shape)].reshape(stored)
+            if name in flip:
+                work[name] = work[name].transpose(0, 2, 1)
             at += size
         work["left"][:, :, :high] = self.Sh
         work["left"][:, :, -1] = 1.0

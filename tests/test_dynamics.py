@@ -273,6 +273,22 @@ def test_cavity_difference_is_exactly_zero_at_time_zero():
         assert np.array_equal(scan.stack(+1).mag[0], cavity[scan.active])
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_trace_reads_the_cavity_difference_of_its_own_enumeration(n):
+    # The trace's +1 half is stacked with the -1 grid and asks for a ``cols``
+    # key; neither may move a bit of the plain magnetizations that
+    # ``cavity_difference_path`` reads from a keyless +1 call.  n = 6 takes
+    # the Walsh pass and n = 8 the block pass.
+    params = ModelParams.uniform(n, 0.5, 0.3)
+    for seed in (1, 2, 3):
+        path = sample_path(params, 64, seed)
+        for variant, second in [("pair", None), ("two_point", 2), ("product", 2)]:
+            cfg = ItoCheckConfig(0, 1, second, variant)
+            trace = ito_decomposition_trace(path, cfg, params)
+            expected = cavity_difference_path(path, params, 0, 1)
+            assert np.array_equal(trace["cavity_difference"], expected)
+
+
 @pytest.mark.parametrize("spin", [1])
 def test_cavity_difference_matches_independent_clamped_route(spin):
     path = sample_path(P6, 16, 4)

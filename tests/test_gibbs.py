@@ -383,18 +383,66 @@ def test_walsh_stack_takes_a_small_remainder_into_its_last_chunk(rows, passes):
 
 
 def test_one_pass_allocates_far_less_than_one_grid():
-    # the 2^22 float64 grid is 32 MiB; a streamed pass holds a few tiles
+    # The 2^24 float64 grid is 128 MiB.  A streamed pass holds one tile of W
+    # and one of the pair matrix's product of the same shape, 256 KiB each,
+    # plus vectors over the 2^12 left and the 2^12 right states; before the
+    # tiles held eC, its column sums and the right operand, it took 2.96 MiB.
     from sktap.gibbs import BlockEnumerator
 
-    params = ModelParams.uniform(22, 0.5, 0.3)
+    params = ModelParams.uniform(24, 0.5, 0.3)
     couplings = sample_couplings(params, 0).entries
+    ctx = BlockEnumerator(couplings)
+    ctx.moments(params.field, want_pair=True)  # the cached sign matrices
     tracemalloc.start()
     try:
-        BlockEnumerator(couplings).moments(params.field, want_pair=True)
+        ctx = BlockEnumerator(couplings)
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ctx.moments(params.field, want_pair=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak - before < 1.25 * 2**20
+
+
+def test_sign_matrices_equal_their_bitwise_construction():
+    # the column fills give the bits of the shift-and-mask construction, for
+    # every block size and every split (n1, b) of na = 7..24
+    from sktap.gibbs import _sign_matrix, _split_signs
+
+    def by_bits(k):
+        idx = np.arange(1 << k, dtype=np.uint64)[:, None]
+        bits = (idx >> np.arange(k, dtype=np.uint64)[None, :]) & 1
+        return 2.0 * bits.astype(np.float64) - 1.0
+
+    for k in range(13):
+        S = _sign_matrix(k)
+        assert S.shape == (1 << k, k) and not S.flags.writeable
+        assert np.array_equal(S, by_bits(k))
+    for n1 in range(4, 13):
+        for b in range(n1 // 2):
+            low, high = by_bits(b), by_bits(n1 - b)
+            split = np.hstack([np.repeat(low, len(high), axis=0), np.tile(high, (len(low), 1))])
+            S = _split_signs(n1, b)
+            assert not S.flags.writeable
+            assert np.array_equal(S, split)
+
+
+@pytest.mark.parametrize("na", [8, 12, 16, 20])
+def test_a_cols_key_never_moves_the_plain_moments(na):
+    # na = 20 spans two tiles; the key's sums run beside the plain ones, in
+    # products of their own, on one row and on five
+    from sktap.gibbs import BlockEnumerator
+
+    rng = np.random.default_rng(na)
+    params, cm = random_instance(rng, na)
+    ctx = BlockEnumerator(cm.entries)
+    for h in (params.field[None], rng.normal(0.0, 0.5, (5, na))):
+        plain = ctx.moments(h)
+        keyed = ctx.moments(h, cols=[(0,)])
+        assert np.array_equal(keyed.log_z, plain.log_z)
+        assert np.array_equal(keyed.mag, plain.mag)
+        assert np.array_equal(keyed.second, plain.second)
 
 
 def test_sk_couplings_take_the_factorised_path():

@@ -38,6 +38,14 @@ many time one ``sktap.cli.main`` call of the ``ito-n6`` workload's argv
 it, counting with ``gc.callbacks`` the collections of each generation
 inside the call, and as many time the first ``build_parser`` and its
 ``parse_args`` of the ``htap1-n20`` workload's argv right after the import.
+After the start-up rows, one fresh interpreter per size of ``ALLOC_SIZES``,
+with and without the pair matrix, counts the minor faults of the first
+enumerator construction and ``moments`` call, and of a second one after
+it, then traces (``tracemalloc``) the transient of a third call: its peak
+less what was allocated before it.  One more runs the ``spectral-n24``
+workload's argv (2 samples) after the benchmark's own calibration kernels
+(``perfbench/worker.py``'s ``_calibrate``), as a benchmark worker does, and
+records the time and the minor faults of each sample.
 The report gives the min and median over the rounds (over every repeat of
 every round for the start-up rows).
 """
@@ -103,6 +111,54 @@ print((time.perf_counter() - start) * 1e3)
 """
 HTAP1_ARGV = ("scaling", "--experiment", "htap1", "--n", "20", "--t", "0.5", "--h", "0.3",
               "--threads", "1", "--samples", "4", "--seed", "42")
+ALLOC_SIZES = (20, 22, 24)
+# The minor faults of a first and of a second construction and pass, then
+# the traced transient of a third pass: its peak less what came before it.
+ALLOC_PROBE = """\
+import resource, sys, tracemalloc
+from sktap.gibbs import BlockEnumerator
+from sktap.model import ModelParams, sample_couplings
+n, want_pair = int(sys.argv[1]), sys.argv[2] == "1"
+params = ModelParams.uniform(n, 0.4, 0.3)
+couplings = sample_couplings(params, 0).entries
+faults = []
+for _ in range(2):
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    BlockEnumerator(couplings).moments(params.field, want_pair=want_pair)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+tracemalloc.start()
+ctx = BlockEnumerator(couplings)
+before, _ = tracemalloc.get_traced_memory()
+tracemalloc.reset_peak()
+ctx.moments(params.field, want_pair=want_pair)
+print(*faults, (tracemalloc.get_traced_memory()[1] - before) / 2**20)
+"""
+# One ``main`` call on the probe's argv after perfbench's calibration, the
+# ms and minor faults of each sample recorded around the experiment's entry
+# in ``EXPERIMENTS``; argv[1] is the perfbench directory.
+SAMPLES_PROBE = """\
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from worker import _calibrate
+import sktap.cli, sktap.ensemble
+_calibrate()
+experiments = sktap.ensemble.EXPERIMENTS
+sample = experiments["spectral"]
+record = []
+def timed(*args):
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    value = sample(*args)
+    ms = (time.perf_counter() - start) * 1e3
+    record.append([ms, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults])
+    return value
+experiments["spectral"] = timed
+code = sktap.cli.main(sys.argv[2:])
+print(code, json.dumps(record))
+"""
+SPECTRAL_ARGV = ("scaling", "--experiment", "spectral", "--n", "24", "--t", "0.4", "--h", "0.3",
+                 "--threads", "1", "--samples", "2", "--seed", "42")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def _timed(fn, calls: int) -> float:
@@ -263,10 +319,35 @@ def _startup(src: str) -> dict:
             **{f"ito_main_gen{g}_collections": int(c) for g, c in enumerate(collections)}}
 
 
+def _alloc(src: str) -> list:
+    rows = []
+    for n in ALLOC_SIZES:
+        for want_pair in (False, True):
+            done = subprocess.run([sys.executable, "-c", ALLOC_PROBE, str(n), str(int(want_pair))],
+                                  env=_env(src), check=True, capture_output=True, text=True)
+            first, second, transient = done.stdout.split()
+            rows.append({"n": n, "want_pair": want_pair, "minflt_first": int(first),
+                         "minflt_second": int(second), "transient_mib": float(transient)})
+    return rows
+
+
+def _spectral_samples(src: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run([sys.executable, "-c", SAMPLES_PROBE, PERFBENCH, *SPECTRAL_ARGV,
+                               "--out", os.path.join(tmp, "spectral.json")],
+                              env=_env(src), check=True, capture_output=True, text=True)
+    code, record = done.stdout.splitlines()[-1].split(" ", 1)
+    if code != "0":
+        raise RuntimeError(f"sktap exit {code}: {done.stderr}")
+    return {f"sample{k}_{key}": value for k, row in enumerate(json.loads(record))
+            for key, value in zip(("ms", "minflt"), row)}
+
+
 def _run(src: str) -> dict:
     htap1 = [_worker(src, "htap1", str(n)) for n in HTAP1_SIZES]
     startup = [_startup(src) for _ in range(STARTUP_REPEATS)]
-    return {**_worker(src), "htap1": htap1, "startup": startup}
+    return {**_worker(src), "htap1": htap1, "startup": startup, "alloc": _alloc(src),
+            "spectral_samples": _spectral_samples(src)}
 
 
 def _summary(values: list) -> dict:
@@ -302,7 +383,16 @@ def main(argv: list) -> int:
         for label in order if r % 2 == 0 else order[::-1]:
             runs[label].append(_run(labels[label]))
     results, htap1, criterion_04, small, stacks, ito_path, startup = {}, {}, {}, {}, {}, {}, {}
+    alloc, spectral = {}, {}
     for label, rounds in runs.items():
+        alloc[label] = [
+            {"n": row["n"], "want_pair": row["want_pair"],
+             **{key: _summary([rnd["alloc"][i][key] for rnd in rounds])
+                for key in ("minflt_first", "minflt_second", "transient_mib")}}
+            for i, row in enumerate(rounds[0]["alloc"])
+        ]
+        spectral[label] = {key: _summary([rnd["spectral_samples"][key] for rnd in rounds])
+                           for key in rounds[0]["spectral_samples"]}
         startup[label] = {key: _summary([rep[key] for rnd in rounds for rep in rnd["startup"]])
                           for key in rounds[0]["startup"][0]}
         criterion_04[label] = _summary([rnd["criterion_04_s"] for rnd in rounds])
@@ -332,7 +422,8 @@ def main(argv: list) -> int:
     print(json.dumps({"what": __doc__.strip().splitlines()[0], "rounds": ROUNDS,
                       "machine": _machine(), "results": results, "htap1": htap1,
                       "criterion_04_s": criterion_04, "small": small, "stacks": stacks,
-                      "ito_path_ms": ito_path, "startup": startup}, indent=1))
+                      "ito_path_ms": ito_path, "startup": startup, "alloc": alloc,
+                      "spectral_n24_samples": spectral}, indent=1))
     return 0
 
 

@@ -37,24 +37,24 @@ SEVERAL_PER_CHUNK = "tests/test_gibbs.py::test_a_chunk_of_several_systems_gives_
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
     (
-        "drop-final-column-sum-rescale",
+        "drop-running-column-total-rescale",
         "src/sktap/gibbs.py",
-        "            col_sums.reshape(k, -1, tiles, tc)[...] *= scale[:, None, :, None]\n",
+        "                        by_right[g, :, : c.start] *= scale\n",
         "",
         [LATE_TILE],
     ),
     (
         "drop-running-row-sum-rescale",
         "src/sktap/gibbs.py",
-        "                    row_sums[g] *= scale\n",
+        "                        row_sums[g] *= scale\n",
         "",
         [LATE_TILE],
     ),
     (
         "drop-running-cross-rescale",
         "src/sktap/gibbs.py",
-        "                        cross[g] *= scale\n",
-        "",
+        "                            cross[g] *= scale\n",
+        "                            pass\n",
         [LATE_TILE],
     ),
     (
@@ -81,8 +81,8 @@ MUTANTS = (
     (
         "stack-shares-first-factor",
         "src/sktap/gibbs.py",
-        "        eC = np.matmul(layout.Sl, G_LR[:, :b] @ SR.T, out=work[\"eC\"][:blocks])\n",
-        "        eC = np.matmul(layout.Sl, G_LR[:1, :b] @ SR.T, out=work[\"eC\"][:blocks])\n",
+        "        B = G_LR[:, :b] @ SR.T\n",
+        "        B = G_LR[:1, :b] @ SR.T\n",
         ["tests/test_gibbs.py::test_coupling_stack_is_bit_equal_to_one_system_per_block"],
     ),
     (
@@ -103,7 +103,7 @@ MUTANTS = (
     (
         "drop-right-cols-sign",
         "src/sktap/gibbs.py",
-        "            by_right[:, c] *= parts[key][1]\n",
+        "                by_right[:, q] *= pr\n",
         "",
         [BLOCK_TRIPLE, SMALL_SYSTEMS],
     ),
@@ -114,6 +114,13 @@ MUTANTS = (
         "        out.mag[rows] = np.concatenate([at_left[:, 0], at_right[:, 0]], axis=1)"
         " / (norm * (1 + 1e-13))\n",
         ["tests/test_pinned_payloads.py"],
+    ),
+    (
+        "plain-magnetizations-share-the-key-product",
+        "src/sktap/gibbs.py",
+        "        at_left, at_right = by_left[:, :1] @ SL, by_right[:, :1] @ SR\n",
+        "        at_left, at_right = by_left @ SL, by_right @ SR\n",
+        ["tests/test_gibbs.py::test_a_cols_key_never_moves_the_plain_moments"],
     ),
     (
         "walsh-no-column-shift",
@@ -240,6 +247,13 @@ MUTANTS = (
         "state = _mix64(state ^ _mix64(ix & _MASK64))",
         "state = _mix64(state ^ (ix & _MASK64))",
         ["tests/test_dynamics.py::test_cavity_difference_terminal_square_scales_inversely_with_n"],
+    ),
+    (
+        "trace-cavity-difference-from-the-minus-grid",
+        "src/sktap/dynamics.py",
+        "        return lhs, eps_col, delta_prod, up[:, jl]\n",
+        "        return lhs, eps_col, delta_prod, dn[:, jl]\n",
+        ["tests/test_dynamics.py::test_trace_reads_the_cavity_difference_of_its_own_enumeration"],
     ),
     (
         "halved-susceptibility-step",
