@@ -127,9 +127,9 @@ class _RawMoments:
         )
 
 
-# State budget of the factor, of a tile with the product of its shape that
-# the pair matrix needs, and of the operands of the systems a chunk holds
-# (see ``BlockEnumerator.moments``).  A tile is a run of columns of one
+# State budget of a tile with the product of its shape that the pair matrix
+# needs, and of the operands of the systems a chunk holds (see
+# ``BlockEnumerator.moments``).  A tile is a run of columns of one
 # system's D grid, or the whole D grids of several stacked systems.  2^16
 # float64 states are 512 KiB: the working set of a tile stays in one core's
 # L2 cache, while a pass at na = 24 still takes only 32 tiles, so the
@@ -204,20 +204,19 @@ def _low_bits(G_LR: np.ndarray) -> np.ndarray:
     """Number b of low left sites whose couplings the factor eC holds, for
     each block of a (K, n1, n2) stack of left-to-right couplings.
 
-    The largest b within the guard (2 * sum_{a<b} |G_LR[a]|_1 <= _GUARD) and
-    the tile budget (2^b * 2^n2 states) that stays below n1/2: a pass
-    exponentiates the 2^(na-b) entries of D, and sweeps about three times
-    over column sums the size of the factor, 2^(b+n2) entries, which each
-    chunk also exponentiates.  The two balance near b = n1/2 - 1;
-    at n = 19-20 (htap1), caps of 4 and 5 timed alike, 3 and 6 slower.
+    The largest b within the guard (2 * sum_{a<b} |G_LR[a]|_1 <= _GUARD)
+    that stays below n1/2: a pass exponentiates the 2^(na-b) entries of D,
+    and sweeps about three times over column sums the size of the factor,
+    2^(b+n2) entries, which each chunk also exponentiates.  The two balance
+    near b = n1/2 - 1; at n = 19-20 (htap1), caps of 4 and 5 timed alike,
+    3 and 6 slower.  The factor's size caps nothing, as a pass holds one
+    tile of it: b = 5 at n = 24 ran the pair pass 20% faster than b = 4.
     Couplings too strong for the guard, or not finite, get b = 0.  Only the
     block pass asks: systems of up to ``_WALSH_SITES`` sites, which the cap
     n1/2 - 1 would give b = 0 anyway, take the Walsh-Hadamard pass instead.
     """
-    n1, n2 = G_LR.shape[1:]
     reach = 2.0 * np.cumsum(np.abs(G_LR).sum(axis=2), axis=1)
-    most = max(0, min(n1 // 2 - 1, _TILE_STATES.bit_length() - 1 - n2))
-    return np.count_nonzero(reach[:, :most] <= _GUARD, axis=1)
+    return np.count_nonzero(reach[:, : G_LR.shape[1] // 2 - 1] <= _GUARD, axis=1)
 
 
 @functools.cache
@@ -261,10 +260,9 @@ class BlockEnumerator:
     systems of a chunk, into a workspace that each ``moments`` call
     allocates once.  So a pass holds one tile plus O(2^n1 + 2^n2) vectors
     per system, and no buffer of 2^(b+n2) entries: at n = 24 with the pair
-    matrix, one call allocates 1.1 MiB at its peak, where it took 2.96 MiB
-    with eC, its column sums and the right operand held whole.  A chunk only
-    holds systems of equal b, so a system's bits depend neither on the
-    guard of another system nor on its place in the stack.  A tile is the
+    matrix, one call allocates 0.86 MiB at its peak.  A chunk only holds
+    systems of equal b, so a system's bits depend neither on the guard of
+    another system nor on its place in the stack.  A tile is the
     part of a chunk's D grids that one exponential call covers.
 
     A system of na <= ``_WALSH_SITES`` sites skips all of this: the context
@@ -466,9 +464,12 @@ class BlockEnumerator:
         eC = work["eC"][:blocks]
         G_LR = self.G[own, :n1, n1:]
         # C = sl(t) B[:, c] peaks where every low sign matches B, so its shift
-        # max_c sum_a |B[a, c]| is known before the first tile builds eC
-        B = G_LR[:, :b] @ SR.T
-        c_shift = np.abs(B).sum(axis=1).max(axis=1)
+        # max_c sum_a |B[a, c]| is known before the first tile builds eC; a
+        # last row of B, -shift against the ones of ``Sl1``, subtracts it
+        B = np.empty((blocks, b + 1, SR.shape[0]))
+        B[:, :b] = G_LR[:, :b] @ SR.T
+        c_shift = np.abs(B[:, :b]).sum(axis=1).max(axis=1)
+        B[:, b] = -c_shift[:, None]
         # a[t, T], shifted by its maximum over t; the shift of column T
         # moves into D, so a tile's weights are eA[t, T] eC[t, c] W[T, c]
         a = (self.EL[own] + _each(SL, H[:, :n1])).reshape(k, nt, nT)
@@ -493,8 +494,7 @@ class BlockEnumerator:
         G_high, SRT, top = G_LR[:, b:], SR.T, np.empty(k)
         for j in range(layout.tiles):
             c = slice(j * tc, (j + 1) * tc)
-            np.matmul(layout.Sl, B[:, :, c], out=eC)
-            eC -= c_shift[:, None, None]
+            np.matmul(layout.Sl1, B[:, :, c], out=eC)
             np.exp(eC, out=eC)
             if keys:
                 np.multiply(eC[:, None], pr[:, None, c], out=eCk.reshape(blocks, keys, nt, tc))
@@ -554,14 +554,20 @@ class _Layout:
         self.SL = _split_signs(n1, b)
         self.SR = _sign_matrix(n2)
         self.Sl = _sign_matrix(b)
+        # the low signs and a column of ones, for the shift row of B
+        self.Sl1 = np.hstack([self.Sl, np.ones((1 << b, 1))])
         self.Sh = _sign_matrix(n1 - b)
         # Tile boundaries depend on na and b alone: `tile_cols` columns of
-        # D, half the budget, which the weights W of a tile share with the
-        # product of the same shape that the pair matrix needs.  Passes at
-        # n = 22-24 took 13-26% longer with full-budget tiles and 8-17%
-        # longer with quarter-budget ones (in-process, one BLAS thread).
+        # D within half the budget, which the weights W of a tile share with
+        # the product of the same shape that the pair matrix needs, and
+        # within 2^19 states of the whole grid (columns x 2^n1), which binds
+        # only at b >= 5.  Full-budget tiles took 13-26% longer at n = 22-24
+        # and quarter-budget ones 8-10% longer at n = 20-22, but at n = 24
+        # and b = 5, 128 columns ran as fast as 256 and held 0.32 MiB less.
         rows = self.Sh.shape[0]
-        self.tile_cols = min(1 << n2, max(1, (_TILE_STATES // 2) // rows))
+        self.tile_cols = min(
+            1 << n2, max(1, (_TILE_STATES // 2) // rows), (_TILE_STATES * 8) >> n1
+        )
         self.tiles = (1 << n2) // self.tile_cols
         # the systems whose whole D grids make one tile, within the same half
         # budget; a grid of several tiles has its tiles to itself

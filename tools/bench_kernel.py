@@ -13,10 +13,11 @@ time and the minor page faults (``ru_minflt``) per sample.  A fresh
 interpreter per size keeps the fault count from depending on what the
 allocator still holds from earlier sizes.  Then one worker times the rest:
 for every size and with and without the pair matrix, the enumerator
-construction and one ``moments`` call (after one untimed warm-up pass), and
-one ``np.exp`` over a float64 grid of the same 2^ceil(n/2) x 2^floor(n/2)
-shape; above 2^24 states the floor runs over a 2^24-state grid as many times
-as make up 2^n states, so it holds 256 MiB at most.  Small sizes repeat each
+construction and one ``moments`` call (after one untimed warm-up pass), with
+the split that pass ran on (b, the tiles and the columns of each), and one
+``np.exp`` over a float64 grid of the same 2^ceil(n/2) x 2^floor(n/2) shape;
+above 2^24 states the floor runs over a 2^24-state grid as many times as
+make up 2^n states, so it holds 256 MiB at most.  Small sizes repeat each
 call so that one timing covers at least 2^20 states.  Before the kernel rows, while the interpreter is still fresh, it
 times the ensemble of criterion 04 itself (``tests/test_acceptance.py``,
 500 samples at each of n = 8, 12, 16, 20).  For the small systems of the
@@ -61,7 +62,7 @@ import sys
 import tempfile
 import time
 
-SIZES = (12, 16, 20, 22, 24, 26)
+SIZES = (12, 16, 20, 22, 23, 24, 26)
 HTAP1_SIZES = (8, 12, 16, 20)
 HTAP1_SAMPLES = 16
 SMALL = ((5, 1), (5, 2049), (6, 1), (6, 2049))  # (na, field rows)
@@ -255,7 +256,7 @@ def _ito_path_ms() -> float:
 def worker() -> None:
     import numpy as np
 
-    from sktap.gibbs import BlockEnumerator
+    from sktap.gibbs import BlockEnumerator, _Layout
     from sktap.model import ModelParams, sample_couplings
 
     criterion_04_s = _criterion_04_s()
@@ -273,12 +274,15 @@ def worker() -> None:
         del grid, out
         params = ModelParams.uniform(n, 0.4, 0.3)
         couplings = sample_couplings(params, 0).entries
+        probe = BlockEnumerator(couplings)
+        layout = _Layout(probe.n1, probe.n2, int(probe.low[0]))
+        split = {"b": layout.low, "tiles": layout.tiles, "tile_cols": layout.tile_cols}
         for want_pair in (False, True):
             BlockEnumerator(couplings).moments(params.field, want_pair=want_pair)
             init_ms = _timed(lambda: BlockEnumerator(couplings), calls)
             ctx = BlockEnumerator(couplings)
             moments_ms = _timed(lambda: ctx.moments(params.field, want_pair=want_pair), calls)
-            rows.append({"n": n, "want_pair": want_pair, "init_ms": init_ms,
+            rows.append({"n": n, "want_pair": want_pair, **split, "init_ms": init_ms,
                          "moments_ms": moments_ms, "exp_floor_ms": floor_ms})
     print(json.dumps({"kernel": rows, "criterion_04_s": criterion_04_s,
                       "small": small, "stacks": stacks, "ito_path_ms": ito_path_ms}))
@@ -409,7 +413,7 @@ def main(argv: list) -> int:
         ]
         results[label] = []
         for i, row in enumerate(rounds[0]["kernel"]):
-            cell = {"n": row["n"], "want_pair": row["want_pair"]}
+            cell = {key: row[key] for key in ("n", "want_pair", "b", "tiles", "tile_cols")}
             for key in ("init_ms", "moments_ms", "exp_floor_ms"):
                 cell[key] = _summary([rnd["kernel"][i][key] for rnd in rounds])
             cell["moments_over_floor"] = cell["moments_ms"]["median"] / cell["exp_floor_ms"]["median"]

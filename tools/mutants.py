@@ -72,17 +72,24 @@ MUTANTS = (
         [LATE_TILE],
     ),
     (
+        "zeroed-shift-row-of-the-factor",
+        "src/sktap/gibbs.py",
+        "        B[:, b] = -c_shift[:, None]\n",
+        "        B[:, b] = 0.0\n",
+        ["tests/test_gibbs.py::test_largest_passes_equal_the_mix_of_their_clamped_halves"],
+    ),
+    (
         "remove-guard",
         "src/sktap/gibbs.py",
-        "    return np.count_nonzero(reach[:, :most] <= _GUARD, axis=1)\n",
-        "    return np.full(len(reach), most)\n",
+        "    return np.count_nonzero(reach[:, : G_LR.shape[1] // 2 - 1] <= _GUARD, axis=1)\n",
+        "    return np.full(len(reach), G_LR.shape[1] // 2 - 1)\n",
         ["tests/test_gibbs.py::test_guard_keeps_strong_low_left_couplings_exact"],
     ),
     (
         "stack-shares-first-factor",
         "src/sktap/gibbs.py",
-        "        B = G_LR[:, :b] @ SR.T\n",
-        "        B = G_LR[:1, :b] @ SR.T\n",
+        "        B[:, :b] = G_LR[:, :b] @ SR.T\n",
+        "        B[:, :b] = G_LR[:1, :b] @ SR.T\n",
         ["tests/test_gibbs.py::test_coupling_stack_is_bit_equal_to_one_system_per_block"],
     ),
     (
