@@ -8,7 +8,6 @@ matrix, and disorder-ensemble scaling experiments.
 
 from .dynamics import (
     ItoCheckConfig,
-    cavity_difference_path,
     ito_decomposition_residual,
     ito_decomposition_trace,
 )

@@ -98,12 +98,15 @@ def ito_decomposition_trace(
 
     Returns arrays over the grid: left-hand side, partial martingale and
     drift sums, the per-segment increments, the cavity difference
-    m_j(s) - m_j(0) of the target site with the clamped spin at +1 (what
-    ``cavity_difference_path`` returns, read off the same enumeration), and
-    the terminal residual |LHS(t) - LHS(0) - (martingale + drift)|.  A
-    single-point path (time 0)
-    has no increments, so both sides are empty and the residual is exactly
-    zero; a one-step path is rejected.
+    m_j^{[i]}(s) - m_j^{(i)} of the target site j with the clamped site i at
+    +1, and the terminal residual |LHS(t) - LHS(0) - (martingale + drift)|.
+    The cavity reference m_j^{(i)} never sees row i: at s = 0 the row
+    vanishes, so the clamped and cavity measures coincide and the s = 0
+    point of the +1 grid is that reference, making the difference exactly 0
+    there.  Its terminal square is the quantity whose disorder average
+    decays like 1/n.  A single-point path (time 0) has no increments, so
+    both sides are empty and the residual is exactly zero; a one-step path
+    is rejected.
     """
     if path.steps == 1:
         raise ValueError("path must have at least 2 steps, got 1")
@@ -194,23 +197,3 @@ def ito_decomposition_residual(
     """Terminal residual |LHS - (martingale sum + drift sum)| of the check."""
     return ito_decomposition_trace(path, cfg, params)["residual"]
 
-
-def cavity_difference_path(
-    path: CouplingPath,
-    params: ModelParams,
-    i: int,
-    j: int,
-) -> np.ndarray:
-    """Trajectory of m_j^{[i]}(s) - m_j^{(i)} along the row-i Brownian flow.
-
-    m^{[i]} clamps site i at +1.  The cavity reference m_j^{(i)} never sees
-    row i, so it is a constant along the path; at s = 0 the row vanishes,
-    the clamped and cavity measures coincide exactly, and the s = 0 row of
-    the scan is the cavity reference.  The terminal square of this
-    trajectory is the quantity whose disorder average decays like 1/n.
-    """
-    if i == j:
-        raise ValueError("sites must be distinct")
-    scan = _RowFlowScan(path, params, i)
-    mag = scan.stack(+1).mag[:, scan.local(j)]
-    return mag - mag[0]

@@ -6,7 +6,9 @@ by masking (couplings and fields of removed sites never enter any sum), so
 site labels stay stable across the full, clamped and cavity measures.
 
 The enumeration engine splits the sites into a left and a right block, and
-the left block again into its b low and its other, high sites.  A state's
+the left block again into its first b (low) and its other (high) sites.
+Every block numbers its sites from the top bit of its state index, so one
+sign matrix per block size serves every b (``_sign_matrix``).  A state's
 weight then factors into exp(a) of the left block, exp(C) of the low-left to
 right couplings and exp(D) of the rest.  exp(C) does not depend on the field,
 so a pass builds it once for a whole chunk of field rows; it exponentiates
@@ -155,28 +157,25 @@ _GUARD = 600.0
 _WALSH_SITES = 6
 
 
-def _signs(k: int, bits) -> np.ndarray:
-    """Read-only (2^k, len(bits)) matrix of +-1 whose column j is the sign of
-    bit ``bits[j]`` of the row index.
+@functools.cache
+def _sign_matrix(k: int) -> np.ndarray:
+    """Read-only (2^k, k) matrix of +-1; bit k-1-j of the row index is the
+    sign of site j, so sites are numbered from the top bit.
 
-    Each column is filled as runs of 2^bit entries of -1, then of +1."""
-    S = np.empty((1 << k, len(bits)))
-    for j, bit in enumerate(bits):
-        halves = S[:, j].reshape(-1, 2, 1 << bit)
+    Row t 2^(k-b) + T then holds row t of ``_sign_matrix(b)`` on the first
+    b sites and row T of ``_sign_matrix(k - b)`` on the others, for every
+    b: the left signs in the (t, T) order of every split.  Column j is
+    filled as runs of 2^(k-1-j) entries of -1, then of +1.  One copy per
+    block size is shared by every enumerator, e.g. by the cavity systems of
+    one disorder sample.
+    """
+    S = np.empty((1 << k, k))
+    for j in range(k):
+        halves = S[:, j].reshape(-1, 2, 1 << (k - 1 - j))
         halves[:, 0] = -1.0
         halves[:, 1] = 1.0
     S.setflags(write=False)
     return S
-
-
-@functools.cache
-def _sign_matrix(k: int) -> np.ndarray:
-    """Read-only (2^k, k) matrix of +-1; bit b of the row index is the sign of site b.
-
-    One copy per block size is shared by every enumerator, e.g. by the
-    cavity systems of one disorder sample.
-    """
-    return _signs(k, range(k))
 
 
 def _quadratic(S: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -219,16 +218,6 @@ def _low_bits(G_LR: np.ndarray) -> np.ndarray:
     return np.count_nonzero(reach[:, : G_LR.shape[1] // 2 - 1] <= _GUARD, axis=1)
 
 
-@functools.cache
-def _split_signs(n1: int, b: int) -> np.ndarray:
-    """Read-only (2^n1, n1) left sign matrix with its rows in (t, T) order.
-
-    Row t 2^(n1-b) + T holds the signs of the b low sites from the bits of t
-    and those of the n1 - b high sites from the bits of T.
-    """
-    return _signs(n1, [*range(n1 - b, n1), *range(n1 - b)])
-
-
 class BlockEnumerator:
     """Split-block enumeration context for one coupling block or a stack of them.
 
@@ -246,9 +235,10 @@ class BlockEnumerator:
     that ``moments`` takes, or a stack of K blocks, (K, na, na), whose block
     r pairs with field row r: the n cavity systems of one disorder sample,
     say.  The systems of a stack share na, and with it the split and the
-    sign matrices (the left one with its rows in (t, T) order); each has its
-    own b (``low``), chosen by ``_low_bits`` as large as the guard allows:
-    the guard keeps the range of C within ``_GUARD``, so stronger couplings
+    sign matrices, which number the sites from the top bit: left state
+    t 2^(n1-b) + T is low state t and high state T for every b.  Each has
+    its own b (``low``), chosen by ``_low_bits`` as large as the guard
+    allows: the guard keeps the range of C within ``_GUARD``, so stronger couplings
     get a smaller b, and b = 0 (C = 0) is the plain pass with one
     exponential per state.
 
@@ -283,11 +273,9 @@ class BlockEnumerator:
         self.n2 = na - n1
         self.low = _low_bits(self.G[:, :n1, n1:])
         # the places in the stack of the systems of each b, and the block
-        # energies of every system, the left ones in the (t, T) order of its b
+        # energies of every system
         self.systems = {b: np.flatnonzero(self.low == b) for b in sorted(set(self.low.tolist()))}
-        self.EL = np.empty((len(self.G), 1 << n1))
-        for b, systems in self.systems.items():
-            self.EL[systems] = _quadratic(_split_signs(n1, b), self.G[systems, :n1, :n1])
+        self.EL = _quadratic(_sign_matrix(n1), self.G[:, :n1, :n1])
         self.ER = _quadratic(_sign_matrix(self.n2), self.G[:, n1:, n1:])
 
     def moments(self, h, want_pair=True, cols=()) -> _RawMoments:
@@ -354,20 +342,22 @@ class BlockEnumerator:
         ``grids``.
 
         The log-weights of the chunk form a (2^na, k) grid, the field rows
-        the contiguous inner axis: the interaction energies E plus the field
-        energies, which double site by site from the states of sites 0..i-1
-        to those of sites 0..i (-h_i where s_i = -1, +h_i where s_i = +1).
-        Each column is shifted by its maximum and exponentiated.  Butterfly stage i then
-        maps the weight pair (lo, hi) of states that differ in site i to
-        (lo + hi, hi - lo), so that afterwards row ``mask`` holds the sum
-        over states of w_s prod_{i in mask} s_i, and every moment is one
-        row divided by row 0.  Every step is an elementwise ufunc on whole
-        columns, so a row's bits depend neither on k nor on the chunk.
+        the contiguous inner axis, its states in the order of
+        ``_sign_matrix(na)``: the interaction energies E plus the field
+        energies, which double bit by bit from the last site to the first
+        (-h_a where s_a = -1, +h_a where s_a = +1, site a on bit na-1-a).
+        Each column is shifted by its maximum and exponentiated.  Butterfly
+        stage i then maps the weight pair (lo, hi) of states that differ in
+        bit i to (lo + hi, hi - lo), so that afterwards row ``mask`` holds
+        the sum over states of w_s times the product of the spins on the
+        bits of ``mask``, and every moment is one row divided by row 0.
+        Every step is an elementwise ufunc on whole columns, so a row's bits
+        depend neither on k nor on the chunk.
         """
         k, na = H.shape
         X, Y = (grid[: k << na].reshape(1 << na, k) for grid in grids)
         Y[0] = 0.0
-        for i, h in enumerate(H.T):
+        for i, h in enumerate(H.T[::-1]):
             np.add(Y[: 1 << i], h, out=Y[1 << i : 2 << i])
             Y[: 1 << i] -= h
         np.add(self.E[:, rows] if self.E.shape[1] > 1 else self.E, Y, out=X)
@@ -382,12 +372,12 @@ class BlockEnumerator:
             X, Y = Y, X
         z = X[0]
         out.log_z[rows] = np.log(z) + shift
-        bits = 1 << np.arange(na)
+        bits = 1 << np.arange(na)[::-1]
         out.mag[rows] = (X[bits] / z).T
         if out.second is not None:
             out.second[rows] = (X[bits[:, None] ^ bits] / z).transpose(2, 0, 1)
         for key, val in out.cols.items():
-            val[rows] = (X[_mask(key) ^ bits] / z).T
+            val[rows] = (X[_mask(key, na) ^ bits] / z).T
 
     def _pass(self, layout, own, H, rows, out: _RawMoments, work: dict) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``.
@@ -551,7 +541,7 @@ class _Layout:
 
     def __init__(self, n1: int, n2: int, b: int):
         self.n1, self.n2, self.low = n1, n2, b
-        self.SL = _split_signs(n1, b)
+        self.SL = _sign_matrix(n1)
         self.SR = _sign_matrix(n2)
         self.Sl = _sign_matrix(b)
         # the low signs and a column of ones, for the shift row of B
@@ -643,12 +633,13 @@ class _Layout:
         return work
 
 
-def _mask(key) -> int:
-    """Row of the Walsh-Hadamard transform that holds the product of the
-    spins ``key``; a site listed twice drops out, as s^2 = 1."""
+def _mask(key, na: int) -> int:
+    """Row of the Walsh-Hadamard transform of na sites that holds the
+    product of the spins ``key`` (site a on bit na-1-a); a site listed
+    twice drops out, as s^2 = 1."""
     mask = 0
     for a in key:
-        mask ^= 1 << int(a)
+        mask ^= 1 << (na - 1 - int(a))
     return mask
 
 

@@ -11,7 +11,6 @@ from sktap import (
     ItoCheckConfig,
     ModelParams,
     ReducedSpec,
-    cavity_difference_path,
     fit_power_law,
     ito_decomposition_residual,
     ito_decomposition_trace,
@@ -41,11 +40,8 @@ def test_degenerate_path_has_zero_residual():
 
 @pytest.mark.parametrize(
     "check",
-    [
-        lambda path: ito_decomposition_residual(path, ItoCheckConfig(0, 1), P6),
-        lambda path: cavity_difference_path(path, P6, 0, 1),
-    ],
-    ids=["ito", "cavity-difference"],
+    [lambda path: ito_decomposition_residual(path, ItoCheckConfig(0, 1), P6)],
+    ids=["ito"],
 )
 def test_path_of_another_size_is_rejected(check):
     path = sample_path(ModelParams.uniform(5, 0.5, 0.3), 4, 3)
@@ -60,9 +56,8 @@ def test_path_of_another_size_is_rejected(check):
         lambda path: ito_decomposition_trace(path, ItoCheckConfig(0, -1), P6),
         lambda path: ito_decomposition_trace(
             path, ItoCheckConfig(0, 1, second_site=6, variant="two_point"), P6),
-        lambda path: cavity_difference_path(path, P6, 0, 9),
     ],
-    ids=["ito-target", "ito-target-negative", "ito-second", "cavity-difference"],
+    ids=["ito-target", "ito-target-negative", "ito-second"],
 )
 def test_sites_out_of_range_are_named_so(check):
     # a usage error naming n, not a site missing from the reduced measure
@@ -82,8 +77,9 @@ def test_zero_increment_path_is_exact():
     # frozen couplings: the clamped row never moves, both sides vanish exactly
     path = CouplingPath(6, np.linspace(0.0, 0.5, 9), np.zeros((8, 15)))
     cfg = ItoCheckConfig(clamped_site=0, target_site=1)
-    assert ito_decomposition_residual(path, cfg, P6) == 0.0
-    assert np.all(cavity_difference_path(path, P6, 0, 1) == 0.0)
+    trace = ito_decomposition_trace(path, cfg, P6)
+    assert trace["residual"] == 0.0
+    assert np.all(trace["cavity_difference"] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -251,12 +247,12 @@ def test_trace_left_endpoint_lhs_starts_at_zero():
 
 def test_cavity_difference_starts_at_zero_and_moves():
     path = sample_path(P6, 16, 9)
-    diff = cavity_difference_path(path, P6, 0, 1)
+    diff = ito_decomposition_trace(path, ItoCheckConfig(0, 1), P6)["cavity_difference"]
     assert diff.shape == (17,)
     assert diff[0] == 0.0
     assert abs(diff[-1]) > 1e-4
-    with pytest.raises(ValueError):
-        cavity_difference_path(path, P6, 0, 0)
+    with pytest.raises(ValueError, match="distinct"):
+        ito_decomposition_trace(path, ItoCheckConfig(0, 0), P6)
 
 
 def test_cavity_difference_is_exactly_zero_at_time_zero():
@@ -267,7 +263,8 @@ def test_cavity_difference_is_exactly_zero_at_time_zero():
     params = ModelParams.uniform(8, 0.5, 0.3)
     for seed in range(1, 41):
         path = sample_path(params, 64, seed)
-        assert cavity_difference_path(path, params, 0, 1)[0] == 0.0
+        trace = ito_decomposition_trace(path, ItoCheckConfig(0, 1), params)
+        assert trace["cavity_difference"][0] == 0.0
         scan = sktap.dynamics._RowFlowScan(path, params, 0)
         cavity = magnetizations(path.terminal(), params, ReducedSpec(removed={0}))
         assert np.array_equal(scan.stack(+1).mag[0], cavity[scan.active])
@@ -276,23 +273,23 @@ def test_cavity_difference_is_exactly_zero_at_time_zero():
 @pytest.mark.parametrize("n", [6, 8])
 def test_trace_reads_the_cavity_difference_of_its_own_enumeration(n):
     # The trace's +1 half is stacked with the -1 grid and asks for a ``cols``
-    # key; neither may move a bit of the plain magnetizations that
-    # ``cavity_difference_path`` reads from a keyless +1 call.  n = 6 takes
-    # the Walsh pass and n = 8 the block pass.
+    # key; neither may move a bit of the plain magnetizations of a keyless
+    # +1 call.  n = 6 takes the Walsh pass and n = 8 the block pass.
     params = ModelParams.uniform(n, 0.5, 0.3)
     for seed in (1, 2, 3):
         path = sample_path(params, 64, seed)
+        scan = sktap.dynamics._RowFlowScan(path, params, 0)
+        mag = scan.stack(+1).mag[:, scan.local(1)]
         for variant, second in [("pair", None), ("two_point", 2), ("product", 2)]:
             cfg = ItoCheckConfig(0, 1, second, variant)
             trace = ito_decomposition_trace(path, cfg, params)
-            expected = cavity_difference_path(path, params, 0, 1)
-            assert np.array_equal(trace["cavity_difference"], expected)
+            assert np.array_equal(trace["cavity_difference"], mag - mag[0])
 
 
 @pytest.mark.parametrize("spin", [1])
 def test_cavity_difference_matches_independent_clamped_route(spin):
     path = sample_path(P6, 16, 4)
-    diff = cavity_difference_path(path, P6, 0, 1)
+    diff = ito_decomposition_trace(path, ItoCheckConfig(0, 1), P6)["cavity_difference"]
     terminal = path.terminal().entries
     cavity = magnetizations(path.terminal(), P6, ReducedSpec(removed={0}))[1]
     for k in (0, 5, 16):
@@ -313,7 +310,8 @@ def test_cavity_difference_terminal_square_scales_inversely_with_n():
         acc = 0.0
         for s in range(samples):
             path = sample_path(params, 2, substream_seed(314, n, s))
-            acc += cavity_difference_path(path, params, 0, 1)[-1] ** 2
+            trace = ito_decomposition_trace(path, ItoCheckConfig(0, 1), params)
+            acc += trace["cavity_difference"][-1] ** 2
         means.append(acc / samples)
     slope, _, _ = fit_power_law(list(zip(sizes, means)))
     assert -1.35 <= slope <= -0.65

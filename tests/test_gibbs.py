@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,6 +412,29 @@ def test_one_pass_allocates_far_less_than_one_grid():
     assert peak - before < 1.0 * 2**20
 
 
+def test_a_first_construction_allocates_less_than_a_mebibyte():
+    # A fresh interpreter, so that no sign matrix is cached yet.  At n = 24
+    # a construction caches the 2^12 x 12 signs of both blocks (384 KiB
+    # each) and makes one 384 KiB S @ G temporary per block energy: 0.82
+    # MiB at its peak, so one more copy of the signs would pass 1 MiB.
+    script = (
+        "import tracemalloc\n"
+        "from sktap import ModelParams, sample_couplings\n"
+        "from sktap.gibbs import BlockEnumerator\n"
+        "couplings = sample_couplings(ModelParams.uniform(24, 0.5, 0.3), 0).entries\n"
+        "tracemalloc.start()\n"
+        "BlockEnumerator(couplings)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(sktap.gibbs.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1.0 * 2**20
+
+
 # (tile_cols, tiles, per_tile) of ``_Layout(n1, n2, b)`` for every b the guard
 # can give at na, from 0 to the cap of ``_low_bits``.  Up to na = 22 these are
 # the tiles that every README payload and pinned value, and the n = 20 htap1
@@ -481,13 +508,15 @@ def test_largest_passes_equal_the_mix_of_their_clamped_halves(n):
 
 
 def test_sign_matrices_equal_their_bitwise_construction():
-    # the column fills give the bits of the shift-and-mask construction, for
-    # every block size and every split (n1, b) of na = 7..24
-    from sktap.gibbs import _sign_matrix, _split_signs
+    # the column fills give the bits of the shift-and-mask construction,
+    # site j on bit k-1-j, for every block size; and for every split (n1, b)
+    # of na = 7..24, row t 2^(n1-b) + T of the left signs holds the low
+    # sites of state t and the high sites of state T, as the pass reads them
+    from sktap.gibbs import _sign_matrix
 
     def by_bits(k):
         idx = np.arange(1 << k, dtype=np.uint64)[:, None]
-        bits = (idx >> np.arange(k, dtype=np.uint64)[None, :]) & 1
+        bits = (idx >> np.arange(k - 1, -1, -1, dtype=np.uint64)[None, :]) & 1
         return 2.0 * bits.astype(np.float64) - 1.0
 
     for k in range(13):
@@ -495,12 +524,12 @@ def test_sign_matrices_equal_their_bitwise_construction():
         assert S.shape == (1 << k, k) and not S.flags.writeable
         assert np.array_equal(S, by_bits(k))
     for n1 in range(4, 13):
-        for b in range(n1 // 2):
-            low, high = by_bits(b), by_bits(n1 - b)
-            split = np.hstack([np.repeat(low, len(high), axis=0), np.tile(high, (len(low), 1))])
-            S = _split_signs(n1, b)
-            assert not S.flags.writeable
-            assert np.array_equal(S, split)
+        for b in range(-(-n1 // 2)):
+            # [t, T] indexes row t 2^(n1-b) + T
+            S = _sign_matrix(n1).reshape(1 << b, 1 << (n1 - b), n1)
+            low, high = _sign_matrix(b), _sign_matrix(n1 - b)
+            assert np.array_equal(S[:, :, :b], np.broadcast_to(low[:, None], S[:, :, :b].shape))
+            assert np.array_equal(S[:, :, b:], np.broadcast_to(high, S[:, :, b:].shape))
 
 
 @pytest.mark.parametrize("na", [8, 12, 16, 20])

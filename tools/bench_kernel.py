@@ -17,8 +17,12 @@ construction and one ``moments`` call (after one untimed warm-up pass), with
 the split that pass ran on (b, the tiles and the columns of each), and one
 ``np.exp`` over a float64 grid of the same 2^ceil(n/2) x 2^floor(n/2) shape;
 above 2^24 states the floor runs over a 2^24-state grid as many times as
-make up 2^n states, so it holds 256 MiB at most.  Small sizes repeat each
-call so that one timing covers at least 2^20 states.  Before the kernel rows, while the interpreter is still fresh, it
+make up 2^n states, so it holds 256 MiB at most.  Every timing is the
+median of its calls, so a spike from another tenant of a shared machine
+moves one call, not the timing.  A kernel row makes at least
+``KERNEL_CALLS`` calls of each, and small sizes repeat the call until it
+covers 2^20 states; the floor takes one call at n >= 20.  Before the kernel
+rows, while the interpreter is still fresh, it
 times the ensemble of criterion 04 itself (``tests/test_acceptance.py``,
 500 samples at each of n = 8, 12, 16, 20).  For the small systems of the
 Ito check it times one ``moments`` call of the shape that check makes (no
@@ -43,7 +47,9 @@ After the start-up rows, one fresh interpreter per size of ``ALLOC_SIZES``,
 with and without the pair matrix, counts the minor faults of the first
 enumerator construction and ``moments`` call, and of a second one after
 it, then traces (``tracemalloc``) the transient of a third call: its peak
-less what was allocated before it.  One more runs the ``spectral-n24``
+less what was allocated before it.  One more per size traces a first
+construction, whose sign matrices are not cached yet: its peak, and what
+the process holds after it.  One more runs the ``spectral-n24``
 workload's argv (2 samples) after the benchmark's own calibration kernels
 (``perfbench/worker.py``'s ``_calibrate``), as a benchmark worker does, and
 records the time and the minor faults of each sample.
@@ -72,6 +78,7 @@ STACK_CALLS = 20
 ITO_PATHS = 16
 FLOOR_STATES = 24  # log2 of the largest grid the floor allocates
 ROUNDS = 7
+KERNEL_CALLS = 16  # fewest calls behind a kernel row's timing
 THREADS = 1
 STARTUP_REPEATS = 5
 # Run by ``python -c`` rather than as this file, whose own imports (subprocess
@@ -134,6 +141,18 @@ tracemalloc.reset_peak()
 ctx.moments(params.field, want_pair=want_pair)
 print(*faults, (tracemalloc.get_traced_memory()[1] - before) / 2**20)
 """
+# The traced peak of a first construction, with no sign matrix cached yet,
+# and what the process holds after it, in MiB.
+INIT_PROBE = """\
+import sys, tracemalloc
+from sktap.gibbs import BlockEnumerator
+from sktap.model import ModelParams, sample_couplings
+couplings = sample_couplings(ModelParams.uniform(int(sys.argv[1]), 0.4, 0.3), 0).entries
+tracemalloc.start()
+ctx = BlockEnumerator(couplings)
+held, peak = tracemalloc.get_traced_memory()
+print(peak / 2**20, held / 2**20)
+"""
 # One ``main`` call on the probe's argv after perfbench's calibration, the
 # ms and minor faults of each sample recorded around the experiment's entry
 # in ``EXPERIMENTS``; argv[1] is the perfbench directory.
@@ -163,10 +182,13 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 
 
 def _timed(fn, calls: int) -> float:
-    start = time.perf_counter()
+    """Median ms of ``calls`` calls of ``fn``."""
+    times = []
     for _ in range(calls):
+        start = time.perf_counter()
         fn()
-    return (time.perf_counter() - start) / calls * 1e3
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
 
 
 def _htap1_row(n: int) -> dict:
@@ -265,12 +287,12 @@ def worker() -> None:
     ito_path_ms = _ito_path_ms()
     rows = []
     for n in SIZES:
-        calls = max(1, (1 << 20) >> n)
+        calls = max(KERNEL_CALLS, (1 << 20) >> n)
         m = min(n, FLOOR_STATES)
         grid = np.random.default_rng(0).uniform(-30.0, 0.0, (1 << (m + 1) // 2, 1 << m // 2))
         out = np.empty_like(grid)
         np.exp(grid, out=out)
-        floor_ms = _timed(lambda: np.exp(grid, out=out), calls) * (1 << n - m)
+        floor_ms = _timed(lambda: np.exp(grid, out=out), max(1, (1 << 20) >> n)) * (1 << n - m)
         del grid, out
         params = ModelParams.uniform(n, 0.4, 0.3)
         couplings = sample_couplings(params, 0).entries
@@ -326,12 +348,16 @@ def _startup(src: str) -> dict:
 def _alloc(src: str) -> list:
     rows = []
     for n in ALLOC_SIZES:
+        done = subprocess.run([sys.executable, "-c", INIT_PROBE, str(n)], env=_env(src),
+                              check=True, capture_output=True, text=True)
+        init_peak, init_held = (float(v) for v in done.stdout.split())
         for want_pair in (False, True):
             done = subprocess.run([sys.executable, "-c", ALLOC_PROBE, str(n), str(int(want_pair))],
                                   env=_env(src), check=True, capture_output=True, text=True)
             first, second, transient = done.stdout.split()
             rows.append({"n": n, "want_pair": want_pair, "minflt_first": int(first),
-                         "minflt_second": int(second), "transient_mib": float(transient)})
+                         "minflt_second": int(second), "transient_mib": float(transient),
+                         "init_peak_mib": init_peak, "init_held_mib": init_held})
     return rows
 
 
@@ -392,7 +418,8 @@ def main(argv: list) -> int:
         alloc[label] = [
             {"n": row["n"], "want_pair": row["want_pair"],
              **{key: _summary([rnd["alloc"][i][key] for rnd in rounds])
-                for key in ("minflt_first", "minflt_second", "transient_mib")}}
+                for key in ("minflt_first", "minflt_second", "transient_mib",
+                            "init_peak_mib", "init_held_mib")}}
             for i, row in enumerate(rounds[0]["alloc"])
         ]
         spectral[label] = {key: _summary([rnd["spectral_samples"][key] for rnd in rounds])

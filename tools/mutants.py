@@ -144,6 +144,13 @@ MUTANTS = (
         [SMALL_SYSTEMS],
     ),
     (
+        "walsh-fields-in-forward-site-order",
+        "src/sktap/gibbs.py",
+        "        for i, h in enumerate(H.T[::-1]):\n",
+        "        for i, h in enumerate(H.T):\n",
+        [SMALL_SYSTEMS],
+    ),
+    (
         "walsh-stack-reads-first-couplings",
         "src/sktap/gibbs.py",
         "        np.add(self.E[:, rows] if self.E.shape[1] > 1 else self.E, Y, out=X)\n",
