@@ -17,7 +17,8 @@ Three decompositions are covered:
 The clamped row enters the reduced system only through the effective fields,
 so one enumeration context (couplings fixed) serves the whole grid: the
 fields of every grid point, for each clamped spin the check reads, form one
-stack, enumerated in a single batched call.
+stack, enumerated in a single batched call.  The integrands' higher moments
+come from clamping j, or j and k, too (``gibbs.clamped_moments``).
 """
 
 from __future__ import annotations
@@ -75,18 +76,23 @@ class _RowFlowScan:
         # C order: a strided BLAS dot sums in another order than a
         # contiguous one, and the martingale increments are such dots
         self.increments = np.ascontiguousarray(increments[:, self.active])
-        self._ctx = gibbs.BlockEnumerator(g_act)
+        self.couplings = g_act
         self.n = params.n
 
     def local(self, site: int) -> int:
         _check_sites(self.n, site)
         return _local_index(self.active, site)
 
-    def stack(self, *spins: int, cols=()):
-        """Raw moments at every grid point with site i at each of ``spins``:
-        along the leading axis, the whole grid of one spin, then of the next."""
-        fields = np.concatenate([self.base_h + spin * self.rows for spin in spins])
-        return self._ctx.moments(fields, want_pair=False, cols=cols)
+    def stack(self, *spins: int, clamp=()):
+        """``gibbs.clamped_moments`` over the active-local sites ``clamp`` at
+        every grid point with site i at each of ``spins``: along the second
+        axis, the whole grid of one spin, then of the next."""
+        # in place, as in gibbs.clamped_moments
+        fields = np.empty((len(spins), *self.rows.shape))
+        for grid, spin in zip(fields, spins):
+            np.multiply(self.rows, spin, out=grid)
+            grid += self.base_h
+        return gibbs.clamped_moments(self.couplings, fields.reshape(-1, len(self.active)), clamp)
 
 
 def ito_decomposition_trace(
@@ -157,24 +163,23 @@ def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
     vector multiplies the row increments dg_il; the drift vector is summed
     and multiplied by -ds/n (the positive product-rule cross term enters
     with its sign already folded in).  Everything is in active-local
-    coordinates; centering the raw moment columns yields the diagonal
+    coordinates.  The raw moments <s_j s_l> and <s_j s_k s_l> read tau on
+    the clamped sites themselves, so centering them yields the diagonal
     conventions m_jj = 1 - m_j^2 and m_jkj = -2 m_j m_jk for free.
     """
     jl = scan.local(cfg.target_site)
     if cfg.variant == "pair":
-        both = scan.stack(+1, -1, cols=[(jl,)])
-        pc = both.cols[(jl,)] - both.mag[:, jl, None] * both.mag
-        (up, dn), (pc_up, pc_dn) = np.split(both.mag, 2), np.split(pc, 2)
+        m, rj = scan.stack(+1, -1, clamp=(jl,))
+        pc = rj - m[:, jl, None] * m
+        (up, dn), (pc_up, pc_dn) = np.split(m, 2), np.split(pc, 2)
         lhs = 0.5 * (up[:, jl] - dn[:, jl])
         eps_col = 0.5 * (pc_up + pc_dn)
         delta_prod = 0.5 * (up * pc_up - dn * pc_dn)
         return lhs, eps_col, delta_prod, up[:, jl]
 
     kl = scan.local(cfg.second_site)
-    raw = scan.stack(+1, cols=[(jl,), (kl,), (jl, kl)])
-    m = raw.mag
+    m, rj, rk, rt = scan.stack(+1, clamp=(jl, kl))
     mj, mk = m[:, jl, None], m[:, kl, None]
-    rj, rk, rt = raw.cols[(jl,)], raw.cols[(kl,)], raw.cols[(jl, kl)]
     raw_jk = rj[:, kl, None]
     pj = rj - mj * m
     pk = rk - mk * m

@@ -36,9 +36,12 @@ row are exponentiated whole and go through one fast Walsh-Hadamard
 transform, after which every moment is one row of the transform divided by
 its row 0.  The pass uses elementwise ufuncs only, with no BLAS, so its
 bits do not depend on the stack either.  The clamped systems of the Ito
-check (na = 5 at n = 6) and every small-n enumeration run through it.  The
+check (na = 3-4 at n = 6) and every small-n enumeration run through it.  The
 tests check both kernels against a naive direct summation and a Gray-code
 walk that share no reduction code with them.
+
+Higher moments, such as <s_i s_j s_k>, come from ``clamped_moments``: the
+clamping identity of the dynamical proof, over one stacked pass.
 
 All weights are handled as exp(H - max H), so partition sums stay finite for
 |H| up to the exponent range of float64 (~700).
@@ -108,24 +111,17 @@ class GibbsTables:
 class _RawMoments:
     """Unnormalized-measure moments in active-local index order.
 
-    ``cols`` maps a tuple F of fixed local indices (length 1 or 2) to the raw
-    moment vector <s_F s_l> over every local site l, so entry c of the
-    two-site key (a, b) is the three-point moment <s_a s_b s_c>.  A stacked
-    pass over K field vectors gives every field a leading K axis.
+    A stacked pass over K field vectors gives every field a leading K axis.
     """
 
     log_z: float | np.ndarray
     mag: np.ndarray
     second: np.ndarray | None  # raw <sigma_a sigma_b>, unit diagonal
-    cols: dict
 
     def row(self, r: int) -> "_RawMoments":
         """Row r of a stacked result, as the unstacked moments of one system."""
         return _RawMoments(
-            float(self.log_z[r]),
-            self.mag[r],
-            None if self.second is None else self.second[r],
-            {key: val[r] for key, val in self.cols.items()},
+            float(self.log_z[r]), self.mag[r], None if self.second is None else self.second[r]
         )
 
 
@@ -150,10 +146,10 @@ _GUARD = 600.0
 # ``BlockEnumerator``): the largest that the block pass would never
 # factorise (b = 0 below na = 7).  There the butterfly's 2 na elementwise
 # sweeps over the grid cost less than the block pass's batched products on
-# tiles of a few states.  A 2049-row pass with one ``cols`` key, one BLAS
-# thread, 2-core Xeon, took 0.68-0.76 against 2.3-2.8 ms at na = 5 (the Ito
-# check at n = 6) and 1.5-1.6 against 2.1-3.2 ms at na = 6, but 6.2-6.6
-# against 3.7-3.8 ms at na = 8.
+# tiles of a few states.  A 2049-row pass that also summed one two-point
+# key, one BLAS thread, 2-core Xeon, took 0.68-0.76 against 2.3-2.8 ms at
+# na = 5 and 1.5-1.6 against 2.1-3.2 ms at na = 6, but 6.2-6.6 against
+# 3.7-3.8 ms at na = 8.
 _WALSH_SITES = 6
 
 
@@ -278,7 +274,7 @@ class BlockEnumerator:
         self.EL = _quadratic(_sign_matrix(n1), self.G[:, :n1, :n1])
         self.ER = _quadratic(_sign_matrix(self.n2), self.G[:, n1:, n1:])
 
-    def moments(self, h, want_pair=True, cols=()) -> _RawMoments:
+    def moments(self, h, want_pair=True) -> _RawMoments:
         """Raw moments for a stack of field vectors ``h`` of shape (K, na).
 
         Every field of the result carries a leading K axis (a single vector
@@ -301,8 +297,7 @@ class BlockEnumerator:
         workspace holds one tile plus O(2^n1 + 2^n2) vectors per system and
         no buffer spans the 2^(b+n2) entries of eC.  A pass costs
         2^n1 + 2^(na-b) exponentials, plus 2^(b+n2) per chunk for eC, and
-        2^na multiply-adds per product: two, plus one with the pair matrix
-        and two per ``cols`` key.
+        2^na multiply-adds per product: two, plus one with the pair matrix.
         """
         H = np.atleast_2d(np.ascontiguousarray(h, dtype=np.float64))
         K, na, blocks = H.shape[0], self.na, len(self.G)
@@ -312,14 +307,15 @@ class BlockEnumerator:
             np.empty(K),
             np.empty((K, na)),
             np.empty((K, na, na)) if want_pair else None,
-            {key: np.empty((K, na)) for key in cols},
         )
         if na <= _WALSH_SITES:
             # chunks of per rows, the last of which takes a remainder of up to
             # per / 8 rows rather than leave it a pass of its own
             per = _TILE_STATES >> na
             most = per + per // 8
-            grids = [_aligned_empty((min(most, K) << na,)) for _ in range(2)]
+            # one block: freed, it lifts glibc's trim threshold past what an
+            # Ito path frees, which a block per grid did not
+            grids = list(_aligned_empty((2, min(most, K) << na)))
             a = 0
             while a < K:
                 b = K if K - a <= most else a + per
@@ -329,8 +325,8 @@ class BlockEnumerator:
         for b, systems in self.systems.items():
             count = systems.size if blocks > 1 else K
             layout = _Layout(self.n1, self.n2, b)
-            per = max(1, _TILE_STATES // layout.operands(len(out.cols)))
-            work = layout.workspace(min(per, count), min(per, systems.size), out)
+            per = max(1, _TILE_STATES // layout.operands())
+            work = layout.workspace(min(per, count), min(per, systems.size), want_pair)
             for a in range(0, count, per):
                 rows = systems[a : a + per] if blocks > 1 else slice(a, a + per)
                 self._pass(layout, rows if blocks > 1 else systems, H[rows], rows, out, work)
@@ -373,11 +369,10 @@ class BlockEnumerator:
         z = X[0]
         out.log_z[rows] = np.log(z) + shift
         bits = 1 << np.arange(na)[::-1]
-        out.mag[rows] = (X[bits] / z).T
+        for a, bit in enumerate(bits):  # no temporary of the grid's size
+            np.divide(X[bit], z, out=out.mag[rows, a])
         if out.second is not None:
             out.second[rows] = (X[bits[:, None] ^ bits] / z).transpose(2, 0, 1)
-        for key, val in out.cols.items():
-            val[rows] = (X[_mask(key, na) ^ bits] / z).T
 
     def _pass(self, layout, own, H, rows, out: _RawMoments, work: dict) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``.
@@ -389,21 +384,15 @@ class BlockEnumerator:
         call per system, never one gemm whose row dimension spans the chunk
         or the tile.  A system's bits therefore do not depend on the systems
         that share its chunk or its tile: equal systems give equal results
-        wherever they sit.  The plain sums take products of their own,
-        apart from those of the ``cols`` keys, so no key moves a bit of
-        log Z, m or the pair matrix.
+        wherever they sit.
         """
         k, n1, b = H.shape[0], self.n1, layout.low
         SL, SR, nT = layout.SL, layout.SR, layout.Sh.shape[0]
-        parts = [layout.parts(key) for key in out.cols]
-        top, c_shift = self._stream(layout, own, H, parts, out.second is not None, work)
+        top, c_shift = self._stream(layout, own, H, out.second is not None, work)
 
-        # the sums over c per left state (t, T) and over (t, T) per right
-        # state c, plain (u, v) and per key
-        by_left = work["row_sums"][:k].reshape(k, 1 + len(parts), -1)
-        by_right = work["by_right"][:k]
-        u = by_left[:, 0]
-        v = by_right[:, 0]
+        # the sums over c per left state (t, T) and over (t, T) per right state c
+        u = work["row_sums"][:k].reshape(k, -1)
+        v = work["by_right"][:k]
         zsum = u.sum(axis=1)
         norm = zsum[:, None]
         out.log_z[rows] = np.log(zsum) + top + c_shift
@@ -419,20 +408,12 @@ class BlockEnumerator:
             sec /= norm[:, :, None]
             out.second[rows] = _symmetrized_second(sec)
 
-        # One product per block sums every site's signs against the plain
-        # sums, giving the magnetizations.  The sums of each ``cols`` key,
-        # signed by the key's own spins, take a product of their own.
-        at_left, at_right = by_left[:, :1] @ SL, by_right[:, :1] @ SR
+        # one product per block sums every site's signs against the sums,
+        # giving the magnetizations
+        at_left, at_right = u[:, None] @ SL, v[:, None] @ SR
         out.mag[rows] = np.concatenate([at_left[:, 0], at_right[:, 0]], axis=1) / norm
-        if parts:
-            for q, (pl, pr) in enumerate(parts, start=1):
-                by_left[:, q] *= pl
-                by_right[:, q] *= pr
-            at_left, at_right = by_left[:, 1:] @ SL, by_right[:, 1:] @ SR
-            for q, val in enumerate(out.cols.values()):
-                val[rows] = np.concatenate([at_left[:, q], at_right[:, q]], axis=1) / norm
 
-    def _stream(self, layout, own, H, parts: list, pair: bool, work: dict):
+    def _stream(self, layout, own, H, pair: bool, work: dict):
         """Stream the weights of the field chunk ``H`` through the tiles of
         its D grids, leaving in ``work`` the sums that ``_pass`` reduces.
 
@@ -440,11 +421,10 @@ class BlockEnumerator:
         every system of the chunk, then each system's W against its running
         maximum.  The sums per left state (t, T), the totals per right state
         c and the left x right block are rescaled whenever that maximum
-        grows.  ``parts`` holds the sign products of each ``cols`` key.
-        Returns the running maximum of each row and the shift of eC of each
-        block.
+        grows.  Returns the running maximum of each row and the shift of eC
+        of each block.
         """
-        k, blocks, keys = H.shape[0], len(own), len(parts)
+        k, blocks = H.shape[0], len(own)
         n1, b = self.n1, layout.low
         SL, SR, tc = layout.SL, layout.SR, layout.tile_cols
         nt, nT = 1 << b, layout.Sh.shape[0]
@@ -471,14 +451,7 @@ class BlockEnumerator:
 
         # Each weight tile W is read twice.  eC @ W^T gives, times eA, the
         # sums over c of every (t, T); eA @ W gives the sums over T of every
-        # (t, c), which eC weighs.  Each ``cols`` key takes the same two
-        # products on its own signed copies of eA and eC.
-        if keys:
-            eCk = work["eCk"][:blocks]
-            eAk = np.concatenate(
-                [pl.reshape(nt, nT) * eA[:, None] for pl, _ in parts], axis=1
-            ).reshape(k, -1, nT)
-            pr = np.array([signs for _, signs in parts])
+        # (t, c), which eC weighs.
         if pair:
             cross = work["cross"][:k]
         G_high, SRT, top = G_LR[:, b:], SR.T, np.empty(k)
@@ -486,8 +459,6 @@ class BlockEnumerator:
             c = slice(j * tc, (j + 1) * tc)
             np.matmul(layout.Sl1, B[:, :, c], out=eC)
             np.exp(eC, out=eC)
-            if keys:
-                np.multiply(eC[:, None], pr[:, None, c], out=eCk.reshape(blocks, keys, nt, tc))
             right[:, :-2] = G_high @ SRT[:, c]
             right[:, -1] = field[:, c]
             for s in range(0, k, layout.per_tile):
@@ -501,15 +472,11 @@ class BlockEnumerator:
                 np.exp(W, out=W)
                 WT = W.transpose(0, 2, 1)
                 row_part = row_sums[g] if not j else np.empty_like(row_sums[g])
-                np.matmul(eC[e], WT, out=row_part[:, :nt])
-                col = work["col"][: len(W)]
-                np.matmul(eA[g], W, out=col[:, :nt])
-                if keys:
-                    np.matmul(eCk[e], WT, out=row_part[:, nt:])
-                    np.matmul(eAk[g], W, out=col[:, nt:])
-                low = col.reshape(len(W), -1, nt, tc)
-                low *= eC[e][:, None]
-                low.sum(axis=2, out=by_right[g, :, c])
+                np.matmul(eC[e], WT, out=row_part)
+                low = work["col"][: len(W)]
+                np.matmul(eA[g], W, out=low)
+                low *= eC[e]
+                low.sum(axis=1, out=by_right[g, c])
                 if pair:
                     # the high left sites meet the right block in W * (eA^T @ eC),
                     # the low ones in the plain column sums
@@ -518,13 +485,13 @@ class BlockEnumerator:
                     M *= W
                     cross_part = cross[g] if not j else np.empty_like(cross[g])
                     np.matmul(M, SR[c], out=cross_part[:, :nT])
-                    np.matmul(low[:, 0], SR[c], out=cross_part[:, nT:])
+                    np.matmul(low, SR[c], out=cross_part[:, nT:])
                 if j:
                     # a grown maximum rescales what the earlier tiles summed;
                     # one that held would scale by exp(0) = 1
                     if (grown > top[g]).any():
                         scale = np.exp(top[g] - grown)[:, None, None]
-                        by_right[g, :, : c.start] *= scale
+                        by_right[g, : c.start] *= scale[:, 0]
                         row_sums[g] *= scale
                         if pair:
                             cross[g] *= scale
@@ -532,7 +499,7 @@ class BlockEnumerator:
                     if pair:
                         cross[g] += cross_part
                 top[g] = grown
-        row_sums.reshape(k, 1 + keys, -1)[...] *= eA.reshape(k, 1, -1)
+        row_sums *= eA
         return top, c_shift
 
 
@@ -563,29 +530,17 @@ class _Layout:
         # budget; a grid of several tiles has its tiles to itself
         self.per_tile = max(1, (_TILE_STATES // 2) // (rows << n2))
 
-    def operands(self, keys: int) -> int:
+    def operands(self) -> int:
         """Floats per system of eC, eA, the D operands and the row and column sums."""
-        rows, cols = self.Sh.shape[0], self.SR.shape[0]
-        return (rows + cols) * (((2 + keys) << self.low) + self.n1 - self.low + 2)
+        rows, right = self.Sh.shape[0], self.SR.shape[0]
+        return (rows + right) * ((2 << self.low) + self.n1 - self.low + 2)
 
-    def parts(self, indices):
-        """Products of the spins ``indices`` over the left and right states."""
-        pl = np.ones(self.SL.shape[0])
-        pr = np.ones(self.SR.shape[0])
-        for a in indices:
-            if a < self.n1:
-                pl = pl * self.SL[:, a]
-            else:
-                pr = pr * self.SR[:, a - self.n1]
-        return pl, pr
-
-    def workspace(self, k: int, blocks: int, out: _RawMoments) -> dict:
+    def workspace(self, k: int, blocks: int, pair: bool) -> dict:
         """Buffers of a pass over up to k field rows and ``blocks`` coupling
-        blocks that fills ``out``.
+        blocks, with the pair matrix's if ``pair``.
 
         Of the buffers over the right states, only the totals per right
         state span all 2^n2 of them; the others hold one tile."""
-        keys = len(out.cols)
         nt, ncol, nT, tc = 1 << self.low, self.SR.shape[0], self.Sh.shape[0], self.tile_cols
         high = self.n1 - self.low
         w = min(k, self.per_tile)
@@ -596,13 +551,11 @@ class _Layout:
             "right": (k, high + 2, tc),
             "eC": (blocks, nt, tc),
             "W": (w, nT, tc),
-            "col": (w, (1 + keys) * nt, tc),
-            "row_sums": (k, (1 + keys) * nt, nT),
-            "by_right": (k, 1 + keys, ncol),
+            "col": (w, nt, tc),
+            "row_sums": (k, nt, nT),
+            "by_right": (k, ncol),
         }
-        if keys:
-            shapes["eCk"] = (blocks, keys * nt, tc)
-        if out.second is not None:
+        if pair:
             shapes["M"] = shapes["W"]
             # the left x right block, over the high left states T, then the low ones t
             shapes["cross"] = (k, nT + nt, self.n2)
@@ -611,7 +564,7 @@ class _Layout:
         # so a grid of several tiles stores eC c-major.  A grid of one tile
         # keeps it row-major: OpenBLAS picks its kernel by the layout of the
         # operands, and the bits of that product with it.
-        flip = ("eC", "eCk") if self.tiles > 1 else ()
+        flip = ("eC",) if self.tiles > 1 else ()
         # One block holds every buffer, each on a 64-byte boundary.  Where
         # each had its own, the heap of a process that builds a fresh
         # enumerator per sample (the cavity stacks of ``htap1_residuals``)
@@ -631,16 +584,6 @@ class _Layout:
         work["left"][:, :, -1] = 1.0
         work["right"][:, -2] = 1.0
         return work
-
-
-def _mask(key, na: int) -> int:
-    """Row of the Walsh-Hadamard transform of na sites that holds the
-    product of the spins ``key`` (site a on bit na-1-a); a site listed
-    twice drops out, as s^2 = 1."""
-    mask = 0
-    for a in key:
-        mask ^= 1 << (na - 1 - int(a))
-    return mask
 
 
 def _aligned_empty(shape: tuple) -> np.ndarray:
@@ -687,16 +630,14 @@ def _reduce_system(cm: CouplingMatrix, params: ModelParams, spec: ReducedSpec):
     return active, g_act, h_eff
 
 
-def _enumerated(cm, params, spec, want_pair, key=()):
+def _enumerated(cm, params, spec, want_pair):
     """One enumeration of the reduced measure ``spec``, the full one for None.
 
-    Returns the spec, the active sites and the raw moments, with the
-    ``cols`` key of the active sites ``key`` when it names any.
+    Returns the spec, the active sites and the raw moments.
     """
     spec = spec if spec is not None else ReducedSpec()
     active, g_act, h_eff = _reduce_system(cm, params, spec)
-    cols = [tuple(_local_index(active, s) for s in key)] if key else ()
-    return spec, active, BlockEnumerator(g_act).moments(h_eff[None], want_pair, cols).row(0)
+    return spec, active, BlockEnumerator(g_act).moments(h_eff[None], want_pair).row(0)
 
 
 def _placed(n: int, spec: ReducedSpec, active: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -762,6 +703,53 @@ def _local_index(active: np.ndarray, site: int) -> int:
     return int(pos)
 
 
+def clamped_moments(G: np.ndarray, H, F) -> np.ndarray:
+    """Raw moments <s_S s_l> under every field row of ``H``, for every subset
+    S of the sites ``F`` and every site l, as a (2^|F|, K, na) array; S is a
+    bit mask over F (bit a for site F[a]), so entry [0] holds m.
+
+    One magnetizations-only ``BlockEnumerator.moments`` call enumerates the
+    other sites with F clamped all 2^|F| ways tau.  Each clamped system counts
+    with weight Z_tau exp(tau.h_F + tau.G_FF.tau / 2), and a Walsh-Hadamard
+    transform over tau mixes them back.  On F a clamped system's moment is
+    tau, so e.g. <s_l s_l> = 1 comes for free.  The array is a view of a
+    site-major buffer: every step over tau is elementwise, so a row's bits
+    do not depend on the other rows.
+    """
+    H, F = np.atleast_2d(H), list(F)
+    (K, na), states = H.shape, 1 << len(F)
+    rest = [a for a in range(na) if a not in F]
+    tau = _sign_matrix(len(F))[:, ::-1]  # site F[a] on bit a of the configuration
+    G_F = G[F]
+    # An Ito path faults all its buffers in again once what it frees passes
+    # glibc's trim threshold; so the fields borrow the memory of the mix,
+    # which they hold until the pass has read them, and no temporary spans it.
+    mix = np.empty((na, states, K))
+    fields = mix.reshape(-1)[: states * K * len(rest)].reshape(states, K, len(rest))
+    np.add(H[:, rest], (tau @ G_F[:, rest])[:, None], out=fields)
+    raw = BlockEnumerator(G[rest][:, rest]).moments(
+        fields.reshape(states * K, len(rest)), want_pair=False
+    )
+    w = raw.log_z.reshape(states, K)  # becomes each system's share of the weight
+    w += 0.5 * ((tau @ G_F[:, F]) * tau).sum(axis=1)[:, None]
+    for t, signs in enumerate(tau):
+        for sign, site in zip(signs, F):
+            w[t] += sign * H[:, site]
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+    w /= w.sum(axis=0)
+    mix[rest] = raw.mag.reshape(states, K, len(rest)).transpose(2, 0, 1)
+    mix[F] = tau.T[:, :, None]
+    mix *= w
+    for site in mix:  # stage i: (lo, hi) = (tau_i = -1, +1) -> (lo + hi, hi - lo)
+        for i in range(len(F)):
+            lo, hi = site.reshape(-1, 2, 1 << i, K).swapaxes(0, 1)
+            diff = hi - lo
+            lo += hi
+            hi[...] = diff
+    return mix.transpose(1, 2, 0)
+
+
 def triple_correlation(
     cm: CouplingMatrix,
     params: ModelParams,
@@ -772,18 +760,18 @@ def triple_correlation(
 ) -> float:
     """Centered three-point function <(s_i - m_i)(s_j - m_j)(s_k - m_k)>.
 
-    Exact, from one enumeration pass over the reduced measure, which reads
-    the raw <s_i s_j s_k> at site k of the two-site ``cols`` key (i, j).  The
-    indices must be three distinct active sites.
+    Exact, from one enumeration of the reduced measure with i and j clamped
+    all four ways (``clamped_moments``), magnetizations only.  The indices
+    must be three distinct active sites.
     """
     if len({i, j, k}) != 3:
         raise ValueError(f"triple indices must be distinct, got ({i}, {j}, {k})")
-    _, active, raw = _enumerated(cm, params, spec, want_pair=True, key=(i, j))
+    spec = spec if spec is not None else ReducedSpec()
+    active, g_act, h_eff = _reduce_system(cm, params, spec)
     la, lb, lc = (_local_index(active, s) for s in (i, j, k))
-    mi, mj, mk = raw.mag[la], raw.mag[lb], raw.mag[lc]
-    s = raw.second
-    t = raw.cols[(la, lb)][lc]
-    return float(t - mi * s[lb, lc] - mj * s[la, lc] - mk * s[la, lb] + 2.0 * mi * mj * mk)
+    m, ri, rj, rij = clamped_moments(g_act, h_eff, (la, lb))[:, 0]
+    mi, mj, mk = m[la], m[lb], m[lc]
+    return float(rij[lc] - mi * rj[lc] - mj * ri[lc] - mk * ri[lb] + 2.0 * mi * mj * mk)
 
 
 def key_identity_residual(

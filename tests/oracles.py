@@ -11,7 +11,10 @@ Two references check the package's block enumeration engine:
   It has the stacked ``moments`` interface of ``sktap.gibbs.BlockEnumerator``,
   for one coupling block or a stack of them, so ``on_engine`` can put it in
   the block engine's place and the package's reduction, table assembly,
-  cavity sweep and row-flow code run unchanged around it.
+  cavity sweep, clamped mix and row-flow code run unchanged around it.
+  Its walk ``gray_moments`` also sums keyed moments <s_F s_l> directly,
+  the reference for ``sktap.gibbs.clamped_moments``, which the package
+  reaches by clamping F instead.
 
 Neither shares enumeration or reduction code with the block engine, so
 agreement is a genuine two-route check.
@@ -22,6 +25,7 @@ coupling path.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -64,13 +68,22 @@ def naive_tables(g, h):
     return log_z, m, pair, q_full
 
 
-def gray_moments(G, h, want_pair=True, cols=()) -> _RawMoments:
+@dataclass
+class GrayMoments(_RawMoments):
+    """The fields of a row of ``BlockEnumerator.moments`` and the keyed sums
+    of ``gray_moments``."""
+
+    cols: dict = field(default_factory=dict)
+
+
+def gray_moments(G, h, want_pair=True, cols=()) -> GrayMoments:
     """Raw moments of one system by a single-flip Gray-code walk.
 
     The same fields as a row of ``BlockEnumerator.moments``: log Z, the
-    magnetizations, the second moment if ``want_pair``, and for each
-    ``cols`` key F the vector <s_F s_l> over every site l, whose entry c of
-    a two-site key (a, b) is the three-point moment <s_a s_b s_c>.
+    magnetizations and the second moment if ``want_pair``; and for each
+    ``cols`` key F, summed directly over the walk, the vector <s_F s_l>
+    over every site l, whose entry c of a two-site key (a, b) is the
+    three-point moment <s_a s_b s_c>.
 
     The walk starts from the all-down state; step k flips the bit at the
     ruler position ctz(k).  Energies follow from the local fields
@@ -116,12 +129,12 @@ def gray_moments(G, h, want_pair=True, cols=()) -> _RawMoments:
         for a in key:
             prod *= S[:, a]
         col_vals[key] = S.T @ prod / zsum
-    return _RawMoments(log_z, mag, second, col_vals)
+    return GrayMoments(log_z, mag, second, col_vals)
 
 
 class GrayEnumerator:
     """Drop-in for ``BlockEnumerator``: one Gray-code walk per stacked field,
-    behind the same ``moments(h, want_pair, cols)``.
+    behind the same ``moments(h, want_pair)``.
 
     ``G`` is one coupling block, which every field row uses, or a stack of
     K blocks, (K, na, na), whose block r walks with field row r.
@@ -130,17 +143,16 @@ class GrayEnumerator:
     def __init__(self, G):
         self.G = G if G.ndim == 3 else G[None]
 
-    def moments(self, h, want_pair=True, cols=()) -> _RawMoments:
+    def moments(self, h, want_pair=True) -> _RawMoments:
         H = np.atleast_2d(np.asarray(h, dtype=np.float64))
         blocks = self.G if len(self.G) > 1 else [self.G[0]] * len(H)
         if len(blocks) != len(H):
             raise ValueError(f"{len(H)} field rows for a stack of {len(blocks)} coupling blocks")
-        points = [gray_moments(G, row, want_pair, cols) for G, row in zip(blocks, H)]
+        points = [gray_moments(G, row, want_pair) for G, row in zip(blocks, H)]
         return _RawMoments(
             np.array([p.log_z for p in points]),
             np.array([p.mag for p in points]),
             np.array([p.second for p in points]) if want_pair else None,
-            {key: np.array([p.cols[key] for p in points]) for key in cols},
         )
 
 

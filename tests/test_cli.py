@@ -140,6 +140,20 @@ def test_small_scaling_payload_matches_its_pinned_means(experiment, tmp_path, ca
     assert means == pytest.approx(PINNED_SCALING_MEANS[experiment], rel=1e-12, abs=0)
 
 
+def test_ito_scaling_runs_where_the_clamps_leave_one_site_or_none(tmp_path, capsys):
+    # the pair check removes site 0 and clamps site 1 both ways, so its
+    # clamped systems have no site left at n = 2 and one at n = 3
+    out_file = tmp_path / "o.json"
+    code, _, err = run_cli(
+        ["scaling", "--experiment", "ito", "--n", "2,3", "--samples", "2", "--steps", "8",
+         "--t", "0.5", "--h", "0.3", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0, err
+    means = [row[1] for row in json.loads(out_file.read_text())["rows"]]
+    assert means == pytest.approx([0.0014302266322836488, 0.011279399852375888], rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize(
     "sizes, t", [("4,5", "0.5"), ("4,5,6", "0")], ids=["two-sizes", "zero-coupling"]
 )

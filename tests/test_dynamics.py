@@ -107,23 +107,22 @@ def test_engines_agree(variant, second, n, steps):
 
 @pytest.mark.parametrize("n, steps", [(6, 2048), (12, 100)])
 def test_one_stacked_call_over_both_spins_equals_one_call_per_spin(n, steps):
-    # the stack of the pair check: the +1 grid, then the -1 grid.  At n = 6
-    # its 4098 Walsh rows run in chunks of 2048 and 2050, at n = 12 its 202
-    # block-pass rows in chunks that straddle the two grids; every row keeps
-    # the bits of its one-spin call
+    # the stack of the pair check: the +1 grid, then the -1 grid, each with
+    # site 1 clamped both ways.  At n = 6 its 8196 Walsh rows run in chunks
+    # of 4096 and 4100, at n = 12 its 404 block-pass rows in chunks that
+    # straddle the grids; every row keeps the bits of its one-spin call
     params = ModelParams.uniform(n, 0.5, 0.3)
     scan = sktap.dynamics._RowFlowScan(sample_path(params, steps, 9), params, 0)
     key = (scan.local(1),)
-    both = scan.stack(+1, -1, cols=[key])
+    both = scan.stack(+1, -1, clamp=key)
     for half, spin in enumerate((+1, -1)):
-        one = scan.stack(spin, cols=[key])
+        one = scan.stack(spin, clamp=key)
         rows = slice(half * (steps + 1), (half + 1) * (steps + 1))
-        assert np.array_equal(both.log_z[rows], one.log_z)
-        assert np.array_equal(both.mag[rows], one.mag)
-        assert np.array_equal(both.cols[key][rows], one.cols[key])
+        assert np.array_equal(both[:, rows], one)
 
 
 def test_one_pair_check_makes_one_kernel_call(monkeypatch):
+    # both grids of the clamped spin, each with the target clamped both ways
     rows = []
     moments = sktap.gibbs.BlockEnumerator.moments
 
@@ -133,7 +132,30 @@ def test_one_pair_check_makes_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(sktap.gibbs.BlockEnumerator, "moments", spy)
     ito_decomposition_residual(sample_path(P6, 16, 3), ItoCheckConfig(0, 1), P6)
-    assert rows == [2 * 17]
+    assert rows == [4 * 17]
+
+
+@pytest.mark.parametrize("variant,second", [("pair", None), ("two_point", 2), ("product", 2)])
+def test_each_check_builds_one_enumerator_and_makes_one_kernel_call(monkeypatch, variant, second):
+    # the benchmark counts both per Ito path; two_point and product clamp j
+    # and k over the +1 grid, 4 x 17 rows at 3 active sites
+    calls = []
+    init, moments = sktap.gibbs.BlockEnumerator.__init__, sktap.gibbs.BlockEnumerator.moments
+
+    def spy_init(self, G):
+        calls.append(("init", G.shape[-1]))
+        init(self, G)
+
+    def spy_moments(self, h, *args, **kwargs):
+        calls.append(("moments", len(h)))
+        return moments(self, h, *args, **kwargs)
+
+    monkeypatch.setattr(sktap.gibbs.BlockEnumerator, "__init__", spy_init)
+    monkeypatch.setattr(sktap.gibbs.BlockEnumerator, "moments", spy_moments)
+    cfg = ItoCheckConfig(0, 1, second, variant)
+    ito_decomposition_residual(sample_path(P6, 16, 3), cfg, P6)
+    na = 4 if variant == "pair" else 3
+    assert calls == [("init", na), ("moments", 4 * 17)]
 
 
 def test_residual_shrinks_under_refinement_of_one_path():
@@ -267,23 +289,25 @@ def test_cavity_difference_is_exactly_zero_at_time_zero():
         assert trace["cavity_difference"][0] == 0.0
         scan = sktap.dynamics._RowFlowScan(path, params, 0)
         cavity = magnetizations(path.terminal(), params, ReducedSpec(removed={0}))
-        assert np.array_equal(scan.stack(+1).mag[0], cavity[scan.active])
+        assert np.array_equal(scan.stack(+1)[0, 0], cavity[scan.active])
 
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_trace_reads_the_cavity_difference_of_its_own_enumeration(n):
-    # The trace's +1 half is stacked with the -1 grid and asks for a ``cols``
-    # key; neither may move a bit of the plain magnetizations of a keyless
-    # +1 call.  n = 6 takes the Walsh pass and n = 8 the block pass.
+    # The trace reads m_j of its own +1 grid, which each variant mixes from
+    # other clamped systems: the pair check clamps j, the other two j and k.
+    # So the three agree with a plain +1 call only to float noise (1.1e-15
+    # at most here), not bit for bit.  n = 6 takes the Walsh pass and n = 8
+    # the block pass.
     params = ModelParams.uniform(n, 0.5, 0.3)
     for seed in (1, 2, 3):
         path = sample_path(params, 64, seed)
         scan = sktap.dynamics._RowFlowScan(path, params, 0)
-        mag = scan.stack(+1).mag[:, scan.local(1)]
+        mag = scan.stack(+1)[0, :, scan.local(1)]
         for variant, second in [("pair", None), ("two_point", 2), ("product", 2)]:
             cfg = ItoCheckConfig(0, 1, second, variant)
             trace = ito_decomposition_trace(path, cfg, params)
-            assert np.array_equal(trace["cavity_difference"], mag - mag[0])
+            assert np.max(np.abs(trace["cavity_difference"] - (mag - mag[0]))) < 1e-14
 
 
 @pytest.mark.parametrize("spin", [1])

@@ -21,7 +21,7 @@ from sktap import (
     susceptibility_fd,
     triple_correlation,
 )
-from oracles import GrayEnumerator, naive_raw_moment, naive_tables, on_engine
+from oracles import GrayEnumerator, gray_moments, naive_raw_moment, naive_tables, on_engine
 
 
 def two_site_matrix(g):
@@ -123,24 +123,19 @@ def test_stacked_moments_match_one_call_per_row(na, rows):
     fields = rng.normal(0.0, 0.5, (rows, na))
     fields[1] *= 600.0  # |H| ~ 1e3: each row needs its own log-sum-exp shift
     fields[-1] = fields[0]
-    cols = [(0,), (na - 1,), (1, na - 2)]
     ctx = BlockEnumerator(cm.entries)
-    stacked = ctx.moments(fields, want_pair=True, cols=cols)
+    stacked = ctx.moments(fields, want_pair=True)
     assert stacked.mag.shape == (rows, na)
     for r, h in enumerate(fields):
-        one = ctx.moments(h[None, :], want_pair=True, cols=cols)
+        one = ctx.moments(h[None, :], want_pair=True)
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
         assert np.array_equal(stacked.second[r], one.second[0])
-        for key in cols:
-            assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
     # a fresh enumerator, whose buffers hold one row, gives the same bits
-    fresh = BlockEnumerator(cm.entries).moments(fields[-2], want_pair=True, cols=cols)
+    fresh = BlockEnumerator(cm.entries).moments(fields[-2], want_pair=True)
     assert np.array_equal(fresh.second[0], stacked.second[-2])
-    assert np.array_equal(fresh.cols[cols[2]][0], stacked.cols[cols[2]][-2])
     # equal field rows give equal bits, in different chunks where the stack splits
     assert np.array_equal(stacked.mag[-1], stacked.mag[0])
-    assert np.array_equal(stacked.cols[(0,)][-1], stacked.cols[(0,)][0])
 
 
 def mixed_coupling_stack():
@@ -161,9 +156,6 @@ def mixed_coupling_stack():
     return G, fields
 
 
-STACK_COLS = [(1,), (0, 13)]
-
-
 def assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields):
     """Every system of the stack gives the bits of its own one-block
     enumerator, and equal systems give equal bits wherever they sit."""
@@ -171,14 +163,12 @@ def assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields):
 
     assert sorted(set(ctx.low.tolist())) == [0, 1, 2]
     assert ctx.low[2] == ctx.low[9] == 0 and ctx.low[5] == 1
-    stacked = ctx.moments(fields, want_pair=True, cols=STACK_COLS)
+    stacked = ctx.moments(fields, want_pair=True)
     for r in range(len(G)):
-        one = BlockEnumerator(G[r]).moments(fields[r], want_pair=True, cols=STACK_COLS)
+        one = BlockEnumerator(G[r]).moments(fields[r], want_pair=True)
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
         assert np.array_equal(stacked.second[r], one.second[0])
-        for key in STACK_COLS:
-            assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
     assert np.array_equal(stacked.mag[12], stacked.mag[3])
     return stacked
 
@@ -193,9 +183,8 @@ def test_coupling_stack_is_bit_equal_to_one_system_per_block():
     ctx = BlockEnumerator(G)
     stacked = assert_stack_is_bit_equal_to_one_system_per_block(ctx, G, fields)
     # a second call on the same enumerator gives the same bits
-    again = ctx.moments(fields, want_pair=True, cols=STACK_COLS)
+    again = ctx.moments(fields, want_pair=True)
     assert np.array_equal(again.second, stacked.second)
-    assert np.array_equal(again.cols[STACK_COLS[1]], stacked.cols[STACK_COLS[1]])
     with pytest.raises(ValueError, match="field rows"):
         ctx.moments(fields[:3])
 
@@ -220,11 +209,10 @@ def test_coupling_stack_spanning_several_tiles_is_bit_equal_to_one_system_per_bl
 
 def test_a_chunk_of_several_systems_gives_each_system_its_own_tiles(monkeypatch):
     # At na = 18 the D grid of a b = 3 system, 2^15 states, is a tile by
-    # itself, while a chunk holds the operands of 2 such systems with the
-    # pair matrix and two ``cols`` keys, or of 4 without: the 7 systems of
-    # b = 3 run in chunks of 2 + 2 + 2 + 1, or 4 + 3.  Systems 2 and 6
-    # (b = 0) share a chunk and span 8 tiles each, system 5 has b = 1, and
-    # system 9 repeats system 1 in another chunk.
+    # itself, while a chunk holds the operands of 4 such systems, with the
+    # pair matrix or without: the 7 systems of b = 3 run in chunks of 4 + 3.
+    # Systems 2 and 6 (b = 0) share a chunk and span 8 tiles each, system 5
+    # has b = 1, and system 9 repeats system 1 in another chunk.
     from sktap.gibbs import BlockEnumerator
 
     n, n1, K = 18, 9, 10
@@ -247,35 +235,22 @@ def test_a_chunk_of_several_systems_gives_each_system_its_own_tiles(monkeypatch)
         passes.append((layout.low, len(H), layout.per_tile, layout.tile_cols))
         return kernel(self, layout, own, H, *args)
 
-    for want_pair, cols, chunks in [
-        (True, STACK_COLS[:1] + [(0, n - 1)], [2, 1, 2, 2, 2, 1]),
-        (False, [], [2, 1, 4, 3]),
-    ]:
+    for want_pair in (True, False):
         passes.clear()
         with monkeypatch.context() as patch:
             patch.setattr(BlockEnumerator, "_pass", spy)
-            stacked = ctx.moments(fields, want_pair=want_pair, cols=cols)
-        assert [k for _, k, _, _ in passes] == chunks
+            stacked = ctx.moments(fields, want_pair=want_pair)
+        assert [k for _, k, _, _ in passes] == [2, 1, 4, 3]
         for b, _, per_tile, tile_cols in passes:
             assert per_tile == 1
             assert tile_cols * {0: 8, 1: 4, 3: 1}[b] == 1 << (n - n1)
         for r in range(K):
-            one = BlockEnumerator(G[r]).moments(fields[r], want_pair=want_pair, cols=cols)
+            one = BlockEnumerator(G[r]).moments(fields[r], want_pair=want_pair)
             assert stacked.log_z[r] == one.log_z[0]
             assert np.array_equal(stacked.mag[r], one.mag[0])
             if want_pair:
                 assert np.array_equal(stacked.second[r], one.second[0])
-            for key in cols:
-                assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
         assert np.array_equal(stacked.mag[9], stacked.mag[1])
-
-
-def small_keys(na):
-    """A one-site and two two-site ``cols`` keys, where na has room; entry
-    na - 1 of the key (0, na // 2) is the triple <s_0 s_{na/2} s_{na-1}>."""
-    if na < 3:
-        return [(0,), (0, na - 1)] if na == 2 else [(0,)] * na
-    return [(0,), (0, na - 1), (0, na // 2)]
 
 
 @pytest.mark.parametrize("na", range(8))
@@ -290,7 +265,6 @@ def test_small_systems_match_the_oracles_at_huge_fields(na):
     H = np.random.default_rng(na).normal(0.0, 0.5, (3, na))
     H[0] *= 2000.0
     H[2, : na // 2] += 4.0
-    cols = small_keys(na)
     ran = []
 
     def spy(name):
@@ -305,12 +279,11 @@ def test_small_systems_match_the_oracles_at_huge_fields(na):
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_walsh_pass", "_pass"):
             patch.setattr(BlockEnumerator, name, spy(name))
-        block = BlockEnumerator(G).moments(H, want_pair=True, cols=cols)
+        block = BlockEnumerator(G).moments(H, want_pair=True)
     assert set(ran) == {"_walsh_pass" if na <= 6 else "_pass"}
-    gray = GrayEnumerator(G).moments(H, want_pair=True, cols=cols)
+    gray = GrayEnumerator(G).moments(H, want_pair=True)
     assert np.max(np.abs(block.log_z - gray.log_z) / np.maximum(1.0, np.abs(gray.log_z))) < 1e-12
-    for got, want in [(block.mag, gray.mag), (block.second, gray.second),
-                      *((block.cols[key], gray.cols[key]) for key in cols)]:
+    for got, want in [(block.mag, gray.mag), (block.second, gray.second)]:
         assert np.max(np.abs(got - want), initial=0.0) < 1e-12
     if na == 0:
         assert np.array_equal(block.log_z, np.zeros(3))
@@ -324,9 +297,6 @@ def test_small_systems_match_the_oracles_at_huge_fields(na):
         assert abs(block.log_z[r] - log_z) <= 1e-12 * max(1.0, abs(log_z))
         assert np.max(np.abs(block.mag[r] - np.array(m))) < 1e-12
         assert np.max(np.abs(block.second[r] - second)) < 1e-12
-        for key in cols:
-            want = [naive_raw_moment(g, f, (*key, site)) for site in range(na)]
-            assert np.max(np.abs(block.cols[key][r] - np.array(want))) < 1e-12
 
 
 def test_walsh_coupling_stack_is_bit_equal_to_one_block_per_system():
@@ -342,31 +312,26 @@ def test_walsh_coupling_stack_is_bit_equal_to_one_block_per_system():
     G = np.array([sample_couplings(params, s).entries for s in range(K)])
     H = np.random.default_rng(6).normal(0.0, 0.5, (K, na))
     G[-1], H[-1] = G[3], H[3]
-    cols = small_keys(na)
-    stacked = BlockEnumerator(G).moments(H, want_pair=True, cols=cols)
+    stacked = BlockEnumerator(G).moments(H, want_pair=True)
     for r in range(K):
-        one = BlockEnumerator(G[r]).moments(H[r], want_pair=True, cols=cols)
+        one = BlockEnumerator(G[r]).moments(H[r], want_pair=True)
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
         assert np.array_equal(stacked.second[r], one.second[0])
-        for key in cols:
-            assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
     assert np.array_equal(stacked.second[-1], stacked.second[3])
 
 
 @pytest.mark.parametrize("rows, passes", [(2049, [2049]), (4098, [2048, 2050])])
 def test_walsh_stack_takes_a_small_remainder_into_its_last_chunk(rows, passes):
-    # the stack of the Ito pair check on a 2048-step path at n = 6 holds
-    # both clamped spins, 4098 rows: chunks of 2048 and 2050, not a third
-    # for two rows; a 2049-row stack (one spin) is one pass, not a second
-    # one for a single row; no chunk passes 9/8 of the 2048 rows that fit
-    # the state budget at na = 5
+    # two grids of a 2048-step path at na = 5, 4098 rows, run in chunks of
+    # 2048 and 2050, not a third for two rows; a 2049-row stack (one grid)
+    # is one pass, not a second one for a single row; no chunk passes 9/8 of
+    # the 2048 rows that fit the state budget at na = 5
     from sktap.gibbs import BlockEnumerator
 
     na = 5
     _, cm = random_instance(np.random.default_rng(rows), na)
     fields = np.random.default_rng(na).normal(0.0, 0.5, (rows, na))
-    cols = [(1,)]
     ctx = BlockEnumerator(cm.entries)
     chunks = []
     kernel = BlockEnumerator._walsh_pass
@@ -377,13 +342,12 @@ def test_walsh_stack_takes_a_small_remainder_into_its_last_chunk(rows, passes):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BlockEnumerator, "_walsh_pass", spy)
-        stacked = ctx.moments(fields, want_pair=False, cols=cols)
+        stacked = ctx.moments(fields, want_pair=False)
     assert chunks == passes
     for r, h in enumerate(fields):
-        one = ctx.moments(h, want_pair=False, cols=cols)
+        one = ctx.moments(h, want_pair=False)
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
-        assert np.array_equal(stacked.cols[(1,)][r], one.cols[(1,)][0])
 
 
 def test_one_pass_allocates_far_less_than_one_grid():
@@ -532,23 +496,6 @@ def test_sign_matrices_equal_their_bitwise_construction():
             assert np.array_equal(S[:, :, b:], np.broadcast_to(high, S[:, :, b:].shape))
 
 
-@pytest.mark.parametrize("na", [8, 12, 16, 20])
-def test_a_cols_key_never_moves_the_plain_moments(na):
-    # na = 20 spans two tiles; the key's sums run beside the plain ones, in
-    # products of their own, on one row and on five
-    from sktap.gibbs import BlockEnumerator
-
-    rng = np.random.default_rng(na)
-    params, cm = random_instance(rng, na)
-    ctx = BlockEnumerator(cm.entries)
-    for h in (params.field[None], rng.normal(0.0, 0.5, (5, na))):
-        plain = ctx.moments(h)
-        keyed = ctx.moments(h, cols=[(0,)])
-        assert np.array_equal(keyed.log_z, plain.log_z)
-        assert np.array_equal(keyed.mag, plain.mag)
-        assert np.array_equal(keyed.second, plain.second)
-
-
 def test_sk_couplings_take_the_factorised_path():
     # The guard never binds for SK couplings, so the cached factor holds
     # b >= 4 low left sites at n = 20 and at the n = 19 cavity systems of
@@ -584,13 +531,11 @@ def test_guard_keeps_strong_low_left_couplings_exact(n, b):
     h[n1:] += 1500.0 / n2 * (-1.0) ** np.arange(n2) * np.sign(G[b, n1:])
     ctx = BlockEnumerator(G)
     assert ctx.low == b
-    key = (0, n - 1)  # its entry n1 - 1 is a triple across both blocks
-    block = ctx.moments(h, want_pair=True, cols=[key]).row(0)
-    gray = GrayEnumerator(G).moments(h, want_pair=True, cols=[key]).row(0)
+    block = ctx.moments(h, want_pair=True).row(0)
+    gray = GrayEnumerator(G).moments(h, want_pair=True).row(0)
     assert abs(block.log_z - gray.log_z) <= 1e-12 * abs(gray.log_z)
     assert np.max(np.abs(block.mag - gray.mag)) < 1e-12
     assert np.max(np.abs(block.second - gray.second)) < 1e-12
-    assert np.max(np.abs(block.cols[key] - gray.cols[key])) < 1e-12
     if n == 14:
         g, f = G.tolist(), h.tolist()
         log_z, m, pair, _ = naive_tables(g, f)
@@ -599,8 +544,6 @@ def test_guard_keeps_strong_low_left_couplings_exact(n, b):
         assert abs(block.log_z - log_z) <= 1e-12 * abs(log_z)
         assert np.max(np.abs(block.mag - np.array(m))) < 1e-12
         assert np.max(np.abs(block.second - second)) < 1e-12
-        for site in (1, n1 - 1, n1):
-            assert abs(block.cols[key][site] - naive_raw_moment(g, f, (*key, site))) < 1e-12
 
 
 def test_empty_active_set_edge_cases():
@@ -672,9 +615,8 @@ def test_triple_symmetry_zeros():
 
 @pytest.mark.parametrize("n,j", [(6, 3), (8, 6)], ids=["6", "8"])
 def test_triple_matches_raw_moment_expansion(n, j):
-    # n = 6 takes the Walsh-Hadamard pass.  At n = 8 the block pass puts
-    # sites j and k in the right block, so the triple, read at k from the
-    # ``cols`` key (i, j), needs that key's right-block signs.
+    # i and j are clamped, so the enumerated systems have n - 2 sites: 4 at
+    # n = 6 and 6 at n = 8, both on the Walsh-Hadamard pass.
     p = ModelParams.uniform(n, 0.5, 0.3)
     cm = sample_couplings(p, 2)
     g = cm.entries.tolist()
@@ -687,6 +629,107 @@ def test_triple_matches_raw_moment_expansion(n, j):
     rjk = naive_raw_moment(g, h, (j, k))
     expansion = raw3 - m[i] * rjk - m[j] * rik - m[k] * rij + 2 * m[i] * m[j] * m[k]
     assert triple_correlation(cm, p, None, i, j, k) == pytest.approx(expansion, abs=1e-12)
+
+
+def test_triple_with_one_free_site_matches_the_naive_oracle():
+    # na = 3: clamping i and j leaves k alone in the enumerated systems
+    p = ModelParams.uniform(3, 0.7, 0.2)
+    cm = sample_couplings(p, 5)
+    g, h = cm.entries.tolist(), p.field.tolist()
+    i, j, k = 2, 0, 1
+    _, m, _, _ = naive_tables(g, h)
+    rij, rik, rjk = (naive_raw_moment(g, h, pair) for pair in ((i, j), (i, k), (j, k)))
+    expansion = (naive_raw_moment(g, h, (i, j, k)) - m[i] * rjk - m[j] * rik - m[k] * rij
+                 + 2 * m[i] * m[j] * m[k])
+    assert triple_correlation(cm, p, None, i, j, k) == pytest.approx(expansion, abs=1e-12)
+
+
+def test_triple_builds_one_enumerator_and_makes_one_kernel_call(monkeypatch):
+    from sktap.gibbs import BlockEnumerator
+
+    calls = []
+    init, moments = BlockEnumerator.__init__, BlockEnumerator.moments
+
+    def spy_init(self, G):
+        calls.append(("init", G.shape[-1]))
+        init(self, G)
+
+    def spy_moments(self, h, *args, **kwargs):
+        calls.append(("moments", len(np.atleast_2d(h))))
+        return moments(self, h, *args, **kwargs)
+
+    monkeypatch.setattr(BlockEnumerator, "__init__", spy_init)
+    monkeypatch.setattr(BlockEnumerator, "moments", spy_moments)
+    p = ModelParams.uniform(9, 0.5, 0.3)
+    triple_correlation(sample_couplings(p, 1), p, ReducedSpec(removed={4}), 0, 8, 3)
+    # the 4 ways to clamp sites 0 and 8, each over the 6 other active sites
+    assert calls == [("init", 6), ("moments", 4)]
+
+
+def keyed_moments(F):
+    """The keys of ``clamped_moments``' rows: entry S lists the sites F[a]
+    whose bit a is set in S."""
+    return [tuple(F[a] for a in range(len(F)) if S >> a & 1) for S in range(1 << len(F))]
+
+
+@pytest.mark.parametrize(
+    "na, F",
+    [(1, (0,)), (2, (1, 0)), (3, (2, 0)), (7, (6,)), (8, (7, 2)), (9, (8, 0)), (10, (3,))],
+    ids=["1", "2", "3", "7", "8", "9", "10"],
+)
+def test_clamped_moments_match_the_naive_oracle(na, F):
+    # The systems left after the clamps have na - |F| sites: none at na = 1
+    # and 2, one at na = 3, 6 (the largest the Walsh-Hadamard pass takes)
+    # at na = 7 and 8, 7 and 9 (the block pass) at na = 9 and 10.  F is
+    # unsorted where it has two sites, and holds the last site but at
+    # na = 10.  Row 0 has |H| ~ 1e3, so the clamped systems' partition sums
+    # span far more than the float64 range; every row of the stacked call
+    # keeps the bits of a call of its own.
+    from sktap.gibbs import clamped_moments
+
+    params = ModelParams(n=na, t=0.8, field=np.zeros(na))
+    G = sample_couplings(params, na).entries
+    H = np.random.default_rng(na).normal(0.2, 0.5, (3, na))
+    H[0] *= 2000.0
+    stacked = clamped_moments(G, H, F)
+    assert stacked.shape == (1 << len(F), 3, na)
+    for r, h in enumerate(H):
+        assert np.array_equal(stacked[:, r], clamped_moments(G, h, F)[:, 0])
+    g = G.tolist()
+    for r in (0, 1):
+        f = H[r].tolist()
+        for S, key in enumerate(keyed_moments(F)):
+            want = [naive_raw_moment(g, f, (*key, site)) for site in range(na)]
+            assert np.max(np.abs(stacked[S, r] - np.array(want))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, spec, F",
+    [
+        (12, ReducedSpec(), (11,)),
+        (14, ReducedSpec(), (13, 4)),
+        (16, ReducedSpec(), (2, 9)),
+        (15, ReducedSpec(clamped={1: -1, 4: +1}, removed=frozenset({7})), (14, 0)),
+    ],
+    ids=["12", "14", "16", "15-reduced"],
+)
+def test_clamped_moments_match_the_gray_walk(n, spec, F):
+    # Beyond the naive oracle: the keyed sums of the Gray-code walk over the
+    # whole system.  The clamped systems have 10-14 sites, all on the block
+    # pass; the reduced measure of 15 sites clamps two more and removes one,
+    # and F names sites, mapped to its 12 active ones.
+    from sktap.gibbs import _local_index, _reduce_system, clamped_moments
+
+    rng = np.random.default_rng(n)
+    params = ModelParams(n=n, t=0.7, field=rng.normal(0.2, 0.5, n))
+    active, G, h = _reduce_system(sample_couplings(params, n), params, spec)
+    local = tuple(_local_index(active, site) for site in F)
+    got = clamped_moments(G, h, local)[:, 0]
+    keys = keyed_moments(local)
+    gray = gray_moments(G, h, want_pair=False, cols=keys[1:])
+    assert np.max(np.abs(got[0] - gray.mag)) < 1e-12
+    for S, key in enumerate(keys[1:], start=1):
+        assert np.max(np.abs(got[S] - gray.cols[key])) < 1e-12
 
 
 def test_triple_rejects_bad_indices():

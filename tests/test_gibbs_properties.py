@@ -3,8 +3,9 @@
 The naive oracle cannot reach these sizes, so these tests check identities
 that any exact enumeration must satisfy instead: gauge and relabelling
 equivariance, spin-flip symmetry, d log Z / dh = m, and independence of a
-stacked pass from its stack.  One deterministic test compares a pass that
-spans several tiles with the Gray-code engine.
+stacked pass from its stack.  The relabelling and spin-flip tests also
+cover the keyed moments of ``clamped_moments``.  One deterministic test
+compares a pass that spans several tiles with the Gray-code engine.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import sktap.gibbs
 from sktap import ModelParams, sample_couplings
-from sktap.gibbs import BlockEnumerator
+from sktap.gibbs import BlockEnumerator, clamped_moments
 from oracles import GrayEnumerator
 
 # Deterministic draws keep tier-1 reproducible; each test also pins one
@@ -34,8 +35,8 @@ def instance(n, seed, t, scale):
     return sample_couplings(params, seed).entries, np.array(params.field)
 
 
-def one_pass(G, h, cols=()):
-    return BlockEnumerator(G).moments(h, want_pair=True, cols=cols).row(0)
+def one_pass(G, h):
+    return BlockEnumerator(G).moments(h, want_pair=True).row(0)
 
 
 @PROPERTY
@@ -60,16 +61,18 @@ def test_relabelling_sites_permutes_the_outputs(n, seed, t, scale):
     G, h = instance(n, seed, t, scale)
     perm = np.random.default_rng(seed + 1).permutation(n)
     a, b = (int(v) for v in perm[:2])
-    base = one_pass(G, h, cols=[(a,), (a, b)])
+    base = one_pass(G, h)
     # new site k is old site perm[k], so old site perm[k] sits at new k
     where = np.argsort(perm)
     la, lb = (int(where[s]) for s in (a, b))
-    moved = one_pass(G[np.ix_(perm, perm)], h[perm], cols=[(la,), (la, lb)])
+    moved = one_pass(G[np.ix_(perm, perm)], h[perm])
     assert abs(moved.log_z - base.log_z) < 1e-12
     assert np.max(np.abs(moved.mag - base.mag[perm])) < 1e-12
     assert np.max(np.abs(moved.second - base.second[np.ix_(perm, perm)])) < 1e-12
-    assert np.max(np.abs(moved.cols[(la,)] - base.cols[(a,)][perm])) < 1e-12
-    assert np.max(np.abs(moved.cols[(la, lb)] - base.cols[(a, b)][perm])) < 1e-12
+    # <s_S s_l> for every S within {a, b}, with a and b clamped
+    keyed = clamped_moments(G, h, (a, b))[:, 0]
+    moved_keyed = clamped_moments(G[np.ix_(perm, perm)], h[perm], (la, lb))[:, 0]
+    assert np.max(np.abs(moved_keyed - keyed[:, perm])) < 1e-12
 
 
 @PROPERTY
@@ -77,10 +80,13 @@ def test_relabelling_sites_permutes_the_outputs(n, seed, t, scale):
 @example(22, 13, 0.9)
 def test_zero_field_measure_is_spin_flip_symmetric(n, seed, t):
     G, _ = instance(n, seed, t, 0.0)
-    raw = one_pass(G, np.zeros(n), cols=[(0, n - 1)])
-    # every odd moment of a flip-symmetric measure vanishes
+    raw = one_pass(G, np.zeros(n))
+    keyed = clamped_moments(G, np.zeros(n), (0, n - 1))[:, 0]
+    # every odd moment of a flip-symmetric measure vanishes: m and the
+    # triples <s_0 s_{n-1} s_l>, but not the pairs <s_0 s_l>
     assert np.max(np.abs(raw.mag)) < 1e-12
-    assert np.max(np.abs(raw.cols[(0, n - 1)])) < 1e-12
+    assert np.max(np.abs(keyed[[0, 3]])) < 1e-12
+    assert np.array_equal(keyed[[1, 2], [0, n - 1]], [1.0, 1.0])
 
 
 @PROPERTY
@@ -107,15 +113,12 @@ def test_stacked_pass_equals_one_pass_per_row(n, seed, t, scale, rows):
     G, h = instance(n, seed, t, scale)
     fields = h + np.random.default_rng(seed).normal(0.0, 1.0, (rows, n))
     ctx = BlockEnumerator(G)
-    cols = [(0,), (1, n - 1)]
-    stacked = ctx.moments(fields, want_pair=True, cols=cols)
+    stacked = ctx.moments(fields, want_pair=True)
     for r, f in enumerate(fields):
-        one = ctx.moments(f, want_pair=True, cols=cols)
+        one = ctx.moments(f, want_pair=True)
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
         assert np.array_equal(stacked.second[r], one.second[0])
-        for key in cols:
-            assert np.array_equal(stacked.cols[key][r], one.cols[key][0])
 
 
 def test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile(monkeypatch):
@@ -132,14 +135,9 @@ def test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile(monkeypa
     assert ctx.low > 0
     layout = sktap.gibbs._Layout(ctx.n1, ctx.n2, int(ctx.low[0]))
     assert layout.tile_cols * 4 <= layout.SR.shape[0]  # the pass spans several tiles
-    n1 = ctx.n1
-    h[n1:] += 4.0
-    # entries n - 1 of (0, n1) and n1 + 1 of (1, 2) are triples
-    cols = [(n1 - 1,), (0, n - 1), (0, n1), (1, 2)]
-    block = ctx.moments(h, want_pair=True, cols=cols).row(0)
-    gray = GrayEnumerator(G).moments(h, want_pair=True, cols=cols).row(0)
+    h[ctx.n1 :] += 4.0
+    block = ctx.moments(h, want_pair=True).row(0)
+    gray = GrayEnumerator(G).moments(h, want_pair=True).row(0)
     assert abs(block.log_z - gray.log_z) < 1e-12
     assert np.max(np.abs(block.mag - gray.mag)) < 1e-12
     assert np.max(np.abs(block.second - gray.second)) < 1e-12
-    for key in cols:
-        assert np.max(np.abs(block.cols[key] - gray.cols[key])) < 1e-12

@@ -25,15 +25,17 @@ covers 2^20 states; the floor takes one call at n >= 20.  Before the kernel
 rows, while the interpreter is still fresh, it
 times the ensemble of criterion 04 itself (``tests/test_acceptance.py``,
 500 samples at each of n = 8, 12, 16, 20).  For the small systems of the
-Ito check it times one ``moments`` call of the shape that check makes (no
-pair matrix, one ``cols`` key) at na = 5 and 6, on 1 and on 2049 field rows,
-and one whole check, ``ito_decomposition_residual`` on a 2048-step path at
-n = 6 (the ``ito-n6`` workload's sample), per path over ``ITO_PATHS`` paths.
+Ito check it times one ``moments`` call, magnetizations only, on the stack
+of the pair check on a 2049-point grid at n = 6, 4 x 2049 rows at na = 4
+(both clamped spins of site 0, each with site 1 clamped both ways), and on
+2 x 2049 rows at na = 5, as many states in systems one site larger
+(``SMALL``); and one whole check,
+``ito_decomposition_residual`` on a 2048-step path at n = 6 (the ``ito-n6``
+workload's sample), per path over ``ITO_PATHS`` paths.
 For the stacks that chunks batch it times a fresh enumerator and one
 ``moments`` call, magnetizations only, over 20 coupling blocks at na = 17,
 18 and 19 (``STACKS``: the htap1 cavity stacks at n = 18-20 have na + 1),
-and over 2049 field rows of one block at na = 17 with one ``cols`` key
-(``WIDE``).
+and over 2049 field rows of one block at na = 17 (``WIDE``).
 After the htap1 workers of each round, ``STARTUP_REPEATS`` fresh
 interpreters each time ``import sktap.cli`` and read their peak RSS
 (``ru_maxrss``) right after it, as many run ``python -m sktap.cli
@@ -71,9 +73,9 @@ import time
 SIZES = (12, 16, 20, 22, 23, 24, 26)
 HTAP1_SIZES = (8, 12, 16, 20)
 HTAP1_SAMPLES = 16
-SMALL = ((5, 1), (5, 2049), (6, 1), (6, 2049))  # (na, field rows)
+SMALL = ((4, 4 * 2049), (5, 2 * 2049))  # (na, field rows), magnetizations only
 STACKS = ((17, 20), (18, 20), (19, 20))  # (na, coupling blocks), magnetizations only
-WIDE = (17, 2049)  # (na, field rows) on one coupling block, with one ``cols`` key
+WIDE = (17, 2049)  # (na, field rows) on one coupling block, magnetizations only
 STACK_CALLS = 20
 ITO_PATHS = 16
 FLOOR_STATES = 24  # log2 of the largest grid the floor allocates
@@ -230,9 +232,9 @@ def _small_rows() -> list:
         params = ModelParams.uniform(na, 0.5, 0.3)
         ctx = BlockEnumerator(sample_couplings(params, 0).entries)
         fields = np.random.default_rng(na).normal(0.3, 0.5, (count, na))
-        ctx.moments(fields, want_pair=False, cols=[(1,)])
+        ctx.moments(fields, want_pair=False)
         calls = max(1, (1 << 20) // (count << na))
-        ms = _timed(lambda: ctx.moments(fields, want_pair=False, cols=[(1,)]), calls)
+        ms = _timed(lambda: ctx.moments(fields, want_pair=False), calls)
         rows.append({"na": na, "rows": count, "moments_ms": ms})
     return rows
 
@@ -250,14 +252,14 @@ def _stack_rows() -> list:
         fields = np.random.default_rng(na).normal(0.3, 0.5, (count, na))
         BlockEnumerator(G).moments(fields, want_pair=False)
         ms = _timed(lambda: BlockEnumerator(G).moments(fields, want_pair=False), STACK_CALLS)
-        rows.append({"na": na, "blocks": count, "rows": count, "cols": 0, "init_moments_ms": ms})
+        rows.append({"na": na, "blocks": count, "rows": count, "init_moments_ms": ms})
     na, count = WIDE
     params = ModelParams.uniform(na, 0.5, 0.3)
     G = sample_couplings(params, 0).entries
     fields = np.random.default_rng(na).normal(0.3, 0.5, (count, na))
-    BlockEnumerator(G).moments(fields, want_pair=False, cols=[(1,)])
-    ms = _timed(lambda: BlockEnumerator(G).moments(fields, want_pair=False, cols=[(1,)]), 2)
-    rows.append({"na": na, "blocks": 1, "rows": count, "cols": 1, "init_moments_ms": ms})
+    BlockEnumerator(G).moments(fields, want_pair=False)
+    ms = _timed(lambda: BlockEnumerator(G).moments(fields, want_pair=False), 2)
+    rows.append({"na": na, "blocks": 1, "rows": count, "init_moments_ms": ms})
     return rows
 
 
