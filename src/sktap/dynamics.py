@@ -23,6 +23,7 @@ come from clamping j, or j and k, too (``gibbs.clamped_moments``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,8 @@ def ito_decomposition_trace(
     Returns arrays over the grid: left-hand side, partial martingale and
     drift sums, the per-segment increments, the cavity difference
     m_j^{[i]}(s) - m_j^{(i)} of the target site j with the clamped site i at
-    +1, and the terminal residual |LHS(t) - LHS(0) - (martingale + drift)|.
+    +1, and the terminal residual of ``ito_decomposition_residual``, which
+    reads the increments' exact totals, not the compensated partial sums.
     The cavity reference m_j^{(i)} never sees row i: at s = 0 the row
     vanishes, so the clamped and cavity measures coincide and the s = 0
     point of the +1 grid is that reference, making the difference exactly 0
@@ -114,16 +116,7 @@ def ito_decomposition_trace(
     both sides are empty and the residual is exactly zero; a one-step path
     is rejected.
     """
-    if path.steps == 1:
-        raise ValueError("path must have at least 2 steps, got 1")
-
-    scan = _RowFlowScan(path, params, cfg.clamped_site)
-    lhs, mart_vec, drift_vec, m_up = _integrands(scan, cfg)
-    # Ito convention: integrands at the left endpoint of every segment; one
-    # BLAS dot per segment
-    mart_inc = (mart_vec[:-1, None, :] @ scan.increments[:, :, None])[:, 0, 0]
-    drift_inc = -np.sum(drift_vec[:-1], axis=1) * np.diff(path.grid) / params.n
-
+    lhs, mart_inc, drift_inc, m_up = _increments(path, cfg, params)
     # compensated (Kahan) partial sums, accumulated strictly in grid order;
     # many small increments must not lose bits
     mart, mart_carry, drift, drift_carry = 0.0, 0.0, 0.0, 0.0
@@ -141,7 +134,6 @@ def ito_decomposition_trace(
         mart_partial.append(mart)
         drift_partial.append(drift)
 
-    residual = abs(lhs[-1] - lhs[0] - (mart + drift))
     return {
         "s": np.array(path.grid),
         "lhs": lhs,
@@ -150,8 +142,29 @@ def ito_decomposition_trace(
         "martingale_increments": mart_inc,
         "drift_increments": drift_inc,
         "cavity_difference": m_up - m_up[0],
-        "residual": float(residual),
+        "residual": _residual(lhs, mart_inc, drift_inc),
     }
+
+
+def _increments(path: CouplingPath, cfg: ItoCheckConfig, params: ModelParams):
+    """LHS over the grid, the martingale and drift increment of every
+    segment, and the target's magnetization with the clamped spin at +1."""
+    if path.steps == 1:
+        raise ValueError("path must have at least 2 steps, got 1")
+
+    scan = _RowFlowScan(path, params, cfg.clamped_site)
+    lhs, mart_vec, drift_vec, m_up = _integrands(scan, cfg)
+    # Ito convention: integrands at the left endpoint of every segment; one
+    # BLAS dot per segment
+    mart_inc = (mart_vec[:-1, None, :] @ scan.increments[:, :, None])[:, 0, 0]
+    drift_inc = -np.sum(drift_vec[:-1], axis=1) * np.diff(path.grid) / params.n
+    return lhs, mart_inc, drift_inc, m_up
+
+
+def _residual(lhs, mart_inc, drift_inc) -> float:
+    """The residual of ``ito_decomposition_residual``."""
+    mart, drift = math.fsum(mart_inc.tolist()), math.fsum(drift_inc.tolist())
+    return float(abs(lhs[-1] - lhs[0] - (mart + drift)))
 
 
 def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
@@ -199,6 +212,8 @@ def ito_decomposition_residual(
     cfg: ItoCheckConfig,
     params: ModelParams,
 ) -> float:
-    """Terminal residual |LHS - (martingale sum + drift sum)| of the check."""
-    return ito_decomposition_trace(path, cfg, params)["residual"]
+    """Terminal residual |LHS(t) - LHS(0) - (martingale + drift)| of the
+    check, each integral the ``math.fsum`` of its increments, rounded once."""
+    lhs, mart_inc, drift_inc, _ = _increments(path, cfg, params)
+    return _residual(lhs, mart_inc, drift_inc)
 

@@ -254,7 +254,8 @@ class BlockEnumerator:
     A system of na <= ``_WALSH_SITES`` sites skips all of this: the context
     keeps only the interaction energy E of every state of every block, and
     ``moments`` runs the Walsh-Hadamard pass (``_walsh_pass``) on chunks of
-    2^16 states, the last of up to 9/8 of that, in two buffers per call.
+    2^16 states, the last of up to 9/8 of that, in one grid and a scratch
+    half its size per call.
     No call changes the context.
     """
 
@@ -303,25 +304,33 @@ class BlockEnumerator:
         K, na, blocks = H.shape[0], self.na, len(self.G)
         if blocks > 1 and K != blocks:
             raise ValueError(f"{K} field rows for a stack of {blocks} coupling blocks")
-        out = _RawMoments(
-            np.empty(K),
-            np.empty((K, na)),
-            np.empty((K, na, na)) if want_pair else None,
-        )
         if na <= _WALSH_SITES:
             # chunks of per rows, the last of which takes a remainder of up to
             # per / 8 rows rather than leave it a pass of its own
             per = _TILE_STATES >> na
             most = per + per // 8
-            # one block: freed, it lifts glibc's trim threshold past what an
-            # Ito path frees, which a block per grid did not
-            grids = list(_aligned_empty((2, min(most, K) << na)))
-            a = 0
-            while a < K:
-                b = K if K - a <= most else a + per
-                self._walsh_pass(H[a:b], slice(a, b), out, grids)
-                a = b
+            ends = [0]
+            while ends[-1] < K:
+                ends.append(K if K - ends[-1] <= most else ends[-1] + per)
+            # one block for the largest chunk's grid, a scratch half its size
+            # and the moments: freed, it lifts glibc's trim threshold (twice
+            # the largest block freed) past the 1.8 MiB an Ito path frees
+            size = max((b - a for a, b in zip(ends, ends[1:])), default=0) << na
+            moments = K * (1 + na + (na * na if want_pair else 0))
+            block = _aligned_empty((size + size // 2 + moments,))
+            grid, scratch, rest = np.split(block, [size, size + size // 2])
+            log_z, mag, second = np.split(rest, [K, K * (1 + na)])
+            out = _RawMoments(
+                log_z, mag.reshape(K, na), second.reshape(K, na, na) if want_pair else None
+            )
+            for a, b in zip(ends, ends[1:]):
+                self._walsh_pass(H[a:b], slice(a, b), out, grid, scratch)
             return out
+        out = _RawMoments(
+            np.empty(K),
+            np.empty((K, na)),
+            np.empty((K, na, na)) if want_pair else None,
+        )
         for b, systems in self.systems.items():
             count = systems.size if blocks > 1 else K
             layout = _Layout(self.n1, self.n2, b)
@@ -332,10 +341,10 @@ class BlockEnumerator:
                 self._pass(layout, rows if blocks > 1 else systems, H[rows], rows, out, work)
         return out
 
-    def _walsh_pass(self, H, rows: slice, out: _RawMoments, grids: list) -> None:
+    def _walsh_pass(self, H, rows: slice, out: _RawMoments, grid, scratch) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``
-        by one Walsh-Hadamard transform of the weights, in the two buffers
-        ``grids``.
+        by one Walsh-Hadamard transform of the weights, in place in ``grid``
+        with ``scratch``, half its size, for the differences.
 
         The log-weights of the chunk form a (2^na, k) grid, the field rows
         the contiguous inner axis, its states in the order of
@@ -344,28 +353,29 @@ class BlockEnumerator:
         (-h_a where s_a = -1, +h_a where s_a = +1, site a on bit na-1-a).
         Each column is shifted by its maximum and exponentiated.  Butterfly
         stage i then maps the weight pair (lo, hi) of states that differ in
-        bit i to (lo + hi, hi - lo), so that afterwards row ``mask`` holds
-        the sum over states of w_s times the product of the spins on the
-        bits of ``mask``, and every moment is one row divided by row 0.
-        Every step is an elementwise ufunc on whole columns, so a row's bits
-        depend neither on k nor on the chunk.
+        bit i to (lo + hi, hi - lo), hi - lo by way of the scratch, so that
+        afterwards row ``mask`` holds the sum over states of w_s times the
+        product of the spins on the bits of ``mask``, and every moment is
+        one row divided by row 0.  Every step is an elementwise ufunc on
+        whole columns, so a row's bits depend neither on k nor on the chunk.
         """
         k, na = H.shape
-        X, Y = (grid[: k << na].reshape(1 << na, k) for grid in grids)
-        Y[0] = 0.0
+        X = grid[: k << na].reshape(1 << na, k)
+        X[0] = 0.0
         for i, h in enumerate(H.T[::-1]):
-            np.add(Y[: 1 << i], h, out=Y[1 << i : 2 << i])
-            Y[: 1 << i] -= h
-        np.add(self.E[:, rows] if self.E.shape[1] > 1 else self.E, Y, out=X)
+            np.add(X[: 1 << i], h, out=X[1 << i : 2 << i])
+            X[: 1 << i] -= h
+        X += self.E[:, rows] if self.E.shape[1] > 1 else self.E
         shift = X.max(axis=0)
         X -= shift
         np.exp(X, out=X)
+        diff = scratch[: k << na >> 1]
         for i in range(na):
             lo, hi = X.reshape(-1, 2, 1 << i, k).swapaxes(0, 1)
-            dst = Y.reshape(-1, 2, 1 << i, k)
-            np.add(lo, hi, out=dst[:, 0])
-            np.subtract(hi, lo, out=dst[:, 1])
-            X, Y = Y, X
+            d = diff.reshape(lo.shape)
+            np.subtract(hi, lo, out=d)
+            lo += hi
+            hi[...] = d
         z = X[0]
         out.log_z[rows] = np.log(z) + shift
         bits = 1 << np.arange(na)[::-1]

@@ -52,6 +52,12 @@ def _check_sites(n: int, *sites: int) -> None:
             raise ValueError(f"site {i} out of range for n={n}")
 
 
+def _check_index(what: str, k: int, count: int) -> None:
+    """Reject k outside 0..count-1; negative indices do not wrap around."""
+    if not 0 <= k < count:
+        raise ValueError(f"{what} {k} out of range 0..{count - 1}")
+
+
 @dataclass
 class ModelParams:
     """System size, coupling variance scale t and per-site fields.
@@ -220,10 +226,12 @@ class CouplingPath:
 
     def row_at(self, i: int, k: int) -> np.ndarray:
         """Row i of the coupling matrix at grid point k (length n, zero at i)."""
+        _check_index("grid point", k, self.steps + 1)
         return self.row_path(i)[0][k]
 
     def row_increment(self, i: int, k: int) -> np.ndarray:
         """Increment of row i over grid segment k -> k+1 (length n, zero at i)."""
+        _check_index("segment", k, self.steps)
         return self.row_path(i)[1][k]
 
 

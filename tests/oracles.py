@@ -17,7 +17,9 @@ Two references check the package's block enumeration engine:
   reaches by clamping F instead.
 
 Neither shares enumeration or reduction code with the block engine, so
-agreement is a genuine two-route check.
+agreement is a genuine two-route check.  A third reference,
+``two_buffer_walsh``, keeps the two-grid form of the engine's own
+Walsh-Hadamard pass: the in-place pass must give its bits.
 
 The module also keeps the helpers that only the tests call: the derivative
 ``f_prime`` of the overlap map and the grid coarsening ``coarsened`` of a
@@ -154,6 +156,38 @@ class GrayEnumerator:
             np.array([p.mag for p in points]),
             np.array([p.second for p in points]) if want_pair else None,
         )
+
+
+def two_buffer_walsh(E, H, want_pair=True) -> _RawMoments:
+    """The Walsh-Hadamard pass of ``sktap.gibbs.BlockEnumerator`` as it ran
+    in two full grids, the reference for the in-place pass.
+
+    ``E`` holds the interaction energy of every state, one column per
+    coupling block (one column serves every row of ``H``).  The whole stack
+    runs in one pair of (2^na, K) grids, and each butterfly stage writes
+    both lo + hi and hi - lo into the other grid, so no entry is read after
+    it is overwritten.
+    """
+    k, na = H.shape
+    X, Y = np.empty((2, 1 << na, k))
+    Y[0] = 0.0
+    for i, h in enumerate(H.T[::-1]):
+        np.add(Y[: 1 << i], h, out=Y[1 << i : 2 << i])
+        Y[: 1 << i] -= h
+    np.add(E, Y, out=X)
+    shift = X.max(axis=0)
+    X -= shift
+    np.exp(X, out=X)
+    for i in range(na):
+        lo, hi = X.reshape(-1, 2, 1 << i, k).swapaxes(0, 1)
+        dst = Y.reshape(-1, 2, 1 << i, k)
+        np.add(lo, hi, out=dst[:, 0])
+        np.subtract(hi, lo, out=dst[:, 1])
+        X, Y = Y, X
+    z = X[0]
+    bits = 1 << np.arange(na)[::-1]
+    second = (X[bits[:, None] ^ bits] / z).transpose(2, 0, 1) if want_pair else None
+    return _RawMoments(np.log(z) + shift, (X[bits] / z).T, second)
 
 
 def on_engine(engine, fn, *args, **kwargs):

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,8 +232,66 @@ def test_partial_sums_equal_the_kahan_reference_bit_for_bit():
             acc.add(x)
             partial.append(acc.total)
         assert trace[name].tolist() == partial
+    # the partial sums are a display: the residual reads the totals of fsum
     lhs = trace["lhs"][-1] - trace["lhs"][0]
-    assert trace["residual"] == abs(lhs - (trace["martingale"][-1] + trace["drift"][-1]))
+    total = math.fsum(trace["martingale_increments"]) + math.fsum(trace["drift_increments"])
+    assert trace["residual"] == abs(lhs - total)
+
+
+def _exact_residual(trace) -> float:
+    """The residual with each integral the exact sum of its increments,
+    rounded once."""
+    mart, drift = (float(sum(map(Fraction, trace[f"{name}_increments"].tolist())))
+                   for name in ("martingale", "drift"))
+    return float(abs(trace["lhs"][-1] - trace["lhs"][0] - (mart + drift)))
+
+
+ONE_POINT = CouplingPath(n=6, grid=np.zeros(1), increments=np.zeros((0, 15)))
+
+
+@pytest.mark.parametrize(
+    "variant, second, path",
+    [
+        ("pair", None, sample_path(P6, 2048, 3)),
+        ("pair", None, sample_path(P6, 2048, 4)),
+        ("two_point", 2, sample_path(P6, 2048, 5)),
+        ("product", 2, sample_path(P6, 2048, 6)),
+        ("pair", None, ONE_POINT),
+    ],
+    ids=["pair-3", "pair-4", "two_point-5", "product-6", "pair-one-point"],
+)
+def test_residual_is_the_exactly_rounded_sum_of_the_increments(variant, second, path):
+    # on the one-point path both sums are empty and the residual is 0.0
+    cfg = ItoCheckConfig(0, 1, second_site=second, variant=variant)
+    trace = ito_decomposition_trace(path, cfg, P6)
+    assert ito_decomposition_residual(path, cfg, P6) == trace["residual"]
+    assert trace["residual"] == _exact_residual(trace)
+
+
+def test_one_check_allocates_less_than_two_mebibytes():
+    # A fresh interpreter, traced from after the draw.  A 2048-step pair
+    # check at n = 6 enumerates 4 x 2049 clamped systems of 4 sites.  At its
+    # peak, in the Walsh pass, it holds one 1.06 MiB block (the 4100-row
+    # chunk's grid of 16 states, a scratch half its size and the moments),
+    # the clamped mix (320 KiB), the stacked fields (160 KiB) and the row
+    # path (160 KiB): 1.79 MiB.  With two grids sized for 4608 rows, and the
+    # partial sums built for the residual, it peaked at 2.17 MiB.
+    script = (
+        "import tracemalloc\n"
+        "from sktap import ItoCheckConfig, ModelParams, ito_decomposition_residual, sample_path\n"
+        "params = ModelParams.uniform(6, 0.5, 0.3)\n"
+        "path = sample_path(params, 2048, 42)\n"
+        "tracemalloc.start()\n"
+        "ito_decomposition_residual(path, ItoCheckConfig(0, 1), params)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(sktap.dynamics.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2.0 * 2**20
 
 
 def test_integrands_match_independent_clamped_route():

@@ -21,7 +21,14 @@ from sktap import (
     susceptibility_fd,
     triple_correlation,
 )
-from oracles import GrayEnumerator, gray_moments, naive_raw_moment, naive_tables, on_engine
+from oracles import (
+    GrayEnumerator,
+    gray_moments,
+    naive_raw_moment,
+    naive_tables,
+    on_engine,
+    two_buffer_walsh,
+)
 
 
 def two_site_matrix(g):
@@ -319,6 +326,37 @@ def test_walsh_coupling_stack_is_bit_equal_to_one_block_per_system():
         assert np.array_equal(stacked.mag[r], one.mag[0])
         assert np.array_equal(stacked.second[r], one.second[0])
     assert np.array_equal(stacked.second[-1], stacked.second[3])
+
+
+def _walsh_stacks():
+    # one row and 300 rows at every na, and at na = 5 the stacks at the chunk
+    # edges: one full chunk, the most the last chunk takes in, and one row
+    # past it (two chunks)
+    from sktap.gibbs import _TILE_STATES
+
+    per = _TILE_STATES >> 5
+    cases = [(na, 1) for na in range(1, 7)] + [(na, 300) for na in range(1, 7)]
+    return cases + [(5, per), (5, per + per // 8), (5, per + per // 8 + 1)]
+
+
+@pytest.mark.parametrize("want_pair", [False, True], ids=["m-only", "pair"])
+@pytest.mark.parametrize("na, rows", _walsh_stacks())
+def test_in_place_walsh_pass_keeps_the_bits_of_the_two_buffer_pass(na, rows, want_pair):
+    from sktap.gibbs import BlockEnumerator
+
+    params = ModelParams(n=na, t=0.8, field=np.zeros(na))
+    G = sample_couplings(params, na).entries
+    H = np.random.default_rng(rows + na).normal(0.0, 0.7, (rows, na))
+    H[0] *= 300.0
+    ctx = BlockEnumerator(G)
+    got = ctx.moments(H, want_pair=want_pair)
+    want = two_buffer_walsh(ctx.E, H, want_pair=want_pair)
+    assert np.array_equal(got.log_z, want.log_z)
+    assert np.array_equal(got.mag, want.mag)
+    if want_pair:
+        assert np.array_equal(got.second, want.second)
+    else:
+        assert got.second is None
 
 
 @pytest.mark.parametrize("rows, passes", [(2049, [2049]), (4098, [2048, 2050])])

@@ -211,6 +211,23 @@ def test_path_row_accessors_match_matrix():
         path.row_path(5)
 
 
+@pytest.mark.parametrize(
+    "accessor, k, message",
+    [
+        ("row_at", -1, "grid point -1 out of range 0..6"),
+        ("row_at", 7, "grid point 7 out of range 0..6"),
+        ("row_increment", -1, "segment -1 out of range 0..5"),
+        ("row_increment", 6, "segment 6 out of range 0..5"),
+    ],
+)
+def test_row_accessors_reject_grid_indices_outside_the_path(accessor, k, message):
+    # a negative index must not wrap around to the terminal row or the last
+    # increment, and one past the grid is a usage error, not an IndexError
+    path = sample_path(ModelParams.uniform(5, 0.7, 0.0), 6, 9)
+    with pytest.raises(ValueError, match=message):
+        getattr(path, accessor)(2, k)
+
+
 def test_degenerate_path():
     path = CouplingPath(n=4, grid=np.zeros(1), increments=np.zeros((0, 6)))
     assert path.steps == 0

@@ -31,7 +31,9 @@ of the pair check on a 2049-point grid at n = 6, 4 x 2049 rows at na = 4
 2 x 2049 rows at na = 5, as many states in systems one site larger
 (``SMALL``); and one whole check,
 ``ito_decomposition_residual`` on a 2048-step path at n = 6 (the ``ito-n6``
-workload's sample), per path over ``ITO_PATHS`` paths.
+workload's sample), per path over ``ITO_PATHS`` paths, and the traced
+(``tracemalloc``) peak of one more check, traced from after its path is
+drawn.
 For the stacks that chunks batch it times a fresh enumerator and one
 ``moments`` call, magnetizations only, over 20 coupling blocks at na = 17,
 18 and 19 (``STACKS``: the htap1 cavity stacks at n = 18-20 have na + 1),
@@ -263,18 +265,30 @@ def _stack_rows() -> list:
     return rows
 
 
-def _ito_path_ms() -> float:
+def _ito_path() -> tuple:
+    """ms per check over ``ITO_PATHS`` paths, then the traced peak of one
+    more check (MiB), traced from after its path is drawn."""
+    import tracemalloc
+
     from sktap.dynamics import ItoCheckConfig, ito_decomposition_residual
     from sktap.model import ModelParams, sample_path
 
     params = ModelParams.uniform(6, 0.5, 0.3)
     check = ItoCheckConfig(clamped_site=0, target_site=1)
-    paths = [sample_path(params, 2048, seed) for seed in range(ITO_PATHS + 1)]
+    paths = [sample_path(params, 2048, seed) for seed in range(ITO_PATHS + 2)]
     ito_decomposition_residual(paths.pop(), check, params)
+    traced = paths.pop()
     start = time.perf_counter()
     for path in paths:
         ito_decomposition_residual(path, check, params)
-    return (time.perf_counter() - start) / ITO_PATHS * 1e3
+    ms = (time.perf_counter() - start) / ITO_PATHS * 1e3
+    tracemalloc.start()
+    try:
+        ito_decomposition_residual(traced, check, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return ms, peak / 2**20
 
 
 def worker() -> None:
@@ -286,7 +300,7 @@ def worker() -> None:
     criterion_04_s = _criterion_04_s()
     small = _small_rows()
     stacks = _stack_rows()
-    ito_path_ms = _ito_path_ms()
+    ito_path_ms, ito_path_peak_mib = _ito_path()
     rows = []
     for n in SIZES:
         calls = max(KERNEL_CALLS, (1 << 20) >> n)
@@ -309,7 +323,8 @@ def worker() -> None:
             rows.append({"n": n, "want_pair": want_pair, **split, "init_ms": init_ms,
                          "moments_ms": moments_ms, "exp_floor_ms": floor_ms})
     print(json.dumps({"kernel": rows, "criterion_04_s": criterion_04_s,
-                      "small": small, "stacks": stacks, "ito_path_ms": ito_path_ms}))
+                      "small": small, "stacks": stacks, "ito_path_ms": ito_path_ms,
+                      "ito_path_peak_mib": ito_path_peak_mib}))
 
 
 def _env(src: str) -> dict:
@@ -415,7 +430,7 @@ def main(argv: list) -> int:
         for label in order if r % 2 == 0 else order[::-1]:
             runs[label].append(_run(labels[label]))
     results, htap1, criterion_04, small, stacks, ito_path, startup = {}, {}, {}, {}, {}, {}, {}
-    alloc, spectral = {}, {}
+    ito_peak, alloc, spectral = {}, {}, {}
     for label, rounds in runs.items():
         alloc[label] = [
             {"n": row["n"], "want_pair": row["want_pair"],
@@ -430,6 +445,7 @@ def main(argv: list) -> int:
                           for key in rounds[0]["startup"][0]}
         criterion_04[label] = _summary([rnd["criterion_04_s"] for rnd in rounds])
         ito_path[label] = _summary([rnd["ito_path_ms"] for rnd in rounds])
+        ito_peak[label] = _summary([rnd["ito_path_peak_mib"] for rnd in rounds])
         small[label] = [
             {"na": row["na"], "rows": row["rows"],
              "moments_ms": _summary([rnd["small"][i]["moments_ms"] for rnd in rounds])}
@@ -455,7 +471,8 @@ def main(argv: list) -> int:
     print(json.dumps({"what": __doc__.strip().splitlines()[0], "rounds": ROUNDS,
                       "machine": _machine(), "results": results, "htap1": htap1,
                       "criterion_04_s": criterion_04, "small": small, "stacks": stacks,
-                      "ito_path_ms": ito_path, "startup": startup, "alloc": alloc,
+                      "ito_path_ms": ito_path, "ito_path_peak_mib": ito_peak,
+                      "startup": startup, "alloc": alloc,
                       "spectral_n24_samples": spectral}, indent=1))
     return 0
 

@@ -33,6 +33,7 @@ SMALL_SYSTEMS = "tests/test_gibbs.py::test_small_systems_match_the_oracles_at_hu
 HAND_SPECTRAL = "tests/test_spectral.py::test_deformed_operator_and_resolvent_match_hand_formulas"
 SEVERAL_PER_CHUNK = "tests/test_gibbs.py::test_a_chunk_of_several_systems_gives_each_system_its_own_tiles"
 CLAMPED_NAIVE = "tests/test_gibbs.py::test_clamped_moments_match_the_naive_oracle"
+WALSH_BITS = "tests/test_gibbs.py::test_in_place_walsh_pass_keeps_the_bits_of_the_two_buffer_pass"
 
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
@@ -139,8 +140,8 @@ MUTANTS = (
     (
         "walsh-flipped-butterfly-sign",
         "src/sktap/gibbs.py",
-        "            np.subtract(hi, lo, out=dst[:, 1])\n",
-        "            np.subtract(lo, hi, out=dst[:, 1])\n",
+        "            np.subtract(hi, lo, out=d)\n",
+        "            np.subtract(lo, hi, out=d)\n",
         [SMALL_SYSTEMS],
     ),
     (
@@ -153,9 +154,16 @@ MUTANTS = (
     (
         "walsh-stack-reads-first-couplings",
         "src/sktap/gibbs.py",
-        "        np.add(self.E[:, rows] if self.E.shape[1] > 1 else self.E, Y, out=X)\n",
-        "        np.add(self.E[:, :1], Y, out=X)\n",
+        "        X += self.E[:, rows] if self.E.shape[1] > 1 else self.E\n",
+        "        X += self.E[:, :1]\n",
         ["tests/test_gibbs.py::test_walsh_coupling_stack_is_bit_equal_to_one_block_per_system"],
+    ),
+    (
+        "walsh-scratch-not-copied-back",
+        "src/sktap/gibbs.py",
+        "            hi[...] = d\n",
+        "",
+        [WALSH_BITS],
     ),
     (
         "shift-gray-magnetizations",
@@ -233,6 +241,13 @@ MUTANTS = (
         "drift_inc = -np.sum(drift_vec[:-1], axis=1)",
         "drift_inc = np.sum(drift_vec[:-1], axis=1)",
         ["tests/test_dynamics.py::test_residual_shrinks_under_refinement_of_one_path"],
+    ),
+    (
+        "ito-residual-plain-sum",
+        "src/sktap/dynamics.py",
+        "math.fsum(mart_inc.tolist()), math.fsum(drift_inc.tolist())",
+        "sum(mart_inc.tolist()), sum(drift_inc.tolist())",
+        ["tests/test_dynamics.py::test_residual_is_the_exactly_rounded_sum_of_the_increments"],
     ),
     (
         "right-endpoint-martingale",
@@ -379,8 +394,8 @@ MUTANTS = (
     (
         "walsh-one-row-remainder",
         "src/sktap/gibbs.py",
-        "                b = K if K - a <= most else a + per\n",
-        "                b = min(K, a + per)\n",
+        "                ends.append(K if K - ends[-1] <= most else ends[-1] + per)\n",
+        "                ends.append(min(K, ends[-1] + per))\n",
         ["tests/test_gibbs.py::test_walsh_stack_takes_a_small_remainder_into_its_last_chunk"],
     ),
     (
