@@ -176,14 +176,12 @@ def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
     vector multiplies the row increments dg_il; the drift vector is summed
     and multiplied by -ds/n (the positive product-rule cross term enters
     with its sign already folded in).  Everything is in active-local
-    coordinates.  The raw moments <s_j s_l> and <s_j s_k s_l> read tau on
-    the clamped sites themselves, so centering them yields the diagonal
-    conventions m_jj = 1 - m_j^2 and m_jkj = -2 m_j m_jk for free.
+    coordinates.  The centred moments come from ``gibbs.clamped_moments``,
+    whose diagonals read m_jj = 1 - m_j^2 and m_jkj = -2 m_j m_jk.
     """
     jl = scan.local(cfg.target_site)
     if cfg.variant == "pair":
-        m, rj = scan.stack(+1, -1, clamp=(jl,))
-        pc = rj - m[:, jl, None] * m
+        m, (pc,), _ = scan.stack(+1, -1, clamp=(jl,))
         (up, dn), (pc_up, pc_dn) = np.split(m, 2), np.split(pc, 2)
         lhs = 0.5 * (up[:, jl] - dn[:, jl])
         eps_col = 0.5 * (pc_up + pc_dn)
@@ -191,13 +189,8 @@ def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
         return lhs, eps_col, delta_prod, up[:, jl]
 
     kl = scan.local(cfg.second_site)
-    m, rj, rk, rt = scan.stack(+1, clamp=(jl, kl))
-    mj, mk = m[:, jl, None], m[:, kl, None]
-    raw_jk = rj[:, kl, None]
-    pj = rj - mj * m
-    pk = rk - mk * m
-    trip = rt - mj * rk - mk * rj - m * raw_jk + 2.0 * mj * mk * m
-    pjk = raw_jk - mj * mk
+    m, (pj, pk), trip = scan.stack(+1, clamp=(jl, kl))
+    mk, pjk = m[:, kl, None], pj[:, kl, None]
     if cfg.variant == "two_point":
         return pjk[:, 0], trip, m * trip + pj * pk, m[:, jl]
     # product variant: X = m_k, Y = m_jk, track d(XY)

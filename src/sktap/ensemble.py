@@ -211,14 +211,14 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
 def fit_power_law(points) -> tuple:
     """Least-squares slope/intercept of log y vs log n, with slope standard error.
 
-    Needs at least 3 points with positive ordinates.  The standard error
+    Needs at least 3 points, n and y finite and positive.  The standard error
     comes from the residual variance with len(points) - 2 >= 1 degrees of freedom.
     """
     pts = [(float(n), float(y)) for n, y in points]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
-    if any(y <= 0 for _, y in pts):
-        raise ValueError("all y values must be positive for a log-log fit")
+    if not all(0 < v < math.inf for pt in pts for v in pt):
+        raise ValueError("all n and y values must be finite and positive for a log-log fit")
     x = np.log(np.array([p[0] for p in pts]))
     y = np.log(np.array([p[1] for p in pts]))
     xm, ym = x.mean(), y.mean()

@@ -343,19 +343,16 @@ class BlockEnumerator:
 
     def _walsh_pass(self, H, rows: slice, out: _RawMoments, grid, scratch) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``
-        by one Walsh-Hadamard transform of the weights, in place in ``grid``
-        with ``scratch``, half its size, for the differences.
+        by one Walsh-Hadamard transform of the weights, in place in ``grid``.
 
         The log-weights of the chunk form a (2^na, k) grid, the field rows
         the contiguous inner axis, its states in the order of
         ``_sign_matrix(na)``: the interaction energies E plus the field
         energies, which double bit by bit from the last site to the first
         (-h_a where s_a = -1, +h_a where s_a = +1, site a on bit na-1-a).
-        Each column is shifted by its maximum and exponentiated.  Butterfly
-        stage i then maps the weight pair (lo, hi) of states that differ in
-        bit i to (lo + hi, hi - lo), hi - lo by way of the scratch, so that
-        afterwards row ``mask`` holds the sum over states of w_s times the
-        product of the spins on the bits of ``mask``, and every moment is
+        Each column is shifted by its maximum and exponentiated, and after
+        ``_walsh`` row ``mask`` holds the sum over states of w_s times the
+        product of the spins on the bits of ``mask``, so every moment is
         one row divided by row 0.  Every step is an elementwise ufunc on
         whole columns, so a row's bits depend neither on k nor on the chunk.
         """
@@ -369,13 +366,7 @@ class BlockEnumerator:
         shift = X.max(axis=0)
         X -= shift
         np.exp(X, out=X)
-        diff = scratch[: k << na >> 1]
-        for i in range(na):
-            lo, hi = X.reshape(-1, 2, 1 << i, k).swapaxes(0, 1)
-            d = diff.reshape(lo.shape)
-            np.subtract(hi, lo, out=d)
-            lo += hi
-            hi[...] = d
+        _walsh(X, scratch)
         z = X[0]
         out.log_z[rows] = np.log(z) + shift
         bits = 1 << np.arange(na)[::-1]
@@ -596,6 +587,19 @@ class _Layout:
         return work
 
 
+def _walsh(X: np.ndarray, scratch: np.ndarray) -> None:
+    """Walsh-Hadamard transform of the C-ordered (2^bits, k) array X, in place:
+    stage i maps each pair (lo, hi) of rows that differ in bit i to
+    (lo + hi, hi - lo), hi - lo by way of ``scratch``, at least half X's size."""
+    rows, k = X.shape
+    for i in range(rows.bit_length() - 1):
+        lo, hi = X.reshape(-1, 2, 1 << i, k).swapaxes(0, 1)
+        d = scratch[: X.size >> 1].reshape(lo.shape)
+        np.subtract(hi, lo, out=d)
+        lo += hi
+        hi[...] = d
+
+
 def _aligned_empty(shape: tuple) -> np.ndarray:
     """Uninitialized float64 array whose data starts on a 64-byte boundary.
 
@@ -713,18 +717,19 @@ def _local_index(active: np.ndarray, site: int) -> int:
     return int(pos)
 
 
-def clamped_moments(G: np.ndarray, H, F) -> np.ndarray:
-    """Raw moments <s_S s_l> under every field row of ``H``, for every subset
-    S of the sites ``F`` and every site l, as a (2^|F|, K, na) array; S is a
-    bit mask over F (bit a for site F[a]), so entry [0] holds m.
+def clamped_moments(G: np.ndarray, H, F):
+    """Centred moments ``(m, pairs, triple)`` under the K field rows of ``H``
+    at every site l, by clamping the sites ``F``: the (K, na) magnetizations,
+    the (K, na) truncated column <(s_{F[a]} - m)(s_l - m)> as ``pairs[a]``,
+    and the (K, na) <(s_{F[0]} - m)(s_{F[1]} - m)(s_l - m)>, None for one
+    site.  On F a clamped system's moment is tau, and tau^2 = 1 gives the
+    diagonal conventions m_jj = 1 - m_j^2 and m_jkj = -2 m_j m_jk.
 
     One magnetizations-only ``BlockEnumerator.moments`` call enumerates the
     other sites with F clamped all 2^|F| ways tau.  Each clamped system counts
     with weight Z_tau exp(tau.h_F + tau.G_FF.tau / 2), and a Walsh-Hadamard
-    transform over tau mixes them back.  On F a clamped system's moment is
-    tau, so e.g. <s_l s_l> = 1 comes for free.  The array is a view of a
-    site-major buffer: every step over tau is elementwise, so a row's bits
-    do not depend on the other rows.
+    transform over tau mixes them back.  Every step is elementwise, so a
+    row's bits do not depend on the other rows.
     """
     H, F = np.atleast_2d(H), list(F)
     (K, na), states = H.shape, 1 << len(F)
@@ -742,22 +747,26 @@ def clamped_moments(G: np.ndarray, H, F) -> np.ndarray:
     )
     w = raw.log_z.reshape(states, K)  # becomes each system's share of the weight
     w += 0.5 * ((tau @ G_F[:, F]) * tau).sum(axis=1)[:, None]
-    for t, signs in enumerate(tau):
-        for sign, site in zip(signs, F):
-            w[t] += sign * H[:, site]
+    for a, site in enumerate(F):
+        w += tau[:, a, None] * H[:, site]
     w -= w.max(axis=0)
     np.exp(w, out=w)
     w /= w.sum(axis=0)
     mix[rest] = raw.mag.reshape(states, K, len(rest)).transpose(2, 0, 1)
     mix[F] = tau.T[:, :, None]
     mix *= w
-    for site in mix:  # stage i: (lo, hi) = (tau_i = -1, +1) -> (lo + hi, hi - lo)
-        for i in range(len(F)):
-            lo, hi = site.reshape(-1, 2, 1 << i, K).swapaxes(0, 1)
-            diff = hi - lo
-            lo += hi
-            hi[...] = diff
-    return mix.transpose(1, 2, 0)
+    del raw, w  # free the pass's block before the scratch and the centring
+    scratch = np.empty((states >> 1) * K)
+    for site in mix:
+        _walsh(site, scratch)
+    r = mix.transpose(1, 2, 0)  # r[S]: <s_S s_l>, S a bit mask over F
+    m = r[0]
+    pairs = r[1 << np.arange(len(F))] - m[:, F].T[:, :, None] * m
+    if len(F) < 2:
+        return m, pairs, None
+    ma, mb, r_ab = m[:, F[0], None], m[:, F[1], None], r[1][:, F[1], None]
+    triple = r[3] - ma * r[2] - mb * r[1] - m * r_ab + 2.0 * ma * mb * m
+    return m, pairs, triple
 
 
 def triple_correlation(
@@ -779,9 +788,7 @@ def triple_correlation(
     spec = spec if spec is not None else ReducedSpec()
     active, g_act, h_eff = _reduce_system(cm, params, spec)
     la, lb, lc = (_local_index(active, s) for s in (i, j, k))
-    m, ri, rj, rij = clamped_moments(g_act, h_eff, (la, lb))[:, 0]
-    mi, mj, mk = m[la], m[lb], m[lc]
-    return float(rij[lc] - mi * rj[lc] - mj * ri[lc] - mk * ri[lb] + 2.0 * mi * mj * mk)
+    return float(clamped_moments(g_act, h_eff, (la, lb))[2][0, lc])
 
 
 def key_identity_residual(
@@ -851,9 +858,9 @@ def coupling_derivative_residual(
     """Finite-difference check of d m_k / d g_il = m_i m_kl + m_l m_ik + m_ilk.
 
     The bond g_il is bumped once (both symmetric storage slots move, the
-    energy counts the pair once).  Repeated target indices use the centered
-    conventions m_kk = 1 - m_k^2 and m_ilk|_{k=i} = -2 m_i m_il, which is
-    what the centered moments reduce to.  The bumped passes read m only.
+    energy counts the pair once), and the bumped passes read m only.  The
+    right-hand side clamps i and l in the full measure, which gives k = i
+    and k = l the conventions m_kk = 1 - m_k^2 and m_ilk|_{k=i} = -2 m_i m_il.
     """
     if i == l:
         raise ValueError("coupling indices must satisfy i != l")
@@ -863,12 +870,7 @@ def coupling_derivative_residual(
     up = magnetizations(cm.bumped(i, l, +step), params)
     down = magnetizations(cm.bumped(i, l, -step), params)
     fd = (up[k] - down[k]) / (2.0 * step)
-    base = gibbs_tables(cm, params)
-    if k == i:
-        mtrip = -2.0 * base.m[i] * base.pair[i, l]
-    elif k == l:
-        mtrip = -2.0 * base.m[l] * base.pair[i, l]
-    else:
-        mtrip = triple_correlation(cm, params, None, i, l, k)
-    rhs = base.m[i] * base.pair[k, l] + base.m[l] * base.pair[i, k] + mtrip
+    _, G, h = _reduce_system(cm, params, ReducedSpec())
+    m, (pair_i, pair_l), m_ilk = clamped_moments(G, h, (i, l))
+    rhs = m[0, i] * pair_l[0, k] + m[0, l] * pair_i[0, k] + m_ilk[0, k]
     return float(fd - rhs)

@@ -60,10 +60,12 @@ def gauss_hermite(nodes: int) -> tuple:
 
 def f_map(x: float, t: float, h: float, nodes: int = QUAD_NODES) -> float:
     """Overlap response map f(x) = E tanh^2(h + sqrt(t x) Z)."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be >= 0 and finite, got {x}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    if not math.isfinite(h):
+        raise ValueError(f"h must be finite, got {h}")
     z, w = gauss_hermite(nodes)
     y = h + math.sqrt(t * x) * z
     return float(w @ np.tanh(y) ** 2)
@@ -117,8 +119,10 @@ def at_value(t: float, h: float, q: float, nodes: int = QUAD_NODES) -> float:
     """AT criterion value E t sech^4(sqrt(t q) Z + h); below 1 means replica-symmetric."""
     if not 0 <= q <= 1:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    if not math.isfinite(h):
+        raise ValueError(f"h must be finite, got {h}")
     return t * _sech4_mean(t, h, q, nodes)
 
 

@@ -12,9 +12,9 @@ Two references check the package's block enumeration engine:
   for one coupling block or a stack of them, so ``on_engine`` can put it in
   the block engine's place and the package's reduction, table assembly,
   cavity sweep, clamped mix and row-flow code run unchanged around it.
-  Its walk ``gray_moments`` also sums keyed moments <s_F s_l> directly,
-  the reference for ``sktap.gibbs.clamped_moments``, which the package
-  reaches by clamping F instead.
+  Its walk ``gray_moments`` also sums keyed moments <s_F s_l> directly:
+  centred in the tests, they are the reference for
+  ``sktap.gibbs.clamped_moments``, which the package reaches by clamping F.
 
 Neither shares enumeration or reduction code with the block engine, so
 agreement is a genuine two-route check.  A third reference,

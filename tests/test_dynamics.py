@@ -119,11 +119,12 @@ def test_one_stacked_call_over_both_spins_equals_one_call_per_spin(n, steps):
     params = ModelParams.uniform(n, 0.5, 0.3)
     scan = sktap.dynamics._RowFlowScan(sample_path(params, steps, 9), params, 0)
     key = (scan.local(1),)
-    both = scan.stack(+1, -1, clamp=key)
+    m, pairs, _ = scan.stack(+1, -1, clamp=key)
     for half, spin in enumerate((+1, -1)):
-        one = scan.stack(spin, clamp=key)
+        m_one, pairs_one, _ = scan.stack(spin, clamp=key)
         rows = slice(half * (steps + 1), (half + 1) * (steps + 1))
-        assert np.array_equal(both[:, rows], one)
+        assert np.array_equal(m[rows], m_one)
+        assert np.array_equal(pairs[:, rows], pairs_one)
 
 
 def test_one_pair_check_makes_one_kernel_call(monkeypatch):
@@ -352,7 +353,8 @@ def test_cavity_difference_is_exactly_zero_at_time_zero():
         assert trace["cavity_difference"][0] == 0.0
         scan = sktap.dynamics._RowFlowScan(path, params, 0)
         cavity = magnetizations(path.terminal(), params, ReducedSpec(removed={0}))
-        assert np.array_equal(scan.stack(+1)[0, 0], cavity[scan.active])
+        m, _, _ = scan.stack(+1)
+        assert np.array_equal(m[0], cavity[scan.active])
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -366,7 +368,8 @@ def test_trace_reads_the_cavity_difference_of_its_own_enumeration(n):
     for seed in (1, 2, 3):
         path = sample_path(params, 64, seed)
         scan = sktap.dynamics._RowFlowScan(path, params, 0)
-        mag = scan.stack(+1)[0, :, scan.local(1)]
+        m, _, _ = scan.stack(+1)
+        mag = m[:, scan.local(1)]
         for variant, second in [("pair", None), ("two_point", 2), ("product", 2)]:
             cfg = ItoCheckConfig(0, 1, second, variant)
             trace = ito_decomposition_trace(path, cfg, params)

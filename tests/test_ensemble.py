@@ -54,6 +54,13 @@ def test_fit_power_law_rejections():
         fit_power_law([(8, 0.1), (16, 0.0), (32, 0.1)])
     with pytest.raises(ValueError):
         fit_power_law([(8, 0.1), (8, 0.1), (8, 0.1)])
+    # log n of these is -inf or NaN, and the fit returned (nan, nan, nan)
+    for bad_n in (0, -4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            fit_power_law([(bad_n, 1.0), (1, 2.0), (2, 3.0)])
+    for bad_y in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            fit_power_law([(8, 0.1), (16, bad_y), (32, 0.1)])
 
 
 def test_config_validation():

@@ -705,9 +705,28 @@ def test_triple_builds_one_enumerator_and_makes_one_kernel_call(monkeypatch):
 
 
 def keyed_moments(F):
-    """The keys of ``clamped_moments``' rows: entry S lists the sites F[a]
-    whose bit a is set in S."""
+    """The keys of the raw moments that ``clamped_moments`` centres: entry S
+    lists the sites F[a] whose bit a is set in S."""
     return [tuple(F[a] for a in range(len(F)) if S >> a & 1) for S in range(1 << len(F))]
+
+
+def centred(raw, F):
+    """The oracle's raw sums ``raw[S]`` = <s_S s_l>, S a bit mask over F,
+    centred by hand: m, the pair column of each site of F, then the triple
+    of two sites."""
+    m = raw[0]
+    out = [m, np.array([raw[1 << a] - m[site] * m for a, site in enumerate(F)])]
+    if len(F) == 2:
+        a, b = F
+        out.append(raw[3] - m[a] * raw[2] - m[b] * raw[1] - raw[1][b] * m + 2 * m[a] * m[b] * m)
+    return out
+
+
+def row_of(moments, r):
+    """Row r of every array ``clamped_moments`` returns: m, the pair columns
+    and the triple, if any."""
+    m, pairs, triple = moments
+    return [m[r], pairs[:, r]] + ([] if triple is None else [triple[r]])
 
 
 @pytest.mark.parametrize(
@@ -730,15 +749,21 @@ def test_clamped_moments_match_the_naive_oracle(na, F):
     H = np.random.default_rng(na).normal(0.2, 0.5, (3, na))
     H[0] *= 2000.0
     stacked = clamped_moments(G, H, F)
-    assert stacked.shape == (1 << len(F), 3, na)
+    m, pairs, triple = stacked
+    assert m.shape == (3, na) and pairs.shape == (len(F), 3, na)
+    assert triple is None if len(F) == 1 else triple.shape == (3, na)
     for r, h in enumerate(H):
-        assert np.array_equal(stacked[:, r], clamped_moments(G, h, F)[:, 0])
+        for got, one in zip(row_of(stacked, r), row_of(clamped_moments(G, h, F), 0), strict=True):
+            assert np.array_equal(got, one)
     g = G.tolist()
     for r in (0, 1):
         f = H[r].tolist()
-        for S, key in enumerate(keyed_moments(F)):
-            want = [naive_raw_moment(g, f, (*key, site)) for site in range(na)]
-            assert np.max(np.abs(stacked[S, r] - np.array(want))) < 1e-12
+        raw = [
+            np.array([naive_raw_moment(g, f, (*key, site)) for site in range(na)])
+            for key in keyed_moments(F)
+        ]
+        for got, want in zip(row_of(stacked, r), centred(raw, F), strict=True):
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -762,12 +787,12 @@ def test_clamped_moments_match_the_gray_walk(n, spec, F):
     params = ModelParams(n=n, t=0.7, field=rng.normal(0.2, 0.5, n))
     active, G, h = _reduce_system(sample_couplings(params, n), params, spec)
     local = tuple(_local_index(active, site) for site in F)
-    got = clamped_moments(G, h, local)[:, 0]
     keys = keyed_moments(local)
     gray = gray_moments(G, h, want_pair=False, cols=keys[1:])
-    assert np.max(np.abs(got[0] - gray.mag)) < 1e-12
-    for S, key in enumerate(keys[1:], start=1):
-        assert np.max(np.abs(got[S] - gray.cols[key])) < 1e-12
+    raw = [gray.mag] + [gray.cols[key] for key in keys[1:]]
+    rows = row_of(clamped_moments(G, h, local), 0)
+    for got, want in zip(rows, centred(raw, local), strict=True):
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_triple_rejects_bad_indices():
@@ -884,6 +909,52 @@ def test_coupling_derivative_zero_baseline():
     p = ModelParams.uniform(4, 0.0, 0.0)
     cm = sample_couplings(p, 1)
     assert abs(coupling_derivative_residual(cm, p, 0, 1, 2)) < 1e-10
+
+
+def residual_from_tables(cm, p, i, l, k, step=1e-5):
+    """The coupling derivative residual with its right-hand side read from
+    ``gibbs_tables``, the repeated-index conventions written out by hand."""
+    up = magnetizations(cm.bumped(i, l, +step), p)
+    down = magnetizations(cm.bumped(i, l, -step), p)
+    base = gibbs_tables(cm, p)
+    if k in (i, l):
+        trip = -2.0 * base.m[k] * base.pair[i, l]
+    else:
+        trip = triple_correlation(cm, p, None, i, l, k)
+    rhs = base.m[i] * base.pair[k, l] + base.m[l] * base.pair[i, k] + trip
+    return (up[k] - down[k]) / (2.0 * step) - rhs
+
+
+@pytest.mark.parametrize("k", [2, 7, 4], ids=["k=i", "k=l", "k-generic"])
+def test_coupling_derivative_reads_the_clamped_route_as_the_tables_do(k):
+    # n = 10: the clamped systems of 8 sites run the block pass; both
+    # routes share the finite difference, so only the right-hand sides
+    # differ, by float noise
+    p = ModelParams.uniform(10, 0.6, 0.3)
+    cm = sample_couplings(p, 21)
+    got = coupling_derivative_residual(cm, p, 2, 7, k)
+    assert abs(got - residual_from_tables(cm, p, 2, 7, k)) < 1e-14
+
+
+def test_coupling_derivative_makes_three_magnetization_passes(monkeypatch):
+    # the two bumped passes and one call with i and l clamped four ways
+    from sktap.gibbs import BlockEnumerator
+
+    calls = []
+    moments = BlockEnumerator.moments
+
+    def spy(self, h, want_pair):
+        calls.append((len(np.atleast_2d(h)), want_pair))
+        return moments(self, h, want_pair)
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("gibbs_tables called")
+
+    monkeypatch.setattr(BlockEnumerator, "moments", spy)
+    monkeypatch.setattr(sktap.gibbs, "gibbs_tables", no_tables)
+    p = ModelParams.uniform(8, 0.5, 0.3)
+    coupling_derivative_residual(sample_couplings(p, 5), p, 0, 1, 2)
+    assert calls == [(1, False), (1, False), (4, False)]
 
 
 def _pair_derivative_fd(cm, p, i, k, a, b, step=1e-5):

@@ -4,7 +4,7 @@ The naive oracle cannot reach these sizes, so these tests check identities
 that any exact enumeration must satisfy instead: gauge and relabelling
 equivariance, spin-flip symmetry, d log Z / dh = m, and independence of a
 stacked pass from its stack.  The relabelling and spin-flip tests also
-cover the keyed moments of ``clamped_moments``.  One deterministic test
+cover the centred moments of ``clamped_moments``.  One deterministic test
 compares a pass that spans several tiles with the Gray-code engine.
 """
 
@@ -69,10 +69,11 @@ def test_relabelling_sites_permutes_the_outputs(n, seed, t, scale):
     assert abs(moved.log_z - base.log_z) < 1e-12
     assert np.max(np.abs(moved.mag - base.mag[perm])) < 1e-12
     assert np.max(np.abs(moved.second - base.second[np.ix_(perm, perm)])) < 1e-12
-    # <s_S s_l> for every S within {a, b}, with a and b clamped
-    keyed = clamped_moments(G, h, (a, b))[:, 0]
-    moved_keyed = clamped_moments(G[np.ix_(perm, perm)], h[perm], (la, lb))[:, 0]
-    assert np.max(np.abs(moved_keyed - keyed[:, perm])) < 1e-12
+    # m, the pair columns of a and b and their triple, with a and b clamped
+    clamped = clamped_moments(G, h, (a, b))
+    moved_clamped = clamped_moments(G[np.ix_(perm, perm)], h[perm], (la, lb))
+    for moved_part, part in zip(moved_clamped, clamped, strict=True):
+        assert np.max(np.abs(moved_part[..., 0, :] - part[..., 0, perm])) < 1e-12
 
 
 @PROPERTY
@@ -81,12 +82,13 @@ def test_relabelling_sites_permutes_the_outputs(n, seed, t, scale):
 def test_zero_field_measure_is_spin_flip_symmetric(n, seed, t):
     G, _ = instance(n, seed, t, 0.0)
     raw = one_pass(G, np.zeros(n))
-    keyed = clamped_moments(G, np.zeros(n), (0, n - 1))[:, 0]
+    m, pairs, triple = clamped_moments(G, np.zeros(n), (0, n - 1))
     # every odd moment of a flip-symmetric measure vanishes: m and the
-    # triples <s_0 s_{n-1} s_l>, but not the pairs <s_0 s_l>
+    # triples m_{0,n-1,l}, but not the pairs m_{0l}, whose diagonal is 1
     assert np.max(np.abs(raw.mag)) < 1e-12
-    assert np.max(np.abs(keyed[[0, 3]])) < 1e-12
-    assert np.array_equal(keyed[[1, 2], [0, n - 1]], [1.0, 1.0])
+    assert np.max(np.abs(m)) < 1e-12
+    assert np.max(np.abs(triple)) < 1e-12
+    assert np.array_equal(pairs[[0, 1], 0, [0, n - 1]], [1.0, 1.0])
 
 
 @PROPERTY

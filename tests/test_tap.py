@@ -163,9 +163,18 @@ def test_solve_q_never_accepts_a_nan_residual(monkeypatch):
         (lambda: at_value(0.5, 0.3, -0.1), r"q must be in \[0, 1\]"),
         (lambda: at_value(-0.5, 0.3, 0.2), "t must be >= 0"),
         (lambda: predicted_mij_sq(0.5, 0.3, 0), "n must be >= 1"),
+        # NaN and inf pass the range checks above, and the maps returned NaN
+        (lambda: f_map(0.5, math.nan, 0.3), "t must be >= 0 and finite"),
+        (lambda: f_map(math.inf, 0.5, 0.3), "x must be >= 0 and finite"),
+        (lambda: f_map(math.nan, 0.5, 0.3), "x must be >= 0 and finite"),
+        (lambda: f_map(0.1, 0.5, -math.inf), "h must be finite"),
+        (lambda: at_value(math.inf, 0.3, 0.5), "t must be >= 0 and finite"),
+        (lambda: at_value(math.nan, 0.3, 0.5), "t must be >= 0 and finite"),
+        (lambda: at_value(0.5, math.nan, 0.5), "h must be finite"),
     ],
     ids=["f_map-t", "at_value-q-above", "at_value-q-below", "at_value-t",
-         "predicted_mij_sq-n"],
+         "predicted_mij_sq-n", "f_map-t-nan", "f_map-x-inf", "f_map-x-nan", "f_map-h-inf",
+         "at_value-t-inf", "at_value-t-nan", "at_value-h-nan"],
 )
 def test_gaussian_maps_reject_arguments_out_of_range(call, message):
     with pytest.raises(ValueError, match=message):

@@ -126,9 +126,23 @@ MUTANTS = (
     (
         "clamped-mix-swaps-lo-and-hi",
         "src/sktap/gibbs.py",
-        "            lo, hi = site.reshape(-1, 2, 1 << i, K).swapaxes(0, 1)\n",
-        "            hi, lo = site.reshape(-1, 2, 1 << i, K).swapaxes(0, 1)\n",
+        "        lo, hi = X.reshape(-1, 2, 1 << i, k).swapaxes(0, 1)\n",
+        "        hi, lo = X.reshape(-1, 2, 1 << i, k).swapaxes(0, 1)\n",
         [CLAMPED_NAIVE],
+    ),
+    (
+        "centred-triple-flipped-cubic-term",
+        "src/sktap/gibbs.py",
+        "    triple = r[3] - ma * r[2] - mb * r[1] - m * r_ab + 2.0 * ma * mb * m\n",
+        "    triple = r[3] - ma * r[2] - mb * r[1] - m * r_ab - 2.0 * ma * mb * m\n",
+        [CLAMPED_NAIVE],
+    ),
+    (
+        "coupling-derivative-without-the-triple",
+        "src/sktap/gibbs.py",
+        "    rhs = m[0, i] * pair_l[0, k] + m[0, l] * pair_i[0, k] + m_ilk[0, k]\n",
+        "    rhs = m[0, i] * pair_l[0, k] + m[0, l] * pair_i[0, k]\n",
+        ["tests/test_gibbs.py::test_coupling_derivative_identity"],
     ),
     (
         "walsh-no-column-shift",
@@ -140,8 +154,8 @@ MUTANTS = (
     (
         "walsh-flipped-butterfly-sign",
         "src/sktap/gibbs.py",
-        "            np.subtract(hi, lo, out=d)\n",
-        "            np.subtract(lo, hi, out=d)\n",
+        "        np.subtract(hi, lo, out=d)\n",
+        "        np.subtract(lo, hi, out=d)\n",
         [SMALL_SYSTEMS],
     ),
     (
@@ -161,7 +175,7 @@ MUTANTS = (
     (
         "walsh-scratch-not-copied-back",
         "src/sktap/gibbs.py",
-        "            hi[...] = d\n",
+        "        hi[...] = d\n",
         "",
         [WALSH_BITS],
     ),
@@ -304,13 +318,6 @@ MUTANTS = (
         "+ 2.0 * base.m[i] * base.pair[i, k] * delta_mj)",
         "- 2.0 * base.m[i] * base.pair[i, k] * delta_mj)",
         ["tests/test_cli.py::test_verify_identities_passes"],
-    ),
-    (
-        "flipped-triple-product-term",
-        "src/sktap/gibbs.py",
-        "+ 2.0 * mi * mj * mk)",
-        "- 2.0 * mi * mj * mk)",
-        ["tests/test_acceptance.py::test_criterion_01_exactness_suite"],
     ),
     (
         "at-value-without-t",
