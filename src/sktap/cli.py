@@ -413,12 +413,11 @@ def _cmd_spectral(args) -> dict:
             tabs = gibbs_tables(cm, params)
             err = resolvent_error(cm, params, tables=tabs)
             eigmin, e0 = spectral_margin(cm, params, tables=tabs)
+            if k == 0:  # s'(e0) reads sample 0 too, so its failure is sample 0's
+                fd, closed = s_prime_at_e0(cm, params)
         except NumericalError as exc:
             raise EnsembleSampleError(args.n, k, seed, f"{type(exc).__name__}: {exc}") from exc
         rows.append([args.n, seed, err, eigmin - e0])
-        if k == 0:
-            first = cm  # s'(e0) reads sample 0 too
-    fd, closed = s_prime_at_e0(first, params)
     summary = {
         "median_resolvent_error": float(np.median([row[2] for row in rows])),
         "margin_fraction": sum(row[3] > 0 for row in rows) / args.samples,

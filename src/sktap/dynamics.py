@@ -15,10 +15,10 @@ Three decompositions are covered:
 * ``product``:   m_k * m_jk with the clamped spin at +1, relative to cavity
 
 The clamped row enters the reduced system only through the effective fields,
-so one enumeration context (couplings fixed) serves the whole grid: the
-fields of every grid point, for each clamped spin the check reads, form one
-stack, enumerated in a single batched call.  The integrands' higher moments
-come from clamping j, or j and k, too (``gibbs.clamped_moments``).
+so its couplings stay fixed along the path: the fields of every grid point,
+for each clamped spin the check reads, form one stack, and one
+``gibbs.clamped_moments`` call enumerates it with j, or j and k, clamped too,
+which gives the integrands' centred two- and three-point moments.
 """
 
 from __future__ import annotations
@@ -55,45 +55,6 @@ class ItoCheckConfig:
         needed = 3 if self.variant != "pair" else 2
         if len(sites) != needed:
             raise ValueError("check sites must be distinct")
-
-
-class _RowFlowScan:
-    """Enumeration context along one Brownian row, couplings frozen elsewhere.
-
-    Clamping site i leaves the active coupling block constant along the
-    path; only the effective fields move, from the cavity fields h by
-    sigma_i times the row values.  So one stacked call covers every grid
-    point at once, for one clamped spin or both.
-    """
-
-    def __init__(self, path: CouplingPath, params: ModelParams, i: int):
-        if path.n != params.n:
-            raise ValueError(f"path size {path.n} != params n {params.n}")
-        # the cavity fields are h exactly: no row of i is added and taken off
-        spec = ReducedSpec(removed={i})
-        self.active, g_act, self.base_h = _reduce_system(path.terminal(), params, spec)
-        rows, increments = path.row_path(i)
-        self.rows = rows[:, self.active]
-        # C order: a strided BLAS dot sums in another order than a
-        # contiguous one, and the martingale increments are such dots
-        self.increments = np.ascontiguousarray(increments[:, self.active])
-        self.couplings = g_act
-        self.n = params.n
-
-    def local(self, site: int) -> int:
-        _check_sites(self.n, site)
-        return _local_index(self.active, site)
-
-    def stack(self, *spins: int, clamp=()):
-        """``gibbs.clamped_moments`` over the active-local sites ``clamp`` at
-        every grid point with site i at each of ``spins``: along the second
-        axis, the whole grid of one spin, then of the next."""
-        # in place, as in gibbs.clamped_moments
-        fields = np.empty((len(spins), *self.rows.shape))
-        for grid, spin in zip(fields, spins):
-            np.multiply(self.rows, spin, out=grid)
-            grid += self.base_h
-        return gibbs.clamped_moments(self.couplings, fields.reshape(-1, len(self.active)), clamp)
 
 
 def ito_decomposition_trace(
@@ -152,13 +113,44 @@ def _increments(path: CouplingPath, cfg: ItoCheckConfig, params: ModelParams):
     if path.steps == 1:
         raise ValueError("path must have at least 2 steps, got 1")
 
-    scan = _RowFlowScan(path, params, cfg.clamped_site)
-    lhs, mart_vec, drift_vec, m_up = _integrands(scan, cfg)
+    pair = cfg.variant == "pair"
+    clamp, moments, increments = _row_moments(
+        path, params, cfg.clamped_site, (+1, -1) if pair else (+1,),
+        (cfg.target_site,) if pair else (cfg.target_site, cfg.second_site),
+    )
+    lhs, mart_vec, drift_vec, m_up = _integrands(cfg.variant, clamp, *moments)
     # Ito convention: integrands at the left endpoint of every segment; one
     # BLAS dot per segment
-    mart_inc = (mart_vec[:-1, None, :] @ scan.increments[:, :, None])[:, 0, 0]
+    mart_inc = (mart_vec[:-1, None, :] @ increments[:, :, None])[:, 0, 0]
     drift_inc = -np.sum(drift_vec[:-1], axis=1) * np.diff(path.grid) / params.n
     return lhs, mart_inc, drift_inc, m_up
+
+
+def _row_moments(path: CouplingPath, params: ModelParams, i: int, spins, sites):
+    """One ``gibbs.clamped_moments`` call along row i, couplings frozen
+    elsewhere: with i removed the coupling block stays constant and only the
+    fields move, from h by sigma_i times the row.  It clamps ``sites`` at
+    every grid point for each sigma_i in ``spins``, one whole grid after the
+    other.  Returns the active-local ``sites``, the moments and the row
+    increments over the active sites."""
+    if path.n != params.n:
+        raise ValueError(f"path size {path.n} != params n {params.n}")
+    # the cavity fields are h exactly: no row of i is added and taken off
+    active, g_act, base_h = _reduce_system(path.terminal(), params, ReducedSpec(removed={i}))
+    rows, increments = path.row_path(i)
+    rows = rows[:, active]
+    # C order: a strided BLAS dot sums in another order than a contiguous
+    # one, and the martingale increments are such dots
+    increments = np.ascontiguousarray(increments[:, active])
+    _check_sites(params.n, *sites)
+    clamp = tuple(_local_index(active, site) for site in sites)
+    # in place, as in gibbs.clamped_moments
+    fields = np.empty((len(spins), *rows.shape))
+    for grid, spin in zip(fields, spins):
+        np.multiply(rows, spin, out=grid)
+        grid += base_h
+    moments = gibbs.clamped_moments(g_act, fields.reshape(-1, active.size), clamp)
+    return clamp, moments, increments
 
 
 def _residual(lhs, mart_inc, drift_inc) -> float:
@@ -167,36 +159,35 @@ def _residual(lhs, mart_inc, drift_inc) -> float:
     return float(abs(lhs[-1] - lhs[0] - (mart + drift)))
 
 
-def _integrands(scan: _RowFlowScan, cfg: ItoCheckConfig):
-    """LHS values and per-site integrand vectors at every grid point.
+def _integrands(variant: str, clamp: tuple, m, pairs, triple):
+    """LHS values and per-site integrand vectors at every grid point, from
+    the moments of ``_row_moments`` with the target site, or the target and
+    second site, clamped (``clamp``, active-local).
 
     Returns the LHS over the grid, shape (steps + 1,), the martingale and
     drift integrands, shape (steps + 1, active sites), and the magnetization
-    of the target site with the clamped spin at +1, shape (steps + 1,).  The martingale
-    vector multiplies the row increments dg_il; the drift vector is summed
-    and multiplied by -ds/n (the positive product-rule cross term enters
-    with its sign already folded in).  Everything is in active-local
-    coordinates.  The centred moments come from ``gibbs.clamped_moments``,
-    whose diagonals read m_jj = 1 - m_j^2 and m_jkj = -2 m_j m_jk.
+    of the target site with the clamped spin at +1, shape (steps + 1,).  The
+    martingale vector multiplies the row increments dg_il; the drift vector
+    is summed and multiplied by -ds/n (the positive product-rule cross term
+    enters with its sign already folded in).  The diagonals read
+    m_jj = 1 - m_j^2 and m_jkj = -2 m_j m_jk.
     """
-    jl = scan.local(cfg.target_site)
-    if cfg.variant == "pair":
-        m, (pc,), _ = scan.stack(+1, -1, clamp=(jl,))
+    if variant == "pair":
+        (jl,), (pc,) = clamp, pairs
         (up, dn), (pc_up, pc_dn) = np.split(m, 2), np.split(pc, 2)
         lhs = 0.5 * (up[:, jl] - dn[:, jl])
         eps_col = 0.5 * (pc_up + pc_dn)
         delta_prod = 0.5 * (up * pc_up - dn * pc_dn)
         return lhs, eps_col, delta_prod, up[:, jl]
 
-    kl = scan.local(cfg.second_site)
-    m, (pj, pk), trip = scan.stack(+1, clamp=(jl, kl))
+    (jl, kl), (pj, pk) = clamp, pairs
     mk, pjk = m[:, kl, None], pj[:, kl, None]
-    if cfg.variant == "two_point":
-        return pjk[:, 0], trip, m * trip + pj * pk, m[:, jl]
+    if variant == "two_point":
+        return pjk[:, 0], triple, m * triple + pj * pk, m[:, jl]
     # product variant: X = m_k, Y = m_jk, track d(XY)
     lhs = mk * pjk
-    mart = pjk * pk + mk * trip
-    drift = m * pjk * pk + mk * (m * trip + pj * pk) - pk * trip
+    mart = pjk * pk + mk * triple
+    drift = m * pjk * pk + mk * (m * triple + pj * pk) - pk * triple
     return lhs[:, 0], mart, drift, m[:, jl]
 
 

@@ -146,10 +146,7 @@ _GUARD = 600.0
 # ``BlockEnumerator``): the largest that the block pass would never
 # factorise (b = 0 below na = 7).  There the butterfly's 2 na elementwise
 # sweeps over the grid cost less than the block pass's batched products on
-# tiles of a few states.  A 2049-row pass that also summed one two-point
-# key, one BLAS thread, 2-core Xeon, took 0.68-0.76 against 2.3-2.8 ms at
-# na = 5 and 1.5-1.6 against 2.1-3.2 ms at na = 6, but 6.2-6.6 against
-# 3.7-3.8 ms at na = 8.
+# tiles of a few states.
 _WALSH_SITES = 6
 
 

@@ -9,7 +9,7 @@ time s has entry variance s/n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,14 +165,14 @@ class CouplingPath:
 
     ``increments`` holds, per grid step, the Gaussian increments of the
     upper-triangle couplings in row-major (i < j) order; each increment has
-    variance (grid step)/n.  The path value at grid point k is the prefix sum
-    of the first k increments, so the path starts at the zero matrix.
+    variance (grid step)/n.  The path keeps only these: its value at grid
+    point k, the sum of the first k increments in grid order, is summed when
+    it is asked for, so the path starts at the zero matrix.
     """
 
     n: int
     grid: np.ndarray
     increments: np.ndarray
-    _cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=np.float64)
@@ -192,10 +192,6 @@ class CouplingPath:
             raise ValueError("increments must be finite")
         self.grid = g
         self.increments = inc
-        cum = np.zeros((g.size, npairs))
-        np.cumsum(inc, axis=0, out=cum[1:])
-        cum.setflags(write=False)
-        self._cum = cum
 
     @property
     def steps(self) -> int:
@@ -203,7 +199,9 @@ class CouplingPath:
 
     def terminal(self) -> CouplingMatrix:
         """Coupling matrix at the last grid point, time t."""
-        return _symmetric(self.n, self._cum[-1])
+        # cumsum adds in grid order; a sum adds a lone column (n = 2) pairwise
+        last = np.cumsum(self.increments, axis=0)[-1] if self.steps else 0.0
+        return _symmetric(self.n, last)
 
     def row_path(self, i: int) -> tuple:
         """Row i at every grid point and its increments over every segment.
@@ -218,10 +216,10 @@ class CouplingPath:
         hi = np.maximum(partner, i)
         # row-major position of pair (lo, hi), lo < hi, among the upper pairs
         columns = lo * (2 * self.n - lo - 1) // 2 + (hi - lo - 1)
-        rows = np.zeros((self.grid.size, self.n))
-        rows[:, partner] = self._cum[:, columns]
         increments = np.zeros((self.steps, self.n))
         increments[:, partner] = self.increments[:, columns]
+        rows = np.zeros((self.grid.size, self.n))
+        np.cumsum(increments, axis=0, out=rows[1:])
         return rows, increments
 
     def row_at(self, i: int, k: int) -> np.ndarray:

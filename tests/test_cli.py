@@ -17,6 +17,7 @@ import sktap
 import sktap.ensemble
 from sktap import EXPERIMENTS, NumericalError, sample_couplings, substream_seed
 from sktap.cli import _parse_n_list, build_parser, main
+from test_pinned_payloads import ITO_CLAMPS, SMALL_SCALING, check_pins
 
 
 def run_cli(args, capsys):
@@ -111,47 +112,15 @@ def test_every_experiment_runs_through_the_cli(experiment, tmp_path, capsys):
     assert [row[0] for row in payload["rows"]] == [4, 5, 6]
 
 
-# mean per n of ``scaling --n 4,5,6 --t 0.5 --h 0.3 --samples 3 --seed 1``,
-# with ``--steps 8`` for ito: a changed formula moves these far more than
-# float noise does
-PINNED_SCALING_MEANS = {
-    "htap1": (0.0003539980374254973, 2.3874564522024198e-05, 0.0005599290204078899),
-    "htap2": (0.0020215133765334042, 6.6029217552721756e-06, 6.239905381560078e-05),
-    "ito": (0.002155976466268342, 0.004100424147863372, 0.006856375682923642),
-    "mij-moment": (0.08919390159577804, 0.015379561344794302, 0.03524941469445233),
-    "mij-sq": (0.3821013156804431, 0.09291142756452668, 0.2398331259556454),
-    "qn-conc": (0.00520688228685655, 0.0017676532828210688, 0.009934914169333092),
-    "spectral": (0.18359435266112822, 0.18278004373505355, 0.30781879714510624),
-    "tap1": (0.003941517286393592, 0.0061984732283107144, 0.004245182717671634),
-    "tap2": (0.004344348791405365, 0.000653203015715819, 0.003683925899491484),
-}
-
-
-@pytest.mark.parametrize("experiment", sorted(PINNED_SCALING_MEANS))
+@pytest.mark.parametrize("experiment", sorted(SMALL_SCALING))
 def test_small_scaling_payload_matches_its_pinned_means(experiment, tmp_path, capsys):
-    out_file = tmp_path / "o.json"
-    code, _, err = run_cli(
-        ["scaling", "--experiment", experiment, "--n", "4,5,6", "--t", "0.5", "--h", "0.3",
-         "--samples", "3", "--seed", "1", *ITO_STEPS[experiment], "--out", str(out_file)],
-        capsys,
-    )
-    assert code == 0, err
-    means = [row[1] for row in json.loads(out_file.read_text())["rows"]]
-    assert means == pytest.approx(PINNED_SCALING_MEANS[experiment], rel=1e-12, abs=0)
+    # means, variances and fits of ``scaling --n 4,5,6 --samples 3 --seed 1``:
+    # a changed formula moves them far more than float noise does
+    check_pins(SMALL_SCALING[experiment], tmp_path, capsys)
 
 
 def test_ito_scaling_runs_where_the_clamps_leave_one_site_or_none(tmp_path, capsys):
-    # the pair check removes site 0 and clamps site 1 both ways, so its
-    # clamped systems have no site left at n = 2 and one at n = 3
-    out_file = tmp_path / "o.json"
-    code, _, err = run_cli(
-        ["scaling", "--experiment", "ito", "--n", "2,3", "--samples", "2", "--steps", "8",
-         "--t", "0.5", "--h", "0.3", "--out", str(out_file)],
-        capsys,
-    )
-    assert code == 0, err
-    means = [row[1] for row in json.loads(out_file.read_text())["rows"]]
-    assert means == pytest.approx([0.0014302266322836488, 0.011279399852375888], rel=1e-12, abs=0)
+    check_pins(ITO_CLAMPS, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
@@ -554,6 +523,20 @@ def test_a_failed_sample_prints_the_argv_that_replays_it(
     flags = dict(zip(replay_argv[1::2], replay_argv[2::2]))
     assert flags["--n"] == str(n) and flags["--samples"] == str(max(2, index + 1))
     code, _, again = run_cli(replay_argv, capsys)
+    assert code == 2
+    assert again.splitlines() == [failure, replay]
+
+
+@pytest.mark.parametrize("t, h", [("1", "0"), ("8", "1")], ids=["off-the-branch", "in-the-spectrum"])
+def test_a_failed_s_prime_fails_sample_0_and_prints_its_replay(t, h, capsys):
+    # S'(E0) reads sample 0: without a real self-consistent S near E0 the
+    # run fails there, with the seed and the argv that replays it
+    code, _, err = run_cli(["spectral", "--n", "6", "--t", t, "--h", h, "--samples", "3"], capsys)
+    assert code == 2
+    failure, replay = err.splitlines()
+    assert f"sample 0 at n=6 failed (seed={substream_seed(42, 6, 0)})" in failure
+    assert replay.startswith("replay: sktap ")
+    code, _, again = run_cli(shlex.split(replay.removeprefix("replay: sktap ")), capsys)
     assert code == 2
     assert again.splitlines() == [failure, replay]
 

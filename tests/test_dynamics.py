@@ -117,11 +117,10 @@ def test_one_stacked_call_over_both_spins_equals_one_call_per_spin(n, steps):
     # of 4096 and 4100, at n = 12 its 404 block-pass rows in chunks that
     # straddle the grids; every row keeps the bits of its one-spin call
     params = ModelParams.uniform(n, 0.5, 0.3)
-    scan = sktap.dynamics._RowFlowScan(sample_path(params, steps, 9), params, 0)
-    key = (scan.local(1),)
-    m, pairs, _ = scan.stack(+1, -1, clamp=key)
+    path = sample_path(params, steps, 9)
+    _, (m, pairs, _), _ = sktap.dynamics._row_moments(path, params, 0, (+1, -1), (1,))
     for half, spin in enumerate((+1, -1)):
-        m_one, pairs_one, _ = scan.stack(spin, clamp=key)
+        _, (m_one, pairs_one, _), _ = sktap.dynamics._row_moments(path, params, 0, (spin,), (1,))
         rows = slice(half * (steps + 1), (half + 1) * (steps + 1))
         assert np.array_equal(m[rows], m_one)
         assert np.array_equal(pairs[:, rows], pairs_one)
@@ -344,17 +343,16 @@ def test_cavity_difference_starts_at_zero_and_moves():
 def test_cavity_difference_is_exactly_zero_at_time_zero():
     # at s = 0 the clamped row is zero, so the clamped fields must be the
     # cavity fields h bit for bit (adding the terminal row and taking it off
-    # again left 1 ulp on some sites), and the s = 0 row of the scan, the
+    # again left 1 ulp on some sites), and the s = 0 row of the +1 grid, the
     # cavity reference of the difference, is the cavity enumeration itself
     params = ModelParams.uniform(8, 0.5, 0.3)
     for seed in range(1, 41):
         path = sample_path(params, 64, seed)
         trace = ito_decomposition_trace(path, ItoCheckConfig(0, 1), params)
         assert trace["cavity_difference"][0] == 0.0
-        scan = sktap.dynamics._RowFlowScan(path, params, 0)
+        _, (m, _, _), _ = sktap.dynamics._row_moments(path, params, 0, (+1,), ())
         cavity = magnetizations(path.terminal(), params, ReducedSpec(removed={0}))
-        m, _, _ = scan.stack(+1)
-        assert np.array_equal(m[0], cavity[scan.active])
+        assert np.array_equal(m[0], cavity[1:])  # the active sites 1..7
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -367,9 +365,8 @@ def test_trace_reads_the_cavity_difference_of_its_own_enumeration(n):
     params = ModelParams.uniform(n, 0.5, 0.3)
     for seed in (1, 2, 3):
         path = sample_path(params, 64, seed)
-        scan = sktap.dynamics._RowFlowScan(path, params, 0)
-        m, _, _ = scan.stack(+1)
-        mag = m[:, scan.local(1)]
+        _, (m, _, _), _ = sktap.dynamics._row_moments(path, params, 0, (+1,), ())
+        mag = m[:, 0]  # site 1, the first active site once site 0 is removed
         for variant, second in [("pair", None), ("two_point", 2), ("product", 2)]:
             cfg = ItoCheckConfig(0, 1, second, variant)
             trace = ito_decomposition_trace(path, cfg, params)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -209,6 +210,31 @@ def test_path_row_accessors_match_matrix():
     assert np.array_equal(rows[6], path.row_at(2, 6))
     with pytest.raises(ValueError):
         path.row_path(5)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_terminal_rows_are_the_last_rows_of_the_row_paths(n):
+    # both add the increments one by one in grid order; a plain sum adds the
+    # 64 steps of the lone coupling at n = 2 pairwise, in another order
+    path = sample_path(ModelParams.uniform(n, 0.5, 0.0), 64, 11 + n)
+    terminal = path.terminal().entries
+    for i in range(n):
+        assert np.array_equal(terminal[i], path.row_path(i)[0][-1])
+
+
+def test_a_path_holds_little_more_than_its_increments():
+    # the path's values are summed when they are asked for: the prefix sums
+    # of every coupling at every grid point would double what it holds.  A
+    # first draw imports numpy.random, which is no part of the path.
+    params = ModelParams.uniform(20, 0.5, 0.3)
+    sample_path(params, 1, 5)
+    tracemalloc.start()
+    try:
+        path = sample_path(params, 2048, 5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * path.increments.nbytes
 
 
 @pytest.mark.parametrize(

@@ -280,8 +280,8 @@ MUTANTS = (
     (
         "product-drift-without-cross-term",
         "src/sktap/dynamics.py",
-        "drift = m * pjk * pk + mk * (m * trip + pj * pk) - pk * trip",
-        "drift = m * pjk * pk + mk * (m * trip + pj * pk)",
+        "drift = m * pjk * pk + mk * (m * triple + pj * pk) - pk * triple",
+        "drift = m * pjk * pk + mk * (m * triple + pj * pk)",
         ["tests/test_dynamics.py::test_variant_residuals_shrink_under_refinement"],
     ),
     (
@@ -290,6 +290,20 @@ MUTANTS = (
         "state = _mix64(state ^ _mix64(ix & _MASK64))",
         "state = _mix64(state ^ (ix & _MASK64))",
         ["tests/test_dynamics.py::test_cavity_difference_terminal_square_scales_inversely_with_n"],
+    ),
+    (
+        "terminal-skips-last-increment",
+        "src/sktap/model.py",
+        "np.cumsum(self.increments, axis=0)[-1]",
+        "np.cumsum(self.increments[:-1], axis=0)[-1]",
+        ["tests/test_model.py::test_terminal_rows_are_the_last_rows_of_the_row_paths"],
+    ),
+    (
+        "row-path-prefix-one-step-late",
+        "src/sktap/model.py",
+        "np.cumsum(increments, axis=0, out=rows[1:])",
+        "np.cumsum(increments[1:], axis=0, out=rows[2:])",
+        ["tests/test_model.py::test_terminal_rows_are_the_last_rows_of_the_row_paths"],
     ),
     (
         "trace-cavity-difference-from-the-minus-grid",
