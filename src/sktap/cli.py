@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ItoCheckConfig, ito_decomposition_trace
-from .ensemble import EXPERIMENTS, EnsembleConfig, reference_overlap, run_ensemble
+from .ensemble import EXPERIMENTS, EnsembleConfig, map_samples, reference_overlap, run_ensemble
 from .errors import EnsembleSampleError, NumericalError
 from .gibbs import (
     ENUM_CAP,
@@ -405,19 +405,18 @@ def _cmd_spectral(args) -> dict:
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
     params = _system(args)
-    rows = []
-    for k in range(args.samples):
-        seed = substream_seed(args.seed, args.n, k)
-        try:
-            cm = sample_couplings(params, seed)
-            tabs = gibbs_tables(cm, params)
-            err = resolvent_error(cm, params, tables=tabs)
-            eigmin, e0 = spectral_margin(cm, params, tables=tabs)
-            if k == 0:  # s'(e0) reads sample 0 too, so its failure is sample 0's
-                fd, closed = s_prime_at_e0(cm, params)
-        except NumericalError as exc:
-            raise EnsembleSampleError(args.n, k, seed, f"{type(exc).__name__}: {exc}") from exc
-        rows.append([args.n, seed, err, eigmin - e0])
+
+    def sample(n, k, seed):
+        cm = sample_couplings(params, seed)
+        tabs = gibbs_tables(cm, params)
+        err = resolvent_error(cm, params, tables=tabs)
+        eigmin, e0 = spectral_margin(cm, params, tables=tabs)
+        # s'(e0) reads sample 0 too, so its failure is sample 0's
+        return [n, seed, err, eigmin - e0], s_prime_at_e0(cm, params) if k == 0 else None
+
+    results = map_samples(sample, args.seed, (args.n,), args.samples)
+    rows = [row for row, _ in results]
+    fd, closed = results[0][1]
     summary = {
         "median_resolvent_error": float(np.median([row[2] for row in rows])),
         "margin_fraction": sum(row[3] > 0 for row in rows) / args.samples,

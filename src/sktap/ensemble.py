@@ -5,7 +5,8 @@ the driver averages the scalar over ``samples`` independent couplings at
 every system size and fits log(mean) against log(n).  Per-sample RNG streams
 are derived from (master_seed, n, sample index), so results are bit-identical
 no matter how samples are scheduled, serially or across a process pool (the
-reduction order is fixed by sample index).
+reduction order is fixed by sample index).  ``map_samples`` is the one loop
+over disorder samples: it serves ``sktap spectral`` too.
 """
 
 from __future__ import annotations
@@ -149,18 +150,17 @@ class EnsembleStats:
         return "\n".join(lines) + "\n"
 
 
-def _sample_scalar(task: tuple):
-    """Evaluate one disorder sample; returns ("ok", value) or ("err", message).
+def _guarded(sample, task: tuple):
+    """One task's ("ok", sample(n, index, seed)) or ("err", message).
 
     Top-level so process pools can pickle it.  Numerical failures are
     reported as values to keep failure handling deterministic across
     schedulers; any other exception is a bug and propagates, chained to an
     error that names the sample to replay.
     """
-    cfg, n, index, seed = task
+    n, index, seed = task
     try:
-        params = ModelParams.uniform(n, cfg.t, cfg.h)
-        return "ok", EXPERIMENTS[cfg.experiment](cfg, params, seed)
+        return "ok", sample(n, index, seed)
     except NumericalError as exc:  # deterministic error transport across workers
         return "err", f"{type(exc).__name__}: {exc}"
     except Exception as exc:
@@ -170,30 +170,43 @@ def _sample_scalar(task: tuple):
         ) from exc
 
 
-def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
-    """Run the configured experiment over all sizes and fit the decay.
+def map_samples(sample, master_seed: int, n_values, samples: int, workers: int = 1) -> list:
+    """``sample(n, index, seed)`` for indices 0 to samples - 1 at each n, in that
+    order, seeded by ``substream_seed(master_seed, n, index)``.
 
-    Maps one task per (n, sample index, seed), in size order, once: in this
-    process for one worker, else through one process pool for every size.  The
-    first failed sample in that order aborts the run, its (n, index, seed) in the error.
+    Maps in this process for one worker, else through one process pool, which
+    must pickle ``sample``.  The first failed sample in task order aborts the
+    run, its (n, index, seed) in the error.
     """
-    tasks = [(cfg, n, k, substream_seed(cfg.master_seed, n, k))
-             for n in cfg.n_values for k in range(cfg.samples)]
-    if cfg.workers > 1:
+    tasks = [(n, k, substream_seed(master_seed, n, k)) for n in n_values for k in range(samples)]
+    run = functools.partial(_guarded, sample)
+    if workers > 1:
         # imported here: the pool module tree costs every one-worker process 1.6 MiB
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, cfg.samples // (4 * cfg.workers))
+        chunk = max(1, samples // (4 * workers))
         # the pool starts all its processes at the first task: no more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
-            results = list(pool.map(_sample_scalar, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(run, tasks, chunksize=chunk))
     else:
-        results = map(_sample_scalar, tasks)  # lazy, so no sample runs after a failed one
+        results = map(run, tasks)  # lazy, so no sample runs after a failed one
     values = []
-    for (_, n, index, seed), (status, value) in zip(tasks, results):
+    for (n, index, seed), (status, value) in zip(tasks, results):
         if status != "ok":
             raise EnsembleSampleError(n, index, seed, value)
         values.append(value)
+    return values
+
+
+def _scalar(cfg, n, index, seed):
+    """One sample's scalar; top-level, so a process pool can pickle it."""
+    return EXPERIMENTS[cfg.experiment](cfg, ModelParams.uniform(n, cfg.t, cfg.h), seed)
+
+
+def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
+    """Run the configured experiment over all sizes, on ``cfg.workers`` workers, and fit the decay."""
+    values = map_samples(functools.partial(_scalar, cfg), cfg.master_seed, cfg.n_values,
+                         cfg.samples, cfg.workers)
     per_n = {}
     for n, row in zip(cfg.n_values, np.reshape(values, (len(cfg.n_values), cfg.samples))):
         var = float(row.var(ddof=1))

@@ -541,6 +541,31 @@ def test_a_failed_s_prime_fails_sample_0_and_prints_its_replay(t, h, capsys):
     assert again.splitlines() == [failure, replay]
 
 
+@pytest.mark.parametrize(
+    "argv, module, n, index",
+    [(["scaling", "--experiment", "htap1", "--n", "4,5,6", "--samples", "4"], sktap.ensemble,
+      5, 2),
+     (["spectral", "--n", "6", "--samples", "5"], sktap.cli, 6, 3)],
+    ids=["scaling", "spectral"],
+)
+def test_a_bug_in_a_sample_is_a_traceback_naming_the_sample(argv, module, n, index, monkeypatch):
+    # a programming error is no numerical failure, so no exit 2: it
+    # propagates, chained to an error that names the sample to replay
+    failing = substream_seed(42, n, index)
+
+    def draw(params, seed):
+        if seed == failing:
+            raise TypeError("this draw has a bug")
+        return sample_couplings(params, seed)
+
+    monkeypatch.setattr(module, "sample_couplings", draw)
+    with pytest.raises(RuntimeError) as err:
+        main([*argv, "--t", "0.4", "--h", "-0.3"])
+    assert not isinstance(err.value, NumericalError)
+    assert isinstance(err.value.__cause__, TypeError)
+    assert f"sample {index} at n={n} (seed={failing})" in str(err.value)
+
+
 def test_payload_bytes_do_not_depend_on_blas_threads(tmp_path):
     src = str(Path(sktap.__file__).resolve().parents[1])
     commands = {

@@ -795,6 +795,25 @@ def test_clamped_moments_match_the_gray_walk(n, spec, F):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [20, 23, 24])
+def test_the_triple_agrees_along_its_three_clamped_routes(n):
+    # m_ijk is symmetric in its sites, yet clamped_moments reaches it by
+    # three different mixes: clamp (i, j) and read k, clamp (i, k) and read
+    # j, clamp (j, k) and read i.  The centring sums five terms of size <= 1,
+    # so 16 ulps of 1 bound the spread; these rows spread by at most 8.3e-16,
+    # and 36 random draws at these sizes by at most 1.4e-15.
+    from sktap.gibbs import clamped_moments
+
+    params = ModelParams(n=n, t=0.9, field=np.random.default_rng(n).normal(0.2, 0.5, n))
+    G, h = sample_couplings(params, n).entries, params.field
+    i, j, k = 3, 1, n - 2
+    routes = [clamped_moments(G, h, (i, j))[2][0, k],
+              clamped_moments(G, h, (i, k))[2][0, j],
+              clamped_moments(G, h, (j, k))[2][0, i]]
+    assert abs(routes[0]) > 1e-2  # a triple well above the bound
+    assert max(routes) - min(routes) <= 16 * np.finfo(np.float64).eps
+
+
 def test_triple_rejects_bad_indices():
     p = ModelParams.uniform(5, 0.5, 0.1)
     cm = sample_couplings(p, 3)

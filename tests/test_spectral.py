@@ -8,6 +8,7 @@ import sktap.spectral
 from sktap import (
     BranchError,
     ModelParams,
+    NonConvergenceError,
     SingularOperatorError,
     build_deformed,
     gibbs_tables,
@@ -157,6 +158,24 @@ def test_self_consistent_s_stalls_and_finds_no_root_below_the_critical_energy():
     # iteration crawls past the peak of F for longer than its cap
     with pytest.raises(BranchError, match="no real self-consistent solution"):
         self_consistent_s(np.array([math.sqrt(2.0) * (1.0 - 1e-10)]), 0.5, 0.0)
+
+
+def test_self_consistent_s_raises_when_its_bisection_lands_off_the_root(monkeypatch):
+    # the stalled iteration of the case above hands over to the bisections;
+    # the first finds the peak of F, and a second that stops off the root
+    # must raise, not return a partly converged S
+    real, calls = sktap.spectral._last_true, []
+
+    def second_stops_at_its_start(holds, lo, hi):
+        calls.append((lo, hi))
+        return real(holds, lo, hi) if len(calls) == 1 else lo
+
+    monkeypatch.setattr(sktap.spectral, "_last_true", second_stops_at_its_start)
+    t = 0.5
+    s1 = math.sqrt(0.99995 / t)
+    with pytest.raises(NonConvergenceError, match="self-consistent trace not converged"):
+        self_consistent_s(np.array([1.0 / s1 + t * s1]), t, 0.0)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """Mutation checks of the enumeration kernel and its clamped mix, the solvers, the TAP, spectral
-and Ito formulas and the ensemble driver.
+and Ito formulas, the ensemble driver and its sample loop.
 
     python tools/mutants.py
 
@@ -373,16 +373,30 @@ MUTANTS = (
     (
         "pool-for-one-worker",
         "src/sktap/ensemble.py",
-        "    if cfg.workers > 1:\n",
-        "    if cfg.workers >= 1:\n",
+        "    if workers > 1:\n",
+        "    if workers >= 1:\n",
         ["tests/test_ensemble.py::test_worker_count_does_not_change_results"],
     ),
     (
         "pool-as-large-as-asked",
         "src/sktap/ensemble.py",
-        "max_workers=min(cfg.workers, len(tasks))",
-        "max_workers=cfg.workers",
+        "max_workers=min(workers, len(tasks))",
+        "max_workers=workers",
         ["tests/test_ensemble.py::test_the_pool_starts_no_more_workers_than_there_are_tasks"],
+    ),
+    (
+        "eager-one-worker-map",
+        "src/sktap/ensemble.py",
+        "        results = map(run, tasks)",
+        "        results = list(map(run, tasks))",
+        ["tests/test_ensemble.py::test_failed_sample_reports_its_seed"],
+    ),
+    (
+        "s-prime-off-sample-0",
+        "src/sktap/cli.py",
+        "s_prime_at_e0(cm, params) if k == 0 else None",
+        "s_prime_at_e0(cm, params) if k == 1 else None",
+        ["tests/test_cli.py::test_a_failed_s_prime_fails_sample_0_and_prints_its_replay"],
     ),
     (
         "draw-before-the-size-check",
