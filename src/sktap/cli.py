@@ -412,7 +412,8 @@ def _cmd_spectral(args) -> dict:
         err = resolvent_error(cm, params, tables=tabs)
         eigmin, e0 = spectral_margin(cm, params, tables=tabs)
         # s'(e0) reads sample 0 too, so its failure is sample 0's
-        return [n, seed, err, eigmin - e0], s_prime_at_e0(cm, params) if k == 0 else None
+        s_prime = s_prime_at_e0(cm, params, tables=tabs) if k == 0 else None
+        return [n, seed, err, eigmin - e0], s_prime
 
     results = map_samples(sample, args.seed, (args.n,), args.samples)
     rows = [row for row, _ in results]

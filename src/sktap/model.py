@@ -199,9 +199,19 @@ class CouplingPath:
 
     def terminal(self) -> CouplingMatrix:
         """Coupling matrix at the last grid point, time t."""
-        # cumsum adds in grid order; a sum adds a lone column (n = 2) pairwise
-        last = np.cumsum(self.increments, axis=0)[-1] if self.steps else 0.0
-        return _symmetric(self.n, last)
+        # cumsum adds in grid order, where a sum adds a lone column (n = 2)
+        # pairwise.  It runs over blocks of rows of about 2^14 floats, below a
+        # row 0 that carries the running total in, so it holds one block, not
+        # the path; smaller blocks cost a numpy call each.
+        block = max(1, 2**14 // max(1, self.increments.shape[1]))
+        buf = np.zeros((min(block, self.steps) + 1, self.increments.shape[1]))
+        for start in range(0, self.steps, block):
+            rows = self.increments[start : start + block]
+            part = buf[: len(rows) + 1]
+            part[1:] = rows
+            np.cumsum(part, axis=0, out=part)
+            buf[0] = part[-1]
+        return _symmetric(self.n, buf[0])
 
     def row_path(self, i: int) -> tuple:
         """Row i at every grid point and its increments over every segment.

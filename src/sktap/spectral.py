@@ -32,7 +32,7 @@ def _linalg(fn, *args):
     """``fn(*args)``, with numpy's ``LinAlgError`` raised as a ``SingularOperatorError``."""
     try:
         return fn(*args)
-    except np.linalg.LinAlgError as exc:  # an operator with a NaN entry, say
+    except np.linalg.LinAlgError as exc:  # an exactly singular operator, say
         raise SingularOperatorError(f"{fn.__name__} of the deformed operator failed: {exc}") from exc
 
 
@@ -47,10 +47,11 @@ class DeformedOperator:
 
 def build_deformed(m: np.ndarray, params: ModelParams) -> DeformedOperator:
     """Lambda, the rank-one part, and E0, with q_n = n^{-1} sum m_i^2, from the exact m."""
-    if np.any(np.abs(m) >= 1.0):
-        # tanh saturates to exactly 1 in float64 once a local field passes ~19
+    if not np.all(np.abs(m) < 1.0):
+        # tanh saturates to exactly 1 in float64 once a local field passes ~19;
+        # a NaN m fails this test, where it would pass ``>= 1.0``
         raise SingularOperatorError(
-            "deformed operator needs |m_i| < 1 at every site (a magnetization saturated)"
+            "deformed operator needs |m_i| < 1 at every site (a magnetization saturated or is NaN)"
         )
     lam = 1.0 / (1.0 - m**2)
     rank_one = (2.0 / params.n) * np.outer(m, m)
@@ -65,18 +66,19 @@ def resolvent_error(
 ) -> float:
     """Relative Frobenius error between M and the resolvent at E0.
 
-    ||M - (Lambda - t A - G - E0)^{-1}||_F / ||M||_F.  The inverse is
-    obtained by a direct solve, refused when the condition estimate exceeds
-    1e12.
+    ||M - (Lambda - t A - G - E0)^{-1}||_F / ||M||_F.  One direct solve gives
+    the inverse, and the sample is refused when the 1-norm condition number
+    kappa_1 = ||D||_1 ||D^{-1}||_1, read from that inverse, exceeds 1e12.
     """
     tables = tables if tables is not None else gibbs_tables(cm, params)
     op = build_deformed(tables.m, params)
     n = params.n
     d = np.diag(op.lambda_diag) - cm.entries - op.e0 * np.eye(n) - params.t * op.rank_one
-    cond = _linalg(np.linalg.cond, d)
+    resolvent = _linalg(np.linalg.solve, d, np.eye(n))
+    # the exact kappa_1 that LAPACK's xgecon estimates, with no second factorization
+    cond = np.linalg.norm(d, 1) * np.linalg.norm(resolvent, 1)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularOperatorError(f"operator condition estimate {cond:.3e} exceeds 1e12")
-    resolvent = _linalg(np.linalg.solve, d, np.eye(n))
     m_mat = tables.pair
     return float(np.linalg.norm(m_mat - resolvent) / np.linalg.norm(m_mat))
 
@@ -135,15 +137,21 @@ def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
     return s
 
 
-def s_prime_at_e0(cm: CouplingMatrix, params: ModelParams) -> tuple:
+def s_prime_at_e0(
+    cm: CouplingMatrix,
+    params: ModelParams,
+    tables: GibbsTables | None = None,
+) -> tuple:
     """S'(E0) two ways: central finite difference and the closed form X/(1 - tX).
 
     X = n^{-1} sum_i M_ii(E0)^2 with M_ii(E0) = (Lambda_ii - E0 - t S(E0))^{-1}.
     Returns (finite_difference, closed_form); both are finite only while
-    t X < 1.  The difference steps E0 by 1e-5 either way.
+    t X < 1.  The difference steps E0 by 1e-5 either way.  Reads only m,
+    from ``tables`` if given.
     """
     step = 1e-5
-    op = build_deformed(magnetizations(cm, params), params)
+    m = tables.m if tables is not None else magnetizations(cm, params)
+    op = build_deformed(m, params)
     lam, e0, t = op.lambda_diag, op.e0, params.t
     s_plus = self_consistent_s(lam, t, e0 + step)
     s_minus = self_consistent_s(lam, t, e0 - step)

@@ -15,6 +15,7 @@ import pytest
 
 import sktap
 import sktap.ensemble
+import sktap.gibbs
 from sktap import EXPERIMENTS, NumericalError, sample_couplings, substream_seed
 from sktap.cli import _parse_n_list, build_parser, main
 from test_pinned_payloads import ITO_CLAMPS, SMALL_SCALING, check_pins
@@ -865,6 +866,21 @@ def test_spectral_draws_each_sample_once(monkeypatch, capsys):
     code, _, _ = run_cli(["spectral", "--n", "4", "--samples", "3"], capsys)
     assert code == 0
     assert seeds == [substream_seed(42, 4, k) for k in range(3)]
+
+
+def test_spectral_enumerates_each_sample_once(monkeypatch, capsys):
+    # S'(E0) reads sample 0's m from the tables its pair pass already made
+    passes = []
+    real = sktap.gibbs.BlockEnumerator.moments
+
+    def counted(self, h, want_pair=True):
+        passes.append(want_pair)
+        return real(self, h, want_pair)
+
+    monkeypatch.setattr(sktap.gibbs.BlockEnumerator, "moments", counted)
+    code, _, _ = run_cli(["spectral", "--n", "10", "--samples", "3"], capsys)
+    assert code == 0
+    assert passes == [True, True, True]  # want_pair of each pass
 
 
 def test_a_field_energy_inside_the_bound_runs_clean(tmp_path, capsys):

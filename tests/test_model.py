@@ -237,6 +237,30 @@ def test_a_path_holds_little_more_than_its_increments():
     assert held <= 1.1 * path.increments.nbytes
 
 
+@pytest.mark.parametrize("steps", [1, 85, 86, 87, 173, 2048])
+def test_terminal_carries_its_running_total_across_blocks_of_rows(steps):
+    # at n = 20 terminal() sums 86 rows of 190 couplings at a time; each row
+    # path sums the whole path
+    path = sample_path(ModelParams.uniform(20, 0.5, 0.0), steps, steps)
+    terminal = path.terminal().entries
+    for i in range(20):
+        assert np.array_equal(terminal[i], path.row_path(i)[0][-1])
+
+
+def test_the_terminal_point_is_summed_in_bounded_memory():
+    # a cumsum over the whole path would hold a copy of its 2.97 MiB of
+    # increments; terminal() sums in blocks of rows and peaks at 0.14 MiB
+    path = sample_path(ModelParams.uniform(20, 0.5, 0.3), 2048, 5)
+    path.terminal()
+    tracemalloc.start()
+    try:
+        path.terminal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20
+
+
 @pytest.mark.parametrize(
     "accessor, k, message",
     [

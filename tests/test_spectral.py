@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import sktap.spectral
 from sktap import (
     BranchError,
+    CouplingMatrix,
     ModelParams,
     NonConvergenceError,
     SingularOperatorError,
@@ -94,14 +96,72 @@ def test_resolvent_error_refuses_an_ill_conditioned_operator(monkeypatch):
         resolvent_error(sample_couplings(p, 2), p)
 
 
-@pytest.mark.parametrize("route", [resolvent_error, spectral_margin])
-def test_a_failed_linear_algebra_call_is_a_singular_operator(route):
-    # NaN magnetizations make the operator NaN: numpy's SVD and eigensolver
-    # raise LinAlgError, a ValueError that the CLI would file as a usage error
+@pytest.mark.parametrize("n", [8, 24])
+def test_resolvent_error_refuses_exactly_above_the_one_norm_condition_number(n, monkeypatch):
+    # the limit one part in 1e12 below kappa_1 = cond(D, 1) refuses the
+    # sample, and one part above it accepts it
+    p = ModelParams.uniform(n, 0.4, 0.3)
+    cm = sample_couplings(p, 3)
+    tabs = gibbs_tables(cm, p)
+    op = build_deformed(tabs.m, p)
+    d = np.diag(op.lambda_diag) - cm.entries - op.e0 * np.eye(n) - p.t * op.rank_one
+    kappa = np.linalg.cond(d, 1)
+    monkeypatch.setattr(sktap.spectral, "_COND_LIMIT", kappa * (1.0 - 1e-12))
+    with pytest.raises(SingularOperatorError, match="condition estimate"):
+        resolvent_error(cm, p, tables=tabs)
+    monkeypatch.setattr(sktap.spectral, "_COND_LIMIT", kappa * (1.0 + 1e-12))
+    assert 0.0 < resolvent_error(cm, p, tables=tabs) < 1.0
+
+
+def test_resolvent_error_factorizes_once(monkeypatch):
+    # the condition number comes from the solve's own inverse: no SVD
+    def refuse(*args, **kwargs):
+        raise AssertionError("resolvent_error ran a second factorization")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "cond", refuse)
+    p = ModelParams.uniform(8, 0.4, 0.3)
+    assert 0.0 < resolvent_error(sample_couplings(p, 3), p) < 1.0
+
+
+@pytest.mark.parametrize(
+    "route, call",
+    [(resolvent_error, "solve"), (spectral_margin, "eigvalsh")],
+    ids=["resolvent_error", "spectral_margin"],
+)
+def test_a_failed_linear_algebra_call_is_a_singular_operator(route, call, monkeypatch):
+    # numpy raises LinAlgError, a ValueError that the CLI would file as a
+    # usage error
+    real = getattr(np.linalg, call)
+
+    @functools.wraps(real)
+    def fail(*args):
+        raise np.linalg.LinAlgError("stub failure")
+
+    monkeypatch.setattr(np.linalg, call, fail)
+    p = ModelParams.uniform(4, 0.5, 0.3)
+    with pytest.raises(SingularOperatorError, match=f"{call} of the deformed operator failed"):
+        route(sample_couplings(p, 1), p)
+
+
+def test_an_exactly_singular_operator_fails_the_solve():
+    # at m = 0 the operator is (1 + t) I - G, and a coupling of 1 + t
+    # makes its two rows opposite: the LU factorization meets a zero pivot
+    p = ModelParams.uniform(2, 0.5, 0.0)
+    cm = CouplingMatrix(n=2, entries=np.array([[0.0, 1.5], [1.5, 0.0]]))
+    tables = dataclasses.replace(gibbs_tables(cm, p), m=np.zeros(2))
+    with pytest.raises(SingularOperatorError, match="solve of the deformed operator failed"):
+        resolvent_error(cm, p, tables=tables)
+
+
+@pytest.mark.parametrize("route", [resolvent_error, spectral_margin, s_prime_at_e0])
+def test_nan_magnetizations_are_a_singular_operator(route):
+    # |NaN| >= 1 is False: the guard must refuse what is not below 1, or a
+    # NaN operator reaches the solve and the error comes back NaN
     p = ModelParams.uniform(4, 0.5, 0.3)
     cm = sample_couplings(p, 1)
-    tables = dataclasses.replace(gibbs_tables(cm, p), m=np.full(4, np.nan))
-    with pytest.raises(SingularOperatorError, match="of the deformed operator failed"):
+    tables = dataclasses.replace(gibbs_tables(cm, p), m=np.array([0.1, np.nan, 0.2, 0.3]))
+    with pytest.raises(SingularOperatorError, match="saturated or is NaN"):
         route(cm, p, tables=tables)
 
 
@@ -253,3 +313,4 @@ def test_tables_can_be_injected_everywhere():
     tabs = gibbs_tables(cm, p)
     assert resolvent_error(cm, p, tables=tabs) == resolvent_error(cm, p)
     assert spectral_margin(cm, p, tables=tabs) == spectral_margin(cm, p)
+    assert s_prime_at_e0(cm, p, tables=tabs) == s_prime_at_e0(cm, p)

@@ -56,7 +56,8 @@ construction, whose sign matrices are not cached yet: its peak, and what
 the process holds after it.  One more runs the ``spectral-n24``
 workload's argv (2 samples) after the benchmark's own calibration kernels
 (``perfbench/worker.py``'s ``_calibrate``), as a benchmark worker does, and
-records the time and the minor faults of each sample.
+records the time, the minor faults and the peak RSS so far (``ru_maxrss``)
+of each sample.
 The report gives the min and median over the rounds (over every repeat of
 every round for the start-up rows).
 """
@@ -174,7 +175,8 @@ def timed(*args):
     start = time.perf_counter()
     value = sample(*args)
     ms = (time.perf_counter() - start) * 1e3
-    record.append([ms, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults])
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    record.append([ms, usage.ru_minflt - faults, usage.ru_maxrss / 1024])
     return value
 experiments["spectral"] = timed
 code = sktap.cli.main(sys.argv[2:])
@@ -387,7 +389,7 @@ def _spectral_samples(src: str) -> dict:
     if code != "0":
         raise RuntimeError(f"sktap exit {code}: {done.stderr}")
     return {f"sample{k}_{key}": value for k, row in enumerate(json.loads(record))
-            for key, value in zip(("ms", "minflt"), row)}
+            for key, value in zip(("ms", "minflt", "maxrss_mib"), row)}
 
 
 def _run(src: str) -> dict:

@@ -229,6 +229,20 @@ MUTANTS = (
         [HAND_SPECTRAL],
     ),
     (
+        "nan-magnetization-passes-the-guard",
+        "src/sktap/spectral.py",
+        "    if not np.all(np.abs(m) < 1.0):\n",
+        "    if np.any(np.abs(m) >= 1.0):\n",
+        ["tests/test_spectral.py::test_nan_magnetizations_are_a_singular_operator"],
+    ),
+    (
+        "condition-number-without-the-inverse",
+        "src/sktap/spectral.py",
+        "cond = np.linalg.norm(d, 1) * np.linalg.norm(resolvent, 1)",
+        "cond = np.linalg.norm(d, 1)",
+        ["tests/test_spectral.py::test_resolvent_error_refuses_exactly_above_the_one_norm_condition_number"],
+    ),
+    (
         "phi-without-t-s",
         "src/sktap/spectral.py",
         "        denom = lam - e - t * s\n        if np.min(denom) <= 0:\n",
@@ -294,9 +308,16 @@ MUTANTS = (
     (
         "terminal-skips-last-increment",
         "src/sktap/model.py",
-        "np.cumsum(self.increments, axis=0)[-1]",
-        "np.cumsum(self.increments[:-1], axis=0)[-1]",
+        "            buf[0] = part[-1]\n",
+        "            buf[0] = part[-2]\n",
         ["tests/test_model.py::test_terminal_rows_are_the_last_rows_of_the_row_paths"],
+    ),
+    (
+        "terminal-drops-the-carry",
+        "src/sktap/model.py",
+        "            np.cumsum(part, axis=0, out=part)\n",
+        "            np.cumsum(part[1:], axis=0, out=part[1:])\n",
+        ["tests/test_model.py::test_terminal_carries_its_running_total_across_blocks_of_rows"],
     ),
     (
         "row-path-prefix-one-step-late",
@@ -394,8 +415,8 @@ MUTANTS = (
     (
         "s-prime-off-sample-0",
         "src/sktap/cli.py",
-        "s_prime_at_e0(cm, params) if k == 0 else None",
-        "s_prime_at_e0(cm, params) if k == 1 else None",
+        "s_prime_at_e0(cm, params, tables=tabs) if k == 0 else None",
+        "s_prime_at_e0(cm, params, tables=tabs) if k == 1 else None",
         ["tests/test_cli.py::test_a_failed_s_prime_fails_sample_0_and_prints_its_replay"],
     ),
     (
