@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gibbs
-from .gibbs import ReducedSpec, _local_index, _reduce_system
 from .model import CouplingPath, ModelParams, _check_sites
 
 _VARIANTS = ("pair", "two_point", "product")
@@ -128,28 +127,31 @@ def _increments(path: CouplingPath, cfg: ItoCheckConfig, params: ModelParams):
 
 def _row_moments(path: CouplingPath, params: ModelParams, i: int, spins, sites):
     """One ``gibbs.clamped_moments`` call along row i, couplings frozen
-    elsewhere: with i removed the coupling block stays constant and only the
-    fields move, from h by sigma_i times the row.  It clamps ``sites`` at
-    every grid point for each sigma_i in ``spins``, one whole grid after the
-    other.  Returns the active-local ``sites``, the moments and the row
-    increments over the active sites."""
+    elsewhere: on the cavity of i, the n - 1 other sites, the coupling block
+    stays constant and only the fields move, from h by sigma_i times the
+    row.  It clamps ``sites`` at every grid point for each sigma_i in
+    ``spins``, one whole grid after the other.  Returns the cavity-local
+    ``sites``, the moments and the row increments over the cavity."""
     if path.n != params.n:
         raise ValueError(f"path size {path.n} != params n {params.n}")
+    _check_sites(params.n, i, *sites)
+    others = np.delete(np.arange(params.n), i)
+    if others.size > gibbs.ENUM_CAP:
+        raise ValueError(f"{others.size} active sites exceed enum_cap={gibbs.ENUM_CAP}")
     # the cavity fields are h exactly: no row of i is added and taken off
-    active, g_act, base_h = _reduce_system(path.terminal(), params, ReducedSpec(removed={i}))
+    g_cav, base_h = path.terminal().entries[np.ix_(others, others)], params.field[others]
     rows, increments = path.row_path(i)
-    rows = rows[:, active]
+    rows = rows[:, others]
     # C order: a strided BLAS dot sums in another order than a contiguous
     # one, and the martingale increments are such dots
-    increments = np.ascontiguousarray(increments[:, active])
-    _check_sites(params.n, *sites)
-    clamp = tuple(_local_index(active, site) for site in sites)
+    increments = np.ascontiguousarray(increments[:, others])
+    clamp = tuple(site - (site > i) for site in sites)
     # in place, as in gibbs.clamped_moments
     fields = np.empty((len(spins), *rows.shape))
     for grid, spin in zip(fields, spins):
         np.multiply(rows, spin, out=grid)
         grid += base_h
-    moments = gibbs.clamped_moments(g_act, fields.reshape(-1, active.size), clamp)
+    moments = gibbs.clamped_moments(g_cav, fields.reshape(-1, others.size), clamp)
     return clamp, moments, increments
 
 
@@ -162,15 +164,15 @@ def _residual(lhs, mart_inc, drift_inc) -> float:
 def _integrands(variant: str, clamp: tuple, m, pairs, triple):
     """LHS values and per-site integrand vectors at every grid point, from
     the moments of ``_row_moments`` with the target site, or the target and
-    second site, clamped (``clamp``, active-local).
+    second site, clamped (``clamp``, cavity-local).
 
     Returns the LHS over the grid, shape (steps + 1,), the martingale and
-    drift integrands, shape (steps + 1, active sites), and the magnetization
-    of the target site with the clamped spin at +1, shape (steps + 1,).  The
-    martingale vector multiplies the row increments dg_il; the drift vector
-    is summed and multiplied by -ds/n (the positive product-rule cross term
-    enters with its sign already folded in).  The diagonals read
-    m_jj = 1 - m_j^2 and m_jkj = -2 m_j m_jk.
+    drift integrands, shape (steps + 1, n - 1 cavity sites), and the
+    magnetization of the target site with the clamped spin at +1, shape
+    (steps + 1,).  The martingale vector multiplies the row increments
+    dg_il; the drift vector is summed and multiplied by -ds/n (the positive
+    product-rule cross term enters with its sign already folded in).  The
+    diagonals read m_jj = 1 - m_j^2 and m_jkj = -2 m_j m_jk.
     """
     if variant == "pair":
         (jl,), (pc,) = clamp, pairs

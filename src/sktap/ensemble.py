@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import ItoCheckConfig, ito_decomposition_residual
 from .errors import EnsembleSampleError, NumericalError
-from .gibbs import ENUM_CAP, gibbs_tables, magnetizations
+from .gibbs import ENUM_CAP, magnetizations, pair_column
 from .model import ModelParams, sample_couplings, sample_path, substream_seed
 from .spectral import resolvent_error
 from .tap import (
@@ -52,7 +52,8 @@ def _qn_conc(cfg, params, seed) -> float:
 
 
 def _pair01(params, seed) -> float:
-    return float(gibbs_tables(sample_couplings(params, seed), params).pair[0, 1])
+    _, col = pair_column(sample_couplings(params, seed), params, 1)
+    return float(col[0])
 
 
 # Experiment name -> scalar of one disorder sample, called as

@@ -1,9 +1,10 @@
 """Exact Gibbs observables of SK-type systems by full state enumeration.
 
 Supports the reduced measures obtained by clamping a set of spins to fixed
-values and/or removing a set of particles entirely.  Removal is implemented
-by masking (couplings and fields of removed sites never enter any sum), so
-site labels stay stable across the full, clamped and cavity measures.
+values; site labels stay stable across the full and clamped measures.  The
+cavity of a site i is not a reduced measure here: it is the system of the
+n - 1 other sites, which a caller cuts from the couplings and fields with
+one index.
 
 The enumeration engine splits the sites into a left and a right block, and
 the left block again into its first b (low) and its other (high) sites.
@@ -40,8 +41,9 @@ check (na = 3-4 at n = 6) and every small-n enumeration run through it.  The
 tests check both kernels against a naive direct summation and a Gray-code
 walk that share no reduction code with them.
 
-Higher moments, such as <s_i s_j s_k>, come from ``clamped_moments``: the
-clamping identity of the dynamical proof, over one stacked pass.
+Higher moments, such as <s_i s_j s_k>, and one column of the pair matrix
+(``pair_column``) come from ``clamped_moments``: the clamping identity of the
+dynamical proof, over one stacked pass.
 
 All weights are handled as exp(H - max H), so partition sums stay finite for
 |H| up to the exponent range of float64 (~700).
@@ -61,50 +63,38 @@ from .model import CouplingMatrix, ModelParams, _check_sites
 
 @dataclass
 class ReducedSpec:
-    """Clamped spins (site -> value in {-1,+1}) and removed particles.
+    """Clamped spins: site -> value in {-1,+1}.
 
     An empty spec denotes the full Gibbs measure.  Clamped sites contribute
-    their couplings to the effective fields of the remaining sites; removed
-    sites contribute nothing anywhere.
+    their couplings to the effective fields of the other sites.
     """
 
     clamped: dict[int, int] = field(default_factory=dict)
-    removed: frozenset = frozenset()
 
     def __post_init__(self):
-        self.removed = frozenset(self.removed)
         for i, s in self.clamped.items():
             if s not in (-1, 1):
                 raise ValueError(f"clamped spin at site {i} must be +-1, got {s}")
-        if set(self.clamped) & self.removed:
-            raise ValueError("clamped and removed sites must be disjoint")
-
-    def excluded(self) -> set:
-        return set(self.clamped) | set(self.removed)
 
     def with_clamped(self, i: int, spin: int) -> "ReducedSpec":
-        if i in self.clamped or i in self.removed:
-            raise ValueError(f"site {i} is already clamped or removed")
-        return ReducedSpec({**self.clamped, i: spin}, self.removed)
+        if i in self.clamped:
+            raise ValueError(f"site {i} is already clamped")
+        return ReducedSpec({**self.clamped, i: spin})
 
 
 @dataclass
 class GibbsTables:
-    """Exact observables of one (possibly reduced) Gibbs measure.
+    """Exact observables of one (possibly clamped) Gibbs measure.
 
     ``m`` holds tanh-bounded magnetizations; clamped sites carry their fixed
-    value, removed sites are NaN.  ``pair`` is the truncated correlation
-    matrix with the diagonal convention pair[i, i] = 1 - m_i^2 (the variance
-    of sigma_i); rows/columns of removed sites are NaN and entries involving
-    clamped sites are 0.  ``q_n`` is the overlap sum over active sites of
-    m_k^2, divided by n.
+    value.  ``pair`` is the truncated correlation matrix with the diagonal
+    convention pair[i, i] = 1 - m_i^2 (the variance of sigma_i); entries
+    involving clamped sites are 0.
     """
 
     log_z: float
     m: np.ndarray
     pair: np.ndarray
-    q_n: float
-    active: np.ndarray  # boolean mask of enumerated sites
 
 
 @dataclass
@@ -628,9 +618,8 @@ def _reduce_system(cm: CouplingMatrix, params: ModelParams, spec: ReducedSpec):
     """
     if cm.n != params.n:
         raise ValueError(f"coupling matrix size {cm.n} != params n {params.n}")
-    _check_sites(params.n, *spec.clamped, *spec.removed)
-    excluded = spec.excluded()
-    active = np.array(sorted(set(range(params.n)) - excluded), dtype=np.intp)
+    _check_sites(params.n, *spec.clamped)
+    active = np.array(sorted(set(range(params.n)) - set(spec.clamped)), dtype=np.intp)
     if active.size > ENUM_CAP:
         raise ValueError(f"{active.size} active sites exceed enum_cap={ENUM_CAP}")
     G = cm.entries
@@ -652,9 +641,9 @@ def _enumerated(cm, params, spec, want_pair):
 
 
 def _placed(n: int, spec: ReducedSpec, active: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The magnetizations ``m`` of the active sites at full length n:
-    clamped sites carry their value, removed sites NaN."""
-    full = np.full(n, np.nan)
+    """The magnetizations ``m`` of the active sites at full length n, where
+    clamped sites carry their value."""
+    full = np.empty(n)
     full[active] = m
     for i, tau in spec.clamped.items():
         full[i] = float(tau)
@@ -669,7 +658,7 @@ def magnetizations(
     """Magnetization vector only: 1.5x cheaper than full tables at n = 20-24,
     about 1.7x at n = 8-16 (fresh enumerator, one BLAS thread).
 
-    Full length n: clamped sites carry their value, removed sites NaN.
+    Full length n: clamped sites carry their value.
     """
     spec, active, raw = _enumerated(cm, params, spec, want_pair=False)
     return _placed(params.n, spec, active, raw.mag)
@@ -680,31 +669,14 @@ def gibbs_tables(
     params: ModelParams,
     spec: ReducedSpec | None = None,
 ) -> GibbsTables:
-    """All one- and two-point observables of the (reduced) measure in one pass.
-
-    The overlap ``q_n`` divides the sum over active m_k^2 by n, the
-    convention of cavity overlaps such as q_n^{(i)}.
-    """
+    """All one- and two-point observables of the (clamped) measure in one pass."""
     spec, active, raw = _enumerated(cm, params, spec, want_pair=True)
     n = params.n
-    pair = np.full((n, n), np.nan)
-    # the diagonal is 1 - m_i^2 already: ``second`` holds exactly 1 there
+    # the rows and columns of clamped sites stay 0, and the diagonal is
+    # 1 - m_i^2 already: ``second`` holds exactly 1 there
+    pair = np.zeros((n, n))
     pair[np.ix_(active, active)] = raw.second - np.outer(raw.mag, raw.mag)
-    keep = np.ones(n, dtype=bool)
-    for i in spec.removed:
-        keep[i] = False
-    for i in spec.clamped:
-        pair[i, keep] = 0.0
-        pair[keep, i] = 0.0
-    act_mask = np.zeros(n, dtype=bool)
-    act_mask[active] = True
-    return GibbsTables(
-        log_z=raw.log_z,
-        m=_placed(n, spec, active, raw.mag),
-        pair=pair,
-        q_n=float(np.sum(raw.mag**2)) / n,
-        active=act_mask,
-    )
+    return GibbsTables(log_z=raw.log_z, m=_placed(n, spec, active, raw.mag), pair=pair)
 
 
 def _local_index(active: np.ndarray, site: int) -> int:
@@ -766,6 +738,17 @@ def clamped_moments(G: np.ndarray, H, F):
     return m, pairs, triple
 
 
+def pair_column(cm: CouplingMatrix, params: ModelParams, j: int):
+    """The magnetizations m and column j of the pair matrix M of the full
+    measure, M_jj = 1 - m_j^2, by clamping j (``clamped_moments``): one
+    magnetizations-only pass over the two systems of the other n - 1 sites,
+    in place of the pair pass of ``gibbs_tables`` that gives all of M."""
+    _check_sites(params.n, j)
+    _, G, h = _reduce_system(cm, params, ReducedSpec())
+    m, (col,), _ = clamped_moments(G, h, (j,))
+    return m[0], col[0]
+
+
 def triple_correlation(
     cm: CouplingMatrix,
     params: ModelParams,
@@ -810,8 +793,8 @@ def key_identity_residual(
     _check_sites(params.n, *targets)
     if len(targets) != (2 if k is None else 3):
         raise ValueError("identity indices must be distinct")
-    if targets & spec.excluded():
-        raise ValueError("identity indices must not be clamped or removed")
+    if targets & set(spec.clamped):
+        raise ValueError("identity indices must not be clamped")
     base = gibbs_tables(cm, params, spec)
     up = gibbs_tables(cm, params, spec.with_clamped(i, +1))
     down = gibbs_tables(cm, params, spec.with_clamped(i, -1))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gibbs
 from .errors import BranchError, NonConvergenceError, NumericalError
-from .gibbs import ReducedSpec, gibbs_tables, magnetizations
+from .gibbs import magnetizations, pair_column
 from .model import CouplingMatrix, ModelParams, _check_sites
 
 
@@ -206,16 +206,17 @@ def htap2_residual(cm: CouplingMatrix, params: ModelParams, i: int, j: int) -> f
     """Cavity-form pair residual for sites i != j.
 
     m_ij - (1 - tanh^2(h_i + sum_k g_ik m_k^{(i)})) * sum_l g_il m_lj^{(i)},
-    where the l = j term uses the diagonal convention m_jj = 1 - m_j^2.
+    where the l = j term uses the diagonal convention m_jj = 1 - m_j^2.  The
+    cavity of i is the system of the n - 1 other sites, in which j sits one
+    place lower when j > i; clamping j gives the column of each measure.
     """
     _check_pair(params.n, i, j)
-    full = gibbs_tables(cm, params)
-    cav = gibbs_tables(cm, params, ReducedSpec(removed={i}))
-    g = cm.entries
-    mvec = np.where(cav.active, cav.m, 0.0)
-    colj = np.where(cav.active, cav.pair[:, j], 0.0)
-    arg = params.field[i] + g[i] @ mvec
-    return float(full.pair[i, j] - (1.0 - math.tanh(arg) ** 2) * (g[i] @ colj))
+    _, col = pair_column(cm, params, j)
+    others = np.delete(np.arange(params.n), i)
+    g, g_i = cm.entries[np.ix_(others, others)], cm.entries[i, others]
+    m_cav, (col_cav,), _ = gibbs.clamped_moments(g, params.field[others], (j - (j > i),))
+    arg = params.field[i] + g_i @ m_cav[0]
+    return float(col[i] - (1.0 - math.tanh(arg) ** 2) * (g_i @ col_cav[0]))
 
 
 def tap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
@@ -234,15 +235,16 @@ def tap2_residual(cm: CouplingMatrix, params: ModelParams, i: int, j: int) -> fl
     """Classical TAP pair residual for sites i != j.
 
     m_ij - (1 - m_i^2) (sum_k g_ik m_kj + (2t/n) (M m)_j m_i - t (1 - q_N) m_ij)
-    with M the full pair matrix (diagonal 1 - m_k^2) and m the magnetizations.
+    with M the full pair matrix (diagonal 1 - m_k^2), of which it reads
+    column j (``pair_column``), m the magnetizations and
+    q_N = n^{-1} sum_k m_k^2.
     """
     _check_pair(params.n, i, j)
-    tabs = gibbs_tables(cm, params)
-    big_m = tabs.pair
-    mm_j = float(big_m[j] @ tabs.m)
+    m, col = pair_column(cm, params, j)
+    q_n = float(np.sum(m**2)) / params.n
     inner = (
-        float(cm.entries[i] @ big_m[:, j])
-        + (2.0 * params.t / params.n) * mm_j * tabs.m[i]
-        - params.t * (1.0 - tabs.q_n) * big_m[i, j]
+        float(cm.entries[i] @ col)
+        + (2.0 * params.t / params.n) * float(col @ m) * m[i]
+        - params.t * (1.0 - q_n) * col[i]
     )
-    return float(big_m[i, j] - (1.0 - tabs.m[i] ** 2) * inner)
+    return float(col[i] - (1.0 - m[i] ** 2) * inner)

@@ -22,8 +22,8 @@ agreement is a genuine two-route check.  A third reference,
 Walsh-Hadamard pass: the in-place pass must give its bits.
 
 The module also keeps the helpers that only the tests call: the derivative
-``f_prime`` of the overlap map and the grid coarsening ``coarsened`` of a
-coupling path.
+``f_prime`` of the overlap map, the grid coarsening ``coarsened`` of a
+coupling path and the cavity ``cavity_system`` of a site.
 """
 
 import math
@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 import sktap.gibbs
-from sktap import CouplingPath
+from sktap import CouplingMatrix, CouplingPath, ModelParams
 from sktap.gibbs import _RawMoments
 from sktap.tap import QUAD_NODES, _sech, gauss_hermite
 
@@ -311,3 +311,13 @@ def coarsened(path, factor):
         return path
     inc = path.increments.reshape(path.steps // factor, factor, -1).sum(axis=1)
     return CouplingPath(n=path.n, grid=path.grid[::factor], increments=inc)
+
+
+def cavity_system(cm, params, i):
+    """The cavity of site i as a system of its own: the couplings and fields
+    of the n - 1 other sites, in site order, so site l > i sits at l - 1."""
+    others = [site for site in range(params.n) if site != i]
+    return (
+        CouplingMatrix(params.n - 1, cm.entries[np.ix_(others, others)]),
+        ModelParams(params.n - 1, params.t, params.field[others]),
+    )

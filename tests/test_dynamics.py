@@ -23,7 +23,7 @@ from sktap import (
     sample_path,
     substream_seed,
 )
-from oracles import Kahan, coarsened, on_engine
+from oracles import Kahan, cavity_system, coarsened, on_engine
 
 P6 = ModelParams.uniform(6, 0.5, 0.3)
 
@@ -351,8 +351,8 @@ def test_cavity_difference_is_exactly_zero_at_time_zero():
         trace = ito_decomposition_trace(path, ItoCheckConfig(0, 1), params)
         assert trace["cavity_difference"][0] == 0.0
         _, (m, _, _), _ = sktap.dynamics._row_moments(path, params, 0, (+1,), ())
-        cavity = magnetizations(path.terminal(), params, ReducedSpec(removed={0}))
-        assert np.array_equal(m[0], cavity[1:])  # the active sites 1..7
+        cavity = magnetizations(*cavity_system(path.terminal(), params, 0))
+        assert np.array_equal(m[0], cavity)  # sites 1..7
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -366,26 +366,32 @@ def test_trace_reads_the_cavity_difference_of_its_own_enumeration(n):
     for seed in (1, 2, 3):
         path = sample_path(params, 64, seed)
         _, (m, _, _), _ = sktap.dynamics._row_moments(path, params, 0, (+1,), ())
-        mag = m[:, 0]  # site 1, the first active site once site 0 is removed
+        mag = m[:, 0]  # site 1, the first site of the cavity of site 0
         for variant, second in [("pair", None), ("two_point", 2), ("product", 2)]:
             cfg = ItoCheckConfig(0, 1, second, variant)
             trace = ito_decomposition_trace(path, cfg, params)
             assert np.max(np.abs(trace["cavity_difference"] - (mag - mag[0]))) < 1e-14
 
 
-@pytest.mark.parametrize("spin", [1])
-def test_cavity_difference_matches_independent_clamped_route(spin):
+@pytest.mark.parametrize(
+    "spin, i, j", [(1, 0, 1), (1, 3, 1), (1, 3, 5)], ids=["1", "j-below-i", "j-above-i"]
+)
+def test_cavity_difference_matches_independent_clamped_route(spin, i, j):
+    # The check enumerates the cavity of i, the 5 other sites, in which the
+    # target j sits at j when j < i and at j - 1 when j > i.
     path = sample_path(P6, 16, 4)
-    diff = ito_decomposition_trace(path, ItoCheckConfig(0, 1), P6)["cavity_difference"]
-    terminal = path.terminal().entries
-    cavity = magnetizations(path.terminal(), P6, ReducedSpec(removed={0}))[1]
+    diff = ito_decomposition_trace(path, ItoCheckConfig(i, j), P6)["cavity_difference"]
+    terminal = path.terminal()
+    others = [site for site in range(6) if site != i]
+    cavity = magnetizations(*cavity_system(terminal, P6, i))[others.index(j)]
     for k in (0, 5, 16):
-        entries = np.array(terminal)
-        row = path.row_at(0, k)
-        entries[0, :] = row
-        entries[:, 0] = row
-        m = magnetizations(CouplingMatrix(6, entries), P6, ReducedSpec(clamped={0: spin}))
-        assert abs(diff[k] - (m[1] - cavity)) < 1e-12
+        entries = np.array(terminal.entries)
+        row = path.row_at(i, k)
+        entries[i, :] = row
+        entries[:, i] = row
+        m = magnetizations(CouplingMatrix(6, entries), P6, ReducedSpec(clamped={i: spin}))
+        assert abs(diff[k] - (m[j] - cavity)) < 1e-12
+    assert abs(diff[-1]) > 1e-4
 
 
 def test_cavity_difference_terminal_square_scales_inversely_with_n():

@@ -1,5 +1,10 @@
 import concurrent.futures
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,3 +269,81 @@ def test_failed_sample_reports_its_seed(monkeypatch):
         assert err.value.seed == substream_seed(21, 5, 1)
     # pool workers append to their own copies; one worker stops at the failure
     assert sizes_run == [4, 4, 4, 5, 5]
+
+
+@pytest.mark.parametrize(
+    "experiment, passes", [("mij_sq", 1), ("mij_moment", 1), ("tap2", 1), ("htap2", 2)]
+)
+def test_one_column_scalars_read_the_column_by_clamping(experiment, passes, monkeypatch):
+    # These scalars read one column of the pair matrix, which clamping gives
+    # from magnetizations alone: no call asks the kernel for the pair matrix.
+    # htap2 clamps j in the full system and in the cavity of i.
+    from sktap.gibbs import BlockEnumerator
+
+    wants = []
+    moments = BlockEnumerator.moments
+
+    def spy(self, h, want_pair=True):
+        wants.append(want_pair)
+        return moments(self, h, want_pair)
+
+    monkeypatch.setattr(BlockEnumerator, "moments", spy)
+    cfg = EnsembleConfig(
+        n_values=(8,), samples=2, t=0.5, h=0.3, master_seed=1, experiment=experiment
+    )
+    ensemble_mod._scalar(cfg, 8, 0, substream_seed(1, 8, 0))
+    assert wants == [False] * passes
+
+
+# Traced peak of one sample in MiB, draw included, after a warm-up sample:
+# the peak measured at n = 24 (ito: n = 20, 2048 steps) plus 10%, rounded up
+# to 0.05 MiB.  Measured: htap1 1.71, spectral 0.93, tap1 and qn_conc 0.72,
+# htap2 0.59, tap2, mij_sq and mij_moment 0.53, ito 7.14.  A pair pass at
+# n = 24 peaks at 0.93, past the bound of every scalar that reads one column.
+SAMPLE_PEAK_MIB = {
+    "htap1": 1.90,
+    "htap2": 0.65,
+    "tap1": 0.80,
+    "tap2": 0.60,
+    "qn_conc": 0.80,
+    "mij_sq": 0.60,
+    "mij_moment": 0.60,
+    "ito": 7.90,
+    "spectral": 1.05,
+}
+
+
+@pytest.fixture(scope="module")
+def sample_peaks():
+    """The traced peak of one sample of every experiment, from one fresh
+    interpreter.  Every experiment first runs a warm-up sample at the same
+    n; ito's takes 2 steps, as a traced 2048-step sample at n = 20 takes
+    about 3 s."""
+    script = (
+        "import json, tracemalloc\n"
+        "from sktap.ensemble import EXPERIMENTS, EnsembleConfig, _scalar\n"
+        "from sktap.model import substream_seed\n"
+        "peaks = {}\n"
+        "for name in EXPERIMENTS:\n"
+        "    n, steps = (20, 2048) if name == 'ito' else (24, 64)\n"
+        "    cfg = EnsembleConfig((n,), 2, 0.5, 0.3, 1, name, ito_steps=steps)\n"
+        "    warm = EnsembleConfig((n,), 2, 0.5, 0.3, 1, name, ito_steps=2)\n"
+        "    _scalar(warm, n, 0, substream_seed(1, n, 0))\n"
+        "    tracemalloc.start()\n"
+        "    _scalar(cfg, n, 1, substream_seed(1, n, 1))\n"
+        "    peaks[name] = tracemalloc.get_traced_memory()[1]\n"
+        "    tracemalloc.stop()\n"
+        "print(json.dumps(peaks))\n"
+    )
+    src = str(Path(ensemble_mod.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("experiment", sorted(ensemble_mod.EXPERIMENTS))
+def test_one_sample_of_every_experiment_stays_within_its_memory_budget(experiment, sample_peaks):
+    assert sample_peaks[experiment] < SAMPLE_PEAK_MIB[experiment] * 2**20

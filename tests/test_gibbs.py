@@ -11,14 +11,19 @@ import pytest
 import sktap.gibbs
 from sktap import (
     CouplingMatrix,
+    ItoCheckConfig,
     ModelParams,
     ReducedSpec,
     coupling_derivative_residual,
     gibbs_tables,
+    htap2_residual,
+    ito_decomposition_residual,
     key_identity_residual,
     magnetizations,
     sample_couplings,
+    sample_path,
     susceptibility_fd,
+    tap2_residual,
     triple_correlation,
 )
 from oracles import (
@@ -67,8 +72,17 @@ def test_log_partition_rejects_oversized_systems(monkeypatch):
     cm = sample_couplings(p, 1)
     with pytest.raises(ValueError, match="enum_cap"):
         gibbs_tables(cm, p)
-    # removing enough sites brings the active count under the cap
-    gibbs_tables(cm, p, ReducedSpec(removed=frozenset({0, 1})))
+    # the cavity and clamped passes of the pair residuals and the Ito check
+    # count their sites against the cap too
+    for call in (
+        lambda: tap2_residual(cm, p, 0, 1),
+        lambda: htap2_residual(cm, p, 0, 1),
+        lambda: ito_decomposition_residual(sample_path(p, 4, 1), ItoCheckConfig(0, 1), p),
+    ):
+        with pytest.raises(ValueError, match="enum_cap"):
+            call()
+    # clamping enough sites brings the active count under the cap
+    gibbs_tables(cm, p, ReducedSpec(clamped={0: +1, 1: -1}))
 
 
 def test_product_measure_at_zero_coupling():
@@ -79,7 +93,6 @@ def test_product_measure_at_zero_coupling():
     off = tabs.pair - np.diag(np.diag(tabs.pair))
     assert np.max(np.abs(off)) < 1e-13
     assert tabs.log_z == pytest.approx(5 * math.log(2 * math.cosh(0.3)), abs=1e-12)
-    assert tabs.q_n == pytest.approx(math.tanh(0.3) ** 2, abs=1e-13)
 
 
 def test_two_spin_pair_correlation():
@@ -96,22 +109,21 @@ def test_engines_match_naive_oracle(engine):
         n = int(rng.integers(2, 9))
         params, cm = random_instance(rng, n)
         tabs = on_engine(engine, gibbs_tables, cm, params)
-        log_z, m, pair, q_full = naive_tables(cm.entries.tolist(), params.field.tolist())
+        log_z, m, pair, _ = naive_tables(cm.entries.tolist(), params.field.tolist())
         assert abs(tabs.log_z - log_z) < 1e-12
         assert np.max(np.abs(tabs.m - np.array(m))) < 1e-12
         assert np.max(np.abs(tabs.pair - np.array(pair))) < 1e-12
-        assert abs(tabs.q_n - q_full) < 1e-12
 
 
 def test_engines_match_each_other_with_reductions():
     rng = np.random.default_rng(77)
     params, cm = random_instance(rng, 12)
-    spec = ReducedSpec(clamped={1: -1, 4: +1}, removed=frozenset({7}))
+    spec = ReducedSpec(clamped={1: -1, 4: +1, 7: +1})
     tb = gibbs_tables(cm, params, spec)
     tg = on_engine("gray", gibbs_tables, cm, params, spec)
     assert abs(tb.log_z - tg.log_z) < 1e-12
-    assert np.allclose(tb.m, tg.m, rtol=0.0, atol=1e-12, equal_nan=True)
-    assert np.allclose(tb.pair, tg.pair, rtol=0.0, atol=1e-12, equal_nan=True)
+    assert np.allclose(tb.m, tg.m, rtol=0.0, atol=1e-12)
+    assert np.allclose(tb.pair, tg.pair, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -587,11 +599,11 @@ def test_guard_keeps_strong_low_left_couplings_exact(n, b):
 def test_empty_active_set_edge_cases():
     p = ModelParams.uniform(3, 0.5, 0.4)
     cm = sample_couplings(p, 2)
-    spec = ReducedSpec(clamped={0: 1, 1: -1}, removed=frozenset({2}))
+    spec = ReducedSpec(clamped={0: 1, 1: -1, 2: 1})
     tabs = gibbs_tables(cm, p, spec)
     assert tabs.log_z == 0.0
-    assert tabs.q_n == 0.0
-    assert tabs.m[0] == 1.0 and tabs.m[1] == -1.0 and math.isnan(tabs.m[2])
+    assert tabs.m.tolist() == [1.0, -1.0, 1.0]
+    assert not tabs.pair.any()
 
 
 def test_log_sum_exp_survives_huge_energies():
@@ -616,28 +628,16 @@ def test_tables_invariants_random_sweep():
         assert np.all(np.abs(tabs.pair) <= 2.0)
         assert np.array_equal(tabs.pair, tabs.pair.T)
         assert np.array_equal(np.diag(tabs.pair), 1.0 - tabs.m**2)
-        assert 0.0 <= tabs.q_n <= 1.0
 
 
 def test_reduced_tables_masking_semantics():
     rng = np.random.default_rng(31)
     params, cm = random_instance(rng, 6)
-    spec = ReducedSpec(clamped={2: -1}, removed=frozenset({4}))
+    spec = ReducedSpec(clamped={2: -1})
     tabs = gibbs_tables(cm, params, spec)
     assert tabs.m[2] == -1.0
-    assert math.isnan(tabs.m[4])
-    assert np.all(np.isnan(tabs.pair[4, :]))
-    assert np.all(np.isnan(tabs.pair[:, 4]))
-    assert tabs.pair[2, 0] == 0.0 and tabs.pair[2, 2] == 0.0
-    assert not np.any(np.isnan(tabs.pair[np.ix_([0, 1, 3, 5], [0, 1, 3, 5])]))
-
-
-def test_overlap_normalizations():
-    # a cavity overlap divides the sum over the active sites by n, not by n - 1
-    rng = np.random.default_rng(8)
-    params, cm = random_instance(rng, 6)
-    tabs = gibbs_tables(cm, params, ReducedSpec(removed=frozenset({0})))
-    assert tabs.q_n == pytest.approx(np.sum(tabs.m[tabs.active] ** 2) / 6, abs=1e-15)
+    assert not tabs.pair[2].any() and not tabs.pair[:, 2].any()
+    assert np.all(np.isfinite(tabs.m)) and np.all(np.isfinite(tabs.pair))
 
 
 def test_triple_symmetry_zeros():
@@ -699,7 +699,7 @@ def test_triple_builds_one_enumerator_and_makes_one_kernel_call(monkeypatch):
     monkeypatch.setattr(BlockEnumerator, "__init__", spy_init)
     monkeypatch.setattr(BlockEnumerator, "moments", spy_moments)
     p = ModelParams.uniform(9, 0.5, 0.3)
-    triple_correlation(sample_couplings(p, 1), p, ReducedSpec(removed={4}), 0, 8, 3)
+    triple_correlation(sample_couplings(p, 1), p, ReducedSpec(clamped={4: -1}), 0, 8, 3)
     # the 4 ways to clamp sites 0 and 8, each over the 6 other active sites
     assert calls == [("init", 6), ("moments", 4)]
 
@@ -772,15 +772,15 @@ def test_clamped_moments_match_the_naive_oracle(na, F):
         (12, ReducedSpec(), (11,)),
         (14, ReducedSpec(), (13, 4)),
         (16, ReducedSpec(), (2, 9)),
-        (15, ReducedSpec(clamped={1: -1, 4: +1}, removed=frozenset({7})), (14, 0)),
+        (15, ReducedSpec(clamped={1: -1, 4: +1, 7: +1}), (14, 0)),
     ],
     ids=["12", "14", "16", "15-reduced"],
 )
 def test_clamped_moments_match_the_gray_walk(n, spec, F):
     # Beyond the naive oracle: the keyed sums of the Gray-code walk over the
     # whole system.  The clamped systems have 10-14 sites, all on the block
-    # pass; the reduced measure of 15 sites clamps two more and removes one,
-    # and F names sites, mapped to its 12 active ones.
+    # pass; the reduced measure of 15 sites clamps three more, and F names
+    # sites, mapped to its 12 active ones.
     from sktap.gibbs import _local_index, _reduce_system, clamped_moments
 
     rng = np.random.default_rng(n)
@@ -814,13 +814,31 @@ def test_the_triple_agrees_along_its_three_clamped_routes(n):
     assert max(routes) - min(routes) <= 16 * np.finfo(np.float64).eps
 
 
+@pytest.mark.parametrize("n", [20, 23, 24])
+def test_the_clamped_column_agrees_with_the_pair_pass(n):
+    # Column j of the pair matrix two ways, at sizes no oracle reaches:
+    # clamping j (pair_column, two passes over n - 1 sites) and the pair
+    # pass of gibbs_tables.  64 ulps of 1 (1.4e-14) bound the spread; these
+    # rows spread by at most 12.25 ulps in the column and 8.5 in m, and 36
+    # random draws at these sizes by at most 18.5 and 19.
+    from sktap.gibbs import pair_column
+
+    params = ModelParams(n=n, t=0.9, field=np.random.default_rng(n).normal(0.2, 0.5, n))
+    cm = sample_couplings(params, n)
+    m, col = pair_column(cm, params, n // 2)
+    tabs = gibbs_tables(cm, params)
+    assert np.max(np.abs(col)) > 0.5  # a column well above the bound
+    assert np.max(np.abs(col - tabs.pair[:, n // 2])) <= 64 * np.finfo(np.float64).eps
+    assert np.max(np.abs(m - tabs.m)) <= 64 * np.finfo(np.float64).eps
+
+
 def test_triple_rejects_bad_indices():
     p = ModelParams.uniform(5, 0.5, 0.1)
     cm = sample_couplings(p, 3)
     with pytest.raises(ValueError):
         triple_correlation(cm, p, None, 1, 1, 2)
     with pytest.raises(ValueError):
-        triple_correlation(cm, p, ReducedSpec(removed=frozenset({2})), 1, 2, 3)
+        triple_correlation(cm, p, ReducedSpec(clamped={2: +1}), 1, 2, 3)
 
 
 def clamp_pair(site, table):
@@ -1030,24 +1048,22 @@ def test_pair_derivative_distinct_site_expansion():
 def test_magnetizations_shortcut_agrees_with_tables():
     rng = np.random.default_rng(404)
     params, cm = random_instance(rng, 7)
-    spec = ReducedSpec(removed=frozenset({3}))
+    spec = ReducedSpec(clamped={3: -1})
     m_light = magnetizations(cm, params, spec)
     m_full = gibbs_tables(cm, params, spec).m
-    assert np.allclose(m_light, m_full, atol=1e-14, equal_nan=True)
+    assert np.allclose(m_light, m_full, atol=1e-14)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         ReducedSpec(clamped={0: 2})
-    with pytest.raises(ValueError):
-        ReducedSpec(clamped={0: 1}, removed=frozenset({0}))
     spec = ReducedSpec(clamped={1: -1})
     with pytest.raises(ValueError):
         spec.with_clamped(1, 1)
     p = ModelParams.uniform(3, 0.5, 0.0)
     cm = sample_couplings(p, 0)
     with pytest.raises(ValueError):
-        gibbs_tables(cm, p, ReducedSpec(removed=frozenset({5})))
+        gibbs_tables(cm, p, ReducedSpec(clamped={5: +1}))
 
 
 @pytest.mark.parametrize(
@@ -1075,6 +1091,8 @@ def test_site_arguments_out_of_range_are_rejected(call):
     [
         (lambda cm, p: gibbs_tables(cm, ModelParams.uniform(5, 0.5, 0.3)), "size 6 != params n 5"),
         (lambda cm, p: magnetizations(cm, ModelParams.uniform(7, 0.5, 0.3)), "size 6 != params n 7"),
+        (lambda cm, p: tap2_residual(cm, ModelParams.uniform(5, 0.5, 0.3), 0, 1), "size 6 != params n 5"),
+        (lambda cm, p: htap2_residual(cm, ModelParams.uniform(5, 0.5, 0.3), 0, 1), "size 6 != params n 5"),
         (lambda cm, p: key_identity_residual(cm, p, {}, 0, 0), "must be distinct"),
         (lambda cm, p: key_identity_residual(cm, p, {}, 0, 1, 0), "must be distinct"),
         (lambda cm, p: key_identity_residual(cm, p, {1: -1}, 0, 1), "not be clamped"),
@@ -1082,8 +1100,8 @@ def test_site_arguments_out_of_range_are_rejected(call):
         (lambda cm, p: coupling_derivative_residual(cm, p, 0, 1, 2, 0.0), "step must be > 0"),
         (lambda cm, p: coupling_derivative_residual(cm, p, 0, 1, 2, -1e-5), "step must be > 0"),
     ],
-    ids=["tables-n5", "mags-n7", "pair-repeated", "triple-repeated", "pair-clamped",
-         "triple-clamped", "step-0", "step-negative"],
+    ids=["tables-n5", "mags-n7", "tap2-n5", "htap2-n5", "pair-repeated", "triple-repeated",
+         "pair-clamped", "triple-clamped", "step-0", "step-negative"],
 )
 def test_malformed_arguments_are_rejected(call, message):
     p = ModelParams.uniform(6, 0.5, 0.3)

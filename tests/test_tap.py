@@ -11,7 +11,6 @@ from sktap import (
     ModelParams,
     NonConvergenceError,
     NumericalError,
-    ReducedSpec,
     at_value,
     f_map,
     gibbs_tables,
@@ -26,7 +25,14 @@ from sktap import (
 )
 from sktap.gibbs import BlockEnumerator
 from sktap.tap import gauss_hermite
-from oracles import GrayEnumerator, bisect_fixed_point, f_prime, naive_tables, on_engine
+from oracles import (
+    GrayEnumerator,
+    bisect_fixed_point,
+    cavity_system,
+    f_prime,
+    naive_tables,
+    on_engine,
+)
 
 GAUSS_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0, 7: 0.0, 8: 105.0}
 
@@ -275,6 +281,25 @@ def test_htap2_two_site_closed_form():
         htap2_residual(cm, p, 1, 1)
 
 
+@pytest.mark.parametrize("i, j", [(4, 1), (1, 4)], ids=["j-below-i", "j-above-i"])
+def test_htap2_matches_the_naive_oracle_on_either_side_of_the_cavity_site(i, j):
+    # In the cavity of i, the n - 1 other sites, site j sits at j when j < i
+    # and at j - 1 when j > i.  The naive oracle of the full system gives
+    # m_ij, and that of the cut cavity m^{(i)} and its column j.
+    p = ModelParams(n=7, t=0.6, field=np.random.default_rng(7).normal(0.2, 0.4, 7))
+    cm = sample_couplings(p, 11)
+    _, _, pair, _ = naive_tables(cm.entries.tolist(), p.field.tolist())
+    cav_cm, cav_p = cavity_system(cm, p, i)
+    _, m_cav, pair_cav, _ = naive_tables(cav_cm.entries.tolist(), cav_p.field.tolist())
+    others = [site for site in range(7) if site != i]
+    g_i = cm.entries[i, others]
+    arg = p.field[i] + math.fsum(g_i * np.array(m_cav))
+    column = math.fsum(g_i * np.array(pair_cav)[:, others.index(j)])
+    expected = pair[i][j] - (1.0 - math.tanh(arg) ** 2) * column
+    assert abs(expected) > 1e-3
+    assert htap2_residual(cm, p, i, j) == pytest.approx(expected, abs=1e-12)
+
+
 @pytest.mark.parametrize("residual", [htap2_residual, tap2_residual])
 @pytest.mark.parametrize("i,j", [(0, 4), (0, 9), (0, -1), (-4, 1)])
 def test_pair_residuals_reject_sites_out_of_range(residual, i, j):
@@ -313,17 +338,16 @@ def test_htap1_report_matches_direct_recomputation():
     report = htap1_residuals(cm, p)
     full = gibbs_tables(cm, p)
     for i in range(12):
-        cav = magnetizations(cm, p, ReducedSpec(removed=frozenset({i})))
-        arg = p.field[i] + sum(
-            cm.entries[i, j] * cav[j] for j in range(12) if j != i
-        )
+        cav = magnetizations(*cavity_system(cm, p, i))
+        others = [j for j in range(12) if j != i]
+        arg = p.field[i] + sum(cm.entries[i, j] * c for j, c in zip(others, cav))
         assert report.residuals[i] == pytest.approx(full.m[i] - math.tanh(arg), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 12, 19])
 def test_cavity_sweep_matches_one_enumeration_per_site_and_the_oracles(n, monkeypatch):
     # One stacked enumeration of the n cavity systems against the per-site
-    # route through ReducedSpec(removed={i}), bit for bit, the Gray-code
+    # route through the cut (n - 1)-site system, bit for bit, the Gray-code
     # engine (every cavity up to n = 12, two of them at n = 19) and, at
     # n = 8, the naive oracle.  At n = 19 the stack runs in chunks of 4.
     rng = np.random.default_rng(n)
@@ -346,9 +370,9 @@ def test_cavity_sweep_matches_one_enumeration_per_site_and_the_oracles(n, monkey
     full = magnetizations(cm, p)
     cavities = []
     for i in range(n):
-        cav = magnetizations(cm, p, ReducedSpec(removed=frozenset({i})))
-        assert np.array_equal(stacked[i], np.delete(cav, i))
-        cav[i] = 0.0
+        cav = magnetizations(*cavity_system(cm, p, i))
+        assert np.array_equal(stacked[i], cav)
+        cav = np.insert(cav, i, 0.0)
         cavities.append(cav)
         expected = full[i] - math.tanh(p.field[i] + g[i] @ cav)
         assert report.residuals[i] == pytest.approx(expected, abs=1e-12)

@@ -34,6 +34,7 @@ HAND_SPECTRAL = "tests/test_spectral.py::test_deformed_operator_and_resolvent_ma
 SEVERAL_PER_CHUNK = "tests/test_gibbs.py::test_a_chunk_of_several_systems_gives_each_system_its_own_tiles"
 CLAMPED_NAIVE = "tests/test_gibbs.py::test_clamped_moments_match_the_naive_oracle"
 WALSH_BITS = "tests/test_gibbs.py::test_in_place_walsh_pass_keeps_the_bits_of_the_two_buffer_pass"
+HTAP2_SIDES = "tests/test_tap.py::test_htap2_matches_the_naive_oracle_on_either_side_of_the_cavity_site"
 
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
@@ -343,9 +344,30 @@ MUTANTS = (
     (
         "htap2-full-system-magnetizations",
         "src/sktap/tap.py",
-        "    mvec = np.where(cav.active, cav.m, 0.0)\n",
-        "    mvec = full.m\n",
+        "    arg = params.field[i] + g_i @ m_cav[0]\n",
+        "    arg = params.field[i] + g_i @ magnetizations(cm, params)[others]\n",
         ["tests/test_cli.py::test_small_scaling_payload_matches_its_pinned_means[htap2]"],
+    ),
+    (
+        "htap2-cavity-column-unshifted",
+        "src/sktap/tap.py",
+        "(j - (j > i),)",
+        "(j,)",
+        [HTAP2_SIDES],
+    ),
+    (
+        "htap2-cavity-column-always-shifted",
+        "src/sktap/tap.py",
+        "(j - (j > i),)",
+        "(j - 1,)",
+        [HTAP2_SIDES],
+    ),
+    (
+        "ito-cavity-sites-always-shifted",
+        "src/sktap/dynamics.py",
+        "    clamp = tuple(site - (site > i) for site in sites)\n",
+        "    clamp = tuple(site - 1 for site in sites)\n",
+        ["tests/test_dynamics.py::test_cavity_difference_matches_independent_clamped_route"],
     ),
     (
         "flipped-key-identity-triple-term",
