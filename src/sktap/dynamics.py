@@ -140,19 +140,20 @@ def _row_moments(path: CouplingPath, params: ModelParams, i: int, spins, sites):
         raise ValueError(f"{others.size} active sites exceed enum_cap={gibbs.ENUM_CAP}")
     # the cavity fields are h exactly: no row of i is added and taken off
     g_cav, base_h = path.terminal().entries[np.ix_(others, others)], params.field[others]
-    rows, increments = path.row_path(i)
-    rows = rows[:, others]
-    # C order: a strided BLAS dot sums in another order than a contiguous
-    # one, and the martingale increments are such dots
-    increments = np.ascontiguousarray(increments[:, others])
+    rows = path.row_path(i)[0][:, others]
     clamp = tuple(site - (site > i) for site in sites)
-    # in place, as in gibbs.clamped_moments
+    # in place, as in gibbs.clamped_moments; the row path goes once they are
+    # built, and the increments are gathered after the call, so that the
+    # call holds neither
     fields = np.empty((len(spins), *rows.shape))
     for grid, spin in zip(fields, spins):
         np.multiply(rows, spin, out=grid)
         grid += base_h
+    del rows
     moments = gibbs.clamped_moments(g_cav, fields.reshape(-1, others.size), clamp)
-    return clamp, moments, increments
+    # C order: a strided BLAS dot sums in another order than a contiguous
+    # one, and the martingale increments are such dots
+    return clamp, moments, path.cavity_increments(i)
 
 
 def _residual(lhs, mart_inc, drift_inc) -> float:

@@ -41,9 +41,12 @@ check (na = 3-4 at n = 6) and every small-n enumeration run through it.  The
 tests check both kernels against a naive direct summation and a Gray-code
 walk that share no reduction code with them.
 
-Higher moments, such as <s_i s_j s_k>, and one column of the pair matrix
-(``pair_column``) come from ``clamped_moments``: the clamping identity of the
-dynamical proof, over one stacked pass.
+Both kernels sit behind one call, ``BlockEnumerator.moments(h, want_pair,
+out)``, whose optional ``out`` takes the magnetizations and may be the field
+stack ``h`` itself.  Higher moments, such as <s_i s_j s_k>, and one column
+of the pair matrix (``pair_column``) come from ``clamped_moments``: the
+clamping identity of the dynamical proof, over one stacked pass that writes
+the magnetizations over the clamped fields it has read.
 
 All weights are handled as exp(H - max H), so partition sums stay finite for
 |H| up to the exponent range of float64 (~700).
@@ -262,11 +265,16 @@ class BlockEnumerator:
         self.EL = _quadratic(_sign_matrix(n1), self.G[:, :n1, :n1])
         self.ER = _quadratic(_sign_matrix(self.n2), self.G[:, n1:, n1:])
 
-    def moments(self, h, want_pair=True) -> _RawMoments:
+    def moments(self, h, want_pair=True, out=None) -> _RawMoments:
         """Raw moments for a stack of field vectors ``h`` of shape (K, na).
 
         Every field of the result carries a leading K axis (a single vector
-        counts as a one-row stack).  One coupling block takes any number of
+        counts as a one-row stack).  ``out``, a (K, na) float64 array, if
+        given receives the magnetizations and is the result's ``mag``.  It
+        may be ``h`` itself: every Walsh chunk and every block chunk reads
+        its rows of ``h`` before it writes them, and ``h`` may come in any
+        float64 layout, as the block pass copies each chunk's rows to C order
+        before its products.  One coupling block takes any number of
         rows; a stack of blocks takes one row per block.  The systems of
         each b run in chunks of as many as fit ``_TILE_STATES`` with their
         operands (``_Layout.operands``), whose set-up and reductions are
@@ -287,10 +295,12 @@ class BlockEnumerator:
         2^n1 + 2^(na-b) exponentials, plus 2^(b+n2) per chunk for eC, and
         2^na multiply-adds per product: two, plus one with the pair matrix.
         """
-        H = np.atleast_2d(np.ascontiguousarray(h, dtype=np.float64))
+        H = np.atleast_2d(np.asarray(h, dtype=np.float64))
         K, na, blocks = H.shape[0], self.na, len(self.G)
         if blocks > 1 and K != blocks:
             raise ValueError(f"{K} field rows for a stack of {blocks} coupling blocks")
+        if out is not None and out.shape != H.shape:
+            raise ValueError(f"out of shape {out.shape} for fields of shape {H.shape}")
         if na <= _WALSH_SITES:
             # chunks of per rows, the last of which takes a remainder of up to
             # per / 8 rows rather than leave it a pass of its own
@@ -300,22 +310,23 @@ class BlockEnumerator:
             while ends[-1] < K:
                 ends.append(K if K - ends[-1] <= most else ends[-1] + per)
             # one block for the largest chunk's grid, a scratch half its size
-            # and the moments: freed, it lifts glibc's trim threshold (twice
-            # the largest block freed) past the 1.8 MiB an Ito path frees
+            # and the moments that ``out`` does not take
             size = max((b - a for a, b in zip(ends, ends[1:])), default=0) << na
-            moments = K * (1 + na + (na * na if want_pair else 0))
-            block = _aligned_empty((size + size // 2 + moments,))
-            grid, scratch, rest = np.split(block, [size, size + size // 2])
-            log_z, mag, second = np.split(rest, [K, K * (1 + na)])
-            out = _RawMoments(
-                log_z, mag.reshape(K, na), second.reshape(K, na, na) if want_pair else None
+            mag = K * na if out is None else 0
+            pair = K * na * na if want_pair else 0
+            block = _aligned_empty((size + size // 2 + K + mag + pair,))
+            grid, scratch, log_z, rest = np.split(block, np.cumsum([size, size // 2, K]))
+            raw = _RawMoments(
+                log_z,
+                rest[:mag].reshape(K, na) if out is None else out,
+                rest[mag:].reshape(K, na, na) if want_pair else None,
             )
             for a, b in zip(ends, ends[1:]):
-                self._walsh_pass(H[a:b], slice(a, b), out, grid, scratch)
-            return out
-        out = _RawMoments(
+                self._walsh_pass(H[a:b], slice(a, b), raw, grid, scratch)
+            return raw
+        raw = _RawMoments(
             np.empty(K),
-            np.empty((K, na)),
+            np.empty((K, na)) if out is None else out,
             np.empty((K, na, na)) if want_pair else None,
         )
         for b, systems in self.systems.items():
@@ -325,8 +336,9 @@ class BlockEnumerator:
             work = layout.workspace(min(per, count), min(per, systems.size), want_pair)
             for a in range(0, count, per):
                 rows = systems[a : a + per] if blocks > 1 else slice(a, a + per)
-                self._pass(layout, rows if blocks > 1 else systems, H[rows], rows, out, work)
-        return out
+                own = rows if blocks > 1 else systems
+                self._pass(layout, own, np.ascontiguousarray(H[rows]), rows, raw, work)
+        return raw
 
     def _walsh_pass(self, H, rows: slice, out: _RawMoments, grid, scratch) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``
@@ -350,17 +362,19 @@ class BlockEnumerator:
             np.add(X[: 1 << i], h, out=X[1 << i : 2 << i])
             X[: 1 << i] -= h
         X += self.E[:, rows] if self.E.shape[1] > 1 else self.E
-        shift = X.max(axis=0)
+        # the shift waits in the rows of log Z, and log z goes into row 0
+        # once every moment has read z: no temporary of the chunk's rows
+        shift = X.max(axis=0, out=out.log_z[rows])
         X -= shift
         np.exp(X, out=X)
         _walsh(X, scratch)
         z = X[0]
-        out.log_z[rows] = np.log(z) + shift
         bits = 1 << np.arange(na)[::-1]
         for a, bit in enumerate(bits):  # no temporary of the grid's size
             np.divide(X[bit], z, out=out.mag[rows, a])
         if out.second is not None:
             out.second[rows] = (X[bits[:, None] ^ bits] / z).transpose(2, 0, 1)
+        shift += np.log(z, out=z)
 
     def _pass(self, layout, own, H, rows, out: _RawMoments, work: dict) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``.
@@ -692,28 +706,33 @@ def clamped_moments(G: np.ndarray, H, F):
     the (K, na) truncated column <(s_{F[a]} - m)(s_l - m)> as ``pairs[a]``,
     and the (K, na) <(s_{F[0]} - m)(s_{F[1]} - m)(s_l - m)>, None for one
     site.  On F a clamped system's moment is tau, and tau^2 = 1 gives the
-    diagonal conventions m_jj = 1 - m_j^2 and m_jkj = -2 m_j m_jk.
+    diagonal conventions m_jj = 1 - m_j^2, pinned exactly as the pair pass
+    pins it, and m_jkj = -2 m_j m_jk.
 
     One magnetizations-only ``BlockEnumerator.moments`` call enumerates the
     other sites with F clamped all 2^|F| ways tau.  Each clamped system counts
     with weight Z_tau exp(tau.h_F + tau.G_FF.tau / 2), and a Walsh-Hadamard
     transform over tau mixes them back.  Every step is elementwise, so a
     row's bits do not depend on the other rows.
+
+    The stack lives in one (na, states, K) mix, held once: its first rows
+    belong to the sites F, the others to the free sites, which first hold
+    the clamped fields, site-major, and which the pass overwrites in place
+    with the magnetizations (``out``).  Unless F leads the sites in order,
+    swaps of two rows then put the mix in site order, once the pass's block
+    is freed.  ``m`` is a view of the mix, site-major: a sum over its sites
+    runs in the order of that layout.
     """
     H, F = np.atleast_2d(H), list(F)
     (K, na), states = H.shape, 1 << len(F)
     rest = [a for a in range(na) if a not in F]
     tau = _sign_matrix(len(F))[:, ::-1]  # site F[a] on bit a of the configuration
     G_F = G[F]
-    # An Ito path faults all its buffers in again once what it frees passes
-    # glibc's trim threshold; so the fields borrow the memory of the mix,
-    # which they hold until the pass has read them, and no temporary spans it.
     mix = np.empty((na, states, K))
-    fields = mix.reshape(-1)[: states * K * len(rest)].reshape(states, K, len(rest))
-    np.add(H[:, rest], (tau @ G_F[:, rest])[:, None], out=fields)
-    raw = BlockEnumerator(G[rest][:, rest]).moments(
-        fields.reshape(states * K, len(rest)), want_pair=False
-    )
+    free = mix[len(F) :]
+    np.add(H[:, rest].T[:, None], (tau @ G_F[:, rest]).T[:, :, None], out=free)
+    fields = free.reshape(len(rest), states * K).T
+    raw = BlockEnumerator(G[rest][:, rest]).moments(fields, want_pair=False, out=fields)
     w = raw.log_z.reshape(states, K)  # becomes each system's share of the weight
     w += 0.5 * ((tau @ G_F[:, F]) * tau).sum(axis=1)[:, None]
     for a, site in enumerate(F):
@@ -721,16 +740,26 @@ def clamped_moments(G: np.ndarray, H, F):
     w -= w.max(axis=0)
     np.exp(w, out=w)
     w /= w.sum(axis=0)
-    mix[rest] = raw.mag.reshape(states, K, len(rest)).transpose(2, 0, 1)
-    mix[F] = tau.T[:, :, None]
+    mix[: len(F)] = tau.T[:, :, None]
     mix *= w
     del raw, w  # free the pass's block before the scratch and the centring
+    at = F + rest  # the site of each row: into site order, a swap of two rows at a time
+    for a in range(na):
+        while at[a] != a:
+            b = at[a]
+            mix[[a, b]] = mix[[b, a]]
+            at[a], at[b] = at[b], at[a]
     scratch = np.empty((states >> 1) * K)
     for site in mix:
         _walsh(site, scratch)
     r = mix.transpose(1, 2, 0)  # r[S]: <s_S s_l>, S a bit mask over F
     m = r[0]
-    pairs = r[1 << np.arange(len(F))] - m[:, F].T[:, :, None] * m
+    pairs = np.empty((len(F), na, K)).transpose(0, 2, 1)  # site-major, as m
+    for a, site in enumerate(F):
+        np.multiply(m[:, site, None], m, out=pairs[a])
+        np.subtract(r[1 << a], pairs[a], out=pairs[a])
+        # <s_F[a]^2> is exactly 1, which the mix reaches only up to rounding
+        pairs[a][:, site] = 1.0 - m[:, site] * m[:, site]
     if len(F) < 2:
         return m, pairs, None
     ma, mb, r_ab = m[:, F[0], None], m[:, F[1], None], r[1][:, F[1], None]

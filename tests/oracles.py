@@ -9,9 +9,10 @@ Two references check the package's block enumeration engine:
   hypercube with an O(n) energy update per flip, then plain sums over the
   visited states.
   It has the stacked ``moments`` interface of ``sktap.gibbs.BlockEnumerator``,
-  for one coupling block or a stack of them, so ``on_engine`` can put it in
-  the block engine's place and the package's reduction, table assembly,
-  cavity sweep, clamped mix and row-flow code run unchanged around it.
+  for one coupling block or a stack of them, output array included, so
+  ``on_engine`` can put it in the block engine's place and the package's
+  reduction, table assembly, cavity sweep, clamped mix and row-flow code run
+  unchanged around it.
   Its walk ``gray_moments`` also sums keyed moments <s_F s_l> directly:
   centred in the tests, they are the reference for
   ``sktap.gibbs.clamped_moments``, which the package reaches by clamping F.
@@ -136,24 +137,29 @@ def gray_moments(G, h, want_pair=True, cols=()) -> GrayMoments:
 
 class GrayEnumerator:
     """Drop-in for ``BlockEnumerator``: one Gray-code walk per stacked field,
-    behind the same ``moments(h, want_pair)``.
+    behind the same ``moments(h, want_pair, out)``.
 
     ``G`` is one coupling block, which every field row uses, or a stack of
-    K blocks, (K, na, na), whose block r walks with field row r.
+    K blocks, (K, na, na), whose block r walks with field row r.  ``out``
+    receives the magnetizations once every walk has read its fields, so it
+    may be ``h`` itself, as for the block engine.
     """
 
     def __init__(self, G):
         self.G = G if G.ndim == 3 else G[None]
 
-    def moments(self, h, want_pair=True) -> _RawMoments:
+    def moments(self, h, want_pair=True, out=None) -> _RawMoments:
         H = np.atleast_2d(np.asarray(h, dtype=np.float64))
         blocks = self.G if len(self.G) > 1 else [self.G[0]] * len(H)
         if len(blocks) != len(H):
             raise ValueError(f"{len(H)} field rows for a stack of {len(blocks)} coupling blocks")
         points = [gray_moments(G, row, want_pair) for G, row in zip(blocks, H)]
+        mag = np.array([p.mag for p in points])
+        if out is not None:
+            out[...] = mag
         return _RawMoments(
             np.array([p.log_z for p in points]),
-            np.array([p.mag for p in points]),
+            mag if out is None else out,
             np.array([p.second for p in points]) if want_pair else None,
         )
 

@@ -832,6 +832,99 @@ def test_the_clamped_column_agrees_with_the_pair_pass(n):
     assert np.max(np.abs(m - tabs.m)) <= 64 * np.finfo(np.float64).eps
 
 
+def test_the_identities_hold_at_the_largest_size():
+    # n = 24, the largest pass, whose tiles are capped at 2^19 grid states:
+    # the conditional triple identity (one pair pass at 24 sites, two at 23
+    # and the clamped triple) and the coupling derivative, each against its
+    # tolerance in verify-identities
+    params = ModelParams(n=24, t=0.9, field=np.random.default_rng(24).normal(0.2, 0.5, 24))
+    cm = sample_couplings(params, 24)
+    assert abs(key_identity_residual(cm, params, {}, 3, 20, 11)) < 1e-12
+    assert abs(coupling_derivative_residual(cm, params, 5, 17, 9)) < 1e-7
+
+
+def same_bits(got, want):
+    """Equal shapes and equal bits, so 0.0 and -0.0 differ."""
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("want_pair", [False, True], ids=["m", "pair"])
+@pytest.mark.parametrize(
+    "na, rows, blocks", [(4, 8196, 1), (9, 500, 1), (9, 300, 300)],
+    ids=["walsh-chunks", "block-chunks", "block-stack"],
+)
+def test_moments_may_write_the_magnetizations_over_their_fields(na, rows, blocks, want_pair):
+    # out=h: every chunk reads its rows of h before it writes them, and the
+    # fields come column-major, as clamped_moments hands them over.  8196
+    # rows of 4 sites run as two Walsh chunks, 500 rows of 9 sites as three
+    # block-pass chunks; in the stack, every third block is scaled up until
+    # most of them pass the guard's reach, so chunks of b = 0 and of b = 1
+    # interleave along the stack
+    from sktap.gibbs import BlockEnumerator
+
+    params = ModelParams.uniform(na, 0.8, 0.3)
+    G = np.array([sample_couplings(params, seed).entries for seed in range(blocks)])
+    if blocks > 1:
+        G[::3] *= 500.0
+    fields = np.random.default_rng(na).normal(0.2, 0.6, (rows, na))
+    h = np.asfortranarray(fields)
+    fresh = BlockEnumerator(G).moments(fields, want_pair)
+    got = BlockEnumerator(G).moments(h, want_pair, out=h)
+    assert got.mag is h
+    assert same_bits(h, fresh.mag) and same_bits(got.log_z, fresh.log_z)
+    assert got.second is None if not want_pair else same_bits(got.second, fresh.second)
+
+
+def fresh_output(moments):
+    """``moments`` into fresh arrays, its magnetizations copied into ``out``
+    after the call: the route of a kernel that takes no output array."""
+
+    def run(self, h, want_pair=True, out=None):
+        raw = moments(self, h, want_pair)
+        if out is not None:
+            out[...] = raw.mag
+            raw.mag = out
+        return raw
+
+    return run
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize(
+    "free, rows", [(4, 1), (4, 8196), (9, 1), (9, 400)],
+    ids=["walsh-one", "walsh-chunks", "block-one", "block-chunks"],
+)
+def test_the_clamped_mix_keeps_its_bits_when_the_pass_writes_over_its_fields(
+    free, rows, count, where, monkeypatch
+):
+    # The pass writes the magnetizations over the clamped fields in the
+    # free rows of the mix.  Every output keeps the bits of the same call
+    # with a fresh output array, and m stays site-major, as the mix holds
+    # it.  The kernel sees `rows` systems of `free` sites: one field row
+    # (rows = 1 rounds K up to 1), two Walsh chunks, or two block-pass
+    # chunks.  F leads the sites (the mix needs no reordering), sits among
+    # them (unsorted for two sites) or ends them.
+    from sktap.gibbs import BlockEnumerator, clamped_moments
+
+    na, K = free + count, max(1, rows >> count)
+    F = {
+        "start": tuple(range(count)),
+        "middle": (na // 2 + 1, na // 2 - 1)[:count],
+        "end": tuple(range(na - count, na)),
+    }[where]
+    params = ModelParams.uniform(na, 0.8, 0.3)
+    G = sample_couplings(params, na).entries
+    H = np.random.default_rng(rows).normal(0.2, 0.6, (K, na))
+    got = clamped_moments(G, H, F)
+    monkeypatch.setattr(BlockEnumerator, "moments", fresh_output(BlockEnumerator.moments))
+    want = clamped_moments(G, H, F)
+    assert got[0].strides == (8, 8 * (K << count))
+    assert (got[2] is None) == (count == 1)
+    for part, ref in zip(got, want, strict=True):
+        assert part is None or same_bits(part, ref)
+
+
 def test_triple_rejects_bad_indices():
     p = ModelParams.uniform(5, 0.5, 0.1)
     cm = sample_couplings(p, 3)
@@ -980,9 +1073,9 @@ def test_coupling_derivative_makes_three_magnetization_passes(monkeypatch):
     calls = []
     moments = BlockEnumerator.moments
 
-    def spy(self, h, want_pair):
+    def spy(self, h, want_pair, out=None):
         calls.append((len(np.atleast_2d(h)), want_pair))
-        return moments(self, h, want_pair)
+        return moments(self, h, want_pair, out)
 
     def no_tables(*args, **kwargs):
         raise AssertionError("gibbs_tables called")

@@ -212,6 +212,17 @@ def test_path_row_accessors_match_matrix():
         path.row_path(5)
 
 
+@pytest.mark.parametrize("i", [0, 2, 4])
+def test_cavity_increments_are_the_row_increments_without_their_own_column(i):
+    # C order: the martingale increments are BLAS dots against these rows
+    path = sample_path(ModelParams.uniform(5, 0.7, 0.0), 6, 9)
+    cavity = path.cavity_increments(i)
+    assert cavity.flags.c_contiguous
+    assert np.array_equal(cavity, np.delete(path.row_path(i)[1], i, axis=1))
+    with pytest.raises(ValueError):
+        path.cavity_increments(5)
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_terminal_rows_are_the_last_rows_of_the_row_paths(n):
     # both add the increments one by one in grid order; a plain sum adds the

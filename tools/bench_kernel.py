@@ -57,7 +57,11 @@ the process holds after it.  One more runs the ``spectral-n24``
 workload's argv (2 samples) after the benchmark's own calibration kernels
 (``perfbench/worker.py``'s ``_calibrate``), as a benchmark worker does, and
 records the time, the minor faults and the peak RSS so far (``ru_maxrss``)
-of each sample.
+of each sample.  Last, one fresh interpreter traces (``tracemalloc``) the
+peak of one whole ``ito`` sample, draw included, at n = 12 and 20 with 2048
+steps, each after a 2-step warm-up sample, and one more counts the minor
+faults of each of its first three Ito checks at n = 6, on 2048-step paths
+drawn before the first: the rows ``ito_memory``.
 The report gives the min and median over the rounds (over every repeat of
 every round for the start-up rows).
 """
@@ -157,6 +161,40 @@ tracemalloc.start()
 ctx = BlockEnumerator(couplings)
 held, peak = tracemalloc.get_traced_memory()
 print(peak / 2**20, held / 2**20)
+"""
+# The traced peak of one whole ``ito`` sample, draw included, at each size in
+# argv (2048 steps), after a 2-step warm-up sample, as the memory budget of
+# the test suite traces it; in MiB.
+ITO_SAMPLE_PROBE = """\
+import sys, tracemalloc
+from sktap.ensemble import EnsembleConfig, _scalar
+from sktap.model import substream_seed
+peaks = []
+for n in map(int, sys.argv[1:]):
+    cfg = EnsembleConfig((n,), 2, 0.5, 0.3, 1, "ito", ito_steps=2048)
+    warm = EnsembleConfig((n,), 2, 0.5, 0.3, 1, "ito", ito_steps=2)
+    _scalar(warm, n, 0, substream_seed(1, n, 0))
+    tracemalloc.start()
+    _scalar(cfg, n, 1, substream_seed(1, n, 1))
+    peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+    tracemalloc.stop()
+print(*peaks)
+"""
+# The minor faults of each of the first argv[1] checks of a fresh
+# interpreter, on 2048-step paths at n = 6 drawn before the first check.
+ITO_FAULT_PROBE = """\
+import resource, sys
+from sktap.dynamics import ItoCheckConfig, ito_decomposition_residual
+from sktap.model import ModelParams, sample_path
+params = ModelParams.uniform(6, 0.5, 0.3)
+check = ItoCheckConfig(clamped_site=0, target_site=1)
+paths = [sample_path(params, 2048, seed) for seed in range(int(sys.argv[1]))]
+faults = []
+for path in paths:
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ito_decomposition_residual(path, check, params)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+print(*faults)
 """
 # One ``main`` call on the probe's argv after perfbench's calibration, the
 # ms and minor faults of each sample recorded around the experiment's entry
@@ -392,11 +430,21 @@ def _spectral_samples(src: str) -> dict:
             for key, value in zip(("ms", "minflt", "maxrss_mib"), row)}
 
 
+def _ito_memory(src: str) -> dict:
+    done = subprocess.run([sys.executable, "-c", ITO_SAMPLE_PROBE, "12", "20"],
+                          env=_env(src), check=True, capture_output=True, text=True)
+    peaks = [float(v) for v in done.stdout.split()]
+    done = subprocess.run([sys.executable, "-c", ITO_FAULT_PROBE, "3"],
+                          env=_env(src), check=True, capture_output=True, text=True)
+    return {**{f"n{n}_sample_peak_mib": peak for n, peak in zip((12, 20), peaks)},
+            **{f"path{k}_minflt": int(v) for k, v in enumerate(done.stdout.split())}}
+
+
 def _run(src: str) -> dict:
     htap1 = [_worker(src, "htap1", str(n)) for n in HTAP1_SIZES]
     startup = [_startup(src) for _ in range(STARTUP_REPEATS)]
     return {**_worker(src), "htap1": htap1, "startup": startup, "alloc": _alloc(src),
-            "spectral_samples": _spectral_samples(src)}
+            "spectral_samples": _spectral_samples(src), "ito_memory": _ito_memory(src)}
 
 
 def _summary(values: list) -> dict:
@@ -432,8 +480,10 @@ def main(argv: list) -> int:
         for label in order if r % 2 == 0 else order[::-1]:
             runs[label].append(_run(labels[label]))
     results, htap1, criterion_04, small, stacks, ito_path, startup = {}, {}, {}, {}, {}, {}, {}
-    ito_peak, alloc, spectral = {}, {}, {}
+    ito_peak, alloc, spectral, ito_memory = {}, {}, {}, {}
     for label, rounds in runs.items():
+        ito_memory[label] = {key: _summary([rnd["ito_memory"][key] for rnd in rounds])
+                             for key in rounds[0]["ito_memory"]}
         alloc[label] = [
             {"n": row["n"], "want_pair": row["want_pair"],
              **{key: _summary([rnd["alloc"][i][key] for rnd in rounds])
@@ -474,6 +524,7 @@ def main(argv: list) -> int:
                       "machine": _machine(), "results": results, "htap1": htap1,
                       "criterion_04_s": criterion_04, "small": small, "stacks": stacks,
                       "ito_path_ms": ito_path, "ito_path_peak_mib": ito_peak,
+                      "ito_memory": ito_memory,
                       "startup": startup, "alloc": alloc,
                       "spectral_n24_samples": spectral}, indent=1))
     return 0

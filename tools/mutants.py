@@ -35,6 +35,7 @@ SEVERAL_PER_CHUNK = "tests/test_gibbs.py::test_a_chunk_of_several_systems_gives_
 CLAMPED_NAIVE = "tests/test_gibbs.py::test_clamped_moments_match_the_naive_oracle"
 WALSH_BITS = "tests/test_gibbs.py::test_in_place_walsh_pass_keeps_the_bits_of_the_two_buffer_pass"
 HTAP2_SIDES = "tests/test_tap.py::test_htap2_matches_the_naive_oracle_on_either_side_of_the_cavity_site"
+IN_PLACE_MIX = "tests/test_gibbs.py::test_the_clamped_mix_keeps_its_bits_when_the_pass_writes_over_its_fields"
 
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
@@ -123,6 +124,35 @@ MUTANTS = (
         "    w += 0.5 * ((tau @ G_F[:, F]) * tau).sum(axis=1)[:, None]\n",
         "",
         [CLAMPED_NAIVE],
+    ),
+    (
+        "clamped-pass-into-a-fresh-output-array",
+        "src/sktap/gibbs.py",
+        "    raw = BlockEnumerator(G[rest][:, rest]).moments(fields, want_pair=False, out=fields)\n",
+        "    raw = BlockEnumerator(G[rest][:, rest]).moments(fields, want_pair=False)\n"
+        "    fields[...] = raw.mag\n",
+        ["tests/test_dynamics.py::test_one_check_allocates_less_than_two_mebibytes"],
+    ),
+    (
+        "walsh-writes-magnetizations-before-the-doubling",
+        "src/sktap/gibbs.py",
+        "        X[0] = 0.0\n",
+        "        out.mag[rows] = 0.0\n        X[0] = 0.0\n",
+        [IN_PLACE_MIX],
+    ),
+    (
+        "clamped-mix-rows-left-unswapped",
+        "src/sktap/gibbs.py",
+        "            mix[[a, b]] = mix[[b, a]]\n",
+        "            pass\n",
+        [CLAMPED_NAIVE],
+    ),
+    (
+        "clamped-pair-diagonal-unpinned",
+        "src/sktap/gibbs.py",
+        "        pairs[a][:, site] = 1.0 - m[:, site] * m[:, site]\n",
+        "",
+        ["tests/test_gibbs_properties.py::test_zero_field_measure_is_spin_flip_symmetric"],
     ),
     (
         "clamped-mix-swaps-lo-and-hi",
