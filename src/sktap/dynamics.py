@@ -140,11 +140,12 @@ def _row_moments(path: CouplingPath, params: ModelParams, i: int, spins, sites):
         raise ValueError(f"{others.size} active sites exceed enum_cap={gibbs.ENUM_CAP}")
     # the cavity fields are h exactly: no row of i is added and taken off
     g_cav, base_h = path.terminal().entries[np.ix_(others, others)], params.field[others]
-    rows = path.row_path(i)[0][:, others]
+    rows = np.zeros((path.grid.size, others.size))
+    np.cumsum(path.cavity_increments(i), axis=0, out=rows[1:])
     clamp = tuple(site - (site > i) for site in sites)
     # in place, as in gibbs.clamped_moments; the row path goes once they are
-    # built, and the increments are gathered after the call, so that the
-    # call holds neither
+    # built, and the increments are gathered again after the call, so that
+    # the call holds neither
     fields = np.empty((len(spins), *rows.shape))
     for grid, spin in zip(fields, spins):
         np.multiply(rows, spin, out=grid)

@@ -6,30 +6,41 @@ cavity of a site i is not a reduced measure here: it is the system of the
 n - 1 other sites, which a caller cuts from the couplings and fields with
 one index.
 
-The enumeration engine splits the sites into a left and a right block, and
-the left block again into its first b (low) and its other (high) sites.
-Every block numbers its sites from the top bit of its state index, so one
-sign matrix per block size serves every b (``_sign_matrix``).  A state's
-weight then factors into exp(a) of the left block, exp(C) of the low-left to
-right couplings and exp(D) of the rest.  exp(C) does not depend on the field,
-so a pass builds it once for a whole chunk of field rows; it exponentiates
-a (2^n1 states), D (2^(n-b) states) and that factor (2^(b+n2) states), and
-forms every sum over the 2^n states as a matrix product against the factor:
-cost O(2^(n-b)) exponentials plus O(2^n * n) multiply-adds in BLAS-3
-products.  Neither D nor the factor is stored whole: a pass streams both
-through one cache-sized tile of columns (right states) at a time,
-exponentiates each tile against the running maximum of its system and
-reduces it at once.  Every sum it keeps, over the right states per left
-state and over the left states per right state, is rescaled whenever that
-maximum grows (an online log-sum-exp).  Memory is one tile plus
-O(2^n1 + 2^n2) vectors per system, O(2^(n/2) * n) in all; no buffer spans
-the 2^(b+n2) states of the factor, unless it fits one tile.  A guard caps b so
-that C spans at most ``_GUARD`` (600): weights that matter then stay far
-from float64 underflow, and couplings too strong for any b > 0 get b = 0,
-one exponential per state.  One enumerator
-also takes a stack of coupling blocks of equal size, such as the n cavity
-systems of a disorder sample, and runs them in chunks that batch every
-numpy call but those of the tile loop.
+The enumeration engine splits the na sites into a left block of n1 and a
+right block of n2 sites, and the left block again into its first b (low,
+state t) and its other (high, state T) sites; c is the right state.  Every
+block numbers its sites from the top bit of its state index, so one sign
+matrix per block size serves every b (``_sign_matrix``).  A state's
+log-weight then factors as a[t, T] + C[t, c] + D[T, c]:
+
+* a = EL + hL.sL, the left energy and field (2^n1 entries);
+* C = sl(t) G_LR[low] sR(c), the low-left to right couplings, which do not
+  depend on the field;
+* D = ER + hR.sR + sh(T) G_LR[high] sR(c) (2^(na-b) entries).
+
+A pass exponentiates a, D and the factor eC = exp(C - max C) of 2^(b+n2)
+entries, and forms every sum over the 2^na states as a matrix product
+against eC: 2^n1 + 2^(na-b) exponentials, plus 2^(b+n2) per chunk of field
+rows for eC, and 2^na multiply-adds per product, two, plus one with the pair
+matrix.  Neither D nor eC is stored whole: a pass streams both through one
+cache-sized tile of columns (right states) at a time, exponentiates each
+tile against the running maximum of its system and reduces it at once.
+Every sum it keeps, per left state (t, T) and per right state c, is
+rescaled whenever that maximum grows (an online log-sum-exp).  Memory is
+one tile plus O(2^n1 + 2^n2) vectors per system, O(2^(n/2) * n) in all;
+no buffer spans the 2^(b+n2) entries of eC, unless it fits one tile.  A
+guard caps b so that C spans at most ``_GUARD`` (600): weights that matter
+then stay far from float64 underflow, and couplings too strong for any
+b > 0 get b = 0, one exponential per state.
+
+One enumerator also takes a stack of coupling blocks of equal size, such as
+the n cavity systems of a disorder sample, each with its own b.  The
+systems of one b run in chunks whose set-up and reductions are numpy calls
+batched over the chunk; only the tile loop runs per tile, and a tile is the
+whole D grids of as many of a chunk's systems as fit half the budget, or a
+run of columns of one larger grid.  A chunk holds systems of one b, and
+every product is one BLAS call per system, so a system's bits depend
+neither on its neighbours nor on its place in the stack.
 
 Systems of up to ``_WALSH_SITES`` (6) sites, too small to factorise, take a
 second kernel instead, chosen by na alone: the 2^na weights of each field
@@ -40,6 +51,14 @@ bits do not depend on the stack either.  The clamped systems of the Ito
 check (na = 3-4 at n = 6) and every small-n enumeration run through it.  The
 tests check both kernels against a naive direct summation and a Gray-code
 walk that share no reduction code with them.
+
+One rule cuts every stack into chunks (``_chunks``): the fewest chunks of
+equal size, to one row, none past 9/8 of its budget, ``_TILE_STATES >> na``
+field rows for the Walsh pass, or ``_TILE_STATES`` over the floats of one
+system's operands for the block pass.  A call allocates its buffers once,
+for its largest chunk, and every chunk reuses them instead of faulting in
+fresh pages, so a caller with several field stacks for one enumerator
+stacks them into one call.
 
 Both kernels sit behind one call, ``BlockEnumerator.moments(h, want_pair,
 out)``, whose optional ``out`` takes the magnetizations and may be the field
@@ -204,49 +223,24 @@ def _low_bits(G_LR: np.ndarray) -> np.ndarray:
     return np.count_nonzero(reach[:, : G_LR.shape[1] // 2 - 1] <= _GUARD, axis=1)
 
 
+def _chunks(count: int, per: int) -> list:
+    """Slices that cut a stack of ``count`` rows, in order, into the fewest
+    chunks of at most 9/8 of ``per`` rows, whose sizes differ by at most one."""
+    pieces = -(-count // (per + per // 8))
+    return [slice(count * i // pieces, count * (i + 1) // pieces) for i in range(pieces)]
+
+
 class BlockEnumerator:
-    """Split-block enumeration context for one coupling block or a stack of them.
-
-    The na sites split into a left block of n1 and a right block of n2
-    sites; the left block splits again into its b low sites (state t) and
-    its n1 - b high sites (state T), and c is the right state.  A state's
-    log-weight is then a[t, T] + C[t, c] + D[T, c]:
-
-    * a = EL + hL.sL, the left energy and field (2^n1 entries);
-    * C = sl(t) G_LR[low] sR(c), the low-left-to-right couplings, which do
-      not depend on the field;
-    * D = ER + hR.sR + sh(T) G_LR[high] sR(c) (2^(na-b) entries).
+    """Enumeration context for one coupling block or a stack of them.
 
     ``G`` is one (na, na) block, which serves every row of the field stack
     that ``moments`` takes, or a stack of K blocks, (K, na, na), whose block
     r pairs with field row r: the n cavity systems of one disorder sample,
-    say.  The systems of a stack share na, and with it the split and the
-    sign matrices, which number the sites from the top bit: left state
-    t 2^(n1-b) + T is low state t and high state T for every b.  Each has
-    its own b (``low``), chosen by ``_low_bits`` as large as the guard
-    allows: the guard keeps the range of C within ``_GUARD``, so stronger couplings
-    get a smaller b, and b = 0 (C = 0) is the plain pass with one
-    exponential per state.
-
-    The context builds the block energies EL and ER of every system at
-    once.  The rest of what depends on the couplings alone, the couplings
-    of every right state to each high left site (the top rows of the right
-    operand of the D tile product) and the factor eC = exp(C - max C) of
-    2^b x 2^n2 entries, a pass builds per tile of columns, batched over the
-    systems of a chunk, into a workspace that each ``moments`` call
-    allocates once.  So a pass holds one tile plus O(2^n1 + 2^n2) vectors
-    per system, and no buffer of 2^(b+n2) entries: at n = 24 with the pair
-    matrix, one call allocates 0.86 MiB at its peak.  A chunk only holds
-    systems of equal b, so a system's bits depend neither on the guard of
-    another system nor on its place in the stack.  A tile is the
-    part of a chunk's D grids that one exponential call covers.
-
-    A system of na <= ``_WALSH_SITES`` sites skips all of this: the context
-    keeps only the interaction energy E of every state of every block, and
-    ``moments`` runs the Walsh-Hadamard pass (``_walsh_pass``) on chunks of
-    2^16 states, the last of up to 9/8 of that, in one grid and a scratch
-    half its size per call.
-    No call changes the context.
+    say.  The context holds what depends on the couplings alone: for
+    na <= ``_WALSH_SITES`` the interaction energy E of every state of every
+    block; above, the split (n1, n2), each system's b (``low``, chosen by
+    ``_low_bits``), the places of the systems of each b (``systems``) and
+    the block energies EL and ER.  No call changes it.
     """
 
     def __init__(self, G: np.ndarray):
@@ -269,31 +263,13 @@ class BlockEnumerator:
         """Raw moments for a stack of field vectors ``h`` of shape (K, na).
 
         Every field of the result carries a leading K axis (a single vector
-        counts as a one-row stack).  ``out``, a (K, na) float64 array, if
-        given receives the magnetizations and is the result's ``mag``.  It
-        may be ``h`` itself: every Walsh chunk and every block chunk reads
-        its rows of ``h`` before it writes them, and ``h`` may come in any
-        float64 layout, as the block pass copies each chunk's rows to C order
-        before its products.  One coupling block takes any number of
-        rows; a stack of blocks takes one row per block.  The systems of
-        each b run in chunks of as many as fit ``_TILE_STATES`` with their
-        operands (``_Layout.operands``), whose set-up and reductions are
-        calls batched over the chunk; only the tile loop runs per tile.  A
-        tile is the whole D grids of as many of the chunk's systems as fit
-        half the budget, or a run of the right states c of one larger grid,
-        so the working set stays within a few budgets however large na or K
-        is.  The call allocates the workspace of each b once, and every
-        chunk reuses it instead of faulting in fresh pages, so a caller with
-        several field stacks for one enumerator stacks them into one call.
-        Each tile builds its columns of eC and of the right operand, once
-        for all the systems of a chunk, is exponentiated against the running
-        maximum of each system and reduced at once by products against eC.
-        Every sum a pass keeps, per left state (t, T) or per right state c,
-        is rescaled as that maximum grows (an online log-sum-exp), so the
-        workspace holds one tile plus O(2^n1 + 2^n2) vectors per system and
-        no buffer spans the 2^(b+n2) entries of eC.  A pass costs
-        2^n1 + 2^(na-b) exponentials, plus 2^(b+n2) per chunk for eC, and
-        2^na multiply-adds per product: two, plus one with the pair matrix.
+        counts as a one-row stack).  One coupling block takes any number of
+        rows; a stack of blocks takes one row per block.  ``out``, a (K, na)
+        float64 array, if given receives the magnetizations and is the
+        result's ``mag``.  It may be ``h`` itself, and ``h`` may come in any
+        float64 layout: every chunk reads its rows of ``h`` before it writes
+        them.  At n = 24 with the pair matrix, one call allocates 0.86 MiB
+        at its peak.
         """
         H = np.atleast_2d(np.asarray(h, dtype=np.float64))
         K, na, blocks = H.shape[0], self.na, len(self.G)
@@ -302,16 +278,10 @@ class BlockEnumerator:
         if out is not None and out.shape != H.shape:
             raise ValueError(f"out of shape {out.shape} for fields of shape {H.shape}")
         if na <= _WALSH_SITES:
-            # chunks of per rows, the last of which takes a remainder of up to
-            # per / 8 rows rather than leave it a pass of its own
-            per = _TILE_STATES >> na
-            most = per + per // 8
-            ends = [0]
-            while ends[-1] < K:
-                ends.append(K if K - ends[-1] <= most else ends[-1] + per)
+            chunks = _chunks(K, _TILE_STATES >> na)
             # one block for the largest chunk's grid, a scratch half its size
             # and the moments that ``out`` does not take
-            size = max((b - a for a, b in zip(ends, ends[1:])), default=0) << na
+            size = max((c.stop - c.start for c in chunks), default=0) << na
             mag = K * na if out is None else 0
             pair = K * na * na if want_pair else 0
             block = _aligned_empty((size + size // 2 + K + mag + pair,))
@@ -321,8 +291,8 @@ class BlockEnumerator:
                 rest[:mag].reshape(K, na) if out is None else out,
                 rest[mag:].reshape(K, na, na) if want_pair else None,
             )
-            for a, b in zip(ends, ends[1:]):
-                self._walsh_pass(H[a:b], slice(a, b), raw, grid, scratch)
+            for c in chunks:
+                self._walsh_pass(H[c], c, raw, grid, scratch)
             return raw
         raw = _RawMoments(
             np.empty(K),
@@ -330,13 +300,15 @@ class BlockEnumerator:
             np.empty((K, na, na)) if want_pair else None,
         )
         for b, systems in self.systems.items():
-            count = systems.size if blocks > 1 else K
             layout = _Layout(self.n1, self.n2, b)
             per = max(1, _TILE_STATES // layout.operands())
-            work = layout.workspace(min(per, count), min(per, systems.size), want_pair)
-            for a in range(0, count, per):
-                rows = systems[a : a + per] if blocks > 1 else slice(a, a + per)
+            chunks = _chunks(systems.size if blocks > 1 else K, per)
+            k = max((c.stop - c.start for c in chunks), default=0)
+            work = layout.workspace(k, min(k, systems.size), want_pair)
+            for c in chunks:
+                rows = systems[c] if blocks > 1 else c
                 own = rows if blocks > 1 else systems
+                # in C order, so that no BLAS operand depends on the layout of h
                 self._pass(layout, own, np.ascontiguousarray(H[rows]), rows, raw, work)
         return raw
 
@@ -377,62 +349,23 @@ class BlockEnumerator:
         shift += np.log(z, out=z)
 
     def _pass(self, layout, own, H, rows, out: _RawMoments, work: dict) -> None:
-        """Fill ``rows`` of every field of ``out`` from the field chunk ``H``.
+        """Fill ``rows`` of every field of ``out`` from the field chunk ``H``,
+        in the buffers ``work`` of ``layout.workspace``.
 
         ``own`` are the places in the stack of the chunk's coupling blocks,
         one per field row, or the one block that serves them all.  Tiles
-        split D along its columns only, at boundaries fixed by na and b, and
-        every product is a matmul batched over the leading axis, one BLAS
-        call per system, never one gemm whose row dimension spans the chunk
-        or the tile.  A system's bits therefore do not depend on the systems
-        that share its chunk or its tile: equal systems give equal results
-        wherever they sit.
+        split D at column boundaries fixed by na and b, and every product is
+        one BLAS call per system, never one whose row dimension spans the
+        chunk or the tile: equal systems give equal bits wherever they sit.
         """
-        k, n1, b = H.shape[0], self.n1, layout.low
-        SL, SR, nT = layout.SL, layout.SR, layout.Sh.shape[0]
-        top, c_shift = self._stream(layout, own, H, out.second is not None, work)
-
-        # the sums over c per left state (t, T) and over (t, T) per right state c
-        u = work["row_sums"][:k].reshape(k, -1)
-        v = work["by_right"][:k]
-        zsum = u.sum(axis=1)
-        norm = zsum[:, None]
-        out.log_z[rows] = np.log(zsum) + top + c_shift
-
-        if out.second is not None:
-            # the right-left block stays 0: only the upper triangle is read
-            sec = np.zeros((k, self.na, self.na))
-            sec[:, :n1, :n1] = SL.T @ (u[:, :, None] * SL)
-            cross = work["cross"][:k]
-            sec[:, :b, n1:] = layout.Sl.T @ cross[:, nT:]
-            sec[:, b:n1, n1:] = layout.Sh.T @ cross[:, :nT]
-            sec[:, n1:, n1:] = SR.T @ (v[:, :, None] * SR)
-            sec /= norm[:, :, None]
-            out.second[rows] = _symmetrized_second(sec)
-
-        # one product per block sums every site's signs against the sums,
-        # giving the magnetizations
-        at_left, at_right = u[:, None] @ SL, v[:, None] @ SR
-        out.mag[rows] = np.concatenate([at_left[:, 0], at_right[:, 0]], axis=1) / norm
-
-    def _stream(self, layout, own, H, pair: bool, work: dict):
-        """Stream the weights of the field chunk ``H`` through the tiles of
-        its D grids, leaving in ``work`` the sums that ``_pass`` reduces.
-
-        Each tile builds its columns of eC and of the right operand once for
-        every system of the chunk, then each system's W against its running
-        maximum.  The sums per left state (t, T), the totals per right state
-        c and the left x right block are rescaled whenever that maximum
-        grows.  Returns the running maximum of each row and the shift of eC
-        of each block.
-        """
-        k, blocks = H.shape[0], len(own)
+        k, blocks, pair = H.shape[0], len(own), out.second is not None
         n1, b = self.n1, layout.low
         SL, SR, tc = layout.SL, layout.SR, layout.tile_cols
         nt, nT = 1 << b, layout.Sh.shape[0]
         left, right, row_sums, by_right = (
             work[name][:k] for name in ("left", "right", "row_sums", "by_right")
         )
+        cross = work["cross"][:k] if pair else None
         eC = work["eC"][:blocks]
         G_LR = self.G[own, :n1, n1:]
         # C = sl(t) B[:, c] peaks where every low sign matches B, so its shift
@@ -454,8 +387,6 @@ class BlockEnumerator:
         # Each weight tile W is read twice.  eC @ W^T gives, times eA, the
         # sums over c of every (t, T); eA @ W gives the sums over T of every
         # (t, c), which eC weighs.
-        if pair:
-            cross = work["cross"][:k]
         G_high, SRT, top = G_LR[:, b:], SR.T, np.empty(k)
         for j in range(layout.tiles):
             c = slice(j * tc, (j + 1) * tc)
@@ -502,7 +433,31 @@ class BlockEnumerator:
                         cross[g] += cross_part
                 top[g] = grown
         row_sums *= eA
-        return top, c_shift
+        # the tile temporaries go before the reductions, whose operands peak
+        # above them: held on, they took an n = 24 pair pass to 1.16 MiB
+        del B, field, a, eA, row_part
+
+        # the sums over c per left state (t, T) and over (t, T) per right state c
+        u = row_sums.reshape(k, -1)
+        zsum = u.sum(axis=1)
+        norm = zsum[:, None]
+        out.log_z[rows] = np.log(zsum) + top + c_shift
+
+        if pair:
+            del cross_part
+            # the right-left block stays 0: only the upper triangle is read
+            sec = np.zeros((k, self.na, self.na))
+            sec[:, :n1, :n1] = SL.T @ (u[:, :, None] * SL)
+            sec[:, :b, n1:] = layout.Sl.T @ cross[:, nT:]
+            sec[:, b:n1, n1:] = layout.Sh.T @ cross[:, :nT]
+            sec[:, n1:, n1:] = SR.T @ (by_right[:, :, None] * SR)
+            sec /= norm[:, :, None]
+            out.second[rows] = _symmetrized_second(sec)
+
+        # one product per block sums every site's signs against the sums,
+        # giving the magnetizations
+        at_left, at_right = u[:, None] @ SL, by_right[:, None] @ SR
+        out.mag[rows] = np.concatenate([at_left[:, 0], at_right[:, 0]], axis=1) / norm
 
 
 class _Layout:
@@ -764,6 +719,9 @@ def clamped_moments(G: np.ndarray, H, F):
         return m, pairs, None
     ma, mb, r_ab = m[:, F[0], None], m[:, F[1], None], r[1][:, F[1], None]
     triple = r[3] - ma * r[2] - mb * r[1] - m * r_ab + 2.0 * ma * mb * m
+    # m_jkj = -2 m_j m_jk and m_jkk = -2 m_k m_jk exactly, as for M_jj above
+    for site in F:
+        triple[:, site] = -2.0 * m[:, site] * pairs[0][:, F[1]]
     return m, pairs, triple
 
 

@@ -220,29 +220,20 @@ class CouplingPath:
         column i; row k of each equals ``row_at(i, k)`` and
         ``row_increment(i, k)``.
         """
-        _check_sites(self.n, i)
-        partner, columns = self._pair_columns(i)
-        increments = np.zeros((self.steps, self.n))
-        increments[:, partner] = self.increments[:, columns]
+        increments = np.insert(self.cavity_increments(i), i, 0.0, axis=1)
         rows = np.zeros((self.grid.size, self.n))
         np.cumsum(increments, axis=0, out=rows[1:])
         return rows, increments
 
     def cavity_increments(self, i: int) -> np.ndarray:
         """Row i's increments over every segment at the n - 1 other sites,
-        site l > i in column l - 1: ``row_path(i)[1]`` without column i, in
-        C order, gathered without the row path."""
+        site l > i in column l - 1, in C order: ``row_path(i)[1]`` without
+        column i, gathered without the row path."""
         _check_sites(self.n, i)
-        return np.take(self.increments, self._pair_columns(i)[1], axis=1)
-
-    def _pair_columns(self, i: int) -> tuple:
-        """The other sites of i, and the column of ``increments`` that holds
-        each one's pair with i."""
         partner = np.delete(np.arange(self.n), i)
-        lo = np.minimum(partner, i)
-        hi = np.maximum(partner, i)
-        # row-major position of pair (lo, hi), lo < hi, among the upper pairs
-        return partner, lo * (2 * self.n - lo - 1) // 2 + (hi - lo - 1)
+        lo, hi = np.minimum(partner, i), np.maximum(partner, i)
+        # the row-major place of pair (lo, hi), lo < hi, among the upper pairs
+        return np.take(self.increments, lo * (2 * self.n - lo - 1) // 2 + (hi - lo - 1), axis=1)
 
     def row_at(self, i: int, k: int) -> np.ndarray:
         """Row i of the coupling matrix at grid point k (length n, zero at i)."""

@@ -113,9 +113,10 @@ def test_engines_agree(variant, second, n, steps):
 @pytest.mark.parametrize("n, steps", [(6, 2048), (12, 100)])
 def test_one_stacked_call_over_both_spins_equals_one_call_per_spin(n, steps):
     # the stack of the pair check: the +1 grid, then the -1 grid, each with
-    # site 1 clamped both ways.  At n = 6 its 8196 Walsh rows run in chunks
-    # of 4096 and 4100, at n = 12 its 404 block-pass rows in chunks that
-    # straddle the grids; every row keeps the bits of its one-spin call
+    # site 1 clamped both ways.  At n = 6 its 8196 Walsh rows run in two
+    # chunks of 4098, at n = 12 its 404 block-pass rows in chunks of 134,
+    # 135 and 135 that straddle the grids; every row keeps the bits of its
+    # one-spin call
     params = ModelParams.uniform(n, 0.5, 0.3)
     path = sample_path(params, steps, 9)
     _, (m, pairs, _), _ = sktap.dynamics._row_moments(path, params, 0, (+1, -1), (1,))
@@ -271,7 +272,7 @@ def test_residual_is_the_exactly_rounded_sum_of_the_increments(variant, second, 
 def test_one_check_allocates_less_than_two_mebibytes():
     # A fresh interpreter, traced from after the draw.  A 2048-step pair
     # check at n = 6 enumerates 4 x 2049 clamped systems of 4 sites.  At its
-    # peak, in the Walsh pass, it holds one 0.81 MiB block (the 4100-row
+    # peak, in the Walsh pass, it holds one 0.81 MiB block (the 4098-row
     # chunk's grid of 16 states, a scratch half its size and log Z), the
     # clamped mix (320 KiB), whose free rows the pass overwrites with the
     # magnetizations, and the stacked fields (160 KiB): 1.35 MiB.  The bound

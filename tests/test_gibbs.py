@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sktap.gibbs
 from sktap import (
@@ -127,14 +129,15 @@ def test_engines_match_each_other_with_reductions():
 
 
 @pytest.mark.parametrize(
-    "na,rows", [(12, 7), (12, 19), (12, 50), (16, 3), (5, 2051), (6, 1027), (5, 2400)]
+    "na,rows",
+    [(12, 7), (12, 19), (12, 50), (12, 120), (16, 3), (5, 2051), (6, 1027), (5, 2400)],
 )
 def test_stacked_moments_match_one_call_per_row(na, rows):
-    # na = 12 fits 31 systems per chunk, so 7 and 19 rows share one chunk
-    # and 50 rows split 31 + 19; na = 16 fits 4 systems per chunk.  The
+    # na = 12 (b = 2) fits the operands of 58 systems per chunk, and a chunk
+    # may take up to an eighth more: 7, 19 and 50 rows make one chunk, 120
+    # rows split 60 + 60; na = 16 fits 9 systems per chunk.  The
     # Walsh-Hadamard pass fits 2048 rows per chunk at na = 5 and 1024 at
-    # na = 6, and its last chunk takes a remainder of up to an eighth of
-    # that: 2051 and 1027 rows make one chunk, 2400 rows split 2048 + 352.
+    # na = 6: 2051 and 1027 rows make one chunk, 2400 rows split 1200 + 1200.
     from sktap.gibbs import BlockEnumerator
 
     rng = np.random.default_rng(na)
@@ -229,7 +232,8 @@ def test_coupling_stack_spanning_several_tiles_is_bit_equal_to_one_system_per_bl
 def test_a_chunk_of_several_systems_gives_each_system_its_own_tiles(monkeypatch):
     # At na = 18 the D grid of a b = 3 system, 2^15 states, is a tile by
     # itself, while a chunk holds the operands of 4 such systems, with the
-    # pair matrix or without: the 7 systems of b = 3 run in chunks of 4 + 3.
+    # pair matrix or without: the 7 systems of b = 3 run in the two equal
+    # chunks of 3 + 4 that the chunk plan cuts.
     # Systems 2 and 6 (b = 0) share a chunk and span 8 tiles each, system 5
     # has b = 1, and system 9 repeats system 1 in another chunk.
     from sktap.gibbs import BlockEnumerator
@@ -259,7 +263,7 @@ def test_a_chunk_of_several_systems_gives_each_system_its_own_tiles(monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(BlockEnumerator, "_pass", spy)
             stacked = ctx.moments(fields, want_pair=want_pair)
-        assert [k for _, k, _, _ in passes] == [2, 1, 4, 3]
+        assert [k for _, k, _, _ in passes] == [2, 1, 3, 4]
         for b, _, per_tile, tile_cols in passes:
             assert per_tile == 1
             assert tile_cols * {0: 8, 1: 4, 3: 1}[b] == 1 << (n - n1)
@@ -371,10 +375,10 @@ def test_in_place_walsh_pass_keeps_the_bits_of_the_two_buffer_pass(na, rows, wan
         assert got.second is None
 
 
-@pytest.mark.parametrize("rows, passes", [(2049, [2049]), (4098, [2048, 2050])])
+@pytest.mark.parametrize("rows, passes", [(2049, [2049]), (4098, [2049, 2049])])
 def test_walsh_stack_takes_a_small_remainder_into_its_last_chunk(rows, passes):
-    # two grids of a 2048-step path at na = 5, 4098 rows, run in chunks of
-    # 2048 and 2050, not a third for two rows; a 2049-row stack (one grid)
+    # two grids of a 2048-step path at na = 5, 4098 rows, run in two equal
+    # chunks of 2049, not a third for two rows; a 2049-row stack (one grid)
     # is one pass, not a second one for a single row; no chunk passes 9/8 of
     # the 2048 rows that fit the state budget at na = 5
     from sktap.gibbs import BlockEnumerator
@@ -398,6 +402,39 @@ def test_walsh_stack_takes_a_small_remainder_into_its_last_chunk(rows, passes):
         one = ctx.moments(h, want_pair=False)
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
+
+
+def parent_chunk_count(count, per):
+    """Chunks of the rule that ``_chunks`` replaced: runs of ``per`` rows, the
+    last of which took a remainder of up to per // 8 rows (the Walsh pass);
+    the block pass ran plain runs of ``per``, never fewer chunks than this."""
+    most, ends = per + per // 8, [0]
+    while ends[-1] < count:
+        ends.append(count if count - ends[-1] <= most else ends[-1] + per)
+    return len(ends) - 1
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**4), st.integers(min_value=1, max_value=1 << 16))
+@example(0, 1)
+@example(1, 1)
+@example(10**4, 1)
+@example(7, 4)
+@example(2304, 2048)
+@example(2305, 2048)
+@example(4098, 2048)
+@example(8196, 4096)
+def test_the_chunk_plan_covers_each_row_once_in_the_fewest_equal_chunks(count, per):
+    from sktap.gibbs import _chunks
+
+    chunks = _chunks(count, per)
+    assert [r for c in chunks for r in range(c.start, c.stop)] == list(range(count))
+    sizes = [c.stop - c.start for c in chunks]
+    assert all(size >= 1 for size in sizes)
+    assert max(sizes, default=0) <= per + per // 8
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    assert len(chunks) == -(-count // (per + per // 8))  # the fewest within 9/8
+    assert len(chunks) <= parent_chunk_count(count, per)
 
 
 def test_one_pass_allocates_far_less_than_one_grid():
@@ -812,6 +849,22 @@ def test_the_triple_agrees_along_its_three_clamped_routes(n):
               clamped_moments(G, h, (j, k))[2][0, i]]
     assert abs(routes[0]) > 1e-2  # a triple well above the bound
     assert max(routes) - min(routes) <= 16 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_the_clamped_triple_pins_its_diagonal_exactly(n):
+    # On F = (j, k), tau^2 = 1 gives m_jkj = -2 m_j m_jk and m_jkk =
+    # -2 m_k m_jk, both with the one m_jk of pairs[0].  The mix reaches
+    # them only up to rounding: unpinned, these draws miss by up to 1.3e-16.
+    from sktap.gibbs import clamped_moments
+
+    params = ModelParams.uniform(n, 0.8, 0.3)
+    G = sample_couplings(params, 0).entries
+    H = np.random.default_rng(0).normal(0.0, 0.5, (2, n))
+    F = (1, n - 2)
+    m, pairs, triple = clamped_moments(G, H, F)
+    for site in F:
+        assert np.array_equal(triple[:, site], -2.0 * m[:, site] * pairs[0][:, F[1]])
 
 
 @pytest.mark.parametrize("n", [20, 23, 24])

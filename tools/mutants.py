@@ -36,6 +36,8 @@ CLAMPED_NAIVE = "tests/test_gibbs.py::test_clamped_moments_match_the_naive_oracl
 WALSH_BITS = "tests/test_gibbs.py::test_in_place_walsh_pass_keeps_the_bits_of_the_two_buffer_pass"
 HTAP2_SIDES = "tests/test_tap.py::test_htap2_matches_the_naive_oracle_on_either_side_of_the_cavity_site"
 IN_PLACE_MIX = "tests/test_gibbs.py::test_the_clamped_mix_keeps_its_bits_when_the_pass_writes_over_its_fields"
+WALSH_REMAINDER = "tests/test_gibbs.py::test_walsh_stack_takes_a_small_remainder_into_its_last_chunk"
+CHUNK_PLAN = "tests/test_gibbs.py::test_the_chunk_plan_covers_each_row_once_in_the_fewest_equal_chunks"
 
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
@@ -103,12 +105,19 @@ MUTANTS = (
         [SEVERAL_PER_CHUNK],
     ),
     (
-        "last-partial-chunk-skips-its-final-system",
+        "last-chunk-skips-its-final-system",
         "src/sktap/gibbs.py",
-        "                rows = systems[a : a + per] if blocks > 1 else slice(a, a + per)\n",
-        "                rows = systems[a : a + per if a + per <= count else count - 1]"
-        " if blocks > 1 else slice(a, a + per)\n",
+        "                rows = systems[c] if blocks > 1 else c\n",
+        "                rows = systems[c.start : min(c.stop, systems.size - 1)] if blocks > 1 else c\n",
         [SEVERAL_PER_CHUNK],
+    ),
+    (
+        "pass-keeps-its-tile-temporaries",
+        "src/sktap/gibbs.py",
+        "        del B, field, a, eA, row_part\n",
+        "",
+        ["tests/test_gibbs.py::test_one_pass_allocates_far_less_than_one_grid",
+         "tests/test_ensemble.py::test_one_sample_of_every_experiment_stays_within_its_memory_budget"],
     ),
     (
         "block-pass-magnetizations-off-by-1e-13",
@@ -153,6 +162,13 @@ MUTANTS = (
         "        pairs[a][:, site] = 1.0 - m[:, site] * m[:, site]\n",
         "",
         ["tests/test_gibbs_properties.py::test_zero_field_measure_is_spin_flip_symmetric"],
+    ),
+    (
+        "clamped-triple-diagonal-unpinned",
+        "src/sktap/gibbs.py",
+        "        triple[:, site] = -2.0 * m[:, site] * pairs[0][:, F[1]]\n",
+        "        pass\n",
+        ["tests/test_gibbs.py::test_the_clamped_triple_pins_its_diagonal_exactly"],
     ),
     (
         "clamped-mix-swaps-lo-and-hi",
@@ -500,11 +516,25 @@ MUTANTS = (
         ["tests/test_cli.py::test_main_leaves_the_collector_as_it_found_it"],
     ),
     (
-        "walsh-one-row-remainder",
+        "chunk-plan-without-its-eighth",
         "src/sktap/gibbs.py",
-        "                ends.append(K if K - ends[-1] <= most else ends[-1] + per)\n",
-        "                ends.append(min(K, ends[-1] + per))\n",
-        ["tests/test_gibbs.py::test_walsh_stack_takes_a_small_remainder_into_its_last_chunk"],
+        "    pieces = -(-count // (per + per // 8))\n",
+        "    pieces = -(-count // per)\n",
+        [WALSH_REMAINDER, CHUNK_PLAN],
+    ),
+    (
+        "chunk-plan-drops-the-last-row",
+        "src/sktap/gibbs.py",
+        "slice(count * i // pieces, count * (i + 1) // pieces)",
+        "slice(count * i // pieces, count * (i + 1) // pieces - (i == pieces - 1))",
+        [WALSH_REMAINDER, CHUNK_PLAN],
+    ),
+    (
+        "chunk-plan-repeats-the-last-row",
+        "src/sktap/gibbs.py",
+        " for i in range(pieces)]\n",
+        " for i in range(pieces)] + [slice(count - 1, count)]\n",
+        [CHUNK_PLAN],
     ),
     (
         "negative-exponent-is-an-option",
