@@ -18,15 +18,23 @@ log-weight then factors as a[t, T] + C[t, c] + D[T, c]:
   depend on the field;
 * D = ER + hR.sR + sh(T) G_LR[high] sR(c) (2^(na-b) entries).
 
-A pass exponentiates a, D and the factor eC = exp(C - max C) of 2^(b+n2)
+A construction computes the block energies EL and ER once, each from the
+two halves of its block's states (``_quadratic``): 2^k k/2 multiply-adds
+for a block of k sites, where the dense product took 2^k k^2.  A pass
+exponentiates a, D and the factor eC = exp(C - max C) of 2^(b+n2)
 entries, and forms every sum over the 2^na states as a matrix product
 against eC: 2^n1 + 2^(na-b) exponentials, plus 2^(b+n2) per chunk of field
 rows for eC, and 2^na multiply-adds per product, two, plus one with the pair
-matrix.  Neither D nor eC is stored whole: a pass streams both through one
-cache-sized tile of columns (right states) at a time, exponentiates each
-tile against the running maximum of its system and reduces it at once.
-Every sum it keeps, per left state (t, T) and per right state c, is
-rescaled whenever that maximum grows (an online log-sum-exp).  Memory is
+matrix, whose left-left and right-right blocks come from the halves of the
+sums per left and per right state (``_signed_sums``), 2^n1 n1/2 and
+2^n2 n2/2 multiply-adds.  Neither D nor eC is stored whole: a pass streams
+both through one cache-sized tile of columns (right states) at a time,
+exponentiates each tile against the running maximum of its system and
+reduces it at once.  Every sum it keeps, per left state (t, T) and per
+right state c, is rescaled whenever that maximum grows (an online
+log-sum-exp).  eC stays one exponential per entry: as the outer product of
+two factors over the halves of the right sites, it wrote as many entries
+and took more numpy calls a chunk, and ran slower at n = 19-20.  Memory is
 one tile plus O(2^n1 + 2^n2) vectors per system, O(2^(n/2) * n) in all;
 no buffer spans the 2^(b+n2) entries of eC, unless it fits one tile.  A
 guard caps b so that C spans at most ``_GUARD`` (600): weights that matter
@@ -183,16 +191,52 @@ def _sign_matrix(k: int) -> np.ndarray:
     return S
 
 
-def _quadratic(S: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Interaction energy 0.5 s.G.s per row of S for each block of a (K, k, k)
-    stack G (symmetric, zero diagonal), as a (K, 2^k) array.
+def _quadratic(G: np.ndarray) -> np.ndarray:
+    """Interaction energy 0.5 s.G.s of every state s, in the order of
+    ``_sign_matrix(k)``, for each block of a (K, k, k) stack G (symmetric,
+    zero diagonal), as a (K, 2^k) array.
 
-    The stack goes through in slices whose products S @ G stay within the
-    state budget."""
-    per = max(1, _TILE_STATES // max(1, S.size))
-    return np.concatenate(
-        [0.5 * np.einsum("kci,ci->kc", S @ G[a : a + per], S) for a in range(0, len(G), per)]
-    )
+    State t 2^k2 + B splits into its k1 = ceil(k/2) top sites (state t)
+    and its k2 = k - k1 bottom ones (state B), so that
+    E[t, B] = E_top[t] + E_bottom[B] + (S_k1 G_TB S_k2^T)[t, B].  Each half
+    takes the dense product, 2^(k/2) k^2 multiply-adds; the cross term is
+    one k2-deep product per block, written into the result, and the halves
+    are added onto it: O(2^k k/2) in all, against 2^k k^2 for the dense
+    product, and no temporary of the result's size."""
+    K, k = G.shape[0], G.shape[-1]
+    k1 = (k + 1) // 2
+    S1, S2 = _sign_matrix(k1), _sign_matrix(k - k1)
+    E = np.empty((K, len(S1), len(S2)))
+    np.matmul(S1 @ G[:, :k1, k1:], S2.T, out=E)
+    E += _dense_quadratic(S1, G[:, :k1, :k1])[:, :, None]
+    E += _dense_quadratic(S2, G[:, k1:, k1:])[:, None, :]
+    return E.reshape(K, -1)
+
+
+def _dense_quadratic(S: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """0.5 s.G.s per row s of S for each block of the stack G, (K, len(S))."""
+    return 0.5 * np.einsum("kci,ci->kc", S @ G, S)
+
+
+def _signed_sums(w: np.ndarray, out: np.ndarray) -> None:
+    """sum_s w[s] s s^T into the (K, k, k) ``out``, for each row of a
+    (K, 2^k) stack of state weights w in the order of ``_sign_matrix(k)``;
+    all but its block below the diagonal, bottom sites by top sites, which
+    mirrors the block above.
+
+    As in ``_quadratic``, the states split into their top and bottom
+    halves: each half's block sums the half's signs against the weights
+    summed over the other half, and the block between them is
+    S_k1^T W S_k2 for the weights W as a 2^k1 x 2^k2 grid.  Every operand
+    spans 2^(k/2) states, not 2^k: 2^k k/2 multiply-adds in all."""
+    k = out.shape[-1]
+    k1 = (k + 1) // 2
+    S1, S2 = _sign_matrix(k1), _sign_matrix(k - k1)
+    W = w.reshape(len(w), len(S1), len(S2))
+    top, bottom = W.sum(axis=2), W.sum(axis=1)
+    out[:, :k1, :k1] = S1.T @ (top[:, :, None] * S1)
+    out[:, k1:, k1:] = S2.T @ (bottom[:, :, None] * S2)
+    out[:, :k1, k1:] = (S1.T @ W) @ S2
 
 
 def _symmetrized_second(second: np.ndarray) -> np.ndarray:
@@ -248,7 +292,7 @@ class BlockEnumerator:
         self.na = na = self.G.shape[-1]
         if na <= _WALSH_SITES:
             # the interaction energy of every state, one column per block
-            self.E = _quadratic(_sign_matrix(na), self.G).T.copy()
+            self.E = _quadratic(self.G).T.copy()
             return
         self.n1 = n1 = (na + 1) // 2
         self.n2 = na - n1
@@ -256,8 +300,8 @@ class BlockEnumerator:
         # the places in the stack of the systems of each b, and the block
         # energies of every system
         self.systems = {b: np.flatnonzero(self.low == b) for b in sorted(set(self.low.tolist()))}
-        self.EL = _quadratic(_sign_matrix(n1), self.G[:, :n1, :n1])
-        self.ER = _quadratic(_sign_matrix(self.n2), self.G[:, n1:, n1:])
+        self.EL = _quadratic(self.G[:, :n1, :n1])
+        self.ER = _quadratic(self.G[:, n1:, n1:])
 
     def moments(self, h, want_pair=True, out=None) -> _RawMoments:
         """Raw moments for a stack of field vectors ``h`` of shape (K, na).
@@ -268,7 +312,7 @@ class BlockEnumerator:
         float64 array, if given receives the magnetizations and is the
         result's ``mag``.  It may be ``h`` itself, and ``h`` may come in any
         float64 layout: every chunk reads its rows of ``h`` before it writes
-        them.  At n = 24 with the pair matrix, one call allocates 0.86 MiB
+        them.  At n = 24 with the pair matrix, one call allocates 0.79 MiB
         at its peak.
         """
         H = np.atleast_2d(np.asarray(h, dtype=np.float64))
@@ -357,6 +401,10 @@ class BlockEnumerator:
         split D at column boundaries fixed by na and b, and every product is
         one BLAS call per system, never one whose row dimension spans the
         chunk or the tile: equal systems give equal bits wherever they sit.
+        Per system it costs the exponentials of a, D and eC and two
+        products of 2^na multiply-adds (three with the pair matrix), whose
+        left-left and right-right blocks then take ``_signed_sums``: no
+        operand there spans more than 2^(n1/2) states.
         """
         k, blocks, pair = H.shape[0], len(own), out.second is not None
         n1, b = self.n1, layout.low
@@ -433,9 +481,6 @@ class BlockEnumerator:
                         cross[g] += cross_part
                 top[g] = grown
         row_sums *= eA
-        # the tile temporaries go before the reductions, whose operands peak
-        # above them: held on, they took an n = 24 pair pass to 1.16 MiB
-        del B, field, a, eA, row_part
 
         # the sums over c per left state (t, T) and over (t, T) per right state c
         u = row_sums.reshape(k, -1)
@@ -444,13 +489,12 @@ class BlockEnumerator:
         out.log_z[rows] = np.log(zsum) + top + c_shift
 
         if pair:
-            del cross_part
             # the right-left block stays 0: only the upper triangle is read
             sec = np.zeros((k, self.na, self.na))
-            sec[:, :n1, :n1] = SL.T @ (u[:, :, None] * SL)
+            _signed_sums(u, sec[:, :n1, :n1])
             sec[:, :b, n1:] = layout.Sl.T @ cross[:, nT:]
             sec[:, b:n1, n1:] = layout.Sh.T @ cross[:, :nT]
-            sec[:, n1:, n1:] = SR.T @ (by_right[:, :, None] * SR)
+            _signed_sums(by_right, sec[:, n1:, n1:])
             sec /= norm[:, :, None]
             out.second[rows] = _symmetrized_second(sec)
 
@@ -691,7 +735,11 @@ def clamped_moments(G: np.ndarray, H, F):
     w = raw.log_z.reshape(states, K)  # becomes each system's share of the weight
     w += 0.5 * ((tau @ G_F[:, F]) * tau).sum(axis=1)[:, None]
     for a, site in enumerate(F):
-        w += tau[:, a, None] * H[:, site]
+        # tau = +-1, so w + tau h is w + h or w - h: the same bits, in place,
+        # with no temporary while the pass's block is held (and no view of
+        # it left behind, which would hold the block past the ``del`` below)
+        for s in range(states):
+            (np.add if tau[s, a] > 0 else np.subtract)(w[s], H[:, site], out=w[s])
     w -= w.max(axis=0)
     np.exp(w, out=w)
     w /= w.sum(axis=0)

@@ -20,7 +20,10 @@ Two references check the package's block enumeration engine:
 Neither shares enumeration or reduction code with the block engine, so
 agreement is a genuine two-route check.  A third reference,
 ``two_buffer_walsh``, keeps the two-grid form of the engine's own
-Walsh-Hadamard pass: the in-place pass must give its bits.
+Walsh-Hadamard pass: the in-place pass must give its bits.  Two more check
+the engine's products by halves directly: ``pair_energies`` sums the
+interaction energy of every state term by term, and ``signed_sums`` sums
+the weighted sign products of every state with ``math.fsum``.
 
 The module also keeps the helpers that only the tests call: the derivative
 ``f_prime`` of the overlap map, the grid coarsening ``coarsened`` of a
@@ -194,6 +197,44 @@ def two_buffer_walsh(E, H, want_pair=True) -> _RawMoments:
     bits = 1 << np.arange(na)[::-1]
     second = (X[bits[:, None] ^ bits] / z).transpose(2, 0, 1) if want_pair else None
     return _RawMoments(np.log(z) + shift, (X[bits] / z).T, second)
+
+
+def pair_energies(G):
+    """Interaction energy 0.5 s.G.s = sum_{i<j} G_ij s_i s_j of every state s,
+    in the order of ``sktap.gibbs._sign_matrix(k)``, for each block of a
+    (K, k, k) stack G, as a (K, 2^k) array.
+
+    Each term is exact (a sign times G_ij), and the terms are summed with
+    Neumaier's compensation, so every energy is correct to about one
+    rounding of its value, whatever the order of the pairs.
+    """
+    K, k = G.shape[0], G.shape[-1]
+    # site j on bit k-1-j of the state index, as in the engine's sign matrices
+    bits = np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)
+    signs = 2.0 * (bits & 1) - 1.0
+    total, carry = np.zeros((K, 1 << k)), np.zeros((K, 1 << k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            term = G[:, i, j, None] * (signs[:, i] * signs[:, j])
+            t = total + term
+            carry += np.where(np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total)
+            total = t
+    return total + carry
+
+
+def signed_sums(w, k):
+    """sum_s w[s] s s^T for each row of the (K, 2^k) state weights w, states
+    in the order of ``sktap.gibbs._sign_matrix(k)``, each entry summed by
+    ``math.fsum``: its terms are exact (a weight times +-1), so the entry is
+    correctly rounded."""
+    bits = np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)
+    signs = 2.0 * (bits & 1) - 1.0
+    out = np.empty((len(w), k, k))
+    for r, row in enumerate(w):
+        for i in range(k):
+            for j in range(k):
+                out[r, i, j] = math.fsum((row * signs[:, i] * signs[:, j]).tolist())
+    return out
 
 
 def on_engine(engine, fn, *args, **kwargs):

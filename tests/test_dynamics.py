@@ -271,15 +271,19 @@ def test_residual_is_the_exactly_rounded_sum_of_the_increments(variant, second, 
 
 def test_one_check_allocates_less_than_two_mebibytes():
     # A fresh interpreter, traced from after the draw.  A 2048-step pair
-    # check at n = 6 enumerates 4 x 2049 clamped systems of 4 sites.  At its
-    # peak, in the Walsh pass, it holds one 0.81 MiB block (the 4098-row
-    # chunk's grid of 16 states, a scratch half its size and log Z), the
-    # clamped mix (320 KiB), whose free rows the pass overwrites with the
-    # magnetizations, and the stacked fields (160 KiB): 1.35 MiB.  The bound
-    # is that peak plus 10%, rounded up to 0.05 MiB.  With the moments in
-    # the block (1.06 MiB) and the row path and its increments held through
-    # the call, it peaked at 1.79 MiB; with two grids sized for 4608 rows,
-    # and the partial sums built for the residual, at 2.17 MiB.
+    # check at n = 6 enumerates 4 x 2049 clamped systems of 4 sites.  It
+    # holds one 0.81 MiB block (the 4098-row chunk's grid of 16 states, a
+    # scratch half its size and log Z), the clamped mix (320 KiB), whose
+    # free rows the pass overwrites with the magnetizations, and the
+    # stacked fields (160 KiB).  Its peak, 1.32 MiB, falls as the clamped
+    # weights, a view of that block, are normalized, each step with one
+    # 32 KiB vector over the 4098 rows; the Walsh pass peaks at 1.29 MiB.
+    # The bound is that peak plus 10%, rounded up to 0.01 MiB.  With the
+    # field term of the weights added through a 64 KiB temporary, it peaked
+    # at 1.35 MiB; with the moments in the block (1.06 MiB) and the row path
+    # and its increments held through the call, at 1.79 MiB; with two grids
+    # sized for 4608 rows, and the partial sums built for the residual, at
+    # 2.17 MiB.
     script = (
         "import tracemalloc\n"
         "from sktap import ItoCheckConfig, ModelParams, ito_decomposition_residual, sample_path\n"
@@ -295,7 +299,7 @@ def test_one_check_allocates_less_than_two_mebibytes():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 1.5 * 2**20
+    assert int(proc.stdout) < 1.46 * 2**20
 
 
 def test_integrands_match_independent_clamped_route():

@@ -34,6 +34,8 @@ from oracles import (
     naive_raw_moment,
     naive_tables,
     on_engine,
+    pair_energies,
+    signed_sums,
     two_buffer_walsh,
 )
 
@@ -440,11 +442,13 @@ def test_the_chunk_plan_covers_each_row_once_in_the_fewest_equal_chunks(count, p
 def test_one_pass_allocates_far_less_than_one_grid():
     # The 2^24 float64 grid is 128 MiB.  A streamed pass at b = 5 holds one
     # tile of W and one of the pair matrix's product of the same shape, 128
-    # x 128 states or 128 KiB each, the 2^12 x 12 operand of the left-left
-    # pair block (384 KiB), and vectors over the 2^12 left and the 2^12
-    # right states: about 0.86 MiB.  With b = 4 and tiles of 256 x 128
-    # states it took 1.10 MiB, and 2.96 MiB before the tiles held eC, its
-    # column sums and the right operand.
+    # x 128 states or 128 KiB each, the 6 x 2^12 coupling rows of eC (192
+    # KiB), and vectors over the 2^12 left and the 2^12 right states: 0.79
+    # MiB at its peak, in the tile loop.  The bound is that peak plus 10%,
+    # rounded up to 0.05 MiB.  With the left-left pair block summed against
+    # a 2^12 x 12 operand (384 KiB) it took 0.86 MiB; with b = 4 and tiles
+    # of 256 x 128 states 1.10 MiB, and 2.96 MiB before the tiles held eC,
+    # its column sums and the right operand.
     from sktap.gibbs import BlockEnumerator
 
     params = ModelParams.uniform(24, 0.5, 0.3)
@@ -460,14 +464,17 @@ def test_one_pass_allocates_far_less_than_one_grid():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before < 1.0 * 2**20
+    assert peak - before < 0.9 * 2**20
 
 
 def test_a_first_construction_allocates_less_than_a_mebibyte():
     # A fresh interpreter, so that no sign matrix is cached yet.  At n = 24
-    # a construction caches the 2^12 x 12 signs of both blocks (384 KiB
-    # each) and makes one 384 KiB S @ G temporary per block energy: 0.82
-    # MiB at its peak, so one more copy of the signs would pass 1 MiB.
+    # a construction builds the two block energies, 2^12 floats each (32
+    # KiB), from the halves of each block: it caches the 2^6 x 6 signs and
+    # makes temporaries over 2^6 states, 0.10 MiB at its peak.  One copy of
+    # the 2^12 x 12 signs (384 KiB), which the dense product cached along
+    # with one 384 KiB S @ G temporary per block energy (0.82 MiB), would
+    # pass the bound of 0.25 MiB.
     script = (
         "import tracemalloc\n"
         "from sktap import ModelParams, sample_couplings\n"
@@ -483,7 +490,7 @@ def test_a_first_construction_allocates_less_than_a_mebibyte():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 1.0 * 2**20
+    assert int(proc.stdout) < 0.25 * 2**20
 
 
 # (tile_cols, tiles, per_tile) of ``_Layout(n1, n2, b)`` for every b the guard
@@ -581,6 +588,73 @@ def test_sign_matrices_equal_their_bitwise_construction():
             low, high = _sign_matrix(b), _sign_matrix(n1 - b)
             assert np.array_equal(S[:, :, :b], np.broadcast_to(low[:, None], S[:, :, :b].shape))
             assert np.array_equal(S[:, :, b:], np.broadcast_to(high, S[:, :, b:].shape))
+
+
+def coupling_stack(rng, blocks, k):
+    """``blocks`` symmetric zero-diagonal k x k blocks, each of its own scale."""
+    scale = 10.0 ** rng.uniform(-2.0, 2.0, (blocks, 1, 1))
+    G = np.triu(rng.normal(0.0, 1.0, (blocks, k, k)) * scale, 1)
+    return G + G.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_block_energies_by_halves_match_the_sum_over_pairs(k):
+    # _quadratic adds each state's top-half and bottom-half energies to
+    # their cross term; pair_energies sums the state's k(k-1)/2 pair terms
+    # with compensation.  The bound is relative to sum_{i<j} |G_ij|, the
+    # largest |E| can be: a sum of pair terms rounds on that scale, not on
+    # |E|, which may cancel to near 0.  On these draws the gap measured at
+    # most 2.1e-16 of it.
+    from sktap.gibbs import _quadratic
+
+    rng = np.random.default_rng(k)
+    for blocks in (1, 3, 20):
+        G = coupling_stack(rng, blocks, k)
+        E = _quadratic(G)
+        assert E.shape == (blocks, 1 << k)
+        scale = np.abs(np.triu(G, 1)).sum(axis=(1, 2))[:, None]
+        assert np.all(np.abs(E - pair_energies(G)) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8, 9, 12])
+def test_a_block_energy_keeps_its_bits_alone_or_in_a_stack(k):
+    # Every product of _quadratic is one BLAS call per block, and every add
+    # is elementwise, so a block's energies do not depend on its neighbours,
+    # on its place in the stack or on the layout of the stack: the cavity
+    # stacks of htap1 pass the strided view G[:, :n1, :n1] of their blocks.
+    from sktap.gibbs import _quadratic
+
+    rng = np.random.default_rng(50 + k)
+    G = coupling_stack(rng, 20, k + 3)
+    G[13] = G[4]
+    view = G[:, :k, :k]
+    E = _quadratic(view)
+    for r in range(len(G)):
+        assert np.array_equal(_quadratic(view[r : r + 1].copy())[0], E[r])
+    assert np.array_equal(E[13], E[4])
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_signed_sums_by_halves_match_the_exact_sums(k):
+    # The pair matrix's left-left and right-right blocks, from the halves of
+    # the states, against correctly rounded sums.  Each entry sums 2^k
+    # positive weights times +-1, so it rounds on the scale of the weights'
+    # total; the gap measured at most 5.0e-16 of it on these draws and
+    # 5.8e-16 over 240 more (the one product against the whole sign matrix,
+    # which formed these blocks before, reached 3.8e-15 at k = 12).  The
+    # block below the two halves is never written: the caller mirrors the
+    # upper triangle.
+    from sktap.gibbs import _signed_sums
+
+    rng = np.random.default_rng(k)
+    w = rng.exponential(1.0, (3, 1 << k)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 1))
+    out = np.zeros((3, k, k))
+    _signed_sums(w, out)
+    upper = np.triu(np.ones((k, k), dtype=bool))
+    gap = np.abs(out - signed_sums(w, k))[:, upper]
+    assert np.all(gap <= 1e-15 * w.sum(axis=1)[:, None])
+    k1 = (k + 1) // 2
+    assert not out[:, k1:, :k1].any()
 
 
 def test_sk_couplings_take_the_factorised_path():

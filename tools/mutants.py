@@ -4,17 +4,17 @@ and Ito formulas, the ensemble driver and its sample loop.
     python tools/mutants.py
 
 Each mutant is one exact edit, (file, snippet, replacement), plus the tests
-that must catch it.  The script copies ``src/``, ``tests/`` and
-``pyproject.toml`` into a temporary directory, runs every targeted test once
-there unmutated, then applies each mutant in turn to a fresh copy of the
-file and runs its tests with pytest.  A mutant is killed when its tests
-fail (pytest exit 1); an error that stops the tests from running, such as
-a syntax error, does not count as a kill.  The run exits 1 if the unmutated
-tests fail, if a mutant is not killed, or if a snippet no longer occurs
-exactly once in its file: a rewrite of the code a mutant guards has to
-carry the mutant forward, not lose it.  The checkout itself is never
-edited.  Each mutant costs one targeted pytest run
-(about 2-10 s), so the checks stay outside the test suite.
+that must catch it.  The script copies ``src/``, ``tests/``, ``tools/``,
+``pyproject.toml`` and ``README.md`` into a temporary directory, runs every
+targeted test once there unmutated, then applies each mutant in turn to a
+fresh copy of the file and runs its tests with pytest.  A mutant is killed
+when its tests fail (pytest exit 1); an error that stops the tests from
+running, such as a syntax error, does not count as a kill.  The run exits 1
+if the unmutated tests fail, if a mutant is not killed, or if a snippet no
+longer occurs exactly once in its file: a rewrite of the code a mutant
+guards has to carry the mutant forward, not lose it.  The checkout itself
+is never edited.  Each mutant costs one targeted pytest run (about 2-10 s),
+so the checks stay outside the test suite.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ HTAP2_SIDES = "tests/test_tap.py::test_htap2_matches_the_naive_oracle_on_either_
 IN_PLACE_MIX = "tests/test_gibbs.py::test_the_clamped_mix_keeps_its_bits_when_the_pass_writes_over_its_fields"
 WALSH_REMAINDER = "tests/test_gibbs.py::test_walsh_stack_takes_a_small_remainder_into_its_last_chunk"
 CHUNK_PLAN = "tests/test_gibbs.py::test_the_chunk_plan_covers_each_row_once_in_the_fewest_equal_chunks"
+BLOCK_ENERGIES = "tests/test_gibbs.py::test_block_energies_by_halves_match_the_sum_over_pairs"
+SIGNED_SUMS = "tests/test_gibbs.py::test_signed_sums_by_halves_match_the_exact_sums"
+NAIVE_TABLES = "tests/test_gibbs.py::test_engines_match_naive_oracle"
+LARGEST_PASSES = "tests/test_gibbs.py::test_largest_passes_equal_the_mix_of_their_clamped_halves"
+ENGINES = "tests/test_engines.py"
 
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
@@ -110,14 +115,6 @@ MUTANTS = (
         "                rows = systems[c] if blocks > 1 else c\n",
         "                rows = systems[c.start : min(c.stop, systems.size - 1)] if blocks > 1 else c\n",
         [SEVERAL_PER_CHUNK],
-    ),
-    (
-        "pass-keeps-its-tile-temporaries",
-        "src/sktap/gibbs.py",
-        "        del B, field, a, eA, row_part\n",
-        "",
-        ["tests/test_gibbs.py::test_one_pass_allocates_far_less_than_one_grid",
-         "tests/test_ensemble.py::test_one_sample_of_every_experiment_stays_within_its_memory_budget"],
     ),
     (
         "block-pass-magnetizations-off-by-1e-13",
@@ -537,6 +534,51 @@ MUTANTS = (
         [CHUNK_PLAN],
     ),
     (
+        "block-energies-without-the-cross-term",
+        "src/sktap/gibbs.py",
+        "    np.matmul(S1 @ G[:, :k1, k1:], S2.T, out=E)\n",
+        "    E[...] = 0.0\n",
+        [BLOCK_ENERGIES],
+    ),
+    (
+        "block-energies-with-the-cross-term-transposed",
+        "src/sktap/gibbs.py",
+        "    np.matmul(S1 @ G[:, :k1, k1:], S2.T, out=E)\n",
+        "    np.matmul(S1 @ G[:, :k1, k1:], S2.T, out=E.swapaxes(1, 2))\n",
+        [BLOCK_ENERGIES],
+    ),
+    (
+        "block-energies-with-the-halves-swapped",
+        "src/sktap/gibbs.py",
+        "    E += _dense_quadratic(S1, G[:, :k1, :k1])[:, :, None]\n"
+        "    E += _dense_quadratic(S2, G[:, k1:, k1:])[:, None, :]\n",
+        "    E += _dense_quadratic(S2, G[:, k1:, k1:])[:, :, None]\n"
+        "    E += _dense_quadratic(S1, G[:, :k1, :k1])[:, None, :]\n",
+        [BLOCK_ENERGIES],
+    ),
+    (
+        "signed-sums-with-the-halves-swapped",
+        "src/sktap/gibbs.py",
+        "    top, bottom = W.sum(axis=2), W.sum(axis=1)\n",
+        "    top, bottom = W.sum(axis=1), W.sum(axis=2)\n",
+        [SIGNED_SUMS, NAIVE_TABLES, LARGEST_PASSES],
+    ),
+    (
+        "signed-sums-without-the-block-between-the-halves",
+        "src/sktap/gibbs.py",
+        "    out[:, :k1, k1:] = (S1.T @ W) @ S2\n",
+        "",
+        [SIGNED_SUMS, NAIVE_TABLES, LARGEST_PASSES],
+    ),
+    (
+        "pair-pass-off-by-1e-11",
+        "src/sktap/gibbs.py",
+        "            sec /= norm[:, :, None]\n",
+        "            sec /= norm[:, :, None] * (1 + 1e-11)\n",
+        [f"{ENGINES}::test_every_scalar_agrees_on_both_engines[spectral]",
+         f"{ENGINES}::test_every_readme_payload_agrees_on_both_engines[spectral]"],
+    ),
+    (
         "negative-exponent-is-an-option",
         "src/sktap/cli.py",
         "        self._negative_number_matcher = _NEGATIVE_NUMBER\n",
@@ -562,10 +604,12 @@ def main() -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="sktap-mutants-") as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "tools"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        # the README's command block is the list that tests/test_engines.py runs
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, copy / name)
 
         baseline = sorted({test for m in MUTANTS for test in m[4]})
         if run_tests(copy, baseline) != 0:
