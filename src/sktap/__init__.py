@@ -21,7 +21,6 @@ from .errors import (
 )
 from .gibbs import (
     GibbsTables,
-    ReducedSpec,
     coupling_derivative_residual,
     gibbs_tables,
     key_identity_residual,

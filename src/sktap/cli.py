@@ -243,8 +243,7 @@ def _cmd_verify_identities(args) -> dict:
         i, j, k = (int(v) for v in sites[:3])
         n_clamp = int(rng.integers(0, max(1, args.n - 4)))
         clamped = {int(s): int(rng.choice((-1, 1))) for s in sites[3 : 3 + n_clamp]}
-        r1 = key_identity_residual(cm, params, clamped, i, j)
-        r2 = key_identity_residual(cm, params, clamped, i, j, k)
+        r1, r2 = key_identity_residual(cm, params, clamped, i, j, k)
         r3 = susceptibility_fd(cm, params, i, j, args.step) - full.pair[i, j]
         r4 = coupling_derivative_residual(cm, params, i, j, k, args.step)
         rows.append([trial, r1, r2, r3, r4])

@@ -183,7 +183,7 @@ class CouplingPath:
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must be strictly increasing")
         npairs = self.n * (self.n - 1) // 2
-        inc = np.asarray(self.increments, dtype=np.float64)
+        inc = np.ascontiguousarray(self.increments, dtype=np.float64)
         if inc.shape != (g.size - 1, npairs):
             raise ValueError(
                 f"increments must have shape ({g.size - 1}, {npairs}), got {inc.shape}"
@@ -198,20 +198,17 @@ class CouplingPath:
         return self.grid.size - 1
 
     def terminal(self) -> CouplingMatrix:
-        """Coupling matrix at the last grid point, time t."""
-        # cumsum adds in grid order, where a sum adds a lone column (n = 2)
-        # pairwise.  It runs over blocks of rows of about 2^14 floats, below a
-        # row 0 that carries the running total in, so it holds one block, not
-        # the path; smaller blocks cost a numpy call each.
-        block = max(1, 2**14 // max(1, self.increments.shape[1]))
-        buf = np.zeros((min(block, self.steps) + 1, self.increments.shape[1]))
-        for start in range(0, self.steps, block):
-            rows = self.increments[start : start + block]
-            part = buf[: len(rows) + 1]
-            part[1:] = rows
-            np.cumsum(part, axis=0, out=part)
-            buf[0] = part[-1]
-        return _symmetric(self.n, buf[0])
+        """Coupling matrix at the last grid point, time t: the sum of every
+        increment, in grid order, as ``row_path`` sums it.
+
+        A sum over the rows of the C-ordered increments adds them one row at
+        a time and allocates only its result.  numpy sums a lone column
+        (n = 2) pairwise instead, so that one takes its running total.
+        """
+        inc = self.increments
+        if inc.shape[1] == 1:
+            inc = np.cumsum(inc, axis=0)[-1:]
+        return _symmetric(self.n, inc.sum(axis=0))
 
     def row_path(self, i: int) -> tuple:
         """Row i at every grid point and its increments over every segment.

@@ -20,6 +20,9 @@ from sktap import EXPERIMENTS, NumericalError, sample_couplings, substream_seed
 from sktap.cli import _parse_n_list, build_parser, main
 from test_pinned_payloads import ITO_CLAMPS, SMALL_SCALING, check_pins
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from golden_payloads import README, readme_commands  # noqa: E402
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -433,7 +436,7 @@ def test_verify_identities_exits_two_naming_the_seed_when_a_residual_fails(
     value, monkeypatch, capsys
 ):
     # a NaN residual must fail its tolerance too, not vanish from the maximum
-    monkeypatch.setattr(sktap.cli, "key_identity_residual", lambda *args: value)
+    monkeypatch.setattr(sktap.cli, "key_identity_residual", lambda *args: (value, value))
     code, _, err = run_cli(
         ["verify-identities", "--n", "5", "--seed", "3", "--trials", "2"], capsys
     )
@@ -881,6 +884,35 @@ def test_spectral_enumerates_each_sample_once(monkeypatch, capsys):
     code, _, _ = run_cli(["spectral", "--n", "10", "--samples", "3"], capsys)
     assert code == 0
     assert passes == [True, True, True]  # want_pair of each pass
+
+
+@pytest.mark.parametrize(
+    "command, calls, pair_passes",
+    [("verify-identities", 181, 61), ("tap-residuals", 6, 0)],
+)
+def test_readme_commands_enumerate_each_measure_once(
+    command, calls, pair_passes, monkeypatch, capsys, tmp_path
+):
+    # verify-identities: the full tables, then per trial 9 passes: the pair
+    # passes of the clamped measure and of its two clampings of i, which both
+    # conditional identities read, the clamped triple, two field and two
+    # coupling bumps, and the clamped right-hand side of the coupling
+    # derivative.  tap-residuals: the full magnetizations of htap1 and of
+    # tap1, the cavity stack, the clamped column j of htap2 and of tap2, and
+    # htap2's clamped cavity: two of these six repeat a pass.
+    passes = []
+    real = sktap.gibbs.BlockEnumerator.moments
+
+    def counted(self, h, want_pair=True, out=None):
+        passes.append(want_pair)
+        return real(self, h, want_pair, out)
+
+    monkeypatch.setattr(sktap.gibbs.BlockEnumerator, "moments", counted)
+    (argv,) = [c.split()[1:] for c in readme_commands(README.read_text())
+               if c.split()[1] == command]
+    code, _, _ = run_cli([*argv, "--out", str(tmp_path / "out.json")], capsys)
+    assert code == 0
+    assert (len(passes), passes.count(True)) == (calls, pair_passes)
 
 
 def test_a_field_energy_inside_the_bound_runs_clean(tmp_path, capsys):

@@ -15,7 +15,6 @@ from sktap import (
     CouplingPath,
     ItoCheckConfig,
     ModelParams,
-    ReducedSpec,
     fit_power_law,
     ito_decomposition_residual,
     ito_decomposition_trace,
@@ -308,7 +307,7 @@ def test_integrands_match_independent_clamped_route():
     # site-sum re-partition must not move the result
     import math as _math
 
-    from sktap import CouplingMatrix, ReducedSpec, gibbs_tables
+    from sktap import CouplingMatrix, gibbs_tables
 
     path = sample_path(P6, 8, 6)
     cfg = ItoCheckConfig(clamped_site=0, target_site=1)
@@ -320,8 +319,8 @@ def test_integrands_match_independent_clamped_route():
         entries[0, :] = row
         entries[:, 0] = row
         cm_k = CouplingMatrix(6, entries)
-        up = gibbs_tables(cm_k, P6, ReducedSpec(clamped={0: +1}))
-        dn = gibbs_tables(cm_k, P6, ReducedSpec(clamped={0: -1}))
+        up = gibbs_tables(cm_k, P6, {0: +1})
+        dn = gibbs_tables(cm_k, P6, {0: -1})
         drow = path.row_increment(0, k)
         terms = [
             0.5 * (up.pair[l, 1] + dn.pair[l, 1]) * drow[l]
@@ -397,7 +396,7 @@ def test_cavity_difference_matches_independent_clamped_route(spin, i, j):
         row = path.row_at(i, k)
         entries[i, :] = row
         entries[:, i] = row
-        m = magnetizations(CouplingMatrix(6, entries), P6, ReducedSpec(clamped={i: spin}))
+        m = magnetizations(CouplingMatrix(6, entries), P6, {i: spin})
         assert abs(diff[k] - (m[j] - cavity)) < 1e-12
     assert abs(diff[-1]) > 1e-4
 

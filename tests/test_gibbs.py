@@ -15,7 +15,6 @@ from sktap import (
     CouplingMatrix,
     ItoCheckConfig,
     ModelParams,
-    ReducedSpec,
     coupling_derivative_residual,
     gibbs_tables,
     htap2_residual,
@@ -66,7 +65,7 @@ def test_log_partition_two_spins():
 
 def test_log_partition_clamped_reduces_to_single_site():
     p = ModelParams.uniform(2, 1.0, 0.2)
-    got = gibbs_tables(two_site_matrix(0.4), p, ReducedSpec(clamped={0: +1})).log_z
+    got = gibbs_tables(two_site_matrix(0.4), p, {0: +1}).log_z
     assert got == pytest.approx(math.log(2 * math.cosh(0.2 + 0.4)), abs=1e-13)
 
 
@@ -86,7 +85,7 @@ def test_log_partition_rejects_oversized_systems(monkeypatch):
         with pytest.raises(ValueError, match="enum_cap"):
             call()
     # clamping enough sites brings the active count under the cap
-    gibbs_tables(cm, p, ReducedSpec(clamped={0: +1, 1: -1}))
+    gibbs_tables(cm, p, {0: +1, 1: -1})
 
 
 def test_product_measure_at_zero_coupling():
@@ -122,9 +121,9 @@ def test_engines_match_naive_oracle(engine):
 def test_engines_match_each_other_with_reductions():
     rng = np.random.default_rng(77)
     params, cm = random_instance(rng, 12)
-    spec = ReducedSpec(clamped={1: -1, 4: +1, 7: +1})
-    tb = gibbs_tables(cm, params, spec)
-    tg = on_engine("gray", gibbs_tables, cm, params, spec)
+    clamped = {1: -1, 4: +1, 7: +1}
+    tb = gibbs_tables(cm, params, clamped)
+    tg = on_engine("gray", gibbs_tables, cm, params, clamped)
     assert abs(tb.log_z - tg.log_z) < 1e-12
     assert np.allclose(tb.m, tg.m, rtol=0.0, atol=1e-12)
     assert np.allclose(tb.pair, tg.pair, rtol=0.0, atol=1e-12)
@@ -710,8 +709,7 @@ def test_guard_keeps_strong_low_left_couplings_exact(n, b):
 def test_empty_active_set_edge_cases():
     p = ModelParams.uniform(3, 0.5, 0.4)
     cm = sample_couplings(p, 2)
-    spec = ReducedSpec(clamped={0: 1, 1: -1, 2: 1})
-    tabs = gibbs_tables(cm, p, spec)
+    tabs = gibbs_tables(cm, p, {0: 1, 1: -1, 2: 1})
     assert tabs.log_z == 0.0
     assert tabs.m.tolist() == [1.0, -1.0, 1.0]
     assert not tabs.pair.any()
@@ -744,8 +742,7 @@ def test_tables_invariants_random_sweep():
 def test_reduced_tables_masking_semantics():
     rng = np.random.default_rng(31)
     params, cm = random_instance(rng, 6)
-    spec = ReducedSpec(clamped={2: -1})
-    tabs = gibbs_tables(cm, params, spec)
+    tabs = gibbs_tables(cm, params, {2: -1})
     assert tabs.m[2] == -1.0
     assert not tabs.pair[2].any() and not tabs.pair[:, 2].any()
     assert np.all(np.isfinite(tabs.m)) and np.all(np.isfinite(tabs.pair))
@@ -810,7 +807,7 @@ def test_triple_builds_one_enumerator_and_makes_one_kernel_call(monkeypatch):
     monkeypatch.setattr(BlockEnumerator, "__init__", spy_init)
     monkeypatch.setattr(BlockEnumerator, "moments", spy_moments)
     p = ModelParams.uniform(9, 0.5, 0.3)
-    triple_correlation(sample_couplings(p, 1), p, ReducedSpec(clamped={4: -1}), 0, 8, 3)
+    triple_correlation(sample_couplings(p, 1), p, {4: -1}, 0, 8, 3)
     # the 4 ways to clamp sites 0 and 8, each over the 6 other active sites
     assert calls == [("init", 6), ("moments", 4)]
 
@@ -878,16 +875,16 @@ def test_clamped_moments_match_the_naive_oracle(na, F):
 
 
 @pytest.mark.parametrize(
-    "n, spec, F",
+    "n, clamped, F",
     [
-        (12, ReducedSpec(), (11,)),
-        (14, ReducedSpec(), (13, 4)),
-        (16, ReducedSpec(), (2, 9)),
-        (15, ReducedSpec(clamped={1: -1, 4: +1, 7: +1}), (14, 0)),
+        (12, None, (11,)),
+        (14, None, (13, 4)),
+        (16, None, (2, 9)),
+        (15, {1: -1, 4: +1, 7: +1}, (14, 0)),
     ],
     ids=["12", "14", "16", "15-reduced"],
 )
-def test_clamped_moments_match_the_gray_walk(n, spec, F):
+def test_clamped_moments_match_the_gray_walk(n, clamped, F):
     # Beyond the naive oracle: the keyed sums of the Gray-code walk over the
     # whole system.  The clamped systems have 10-14 sites, all on the block
     # pass; the reduced measure of 15 sites clamps three more, and F names
@@ -896,7 +893,7 @@ def test_clamped_moments_match_the_gray_walk(n, spec, F):
 
     rng = np.random.default_rng(n)
     params = ModelParams(n=n, t=0.7, field=rng.normal(0.2, 0.5, n))
-    active, G, h = _reduce_system(sample_couplings(params, n), params, spec)
+    active, G, h = _reduce_system(sample_couplings(params, n), params, clamped)
     local = tuple(_local_index(active, site) for site in F)
     keys = keyed_moments(local)
     gray = gray_moments(G, h, want_pair=False, cols=keys[1:])
@@ -966,7 +963,8 @@ def test_the_identities_hold_at_the_largest_size():
     # tolerance in verify-identities
     params = ModelParams(n=24, t=0.9, field=np.random.default_rng(24).normal(0.2, 0.5, 24))
     cm = sample_couplings(params, 24)
-    assert abs(key_identity_residual(cm, params, {}, 3, 20, 11)) < 1e-12
+    pair, triple = key_identity_residual(cm, params, {}, 3, 20, 11)
+    assert abs(pair) < 1e-12 and abs(triple) < 1e-12
     assert abs(coupling_derivative_residual(cm, params, 5, 17, 9)) < 1e-7
 
 
@@ -1058,19 +1056,19 @@ def test_triple_rejects_bad_indices():
     with pytest.raises(ValueError):
         triple_correlation(cm, p, None, 1, 1, 2)
     with pytest.raises(ValueError):
-        triple_correlation(cm, p, ReducedSpec(clamped={2: +1}), 1, 2, 3)
+        triple_correlation(cm, p, {2: +1}, 1, 2, 3)
 
 
 def clamp_pair(site, table):
-    """``table(spec)`` under sigma_site = +1 and under sigma_site = -1."""
-    return (table(ReducedSpec(clamped={site: spin})) for spin in (+1, -1))
+    """``table(clamped)`` under sigma_site = +1 and under sigma_site = -1."""
+    return (table({site: spin}) for spin in (+1, -1))
 
 
 def test_delta_op_closed_form():
     # half-difference over the clamped spin: delta_0 m_1 = tanh(g) at zero field
     p = ModelParams.uniform(2, 1.0, 0.0)
     cm = two_site_matrix(0.4)
-    up, down = clamp_pair(0, lambda spec: magnetizations(cm, p, spec)[1])
+    up, down = clamp_pair(0, lambda clamped: magnetizations(cm, p, clamped)[1])
     assert 0.5 * (up - down) == pytest.approx(math.tanh(0.4), abs=1e-13)
 
 
@@ -1078,23 +1076,25 @@ def test_eps_op_kills_odd_observables_at_zero_field():
     # half-sum over the clamped spin: odd observables cancel at h = 0
     p = ModelParams.uniform(4, 0.6, 0.0)
     cm = sample_couplings(p, 21)
-    up, down = clamp_pair(0, lambda spec: magnetizations(cm, p, spec)[2])
+    up, down = clamp_pair(0, lambda clamped: magnetizations(cm, p, clamped)[2])
     assert abs(0.5 * (up + down)) < 1e-14
     # even observables survive
-    up, down = clamp_pair(0, lambda spec: gibbs_tables(cm, p, spec).pair[1, 2])
+    up, down = clamp_pair(0, lambda clamped: gibbs_tables(cm, p, clamped).pair[1, 2])
     assert abs(0.5 * (up + down)) > 1e-6
 
 
 def test_key_identity_two_site_closed_form():
     p = ModelParams.uniform(2, 1.0, 0.0)
-    assert abs(key_identity_residual(two_site_matrix(0.4), p, {}, 0, 1)) < 1e-14
+    pair, triple = key_identity_residual(two_site_matrix(0.4), p, {}, 0, 1)
+    assert abs(pair) < 1e-14
+    assert triple is None
 
 
 def test_key_identity_zero_coupling():
     p = ModelParams.uniform(5, 0.0, 0.3)
     cm = sample_couplings(p, 6)
-    assert abs(key_identity_residual(cm, p, {}, 0, 1)) < 1e-14
-    assert abs(key_identity_residual(cm, p, {}, 0, 1, 2)) < 1e-14
+    pair, triple = key_identity_residual(cm, p, {}, 0, 1, 2)
+    assert abs(pair) < 1e-14 and abs(triple) < 1e-14
 
 
 def test_key_identities_randomized():
@@ -1106,8 +1106,10 @@ def test_key_identities_randomized():
         i, j, k = (int(v) for v in sites[:3])
         clamp_count = int(rng.integers(0, 4))
         clamped = {int(s): int(rng.choice((-1, 1))) for s in sites[3 : 3 + clamp_count]}
-        assert abs(key_identity_residual(cm, p, clamped, i, j)) < 1e-12
-        assert abs(key_identity_residual(cm, p, clamped, i, j, k)) < 1e-12
+        pair, triple = key_identity_residual(cm, p, clamped, i, j, k)
+        assert abs(pair) < 1e-12 and abs(triple) < 1e-12
+        # without k, the same pair residual from the same three tables
+        assert key_identity_residual(cm, p, clamped, i, j) == (pair, None)
 
 
 def test_susceptibility_matches_pair():
@@ -1228,8 +1230,8 @@ def test_pair_derivative_same_site_expansion():
     cm = sample_couplings(p, 17)
     base = gibbs_tables(cm, p)
     for i, k, j in ((0, 1, 2), (3, 5, 0), (4, 2, 5)):
-        up = gibbs_tables(cm, p, ReducedSpec(clamped={j: +1}))
-        dn = gibbs_tables(cm, p, ReducedSpec(clamped={j: -1}))
+        up = gibbs_tables(cm, p, {j: +1})
+        dn = gibbs_tables(cm, p, {j: -1})
         delta_mk = 0.5 * (up.m[k] - dn.m[k])
         inner_up = (1.0 - up.m[k] ** 2) * up.m[i] - up.m[k] * up.pair[i, k]
         inner_dn = (1.0 - dn.m[k] ** 2) * dn.m[i] - dn.m[k] * dn.pair[i, k]
@@ -1249,9 +1251,9 @@ def test_pair_derivative_distinct_site_expansion():
     cm = sample_couplings(p, 17)
     base = gibbs_tables(cm, p)
     for i, k, l, j in ((0, 1, 2, 3), (4, 2, 5, 0)):
-        specs = [ReducedSpec(clamped={l: s}) for s in (+1, -1)]
-        tabs = [gibbs_tables(cm, p, s) for s in specs]
-        trips = [triple_correlation(cm, p, s, i, j, k) for s in specs]
+        clamps = [{l: s} for s in (+1, -1)]
+        tabs = [gibbs_tables(cm, p, c) for c in clamps]
+        trips = [triple_correlation(cm, p, c, i, j, k) for c in clamps]
         delta_mj = 0.5 * (tabs[0].m[j] - tabs[1].m[j])
         inner = [
             tb.m[i] * tb.pair[k, j] + tb.m[k] * tb.pair[i, j] + tr
@@ -1268,22 +1270,23 @@ def test_pair_derivative_distinct_site_expansion():
 def test_magnetizations_shortcut_agrees_with_tables():
     rng = np.random.default_rng(404)
     params, cm = random_instance(rng, 7)
-    spec = ReducedSpec(clamped={3: -1})
-    m_light = magnetizations(cm, params, spec)
-    m_full = gibbs_tables(cm, params, spec).m
+    m_light = magnetizations(cm, params, {3: -1})
+    m_full = gibbs_tables(cm, params, {3: -1}).m
     assert np.allclose(m_light, m_full, atol=1e-14)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ReducedSpec(clamped={0: 2})
-    spec = ReducedSpec(clamped={1: -1})
-    with pytest.raises(ValueError):
-        spec.with_clamped(1, 1)
+    # a clamped measure is a mapping {site: +-1}, which cannot clamp a site twice
     p = ModelParams.uniform(3, 0.5, 0.0)
     cm = sample_couplings(p, 0)
-    with pytest.raises(ValueError):
-        gibbs_tables(cm, p, ReducedSpec(clamped={5: +1}))
+    for clamped, message in (
+        ({0: 2}, "clamped spin at site 0 must be \\+-1, got 2"),
+        ({5: +1}, "site 5 out of range for n=3"),
+        ({-1: +1}, "site -1 out of range for n=3"),
+    ):
+        for call in (gibbs_tables, magnetizations):
+            with pytest.raises(ValueError, match=message):
+                call(cm, p, clamped)
 
 
 @pytest.mark.parametrize(

@@ -231,6 +231,9 @@ def test_terminal_rows_are_the_last_rows_of_the_row_paths(n):
     terminal = path.terminal().entries
     for i in range(n):
         assert np.array_equal(terminal[i], path.row_path(i)[0][-1])
+    # the path stores its increments in C order, whatever order it is given
+    given = CouplingPath(n, path.grid, np.asfortranarray(path.increments))
+    assert np.array_equal(given.terminal().entries, terminal)
 
 
 def test_a_path_holds_little_more_than_its_increments():
@@ -248,19 +251,24 @@ def test_a_path_holds_little_more_than_its_increments():
     assert held <= 1.1 * path.increments.nbytes
 
 
-@pytest.mark.parametrize("steps", [1, 85, 86, 87, 173, 2048])
-def test_terminal_carries_its_running_total_across_blocks_of_rows(steps):
-    # at n = 20 terminal() sums 86 rows of 190 couplings at a time; each row
-    # path sums the whole path
-    path = sample_path(ModelParams.uniform(20, 0.5, 0.0), steps, steps)
+@pytest.mark.parametrize(
+    "n, steps",
+    [pytest.param(20, s, id=str(s)) for s in (1, 85, 86, 87, 173, 2048)]
+    + [pytest.param(24, 4097, id="n24-4097")],
+)
+def test_terminal_carries_its_running_total_across_blocks_of_rows(n, steps):
+    # terminal() sums the rows of the increments at once and each row path
+    # takes its running total: both add the steps in grid order, however
+    # numpy blocks its loops over long paths and wide rows
+    path = sample_path(ModelParams.uniform(n, 0.5, 0.0), steps, steps)
     terminal = path.terminal().entries
-    for i in range(20):
+    for i in range(n):
         assert np.array_equal(terminal[i], path.row_path(i)[0][-1])
 
 
 def test_the_terminal_point_is_summed_in_bounded_memory():
     # a cumsum over the whole path would hold a copy of its 2.97 MiB of
-    # increments; terminal() sums in blocks of rows and peaks at 0.14 MiB
+    # increments; terminal() allocates only the sum and the matrix
     path = sample_path(ModelParams.uniform(20, 0.5, 0.3), 2048, 5)
     path.terminal()
     tracemalloc.start()

@@ -352,16 +352,23 @@ MUTANTS = (
     (
         "terminal-skips-last-increment",
         "src/sktap/model.py",
-        "            buf[0] = part[-1]\n",
-        "            buf[0] = part[-2]\n",
+        "        return _symmetric(self.n, inc.sum(axis=0))\n",
+        "        return _symmetric(self.n, inc[:-1].sum(axis=0))\n",
         ["tests/test_model.py::test_terminal_rows_are_the_last_rows_of_the_row_paths"],
     ),
     (
-        "terminal-drops-the-carry",
+        "path-keeps-the-given-layout",
         "src/sktap/model.py",
-        "            np.cumsum(part, axis=0, out=part)\n",
-        "            np.cumsum(part[1:], axis=0, out=part[1:])\n",
-        ["tests/test_model.py::test_terminal_carries_its_running_total_across_blocks_of_rows"],
+        "        inc = np.ascontiguousarray(self.increments, dtype=np.float64)\n",
+        "        inc = np.asarray(self.increments, dtype=np.float64)\n",
+        ["tests/test_model.py::test_terminal_rows_are_the_last_rows_of_the_row_paths"],
+    ),
+    (
+        "terminal-sums-the-lone-coupling-pairwise",
+        "src/sktap/model.py",
+        "        if inc.shape[1] == 1:\n",
+        "        if False:\n",
+        ["tests/test_model.py::test_terminal_rows_are_the_last_rows_of_the_row_paths"],
     ),
     (
         "row-path-prefix-one-step-late",
@@ -411,6 +418,27 @@ MUTANTS = (
         "    clamp = tuple(site - (site > i) for site in sites)\n",
         "    clamp = tuple(site - 1 for site in sites)\n",
         ["tests/test_dynamics.py::test_cavity_difference_matches_independent_clamped_route"],
+    ),
+    (
+        "clamped-field-folded-with-the-wrong-sign",
+        "src/sktap/gibbs.py",
+        "        h_eff += G[active, j] * tau\n",
+        "        h_eff -= G[active, j] * tau\n",
+        ["tests/test_gibbs.py::test_log_partition_clamped_reduces_to_single_site"],
+    ),
+    (
+        "clamped-spin-check-dropped",
+        "src/sktap/gibbs.py",
+        "        if s not in (-1, 1):\n",
+        "        if False:\n",
+        ["tests/test_gibbs.py::test_spec_validation"],
+    ),
+    (
+        "pair-identity-reads-up-on-both-sides",
+        "src/sktap/gibbs.py",
+        "    delta_mj = 0.5 * (up.m[j] - down.m[j])\n",
+        "    delta_mj = 0.5 * (up.m[j] - up.m[j])\n",
+        ["tests/test_gibbs.py::test_key_identity_two_site_closed_form"],
     ),
     (
         "flipped-key-identity-triple-term",
