@@ -3,8 +3,8 @@
 Supports the reduced measures obtained by clamping a set of spins to fixed
 values; site labels stay stable across the full and clamped measures.  The
 cavity of a site i is not a reduced measure here: it is the system of the
-n - 1 other sites, which a caller cuts from the couplings and fields with
-one index.
+n - 1 other sites, cut from the couplings and fields with one index
+(``cavity_magnetizations`` enumerates all n of them in one call).
 
 The enumeration engine splits the na sites into a left block of n1 and a
 right block of n2 sites, and the left block again into its first b (low,
@@ -21,34 +21,52 @@ log-weight then factors as a[t, T] + C[t, c] + D[T, c]:
 A construction computes the block energies EL and ER once, each from the
 two halves of its block's states (``_quadratic``): 2^k k/2 multiply-adds
 for a block of k sites, where the dense product took 2^k k^2.  A pass
-exponentiates a, D and the factor eC = exp(C - max C) of 2^(b+n2)
-entries, and forms every sum over the 2^na states as a matrix product
-against eC: 2^n1 + 2^(na-b) exponentials, plus 2^(b+n2) per chunk of field
-rows for eC, and 2^na multiply-adds per product, two, plus one with the pair
-matrix, whose left-left and right-right blocks come from the halves of the
-sums per left and per right state (``_signed_sums``), 2^n1 n1/2 and
-2^n2 n2/2 multiply-adds.  Neither D nor eC is stored whole: a pass streams
-both through one cache-sized tile of columns (right states) at a time,
-exponentiates each tile against the running maximum of its system and
-reduces it at once.  Every sum it keeps, per left state (t, T) and per
-right state c, is rescaled whenever that maximum grows (an online
+exponentiates a, D and the factor eC = exp(C - max C) of 2^(b+n2) entries,
+and forms every sum over the 2^na states as a matrix product against eC:
+2^n1 + 2^(na-b) exponentials, plus 2^(b+n2) per chunk of field rows for eC,
+and 2^na multiply-adds per product, two, plus one with the pair matrix,
+whose left-left and right-right blocks come from the halves of the sums per
+left and per right state (``_signed_sums``), 2^n1 n1/2 and 2^n2 n2/2
+multiply-adds.  Neither D nor eC is stored whole: a pass streams both
+through one cache-sized tile of columns (right states) at a time and
+reduces each tile at once.  a is shifted by its maximum a_shift[T] over t,
+eA = exp(a - a_shift), and grown is a system's running maximum of its
+log-weights over the tiles so far.  Where grids may be shared, row T of a D
+tile is shifted by its own maximum r[T], W = exp(D - r[T]), and a system
+folds the row factor exp(a_shift[T] + r[T] - grown) into its eA, so no
+factor of a weight passes 1 and W holds nothing of any one system.  That
+costs a row-wise maximum and subtraction over each tile and 2^n1
+multiplications a tile per system: one pass at n = 20 takes about 9%
+longer for it than with a grid of its own.  Where no run of two systems fits the chunk budget (``_Layout.most``),
+from na = 22 at the cap's b, nothing is shared and a pass moves a_shift
+into the system's own D, W = exp(D + a_shift - grown), with no row-wise
+step and no row factor.  Every sum a system keeps, per left state (t, T)
+and per right state c, is rescaled whenever grown grows (an online
 log-sum-exp).  eC stays one exponential per entry: as the outer product of
 two factors over the halves of the right sites, it wrote as many entries
 and took more numpy calls a chunk, and ran slower at n = 19-20.  Memory is
-one tile plus O(2^n1 + 2^n2) vectors per system, O(2^(n/2) * n) in all;
-no buffer spans the 2^(b+n2) entries of eC, unless it fits one tile.  A
-guard caps b so that C spans at most ``_GUARD`` (600): weights that matter
-then stay far from float64 underflow, and couplings too strong for any
-b > 0 get b = 0, one exponential per state.
+one tile plus O(2^n1 + 2^n2) vectors per system, O(2^(n/2) * n) in all; no
+buffer spans the 2^(b+n2) entries of eC, unless it fits one tile.  A guard
+caps b so that C spans at most ``_GUARD`` (600): weights that matter then
+stay far from float64 underflow, and couplings too strong for any b > 0 get
+b = 0, one exponential per state.
 
 One enumerator also takes a stack of coupling blocks of equal size, such as
 the n cavity systems of a disorder sample, each with its own b.  The
 systems of one b run in chunks whose set-up and reductions are numpy calls
 batched over the chunk; only the tile loop runs per tile, and a tile is the
-whole D grids of as many of a chunk's systems as fit half the budget, or a
-run of columns of one larger grid.  A chunk holds systems of one b, and
-every product is one BLAS call per system, so a system's bits depend
-neither on its neighbours nor on its place in the stack.
+whole D grids of as many of a chunk's runs as fit half the budget, or a run
+of columns of one larger grid.  Adjacent systems of one b whose D operands,
+G[b:, n1:] and the right fields, are equal bit for bit make a run that
+shares one D grid, as the rows of W carry no shift of any one system: the
+2^(na-b) exponentials of D, and the product that builds it, count once per
+run.  A run, like a chunk, keeps its operands within 9/8 of the budget, and
+is cut into pieces only past it.  The n cavities of a sample come in a
+group order (``_cavity_order``) in which the cavities of one group of
+cap + 1 sites make such a run: at n = 20, 4 grids instead of 20.  A chunk holds
+systems of one b, and every product is one BLAS call per system, or per run
+for the grid, so a system's bits depend neither on its neighbours, nor on
+its place in the stack, nor on whether it shares its grid.
 
 Systems of up to ``_WALSH_SITES`` (6) sites, too small to factorise, take a
 second kernel instead, chosen by na alone: the 2^na weights of each field
@@ -63,7 +81,11 @@ walk that share no reduction code with them.
 One rule cuts every stack into chunks (``_chunks``): the fewest chunks of
 equal size, to one row, none past 9/8 of its budget, ``_TILE_STATES >> na``
 field rows for the Walsh pass, or ``_TILE_STATES`` over the floats of one
-system's operands for the block pass.  A call allocates its buffers once,
+system's operands for the block pass.  There a run counts as one unit of
+the chunk plan: its shared operands count once, its systems' own operands
+each (``_Layout.operands``), and only a run whose operands pass 9/8 of the
+budget is cut into pieces (``_runs``); a stack with no runs keeps the plan
+of one unit per system.  A call allocates its buffers once,
 for its largest chunk, and every chunk reuses them instead of faulting in
 fresh pages, so a caller with several field stacks for one enumerator
 stacks them into one call.
@@ -82,6 +104,7 @@ All weights are handled as exp(H - max H), so partition sums stay finite for
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -243,7 +266,46 @@ def _low_bits(G_LR: np.ndarray) -> np.ndarray:
     n1/2 - 1 would give b = 0 anyway, take the Walsh-Hadamard pass instead.
     """
     reach = 2.0 * np.cumsum(np.abs(G_LR).sum(axis=2), axis=1)
-    return np.count_nonzero(reach[:, : G_LR.shape[1] // 2 - 1] <= _GUARD, axis=1)
+    return np.count_nonzero(reach[:, : _low_cap(sum(G_LR.shape[1:]))] <= _GUARD, axis=1)
+
+
+def _low_cap(na: int) -> int:
+    """The largest b that ``_low_bits`` gives a system of na sites, n1/2 - 1
+    for its left block of n1 = ceil(na/2) sites, and 0 below na = 4."""
+    return max(0, (na + 1) // 2 // 2 - 1)
+
+
+def _runs(layout: _Layout, joins: list) -> list:
+    """Lengths of the runs of a stack that ``joins`` marks (see
+    ``BlockEnumerator._joins``), in order, a run cut into equal pieces only
+    where it holds more than ``layout.most`` systems."""
+    if not any(joins):
+        return [1] * (len(joins) + 1)
+    runs = [1]
+    for join in joins:
+        if join:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    units = []
+    for size in runs:
+        count = -(-size // layout.most)
+        units += [size * (i + 1) // count - size * i // count for i in range(count)]
+    return units
+
+
+def _groups(units: list, per: int) -> list:
+    """(systems, runs, length) of each group of a chunk's ``units``: at
+    most ``per`` runs side by side, all of one length."""
+    groups, q, s = [], 0, 0
+    while q < len(units):
+        e = q + 1
+        while e < len(units) and e - q < per and units[e] == units[q]:
+            e += 1
+        stop = s + (e - q) * units[q]
+        groups.append((slice(s, stop), slice(q, e), units[q]))
+        q, s = e, stop
+    return groups
 
 
 def _chunks(count: int, per: int) -> list:
@@ -262,8 +324,19 @@ class BlockEnumerator:
     say.  The context holds what depends on the couplings alone: for
     na <= ``_WALSH_SITES`` the interaction energy E of every state of every
     block; above, the split (n1, n2), each system's b (``low``, chosen by
-    ``_low_bits``), the places of the systems of each b (``systems``) and
-    the block energies EL and ER.  No call changes it.
+    ``_low_bits``), the places of the systems of each b (``systems``), the
+    block energies EL and ER, and for a stack which of its systems have the
+    high-left and right couplings of the one before them (``shares``).  No
+    call changes it.
+
+    Adjacent systems of one b whose high-left and right couplings and right
+    fields are equal bit for bit make a run, which shares one D grid: the
+    cavities of one group of ``_cavity_order``, or equal field rows of one
+    block.  Each row of a grid tile is shifted by its own maximum, so the
+    grid serves every system of the run, and each system folds its own row
+    factor into its left weights: a system's bits are those of its own
+    one-system pass, in a run or alone.  Whether a pass may share grids
+    depends on its layout alone, so that holds for every system.
     """
 
     def __init__(self, G: np.ndarray):
@@ -281,6 +354,15 @@ class BlockEnumerator:
         self.systems = {b: np.flatnonzero(self.low == b) for b in sorted(set(self.low.tolist()))}
         self.EL = _quadratic(self.G[:, :n1, :n1])
         self.ER = _quadratic(self.G[:, n1:, n1:])
+        if len(self.G) > 1:
+            # whether a system has the b and the couplings of a D grid, rows
+            # b to na - 1 of G[:, n1:], of the one before it, bit for bit,
+            # listed per b for its systems but the first
+            bits = self.G[:, :, n1:].view(np.int64)
+            differ = np.logical_or.reduce(bits[1:] != bits[:-1], axis=2)
+            differ &= np.arange(na) >= self.low[1:, None]
+            same = (self.low[1:] == self.low[:-1]) & ~np.logical_or.reduce(differ, axis=1)
+            self.shares = {b: same[at[1:] - 1] for b, at in self.systems.items()}
 
     def moments(self, h, want_pair=True, out=None) -> _RawMoments:
         """Raw moments for a stack of field vectors ``h`` of shape (K, na).
@@ -323,17 +405,36 @@ class BlockEnumerator:
             np.empty((K, na, na)) if want_pair else None,
         )
         for b, systems in self.systems.items():
-            layout = _Layout(self.n1, self.n2, b)
-            per = max(1, _TILE_STATES // layout.operands())
-            chunks = _chunks(systems.size if blocks > 1 else K, per)
-            k = max((c.stop - c.start for c in chunks), default=0)
-            work = layout.workspace(k, min(k, systems.size), want_pair)
+            layout = _layout(self.n1, self.n2, b, _TILE_STATES)
+            at = systems if blocks > 1 else np.arange(K)
+            if at.size > 1 and layout.most > 1:
+                units = _runs(layout, self._joins(H, b, at))
+            else:
+                units = [1] * at.size
+            # a run is one unit of the chunk plan, each counted as the longest
+            per = max(1, _TILE_STATES // layout.operands(max(units, default=1)))
+            chunks = _chunks(len(units), per)
+            ends = [0, *itertools.accumulate(units)]
+            k = max((ends[c.stop] - ends[c.start] for c in chunks), default=0)
+            widest = max((c.stop - c.start for c in chunks), default=0)
+            work = layout.workspace(k, min(k, systems.size), widest, want_pair)
             for c in chunks:
-                rows = systems[c] if blocks > 1 else c
+                span = slice(ends[c.start], ends[c.stop])
+                rows = at[span] if blocks > 1 else span
                 own = rows if blocks > 1 else systems
                 # in C order, so that no BLAS operand depends on the layout of h
-                self._pass(layout, own, np.ascontiguousarray(H[rows]), rows, raw, work)
+                self._pass(layout, own, np.ascontiguousarray(H[rows]), rows, raw, work, units[c])
         return raw
+
+    def _joins(self, H, b: int, at: np.ndarray) -> list:
+        """Whether each system ``at`` of b but the first shares the D grid of
+        the one before it: the next in the stack, with the same G[b:, n1:]
+        and right fields, bit for bit."""
+        right = (H if at.size == len(H) else H[at])[:, self.n1 :].view(np.int64)
+        joins = np.logical_and.reduce(right[1:] == right[:-1], axis=1)
+        if len(self.G) > 1:
+            joins &= self.shares[b]
+        return joins.tolist()
 
     def _walsh_pass(self, H, rows: slice, out: _RawMoments, grid, scratch) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``
@@ -371,27 +472,35 @@ class BlockEnumerator:
             out.second[rows] = (X[bits[:, None] ^ bits] / z).transpose(2, 0, 1)
         shift += np.log(z, out=z)
 
-    def _pass(self, layout, own, H, rows, out: _RawMoments, work: dict) -> None:
+    def _pass(self, layout, own, H, rows, out: _RawMoments, work: dict, units: list) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``,
         in the buffers ``work`` of ``layout.workspace``.
 
         ``own`` are the places in the stack of the chunk's coupling blocks,
-        one per field row, or the one block that serves them all.  Tiles
-        split D at column boundaries fixed by na and b, and every product is
-        one BLAS call per system, never one whose row dimension spans the
-        chunk or the tile: equal systems give equal bits wherever they sit.
-        Per system it costs the exponentials of a, D and eC and two
-        products of 2^na multiply-adds (three with the pair matrix), whose
-        left-left and right-right blocks then take ``_signed_sums``: no
-        operand there spans more than 2^(n1/2) states.
+        one per field row, or the one block that serves them all.  ``units``
+        are the lengths of the chunk's runs, in order: systems that share
+        their high-left and right couplings and right fields, and so one D
+        grid.  Tiles split D at column boundaries fixed by na and b.  Where
+        the layout shares grids, row T of a tile is shifted by its own
+        maximum r[T], W = exp(D - r[T]), one grid per run, and each system
+        of the run folds its row factor exp(a_shift[T] + r[T] - grown) into
+        its own eA, grown the running maximum of a_shift + r over its tiles
+        so far; elsewhere each system's own grid takes its a_shift and is
+        shifted by grown alone (see the module notes).  Every product is one
+        BLAS call per system, or per run for the grid, never one whose row
+        dimension spans the chunk or the tile: equal systems give equal bits
+        wherever they sit, and whether or not they share their grid.  Per
+        system it costs the exponentials of a and eC, the run's of D, and
+        two products of 2^na multiply-adds (three with the pair matrix),
+        whose left-left and right-right blocks then take ``_signed_sums``:
+        no operand there spans more than 2^(n1/2) states.
         """
         k, blocks, pair = H.shape[0], len(own), out.second is not None
-        n1, b = self.n1, layout.low
+        n1, b, shared = self.n1, layout.low, layout.most > 1
         SL, SR, tc = layout.SL, layout.SR, layout.tile_cols
         nt, nT = 1 << b, layout.Sh.shape[0]
-        left, right, row_sums, by_right = (
-            work[name][:k] for name in ("left", "right", "row_sums", "by_right")
-        )
+        row_sums, by_right = work["row_sums"][:k], work["by_right"][:k]
+        right = work["right"][: len(units)]
         cross = work["cross"][:k] if pair else None
         eC = work["eC"][:blocks]
         G_LR = self.G[own, :n1, n1:]
@@ -403,63 +512,108 @@ class BlockEnumerator:
         c_shift = np.abs(B[:, :b]).sum(axis=1).max(axis=1)
         B[:, b] = -c_shift[:, None]
         # a[t, T], shifted by its maximum over t; the shift of column T
-        # moves into D, so a tile's weights are eA[t, T] eC[t, c] W[T, c]
+        # joins the row factor, so a tile's weights are
+        # eA[t, T] exp(a_shift[T] + r[T] - grown) eC[t, c] W[T, c], or,
+        # where no grid is shared, moves into the system's own D
         a = (self.EL[own] + _each(SL, H[:, :n1])).reshape(k, nt, nT)
         a_shift = a.max(axis=1)
         a -= a_shift[:, None, :]
         eA = np.exp(a, out=a)
-        left[:, :, -2] = a_shift
-        field = self.ER[own] + _each(SR, H[:, n1:])
+        if shared:
+            eAf = work["eAf"][:k]
+        else:
+            eAf, left = eA, work["left"][:k]
+            left[:, :, -2] = a_shift
+        # the first system of each run holds the run's D operands
+        heads = slice(None) if len(units) == k else [0, *itertools.accumulate(units[:-1])]
+        lead = own[heads] if blocks > 1 else own
+        G_high = self.G[lead, b:n1, n1:]
+        field = self.ER[lead] + _each(SR, H[heads, n1:])
+        # Each group of runs holds its fields as (run, place in the run), so
+        # that a run's grid broadcasts over the systems of the run.
+        top, groups = np.empty(k), []
+        for g, runs, L in _groups(units, layout.per_tile):
+            R = runs.stop - runs.start
+            W = work["W"][:R]
+            views = (
+                layout.left if shared else left[g],
+                a_shift[g].reshape(R, L, nT),
+                eA[g].reshape(R, L, nt, nT),
+                eAf[g].reshape(R, L, nt, nT),
+                eC[g].reshape(R, L, nt, tc) if blocks > 1 else eC[None],
+                row_sums[g].reshape(R, L, nt, nT),
+                top[g].reshape(R, L),
+                by_right[g].reshape(R, L, -1),
+            )
+            # where row T of grid i starts in the flat W: argmax, then a
+            # gather, finds the rows' maxima 2-3x faster than a row-wise max
+            starts = np.arange(0, R * nT * tc, tc).reshape(R, nT)
+            groups.append((g, runs, L, W, starts, W[:, None].transpose(0, 1, 3, 2), views))
 
-        # Each weight tile W is read twice.  eC @ W^T gives, times eA, the
-        # sums over c of every (t, T); eA @ W gives the sums over T of every
-        # (t, c), which eC weighs.
-        G_high, SRT, top = G_LR[:, b:], SR.T, np.empty(k)
+        # Each grid tile W is read twice.  eC @ W^T gives, times eA and the
+        # row factor, the sums over c of every (t, T); eA @ W, eA times the
+        # row factor, gives the sums over T of every (t, c), which eC weighs.
+        SRT, low = SR.T, work["col"]
         for j in range(layout.tiles):
             c = slice(j * tc, (j + 1) * tc)
             np.matmul(layout.Sl1, B[:, :, c], out=eC)
             np.exp(eC, out=eC)
-            right[:, :-2] = G_high @ SRT[:, c]
+            np.matmul(G_high, SRT[:, c], out=right[:, :-2])
             right[:, -1] = field[:, c]
-            for s in range(0, k, layout.per_tile):
-                g = slice(s, s + layout.per_tile)
-                e = g if blocks > 1 else slice(None)  # the factor eC of each system of g
-                W = work["W"][: min(k - s, layout.per_tile)]
-                np.matmul(left[g], right[g], out=W)
-                peak = W.reshape(len(W), -1).max(axis=1)
-                grown = np.maximum(top[g], peak) if j else peak
-                W -= grown[:, None, None]
+            for g, runs, L, W, starts, WT, views in groups:
+                left_g, shift, eA_g, eAf_g, eC_g, rows_g, top_g, col_sums = views
+                np.matmul(left_g, right[runs], out=W)
+                if shared:
+                    # each row by its own maximum, and the row factor of
+                    # every system of the group, folded into its eA
+                    r = W.reshape(-1)[W.argmax(axis=2) + starts]
+                    W -= r[:, :, None]
+                    f = shift + r[:, None]
+                    peak = f.max(axis=2)
+                else:
+                    peak = W.reshape(len(W), 1, -1).max(axis=2)
+                grown = np.maximum(top_g, peak) if j else peak
+                if shared:
+                    f -= grown[:, :, None]
+                    np.exp(f, out=f)
+                    np.multiply(eA_g, f[:, :, None], out=eAf_g)
+                else:
+                    W -= grown[:, :, None]
                 np.exp(W, out=W)
-                WT = W.transpose(0, 2, 1)
-                row_part = row_sums[g] if not j else np.empty_like(row_sums[g])
-                np.matmul(eC[e], WT, out=row_part)
-                low = work["col"][: len(W)]
-                np.matmul(eA[g], W, out=low)
-                low *= eC[e]
-                low.sum(axis=1, out=by_right[g, c])
+                row_part = rows_g if not j else np.empty(rows_g.shape)
+                np.matmul(eC_g, WT, out=row_part)
+                row_part *= eAf_g
                 if pair:
-                    # the high left sites meet the right block in W * (eA^T @ eC),
-                    # the low ones in the plain column sums
-                    M = work["M"][: len(W)]
-                    np.matmul(eA[g].transpose(0, 2, 1), eC[e], out=M)
-                    M *= W
                     cross_part = cross[g] if not j else np.empty_like(cross[g])
-                    np.matmul(M, SR[c], out=cross_part[:, :nT])
-                    np.matmul(low, SR[c], out=cross_part[:, nT:])
+                    cross_g = cross_part.reshape(*top_g.shape, nT + nt, -1)
+                # one place of every run at a time, so that the column sums
+                # hold one tile per run, not per system
+                for i in range(L):
+                    eC_i, col = eC_g[:, i] if blocks > 1 else eC, low[: len(W)]
+                    np.matmul(eAf_g[:, i], W, out=col)
+                    col *= eC_i
+                    np.matmul(layout.ones, col, out=col_sums[:, i, c])
+                    if pair:
+                        # the high left sites meet the right block in W * (eA^T @ eC),
+                        # the low ones in the plain column sums
+                        M = work["M"][: len(W)]
+                        np.matmul(eAf_g[:, i].transpose(0, 2, 1), eC_i, out=M)
+                        M *= W
+                        np.matmul(M, SR[c], out=cross_g[:, i, :nT])
+                        np.matmul(col, SR[c], out=cross_g[:, i, nT:])
                 if j:
                     # a grown maximum rescales what the earlier tiles summed;
                     # one that held would scale by exp(0) = 1
-                    if (grown > top[g]).any():
-                        scale = np.exp(top[g] - grown)[:, None, None]
+                    if (grown > top_g).any():
+                        scale = np.exp(top_g - grown).reshape(-1, 1, 1)
                         by_right[g, : c.start] *= scale[:, 0]
                         row_sums[g] *= scale
                         if pair:
                             cross[g] *= scale
-                    row_sums[g] += row_part
+                    rows_g += row_part
                     if pair:
                         cross[g] += cross_part
-                top[g] = grown
-        row_sums *= eA
+                top_g[...] = grown
 
         # the sums over c per left state (t, T) and over (t, T) per right state c
         u = row_sums.reshape(k, -1)
@@ -483,8 +637,16 @@ class BlockEnumerator:
         out.mag[rows] = np.concatenate([at_left[:, 0], at_right[:, 0]], axis=1) / norm
 
 
+@functools.cache
+def _layout(n1: int, n2: int, b: int, budget: int) -> "_Layout":
+    """One ``_Layout`` per split, shared by every pass; ``budget``, the
+    ``_TILE_STATES`` it was built under, keys it too."""
+    return _Layout(n1, n2, b)
+
+
 class _Layout:
-    """Sign matrices, tiles and workspace of a pass at one split (n1, n2, b)."""
+    """Sign matrices, tiles and workspace of a pass at one split (n1, n2, b);
+    its arrays are read-only."""
 
     def __init__(self, n1: int, n2: int, b: int):
         self.n1, self.n2, self.low = n1, n2, b
@@ -493,6 +655,10 @@ class _Layout:
         self.Sl = _sign_matrix(b)
         # the low signs and a column of ones, for the shift row of B
         self.Sl1 = np.hstack([self.Sl, np.ones((1 << b, 1))])
+        self.Sl1.setflags(write=False)
+        # sums over the low states t, as one matrix-vector product
+        self.ones = np.ones(1 << b)
+        self.ones.setflags(write=False)
         self.Sh = _sign_matrix(n1 - b)
         # Tile boundaries depend on na and b alone: `tile_cols` columns of
         # D within half the budget, which the weights W of a tile share with
@@ -506,45 +672,63 @@ class _Layout:
             1 << n2, max(1, (_TILE_STATES // 2) // rows), (_TILE_STATES * 8) >> n1
         )
         self.tiles = (1 << n2) // self.tile_cols
-        # the systems whose whole D grids make one tile, within the same half
+        # the grids whose whole D makes one tile, within the same half
         # budget; a grid of several tiles has its tiles to itself
         self.per_tile = max(1, (_TILE_STATES // 2) // (rows << n2))
+        # The most systems of a run that share one D grid: a run's operands
+        # may reach 9/8 of the budget, the slack ``_chunks`` allows a chunk.
+        # Where that is one system, from na = 22 at the cap's b, no grid is
+        # shared, and a pass keeps the cheaper shift of a grid of its own.
+        own = self.operands(1) - self.operands(0)
+        self.most = max(1, (_TILE_STATES + _TILE_STATES // 8 - self.operands(0)) // own)
+        # [Sh | 0 | 1] @ [G_LR[high] SR^T ; 1 ; right field] is a tile of D
+        # in one product, the same for every system of a run
+        self.left = np.hstack([self.Sh, np.zeros((rows, 1)), np.ones((rows, 1))])
+        self.left.setflags(write=False)
 
-    def operands(self) -> int:
-        """Floats per system of eC, eA, the D operands and the row and column sums."""
-        rows, right = self.Sh.shape[0], self.SR.shape[0]
-        return (rows + right) * ((2 << self.low) + self.n1 - self.low + 2)
+    def operands(self, systems: int = 1) -> int:
+        """Floats of a run of ``systems`` systems that share one D grid: each
+        system's eC, eA and row sums, and once for the run the D operands and
+        the column sums."""
+        rows, right, nt = self.Sh.shape[0], self.SR.shape[0], 1 << self.low
+        shared = (rows + right) * (self.n1 - self.low + 2) + right * nt
+        return shared + systems * (2 * rows + right) * nt
 
-    def workspace(self, k: int, blocks: int, pair: bool) -> dict:
-        """Buffers of a pass over up to k field rows and ``blocks`` coupling
-        blocks, with the pair matrix's if ``pair``.
+    def workspace(self, k: int, blocks: int, units: int, pair: bool) -> dict:
+        """Buffers of a pass over up to k field rows, ``blocks`` coupling
+        blocks and ``units`` runs, with the pair matrix's if ``pair``.
 
         Of the buffers over the right states, only the totals per right
         state span all 2^n2 of them; the others hold one tile."""
         nt, ncol, nT, tc = 1 << self.low, self.SR.shape[0], self.Sh.shape[0], self.tile_cols
         high = self.n1 - self.low
-        w = min(k, self.per_tile)
-        # [Sh | column shift of a | 1] @ [G_LR[high] SR^T ; 1 ; right field]
-        # is a tile of D in one product; a pass fills in the per-system slots
+        w = min(units, self.per_tile)
         shapes = {
-            "left": (k, nT, high + 2),
-            "right": (k, high + 2, tc),
+            "right": (units, high + 2, tc),
             "eC": (blocks, nt, tc),
             "W": (w, nT, tc),
             "col": (w, nt, tc),
             "row_sums": (k, nt, nT),
             "by_right": (k, ncol),
         }
+        if self.most > 1:
+            # eA times the row factor of each tile
+            shapes["eAf"] = (k, nt, nT)
+        else:
+            # [Sh | column shift of a | 1], one per system
+            shapes["left"] = (k, nT, high + 2)
         if pair:
             shapes["M"] = shapes["W"]
             # the left x right block, over the high left states T, then the low ones t
             shapes["cross"] = (k, nT + nt, self.n2)
         # The row product eC @ W^T reads a tile of eC 2.2x faster with c as
         # the outer axis (16 x 128 by 128 x 256 at n = 24, one BLAS thread),
-        # so a grid of several tiles stores eC c-major.  A grid of one tile
-        # keeps it row-major: OpenBLAS picks its kernel by the layout of the
-        # operands, and the bits of that product with it.
-        flip = ("eC",) if self.tiles > 1 else ()
+        # so a grid of several tiles stores eC c-major, and the column sums
+        # that eC weighs with it: their product and the sum over t (one
+        # matrix-vector product) then run 10-25% faster.  A grid of one tile
+        # keeps both row-major: OpenBLAS picks its kernel by the layout of
+        # the operands, and the bits of that product with it.
+        flip = ("eC", "col") if self.tiles > 1 else ()
         # One block holds every buffer, each on a 64-byte boundary.  Where
         # each had its own, the heap of a process that builds a fresh
         # enumerator per sample (the cavity stacks of ``htap1_residuals``)
@@ -560,8 +744,9 @@ class _Layout:
             if name in flip:
                 work[name] = work[name].transpose(0, 2, 1)
             at += size
-        work["left"][:, :, :high] = self.Sh
-        work["left"][:, :, -1] = 1.0
+        if "left" in work:
+            work["left"][:, :, :high] = self.Sh
+            work["left"][:, :, -1] = 1.0
         work["right"][:, -2] = 1.0
         return work
 
@@ -657,6 +842,49 @@ def magnetizations(
     """
     active, raw = _enumerated(cm, params, clamped, want_pair=False)
     return _placed(params.n, clamped, active, raw.mag)
+
+
+@functools.cache
+def _cavity_order(n: int) -> tuple:
+    """The site order of each of the n cavity systems of an n-site sample,
+    (n, n - 1), and where each place of it goes in the flat (n, n - 1)
+    array of the sites other than i in site order.  Row i of the order
+    lists the other sites of i's group first, then every site outside the
+    group, each in site order.
+
+    A group is a run of cap + 1 sites, cap = ``_low_cap(n - 1)`` the most
+    low left sites of a cavity: the cavities of one group then differ in
+    their low left sites only, so they share their high-left and right
+    couplings and right fields, and with them one D grid of the block pass.
+    """
+    size = _low_cap(n - 1) + 1
+    sites = np.arange(n)
+    others = np.arange(n - 1) + (np.arange(n - 1) >= sites[:, None])
+    outside = others // size != (sites // size)[:, None]
+    order = np.take_along_axis(others, np.argsort(outside, axis=1, kind="stable"), axis=1)
+    # site j of cavity i sits at place j - (j > i) of the site order
+    place = (order - (order > sites[:, None]) + (n - 1) * sites[:, None]).reshape(-1)
+    order.setflags(write=False)
+    place.setflags(write=False)
+    return order, place
+
+
+def cavity_magnetizations(cm: CouplingMatrix, params: ModelParams) -> np.ndarray:
+    """The magnetizations m^{(i)} of every cavity system, the system of the
+    n - 1 sites other than i, as an (n, n - 1) array whose row i lists them
+    in site order.
+
+    One stacked enumeration runs every cavity in the group order of
+    ``_cavity_order``, so the cavities of one group share one D grid where
+    their run fits the chunk budget: at n = 20, 4 grids instead of 20.  At
+    n = 24 a run of 6 cavities passes the budget, and each runs alone."""
+    order, place = _cavity_order(params.n)
+    stack = BlockEnumerator(cm.entries[order[:, :, None], order[:, None, :]])
+    h = params.field[order]
+    stack.moments(h, want_pair=False, out=h)
+    cav = np.empty_like(h)
+    cav.reshape(-1)[place] = h.reshape(-1)
+    return cav
 
 
 def gibbs_tables(

@@ -183,15 +183,20 @@ def htap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
     """Cavity-form magnetization residuals m_i - tanh(h_i + sum_j g_ij m_j^{(i)}).
 
     m^{(i)} is the magnetization vector with particle i removed; no reaction
-    term appears in this form.  One fancy index cuts the coupling blocks and
-    fields of all n cavity systems (row i of ``others`` lists the sites
-    other than i), and one stacked enumeration gives every m^{(i)}.
+    term appears in this form.  One stacked enumeration gives every m^{(i)}
+    (``gibbs.cavity_magnetizations``), row i in the order of the sites other
+    than i (row i of ``others``).  It runs each cavity in a group order: the
+    other members of i's group of cap + 1 sites first, cap the most low left
+    sites of the block pass.  The cavities of a group then share their D
+    grid: each row of a tile of it is shifted by its own maximum, and each
+    cavity folds its own row factor into its left weights, so at n = 20 the
+    20 cavities exponentiate 4 grids, not 20, and each keeps the bits it
+    would have alone in its site order.
     """
     full_m = magnetizations(cm, params)
     n, g = params.n, cm.entries
     others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-    cavities = gibbs.BlockEnumerator(g[others[:, :, None], others[:, None, :]])
-    cav = cavities.moments(params.field[others], want_pair=False).mag
+    cav = gibbs.cavity_magnetizations(cm, params)
     args = params.field + np.einsum("ij,ij->i", g[np.arange(n)[:, None], others], cav)
     return ResidualReport(full_m - np.tanh(args))
 

@@ -277,6 +277,152 @@ def test_a_chunk_of_several_systems_gives_each_system_its_own_tiles(monkeypatch)
         assert np.array_equal(stacked.mag[9], stacked.mag[1])
 
 
+def cavity_stack(n, seed):
+    """The n cavity systems of one sample at n sites in the group order of
+    ``_cavity_order``, and their fields; the fields of the second group's
+    cavities are scaled by 500, so that each of their D rows needs a shift
+    of its own."""
+    from sktap.gibbs import _cavity_order, _low_cap
+
+    params = ModelParams(n=n, t=0.5, field=np.random.default_rng(seed).normal(0.3, 0.4, n))
+    g = sample_couplings(params, seed).entries
+    order, _ = _cavity_order(n)
+    G, H = g[order[:, :, None], order[:, None, :]], params.field[order]
+    size = _low_cap(n - 1) + 1
+    H[size : 2 * size] *= 500.0
+    return G, H, size
+
+
+def spy_passes(monkeypatch):
+    """Record (b, rows, runs, tiles) of every block pass."""
+    from sktap.gibbs import BlockEnumerator
+
+    passes, kernel = [], BlockEnumerator._pass
+
+    def spy(self, layout, own, H, rows, out, work, units):
+        passes.append((layout.low, len(H), list(units), layout.tiles))
+        return kernel(self, layout, own, H, rows, out, work, units)
+
+    monkeypatch.setattr(BlockEnumerator, "_pass", spy)
+    return passes
+
+
+@pytest.mark.parametrize(
+    "n, budget", [(8, None), (12, None), (16, None), (20, None), (24, None), (20, 1 << 15)]
+)
+def test_the_cavities_of_a_group_share_one_grid_and_keep_their_own_bits(n, budget, monkeypatch):
+    # The cavities of one group of cap + 1 sites share their high-left and
+    # right couplings and fields, so one D grid.  Each keeps the bits of
+    # its own one-system pass in the same site order, with the pair matrix
+    # or without, while the second group's fields are 500 times larger.  A
+    # run whose operands fit the budget takes one grid: the 4 groups at
+    # n = 8-20.  At n = 24 no run of 6 cavities fits, so each cavity, 16
+    # tiles of its grid, runs alone; with a 2^15-state budget at n = 20 a
+    # run of 5 fits as pieces of 2 (1 + 2 + 2), each sharing one grid over
+    # 2 tiles.
+    from sktap.gibbs import BlockEnumerator, _layout
+
+    if budget:
+        monkeypatch.setattr(sktap.gibbs, "_TILE_STATES", budget)
+    G, H, size = cavity_stack(n, n)
+    ctx = BlockEnumerator(G)
+    (b,) = ctx.systems
+    assert b == size - 1
+    runs = [min(size, n - start) for start in range(0, n, size)]
+    layout = _layout(ctx.n1, ctx.n2, b, sktap.gibbs._TILE_STATES)
+    fits = layout.operands(size) <= sktap.gibbs._TILE_STATES
+    assert fits == (n <= 20 and not budget)
+    passes = spy_passes(monkeypatch)
+    for want_pair in (False, True):
+        passes.clear()
+        stacked = ctx.moments(H, want_pair=want_pair)
+        units = [u for _, _, pass_units, _ in passes for u in pass_units]
+        if fits:  # never split
+            assert units == runs
+        elif budget:
+            assert units == [1, 2, 2] * 4 and {tiles for *_, tiles in passes} == {2}
+        else:
+            assert units == [1] * n and {tiles for *_, tiles in passes} == {16}
+        for r in range(n):
+            one = BlockEnumerator(G[r]).moments(H[r], want_pair=want_pair)
+            assert stacked.log_z[r] == one.log_z[0]
+            assert np.array_equal(stacked.mag[r], one.mag[0])
+            if want_pair:
+                assert np.array_equal(stacked.second[r], one.second[0])
+    if n == 8:
+        gray = GrayEnumerator(G).moments(H, want_pair=True)
+        assert np.max(np.abs(stacked.log_z - gray.log_z) / np.abs(gray.log_z)) < 1e-12
+        assert np.max(np.abs(stacked.mag - gray.mag)) < 1e-12
+        assert np.max(np.abs(stacked.second - gray.second)) < 1e-12
+
+
+def test_an_htap1_sample_at_n20_builds_one_grid_per_group(monkeypatch):
+    # 5 D grids a sample: the full system's and one per group of 5 cavities
+    from sktap import htap1_residuals
+
+    params = ModelParams.uniform(20, 0.5, 0.3)
+    passes = spy_passes(monkeypatch)
+    htap1_residuals(sample_couplings(params, 0), params)
+    assert [(k, units) for _, k, units, _ in passes] == [(1, [1])] + [(5, [5])] * 4
+
+
+def test_runs_break_where_the_couplings_the_fields_or_b_differ():
+    # System 1 differs from system 0 in one right field, system 3 from
+    # system 2 in a low-left coupling only (its D grid is system 2's), and
+    # system 5 has b = 0: its couplings from row b = 2 on equal system 6's,
+    # whose right fields equal system 4's, the system of b = 2 before it.
+    # Runs: 0 | 1 | 2 3 | 4 | 5 | 6, and every system keeps its own bits.
+    from sktap.gibbs import BlockEnumerator
+
+    n, n1 = 14, 7
+    params = ModelParams(n=n, t=0.5, field=np.zeros(n))
+    base = sample_couplings(params, 3).entries
+    G = np.array([base] * 7)
+    H = np.tile(np.random.default_rng(1).normal(0.0, 0.5, n), (7, 1))
+    H[1, -1] += 0.25
+    G[3, 0, 1] = G[3, 1, 0] = G[3, 0, 1] + 0.125
+    for r in (4, 5, 6):
+        G[r] = sample_couplings(params, r).entries
+    G[5, 0, n1:] *= 400.0 / np.abs(G[5, 0, n1:]).sum()
+    G[5, n1:, 0] = G[5, 0, n1:]
+    G[6, 2:, n1:], G[6, n1:, 2:] = G[5, 2:, n1:], G[5, n1:, 2:]
+    H[6, n1:] = H[4, n1:]
+    ctx = BlockEnumerator(G)
+    assert ctx.low.tolist() == [2, 2, 2, 2, 2, 0, 2]
+    assert ctx.shares[2].tolist() == [True, True, True, False, False]
+    assert ctx._joins(H, 2, ctx.systems[2]) == [False, False, True, False, False]
+    stacked = ctx.moments(H, want_pair=True)
+    for r in range(len(G)):
+        one = BlockEnumerator(G[r]).moments(H[r], want_pair=True)
+        assert stacked.log_z[r] == one.log_z[0]
+        assert np.array_equal(stacked.mag[r], one.mag[0])
+        assert np.array_equal(stacked.second[r], one.second[0])
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.booleans(), max_size=40), st.sampled_from([(19, 4), (19, 3), (23, 5), (11, 2)]))
+def test_the_run_plan_never_splits_a_run_that_fits(joins, split):
+    from sktap.gibbs import _TILE_STATES, _Layout, _runs
+
+    na, b = split
+    layout = _Layout((na + 1) // 2, na // 2, b)
+    units = _runs(layout, joins)
+    cuts = [0] + [i + 1 for i, join in enumerate(joins) if not join] + [len(joins) + 1]
+    runs = [stop - start for start, stop in zip(cuts, cuts[1:])]
+    assert sum(units) == sum(runs)
+    at = 0
+    for run in runs:
+        pieces = []
+        while sum(pieces) < run:
+            pieces.append(units[at])
+            at += 1
+        assert sum(pieces) == run  # no unit spans two runs
+        if layout.operands(run) <= _TILE_STATES + _TILE_STATES // 8:
+            assert pieces == [run]
+        assert max(pieces) - min(pieces) <= 1
+        assert all(layout.operands(p) <= _TILE_STATES + _TILE_STATES // 8 for p in pieces if p > 1)
+
+
 @pytest.mark.parametrize("na", range(8))
 def test_small_systems_match_the_oracles_at_huge_fields(na):
     # na <= 6 take the Walsh-Hadamard pass and na = 7 the block pass, so

@@ -23,7 +23,7 @@ from sktap import (
     tap1_residuals,
     tap2_residual,
 )
-from sktap.gibbs import BlockEnumerator
+from sktap.gibbs import BlockEnumerator, _cavity_order
 from sktap.tap import gauss_hermite
 from oracles import (
     GrayEnumerator,
@@ -346,10 +346,14 @@ def test_htap1_report_matches_direct_recomputation():
 
 @pytest.mark.parametrize("n", [8, 12, 19])
 def test_cavity_sweep_matches_one_enumeration_per_site_and_the_oracles(n, monkeypatch):
-    # One stacked enumeration of the n cavity systems against the per-site
-    # route through the cut (n - 1)-site system, bit for bit, the Gray-code
-    # engine (every cavity up to n = 12, two of them at n = 19) and, at
-    # n = 8, the naive oracle.  At n = 19 the stack runs in chunks of 4.
+    # One stacked enumeration of the n cavity systems, each in the group
+    # order of ``_cavity_order``, against that cavity enumerated alone in
+    # the same site order, bit for bit; against the cut (n - 1)-site system
+    # in site order to 1e-12, as the order moves the rounding; the
+    # Gray-code engine (every cavity up to n = 12, two of them at n = 19)
+    # and, at n = 8, the naive oracle.  At n = 19 the cavities share one D
+    # grid per group of 4 sites (the last of 3), in chunks of one, two and
+    # two groups: 4 + 8 + 7 systems.
     rng = np.random.default_rng(n)
     p = ModelParams(n=n, t=0.5, field=rng.normal(0.3, 0.2, n))
     cm = sample_couplings(p, n)
@@ -357,22 +361,27 @@ def test_cavity_sweep_matches_one_enumeration_per_site_and_the_oracles(n, monkey
     stacks = []
     moments = BlockEnumerator.moments
 
-    def spy(self, *args, **kwargs):
-        raw = moments(self, *args, **kwargs)
+    def spy(self, h, *args, **kwargs):
+        fields = np.array(h)  # the pass writes the magnetizations over h
+        raw = moments(self, h, *args, **kwargs)
         if len(self.G) > 1:
-            stacks.append(raw.mag)
+            stacks.append((self.G, fields, raw.mag.copy()))
         return raw
 
     monkeypatch.setattr(BlockEnumerator, "moments", spy)
     report = htap1_residuals(cm, p)
     monkeypatch.undo()
-    (stacked,) = stacks
+    ((G, fields, stacked),) = stacks
+    order, _ = _cavity_order(n)
+    assert np.array_equal(G, g[order[:, :, None], order[:, None, :]])
     full = magnetizations(cm, p)
     cavities = []
     for i in range(n):
-        cav = magnetizations(*cavity_system(cm, p, i))
-        assert np.array_equal(stacked[i], cav)
-        cav = np.insert(cav, i, 0.0)
+        alone = BlockEnumerator(G[i]).moments(fields[i], want_pair=False).mag[0]
+        assert np.array_equal(stacked[i], alone)
+        cav = np.empty(n)
+        cav[order[i]], cav[i] = alone, 0.0
+        assert np.max(np.abs(np.delete(cav, i) - magnetizations(*cavity_system(cm, p, i)))) < 1e-12
         cavities.append(cav)
         expected = full[i] - math.tanh(p.field[i] + g[i] @ cav)
         assert report.residuals[i] == pytest.approx(expected, abs=1e-12)

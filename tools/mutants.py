@@ -42,6 +42,10 @@ BLOCK_ENERGIES = "tests/test_gibbs.py::test_block_energies_by_halves_match_the_s
 SIGNED_SUMS = "tests/test_gibbs.py::test_signed_sums_by_halves_match_the_exact_sums"
 NAIVE_TABLES = "tests/test_gibbs.py::test_engines_match_naive_oracle"
 LARGEST_PASSES = "tests/test_gibbs.py::test_largest_passes_equal_the_mix_of_their_clamped_halves"
+SHARED_GRIDS = "tests/test_gibbs.py::test_the_cavities_of_a_group_share_one_grid_and_keep_their_own_bits"
+RUN_BREAKS = "tests/test_gibbs.py::test_runs_break_where_the_couplings_the_fields_or_b_differ"
+RUN_PLAN = "tests/test_gibbs.py::test_the_run_plan_never_splits_a_run_that_fits"
+SHARED_TILES = "tests/test_gibbs_properties.py::test_a_shared_grid_matches_gray_wherever_the_maximum_sits"
 ENGINES = "tests/test_engines.py"
 
 # (name, file, exact snippet, replacement, targeted tests)
@@ -75,6 +79,62 @@ MUTANTS = (
         [LATE_TILE],
     ),
     (
+        "run-key-ignores-right-fields",
+        "src/sktap/gibbs.py",
+        "        joins = np.logical_and.reduce(right[1:] == right[:-1], axis=1)\n",
+        "        joins = np.ones(len(right) - 1, dtype=bool)\n",
+        [RUN_BREAKS],
+    ),
+    (
+        "run-spans-two-values-of-b",
+        "src/sktap/gibbs.py",
+        "(self.low[1:] == self.low[:-1]) & ",
+        "",
+        [RUN_BREAKS],
+    ),
+    (
+        "row-factor-without-a-shift",
+        "src/sktap/gibbs.py",
+        "                    f = shift + r[:, None]\n",
+        "                    f = 0.0 * shift + r[:, None]\n",
+        [SMALL_SYSTEMS],
+    ),
+    (
+        "row-factor-forgets-earlier-tiles",
+        "src/sktap/gibbs.py",
+        "                    f -= grown[:, :, None]\n",
+        "                    f -= peak[:, :, None]\n",
+        [SHARED_TILES],
+    ),
+    (
+        "grid-reused-across-a-run-boundary",
+        "src/sktap/gibbs.py",
+        "                np.matmul(left_g, right[runs], out=W)\n",
+        "                np.matmul(left_g, right[runs.start : runs.start + 1], out=W)\n",
+        [SHARED_GRIDS],
+    ),
+    (
+        "run-plan-splits-a-run-that-fits",
+        "src/sktap/gibbs.py",
+        "        self.most = max(1, (_TILE_STATES + _TILE_STATES // 8 - self.operands(0)) // own)\n",
+        "        self.most = max(1, (_TILE_STATES // 2 - self.operands(0)) // own)\n",
+        [SHARED_GRIDS, RUN_PLAN],
+    ),
+    (
+        "grids-shared-where-no-run-fits",
+        "src/sktap/gibbs.py",
+        "        self.most = max(1, (_TILE_STATES + _TILE_STATES // 8 - self.operands(0)) // own)\n",
+        "        self.most = max(2, (_TILE_STATES + _TILE_STATES // 8 - self.operands(0)) // own)\n",
+        [SHARED_GRIDS],
+    ),
+    (
+        "own-grid-drops-the-column-shift-of-a",
+        "src/sktap/gibbs.py",
+        "            left[:, :, -2] = a_shift\n",
+        "",
+        [LARGEST_PASSES],
+    ),
+    (
         "drop-c-shift",
         "src/sktap/gibbs.py",
         "np.log(zsum) + top + c_shift",
@@ -91,8 +151,8 @@ MUTANTS = (
     (
         "remove-guard",
         "src/sktap/gibbs.py",
-        "    return np.count_nonzero(reach[:, : G_LR.shape[1] // 2 - 1] <= _GUARD, axis=1)\n",
-        "    return np.full(len(reach), G_LR.shape[1] // 2 - 1)\n",
+        "    return np.count_nonzero(reach[:, : _low_cap(sum(G_LR.shape[1:]))] <= _GUARD, axis=1)\n",
+        "    return np.full(len(reach), _low_cap(sum(G_LR.shape[1:])))\n",
         ["tests/test_gibbs.py::test_guard_keeps_strong_low_left_couplings_exact"],
     ),
     (
@@ -105,15 +165,15 @@ MUTANTS = (
     (
         "tile-subtracts-previous-system-shift",
         "src/sktap/gibbs.py",
-        "                W -= grown[:, None, None]\n",
-        "                W -= (grown if j or not s else top[s - 1 : s])[:, None, None]\n",
-        [SEVERAL_PER_CHUNK],
+        "                    f -= grown[:, :, None]\n",
+        "                    f -= (grown if j else np.roll(grown, 1))[:, :, None]\n",
+        [SHARED_GRIDS],
     ),
     (
         "last-chunk-skips-its-final-system",
         "src/sktap/gibbs.py",
-        "                rows = systems[c] if blocks > 1 else c\n",
-        "                rows = systems[c.start : min(c.stop, systems.size - 1)] if blocks > 1 else c\n",
+        "                rows = at[span] if blocks > 1 else span\n",
+        "                rows = at[span.start : min(span.stop, at.size - 1)] if blocks > 1 else span\n",
         [SEVERAL_PER_CHUNK],
     ),
     (
