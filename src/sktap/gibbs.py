@@ -56,17 +56,18 @@ the n cavity systems of a disorder sample, each with its own b.  The
 systems of one b run in chunks whose set-up and reductions are numpy calls
 batched over the chunk; only the tile loop runs per tile, and a tile is the
 whole D grids of as many of a chunk's runs as fit half the budget, or a run
-of columns of one larger grid.  Adjacent systems of one b whose D operands,
-G[b:, n1:] and the right fields, are equal bit for bit make a run that
-shares one D grid, as the rows of W carry no shift of any one system: the
-2^(na-b) exponentials of D, and the product that builds it, count once per
-run.  A run, like a chunk, keeps its operands within 9/8 of the budget, and
-is cut into pieces only past it.  The n cavities of a sample come in a
-group order (``_cavity_order``) in which the cavities of one group of
-cap + 1 sites make such a run: at n = 20, 4 grids instead of 20.  A chunk holds
-systems of one b, and every product is one BLAS call per system, or per run
-for the grid, so a system's bits depend neither on its neighbours, nor on
-its place in the stack, nor on whether it shares its grid.
+of columns of one larger grid.  Adjacent coupling blocks of one b whose D
+operands, G[b:, n1:] and the right fields, are equal bit for bit make a run
+that shares one D grid, as the rows of W carry no shift of any one system:
+the 2^(na-b) exponentials of D, and the product that builds it, count once
+per run.  Runs form only between coupling blocks.  A run, like a chunk,
+keeps its operands within 9/8 of the budget, and is cut into pieces only
+past it.  The cavities of one group of cap + 1 sites make such a run in
+the group order of the n cavities of a sample (``_cavity_order``): at
+n = 20, 4 grids instead of 20.  A chunk holds systems of one b, and every
+product is one BLAS call per system, or per run for the grid, so a
+system's bits depend neither on its neighbours, nor on its place in the
+stack, nor on whether it shares its grid.
 
 Systems of up to ``_WALSH_SITES`` (6) sites, too small to factorise, take a
 second kernel instead, chosen by na alone: the 2^na weights of each field
@@ -279,8 +280,6 @@ def _runs(layout: _Layout, joins: list) -> list:
     """Lengths of the runs of a stack that ``joins`` marks (see
     ``BlockEnumerator._joins``), in order, a run cut into equal pieces only
     where it holds more than ``layout.most`` systems."""
-    if not any(joins):
-        return [1] * (len(joins) + 1)
     runs = [1]
     for join in joins:
         if join:
@@ -295,16 +294,15 @@ def _runs(layout: _Layout, joins: list) -> list:
 
 
 def _groups(units: list, per: int) -> list:
-    """(systems, runs, length) of each group of a chunk's ``units``: at
-    most ``per`` runs side by side, all of one length."""
+    """(systems, runs, length) of each group of a chunk's ``units``: every
+    stretch of runs of one length, cut into groups of at most ``per`` runs."""
     groups, q, s = [], 0, 0
-    while q < len(units):
-        e = q + 1
-        while e < len(units) and e - q < per and units[e] == units[q]:
-            e += 1
-        stop = s + (e - q) * units[q]
-        groups.append((slice(s, stop), slice(q, e), units[q]))
-        q, s = e, stop
+    for length, stretch in itertools.groupby(units):
+        count = len(list(stretch))
+        for i in range(0, count, per):
+            R = min(per, count - i)
+            groups.append((slice(s, s + R * length), slice(q, q + R), length))
+            q, s = q + R, s + R * length
     return groups
 
 
@@ -329,14 +327,14 @@ class BlockEnumerator:
     high-left and right couplings of the one before them (``shares``).  No
     call changes it.
 
-    Adjacent systems of one b whose high-left and right couplings and right
-    fields are equal bit for bit make a run, which shares one D grid: the
-    cavities of one group of ``_cavity_order``, or equal field rows of one
-    block.  Each row of a grid tile is shifted by its own maximum, so the
-    grid serves every system of the run, and each system folds its own row
-    factor into its left weights: a system's bits are those of its own
-    one-system pass, in a run or alone.  Whether a pass may share grids
-    depends on its layout alone, so that holds for every system.
+    Adjacent coupling blocks of one b whose high-left and right couplings
+    and right fields are equal bit for bit make a run, which shares one D
+    grid: the cavities of one group of ``_cavity_order``.  Runs form only
+    between coupling blocks.  Each row of a grid tile is shifted by its own
+    maximum, so the grid serves every system of the run, and each system
+    folds its own row factor into its left weights: a system's bits are
+    those of its own one-system pass, in a run or alone.  Whether a pass
+    may share grids depends on its layout alone, so it holds for every system.
     """
 
     def __init__(self, G: np.ndarray):
@@ -407,7 +405,7 @@ class BlockEnumerator:
         for b, systems in self.systems.items():
             layout = _layout(self.n1, self.n2, b, _TILE_STATES)
             at = systems if blocks > 1 else np.arange(K)
-            if at.size > 1 and layout.most > 1:
+            if blocks > 1 and layout.most > 1:
                 units = _runs(layout, self._joins(H, b, at))
             else:
                 units = [1] * at.size
@@ -427,14 +425,12 @@ class BlockEnumerator:
         return raw
 
     def _joins(self, H, b: int, at: np.ndarray) -> list:
-        """Whether each system ``at`` of b but the first shares the D grid of
-        the one before it: the next in the stack, with the same G[b:, n1:]
-        and right fields, bit for bit."""
+        """Whether each coupling block ``at`` of b but the first shares the D
+        grid of the one before it, the next in the stack: the same G[b:, n1:]
+        and right fields, bit for bit.  Only a stack of blocks asks."""
         right = (H if at.size == len(H) else H[at])[:, self.n1 :].view(np.int64)
         joins = np.logical_and.reduce(right[1:] == right[:-1], axis=1)
-        if len(self.G) > 1:
-            joins &= self.shares[b]
-        return joins.tolist()
+        return (joins & self.shares[b]).tolist()
 
     def _walsh_pass(self, H, rows: slice, out: _RawMoments, grid, scratch) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``
@@ -478,10 +474,10 @@ class BlockEnumerator:
 
         ``own`` are the places in the stack of the chunk's coupling blocks,
         one per field row, or the one block that serves them all.  ``units``
-        are the lengths of the chunk's runs, in order: systems that share
-        their high-left and right couplings and right fields, and so one D
-        grid.  Tiles split D at column boundaries fixed by na and b.  Where
-        the layout shares grids, row T of a tile is shifted by its own
+        are the lengths of the chunk's runs, in order: coupling blocks that
+        share their high-left and right couplings and right fields, and so
+        one D grid.  Tiles split D at column boundaries fixed by na and b.
+        Where the layout shares grids, row T of a tile is shifted by its own
         maximum r[T], W = exp(D - r[T]), one grid per run, and each system
         of the run folds its row factor exp(a_shift[T] + r[T] - grown) into
         its own eA, grown the running maximum of a_shift + r over its tiles
@@ -526,7 +522,7 @@ class BlockEnumerator:
             left[:, :, -2] = a_shift
         # the first system of each run holds the run's D operands
         heads = slice(None) if len(units) == k else [0, *itertools.accumulate(units[:-1])]
-        lead = own[heads] if blocks > 1 else own
+        lead = own[heads]
         G_high = self.G[lead, b:n1, n1:]
         field = self.ER[lead] + _each(SR, H[heads, n1:])
         # Each group of runs holds its fields as (run, place in the run), so
@@ -558,7 +554,9 @@ class BlockEnumerator:
             c = slice(j * tc, (j + 1) * tc)
             np.matmul(layout.Sl1, B[:, :, c], out=eC)
             np.exp(eC, out=eC)
-            np.matmul(G_high, SRT[:, c], out=right[:, :-2])
+            # a one-block chunk's rows share one high-left product, copied
+            np.matmul(G_high, SRT[:, c], out=right[: len(lead), :-2])
+            right[len(lead) :, :-2] = right[0, :-2]
             right[:, -1] = field[:, c]
             for g, runs, L, W, starts, WT, views in groups:
                 left_g, shift, eA_g, eAf_g, eC_g, rows_g, top_g, col_sums = views

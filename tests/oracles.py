@@ -23,7 +23,9 @@ agreement is a genuine two-route check.  A third reference,
 Walsh-Hadamard pass: the in-place pass must give its bits.  Two more check
 the engine's products by halves directly: ``pair_energies`` sums the
 interaction energy of every state term by term, and ``signed_sums`` sums
-the weighted sign products of every state with ``math.fsum``.
+the weighted sign products of every state with ``math.fsum``, and
+``first_fit_groups`` keeps the first-fit form of the block pass's group plan,
+one unit at a time: the stretch-built plan must equal it.
 
 The module also keeps the helpers that only the tests call: the derivative
 ``f_prime`` of the overlap map, the grid coarsening ``coarsened`` of a
@@ -235,6 +237,21 @@ def signed_sums(w, k):
             for j in range(k):
                 out[r, i, j] = math.fsum((row * signs[:, i] * signs[:, j]).tolist())
     return out
+
+
+def first_fit_groups(units, per):
+    """(systems, runs, length) of each group of a chunk's run lengths
+    ``units``, as ``sktap.gibbs._groups`` plans them: from the first unit not
+    yet placed, every next unit of its length, up to ``per`` units."""
+    groups, q, s = [], 0, 0
+    while q < len(units):
+        e = q + 1
+        while e < len(units) and e - q < per and units[e] == units[q]:
+            e += 1
+        stop = s + (e - q) * units[q]
+        groups.append((slice(s, stop), slice(q, e), units[q]))
+        q, s = e, stop
+    return groups
 
 
 def on_engine(engine, fn, *args, **kwargs):

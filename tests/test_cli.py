@@ -18,10 +18,11 @@ import sktap.ensemble
 import sktap.gibbs
 from sktap import EXPERIMENTS, NumericalError, sample_couplings, substream_seed
 from sktap.cli import _parse_n_list, build_parser, main
+from sktap.gibbs import BlockEnumerator
 from test_pinned_payloads import ITO_CLAMPS, SMALL_SCALING, check_pins
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from golden_payloads import README, readme_commands  # noqa: E402
+from golden_payloads import README, readme_commands, with_out  # noqa: E402
 
 
 def run_cli(args, capsys):
@@ -913,6 +914,47 @@ def test_readme_commands_enumerate_each_measure_once(
     code, _, _ = run_cli([*argv, "--out", str(tmp_path / "out.json")], capsys)
     assert code == 0
     assert (len(passes), passes.count(True)) == (calls, pair_passes)
+
+
+def test_only_the_cavity_stacks_ask_which_systems_share_a_grid(monkeypatch, capsys, tmp_path):
+    # Runs form only between coupling blocks, so of every README command (at
+    # the sizes of tests/test_engines.py) and every experiment at n = 8, 11
+    # and 14, only the stacks of cavity systems look for them; no one-block
+    # stack, such as the clamped systems of a pair column or an Ito check,
+    # ever does.  The cavities of a group share a grid at n >= 8, where they
+    # have 7 sites or more and take the block pass.
+    from test_engines import COMMANDS, smaller
+
+    calls, stacks = [], []
+    real_joins, real_cavities = BlockEnumerator._joins, sktap.gibbs.cavity_magnetizations
+
+    def joins(self, H, b, at):
+        found = real_joins(self, H, b, at)
+        calls.append((len(self.G), found))
+        return found
+
+    def cavities(cm, params):
+        start = len(calls)
+        cav = real_cavities(cm, params)
+        stacks.append((params.n, calls[start:]))
+        return cav
+
+    monkeypatch.setattr(BlockEnumerator, "_joins", joins)
+    monkeypatch.setattr(sktap.gibbs, "cavity_magnetizations", cavities)
+    argvs = [smaller(command) for command in COMMANDS] + [
+        ["scaling", "--experiment", name.replace("_", "-"), "--n", "8,11,14", "--t", "0.5",
+         "--h", "0.3", "--samples", "2", *ITO_STEPS[name.replace("_", "-")]]
+        for name in sorted(EXPERIMENTS)
+    ]
+    for argv in argvs:
+        assert main(with_out(argv, tmp_path / "out")) == 0, argv
+    capsys.readouterr()
+    assert calls and all(blocks > 1 for blocks, _ in calls)
+    assert sum(len(inside) for _, inside in stacks) == len(calls)
+    assert {n for n, _ in stacks} >= {8, 10, 11, 14}
+    for n, inside in stacks:
+        if n >= 8:
+            assert any(True in found for _, found in inside), n
 
 
 def test_a_field_energy_inside_the_bound_runs_clean(tmp_path, capsys):

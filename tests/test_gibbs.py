@@ -29,6 +29,7 @@ from sktap import (
 )
 from oracles import (
     GrayEnumerator,
+    first_fit_groups,
     gray_moments,
     naive_raw_moment,
     naive_tables,
@@ -421,6 +422,23 @@ def test_the_run_plan_never_splits_a_run_that_fits(joins, split):
             assert pieces == [run]
         assert max(pieces) - min(pieces) <= 1
         assert all(layout.operands(p) <= _TILE_STATES + _TILE_STATES // 8 for p in pieces if p > 1)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 300)), max_size=40),
+    st.integers(1, 64),
+)
+@example([(1, 4100)], 64)
+@example([(1, 5000)], 7)
+@example([(5, 1), (2, 2), (5, 3), (5, 1), (1, 64), (1, 1)], 4)
+def test_the_stretch_plan_equals_the_first_fit_plan(stretches, per):
+    # Runs of 1-6 systems, in stretches of one length, up to 5000 units: a
+    # one-block chunk of thousands of rows is one stretch of runs of one.
+    from sktap.gibbs import _groups
+
+    units = [length for length, count in stretches for _ in range(count)][:5000]
+    assert _groups(units, per) == first_fit_groups(units, per)
 
 
 @pytest.mark.parametrize("na", range(8))

@@ -159,23 +159,24 @@ def test_online_shift_matches_gray_when_the_maximum_sits_in_a_late_tile(monkeypa
 
 def test_a_shared_grid_matches_gray_wherever_the_maximum_sits(monkeypatch):
     # With a 2^15 state budget the pass at n = 18 spans 2 tiles and shares
-    # its grids (a run of up to 5 systems fits).  Field rows with the same
-    # right fields make a run: two runs of two, whose right fields put the
-    # heaviest states in the last tile and in the first one.  Each system's
-    # row factor must follow its own running maximum across the tiles of
-    # its run's grid, one that grows and one that holds.
+    # its grids (a run of up to 5 systems fits).  Four equal coupling blocks
+    # whose field rows share their right fields in pairs make two runs of
+    # two, whose right fields put the heaviest states in the last tile and
+    # in the first one.  Each system's row factor must follow its own
+    # running maximum across the tiles of its run's grid, one that grows and
+    # one that holds.
     monkeypatch.setattr(sktap.gibbs, "_TILE_STATES", 1 << 15)
     n = 18
     G, h = instance(n, 2718, 0.6, 0.3)
-    ctx = BlockEnumerator(G)
-    b = int(ctx.low[0])
+    ctx = BlockEnumerator(np.array([G] * 4))
+    (b,) = ctx.systems
     layout = sktap.gibbs._Layout(ctx.n1, ctx.n2, b)
     assert layout.most > 1 and layout.tiles == 2
     H = np.array([h, h, h, h])
     H[:2, ctx.n1 :] += 4.0
     H[2:, ctx.n1 :] -= 4.0
     H[1::2, : ctx.n1] -= 1.5
-    assert ctx._joins(H, b, np.arange(4)) == [True, False, True]
+    assert ctx._joins(H, b, ctx.systems[b]) == [True, False, True]
     block = ctx.moments(H, want_pair=True)
     for r in range(4):
         gray = GrayEnumerator(G).moments(H[r], want_pair=True).row(0)

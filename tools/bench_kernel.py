@@ -37,7 +37,9 @@ drawn.
 For the stacks that chunks batch it times a fresh enumerator and one
 ``moments`` call, magnetizations only, over 20 coupling blocks at na = 17,
 18 and 19 (``STACKS``: the htap1 cavity stacks at n = 18-20 have na + 1),
-and over 2049 field rows of one block at na = 17 (``WIDE``).
+and over the field rows of one block (``ONE_BLOCK``): 4100 at na = 9 and
+11, the stacks of the Ito pair check at n = 11 and 13 with 1024 steps, and
+2049 at na = 17.
 After the htap1 workers of each round, ``STARTUP_REPEATS`` fresh
 interpreters each time ``import sktap.cli`` and read their peak RSS
 (``ru_maxrss``) right after it, as many run ``python -m sktap.cli
@@ -82,8 +84,9 @@ HTAP1_SIZES = (8, 12, 16, 20)
 HTAP1_SAMPLES = 16
 SMALL = ((4, 4 * 2049), (5, 2 * 2049))  # (na, field rows), magnetizations only
 STACKS = ((17, 20), (18, 20), (19, 20))  # (na, coupling blocks), magnetizations only
-WIDE = (17, 2049)  # (na, field rows) on one coupling block, magnetizations only
 STACK_CALLS = 20
+# (na, field rows, calls) on one coupling block, magnetizations only
+ONE_BLOCK = ((9, 4100, STACK_CALLS), (11, 4100, STACK_CALLS), (17, 2049, 2))
 ITO_PATHS = 16
 FLOOR_STATES = 24  # log2 of the largest grid the floor allocates
 ROUNDS = 7
@@ -295,13 +298,13 @@ def _stack_rows() -> list:
         BlockEnumerator(G).moments(fields, want_pair=False)
         ms = _timed(lambda: BlockEnumerator(G).moments(fields, want_pair=False), STACK_CALLS)
         rows.append({"na": na, "blocks": count, "rows": count, "init_moments_ms": ms})
-    na, count = WIDE
-    params = ModelParams.uniform(na, 0.5, 0.3)
-    G = sample_couplings(params, 0).entries
-    fields = np.random.default_rng(na).normal(0.3, 0.5, (count, na))
-    BlockEnumerator(G).moments(fields, want_pair=False)
-    ms = _timed(lambda: BlockEnumerator(G).moments(fields, want_pair=False), 2)
-    rows.append({"na": na, "blocks": 1, "rows": count, "init_moments_ms": ms})
+    for na, count, calls in ONE_BLOCK:
+        params = ModelParams.uniform(na, 0.5, 0.3)
+        G = sample_couplings(params, 0).entries
+        fields = np.random.default_rng(na).normal(0.3, 0.5, (count, na))
+        BlockEnumerator(G).moments(fields, want_pair=False)
+        ms = _timed(lambda: BlockEnumerator(G).moments(fields, want_pair=False), calls)
+        rows.append({"na": na, "blocks": 1, "rows": count, "init_moments_ms": ms})
     return rows
 
 

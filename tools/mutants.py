@@ -46,6 +46,9 @@ SHARED_GRIDS = "tests/test_gibbs.py::test_the_cavities_of_a_group_share_one_grid
 RUN_BREAKS = "tests/test_gibbs.py::test_runs_break_where_the_couplings_the_fields_or_b_differ"
 RUN_PLAN = "tests/test_gibbs.py::test_the_run_plan_never_splits_a_run_that_fits"
 SHARED_TILES = "tests/test_gibbs_properties.py::test_a_shared_grid_matches_gray_wherever_the_maximum_sits"
+RUN_TRAFFIC = "tests/test_cli.py::test_only_the_cavity_stacks_ask_which_systems_share_a_grid"
+STRETCH_PLAN = "tests/test_gibbs.py::test_the_stretch_plan_equals_the_first_fit_plan"
+STACKED_ROWS = "tests/test_gibbs_properties.py::test_stacked_pass_equals_one_pass_per_row"
 ENGINES = "tests/test_engines.py"
 
 # (name, file, exact snippet, replacement, targeted tests)
@@ -112,6 +115,37 @@ MUTANTS = (
         "                np.matmul(left_g, right[runs], out=W)\n",
         "                np.matmul(left_g, right[runs.start : runs.start + 1], out=W)\n",
         [SHARED_GRIDS],
+    ),
+    (
+        "one-block-stack-asks-for-runs",
+        "src/sktap/gibbs.py",
+        "            if blocks > 1 and layout.most > 1:\n",
+        "            if at.size > 1 and layout.most > 1:\n",
+        [RUN_TRAFFIC],
+    ),
+    (
+        "stretch-cut-short-of-per",
+        "src/sktap/gibbs.py",
+        "        for i in range(0, count, per):\n            R = min(per, count - i)\n",
+        "        for i in range(0, count, max(1, per - 1)):\n"
+        "            R = min(max(1, per - 1), count - i)\n",
+        [STRETCH_PLAN],
+    ),
+    (
+        "high-left-rows-copied-from-row-0-of-a-stack",
+        "src/sktap/gibbs.py",
+        "            np.matmul(G_high, SRT[:, c], out=right[: len(lead), :-2])\n"
+        "            right[len(lead) :, :-2] = right[0, :-2]\n",
+        "            np.matmul(G_high[:1], SRT[:, c], out=right[:1, :-2])\n"
+        "            right[1:, :-2] = right[0, :-2]\n",
+        [SHARED_GRIDS, "tests/test_gibbs.py::test_coupling_stack_is_bit_equal_to_one_system_per_block"],
+    ),
+    (
+        "one-block-rows-keep-a-stale-high-left-operand",
+        "src/sktap/gibbs.py",
+        "            right[len(lead) :, :-2] = right[0, :-2]\n",
+        "",
+        [STACKED_ROWS],
     ),
     (
         "run-plan-splits-a-run-that-fits",
