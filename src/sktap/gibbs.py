@@ -37,37 +37,39 @@ folds the row factor exp(a_shift[T] + r[T] - grown) into its eA, so no
 factor of a weight passes 1 and W holds nothing of any one system.  That
 costs a row-wise maximum and subtraction over each tile and 2^n1
 multiplications a tile per system: one pass at n = 20 takes about 9%
-longer for it than with a grid of its own.  Where no run of two systems fits the chunk budget (``_Layout.most``),
-from na = 22 at the cap's b, nothing is shared and a pass moves a_shift
-into the system's own D, W = exp(D + a_shift - grown), with no row-wise
-step and no row factor.  Every sum a system keeps, per left state (t, T)
-and per right state c, is rescaled whenever grown grows (an online
-log-sum-exp).  eC stays one exponential per entry: as the outer product of
-two factors over the halves of the right sites, it wrote as many entries
-and took more numpy calls a chunk, and ran slower at n = 19-20.  Memory is
-one tile plus O(2^n1 + 2^n2) vectors per system, O(2^(n/2) * n) in all; no
-buffer spans the 2^(b+n2) entries of eC, unless it fits one tile.  A guard
-caps b so that C spans at most ``_GUARD`` (600): weights that matter then
-stay far from float64 underflow, and couplings too strong for any b > 0 get
-b = 0, one exponential per state.
+longer for it than with a grid of its own.  Where no run of two systems
+fits the chunk budget (``_Layout.most``), from na = 22 at the cap's b,
+nothing is shared and a pass moves a_shift into the system's own D,
+W = exp(D + a_shift - grown), with no row-wise step and no row factor.
+Every sum a system keeps, per left state (t, T) and per right state c, is
+rescaled whenever grown grows (an online log-sum-exp).  eC stays one
+exponential per entry: as the outer product of two factors over the halves
+of the right sites, it wrote as many entries and took more numpy calls a
+chunk, and ran slower at n = 19-20.  Memory is one tile plus O(2^n1 + 2^n2)
+vectors per system, O(2^(n/2) * n) in all; no buffer spans the 2^(b+n2)
+entries of eC, unless it fits one tile.  A guard caps b so that C spans at
+most ``_GUARD`` (600): weights that matter then stay far from float64
+underflow, and couplings too strong for any b > 0 get b = 0, one
+exponential per state.
 
 One enumerator also takes a stack of coupling blocks of equal size, such as
 the n cavity systems of a disorder sample, each with its own b.  The
 systems of one b run in chunks whose set-up and reductions are numpy calls
 batched over the chunk; only the tile loop runs per tile, and a tile is the
 whole D grids of as many of a chunk's runs as fit half the budget, or a run
-of columns of one larger grid.  Adjacent coupling blocks of one b whose D
-operands, G[b:, n1:] and the right fields, are equal bit for bit make a run
-that shares one D grid, as the rows of W carry no shift of any one system:
-the 2^(na-b) exponentials of D, and the product that builds it, count once
-per run.  Runs form only between coupling blocks.  A run, like a chunk,
-keeps its operands within 9/8 of the budget, and is cut into pieces only
-past it.  The cavities of one group of cap + 1 sites make such a run in
-the group order of the n cavities of a sample (``_cavity_order``): at
-n = 20, 4 grids instead of 20.  A chunk holds systems of one b, and every
-product is one BLAS call per system, or per run for the grid, so a
-system's bits depend neither on its neighbours, nor on its place in the
-stack, nor on whether it shares its grid.
+of columns of one larger grid.  Consecutive systems of one b, whatever
+systems of another b sit between them, whose D operands, G[b:, n1:] and the
+right fields, are equal bit for bit make a run that shares one D grid, as
+the rows of W carry no shift of any one system: the 2^(na-b) exponentials
+of D, and the product that builds it, count once per run.  One bit
+comparison per call finds the runs (``_joins``), and they form only between
+coupling blocks.  A run, like a chunk, keeps its operands within 9/8 of the
+budget, and is cut into pieces only past it.  The cavities of one group of
+cap + 1 sites make such a run in the group order of the n cavities of a
+sample (``_cavity_order``): at n = 20, 4 grids instead of 20.  A chunk
+holds systems of one b, and every product is one BLAS call per system, or
+per run for the grid, so a system's bits depend neither on its neighbours,
+nor on its place in the stack, nor on whether it shares its grid.
 
 Systems of up to ``_WALSH_SITES`` (6) sites, too small to factorise, take a
 second kernel instead, chosen by na alone: the 2^na weights of each field
@@ -322,12 +324,10 @@ class BlockEnumerator:
     say.  The context holds what depends on the couplings alone: for
     na <= ``_WALSH_SITES`` the interaction energy E of every state of every
     block; above, the split (n1, n2), each system's b (``low``, chosen by
-    ``_low_bits``), the places of the systems of each b (``systems``), the
-    block energies EL and ER, and for a stack which of its systems have the
-    high-left and right couplings of the one before them (``shares``).  No
-    call changes it.
+    ``_low_bits``), the places of the systems of each b (``systems``), and
+    the block energies EL and ER.  No call changes it.
 
-    Adjacent coupling blocks of one b whose high-left and right couplings
+    Consecutive coupling blocks of one b whose high-left and right couplings
     and right fields are equal bit for bit make a run, which shares one D
     grid: the cavities of one group of ``_cavity_order``.  Runs form only
     between coupling blocks.  Each row of a grid tile is shifted by its own
@@ -352,15 +352,6 @@ class BlockEnumerator:
         self.systems = {b: np.flatnonzero(self.low == b) for b in sorted(set(self.low.tolist()))}
         self.EL = _quadratic(self.G[:, :n1, :n1])
         self.ER = _quadratic(self.G[:, n1:, n1:])
-        if len(self.G) > 1:
-            # whether a system has the b and the couplings of a D grid, rows
-            # b to na - 1 of G[:, n1:], of the one before it, bit for bit,
-            # listed per b for its systems but the first
-            bits = self.G[:, :, n1:].view(np.int64)
-            differ = np.logical_or.reduce(bits[1:] != bits[:-1], axis=2)
-            differ &= np.arange(na) >= self.low[1:, None]
-            same = (self.low[1:] == self.low[:-1]) & ~np.logical_or.reduce(differ, axis=1)
-            self.shares = {b: same[at[1:] - 1] for b, at in self.systems.items()}
 
     def moments(self, h, want_pair=True, out=None) -> _RawMoments:
         """Raw moments for a stack of field vectors ``h`` of shape (K, na).
@@ -405,10 +396,7 @@ class BlockEnumerator:
         for b, systems in self.systems.items():
             layout = _layout(self.n1, self.n2, b, _TILE_STATES)
             at = systems if blocks > 1 else np.arange(K)
-            if blocks > 1 and layout.most > 1:
-                units = _runs(layout, self._joins(H, b, at))
-            else:
-                units = [1] * at.size
+            units = _runs(layout, self._joins(H, b, at)) if blocks > 1 else [1] * K
             # a run is one unit of the chunk plan, each counted as the longest
             per = max(1, _TILE_STATES // layout.operands(max(units, default=1)))
             chunks = _chunks(len(units), per)
@@ -426,11 +414,13 @@ class BlockEnumerator:
 
     def _joins(self, H, b: int, at: np.ndarray) -> list:
         """Whether each coupling block ``at`` of b but the first shares the D
-        grid of the one before it, the next in the stack: the same G[b:, n1:]
-        and right fields, bit for bit.  Only a stack of blocks asks."""
-        right = (H if at.size == len(H) else H[at])[:, self.n1 :].view(np.int64)
-        joins = np.logical_and.reduce(right[1:] == right[:-1], axis=1)
-        return (joins & self.shares[b]).tolist()
+        grid of the system of b before it: the same D operands, its high-left
+        and right couplings G[b:, n1:] and its right fields, bit for bit.
+        Only a stack of blocks asks."""
+        n1 = self.n1
+        key = np.concatenate([self.G[at, b:, n1:].reshape(at.size, -1), H[at, n1:]], axis=1)
+        key = key.view(np.int64)
+        return np.logical_and.reduce(key[1:] == key[:-1], axis=1).tolist()
 
     def _walsh_pass(self, H, rows: slice, out: _RawMoments, grid, scratch) -> None:
         """Fill ``rows`` of every field of ``out`` from the field chunk ``H``

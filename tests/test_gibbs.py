@@ -390,7 +390,6 @@ def test_runs_break_where_the_couplings_the_fields_or_b_differ():
     H[6, n1:] = H[4, n1:]
     ctx = BlockEnumerator(G)
     assert ctx.low.tolist() == [2, 2, 2, 2, 2, 0, 2]
-    assert ctx.shares[2].tolist() == [True, True, True, False, False]
     assert ctx._joins(H, 2, ctx.systems[2]) == [False, False, True, False, False]
     stacked = ctx.moments(H, want_pair=True)
     for r in range(len(G)):
@@ -398,6 +397,36 @@ def test_runs_break_where_the_couplings_the_fields_or_b_differ():
         assert stacked.log_z[r] == one.log_z[0]
         assert np.array_equal(stacked.mag[r], one.mag[0])
         assert np.array_equal(stacked.second[r], one.second[0])
+
+
+def test_systems_of_one_b_apart_in_the_stack_share_a_grid_and_keep_their_bits(monkeypatch):
+    # Blocks 0 and 2 are equal and have b = 2; block 1 between them has
+    # b = 0.  The two systems of b = 2 have equal D operands and differ in
+    # a low-left field, so they make one run whose pass builds one grid,
+    # and every system keeps the bits of its own one-system pass.
+    from sktap.gibbs import BlockEnumerator
+
+    n, n1 = 14, 7
+    params = ModelParams(n=n, t=0.5, field=np.zeros(n))
+    G = np.array([sample_couplings(params, 3).entries] * 3)
+    G[1, 0, n1:] *= 400.0 / np.abs(G[1, 0, n1:]).sum()
+    G[1, n1:, 0] = G[1, 0, n1:]
+    H = np.tile(np.random.default_rng(1).normal(0.0, 0.5, n), (3, 1))
+    H[2, 0] += 0.25
+    ctx = BlockEnumerator(G)
+    assert ctx.low.tolist() == [2, 0, 2]
+    assert ctx._joins(H, 2, ctx.systems[2]) == [True]
+    passes = spy_passes(monkeypatch)
+    for want_pair in (False, True):
+        passes.clear()
+        stacked = ctx.moments(H, want_pair=want_pair)
+        assert sorted((b, units) for b, _, units, _ in passes) == [(0, [1]), (2, [2])]
+        for r in range(len(G)):
+            one = BlockEnumerator(G[r]).moments(H[r], want_pair=want_pair)
+            assert stacked.log_z[r] == one.log_z[0]
+            assert np.array_equal(stacked.mag[r], one.mag[0])
+            if want_pair:
+                assert np.array_equal(stacked.second[r], one.second[0])
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)

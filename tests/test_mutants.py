@@ -1,8 +1,9 @@
 """The mutants of ``tools/mutants.py`` stay live.
 
 A full mutation run takes minutes, so it stays outside the test suite; these
-checks take milliseconds.  A rewrite that loses a mutant's snippet, or a
-renamed test that a mutant still targets, fails here first.
+checks take milliseconds.  A rewrite that loses a mutant's snippet, a
+replacement that no longer parses where the snippet sits, or a renamed test
+that a mutant still targets, fails here first.
 """
 
 import ast
@@ -44,3 +45,12 @@ def test_each_snippet_occurs_once_and_each_target_exists(name, rel, snippet, rep
             tree = ast.parse((ROOT / path).read_text())
             defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
             assert test.split("[")[0] in defined, f"{name}: no test {target}"
+
+
+@pytest.mark.parametrize(
+    "name, rel, snippet, replacement", [m[:4] for m in MUTANTS], ids=[name for name, *_ in MUTANTS]
+)
+def test_each_mutant_still_parses(name, rel, snippet, replacement):
+    # a mutant that breaks the syntax stops its tests from running, which
+    # the mutation run reports as an error after minutes, not as a kill
+    ast.parse((ROOT / rel).read_text().replace(snippet, replacement), filename=rel)

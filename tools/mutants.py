@@ -84,15 +84,15 @@ MUTANTS = (
     (
         "run-key-ignores-right-fields",
         "src/sktap/gibbs.py",
-        "        joins = np.logical_and.reduce(right[1:] == right[:-1], axis=1)\n",
-        "        joins = np.ones(len(right) - 1, dtype=bool)\n",
+        ".reshape(at.size, -1), H[at, n1:]]",
+        ".reshape(at.size, -1)]",
         [RUN_BREAKS],
     ),
     (
-        "run-spans-two-values-of-b",
+        "run-key-ignores-couplings",
         "src/sktap/gibbs.py",
-        "(self.low[1:] == self.low[:-1]) & ",
-        "",
+        "[self.G[at, b:, n1:].reshape(at.size, -1), H[at, n1:]]",
+        "[H[at, n1:]]",
         [RUN_BREAKS],
     ),
     (
@@ -119,8 +119,8 @@ MUTANTS = (
     (
         "one-block-stack-asks-for-runs",
         "src/sktap/gibbs.py",
-        "            if blocks > 1 and layout.most > 1:\n",
-        "            if at.size > 1 and layout.most > 1:\n",
+        "if blocks > 1 else [1] * K\n",
+        "if at.size > 1 else [1] * K\n",
         [RUN_TRAFFIC],
     ),
     (
