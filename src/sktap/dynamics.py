@@ -140,21 +140,20 @@ def _row_moments(path: CouplingPath, params: ModelParams, i: int, spins, sites):
         raise ValueError(f"{others.size} active sites exceed enum_cap={gibbs.ENUM_CAP}")
     # the cavity fields are h exactly: no row of i is added and taken off
     g_cav, base_h = path.terminal().entries[np.ix_(others, others)], params.field[others]
+    # C order: a strided BLAS dot sums in another order than a contiguous
+    # one, and the martingale increments are such dots
+    increments = path.cavity_increments(i)
     rows = np.zeros((path.grid.size, others.size))
-    np.cumsum(path.cavity_increments(i), axis=0, out=rows[1:])
+    np.cumsum(increments, axis=0, out=rows[1:])
     clamp = tuple(site - (site > i) for site in sites)
-    # in place, as in gibbs.clamped_moments; the row path goes once they are
-    # built, and the increments are gathered again after the call, so that
-    # the call holds neither
+    # in place, as in gibbs.clamped_moments; the row path goes once they are built
     fields = np.empty((len(spins), *rows.shape))
     for grid, spin in zip(fields, spins):
         np.multiply(rows, spin, out=grid)
         grid += base_h
     del rows
     moments = gibbs.clamped_moments(g_cav, fields.reshape(-1, others.size), clamp)
-    # C order: a strided BLAS dot sums in another order than a contiguous
-    # one, and the martingale increments are such dots
-    return clamp, moments, path.cavity_increments(i)
+    return clamp, moments, increments
 
 
 def _residual(lhs, mart_inc, drift_inc) -> float:

@@ -36,16 +36,15 @@ tile is shifted by its own maximum r[T], W = exp(D - r[T]), and a system
 folds the row factor exp(a_shift[T] + r[T] - grown) into its eA, so no
 factor of a weight passes 1 and W holds nothing of any one system.  That
 costs a row-wise maximum and subtraction over each tile and 2^n1
-multiplications a tile per system: one pass at n = 20 takes about 9%
-longer for it than with a grid of its own.  Where no run of two systems
-fits the chunk budget (``_Layout.most``), from na = 22 at the cap's b,
-nothing is shared and a pass moves a_shift into the system's own D,
-W = exp(D + a_shift - grown), with no row-wise step and no row factor.
-Every sum a system keeps, per left state (t, T) and per right state c, is
-rescaled whenever grown grows (an online log-sum-exp).  eC stays one
-exponential per entry: as the outer product of two factors over the halves
-of the right sites, it wrote as many entries and took more numpy calls a
-chunk, and ran slower at n = 19-20.  Memory is one tile plus O(2^n1 + 2^n2)
+multiplications a tile per system, paid whether or not a grid is shared.
+Where no run of two systems fits the chunk budget (``_Layout.most``), from
+na = 22 at the cap's b, nothing is shared and a pass moves a_shift into the
+system's own D, W = exp(D + a_shift - grown), with no row-wise step and no
+row factor.  Every sum a system keeps, per left state (t, T) and per right
+state c, is rescaled whenever grown grows (an online log-sum-exp).  eC
+stays one exponential per entry: as the outer product of two factors over
+the halves of the right sites, it wrote as many entries and took more numpy
+calls a chunk, and ran slower.  Memory is one tile plus O(2^n1 + 2^n2)
 vectors per system, O(2^(n/2) * n) in all; no buffer spans the 2^(b+n2)
 entries of eC, unless it fits one tile.  A guard caps b so that C spans at
 most ``_GUARD`` (600): weights that matter then stay far from float64
@@ -66,7 +65,7 @@ comparison per call finds the runs (``_joins``), and they form only between
 coupling blocks.  A run, like a chunk, keeps its operands within 9/8 of the
 budget, and is cut into pieces only past it.  The cavities of one group of
 cap + 1 sites make such a run in the group order of the n cavities of a
-sample (``_cavity_order``): at n = 20, 4 grids instead of 20.  A chunk
+sample (``_cavity_order``): one grid per group, not one per cavity.  A chunk
 holds systems of one b, and every product is one BLAS call per system, or
 per run for the grid, so a system's bits depend neither on its neighbours,
 nor on its place in the stack, nor on whether it shares its grid.
@@ -261,9 +260,8 @@ def _low_bits(G_LR: np.ndarray) -> np.ndarray:
     that stays below n1/2: a pass exponentiates the 2^(na-b) entries of D,
     and sweeps about three times over column sums the size of the factor,
     2^(b+n2) entries, which each chunk also exponentiates.  The two balance
-    near b = n1/2 - 1; at n = 19-20 (htap1), caps of 4 and 5 timed alike,
-    3 and 6 slower.  The factor's size caps nothing, as a pass holds one
-    tile of it: b = 5 at n = 24 ran the pair pass 20% faster than b = 4.
+    near b = n1/2 - 1, where a cap one lower or higher timed alike or
+    slower.  The factor's size caps nothing, as a pass holds one tile of it.
     Couplings too strong for the guard, or not finite, get b = 0.  Only the
     block pass asks: systems of up to ``_WALSH_SITES`` sites, which the cap
     n1/2 - 1 would give b = 0 anyway, take the Walsh-Hadamard pass instead.
@@ -652,9 +650,9 @@ class _Layout:
         # D within half the budget, which the weights W of a tile share with
         # the product of the same shape that the pair matrix needs, and
         # within 2^19 states of the whole grid (columns x 2^n1), which binds
-        # only at b >= 5.  Full-budget tiles took 13-26% longer at n = 22-24
-        # and quarter-budget ones 8-10% longer at n = 20-22, but at n = 24
-        # and b = 5, 128 columns ran as fast as 256 and held 0.32 MiB less.
+        # only at b >= 5.  Full- and quarter-budget tiles both ran slower;
+        # where the 2^19 bound binds, its narrower tiles ran as fast and
+        # held less.
         rows = self.Sh.shape[0]
         self.tile_cols = min(
             1 << n2, max(1, (_TILE_STATES // 2) // rows), (_TILE_STATES * 8) >> n1
@@ -709,20 +707,19 @@ class _Layout:
             shapes["M"] = shapes["W"]
             # the left x right block, over the high left states T, then the low ones t
             shapes["cross"] = (k, nT + nt, self.n2)
-        # The row product eC @ W^T reads a tile of eC 2.2x faster with c as
-        # the outer axis (16 x 128 by 128 x 256 at n = 24, one BLAS thread),
-        # so a grid of several tiles stores eC c-major, and the column sums
-        # that eC weighs with it: their product and the sum over t (one
-        # matrix-vector product) then run 10-25% faster.  A grid of one tile
-        # keeps both row-major: OpenBLAS picks its kernel by the layout of
+        # The row product eC @ W^T reads a tile of eC faster with c as the
+        # outer axis, so a grid of several tiles stores eC c-major, and the
+        # column sums that eC weighs with it: their product and the sum over
+        # t (one matrix-vector product) then run faster too.  A grid of one
+        # tile keeps both row-major: OpenBLAS picks its kernel by the layout of
         # the operands, and the bits of that product with it.
         flip = ("eC", "col") if self.tiles > 1 else ()
         # One block holds every buffer, each on a 64-byte boundary.  Where
         # each had its own, the heap of a process that builds a fresh
         # enumerator per sample (the cavity stacks of ``htap1_residuals``)
         # was trimmed and faulted in again on every sample, or not, as the
-        # heap's layout fell: 6 or 110-200 minor faults per sample at
-        # n = 16 from one edit to the next.  With one block it took 7-11.
+        # heap's layout fell, so the minor faults per sample moved by tens
+        # from one edit to the next.  One block keeps them few and steady.
         sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes.values()]
         block = _aligned_empty((sum(sizes),))
         work, at = {}, 0
@@ -756,8 +753,8 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
     """Uninitialized float64 array whose data starts on a 64-byte boundary.
 
     Every chunk of a pass writes and reads the workspace.  Where its buffers
-    sat at the 16-byte offsets of plain heap blocks, ``ito-n6`` (passes over
-    32-state systems) ran 5-10% slower than with them aligned.
+    sat at the 16-byte offsets of plain heap blocks, passes over small
+    systems, such as the clamped systems of the Ito check, ran slower.
     """
     size = math.prod(shape)
     buf = np.empty(size + 7)
@@ -823,8 +820,8 @@ def magnetizations(
     params: ModelParams,
     clamped: Mapping[int, int] | None = None,
 ) -> np.ndarray:
-    """Magnetization vector only: 1.5x cheaper than full tables at n = 20-24,
-    about 1.7x at n = 8-16 (fresh enumerator, one BLAS thread).
+    """Magnetization vector only: cheaper than full tables, as the pass
+    forms no pair matrix.
 
     Full length n: clamped sites carry their value.
     """
@@ -864,8 +861,8 @@ def cavity_magnetizations(cm: CouplingMatrix, params: ModelParams) -> np.ndarray
 
     One stacked enumeration runs every cavity in the group order of
     ``_cavity_order``, so the cavities of one group share one D grid where
-    their run fits the chunk budget: at n = 20, 4 grids instead of 20.  At
-    n = 24 a run of 6 cavities passes the budget, and each runs alone."""
+    their run fits the chunk budget, and each runs alone where it does not
+    (``_Layout.most``)."""
     order, place = _cavity_order(params.n)
     stack = BlockEnumerator(cm.entries[order[:, :, None], order[:, None, :]])
     h = params.field[order]

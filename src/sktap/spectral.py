@@ -25,7 +25,6 @@ from .model import CouplingMatrix, ModelParams
 from .tap import _last_true
 
 _COND_LIMIT = 1e12
-_MAX_ITER = 1_000  # plain iterations of ``self_consistent_s`` before its bisections
 
 
 def _linalg(fn, *args):
@@ -86,15 +85,14 @@ def resolvent_error(
 def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
     """Solve S = n^{-1} sum_i 1/(Lambda_ii - e - t S) on the real branch.
 
-    Starts from the t = 0 value S0 = n^{-1} sum 1/(Lambda_ii - e) and iterates
-    undamped, which follows the branch continuous in t.  Any nonpositive
-    denominator means the real branch has been left (e is not safely below
-    the spectrum) and raises.  When ``_MAX_ITER`` plain iterations stall near
-    the edge, a bisection takes over: below the cut (min Lambda - e) / t, phi
+    At t = 0 the trace is S0 = phi(0) = n^{-1} sum 1/(Lambda_ii - e).  For
+    t > 0, two bisections solve it: below the cut (min Lambda - e) / t, phi
     rises and is convex, so F(S) = S - phi(S) has one peak, where
     phi'(S) = t n^{-1} sum 1/denominator^2 = 1.  A real solution exists only
-    if F(peak) >= 0, and the branch's is the root of F on [S0, peak].  The
-    result satisfies |S - phi(S)| <= 1e-12.
+    if F(peak) >= 0, and the branch continuous in t is the root of F on
+    [S0, peak], as F(S0) <= 0.  Any nonpositive denominator means the real
+    branch has been left (e is not safely below the spectrum) and raises.
+    The result satisfies |S - phi(S)| <= 1e-12, or the call raises.
     """
     lam = np.asarray(lambda_diag, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
@@ -115,22 +113,14 @@ def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
         denom = lam - e - t * s
         return bool(np.min(denom) > 0 and t * np.mean(denom**-2.0) < 1.0)
 
-    tol = 1e-12
-    s0 = s = phi(0.0)
-    for _ in range(_MAX_ITER):
-        s_new = phi(s)
-        if abs(s_new - s) <= 0.25 * tol:
-            s = s_new
-            break
-        s = s_new
-    if abs(s - phi(s)) <= tol:
-        return s
-    # t > 0 here: at t = 0, phi is constant and the iteration stops at once
+    s0 = phi(0.0)
+    if t == 0:
+        return s0
     peak = _last_true(rising, s0, (np.min(lam) - e) / t)
     if peak - phi(peak) < 0:
         raise BranchError(f"no real self-consistent solution at e={e}; energy inside the spectrum")
     s = _last_true(lambda x: x - phi(x) <= 0, s0, peak)
-    if not abs(s - phi(s)) <= tol:
+    if not abs(s - phi(s)) <= 1e-12:
         raise NonConvergenceError(
             f"self-consistent trace not converged at e={e}: residual {abs(s - phi(s)):.3e}"
         )

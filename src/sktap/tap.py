@@ -76,13 +76,18 @@ _MAX_ITER = 10_000
 
 
 def _last_true(holds, lo: float, hi: float) -> float:
-    """Bisect [lo, hi] for the last point where ``holds``, true at lo and false past it."""
+    """Bisect [lo, hi] for the last point where ``holds``, true at lo and false past it.
+
+    Returns the lo of 200 halvings, bit for bit: it stops at the first
+    halving that moves neither end, as every later one repeats it.  A zero
+    midpoint never stops it, since -0.0 == 0.0 hides a change of sign.
+    """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if holds(mid) else (lo, mid)
+        if step == (lo, hi) and mid != 0.0:
+            break
+        lo, hi = step
     return lo
 
 
@@ -185,13 +190,7 @@ def htap1_residuals(cm: CouplingMatrix, params: ModelParams) -> ResidualReport:
     m^{(i)} is the magnetization vector with particle i removed; no reaction
     term appears in this form.  One stacked enumeration gives every m^{(i)}
     (``gibbs.cavity_magnetizations``), row i in the order of the sites other
-    than i (row i of ``others``).  It runs each cavity in a group order: the
-    other members of i's group of cap + 1 sites first, cap the most low left
-    sites of the block pass.  The cavities of a group then share their D
-    grid: each row of a tile of it is shifted by its own maximum, and each
-    cavity folds its own row factor into its left weights, so at n = 20 the
-    20 cavities exponentiate 4 grids, not 20, and each keeps the bits it
-    would have alone in its site order.
+    than i (row i of ``others``).
     """
     full_m = magnetizations(cm, params)
     n, g = params.n, cm.entries

@@ -308,6 +308,17 @@ class Kahan:
         self.total = t
 
 
+def halvings_last_true(holds, lo, hi):
+    """``sktap.tap._last_true`` without its early stop: 200 plain halvings."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def bisect_fixed_point(t, h, expect_fn, tol=1e-13):
     """Bisection root of q - E tanh^2(h + sqrt(t q) Z) on [0, 1].
 

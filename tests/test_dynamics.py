@@ -273,13 +273,15 @@ def test_one_check_allocates_less_than_two_mebibytes():
     # check at n = 6 enumerates 4 x 2049 clamped systems of 4 sites.  It
     # holds one 0.81 MiB block (the 4098-row chunk's grid of 16 states, a
     # scratch half its size and log Z), the clamped mix (320 KiB), whose
-    # free rows the pass overwrites with the magnetizations, and the
-    # stacked fields (160 KiB).  Its peak, 1.32 MiB, falls as the clamped
+    # free rows the pass overwrites with the magnetizations, the stacked
+    # fields (160 KiB) and the row's increments (80 KiB), which the residual
+    # reads after the call.  Its peak, 1.40 MiB, falls as the clamped
     # weights, a view of that block, are normalized, each step with one
-    # 32 KiB vector over the 4098 rows; the Walsh pass peaks at 1.29 MiB.
-    # The bound is that peak plus 10%, rounded up to 0.01 MiB.  With the
-    # field term of the weights added through a 64 KiB temporary, it peaked
-    # at 1.35 MiB; with the moments in the block (1.06 MiB) and the row path
+    # 32 KiB vector over the 4098 rows.  The bound is the 1.32 MiB peak of
+    # the check with the increments gathered again after the call, plus 10%,
+    # rounded up to 0.01 MiB.  With the field term of the weights added
+    # through a 64 KiB temporary, that peak was 1.35 MiB; with the moments
+    # in the block (1.06 MiB) and the row path
     # and its increments held through the call, at 1.79 MiB; with two grids
     # sized for 4608 rows, and the partial sums built for the residual, at
     # 2.17 MiB.

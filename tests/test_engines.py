@@ -74,11 +74,14 @@ SMALLER = {
 
 COMMANDS = readme_commands(README.read_text())
 
-# Finite-difference residuals of verify-identities: m(x + step) - m(x - step)
-# over 2 step = 2e-5, less the exact value.  The engines' gap in m, a few
-# 1e-16, comes out 5e4 times larger there (8.3e-12 was measured); their
-# bound, 5e-10, is what a gap of 1e-14 in m would give.
-FINITE_DIFFERENCES = {"susceptibility", "coupling_derivative"}
+# Finite differences over 2 step = 2e-5: the residuals of verify-identities,
+# m(x + step) - m(x - step) less the exact value, and spectral's
+# S(E0 + step) - S(E0 - step).  The engines' gap in m, a few 1e-16, comes
+# out 5e4 times larger there (8.3e-12 was measured), and so does a gap of
+# one or two ulps in S, which a root found to float precision takes on
+# either engine (1.1e-11 was measured); their bound, 5e-10, is what a gap of
+# 1e-14 in m or S would give.
+FINITE_DIFFERENCES = {"susceptibility", "coupling_derivative", "s_prime_fd"}
 BOUND, FD_BOUND = 1e-12, 5e-10
 
 

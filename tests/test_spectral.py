@@ -170,10 +170,32 @@ def test_self_consistent_s_scalar_quadratic():
     assert s == pytest.approx(4.0 - 2.0 * math.sqrt(3.0), abs=1e-10)
 
 
-def test_self_consistent_s_zero_t_closed_form():
+def test_self_consistent_s_zero_t_closed_form(monkeypatch):
+    # at t = 0 the trace is phi(0), bit for bit, with no bisection
+    def no_bisection(holds, lo, hi):
+        raise AssertionError("t = 0 needs no bisection")
+
+    monkeypatch.setattr(sktap.spectral, "_last_true", no_bisection)
     lam = np.array([1.0, 1.5, 2.0, 3.0])
-    s = self_consistent_s(lam, 0.0, -0.7)
-    assert s == pytest.approx(float(np.mean(1.0 / (lam + 0.7))), abs=1e-14)
+    assert self_consistent_s(lam, 0.0, -0.7) == float(np.mean(1.0 / (lam + 0.7)))
+
+
+def test_self_consistent_s_brackets_the_peak_and_the_root_from_s0(monkeypatch):
+    # S0 = phi(0) is the least value the branch takes for t >= 0, so both
+    # bisections start there: the peak's on [S0, cut], the root's on [S0, peak]
+    real, calls = sktap.spectral._last_true, []
+
+    def spy(holds, lo, hi):
+        calls.append((lo, hi))
+        return real(holds, lo, hi)
+
+    monkeypatch.setattr(sktap.spectral, "_last_true", spy)
+    lam, t, e = np.array([1.0, 1.2, 1.7, 2.5]), 0.3, -0.5
+    s = self_consistent_s(lam, t, e)
+    s0, cut = float(np.mean(1.0 / (lam - e))), (1.0 - e) / t
+    (peak_lo, peak_hi), (root_lo, peak) = calls
+    assert (peak_lo, peak_hi, root_lo) == (s0, cut, s0)
+    assert s0 < s < peak < cut
 
 
 def test_self_consistent_s_fixed_point_tolerance():
@@ -202,9 +224,10 @@ def test_self_consistent_s_leaves_branch_inside_spectrum():
 @pytest.mark.parametrize("contraction", [0.99995, 0.999999])
 def test_self_consistent_s_finds_the_root_where_the_iteration_stalls(contraction):
     # S = 1/(c - t S) at t = 1/2 and c = 1/s1 + s1/2 has the roots s1 and
-    # 2/s1, and phi'(s1) = t s1^2 = contraction: the capped plain
-    # iteration stops short, and the bisection must find the branch root s1 inside the
-    # narrow interval where F(s) = s - phi(s) > 0
+    # 2/s1, and phi'(s1) = t s1^2 = contraction, where a plain iteration
+    # would crawl: the peak of F(s) = s - phi(s) sits just past s1, and the
+    # root's bisection on [S0, peak] must find s1 inside the narrow
+    # interval where F > 0
     t = 0.5
     s1 = math.sqrt(contraction / t)
     c = 1.0 / s1 + t * s1
@@ -214,16 +237,16 @@ def test_self_consistent_s_finds_the_root_where_the_iteration_stalls(contraction
 
 
 def test_self_consistent_s_stalls_and_finds_no_root_below_the_critical_energy():
-    # just below c = sqrt(2) the equation has no real root, yet the
-    # iteration crawls past the peak of F for longer than its cap
+    # just below c = sqrt(2), where the two roots meet, the equation has no
+    # real root: F stays below 0 at its peak
     with pytest.raises(BranchError, match="no real self-consistent solution"):
         self_consistent_s(np.array([math.sqrt(2.0) * (1.0 - 1e-10)]), 0.5, 0.0)
 
 
 def test_self_consistent_s_raises_when_its_bisection_lands_off_the_root(monkeypatch):
-    # the stalled iteration of the case above hands over to the bisections;
-    # the first finds the peak of F, and a second that stops off the root
-    # must raise, not return a partly converged S
+    # in the narrow case above the first bisection finds the peak of F, and
+    # a second that stops off the root must raise, not return a partly
+    # converged S
     real, calls = sktap.spectral._last_true, []
 
     def second_stops_at_its_start(holds, lo, hi):

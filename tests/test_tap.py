@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sktap.tap
 from sktap import (
@@ -24,12 +26,13 @@ from sktap import (
     tap2_residual,
 )
 from sktap.gibbs import BlockEnumerator, _cavity_order
-from sktap.tap import gauss_hermite
+from sktap.tap import _last_true, gauss_hermite
 from oracles import (
     GrayEnumerator,
     bisect_fixed_point,
     cavity_system,
     f_prime,
+    halvings_last_true,
     naive_tables,
     on_engine,
 )
@@ -131,6 +134,37 @@ def test_solve_q_bisection_rescues_stalled_iteration(monkeypatch):
     monkeypatch.setattr(sktap.tap, "_MAX_ITER", 1)
     q = solve_q(0.5, 0.3)
     assert abs(q - f_map(q, 0.5, 0.3)) <= 1e-12
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ends=st.lists(FINITE, min_size=2, max_size=2).map(sorted),
+    threshold=st.one_of(FINITE, st.just(math.inf)),
+    strict=st.booleans(),
+)
+@example(ends=[-0.0, 0.0], threshold=0.0, strict=False)
+@example(ends=[0.0, 1.0], threshold=1.0, strict=False)
+@example(ends=[0.0, 1.0], threshold=math.inf, strict=True)
+def test_last_true_stops_early_at_the_point_of_200_halvings(ends, threshold, strict):
+    # an infinite threshold, or one at hi, makes the predicate true at hi;
+    # a bracket of -0.0 and 0.0 moves lo by its sign alone
+    holds = (lambda x: x < threshold) if strict else (lambda x: x <= threshold)
+    got, want = _last_true(holds, *ends), halvings_last_true(holds, *ends)
+    assert got.hex() == want.hex()
+
+
+def test_last_true_stops_once_its_ends_are_neighbours():
+    calls = []
+
+    def below_a_third(x):
+        calls.append(x)
+        return x <= 1.0 / 3.0
+
+    assert _last_true(below_a_third, 0.0, 1.0) == 1.0 / 3.0
+    assert len(calls) < 60
 
 
 def test_solve_q_rejects_bad_tolerances():

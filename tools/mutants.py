@@ -388,6 +388,34 @@ MUTANTS = (
         ["tests/test_spectral.py::test_self_consistent_s_scalar_quadratic"],
     ),
     (
+        "bracket-starts-at-zero",
+        "src/sktap/spectral.py",
+        "    s = _last_true(lambda x: x - phi(x) <= 0, s0, peak)\n",
+        "    s = _last_true(lambda x: x - phi(x) <= 0, 0.0, peak)\n",
+        ["tests/test_spectral.py::test_self_consistent_s_brackets_the_peak_and_the_root_from_s0"],
+    ),
+    (
+        "bracket-exits-on-lo-alone",
+        "src/sktap/tap.py",
+        "        if step == (lo, hi) and mid != 0.0:\n",
+        "        if step[0] == lo and mid != 0.0:\n",
+        ["tests/test_tap.py::test_last_true_stops_early_at_the_point_of_200_halvings"],
+    ),
+    (
+        "bracket-exit-trusts-a-signed-zero",
+        "src/sktap/tap.py",
+        "        if step == (lo, hi) and mid != 0.0:\n",
+        "        if step == (lo, hi):\n",
+        ["tests/test_tap.py::test_last_true_stops_early_at_the_point_of_200_halvings"],
+    ),
+    (
+        "bracket-never-stops-early",
+        "src/sktap/tap.py",
+        "        if step == (lo, hi) and mid != 0.0:\n",
+        "        if False:\n",
+        ["tests/test_tap.py::test_last_true_stops_once_its_ends_are_neighbours"],
+    ),
+    (
         "flipped-onsager-sign",
         "src/sktap/tap.py",
         "args = params.field + cm.entries @ m - onsager * m",
