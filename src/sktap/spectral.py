@@ -127,6 +127,15 @@ def self_consistent_s(lambda_diag: np.ndarray, t: float, e: float) -> float:
     return s
 
 
+def _below_last_bit(lam: np.ndarray, t: float, e: float, s: float) -> float:
+    """The root's digits past the float root s: -F(s)/F'(s), F(s) = s - phi(s) summed exactly."""
+    from fractions import Fraction  # here: only s_prime_at_e0 needs it, not every command
+
+    shift = Fraction(e) + Fraction(t) * Fraction(s)
+    excess = Fraction(s) - sum(1 / (Fraction(v) - shift) for v in lam.tolist()) / lam.size
+    return -float(excess) / (1.0 - t * float(np.mean((lam - e - t * s) ** -2.0)))
+
+
 def s_prime_at_e0(
     cm: CouplingMatrix,
     params: ModelParams,
@@ -136,16 +145,19 @@ def s_prime_at_e0(
 
     X = n^{-1} sum_i M_ii(E0)^2 with M_ii(E0) = (Lambda_ii - E0 - t S(E0))^{-1}.
     Returns (finite_difference, closed_form); both are finite only while
-    t X < 1.  The difference steps E0 by 1e-5 either way.  Reads only m,
-    from ``tables`` if given.
+    t X < 1.  The difference steps E0 by 1e-5 either way; its two roots
+    share all but 5 digits, so each brings its digits past its last bit
+    (``_below_last_bit``), over the float gap of the energies.  Reads only
+    m, from ``tables`` if given.
     """
     step = 1e-5
     m = tables.m if tables is not None else magnetizations(cm, params)
     op = build_deformed(m, params)
     lam, e0, t = op.lambda_diag, op.e0, params.t
-    s_plus = self_consistent_s(lam, t, e0 + step)
-    s_minus = self_consistent_s(lam, t, e0 - step)
-    fd = (s_plus - s_minus) / (2.0 * step)
+    e_plus, e_minus = e0 + step, e0 - step
+    s_plus, s_minus = self_consistent_s(lam, t, e_plus), self_consistent_s(lam, t, e_minus)
+    below = _below_last_bit(lam, t, e_plus, s_plus) - _below_last_bit(lam, t, e_minus, s_minus)
+    fd = ((s_plus - s_minus) + below) / (e_plus - e_minus)
     s0 = self_consistent_s(lam, t, e0)
     m_diag = 1.0 / (lam - e0 - t * s0)
     x = float(np.mean(m_diag**2))

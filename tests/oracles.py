@@ -34,6 +34,7 @@ coupling path and the cavity ``cavity_system`` of a site.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,6 +318,22 @@ def halvings_last_true(holds, lo, hi):
         else:
             hi = mid
     return lo
+
+
+def exact_trace_root(lam, t, e, s):
+    """The root of S = n^-1 sum 1/(lam_i - e - t S) next to the float s, as a Fraction.
+
+    Two Newton steps from s in exact rational arithmetic: from a root good to
+    a few ulps they leave an error near 1e-60.
+    """
+    ds = [Fraction(float(v)) - Fraction(e) for v in lam]
+    root = Fraction(s)
+    for _ in range(2):
+        inverse = [1 / (d - Fraction(t) * root) for d in ds]
+        excess = root - sum(inverse) / len(ds)
+        slope = 1 - Fraction(t) * sum(x * x for x in inverse) / len(ds)
+        root -= excess / slope
+    return root
 
 
 def bisect_fixed_point(t, h, expect_fn, tol=1e-13):

@@ -19,7 +19,8 @@ import pytest
 
 from sktap.cli import main
 from sktap.ensemble import EXPERIMENTS, EnsembleConfig, _scalar
-from sktap.model import substream_seed
+from sktap.model import ModelParams, sample_couplings, substream_seed
+from sktap.spectral import s_prime_at_e0
 from oracles import on_engine
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -74,14 +75,11 @@ SMALLER = {
 
 COMMANDS = readme_commands(README.read_text())
 
-# Finite differences over 2 step = 2e-5: the residuals of verify-identities,
-# m(x + step) - m(x - step) less the exact value, and spectral's
-# S(E0 + step) - S(E0 - step).  The engines' gap in m, a few 1e-16, comes
-# out 5e4 times larger there (8.3e-12 was measured), and so does a gap of
-# one or two ulps in S, which a root found to float precision takes on
-# either engine (1.1e-11 was measured); their bound, 5e-10, is what a gap of
-# 1e-14 in m or S would give.
-FINITE_DIFFERENCES = {"susceptibility", "coupling_derivative", "s_prime_fd"}
+# Finite-difference residuals of verify-identities: m(x + step) - m(x - step)
+# over 2 step = 2e-5, less the exact value.  The engines' gap in m, a few
+# 1e-16, comes out 5e4 times larger there (8.3e-12 was measured); their
+# bound, 5e-10, is what a gap of 1e-14 in m would give.
+FINITE_DIFFERENCES = {"susceptibility", "coupling_derivative"}
 BOUND, FD_BOUND = 1e-12, 5e-10
 
 
@@ -139,3 +137,16 @@ def test_every_readme_payload_agrees_on_both_engines(command, tmp_path, capsys):
             assert abs(a - b) <= bound or (np.isnan(a) and np.isnan(b)), (name, a, b)
         else:
             assert a == b, (name, a, b)
+
+
+def test_s_prime_fd_agrees_on_both_engines_on_random_samples():
+    # The engines' few 1e-16 in m can move S(E0 +- 1e-5) by an ulp, 1.1e-11
+    # of their float difference over 2e-5; with the parts of the two roots
+    # below their last bits the difference keeps the north star's 1e-12
+    for n in (6, 8):
+        p = ModelParams.uniform(n, 0.4, 0.3)
+        for seed in range(6):
+            cm = sample_couplings(p, seed)
+            block, _ = s_prime_at_e0(cm, p)
+            gray, _ = on_engine("gray", s_prime_at_e0, cm, p)
+            assert abs(block - gray) <= BOUND, (n, seed, block, gray)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from sktap import (
     self_consistent_s,
     spectral_margin,
 )
-from oracles import naive_tables
+from oracles import exact_trace_root, naive_tables
 
 
 def test_build_deformed_zero_field():
@@ -320,6 +321,24 @@ def test_s_prime_agreement_on_generic_instance():
     cm = sample_couplings(p, 19)
     fd, closed = s_prime_at_e0(cm, p)
     assert abs(fd - closed) < 1e-6
+
+
+@pytest.mark.parametrize("n, t, seed", [(6, 0.0, 1), (6, 0.4, 2), (8, 0.4, 3), (10, 0.7, 4), (12, 0.4, 5)])
+def test_s_prime_fd_is_the_divided_difference_of_the_exact_roots(n, t, seed):
+    # S(E0 + 1e-5) and S(E0 - 1e-5) share all but their last 5 digits, so an
+    # ulp of either root is 1e-11 of their float difference over 2e-5; the
+    # parts of them below their last bits keep the difference to a few ulps
+    p = ModelParams.uniform(n, t, 0.3)
+    cm = sample_couplings(p, seed)
+    op = build_deformed(magnetizations(cm, p), p)
+    e_plus, e_minus = op.e0 + 1e-5, op.e0 - 1e-5
+    roots = [
+        exact_trace_root(op.lambda_diag, t, e, self_consistent_s(op.lambda_diag, t, e))
+        for e in (e_plus, e_minus)
+    ]
+    want = float((roots[0] - roots[1]) / (Fraction(e_plus) - Fraction(e_minus)))
+    fd, _ = s_prime_at_e0(cm, p)
+    assert abs(fd - want) <= 4 * math.ulp(want), (fd, want)
 
 
 def test_spectral_margin_positive_at_high_temperature():

@@ -50,6 +50,7 @@ RUN_TRAFFIC = "tests/test_cli.py::test_only_the_cavity_stacks_ask_which_systems_
 STRETCH_PLAN = "tests/test_gibbs.py::test_the_stretch_plan_equals_the_first_fit_plan"
 STACKED_ROWS = "tests/test_gibbs_properties.py::test_stacked_pass_equals_one_pass_per_row"
 ENGINES = "tests/test_engines.py"
+DIVIDED_DIFFERENCE = "tests/test_spectral.py::test_s_prime_fd_is_the_divided_difference_of_the_exact_roots"
 
 # (name, file, exact snippet, replacement, targeted tests)
 MUTANTS = (
@@ -393,6 +394,27 @@ MUTANTS = (
         "    s = _last_true(lambda x: x - phi(x) <= 0, s0, peak)\n",
         "    s = _last_true(lambda x: x - phi(x) <= 0, 0.0, peak)\n",
         ["tests/test_spectral.py::test_self_consistent_s_brackets_the_peak_and_the_root_from_s0"],
+    ),
+    (
+        "fd-without-the-parts-below-the-last-bit",
+        "src/sktap/spectral.py",
+        "    fd = ((s_plus - s_minus) + below) / (e_plus - e_minus)\n",
+        "    fd = (s_plus - s_minus) / (e_plus - e_minus)\n",
+        [DIVIDED_DIFFERENCE, "tests/test_engines.py::test_s_prime_fd_agrees_on_both_engines_on_random_samples"],
+    ),
+    (
+        "fd-over-twice-the-step",
+        "src/sktap/spectral.py",
+        "    fd = ((s_plus - s_minus) + below) / (e_plus - e_minus)\n",
+        "    fd = ((s_plus - s_minus) + below) / (2.0 * step)\n",
+        [DIVIDED_DIFFERENCE],
+    ),
+    (
+        "below-last-bit-steps-away-from-the-root",
+        "src/sktap/spectral.py",
+        "    return -float(excess) / (1.0 - t * float(np.mean((lam - e - t * s) ** -2.0)))\n",
+        "    return float(excess) / (1.0 - t * float(np.mean((lam - e - t * s) ** -2.0)))\n",
+        [DIVIDED_DIFFERENCE],
     ),
     (
         "bracket-exits-on-lo-alone",
